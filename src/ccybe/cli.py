@@ -15,7 +15,7 @@ from fractions import Fraction
 from hashlib import sha256
 
 from . import families, rmatfile, search, ybe
-from .exactpoly import ParseError, SymbolRegistry
+from .exactpoly import ExponentOverflow, ParseError, SymbolRegistry
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -125,6 +125,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if args.degree < 0:
+        print(f"error: --degree must be >= 0, got {args.degree}", file=sys.stderr)
+        return USAGE
     diffs = ybe.catalog_diffs(degree=args.degree)
     bad = {name: diff for name, diff in diffs.items() if not diff.is_zero()}
     if not bad:
@@ -281,7 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ExponentOverflow as err:
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

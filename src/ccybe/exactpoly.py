@@ -1,10 +1,25 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a mapping from exponent vectors to nonzero Fraction
-coefficients.  An exponent vector is a tuple indexed by symbol id with
-trailing zeros stripped, so stored keys stay canonical while the symbol
-registry keeps growing.  All arithmetic is exact; there is no
+A polynomial is a mapping from packed monomials to nonzero coefficients.
+A coefficient is a plain int when its denominator is 1 and a Fraction
+otherwise, so integer work never pays for Fraction arithmetic.  Values
+are made int-first where they enter (constants, variables, the
+constructor and scalar multiples); a sum or product of two Fractions is
+stored as it comes, since an integral Fraction compares, hashes and
+prints exactly like the int.  All arithmetic is exact; there is no
 floating-point mode anywhere.
+
+A monomial is packed into one Python int with a 16-bit field per symbol:
+field i (bits 16*i to 16*i + 15) holds the exponent of symbol id i, so a
+monomial product is one integer addition and the constant monomial is 0
+(after Monagan & Pearce, "Sparse polynomial multiplication and division
+in Maple 14", 2009).  The top bit of every field is a guard bit: an
+exponent must stay below 2**15, products and substitutions check their
+result against the registry's guard mask, and a field that reaches the
+guard bit raises ExponentOverflow instead of wrapping into its
+neighbour.  The public API speaks tuples: terms() yields exponent tuples
+indexed by symbol id with trailing zeros stripped, and terms(),
+coefficient(), constant_term() and constant_value() return Fractions.
 
 Symbols are interned in a SymbolRegistry (append-only, synchronized).
 Two polynomials may only be combined when they share the same registry
@@ -17,7 +32,7 @@ The text grammar accepted by parse_poly:
     factor := '-' factor | atom ('^' INT)?
     atom   := INT ('/' INT)? | SYMBOL | '(' expr ')'
 
-Exponents must be nonnegative integer literals and implicit
+Exponents must be nonnegative integer literals below 2**15 and implicit
 multiplication is not allowed.  The canonical printer emits terms in
 descending graded-lexicographic order with explicit '*', and
 parse(print(p)) == p.
@@ -25,16 +40,27 @@ parse(print(p)) == p.
 
 from __future__ import annotations
 
+import struct
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
 
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+EXPONENT_LIMIT = 1 << (_FIELD - 1)  # the guard bit of a field
+
 
 class RegistryMismatch(ValueError):
     """Operands do not share a symbol registry."""
+
+
+class ExponentOverflow(OverflowError):
+    """An exponent reached EXPONENT_LIMIT, the packed-field guard bit."""
 
 
 class ParseError(ValueError):
@@ -64,6 +90,36 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | set("0123456789")
 
 
+def _scalar(value) -> Scalar:
+    """`value` as an exact coefficient: int if integral, else Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _ints_first(terms: dict) -> dict:
+    """Turn integral Fraction values of `terms` into ints, in place."""
+    for key, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[key] = c.numerator
+    return terms
+
+
+def _pack(exps: tuple) -> int:
+    key = 0
+    for i, e in enumerate(exps):
+        key |= e << (_FIELD * i)
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    """Exponent tuple of a packed monomial, trailing zeros stripped."""
+    n = (key.bit_length() + _FIELD - 1) // _FIELD
+    return struct.unpack(f"<{n}H", key.to_bytes(2 * n, "little"))
+
+
 class SymbolRegistry:
     """Append-only bijective interning of symbol names to integer ids."""
 
@@ -71,6 +127,7 @@ class SymbolRegistry:
         self._lock = threading.Lock()
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
+        self._guard = 0  # guard bit of every interned symbol's field
         for name in core:
             self.sym(name)
 
@@ -84,6 +141,7 @@ class SymbolRegistry:
                 idx = len(self._names)
                 self._names.append(name)
                 self._ids[name] = idx
+                self._guard |= EXPONENT_LIMIT << (_FIELD * idx)
         return Sym(name, idx)
 
     def get(self, name: str) -> Optional[Sym]:
@@ -99,63 +157,69 @@ class SymbolRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._ids
 
+    def _check_guard(self, keys: Iterable[int]) -> None:
+        """Raise ExponentOverflow if any packed key sets a guard bit."""
+        hit = reduce(or_, keys, 0) & self._guard
+        if hit:
+            name = self.name_of((hit.bit_length() - 1) // _FIELD)
+            raise ExponentOverflow(
+                f"exponent of {name} reaches {EXPONENT_LIMIT}, the packed-field limit")
+
     # Polynomial constructors -------------------------------------------------
 
     def zero(self) -> "MPoly":
-        return MPoly(self, {})
+        return MPoly._raw(self, {})
 
     def const(self, value: Scalar) -> "MPoly":
-        c = Fraction(value)
-        return MPoly(self, {(): c} if c else {})
+        c = _scalar(value)
+        return MPoly._raw(self, {0: c} if c else {})
 
     def var(self, name_or_sym: Union[str, Sym], power: int = 1) -> "MPoly":
         sym = name_or_sym if isinstance(name_or_sym, Sym) else self.sym(name_or_sym)
         if power < 0:
             raise ValueError("negative exponents are not supported")
+        if power >= EXPONENT_LIMIT:
+            raise ExponentOverflow(
+                f"exponent {power} of {sym.name} is not below {EXPONENT_LIMIT}")
         if power == 0:
             return self.const(1)
-        exps = (0,) * sym.index + (power,)
-        return MPoly(self, {exps: Fraction(1)})
+        return MPoly._raw(self, {power << (_FIELD * sym.index): 1})
 
     def parse(self, text: str, auto_register: bool = False) -> "MPoly":
         return parse_poly(text, self, auto_register=auto_register)
 
 
-def _strip(exps: tuple) -> tuple:
-    n = len(exps)
-    while n and exps[n - 1] == 0:
-        n -= 1
-    return exps[:n]
-
-
-def _mul_exps(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, e in enumerate(b):
-        out[i] += e
-    return tuple(out)
-
-
 class MPoly:
-    """Immutable sparse polynomial over Fraction coefficients."""
+    """Immutable sparse polynomial over the rationals.
+
+    `_terms` maps packed monomials (one int, a 16-bit exponent field per
+    symbol id) to nonzero coefficients, ints where they enter integral
+    and Fractions otherwise.  Every stored field stays below EXPONENT_LIMIT,
+    so the sum of two keys never carries between fields; the guard bit
+    turns an overflow into ExponentOverflow.
+    """
 
     __slots__ = ("reg", "_terms", "_hash")
 
     def __init__(self, reg: SymbolRegistry, terms: Mapping[tuple, Scalar]):
-        norm: dict[tuple, Fraction] = {}
+        norm: dict[int, Scalar] = {}
         for exps, coeff in terms.items():
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            exps = tuple(exps)
+            if any(e < 0 for e in exps):
+                raise ValueError("negative exponents are not supported")
+            if any(e >= EXPONENT_LIMIT for e in exps):
+                raise ExponentOverflow(f"exponent in {exps} is not below {EXPONENT_LIMIT}")
+            c = _scalar(coeff)
             if c:
-                norm[_strip(tuple(exps))] = c
+                norm[_pack(exps)] = c
         self.reg = reg
         self._terms = norm
         self._hash: Optional[int] = None
 
     @classmethod
     def _raw(cls, reg: SymbolRegistry, terms: dict) -> "MPoly":
-        # Internal: terms must already be canonical (stripped keys, nonzero
-        # Fraction values).
+        # Internal: terms must already be canonical (guard-clean packed
+        # keys, nonzero int-or-Fraction values).
         self = object.__new__(cls)
         self.reg = reg
         self._terms = terms
@@ -165,7 +229,7 @@ class MPoly:
     # Introspection ----------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[tuple, Fraction]]:
-        return iter(self._terms.items())
+        return ((_unpack(key), Fraction(c)) for key, c in self._terms.items())
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -174,41 +238,40 @@ class MPoly:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises otherwise)."""
         if not self._terms:
             return Fraction(0)
         if self.is_constant():
-            return self._terms[()]
+            return Fraction(self._terms[0])
         raise ValueError(f"not a constant polynomial: {self}")
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get(0, 0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(sum(_unpack(key)) for key in self._terms)
 
     def degree_in(self, sym: Sym) -> int:
         if not self._terms:
             return -1
-        i = sym.index
-        return max((e[i] if i < len(e) else 0) for e in self._terms)
+        shift = _FIELD * sym.index
+        return max((key >> shift) & _FIELD_MASK for key in self._terms)
 
     def symbols(self) -> set[Sym]:
-        seen: set[int] = set()
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    seen.add(i)
-        return {Sym(self.reg.name_of(i), i) for i in seen}
+        used = _unpack(reduce(or_, self._terms, 0))
+        return {Sym(self.reg.name_of(i), i) for i, e in enumerate(used) if e}
 
     def coefficient(self, exps: tuple) -> Fraction:
-        return self._terms.get(_strip(tuple(exps)), Fraction(0))
+        exps = tuple(exps)
+        if not all(0 <= e < EXPONENT_LIMIT for e in exps):
+            return Fraction(0)
+        return Fraction(self._terms.get(_pack(exps), 0))
 
     # Arithmetic --------------------------------------------------------------
 
@@ -223,12 +286,12 @@ class MPoly:
             return NotImplemented
         self._check(other)
         out = dict(self._terms)
-        for exps, c in other._terms.items():
-            s = out.get(exps, 0) + c
+        for key, c in other._terms.items():
+            s = out.get(key, 0) + c
             if s:
-                out[exps] = s
+                out[key] = s
             else:
-                out.pop(exps, None)
+                out.pop(key, None)
         return MPoly._raw(self.reg, out)
 
     __radd__ = __add__
@@ -248,23 +311,26 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _scalar(other)
             if not c:
                 return self.reg.zero()
-            return MPoly._raw(self.reg, {e: k * c for e, k in self._terms.items()})
+            return MPoly._raw(self.reg, _ints_first(
+                {e: k * c for e, k in self._terms.items()}))
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        out: dict[tuple, Fraction] = {}
+        out: dict[int, Scalar] = {}
         get = out.get
+        bterms = other._terms.items()
         for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = _mul_exps(ea, eb)
+            for eb, cb in bterms:
+                key = ea + eb
                 s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
                     del out[key]
+        self.reg._check_guard(out)
         return MPoly._raw(self.reg, out)
 
     __rmul__ = __mul__
@@ -272,6 +338,13 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponents are not supported")
+        if n > 1:
+            # Over Q, deg_s(p**n) = n * deg_s(p): refuse before expanding.
+            top = max((max(_unpack(key), default=0) for key in self._terms), default=0)
+            if n * top >= EXPONENT_LIMIT:
+                raise ExponentOverflow(
+                    f"power {n} takes an exponent {top} to {n * top}, "
+                    f"not below {EXPONENT_LIMIT}")
         result = self.reg.const(1)
         base = self
         while n:
@@ -306,50 +379,51 @@ class MPoly:
         """Simultaneous substitution of several symbols."""
         if not mapping:
             return self
+        reg = self.reg
         targets = {}
         for sym, expr in mapping.items():
             if not isinstance(expr, MPoly):
-                expr = self.reg.const(expr)
+                expr = reg.const(expr)
             self._check(expr)
             targets[sym.index] = expr
-        powers: dict[tuple[int, int], dict] = {}
+        shifts = [(idx, _FIELD * idx) for idx in sorted(targets)]
+        cleared = reduce(or_, (_FIELD_MASK << shift for _, shift in shifts))
+        # Write p = sum over t of m_t * q_t, with m_t the part of a monomial
+        # in the substituted symbols and q_t free of them; then each q_t is
+        # multiplied by the image of m_t once.
+        groups: dict[int, dict[int, Scalar]] = {}
+        for key, coeff in self._terms.items():
+            t = key & cleared
+            groups.setdefault(t, {})[key ^ t] = coeff
+        powers: dict[tuple[int, int], MPoly] = {}
 
-        def power_of(idx: int, n: int) -> dict:
-            key = (idx, n)
-            cached = powers.get(key)
-            if cached is None:
-                cached = (targets[idx] ** n)._terms
-                powers[key] = cached
-            return cached
+        def power_of(idx: int, n: int) -> MPoly:
+            pw = powers.get((idx, n))
+            if pw is None:
+                below = powers.get((idx, n - 1))
+                pw = targets[idx] ** n if below is None else below * targets[idx]
+                powers[(idx, n)] = pw
+            return pw
 
-        out: dict[tuple, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            kept = list(exps)
-            factors: list[tuple[int, int]] = []
-            for i, e in enumerate(exps):
-                if e and i in targets:
-                    kept[i] = 0
-                    factors.append((i, e))
-            piece: dict[tuple, Fraction] = {_strip(tuple(kept)): coeff}
-            for idx, e in factors:
-                pw = power_of(idx, e)
-                new: dict[tuple, Fraction] = {}
-                for e1, c1 in piece.items():
-                    for e2, c2 in pw.items():
-                        key = _mul_exps(e1, e2)
-                        s = new.get(key, 0) + c1 * c2
-                        if s:
-                            new[key] = s
-                        else:
-                            del new[key]
-                piece = new
-            for e1, c1 in piece.items():
-                s = out.get(e1, 0) + c1
-                if s:
-                    out[e1] = s
-                else:
-                    del out[e1]
-        return MPoly._raw(self.reg, out)
+        out = groups.pop(0, {})
+        get = out.get
+        for t, rest in groups.items():
+            image = None
+            for idx, shift in shifts:
+                e = (t >> shift) & _FIELD_MASK
+                if e:
+                    pw = power_of(idx, e)
+                    image = pw if image is None else image * pw
+            for e2, c2 in image._terms.items():
+                for e1, c1 in rest.items():
+                    k = e1 + e2
+                    s = get(k, 0) + c1 * c2
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        reg._check_guard(out)
+        return MPoly._raw(reg, out)
 
     def evaluate(self, values: Mapping[Sym, Scalar]) -> "MPoly":
         """Substitute rational values for symbols (returns an MPoly)."""
@@ -357,49 +431,39 @@ class MPoly:
 
     def cancel_inverse_pairs(self, sym: Sym, inv: Sym) -> "MPoly":
         """Reduce monomials using the relation sym * inv == 1."""
-        out: dict[tuple, Fraction] = {}
-        i, j = sym.index, inv.index
-        for exps, coeff in self._terms.items():
-            ei = exps[i] if i < len(exps) else 0
-            ej = exps[j] if j < len(exps) else 0
-            k = min(ei, ej)
+        out: dict[int, Scalar] = {}
+        si, sj = _FIELD * sym.index, _FIELD * inv.index
+        for key, coeff in self._terms.items():
+            k = min((key >> si) & _FIELD_MASK, (key >> sj) & _FIELD_MASK)
             if k:
-                e = list(exps) + [0] * (max(i, j) + 1 - len(exps))
-                e[i] -= k
-                e[j] -= k
-                key = _strip(tuple(e))
-            else:
-                key = exps
+                key -= (k << si) + (k << sj)
             s = out.get(key, 0) + coeff
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return MPoly(self.reg, out)
+        return MPoly._raw(self.reg, out)
 
     # Structure ---------------------------------------------------------------
 
     def as_univariate_in(self, sym: Sym) -> dict[int, "MPoly"]:
         """Split into {degree in sym: coefficient polynomial (sym-free)}."""
-        i = sym.index
-        buckets: dict[int, dict[tuple, Fraction]] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[i] if i < len(exps) else 0
-            rest = list(exps)
-            if i < len(rest):
-                rest[i] = 0
-            buckets.setdefault(e, {})[_strip(tuple(rest))] = coeff
-        return {deg: MPoly(self.reg, terms) for deg, terms in buckets.items()}
+        shift = _FIELD * sym.index
+        keep = ~(_FIELD_MASK << shift)
+        buckets: dict[int, dict[int, Scalar]] = {}
+        for key, coeff in self._terms.items():
+            e = (key >> shift) & _FIELD_MASK
+            buckets.setdefault(e, {})[key & keep] = coeff
+        return {deg: MPoly._raw(self.reg, terms) for deg, terms in buckets.items()}
 
     def odd_even_split(self, sym: Sym) -> tuple["MPoly", "MPoly"]:
         """Return (odd part, even part) with respect to `sym`."""
-        i = sym.index
-        odd: dict[tuple, Fraction] = {}
-        even: dict[tuple, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[i] if i < len(exps) else 0
-            (odd if e % 2 else even)[exps] = coeff
-        return MPoly(self.reg, odd), MPoly(self.reg, even)
+        low_bit = 1 << (_FIELD * sym.index)
+        odd: dict[int, Scalar] = {}
+        even: dict[int, Scalar] = {}
+        for key, coeff in self._terms.items():
+            (odd if key & low_bit else even)[key] = coeff
+        return MPoly._raw(self.reg, odd), MPoly._raw(self.reg, even)
 
     def match_axf(self, sym: Sym, t_name: str = "t") -> Optional[tuple["MPoly", "MPoly"]]:
         """Match p == a * sym * f(sym^2) with f monic in the symbol `t_name`.
@@ -454,15 +518,13 @@ class MPoly:
 
     # Printing ----------------------------------------------------------------
 
-    def _sort_key(self, exps: tuple):
-        return (sum(exps), exps)
-
     def to_string(self) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for exps in sorted(self._terms, key=self._sort_key, reverse=True):
-            coeff = self._terms[exps]
+        rows = sorted(((_unpack(key), c) for key, c in self._terms.items()),
+                      key=lambda row: (sum(row[0]), row[0]), reverse=True)
+        for exps, coeff in rows:
             syms = [
                 self.reg.name_of(i) + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exps)
@@ -564,7 +626,11 @@ def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False) -> M
             lx.pos += 1
             if lx.peek() is None or not lx.peek().isdigit():
                 raise ParseError("exponent must be a nonnegative integer literal", lx.pos)
-            node = node ** lx.take_int()
+            here = lx.pos
+            n = lx.take_int()
+            if n >= EXPONENT_LIMIT:
+                raise ParseError(f"exponent must be below {EXPONENT_LIMIT}", here)
+            node = node ** n
         return node
 
     def parse_atom() -> MPoly:

@@ -29,7 +29,7 @@ from hashlib import sha256
 from multiprocessing import get_context
 from typing import Iterator, Optional, Sequence
 
-from .exactpoly import SymbolRegistry
+from .exactpoly import Scalar, SymbolRegistry
 from .families import characterize, scalar_relation_residues
 from .ybe import (
     CATALOG,
@@ -71,6 +71,8 @@ class SearchConfig:
             raise SearchConfigError("ansatz mode requires an odd max_degree >= 1")
         if self.max_degree < 1:
             raise SearchConfigError("max_degree must be >= 1")
+        if self.workers < 1:
+            raise SearchConfigError("workers must be >= 1")
         object.__setattr__(self, "coeff_grid",
                            tuple(Fraction(v) for v in self.coeff_grid))
         object.__setattr__(self, "constants_grid",
@@ -128,10 +130,10 @@ class SearchReport:
 # with coeffs[i][k] the degree self.degrees[k] coefficient of entry PAIRS[i].
 
 
-def _boundary_values(constants: Sequence[Fraction]) -> list[Fraction]:
+def _boundary_values(constants: Sequence[Scalar]) -> list[Scalar]:
     alpha, beta, gamma, zeta = constants
     table = {
-        ("e", "e"): Fraction(0), ("f", "f"): Fraction(0),
+        ("e", "e"): 0, ("f", "f"): 0,
         ("e", "f"): 4 * zeta - beta, ("f", "e"): beta,
         ("h", "e"): alpha, ("e", "h"): -alpha,
         ("h", "f"): gamma, ("f", "h"): -gamma,

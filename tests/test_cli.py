@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ccybe import cli, rmatfile, ybe
+from ccybe import cli, rmatfile, search, ybe
 from ccybe.exactpoly import SymbolRegistry
 
 
@@ -77,6 +77,28 @@ def test_verify_parse_error(tmp_path, capsys):
         "algebra": "cur_sl2",
         "entries": [{"left": "e", "right": "e", "coeff": "1 +"}]})
     assert cli.main(["verify", path]) == 2
+
+
+def test_verify_exponent_literal_too_large(tmp_path, capsys):
+    # Refused while parsing, before the power is computed.
+    path = write_rmat(tmp_path, "big.json", {
+        "algebra": "cur_sl2",
+        "entries": [{"left": "h", "right": "h", "coeff": "d1^70000"}]})
+    assert cli.main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "below 32768" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_exponent_overflow_exit(tmp_path, capsys):
+    # Each literal is in range; their product overflows the packed field.
+    path = write_rmat(tmp_path, "big.json", {
+        "algebra": "cur_sl2",
+        "entries": [{"left": "h", "right": "h", "coeff": "d1^20000*d1^20000"}]})
+    assert cli.main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "d1" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_json_format_hashed(tmp_path, capsys):
@@ -172,6 +194,13 @@ def test_catalog_renamed_variable_detected(monkeypatch, capsys):
     assert cli.main(["catalog", "--degree", "1"]) == 1
 
 
+def test_catalog_negative_degree(capsys):
+    assert cli.main(["catalog", "--degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "re-derived" not in captured.out
+    assert len(captured.err.splitlines()) == 1 and "--degree" in captured.err
+
+
 # family ---------------------------------------------------------------------------
 
 
@@ -246,6 +275,18 @@ def test_search_cli_jobs(tmp_path, capsys):
     a, b = json.loads(open(out1).read()), json.loads(open(out2).read())
     assert a["content_hash"] == b["content_hash"]
     assert a["survivors"] == b["survivors"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_cli_jobs_below_one(monkeypatch, capsys, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was requested")
+
+    monkeypatch.setattr(search, "get_context", no_pool)
+    assert cli.main(["search", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "workers" in captured.err
 
 
 # vir ------------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccybe.exactpoly import (
+    EXPONENT_LIMIT,
+    ExponentOverflow,
     MPoly,
     ParseError,
     RegistryMismatch,
@@ -170,6 +172,128 @@ def test_print_canonical(reg):
     assert p.to_string() == "3/2*d1^2 - d2"
     assert reg.zero().to_string() == "0"
     assert reg.const(Fraction(-5, 3)).to_string() == "-5/3"
+
+
+# Int-first coefficients and packed monomials --------------------------------
+
+
+def test_match_axf_rational_ratio(reg):
+    # c / a_val must stay exact: 2/3, not the float 0.666...
+    a, f = reg.parse("3*x^3 + 2*x").match_axf(reg.sym("x"))
+    assert a == 3
+    assert f == reg.parse("t + 2/3")
+    assert f.to_string() == "t + 2/3"
+
+
+def test_public_coefficients_are_fractions(reg):
+    p = reg.parse("3*x^2 + 1/2*y + 5")
+    assert type(p.constant_term()) is Fraction and p.constant_term() == 5
+    assert type(reg.const(4).constant_value()) is Fraction
+    assert type(reg.zero().constant_value()) is Fraction
+    assert type(reg.zero().constant_term()) is Fraction
+    x_index = reg.sym("x").index
+    exps = (0,) * x_index + (2,)
+    assert type(p.coefficient(exps)) is Fraction and p.coefficient(exps) == 3
+    assert type(p.coefficient((0, 7))) is Fraction and p.coefficient((0, 7)) == 0
+    for exps, c in p.terms():
+        assert type(exps) is tuple and type(c) is Fraction
+        assert not exps or exps[-1] != 0
+
+
+def test_integral_coefficients_stored_as_int(reg):
+    x = reg.var("x")
+    half = x * Fraction(1, 2)
+    assert half.to_string() == "1/2*x"
+    # Fraction(3, 1) and 3 print, compare and hash alike.
+    p = (half * 6) * (x + Fraction(2, 2))
+    assert p == reg.parse("3*x^2 + 3*x")
+    assert hash(p) == hash(reg.parse("3*x^2 + 3*x"))
+    assert all(type(c) is int for c in p._terms.values())
+    assert reg.const(Fraction(4, 2)) == 2
+    assert MPoly(reg, {(1,): Fraction(6, 3)}) == reg.var("d") * 2
+
+
+def _tuple_product(p, q):
+    # The representation before packing: tuple exponents, Fraction sums.
+    out = {}
+    for ea, ca in p.terms():
+        for eb, cb in q.terms():
+            n = max(len(ea), len(eb))
+            key = tuple(a + b for a, b in zip(ea + (0,) * (n - len(ea)),
+                                              eb + (0,) * (n - len(eb))))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return out
+
+
+def _termwise_subst(p, sym, expr):
+    # One term at a time, through the public API only.
+    reg = p.reg
+    out = reg.zero()
+    for exps, c in p.terms():
+        term = reg.const(c)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * (expr ** e if i == sym.index else reg.var(reg.name_of(i), e))
+        out = out + term
+    return out
+
+
+def test_packed_products_high_symbol_ids(reg):
+    rng = random.Random(3)
+    names = [f"s{i}" for i in range(80)]
+    for name in names:
+        reg.sym(name)
+    high = names[-6:] + ["d1"]
+    assert reg.sym(high[0]).index > 80
+    for _ in range(40):
+        p = random_poly(reg, rng, high, max_degree=4, max_terms=6)
+        q = random_poly(reg, rng, high, max_degree=4, max_terms=6)
+        prod = p * q
+        want = _tuple_product(p, q)
+        assert prod == MPoly(reg, want)
+        assert dict(prod.terms()) == {e: c for e, c in want.items() if c}
+        assert reg.parse(prod.to_string()) == prod
+        assert prod.degree() == max((sum(e) for e in want if want[e]), default=-1)
+        s = reg.sym(high[1])
+        assert prod.subst_linear(s, q) == _termwise_subst(prod, s, q)
+    top = reg.var(names[-1], EXPONENT_LIMIT - 1)
+    assert (top * reg.var("d")).to_string() == f"d*{names[-1]}^{EXPONENT_LIMIT - 1}"
+
+
+def test_exponent_overflow_guard(reg):
+    x, y = reg.var("x"), reg.var("y")
+    with pytest.raises(ExponentOverflow):
+        reg.var("x", 2 ** 15)
+    with pytest.raises(ExponentOverflow):
+        MPoly(reg, {(2 ** 15,): 1})
+    big = reg.var("x", 2 ** 14)
+    assert (reg.var("x", 2 ** 14 - 1) * big).degree_in(reg.sym("x")) == 2 ** 15 - 1
+    with pytest.raises(ExponentOverflow, match="x"):
+        big * big
+    with pytest.raises(ExponentOverflow):
+        (x + y) * big * reg.var("x", 2 ** 14 - 1) * x
+    with pytest.raises(ExponentOverflow):
+        (x + 1) ** (2 ** 15)
+    with pytest.raises(ExponentOverflow):
+        (big + y) ** 2
+    with pytest.raises(ExponentOverflow):
+        big.subst_linear(reg.sym("x"), x * x)
+    z = reg.var("z")
+    both = reg.var("x", 20000) * reg.var("y", 20000)
+    with pytest.raises(ExponentOverflow, match="z"):
+        both.subst_many({reg.sym("x"): z, reg.sym("y"): z})
+    assert reg.const(2) ** (2 ** 15) == 2 ** (2 ** 15)
+    # A full field never spills into its neighbour.
+    edge = reg.var("x", 2 ** 15 - 1) * reg.var("y", 2 ** 15 - 1)
+    assert edge.degree_in(reg.sym("x")) == edge.degree_in(reg.sym("y")) == 2 ** 15 - 1
+
+
+def test_parse_exponent_limit(reg):
+    assert reg.parse(f"x^{2 ** 15 - 1}") == reg.var("x", 2 ** 15 - 1)
+    with pytest.raises(ParseError, match="below 32768"):
+        reg.parse("(x + 1)^70000")
+    with pytest.raises(ParseError):
+        reg.parse("2^32768")
 
 
 # Properties ------------------------------------------------------------------
