@@ -12,7 +12,7 @@ import time
 
 from ccybe import families
 from ccybe.exactpoly import SymbolRegistry
-from ccybe.ybe import is_invariant, is_strict_solution, is_weak_solution
+from ccybe.ybe import is_invariant, is_strict_solution, is_weak_solution, lift_profile
 
 CASES = [
     ("thm5_i", lambda reg: {"alpha": reg.var("alpha"), "beta": reg.var("beta")}),
@@ -44,7 +44,7 @@ def main() -> int:
             reg = SymbolRegistry()
             spec = families.FamilySpec(case, reg, make_params(reg),
                                        f=formal_monic(reg, degree))
-            r = families.lift_to_rmat(families.build_profile(spec))
+            r = lift_profile(families.build_profile(spec))
             t0 = time.time()
             inv = is_invariant(r)[0]
             weak = is_weak_solution(r)[0]

@@ -12,18 +12,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from hashlib import sha256
 
 from . import families, rmatfile, search, ybe
 from .exactpoly import ExponentOverflow, ParseError, SymbolRegistry
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-
-def _hashed(payload: dict) -> dict:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    payload["content_hash"] = sha256(blob.encode()).hexdigest()
-    return payload
 
 
 def _defect_rows(defects) -> list:
@@ -47,7 +40,8 @@ def _residue_rows(tensor) -> list:
 
 def _emit_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_hashed(report), indent=2, sort_keys=True))
+        report["content_hash"] = search.canonical_hash(report)
+        print(json.dumps(report, indent=2, sort_keys=True))
         return
     status = "PASS" if report["ok"] else "FAIL"
     print(f"{report['check']}: {status}")
@@ -166,13 +160,14 @@ def cmd_family(args) -> int:
             params = _parse_params(args.param)
             f_text = args.f
         f = reg.parse(f_text) if f_text else None
+        if f is not None and f.symbols() - {reg.sym("t")}:
+            raise ValueError(f"f must be a polynomial in t alone, got {f_text!r}")
         spec = families.FamilySpec(case, reg, params, f=f)
-        profile = families.build_profile(spec)
-        r = families.lift_to_rmat(profile)
-    except (ValueError, KeyError, ParseError) as err:
+        r = ybe.lift_profile(families.build_profile(spec))
+        rmatfile.dump(r, args.out)
+    except (OSError, ValueError, KeyError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
-    rmatfile.dump(r, args.out)
     print(f"wrote {args.out}")
     return PASS
 
@@ -223,6 +218,12 @@ def cmd_vir(args) -> int:
         print(f"error: expression must use only x and y, got {sorted(extra)}",
               file=sys.stderr)
         return USAGE
+    for name in ("x", "y"):
+        degree = coeff.degree_in(reg.sym(name))
+        if degree > rmatfile.MAX_SLOT_DEGREE:
+            print(f"error: degree {degree} in {name} is above the limit "
+                  f"{rmatfile.MAX_SLOT_DEGREE}", file=sys.stderr)
+            return USAGE
     r = families.vir_rmatrix(coeff)
     report = _run_check(r, args.mode)
     _emit_report(report, args.format)

@@ -11,11 +11,13 @@ Two algebra kinds are supported:
 Tensor powers are maps from basis tuples to polynomials in the slot
 symbols d1..dN (plus any parameter symbols).  The left action of an
 element on a tensor is the Leibniz sum over slots: acting on slot i
-shifts di by the action variable and inserts the basis-level bracket.
+shifts di by the bracket variable's value and inserts the basis-level
+bracket.  That value is a polynomial, not a fresh symbol: a free
+variable for the module axioms, or -(d1 + ... + dN) (minus the tensor's
+`total()`) to read the action modulo the total derivation in one pass.
 
 Reduction "modulo the total derivation" eliminates d1 via
-d1 := -(d2 + ... + dN); in action-variable mode it instead eliminates
-the action symbol via mu := -(d1 + ... + dN).
+d1 := -(d2 + ... + dN).
 """
 
 from __future__ import annotations
@@ -156,6 +158,14 @@ class ConfTensor:
     def slot_sym(self, i: int) -> Sym:
         return self.alg.reg.sym(f"d{i + 1}")
 
+    def total(self) -> MPoly:
+        """The total derivation d1 + ... + dN on this tensor's slots."""
+        reg = self.alg.reg
+        out = reg.zero()
+        for i in range(self.arity):
+            out = out + reg.var(self.slot_sym(i))
+        return out
+
     def __add__(self, other: "ConfTensor") -> "ConfTensor":
         if self.alg is not other.alg or self.arity != other.arity:
             raise ValueError("tensor shape mismatch")
@@ -191,26 +201,24 @@ def tensor(alg: ConfAlgebra, arity: int, entries: Mapping[tuple, MPoly]) -> Conf
     return ConfTensor(alg, arity, dict(entries))
 
 
-def act_on_tensor(a: ConfElem, t: ConfTensor, actionvar: Sym) -> ConfTensor:
-    """Leibniz action of `a` on a tensor, with bracket variable `actionvar`.
+def act_on_tensor(a: ConfElem, t: ConfTensor, lam: MPoly) -> ConfTensor:
+    """Leibniz action of `a` on a tensor, with the bracket variable at `lam`.
 
-    On the acted slot i the coefficient argument di shifts to
-    di + actionvar, the element's own polynomial is evaluated at
-    -actionvar, and the basis-level bracket polynomial is inserted with
-    its d read as di.
+    On the acted slot i the coefficient argument di shifts to di + lam,
+    the element's own polynomial is evaluated at -lam, and the
+    basis-level bracket polynomial is inserted with its d read as di and
+    its lam as `lam`.  Substituting before the products is a ring
+    homomorphism, so acting at -t.total() equals acting at a free
+    variable and eliminating it afterwards.
     """
     alg = t.alg
     if a.alg is not alg:
         raise ValueError("element and tensor over different algebras")
     reg = alg.reg
-    mu = reg.var(actionvar.name)
-    for poly in t.entries.values():
-        if actionvar in poly.symbols():
-            raise ValueError(f"action variable {actionvar.name} already occurs in the tensor")
     d_sym, lam_sym = alg.d, alg.lam
     out: dict[tuple, MPoly] = {}
     for p, g in a.coeffs.items():
-        g_at = g.subst_linear(d_sym, -mu)
+        g_at = g.subst_linear(d_sym, -lam)
         if g_at.is_zero():
             continue
         for tup, coeff in t.entries.items():
@@ -219,9 +227,9 @@ def act_on_tensor(a: ConfElem, t: ConfTensor, actionvar: Sym) -> ConfTensor:
                 if not bracket:
                     continue
                 di = t.slot_sym(i)
-                shifted = coeff.subst_linear(di, reg.var(di) + mu)
+                shifted = coeff.subst_linear(di, reg.var(di) + lam)
                 for k, poly in bracket.items():
-                    inserted = poly.subst_many({d_sym: reg.var(di), lam_sym: mu})
+                    inserted = poly.subst_many({d_sym: reg.var(di), lam_sym: lam})
                     new = list(tup)
                     new[i] = k
                     key = tuple(new)
@@ -245,29 +253,11 @@ def tau(t: ConfTensor) -> ConfTensor:
     return ConfTensor(t.alg, 2, out)
 
 
-def reduce_mod_total(t: ConfTensor, extravar: Optional[Sym] = None) -> ConfTensor:
-    """Reduce modulo the total derivation.
-
-    Without `extravar`: substitute d1 := -(d2 + ... + dN).  With
-    `extravar` (an action variable mu): substitute
-    extravar := -(d1 + ... + dN) instead.  Either way the eliminated
-    symbol no longer occurs in the result.
-    """
-    reg = t.alg.reg
-    slots = [reg.var(t.slot_sym(i)) for i in range(t.arity)]
-    if extravar is None:
-        target = t.slot_sym(0)
-        total = reg.zero()
-        for v in slots[1:]:
-            total = total + v
-        repl = -total
-    else:
-        target = extravar
-        total = reg.zero()
-        for v in slots:
-            total = total + v
-        repl = -total
-    return t.map_coeffs(lambda p: p.subst_linear(target, repl))
+def reduce_mod_total(t: ConfTensor) -> ConfTensor:
+    """Reduce modulo the total derivation: d1 := -(d2 + ... + dN)."""
+    d1 = t.slot_sym(0)
+    repl = t.alg.reg.var(d1) - t.total()
+    return t.map_coeffs(lambda p: p.subst_linear(d1, repl))
 
 
 def project(t: ConfTensor, tup: Sequence[str]) -> MPoly:

@@ -7,28 +7,22 @@ cor6_iii (their skew-symmetric strict refinements with zeta = 0), and
 vir (a single-entry tensor over the Virasoro algebra).
 
 Every profile entry has the shape A'_{ql}(x) = A'_{ql}(0) + a_{ql} x f(x^2)
-with one shared monic f; the boundary constants follow the fixed table
-
-    ee, ff: 0      ef: 4 zeta - beta   fe: beta
-    he: alpha      eh: -alpha          hf: gamma     fh: -gamma
-    hh: zeta
-
-and the only nonzero a_{ql} is a_ee = 1 (case i), a_hh = lhh (case ii),
-or none (case iii).
+with one shared monic f; the boundary values A'_{ql}(0) follow the fixed
+table `ybe.boundary_values` over (alpha, beta, gamma, zeta), and the
+only nonzero a_{ql} is a_ee = 1 (case i), a_hh = lhh (case ii), or none
+(case iii).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Optional
 
 from .conformal import ConfAlgebra
 from .exactpoly import MPoly, SymbolRegistry
-from .liealg import SymMat3, rank_le_1, sl2
-from .ybe import PAIRS, DiagProfile, RMat, lift_profile
-
-Scalar = Union[int, Fraction, MPoly]
+from .liealg import Scalar, SymMat3, rank_le_1, sl2
+from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, RMat, boundary_values, lift_profile
 
 CASES = (
     "lemma1", "thm5_i", "thm5_ii", "thm5_iii",
@@ -159,7 +153,7 @@ class FamilySpec:
         """The (alpha, beta, gamma, zeta) table for this case."""
         zero = self.reg.zero()
         if self.case in ("lemma1", "thm5_iii"):
-            return {n: self.param(n) for n in ("alpha", "beta", "gamma", "zeta")}
+            return {n: self.param(n) for n in CONSTANT_NAMES}
         if self.case == "thm5_i":
             # gamma = 0 and 2 zeta = beta
             beta = self.param("beta")
@@ -189,44 +183,19 @@ class FamilySpec:
         return out
 
 
-def constants_table(reg: SymbolRegistry,
-                    constants: Mapping[str, Scalar]) -> dict[tuple, MPoly]:
-    """Boundary values A'_{ql}(0) from (alpha, beta, gamma, zeta)."""
-    def mp(name):
-        v = constants[name]
-        return v if isinstance(v, MPoly) else reg.const(v)
-
-    alpha, beta, gamma, zeta = mp("alpha"), mp("beta"), mp("gamma"), mp("zeta")
-    zero = reg.zero()
-    return {
-        ("e", "e"): zero, ("f", "f"): zero,
-        ("e", "f"): zeta * 4 - beta, ("f", "e"): beta,
-        ("h", "e"): alpha, ("e", "h"): -alpha,
-        ("h", "f"): gamma, ("f", "h"): -gamma,
-        ("h", "h"): zeta,
-    }
-
-
 def build_profile(spec: FamilySpec) -> DiagProfile:
     """Diagonal profile of a family member (sl2 cases only)."""
     if spec.case == "vir":
         raise ConstraintViolation("vir families have no sl2 diagonal profile")
     reg = spec.reg
     constants = spec.constants()
-    table = constants_table(reg, constants)
     x = reg.var("x")
     fx2 = spec.f.subst_linear(reg.sym("t"), x * x)
     odd_base = x * fx2
-    entries = {}
     amat = spec.coefficient_matrix()
-    for pair in PAIRS:
-        entries[pair] = table[pair] + amat[pair] * odd_base
+    values = boundary_values([constants[n] for n in CONSTANT_NAMES])
+    entries = {pair: amat[pair] * odd_base + v for pair, v in zip(PAIRS, values)}
     return DiagProfile(reg, entries, constants=dict(constants))
-
-
-def lift_to_rmat(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> RMat:
-    """Canonical lift A_{ql}(d1, d2) := A'_{ql}(d1)."""
-    return lift_profile(p, alg)
 
 
 def invariant_constant_rmat(alpha: Scalar, beta: Scalar, gamma: Scalar,
@@ -244,7 +213,7 @@ def invariant_constant_rmat(alpha: Scalar, beta: Scalar, gamma: Scalar,
     spec = FamilySpec("lemma1", reg, {
         "alpha": alpha, "beta": beta, "gamma": gamma, "zeta": zeta,
     })
-    return lift_to_rmat(build_profile(spec), alg)
+    return lift_profile(build_profile(spec), alg)
 
 
 def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> RMat:
@@ -329,17 +298,10 @@ def characterize(p: DiagProfile) -> Characterization:
     ))
     rank_ok = rank_le_1(matrix) if sym else False
 
-    constants_ok = True
-    if p.constants is None:
-        constants_ok = False
-    else:
-        table = constants_table(reg, p.constants)
-        for pair in PAIRS:
-            want = table[pair]
-            got = p.entry(*pair).constant_term()
-            if not (want - got).is_zero():
-                constants_ok = False
-                break
+    constants_ok = p.constants is not None and all(
+        want == p.entry(*pair).constant_term()
+        for pair, want in zip(PAIRS, boundary_values(p.constant_values()))
+    )
 
     return Characterization(
         odd=odd, sym=sym, shared_f=shared, shared_f_ok=shared_ok,

@@ -3,9 +3,9 @@
 Provides the builtin sl2 basis (e, f, h with [e,f] = h, [h,e] = 2e,
 [h,f] = -2f), automorphism matrices (including the two-parameter family
 coming from conjugation by an SL2 matrix and the swap e <-> f, h -> -h),
-the ordinary classical Yang-Baxter operator obtained from the conformal
-bracket at zero derivations, and the congruence action on symmetric
-3x3 coefficient matrices.
+and the congruence action on symmetric 3x3 coefficient matrices.  The
+classical Yang-Baxter operator, the conformal double bracket at zero
+derivations, lives in `ybe`.
 
 Tensors over the Lie algebra are plain dicts mapping basis-name tuples
 to scalars; scalars may be Fractions or parametric MPoly values.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .exactpoly import MPoly, SymbolRegistry
+from .exactpoly import MPoly
 
 Scalar = Union[int, Fraction, MPoly]
 
@@ -260,59 +260,7 @@ def transform_tensor(aut: AutMatrix, tensor: Mapping[tuple, Scalar]) -> dict[tup
     return out
 
 
-# Classical Yang-Baxter at zero derivations -------------------------------------
-
-
-def cybe(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
-         reg: Optional[SymbolRegistry] = None) -> dict[tuple, Scalar]:
-    """Classical YBE operator on a constant r in g tensor g.
-
-    Computed by specializing the conformal double bracket at all slot
-    derivations equal to zero, so there is a single source of truth for
-    the expansion; the textbook three-bracket formula lives only in the
-    test oracle.
-    """
-    from . import conformal, ybe
-
-    alg = alg or sl2()
-    reg = reg or SymbolRegistry()
-    entries = {}
-    for (q, l), v in r.items():
-        if isinstance(v, MPoly):
-            if v.reg is not reg:
-                raise ValueError("parametric coefficients must share the registry")
-            if any(sym.name in ("d1", "d2", "d3") for sym in v.symbols()):
-                raise ValueError("cybe requires constant (derivation-free) input")
-            entries[(q, l)] = v
-        else:
-            entries[(q, l)] = reg.const(v)
-    rmat = ybe.RMat(conformal.ConfAlgebra.cur(alg, reg), entries)
-    bracket = ybe.ccybe_bracket(rmat)
-    zero = {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")}
-    out: dict[tuple, Scalar] = {}
-    for tup, poly in bracket.entries.items():
-        v = poly.subst_many(zero)
-        if not v.is_zero():
-            out[tup] = v.constant_value() if v.is_constant() else v
-    return out
-
-
-def weak_cybe_defect(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
-                     reg: Optional[SymbolRegistry] = None) -> dict[str, dict[tuple, Scalar]]:
-    """Adjoint action of every basis element on cybe(r); all zero iff weak."""
-    alg = alg or sl2()
-    value = cybe(r, alg, reg)
-    out = {}
-    for a in alg.names:
-        defect: dict[tuple, Scalar] = {}
-        for tup, coeff in value.items():
-            for slot, b in enumerate(tup):
-                for k, s in alg.bracket_basis(a, b).items():
-                    new = list(tup)
-                    new[slot] = k
-                    tensor_add(defect, tuple(new), coeff * s)
-        out[a] = defect
-    return out
+# Tensor symmetries ------------------------------------------------------------
 
 
 def antisymmetrize(tensor: Mapping[tuple, Scalar]) -> dict[tuple, Scalar]:

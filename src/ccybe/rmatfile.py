@@ -12,7 +12,9 @@ Schema:
     }
 
 Coefficients are expression strings in d1, d2 and the declared
-parameters; parameters must be declared before use.
+parameters; parameters must be declared before use.  Each coefficient's
+degree in d1 and in d2 is at most MAX_SLOT_DEGREE: the checks expand
+powers of d1 + d2, so an unbounded degree would run without end.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .liealg import sl2
 from .ybe import RMat
 
 ALGEBRAS = ("cur_sl2", "vir")
+MAX_SLOT_DEGREE = 64
 
 
 class RMatFileError(ValueError):
@@ -58,12 +61,22 @@ def from_dict(data: dict, reg: SymbolRegistry = None) -> RMat:
         raise RMatFileError("parameters must be a list of symbol names")
     allowed = {"d1", "d2"}
     for name in parameters:
+        if not isinstance(name, str):
+            raise RMatFileError(f"parameter name {name!r} is not a string")
         if name in ("d1", "d2", "d3", "lam", "mu", "x", "y", "z"):
             raise RMatFileError(f"parameter name {name!r} is reserved")
-        reg.sym(name)
+        try:
+            reg.sym(name)
+        except ValueError as err:
+            raise RMatFileError(str(err)) from err
         allowed.add(name)
+    items = data.get("entries", [])
+    if not isinstance(items, list):
+        raise RMatFileError("entries must be a list of objects")
     entries = {}
-    for item in data.get("entries", []):
+    for item in items:
+        if not isinstance(item, dict):
+            raise RMatFileError(f"entry {item!r} is not an object")
         left, right = item.get("left"), item.get("right")
         if left not in alg.basis_names or right not in alg.basis_names:
             raise RMatFileError(
@@ -81,6 +94,13 @@ def from_dict(data: dict, reg: SymbolRegistry = None) -> RMat:
             raise RMatFileError(
                 f"entry ({left}, {right}) uses undeclared symbols {sorted(undeclared)}"
             )
+        for slot in ("d1", "d2"):
+            degree = poly.degree_in(reg.sym(slot))
+            if degree > MAX_SLOT_DEGREE:
+                raise RMatFileError(
+                    f"entry ({left}, {right}) has degree {degree} in {slot}, "
+                    f"above the limit {MAX_SLOT_DEGREE}"
+                )
         key = (left, right)
         entries[key] = entries.get(key, reg.zero()) + poly
     return RMat(alg, entries)

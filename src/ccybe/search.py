@@ -20,33 +20,32 @@ deterministic and independent of the worker count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 from multiprocessing import get_context
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .exactpoly import Scalar, SymbolRegistry
+from .exactpoly import SymbolRegistry
 from .families import characterize, scalar_relation_residues
 from .ybe import (
     CATALOG,
+    CONSTANT_NAMES,
     PAIRS,
     WEAK_EQUATIONS,
     DiagProfile,
+    boundary_values,
     eval_equation,
-    invariance_residues,
     is_strict_solution,
     is_weak_solution,
     lift_profile,
+    shift_constant,
 )
 
 _PAIR_INDEX = {pair: i for i, pair in enumerate(PAIRS)}
 _MIRROR = {i: _PAIR_INDEX[(l, q)] for (q, l), i in _PAIR_INDEX.items()}
-
-CONSTANT_NAMES = ("alpha", "beta", "gamma", "zeta")
 
 
 class SearchConfigError(ValueError):
@@ -94,6 +93,12 @@ class SearchConfig:
         }
 
 
+def canonical_hash(payload: dict) -> str:
+    """sha256 of the payload's canonical JSON (sorted keys, no spaces)."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return sha256(blob.encode()).hexdigest()
+
+
 @dataclass
 class SearchReport:
     config: dict
@@ -106,13 +111,11 @@ class SearchReport:
 
     def __post_init__(self):
         if not self.content_hash:
-            payload = {
+            self.content_hash = canonical_hash({
                 "config": self.config,
                 "candidates_scanned": self.candidates_scanned,
                 "survivors": self.survivors,
-            }
-            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            self.content_hash = sha256(blob.encode()).hexdigest()
+            })
 
     def as_dict(self) -> dict:
         return {
@@ -130,24 +133,12 @@ class SearchReport:
 # with coeffs[i][k] the degree self.degrees[k] coefficient of entry PAIRS[i].
 
 
-def _boundary_values(constants: Sequence[Scalar]) -> list[Scalar]:
-    alpha, beta, gamma, zeta = constants
-    table = {
-        ("e", "e"): 0, ("f", "f"): 0,
-        ("e", "f"): 4 * zeta - beta, ("f", "e"): beta,
-        ("h", "e"): alpha, ("e", "h"): -alpha,
-        ("h", "f"): gamma, ("f", "h"): -gamma,
-        ("h", "h"): zeta,
-    }
-    return [table[pair] for pair in PAIRS]
-
-
 def candidate_profile(cfg: SearchConfig, constants: Sequence[Fraction],
                       coeffs: Sequence[Sequence[Fraction]],
                       reg: Optional[SymbolRegistry] = None) -> DiagProfile:
     reg = reg or SymbolRegistry()
     x = reg.var("x")
-    consts = _boundary_values(constants)
+    consts = boundary_values(constants)
     entries = {}
     for i, pair in enumerate(PAIRS):
         poly = reg.const(consts[i])
@@ -158,20 +149,6 @@ def candidate_profile(cfg: SearchConfig, constants: Sequence[Fraction],
         entries[pair] = poly
     named = dict(zip(CONSTANT_NAMES, (Fraction(v) for v in constants)))
     return DiagProfile(reg, entries, constants=named)
-
-
-def enumerate_profiles(cfg: SearchConfig) -> Iterator[DiagProfile]:
-    """Stream every candidate profile (no filtering).
-
-    Intended for desk-scale configurations; run_search uses an
-    equivalent structured enumeration that never materializes the
-    invariance-inconsistent bulk.
-    """
-    n_deg = len(cfg.degrees)
-    vectors = list(itertools.product(cfg.coeff_grid, repeat=n_deg))
-    for constants in itertools.product(cfg.constants_grid, repeat=4):
-        for combo in itertools.product(vectors, repeat=9):
-            yield candidate_profile(cfg, constants, combo)
 
 
 def count_candidates(cfg: SearchConfig) -> int:
@@ -292,7 +269,7 @@ def _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
     failing candidate usually costs only the first equation's handful of
     Horner evaluations.
     """
-    consts = _boundary_values(constants)
+    consts = boundary_values(constants)
     degrees = cfg.degrees
     n_args = len(_FILTER_ARGS)
     for args in points_args:
@@ -328,14 +305,9 @@ def _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
     return False
 
 
-def _shift_value(constants):
-    alpha, beta, gamma, zeta = constants
-    return 4 * alpha * gamma + (4 * zeta - beta) * beta
-
-
 def _is_skew(cfg, constants, coeffs) -> bool:
     """A'_{ql}(x) + A'_{lq}(-x) == 0 for all pairs."""
-    consts = _boundary_values(constants)
+    consts = boundary_values(constants)
     for (q, l), i in _PAIR_INDEX.items():
         m = _PAIR_INDEX[(l, q)]
         if consts[i] + consts[m]:
@@ -371,7 +343,7 @@ def _scan_range(cfg: SearchConfig, start: int, stop: int):
         constants, coeffs = _decode(cfg, index, slots, const_grid)
         if cfg.mode == "strict" and not _is_skew(cfg, constants, coeffs):
             continue
-        shift = _shift_value(constants)
+        shift = shift_constant(constants)
         if _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
             continue
         # Exact verification of all filter equations.
@@ -475,31 +447,6 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         characterization_failures=failures,
         timing_seconds=round(time.time() - t0, 3),
     )
-
-
-def naive_run(cfg: SearchConfig) -> list[DiagProfile]:
-    """Reference filter over the unstructured enumeration (small configs).
-
-    Applies the invariance residues and the exact filter equations to
-    every candidate from enumerate_profiles.
-    """
-    names = filter_equation_names(cfg)
-    out = []
-    for profile in enumerate_profiles(cfg):
-        if any(not r.is_zero() for r in invariance_residues(profile)):
-            continue
-        if cfg.mode == "strict":
-            x = profile.reg.sym("x")
-            minus = -profile.reg.var("x")
-            skew = all(
-                (profile.entry(q, l) + profile.entry(l, q).subst_linear(x, minus)).is_zero()
-                for q, l in PAIRS
-            )
-            if not skew:
-                continue
-        if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
-            out.append(profile)
-    return out
 
 
 def diff_reports(a: SearchReport, b: SearchReport) -> dict:

@@ -16,10 +16,12 @@ respectively.  The bracket is produced unreduced; reduction modulo the
 total derivation is a separate step so both forms stay testable.
 
 Three checks are provided: strict (the reduced double bracket
-vanishes), weak (every generator action on the double bracket vanishes
-after eliminating the action variable via mu := -(d1+d2+d3)), and
-invariance (every generator action on r + tau(r) vanishes at
-lam := -(d1+d2)).
+vanishes), weak (every generator action on the double bracket, taken
+at mu = -(d1+d2+d3), vanishes), and invariance (every generator action
+on r + tau(r), taken at lam = -(d1+d2), vanishes).  Each action is
+computed at that value directly; no action variable is introduced and
+eliminated.  The classical operator at zero derivations (`cybe`) is
+the double bracket's specialization at d1 = d2 = d3 = 0.
 
 For the current algebra on sl2 the reduced double bracket only sees the
 diagonal restrictions A'_{ql}(x) = A_{ql}(x, -x).  The catalog below
@@ -37,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .conformal import (
     ConfAlgebra,
@@ -49,12 +51,39 @@ from .conformal import (
     reduce_mod_total,
     tau,
 )
-from .exactpoly import MPoly, Sym, SymbolRegistry
-from .liealg import AutMatrix, sl2
-
-Scalar = Union[int, Fraction]
+from .exactpoly import MPoly, SymbolRegistry
+from .liealg import AutMatrix, LieAlg, Scalar, sl2, tensor_add
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
+CONSTANT_NAMES = ("alpha", "beta", "gamma", "zeta")
+
+
+def boundary_values(constants: Sequence[Scalar]) -> list:
+    """Boundary values A'_{ql}(0), in PAIRS order, from the constants
+    (alpha, beta, gamma, zeta):
+
+        ee, ff: 0      ef: 4 zeta - beta   fe: beta
+        he: alpha      eh: -alpha          hf: gamma     fh: -gamma
+        hh: zeta
+
+    Works over int, Fraction and MPoly alike; ee and ff are the int 0,
+    so int constants give int values throughout.
+    """
+    alpha, beta, gamma, zeta = constants
+    table = {
+        ("e", "e"): 0, ("f", "f"): 0,
+        ("e", "f"): 4 * zeta - beta, ("f", "e"): beta,
+        ("h", "e"): alpha, ("e", "h"): -alpha,
+        ("h", "f"): gamma, ("f", "h"): -gamma,
+        ("h", "h"): zeta,
+    }
+    return [table[pair] for pair in PAIRS]
+
+
+def shift_constant(constants: Sequence[Scalar]) -> Scalar:
+    """Boundary-value correction 4*alpha*gamma + (4*zeta - beta)*beta."""
+    alpha, beta, gamma, zeta = constants
+    return 4 * alpha * gamma + (4 * zeta - beta) * beta
 
 
 @dataclass
@@ -115,17 +144,13 @@ def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
     for tup, poly in t.entries.items():
         cols = [names.index(b) for b in tup]
         for combo in itertools.product(range(len(names)), repeat=t.arity):
-            c: Union[int, Fraction, MPoly] = 1
+            c: Scalar = 1
             for i, col in zip(combo, cols):
                 c = c * aut.m[i][col]
-            if isinstance(c, (int, Fraction)):
-                if c == 0:
-                    continue
-                term = poly * c
-            else:
-                term = poly * c
+            if isinstance(c, (int, Fraction)) and c == 0:
+                continue
             key = tuple(names[i] for i in combo)
-            out[key] = out.get(key, reg.zero()) + term
+            out[key] = out.get(key, reg.zero()) + poly * c
     return ConfTensor(t.alg, t.arity, out)
 
 
@@ -182,20 +207,17 @@ def is_strict_solution(r: RMat) -> tuple[bool, ConfTensor]:
 
 
 def weak_defect(r: RMat) -> dict[str, ConfTensor]:
-    """Generator actions on the double bracket, with mu eliminated.
+    """Generator actions on the double bracket at mu = -(d1 + d2 + d3).
 
     Checking generators suffices: an element g(D)a contributes the
-    overall factor g(-mu), which is invertible-free and scales the
-    generator defect.
+    overall factor g(-mu) = g(d1 + d2 + d3), which scales the generator
+    defect.
     """
     alg = r.alg
-    mu = alg.reg.sym("mu")
     bracket = ccybe_bracket(r)
-    out = {}
-    for name in alg.basis_names:
-        acted = act_on_tensor(alg.generator(name), bracket, mu)
-        out[name] = reduce_mod_total(acted, extravar=mu)
-    return out
+    mu = -bracket.total()
+    return {name: act_on_tensor(alg.generator(name), bracket, mu)
+            for name in alg.basis_names}
 
 
 def is_weak_solution(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
@@ -204,15 +226,12 @@ def is_weak_solution(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
 
 
 def invariance_defect(r: RMat) -> dict[str, ConfTensor]:
-    """Generator actions on r + tau(r) at lam := -(d1 + d2)."""
+    """Generator actions on r + tau(r) at lam = -(d1 + d2)."""
     alg = r.alg
-    lam = alg.reg.sym("lam")
     sym_part = rmat_tensor(r) + tau(rmat_tensor(r))
-    out = {}
-    for name in alg.basis_names:
-        acted = act_on_tensor(alg.generator(name), sym_part, lam)
-        out[name] = reduce_mod_total(acted, extravar=lam)
-    return out
+    lam = -sym_part.total()
+    return {name: act_on_tensor(alg.generator(name), sym_part, lam)
+            for name in alg.basis_names}
 
 
 def is_invariant(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
@@ -221,10 +240,61 @@ def is_invariant(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
 
 
 def cocommutator(a: ConfElem, r: RMat) -> ConfTensor:
-    """The co-bracket a -> a_lam r at lam := -(d1 + d2)."""
-    lam = r.alg.reg.sym("lam")
-    acted = act_on_tensor(a, rmat_tensor(r), lam)
-    return reduce_mod_total(acted, extravar=lam)
+    """The co-bracket a -> a_lam r at lam = -(d1 + d2)."""
+    t = rmat_tensor(r)
+    return act_on_tensor(a, t, -t.total())
+
+
+# Classical Yang-Baxter at zero derivations --------------------------------------
+
+
+def cybe(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
+         reg: Optional[SymbolRegistry] = None) -> dict[tuple, Scalar]:
+    """Classical YBE operator on a constant r in g tensor g.
+
+    Computed by specializing the conformal double bracket at all slot
+    derivations equal to zero, so there is a single source of truth for
+    the expansion; the textbook three-bracket formula lives only in the
+    test oracle.
+    """
+    alg = alg or sl2()
+    reg = reg or SymbolRegistry()
+    entries = {}
+    for (q, l), v in r.items():
+        if isinstance(v, MPoly):
+            if v.reg is not reg:
+                raise ValueError("parametric coefficients must share the registry")
+            if any(sym.name in ("d1", "d2", "d3") for sym in v.symbols()):
+                raise ValueError("cybe requires constant (derivation-free) input")
+            entries[(q, l)] = v
+        else:
+            entries[(q, l)] = reg.const(v)
+    bracket = ccybe_bracket(RMat(ConfAlgebra.cur(alg, reg), entries))
+    zero = {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")}
+    out: dict[tuple, Scalar] = {}
+    for tup, poly in bracket.entries.items():
+        v = poly.subst_many(zero)
+        if not v.is_zero():
+            out[tup] = v.constant_value() if v.is_constant() else v
+    return out
+
+
+def weak_cybe_defect(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
+                     reg: Optional[SymbolRegistry] = None) -> dict[str, dict[tuple, Scalar]]:
+    """Adjoint action of every basis element on cybe(r); all zero iff weak."""
+    alg = alg or sl2()
+    value = cybe(r, alg, reg)
+    out = {}
+    for a in alg.names:
+        defect: dict[tuple, Scalar] = {}
+        for tup, coeff in value.items():
+            for slot, b in enumerate(tup):
+                for k, s in alg.bracket_basis(a, b).items():
+                    new = list(tup)
+                    new[slot] = k
+                    tensor_add(defect, tuple(new), coeff * s)
+        out[a] = defect
+    return out
 
 
 # Diagonal profiles --------------------------------------------------------------
@@ -241,7 +311,7 @@ class DiagProfile:
 
     reg: SymbolRegistry
     entries: dict[tuple, MPoly]
-    constants: Optional[dict[str, Union[MPoly, Fraction]]] = None
+    constants: Optional[dict[str, Scalar]] = None
 
     def __post_init__(self):
         for key in self.entries:
@@ -257,6 +327,10 @@ class DiagProfile:
             raise ValueError("profile carries no boundary constants")
         v = self.constants[name]
         return v if isinstance(v, MPoly) else self.reg.const(v)
+
+    def constant_values(self) -> list[MPoly]:
+        """(alpha, beta, gamma, zeta) as polynomials."""
+        return [self.constant(n) for n in CONSTANT_NAMES]
 
     def is_numeric(self) -> bool:
         if any(e.symbols() - {self.reg.sym("x")} for e in self.entries.values()):
@@ -495,15 +569,6 @@ WEAK_EQUATIONS = (
 )
 
 
-def shift_constant(p: DiagProfile) -> MPoly:
-    """Boundary-value correction 4*alpha*gamma + (4*zeta - beta)*beta."""
-    alpha = p.constant("alpha")
-    beta = p.constant("beta")
-    gamma = p.constant("gamma")
-    zeta = p.constant("zeta")
-    return alpha * gamma * 4 + (zeta * 4 - beta) * beta
-
-
 def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
     """Evaluate a catalog entry on a profile; zero iff the identity holds."""
     reg = p.reg
@@ -523,7 +588,7 @@ def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
         rp = p.entry(right[0], right[1]).subst_linear(x_sym, form(arg2))
         acc = acc + lp * rp * coeff
     if eq.shifted:
-        acc = acc + shift_constant(p)
+        acc = acc + shift_constant(p.constant_values())
     return acc
 
 
@@ -557,36 +622,25 @@ def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3,
         he(x) = -eh(-x),  hf(x) = -fh(-x),  fe(x) = 4 zeta - ef(-x).
     """
     x = reg.var("x")
-    alpha, beta, gamma, zeta = (reg.var(n) for n in ("alpha", "beta", "gamma", "zeta"))
+    constants = {n: reg.var(n) for n in CONSTANT_NAMES}
+    boundary = dict(zip(PAIRS, boundary_values(list(constants.values()))))
 
-    def free(tag, degrees, const=None):
-        poly = const if const is not None else reg.zero()
+    def free(pair, degrees):
+        poly = reg.zero() + boundary[pair]
         for j in degrees:
-            poly = poly + reg.var(f"{prefix}_{tag}_{j}") * x ** j
+            poly = poly + reg.var(f"{prefix}_{pair[0]}{pair[1]}_{j}") * x ** j
         return poly
 
-    def mirror(poly, const):
-        # const - poly(-x)
-        flipped = poly.subst_linear(reg.sym("x"), -x)
-        return const - flipped
-
-    odd_degrees = [j for j in range(1, degree + 1) if j % 2]
     all_degrees = list(range(1, degree + 1))
-    eh = free("eh", all_degrees, const=-alpha)
-    fh = free("fh", all_degrees, const=-gamma)
-    ef = free("ef", all_degrees, const=zeta * 4 - beta)
-    entries = {
-        ("e", "e"): free("ee", odd_degrees),
-        ("f", "f"): free("ff", odd_degrees),
-        ("h", "h"): zeta + free("hh", odd_degrees),
-        ("e", "h"): eh,
-        ("h", "e"): mirror(eh, reg.zero()),
-        ("f", "h"): fh,
-        ("h", "f"): mirror(fh, reg.zero()),
-        ("e", "f"): ef,
-        ("f", "e"): mirror(ef, zeta * 4),
-    }
-    constants = {"alpha": alpha, "beta": beta, "gamma": gamma, "zeta": zeta}
+    odd_degrees = [j for j in all_degrees if j % 2]
+    entries = {}
+    for pair in (("e", "h"), ("f", "h"), ("e", "f")):
+        entries[pair] = free(pair, all_degrees)
+        # A'_{lq}(x) = A'_{ql}(0) + A'_{lq}(0) - A'_{ql}(-x)
+        flipped = entries[pair].subst_linear(reg.sym("x"), -x)
+        entries[pair[::-1]] = boundary[pair] + boundary[pair[::-1]] - flipped
+    for pair in (("e", "e"), ("f", "f"), ("h", "h")):
+        entries[pair] = free(pair, odd_degrees)
     return DiagProfile(reg, entries, constants)
 
 
@@ -617,17 +671,16 @@ def derive_weak_projection(generator: str, triple: Sequence[str], degree: int = 
                            profile: Optional[DiagProfile] = None) -> MPoly:
     """Raw projection of a generator action on the double bracket.
 
-    The action variable is eliminated via mu := -(d1+d2+d3); the result
-    is renamed to (x, y, z) = (d2, d3, d1).
+    The action is taken at mu = -(d1+d2+d3); the result is renamed to
+    (x, y, z) = (d2, d3, d1).
     """
     if profile is None:
         profile = generic_profile(SymbolRegistry(), degree)
     reg = profile.reg
     r = lift_profile(profile)
-    mu = reg.sym("mu")
-    acted = act_on_tensor(r.alg.generator(generator), ccybe_bracket(r), mu)
-    reduced = reduce_mod_total(acted, extravar=mu)
-    return _rename_to_xyz(project(reduced, tuple(triple)), reg)
+    bracket = ccybe_bracket(r)
+    acted = act_on_tensor(r.alg.generator(generator), bracket, -bracket.total())
+    return _rename_to_xyz(project(acted, tuple(triple)), reg)
 
 
 def catalog_diffs(degree: int = 3, catalog: Optional[Mapping[str, Equation]] = None,

@@ -3,15 +3,21 @@
 The oracles here are deliberately written from scratch against textbook
 formulas (classical Yang-Baxter expansion, adjoint actions, slotwise
 lambda-actions) so that the engine under test is checked by a second,
-structurally different computation.
+structurally different computation.  The rest are slower reference
+paths the engine replaced: the two-pass reduced action and the
+unstructured candidate enumeration of the search.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+from ccybe.conformal import act_on_tensor
 from ccybe.exactpoly import MPoly, SymbolRegistry
+from ccybe.search import candidate_profile, filter_equation_names
+from ccybe.ybe import CATALOG, PAIRS, eval_equation, invariance_residues
 
 
 def random_poly(reg, rng, names, max_degree=4, max_terms=5):
@@ -105,3 +111,47 @@ def random_unimodular(rng, size=3, steps=4):
             # multiply by [[1, 0], [k, 1]]
             c, d = c + k * a, d + k * b
     return a, b, c, d
+
+
+# Two-pass reduced action: act at a free variable mu, then eliminate it
+# via mu := -(d1 + ... + dN).  The engine acts at that value directly.
+
+
+def act_then_eliminate(elem, t):
+    reg = t.alg.reg
+    acted = act_on_tensor(elem, t, reg.var("mu"))
+    return acted.map_coeffs(lambda p: p.subst_linear(reg.sym("mu"), -t.total()))
+
+
+# Unstructured search oracles (desk-scale configurations only).
+
+
+def enumerate_profiles(cfg):
+    """Stream every candidate profile, with no filtering."""
+    n_deg = len(cfg.degrees)
+    vectors = list(itertools.product(cfg.coeff_grid, repeat=n_deg))
+    for constants in itertools.product(cfg.constants_grid, repeat=4):
+        for combo in itertools.product(vectors, repeat=9):
+            yield candidate_profile(cfg, constants, combo)
+
+
+def naive_run(cfg):
+    """Reference filter: the invariance residues, skew-symmetry in strict
+    mode, and the exact filter equations on every enumerated candidate."""
+    names = filter_equation_names(cfg)
+    out = []
+    for profile in enumerate_profiles(cfg):
+        if any(not r.is_zero() for r in invariance_residues(profile)):
+            continue
+        if cfg.mode == "strict":
+            x = profile.reg.sym("x")
+            minus = -profile.reg.var("x")
+            skew = all(
+                (profile.entry(q, l) + profile.entry(l, q).subst_linear(x, minus)).is_zero()
+                for q, l in PAIRS
+            )
+            if not skew:
+                continue
+        if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
+            out.append(profile)
+    return out

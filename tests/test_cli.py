@@ -53,6 +53,17 @@ def test_rmatfile_errors():
                             "entries": [{"left": "e", "right": "e", "coeff": "x^(-1)"}]})
 
 
+def test_rmatfile_degree_limit():
+    limit = rmatfile.MAX_SLOT_DEGREE
+    assert limit == 64
+    rmatfile.from_dict({"algebra": "cur_sl2", "entries": [
+        {"left": "e", "right": "e", "coeff": f"d1^{limit}*d2^{limit}"}]})
+    for coeff in (f"d1^{limit + 1}", f"d1 + d2^{limit + 1}"):
+        with pytest.raises(rmatfile.RMatFileError, match="above the limit 64"):
+            rmatfile.from_dict({"algebra": "vir", "entries": [
+                {"left": "v", "right": "v", "coeff": coeff}]})
+
+
 # verify ---------------------------------------------------------------------------
 
 
@@ -99,6 +110,32 @@ def test_verify_exponent_overflow_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "d1" in err
     assert len(err.splitlines()) == 1
+
+
+def test_verify_degree_above_limit(tmp_path, capsys):
+    # Refused on load: the double bracket would expand (d1 + d2)^20000.
+    path = write_rmat(tmp_path, "deep.json", {
+        "algebra": "cur_sl2",
+        "entries": [{"left": "h", "right": "h", "coeff": "d1^20000"}]})
+    assert cli.main(["verify", path, "--mode", "weak"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "degree 20000 in d1" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("data", [
+    {"algebra": "cur_sl2", "entries": ["x"]},
+    {"algebra": "cur_sl2", "entries": {"left": "e", "right": "e", "coeff": "1"}},
+    {"algebra": "cur_sl2", "parameters": ["1x"], "entries": []},
+    {"algebra": "cur_sl2", "parameters": [3], "entries": []},
+], ids=["entry_not_object", "entries_not_list", "bad_parameter_name",
+        "parameter_not_string"])
+def test_verify_malformed_file(tmp_path, capsys, data):
+    path = write_rmat(tmp_path, "bad.json", data)
+    assert cli.main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 def test_verify_json_format_hashed(tmp_path, capsys):
@@ -248,6 +285,36 @@ def test_family_spec_file(tmp_path, capsys):
     assert cli.main(["verify", out, "--mode", "strict"]) == 1
 
 
+def test_family_missing_spec(tmp_path, capsys):
+    out = tmp_path / "fam.json"
+    code = cli.main(["family", "--spec", str(tmp_path / "missing.json"),
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_family_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "fam.json"
+    code = cli.main(["family", "thm5_ii", "--param", "lhh=1", "--param", "beta=2",
+                     "--param", "zeta=1", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("f", ["t^2+x", "t^2+lhh"])
+def test_family_f_outside_t_rejected(tmp_path, capsys, f):
+    out = tmp_path / "fam.json"
+    code = cli.main(["family", "thm5_i", "--param", "alpha=1", "--param", "beta=2",
+                     "--f", f, "--out", str(out)])
+    assert code == 2
+    assert "polynomial in t alone" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # search ---------------------------------------------------------------------------
 
 
@@ -301,3 +368,11 @@ def test_vir_cli(capsys):
     capsys.readouterr()
     assert cli.main(["vir", "x^(-1)", "--mode", "weak"]) == 2
     assert cli.main(["vir", "x + z", "--mode", "weak"]) == 2
+
+
+def test_vir_degree_above_limit(capsys):
+    assert cli.main(["vir", "x^20000 + y", "--mode", "weak"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "degree 20000 in x" in err
+    assert cli.main(["vir", "x + y^65", "--mode", "weak"]) == 2
+    assert "degree 65 in y" in capsys.readouterr().err

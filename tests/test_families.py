@@ -10,18 +10,19 @@ from ccybe.families import (
     FamilySpec,
     build_profile,
     characterize,
-    constants_table,
     invariant_constant_rmat,
-    lift_to_rmat,
     scalar_relation_residues,
     vir_rmatrix,
 )
 from ccybe.conformal import tau
 from ccybe.ybe import (
+    PAIRS,
+    boundary_values,
     diagonal_profile_of,
     is_invariant,
     is_strict_solution,
     is_weak_solution,
+    lift_profile,
     rmat_tensor,
     tensor2_diagonal,
 )
@@ -73,15 +74,15 @@ def test_constraint_errors(reg):
 
 def test_lift_examples(reg):
     prof = ybe.DiagProfile(reg, {("h", "h"): reg.var("x")}, None)
-    r = lift_to_rmat(prof)
+    r = lift_profile(prof)
     assert r.entries == {("h", "h"): reg.var("d1")}
-    assert lift_to_rmat(ybe.DiagProfile(reg, {}, None)).entries == {}
+    assert lift_profile(ybe.DiagProfile(reg, {}, None)).entries == {}
 
 
 def test_lift_diagonal_roundtrip(reg):
     spec = FamilySpec("thm5_i", reg, {"alpha": 2, "beta": 4}, f=reg.parse("t + 3"))
     prof = build_profile(spec)
-    back = diagonal_profile_of(lift_to_rmat(prof))
+    back = diagonal_profile_of(lift_profile(prof))
     assert back.entries == prof.entries
 
 
@@ -176,7 +177,7 @@ def test_cor6_profiles_strict_and_skew(reg):
         FamilySpec("cor6_iii", reg, {"alpha": u * u, "beta": u * v * 2, "gamma": v * v}),
     ]
     for spec in specs:
-        r = lift_to_rmat(build_profile(spec))
+        r = lift_profile(build_profile(spec))
         assert is_strict_solution(r)[0]
         assert is_weak_solution(r)[0]
         assert is_invariant(r)[0]
@@ -210,9 +211,9 @@ def test_vir_family_spec_enforces_zero_diagonal(reg):
         FamilySpec("vir", reg, coeff=reg.parse("x"))
 
 
-def test_constants_table(reg):
-    table = constants_table(reg, {"alpha": F(1), "beta": F(2), "gamma": F(3),
-                                  "zeta": F(4)})
+def test_constants_table():
+    table = dict(zip(PAIRS, boundary_values((F(1), F(2), F(3), F(4)))))
+    assert table[("e", "e")] == table[("f", "f")] == 0
     assert table[("e", "f")] == 14
     assert table[("f", "e")] == 2
     assert table[("h", "e")] == 1

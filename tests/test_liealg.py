@@ -11,7 +11,6 @@ from ccybe.liealg import (
     algebra_from_json,
     antisymmetrize,
     congruence,
-    cybe,
     identity_matrix,
     is_totally_antisymmetric,
     minors2,
@@ -21,8 +20,8 @@ from ccybe.liealg import (
     sl2,
     tensors_equal,
     transform_tensor,
-    weak_cybe_defect,
 )
+from ccybe.ybe import cybe, weak_cybe_defect
 
 from support import (
     adjoint_action_oracle,

@@ -11,11 +11,11 @@ from ccybe.search import (
     count_candidates,
     count_consistent,
     diff_reports,
-    enumerate_profiles,
-    naive_run,
     run_search,
 )
 from ccybe.ybe import invariance_residues
+
+from support import enumerate_profiles, naive_run
 
 F = Fraction
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ccybe import ybe
-from ccybe.conformal import ConfAlgebra, ConfElem, act_on_tensor, reduce_mod_total, tau
+from ccybe.conformal import ConfAlgebra, ConfElem, reduce_mod_total, tau
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import phi_matrix, psi_matrix, sl2
 from ccybe.ybe import (
@@ -34,7 +34,7 @@ from ccybe.ybe import (
     weak_defect,
 )
 
-from support import random_unimodular, random_univariate
+from support import act_then_eliminate, random_unimodular, random_univariate
 
 F = Fraction
 
@@ -163,16 +163,29 @@ def test_weak_defect_constants(cur, reg):
     assert any(not t.is_zero() for t in defects.values())
 
 
-def test_weak_defect_alternate_path(cur, reg):
-    # acting on the reduced representative must give the same defect
-    r = RMat(cur, {("e", "e"): reg.const(1), ("h", "f"): reg.var("d1")})
-    mu = reg.sym("mu")
-    direct = weak_defect(r)
-    reduced = reduce_mod_total(ccybe_bracket(r))
-    for name in cur.basis_names:
-        alt = reduce_mod_total(
-            act_on_tensor(cur.generator(name), reduced, mu), extravar=mu)
-        assert alt == direct[name]
+@pytest.mark.parametrize("case", ["cur_weak", "vir_weak", "cur_invariance"])
+def test_weak_defect_alternate_path(case):
+    # Acting at mu = -(d1+...+dN) in one pass equals acting at a free mu
+    # and eliminating it afterwards, and either way the action does not
+    # depend on the representative modulo the total derivation.
+    reg = SymbolRegistry()
+    if case == "vir_weak":
+        alg = ConfAlgebra.vir(reg)
+        r = RMat(alg, {("v", "v"): reg.parse("d1^2 - 3*d1*d2 + 2")})
+    else:
+        alg = ConfAlgebra.cur(sl2(), reg)
+        r = RMat(alg, {("e", "e"): reg.const(1), ("h", "f"): reg.var("d1"),
+                       ("f", "h"): reg.parse("d2^2 - 2*d1")})
+    if case == "cur_invariance":
+        direct = invariance_defect(r)
+        base = rmat_tensor(r) + tau(rmat_tensor(r))
+    else:
+        direct = weak_defect(r)
+        base = ccybe_bracket(r)
+    assert any(not t.is_zero() for t in direct.values())
+    for t in (base, reduce_mod_total(base)):
+        for name in alg.basis_names:
+            assert act_then_eliminate(alg.generator(name), t) == direct[name]
 
 
 def test_weak_generator_sufficiency(cur, reg):
@@ -181,7 +194,6 @@ def test_weak_generator_sufficiency(cur, reg):
     rng = random.Random(41)
     r = RMat(cur, {("e", "f"): reg.const(1), ("h", "e"): reg.var("d1")})
     bracket = ccybe_bracket(r)
-    mu = reg.sym("mu")
     total = reg.parse("d1 + d2 + d3")
     defects = weak_defect(r)
     for _ in range(10):
@@ -190,7 +202,7 @@ def test_weak_generator_sufficiency(cur, reg):
         if g.is_zero():
             continue
         elem = ConfElem(cur, {name: g})
-        acted = reduce_mod_total(act_on_tensor(elem, bracket, mu), extravar=mu)
+        acted = act_then_eliminate(elem, bracket)
         factor = g.subst_linear(reg.sym("d"), total)
         assert acted == defects[name].map_coeffs(lambda p: p * factor)
 
@@ -345,7 +357,7 @@ def test_efh_shift_on_families(reg):
         ("h", "h"): zeta,
     }, {"alpha": a, "beta": b, "gamma": reg.zero(), "zeta": zeta})
     assert eval_equation(CATALOG["efh_shift"], prof).is_zero()
-    assert eval_equation(CATALOG["efh"], prof) == -shift_constant(prof)
+    assert eval_equation(CATALOG["efh"], prof) == -shift_constant(prof.constant_values())
 
 
 def test_permutation_symmetry(reg):
