@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the desk-scale classification cross-checks and write JSON reports.
 
-Three searches: the raw degree-1 sweep over the full {-1,0,1} grids in
-weak and strict mode, and an odd-ansatz degree-3 sweep.  Every survivor
-is independently re-verified with the full tensor computation; the exit
-status is nonzero if any characterization failure shows up.
+Four searches: the raw degree-1 sweep over the full {-1,0,1} grids in
+weak and strict mode, and odd-ansatz sweeps at degrees 3 and 5 over the
+coefficient grid {0,1}.  Every survivor is independently re-verified
+with the full tensor computation; the exit status is nonzero if any
+characterization failure shows up.
 """
 
 import argparse
@@ -24,6 +25,9 @@ RUNS = {
         mode="strict", raw=True),
     "weak_odd_deg3": search.SearchConfig(
         max_degree=3, coeff_grid=(0, 1), constants_grid=(-1, 0, 1),
+        mode="weak"),
+    "weak_odd_deg5": search.SearchConfig(
+        max_degree=5, coeff_grid=(0, 1), constants_grid=(-1, 0, 1),
         mode="weak"),
 }
 

@@ -133,13 +133,23 @@ def cmd_catalog(args) -> int:
     return FAIL
 
 
+def _rational(value) -> Fraction:
+    """An exact rational from a string or a JSON number; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"expected a number or a string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ZeroDivisionError, OverflowError) as err:
+        raise ValueError(f"not a finite rational: {value!r}") from err
+
+
 def _parse_params(pairs) -> dict:
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise ValueError(f"expected name=value, got {pair!r}")
         name, _, value = pair.partition("=")
-        out[name.strip()] = Fraction(value.strip())
+        out[name.strip()] = _rational(value.strip())
     return out
 
 
@@ -149,9 +159,16 @@ def cmd_family(args) -> int:
         if args.spec:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("a spec file must hold a JSON object")
             case = data["case"]
-            params = {k: Fraction(v) for k, v in data.get("params", {}).items()}
+            params = data.get("params", {})
+            if not isinstance(params, dict):
+                raise ValueError("spec params must be a JSON object")
+            params = {k: _rational(v) for k, v in params.items()}
             f_text = data.get("f", "1")
+            if f_text is not None and not isinstance(f_text, str):
+                raise ValueError(f"spec f must be a string, got {f_text!r}")
         else:
             if not args.case:
                 print("error: provide a case name or --spec", file=sys.stderr)
@@ -174,8 +191,8 @@ def cmd_family(args) -> int:
 
 def cmd_search(args) -> int:
     try:
-        coeffs = tuple(Fraction(v) for v in args.coeffs.split(",") if v.strip())
-        constants = tuple(Fraction(v) for v in args.constants.split(",") if v.strip())
+        coeffs = tuple(_rational(v) for v in args.coeffs.split(",") if v.strip())
+        constants = tuple(_rational(v) for v in args.constants.split(",") if v.strip())
         cfg = search.SearchConfig(
             max_degree=args.max_degree,
             coeff_grid=coeffs,

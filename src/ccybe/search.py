@@ -6,26 +6,44 @@ the constants grid) and whose higher coefficients come from the
 coefficient grid: in the default ansatz mode only odd degrees up to
 max_degree are populated, in raw mode every degree is.
 
-run_search filters by the invariance relations first (per-degree linear
-conditions on the coefficients, so the inconsistent bulk is counted
-arithmetically rather than materialized), prescreens the surviving
-candidates by evaluating the catalog equations at integer sample
-points, verifies the prescreen survivors exactly, and finally
-re-verifies every survivor with the full tensor computation
-(is_weak_solution on the canonical lift, plus is_strict_solution and
-skew-symmetry in strict mode) and the structural characterization.
-Any survivor failing characterization is recorded; the report is fully
-deterministic and independent of the worker count.
+The invariance relations (per-degree linear conditions on the
+coefficients) are built into the enumeration, so the inconsistent bulk
+is counted arithmetically rather than visited.  A consistent candidate
+is a constants tuple plus one choice for each of six entry groups, ee,
+ff, hh, ef/fe, eh/he and fh/hf, a group's choice being the values of
+its free slots over all degrees.
+
+run_search walks these choices depth first: the constants tuple is the
+outer loop (and the unit of work handed to a worker process), then one
+group per level, in a greedy order that completes each filter equation
+as early as possible.  In strict mode the skew-symmetry test prunes
+whole constants tuples up front; the coefficients of a consistent
+candidate are always skew, because the invariance relations make mirror
+coefficients equal in odd degrees and opposite in even ones.  As soon
+as every entry of a filter equation is fixed, the equation is evaluated
+at three integer sample points, and the whole branch below is pruned if
+any value is nonzero.  The pruning is exact: the equation is a
+polynomial identity in (x, y, z), and a polynomial with a nonzero value
+at some point is not the zero polynomial, so no candidate satisfying it
+is ever dropped.  Each leaf that survives every sample point is
+verified exactly (eval_equation on all filter equations), then
+re-verified with the full tensor computation (is_weak_solution on the
+canonical lift, plus is_strict_solution in strict mode) and the
+structural characterization.  Any survivor failing characterization is
+recorded; leaves carry their index in a fixed mixed-radix numbering of
+the consistent candidates, so the report is fully deterministic and
+independent of the worker count and of the order of the walk.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from typing import Optional, Sequence
 
 from .exactpoly import SymbolRegistry
@@ -46,6 +64,10 @@ from .ybe import (
 
 _PAIR_INDEX = {pair: i for i, pair in enumerate(PAIRS)}
 _MIRROR = {i: _PAIR_INDEX[(l, q)] for (q, l), i in _PAIR_INDEX.items()}
+
+
+# Upper bound on SearchConfig.workers: each worker is one process.
+MAX_WORKERS = 64
 
 
 class SearchConfigError(ValueError):
@@ -70,8 +92,8 @@ class SearchConfig:
             raise SearchConfigError("ansatz mode requires an odd max_degree >= 1")
         if self.max_degree < 1:
             raise SearchConfigError("max_degree must be >= 1")
-        if self.workers < 1:
-            raise SearchConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise SearchConfigError(f"workers must be between 1 and {MAX_WORKERS}")
         object.__setattr__(self, "coeff_grid",
                            tuple(Fraction(v) for v in self.coeff_grid))
         object.__setattr__(self, "constants_grid",
@@ -200,34 +222,7 @@ def count_consistent(cfg: SearchConfig) -> int:
     return total
 
 
-def _decode(cfg: SearchConfig, index: int, slots=None, const_grid=None):
-    """Mixed-radix decoding of a consistent-candidate index.
-
-    The free slots occupy the high digits and the constants the low
-    ones, so contiguous index ranges share constants blocks.
-    """
-    if slots is None:
-        slots = _free_slots(cfg)
-    if const_grid is None:
-        const_grid = _fast(cfg.constants_grid)
-    constants = []
-    for _ in range(4):
-        index, r = divmod(index, len(const_grid))
-        constants.append(const_grid[r])
-    n_deg = len(cfg.degrees)
-    coeffs = [[0] * n_deg for _ in range(9)]
-    for kind, i, k, choices in slots:
-        index, r = divmod(index, len(choices))
-        v = choices[r]
-        coeffs[i][k] = v
-        if kind == "pair+":
-            coeffs[_MIRROR[i]][k] = v
-        elif kind == "pair-":
-            coeffs[_MIRROR[i]][k] = -v
-    return tuple(constants), tuple(tuple(row) for row in coeffs)
-
-
-# Fast evaluation -------------------------------------------------------------------
+# Sample-point evaluation -----------------------------------------------------------
 
 _FILTER_ARGS = sorted({
     arg
@@ -262,62 +257,6 @@ def _arg_values(point):
     return [ax * px + ay * py + az * pz for ax, ay, az in _FILTER_ARGS]
 
 
-def _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
-    """Short-circuit prescreen: True once any equation value is nonzero.
-
-    Entry evaluations are cached lazily per (entry, argument form) so a
-    failing candidate usually costs only the first equation's handful of
-    Horner evaluations.
-    """
-    consts = boundary_values(constants)
-    degrees = cfg.degrees
-    n_args = len(_FILTER_ARGS)
-    for args in points_args:
-        cache: dict[int, object] = {}
-        for _name, eq_terms, shifted in terms:
-            acc = shift if shifted else 0
-            for coeff, k1, k2 in eq_terms:
-                v1 = cache.get(k1)
-                if v1 is None:
-                    i, n = divmod(k1, n_args)
-                    s = args[n]
-                    v1 = consts[i]
-                    row = coeffs[i]
-                    for k, j in enumerate(degrees):
-                        c = row[k]
-                        if c:
-                            v1 += c * s ** j
-                    cache[k1] = v1
-                v2 = cache.get(k2)
-                if v2 is None:
-                    i, n = divmod(k2, n_args)
-                    s = args[n]
-                    v2 = consts[i]
-                    row = coeffs[i]
-                    for k, j in enumerate(degrees):
-                        c = row[k]
-                        if c:
-                            v2 += c * s ** j
-                    cache[k2] = v2
-                acc += coeff * v1 * v2
-            if acc:
-                return True
-    return False
-
-
-def _is_skew(cfg, constants, coeffs) -> bool:
-    """A'_{ql}(x) + A'_{lq}(-x) == 0 for all pairs."""
-    consts = boundary_values(constants)
-    for (q, l), i in _PAIR_INDEX.items():
-        m = _PAIR_INDEX[(l, q)]
-        if consts[i] + consts[m]:
-            return False
-        for k, j in enumerate(cfg.degrees):
-            if coeffs[i][k] + (-1) ** j * coeffs[m][k]:
-                return False
-    return True
-
-
 def filter_equation_names(cfg: SearchConfig) -> tuple[str, ...]:
     names = WEAK_EQUATIONS
     if cfg.mode == "strict":
@@ -325,34 +264,221 @@ def filter_equation_names(cfg: SearchConfig) -> tuple[str, ...]:
     return names
 
 
-def _scan_range(cfg: SearchConfig, start: int, stop: int):
-    """Pure worker: scan a slice of the consistent candidates.
+# Depth-first scan ------------------------------------------------------------------
+#
+# The entry groups below own disjoint sets of free slots (a mirror pair
+# shares its slots), so a consistent candidate is one constants tuple
+# plus one choice per group.  The scan fixes the constants, then one
+# group per level, and evaluates each filter equation at the sample
+# points at the first level where all of its entries are fixed.
 
-    Prescreens at sample points, verifies the filter equations exactly,
-    then post-verifies survivors (structural characterization, scalar
-    relations, and the full tensor recomputation).  Returns
-    (index, record, problems) triples.
+_GROUPS = tuple(
+    tuple(_PAIR_INDEX[pair] for pair in group)
+    for group in ((("e", "e"),), (("f", "f"),), (("h", "h"),),
+                  (("e", "f"), ("f", "e")), (("e", "h"), ("h", "e")),
+                  (("f", "h"), ("h", "f")))
+)
+_GROUP_OF = {i: g for g, group in enumerate(_GROUPS) for i in group}
+
+
+def _group_order(needs: list[set]) -> list[int]:
+    """Greedy level order: each level fixes the group that completes the
+    most pending equations, ties going to the group that the most
+    pending equations mention, then to the lower group number."""
+    order: list[int] = []
+    fixed: set = set()
+    while len(order) < len(_GROUPS):
+        pending = [need for need in needs if not need <= fixed]
+        g = max((g for g in range(len(_GROUPS)) if g not in fixed),
+                key=lambda g: (sum(need <= fixed | {g} for need in pending),
+                               sum(g in need for need in pending), -g))
+        order.append(g)
+        fixed.add(g)
+    return order
+
+
+class _Plan:
+    """The tables of the depth-first scan that do not depend on the
+    constants: the level order, each level's group choices with their
+    index offsets and the polynomial parts of their entries at every
+    (sample point, argument form), and the equations checked per level.
+
+    Entry values live in one flat list, one contiguous span per level, so
+    fixing a group is one slice assignment.
     """
-    names = filter_equation_names(cfg)
-    terms = _filter_terms(names)
-    slots = _free_slots(cfg)
-    const_grid = _fast(cfg.constants_grid)
-    points_args = [_arg_values(p) for p in _PRESCREEN_POINTS]
-    out = []
-    for index in range(start, stop):
-        constants, coeffs = _decode(cfg, index, slots, const_grid)
-        if cfg.mode == "strict" and not _is_skew(cfg, constants, coeffs):
-            continue
-        shift = shift_constant(constants)
-        if _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
-            continue
-        # Exact verification of all filter equations.
-        profile = candidate_profile(cfg, constants, coeffs)
-        if not all(eval_equation(CATALOG[name], profile).is_zero()
-                   for name in names):
-            continue
-        out.append((index,) + _post_verify(cfg, profile))
-    return out
+
+    def __init__(self, cfg: SearchConfig):
+        self.cfg = cfg
+        self.names = filter_equation_names(cfg)
+        self.const_grid = _fast(cfg.constants_grid)
+        n_args = len(_FILTER_ARGS)
+        equations = [(terms, shifted) for _name, terms, shifted in _filter_terms(self.names)]
+        needs = [{_GROUP_OF[k // n_args] for _c, k1, k2 in terms for k in (k1, k2)}
+                 for terms, _shifted in equations]
+        order = _group_order(needs)
+        used = sorted({k for terms, _shifted in equations for _c, k1, k2 in terms
+                       for k in (k1, k2)})
+        points_args = [_arg_values(p) for p in _PRESCREEN_POINTS]
+
+        # Index weight of each free slot in the consistent-candidate index:
+        # the four constants digits are the lowest, then the slots in order.
+        slots = _free_slots(cfg)
+        weights = []
+        radix = len(self.const_grid) ** 4
+        for slot in slots:
+            weights.append(radix)
+            radix *= len(slot[3])
+
+        position = {}      # (point, flat key) -> position in the value list
+        self.spans = []    # per level: (lo, hi) of its values
+        self.entries = []  # per level: the entry index of each value
+        self.levels = []   # per level: [(offset, rows, polynomial parts)]
+        for g in order:
+            keys = [(p, k) for p in range(len(points_args)) for k in used
+                    if _GROUP_OF[k // n_args] == g]
+            lo = len(position)
+            for key in keys:
+                position[key] = len(position)
+            self.spans.append((lo, len(position)))
+            self.entries.append([k // n_args for _p, k in keys])
+            self.levels.append(self._choices(g, slots, weights, keys, points_args))
+
+        # Per level, the equations completed there, one check per sample point.
+        self.checks = []
+        fixed: set = set()
+        for g in order:
+            before = set(fixed)
+            fixed.add(g)
+            self.checks.append([
+                (shifted, tuple((c, position[p, k1], position[p, k2])
+                                for c, k1, k2 in terms))
+                for p in range(len(points_args))
+                for (terms, shifted), need in zip(equations, needs)
+                if need <= fixed and not need <= before
+            ])
+
+    def _choices(self, g, slots, weights, keys, points_args) -> list:
+        """(index offset, coefficient rows, polynomial parts) per choice of
+        group g."""
+        cfg = self.cfg
+        degrees = cfg.degrees
+        own = [(weights[s], slot) for s, slot in enumerate(slots) if slot[1] in _GROUPS[g]]
+        n_args = len(_FILTER_ARGS)
+        out = []
+        for digits in itertools.product(*(range(len(slot[3])) for _w, slot in own)):
+            rows = {i: [0] * len(degrees) for i in _GROUPS[g]}
+            offset = 0
+            for r, (weight, (kind, i, k, choices)) in zip(digits, own):
+                offset += r * weight
+                v = choices[r]
+                rows[i][k] = v
+                if kind == "pair+":
+                    rows[_MIRROR[i]][k] = v
+                elif kind == "pair-":
+                    rows[_MIRROR[i]][k] = -v
+            parts = []
+            for p, key in keys:
+                i, n = divmod(key, n_args)
+                s = points_args[p][n]
+                parts.append(sum(c * s ** j for c, j in zip(rows[i], degrees) if c))
+            out.append((offset, tuple((i, tuple(row)) for i, row in rows.items()),
+                        parts))
+        return out
+
+
+class _Unit:
+    """One work unit of the scan: the candidates with one constants tuple.
+
+    Holds each level's choices with their entry values (boundary value
+    plus polynomial part), the flat value list, and the rows picked on
+    the current branch.
+    """
+
+    def __init__(self, plan: _Plan, constants: tuple, bnd: list):
+        self.plan = plan
+        self.constants = constants
+        self.shift = shift_constant(constants)
+        self.levels = []
+        for entries, choices in zip(plan.entries, plan.levels):
+            base = [bnd[i] for i in entries]
+            self.levels.append([(offset, rows, [b + v for b, v in zip(base, parts)])
+                                for offset, rows, parts in choices])
+        self.vals = [0] * plan.spans[-1][1]
+        self.picks = [()] * len(plan.levels)
+        self.out = []
+
+
+def _descend(unit: _Unit, depth: int, index: int) -> None:
+    """Try every choice of the group at this level; recurse under those
+    whose completed equations vanish at every sample point."""
+    plan = unit.plan
+    lo, hi = plan.spans[depth]
+    checks = plan.checks[depth]
+    vals = unit.vals
+    shift = unit.shift
+    last = depth + 1 == len(plan.levels)
+    for offset, rows, values in unit.levels[depth]:
+        vals[lo:hi] = values
+        for shifted, terms in checks:
+            acc = shift if shifted else 0
+            for c, a, b in terms:
+                acc += c * vals[a] * vals[b]
+            if acc:
+                break
+        else:
+            unit.picks[depth] = rows
+            if last:
+                _leaf(unit, index + offset)
+            else:
+                _descend(unit, depth + 1, index + offset)
+
+
+def _leaf(unit: _Unit, index: int) -> None:
+    """Exact filter and post-verification of a prescreen survivor."""
+    plan = unit.plan
+    coeffs: list = [()] * len(PAIRS)
+    for rows in unit.picks:
+        for i, row in rows:
+            coeffs[i] = row
+    profile = candidate_profile(plan.cfg, unit.constants, coeffs)
+    if all(eval_equation(CATALOG[name], profile).is_zero() for name in plan.names):
+        unit.out.append((index,) + _post_verify(plan.cfg, profile))
+
+
+def _scan_constants(plan: _Plan, c: int) -> list:
+    """Pure worker: scan the candidates with the c-th constants tuple.
+
+    Returns (index, record, problems) triples, the index being the
+    candidate's consistent-candidate index (slots in _free_slots order
+    above the four constants digits).
+    """
+    grid = plan.const_grid
+    constants = tuple(grid[c // len(grid) ** m % len(grid)] for m in range(4))
+    bnd = boundary_values(constants)
+    # Skew-symmetry, A'_{ql}(x) + A'_{lq}(-x) == 0: the invariance
+    # relations already give it degree by degree, so only the boundary
+    # values are left to test.
+    if plan.cfg.mode == "strict" and any(bnd[i] + bnd[m] for i, m in _MIRROR.items()):
+        return []
+    unit = _Unit(plan, constants, bnd)
+    _descend(unit, 0, c)
+    return unit.out
+
+
+def _scan(cfg: SearchConfig) -> list:
+    """Every candidate passing the exact filter, as (index, record,
+    problems) triples in index order."""
+    plan = _Plan(cfg)
+    units = len(plan.const_grid) ** 4
+    if cfg.workers > 1 and units > 1 and "fork" in get_all_start_methods():
+        with get_context("fork").Pool(min(cfg.workers, units)) as pool:
+            results = pool.starmap(_scan_constants,
+                                   [(plan, c) for c in range(units)], chunksize=1)
+    else:
+        results = [_scan_constants(plan, c) for c in range(units)]
+    passed = [item for chunk in results for item in chunk]
+    passed.sort(key=lambda item: item[0])
+    return passed
 
 
 def _post_verify(cfg: SearchConfig, profile: DiagProfile):
@@ -387,11 +513,6 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     return record, problems
 
 
-def _chunks(n: int, workers: int) -> list[tuple[int, int]]:
-    size = max(1, min(n, 4096 if workers > 1 else n))
-    return [(s, min(s + size, n)) for s in range(0, n, size)]
-
-
 def _classify(profile: DiagProfile, report) -> dict:
     """Family-spec-like record for a survivor in normal form."""
     m = report.matrix.numeric()
@@ -418,17 +539,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     t0 = time.time()
     scanned = count_candidates(cfg)
     consistent = count_consistent(cfg)
-    chunks = _chunks(consistent, cfg.workers)
-    if cfg.workers > 1 and len(chunks) > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(cfg.workers) as pool:
-            results = pool.starmap(
-                _scan_range, [(cfg, s, e) for s, e in chunks], chunksize=1
-            )
-    else:
-        results = [_scan_range(cfg, s, e) for s, e in chunks]
-    passed = [item for chunk in results for item in chunk]
-    passed.sort(key=lambda item: item[0])
+    passed = _scan(cfg)
 
     survivors = []
     failures = []

@@ -573,20 +573,18 @@ def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
     """Evaluate a catalog entry on a profile; zero iff the identity holds."""
     reg = p.reg
     x_sym = reg.sym("x")
-    basis = {
-        "x": reg.var("x"),
-        "y": reg.var("y"),
-        "z": reg.var("z"),
-    }
+    x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
+    args = {arg for term in eq.terms for arg in (term[2], term[4])}
+    forms = {arg: x * arg[0] + y * arg[1] + z * arg[2] for arg in args}
+    # Each distinct (entry, argument form) is substituted once.
+    at = {}
+    for _coeff, left, arg1, right, arg2 in eq.terms:
+        for entry, arg in ((left, arg1), (right, arg2)):
+            if (entry, arg) not in at:
+                at[entry, arg] = p.entry(entry[0], entry[1]).subst_linear(x_sym, forms[arg])
     acc = reg.zero()
     for coeff, left, arg1, right, arg2 in eq.terms:
-        def form(arg):
-            cx, cy, cz = arg
-            return basis["x"] * cx + basis["y"] * cy + basis["z"] * cz
-
-        lp = p.entry(left[0], left[1]).subst_linear(x_sym, form(arg1))
-        rp = p.entry(right[0], right[1]).subst_linear(x_sym, form(arg2))
-        acc = acc + lp * rp * coeff
+        acc = acc + at[left, arg1] * at[right, arg2] * coeff
     if eq.shifted:
         acc = acc + shift_constant(p.constant_values())
     return acc

@@ -4,8 +4,9 @@ The oracles here are deliberately written from scratch against textbook
 formulas (classical Yang-Baxter expansion, adjoint actions, slotwise
 lambda-actions) so that the engine under test is checked by a second,
 structurally different computation.  The rest are slower reference
-paths the engine replaced: the two-pass reduced action and the
-unstructured candidate enumeration of the search.
+paths the engine replaced: the two-pass reduced action, the
+unstructured candidate enumeration of the search, and its flat scan of
+the consistent candidates.
 """
 
 from __future__ import annotations
@@ -14,10 +15,18 @@ import itertools
 import random
 from fractions import Fraction
 
+from ccybe import search
 from ccybe.conformal import act_on_tensor
 from ccybe.exactpoly import MPoly, SymbolRegistry
 from ccybe.search import candidate_profile, filter_equation_names
-from ccybe.ybe import CATALOG, PAIRS, eval_equation, invariance_residues
+from ccybe.ybe import (
+    CATALOG,
+    PAIRS,
+    boundary_values,
+    eval_equation,
+    invariance_residues,
+    shift_constant,
+)
 
 
 def random_poly(reg, rng, names, max_degree=4, max_terms=5):
@@ -126,13 +135,21 @@ def act_then_eliminate(elem, t):
 # Unstructured search oracles (desk-scale configurations only).
 
 
-def enumerate_profiles(cfg):
-    """Stream every candidate profile, with no filtering."""
+def enumerate_candidates(cfg):
+    """Stream every (constants, coefficient rows) candidate, with no
+    filtering; the first entry's row varies slowest within a constants
+    block."""
     n_deg = len(cfg.degrees)
     vectors = list(itertools.product(cfg.coeff_grid, repeat=n_deg))
     for constants in itertools.product(cfg.constants_grid, repeat=4):
         for combo in itertools.product(vectors, repeat=9):
-            yield candidate_profile(cfg, constants, combo)
+            yield constants, combo
+
+
+def enumerate_profiles(cfg):
+    """Stream every candidate profile, with no filtering."""
+    for constants, combo in enumerate_candidates(cfg):
+        yield candidate_profile(cfg, constants, combo)
 
 
 def naive_run(cfg):
@@ -154,4 +171,87 @@ def naive_run(cfg):
                 continue
         if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
             out.append(profile)
+    return out
+
+
+# Flat scan of the consistent candidates: decode every index, test
+# skew-symmetry in strict mode, prescreen each candidate anew at
+# the sample points, then the same exact filter and post-verification
+# as the engine's depth-first scan.
+
+
+def _decode(cfg, index, slots, const_grid):
+    """Mixed-radix decoding of a consistent-candidate index: the four
+    constants are the low digits, the free slots the high ones."""
+    constants = []
+    for _ in range(4):
+        index, r = divmod(index, len(const_grid))
+        constants.append(const_grid[r])
+    coeffs = [[0] * len(cfg.degrees) for _ in range(9)]
+    for kind, i, k, choices in slots:
+        index, r = divmod(index, len(choices))
+        v = choices[r]
+        coeffs[i][k] = v
+        if kind == "pair+":
+            coeffs[search._MIRROR[i]][k] = v
+        elif kind == "pair-":
+            coeffs[search._MIRROR[i]][k] = -v
+    return tuple(constants), tuple(tuple(row) for row in coeffs)
+
+
+def _is_skew(cfg, constants, coeffs):
+    """A'_{ql}(x) + A'_{lq}(-x) == 0 for all pairs."""
+    consts = boundary_values(constants)
+    for i, m in search._MIRROR.items():
+        if consts[i] + consts[m]:
+            return False
+        for k, j in enumerate(cfg.degrees):
+            if coeffs[i][k] + (-1) ** j * coeffs[m][k]:
+                return False
+    return True
+
+
+def _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
+    """True once any filter equation is nonzero at a sample point."""
+    consts = boundary_values(constants)
+    n_args = len(search._FILTER_ARGS)
+    for args in points_args:
+        cache = {}
+        for _name, eq_terms, shifted in terms:
+            acc = shift if shifted else 0
+            for coeff, k1, k2 in eq_terms:
+                for k in (k1, k2):
+                    if k not in cache:
+                        i, n = divmod(k, n_args)
+                        s = args[n]
+                        v = consts[i]
+                        for c, j in zip(coeffs[i], cfg.degrees):
+                            if c:
+                                v += c * s ** j
+                        cache[k] = v
+                acc += coeff * cache[k1] * cache[k2]
+            if acc:
+                return True
+    return False
+
+
+def flat_scan(cfg):
+    """(index, record, problems) for every consistent candidate passing
+    the exact filter, in index order."""
+    names = filter_equation_names(cfg)
+    terms = search._filter_terms(names)
+    slots = search._free_slots(cfg)
+    const_grid = search._fast(cfg.constants_grid)
+    points_args = [search._arg_values(p) for p in search._PRESCREEN_POINTS]
+    out = []
+    for index in range(search.count_consistent(cfg)):
+        constants, coeffs = _decode(cfg, index, slots, const_grid)
+        if cfg.mode == "strict" and not _is_skew(cfg, constants, coeffs):
+            continue
+        shift = shift_constant(constants)
+        if _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
+            continue
+        profile = candidate_profile(cfg, constants, coeffs)
+        if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
+            out.append((index,) + search._post_verify(cfg, profile))
     return out

@@ -315,6 +315,25 @@ def test_family_f_outside_t_rejected(tmp_path, capsys, f):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    '["x"]',
+    '{"case": "thm5_ii", "params": ["lhh"]}',
+    '{"case": "thm5_ii", "params": {"lhh": [1]}}',
+    '{"case": "thm5_ii", "params": {"lhh": "1", "beta": "2", "zeta": "1"}, "f": 3}',
+    '{"case": "thm5_ii", "params": {"lhh": "1/0"}}',
+    '{"case": "thm5_ii", "params": {"lhh": Infinity}}',
+], ids=["top_level_list", "params_list", "param_value_list", "f_not_string",
+        "param_zero_denominator", "param_infinity"])
+def test_family_spec_malformed(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "fam.json"
+    assert cli.main(["family", "--spec", str(spec), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
 # search ---------------------------------------------------------------------------
 
 
@@ -344,8 +363,8 @@ def test_search_cli_jobs(tmp_path, capsys):
     assert a["survivors"] == b["survivors"]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_search_cli_jobs_below_one(monkeypatch, capsys, jobs):
+@pytest.mark.parametrize("jobs", ["0", "-3", "65", "100000"])
+def test_search_cli_jobs_out_of_range(monkeypatch, capsys, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was requested")
 
@@ -354,6 +373,19 @@ def test_search_cli_jobs_below_one(monkeypatch, capsys, jobs):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "workers" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--coeffs", "0,1/0"],
+    ["family", "thm5_ii", "--param", "lhh=1/0", "--param", "beta=1",
+     "--param", "zeta=1"],
+], ids=["search_coeffs", "family_param"])
+def test_zero_denominator_exit(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 # vir ------------------------------------------------------------------------------

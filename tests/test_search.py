@@ -1,3 +1,5 @@
+import gc
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -6,8 +8,10 @@ import pytest
 
 from ccybe import search
 from ccybe.search import (
+    MAX_WORKERS,
     SearchConfig,
     SearchConfigError,
+    candidate_profile,
     count_candidates,
     count_consistent,
     diff_reports,
@@ -15,7 +19,7 @@ from ccybe.search import (
 )
 from ccybe.ybe import invariance_residues
 
-from support import enumerate_profiles, naive_run
+from support import enumerate_candidates, enumerate_profiles, flat_scan, naive_run
 
 F = Fraction
 
@@ -40,17 +44,18 @@ def test_candidate_counting():
 
 
 def test_raw_mode_includes_even_entries():
-    import itertools
-
     cfg = SearchConfig(max_degree=2, coeff_grid=(0, 1), constants_grid=(0,),
                        raw=True)
     found = None
     # the leading entry varies slowest, so an x^2 first entry appears
-    # within the second block of len(vectors)^8 candidates
-    for profile in itertools.islice(enumerate_profiles(cfg), 4 ** 8 + 1):
-        x = profile.reg.var("x")
-        if profile.entry("e", "e") == x * x:
-            found = profile
+    # within the second block of len(vectors)^8 candidates; only the
+    # candidate whose first row is x^2's coefficients is built
+    for constants, coeffs in itertools.islice(enumerate_candidates(cfg), 4 ** 8 + 1):
+        if coeffs[0] == (0, 1):
+            profile = candidate_profile(cfg, constants, coeffs)
+            x = profile.reg.var("x")
+            if profile.entry("e", "e") == x * x:
+                found = profile
     assert found is not None
     assert any(not r.is_zero() for r in invariance_residues(found))
 
@@ -157,3 +162,61 @@ def test_raw_rediscovers_oddness():
     for record in report.survivors:
         for text in record["entries"].values():
             assert "x^2" not in text
+
+
+def _sweep_config(a, b, mode):
+    return SearchConfig(max_degree=1, coeff_grid=(-a, 0, a), constants_grid=(-b, 0, b),
+                        mode=mode, raw=True)
+
+
+SCAN_CONFIGS = {
+    **{f"sweep_{mode}_a{a}_b{b}": _sweep_config(a, b, mode)
+       for a in (1, 2) for b in (1, 2) for mode in ("weak", "strict")},
+    "weak_01": SearchConfig(max_degree=1, coeff_grid=(0, 1), constants_grid=(0, 1)),
+    "raw_deg2": SearchConfig(max_degree=2, coeff_grid=(0, 1), constants_grid=(0, 1),
+                             raw=True),
+    "fractional": SearchConfig(max_degree=1, coeff_grid=(0, F(1, 2)),
+                               constants_grid=(0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
+def test_scan_matches_flat_scan(name):
+    # the depth-first scan keeps exactly the candidates, indices, records
+    # and problems of the flat reference scan, in the same order
+    cfg = SCAN_CONFIGS[name]
+    passed = search._scan(cfg)
+    assert passed
+    assert passed == flat_scan(cfg)
+
+
+def test_run_search_leaves_no_reference_cycles():
+    cfg = SearchConfig(max_degree=1, coeff_grid=(0, 1), constants_grid=(0, 1))
+    gc.disable()
+    try:
+        gc.collect()
+        run_search(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_workers_bound():
+    SearchConfig(workers=MAX_WORKERS)
+    with pytest.raises(SearchConfigError, match="workers"):
+        SearchConfig(workers=MAX_WORKERS + 1)
+
+
+def test_serial_without_fork(monkeypatch):
+    # where the platform has no fork start method a multi-worker search
+    # runs serially and gives the same report
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was requested")
+
+    monkeypatch.setattr(search, "get_context", no_pool)
+    monkeypatch.setattr(search, "get_all_start_methods", lambda: ["spawn"])
+    report = run_search(SearchConfig(max_degree=1, coeff_grid=(0, 1),
+                                     constants_grid=(0, 1), workers=2))
+    with open(os.path.join(DATA, "search_golden.json")) as fh:
+        golden = json.load(fh)
+    assert report.content_hash == golden["content_hash"]
