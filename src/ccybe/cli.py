@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -133,13 +134,25 @@ def cmd_catalog(args) -> int:
     return FAIL
 
 
+# Bound on the decimal exponent of a number read as text: Fraction("1e999999999")
+# builds 10**999999999 before anything could refuse it.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
+
 def _rational(value) -> Fraction:
-    """An exact rational from a string or a JSON number; ValueError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+    """An exact rational from a string, an int or a Fraction; ValueError
+    otherwise.  JSON decimals reach it as their text, so 0.1 is 1/10."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
         raise ValueError(f"expected a number or a string, got {value!r}")
+    if isinstance(value, str):
+        found = _EXPONENT.search(value)
+        if found and abs(int(found.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {value!r} is beyond "
+                             f"+-{MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(value)
-    except (ZeroDivisionError, OverflowError) as err:
+    except ZeroDivisionError as err:
         raise ValueError(f"not a finite rational: {value!r}") from err
 
 
@@ -158,7 +171,7 @@ def cmd_family(args) -> int:
     try:
         if args.spec:
             with open(args.spec, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_float=_rational)
             if not isinstance(data, dict):
                 raise ValueError("a spec file must hold a JSON object")
             case = data["case"]
@@ -226,7 +239,7 @@ def cmd_search(args) -> int:
 def cmd_vir(args) -> int:
     reg = SymbolRegistry()
     try:
-        coeff = reg.parse(args.expr)
+        coeff = reg.parse(args.expr, max_degree=rmatfile.MAX_SLOT_DEGREE)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
@@ -235,12 +248,6 @@ def cmd_vir(args) -> int:
         print(f"error: expression must use only x and y, got {sorted(extra)}",
               file=sys.stderr)
         return USAGE
-    for name in ("x", "y"):
-        degree = coeff.degree_in(reg.sym(name))
-        if degree > rmatfile.MAX_SLOT_DEGREE:
-            print(f"error: degree {degree} in {name} is above the limit "
-                  f"{rmatfile.MAX_SLOT_DEGREE}", file=sys.stderr)
-            return USAGE
     r = families.vir_rmatrix(coeff)
     report = _run_check(r, args.mode)
     _emit_report(report, args.format)

@@ -216,24 +216,35 @@ def act_on_tensor(a: ConfElem, t: ConfTensor, lam: MPoly) -> ConfTensor:
         raise ValueError("element and tensor over different algebras")
     reg = alg.reg
     d_sym, lam_sym = alg.d, alg.lam
+    # Per slot: its symbol di, di as a polynomial, and the shift di + lam.
+    slots = []
+    for i in range(t.arity):
+        di = reg.var(t.slot_sym(i))
+        slots.append((t.slot_sym(i), di, di + lam))
     out: dict[tuple, MPoly] = {}
     for p, g in a.coeffs.items():
         g_at = g.subst_linear(d_sym, -lam)
         if g_at.is_zero():
             continue
+        # g(-lam) times the inserted bracket, once per (basis element, slot).
+        factors: dict[tuple, list] = {}
         for tup, coeff in t.entries.items():
             for i, b in enumerate(tup):
-                bracket = alg.basis_bracket(p, b)
-                if not bracket:
+                di_sym, di, moved = slots[i]
+                factor = factors.get((b, i))
+                if factor is None:
+                    factor = factors[b, i] = [
+                        (k, g_at * poly.subst_many({d_sym: di, lam_sym: lam}))
+                        for k, poly in alg.basis_bracket(p, b).items()
+                    ]
+                if not factor:
                     continue
-                di = t.slot_sym(i)
-                shifted = coeff.subst_linear(di, reg.var(di) + lam)
-                for k, poly in bracket.items():
-                    inserted = poly.subst_many({d_sym: reg.var(di), lam_sym: lam})
+                shifted = coeff.subst_linear(di_sym, moved)
+                for k, f in factor:
                     new = list(tup)
                     new[i] = k
                     key = tuple(new)
-                    term = shifted * g_at * inserted
+                    term = shifted * f
                     out[key] = out.get(key, reg.zero()) + term
     return ConfTensor(alg, t.arity, out)
 
@@ -253,11 +264,21 @@ def tau(t: ConfTensor) -> ConfTensor:
     return ConfTensor(t.alg, 2, out)
 
 
+def _eliminate_d1(t: ConfTensor) -> dict:
+    """The substitution d1 := -(d2 + ... + dN)."""
+    d1 = t.slot_sym(0)
+    return {d1: t.alg.reg.var(d1) - t.total()}
+
+
 def reduce_mod_total(t: ConfTensor) -> ConfTensor:
     """Reduce modulo the total derivation: d1 := -(d2 + ... + dN)."""
-    d1 = t.slot_sym(0)
-    repl = t.alg.reg.var(d1) - t.total()
-    return t.map_coeffs(lambda p: p.subst_linear(d1, repl))
+    sub = _eliminate_d1(t)
+    return t.map_coeffs(lambda p: p.subst_many(sub))
+
+
+def project_reduced(t: ConfTensor, tup: Sequence[str]) -> MPoly:
+    """project(reduce_mod_total(t), tup), reducing that coefficient only."""
+    return project(t, tup).subst_many(_eliminate_d1(t))
 
 
 def project(t: ConfTensor, tup: Sequence[str]) -> MPoly:

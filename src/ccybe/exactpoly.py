@@ -33,9 +33,10 @@ The text grammar accepted by parse_poly:
     atom   := INT ('/' INT)? | SYMBOL | '(' expr ')'
 
 Exponents must be nonnegative integer literals below 2**15 and implicit
-multiplication is not allowed.  The canonical printer emits terms in
-descending graded-lexicographic order with explicit '*', and
-parse(print(p)) == p.
+multiplication is not allowed.  With a degree limit, a power or product
+that would exceed it in some symbol is refused before it is expanded.
+The canonical printer emits terms in descending graded-lexicographic
+order with explicit '*', and parse(print(p)) == p.
 """
 
 from __future__ import annotations
@@ -185,8 +186,9 @@ class SymbolRegistry:
             return self.const(1)
         return MPoly._raw(self, {power << (_FIELD * sym.index): 1})
 
-    def parse(self, text: str, auto_register: bool = False) -> "MPoly":
-        return parse_poly(text, self, auto_register=auto_register)
+    def parse(self, text: str, auto_register: bool = False,
+              max_degree: Optional[int] = None) -> "MPoly":
+        return parse_poly(text, self, auto_register=auto_register, max_degree=max_degree)
 
 
 class MPoly:
@@ -590,12 +592,27 @@ class _Lexer:
         self.pos += 1
 
 
-def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False) -> MPoly:
+def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False,
+               max_degree: Optional[int] = None) -> MPoly:
     """Parse an expression into an MPoly over `reg`.
 
-    Unknown symbols raise ParseError unless auto_register is set.
+    Unknown symbols raise ParseError unless auto_register is set.  With
+    max_degree set, every power and product keeps the degree in each
+    symbol at most max_degree, or raises ParseError before it is
+    computed: over Q, deg_s(p**n) = n * deg_s(p) and deg_s(p*q) =
+    deg_s(p) + deg_s(q), and sums never raise a degree, so the result and
+    every step towards it stay within the limit.
     """
     lx = _Lexer(text)
+
+    def degrees(p: MPoly) -> dict:
+        return {sym.name: p.degree_in(sym) for sym in p.symbols()}
+
+    def bound(here: int, degs: dict) -> None:
+        for name, d in sorted(degs.items()):
+            if d > max_degree:
+                raise ParseError(
+                    f"degree {d} in {name} is above the limit {max_degree}", here)
 
     def parse_expr() -> MPoly:
         node = parse_term()
@@ -613,8 +630,14 @@ def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False) -> M
     def parse_term() -> MPoly:
         node = parse_factor()
         while lx.peek() == "*":
+            here = lx.pos
             lx.pos += 1
-            node = node * parse_factor()
+            rhs = parse_factor()
+            if max_degree is not None and node and rhs:
+                left, right = degrees(node), degrees(rhs)
+                bound(here, {name: left.get(name, 0) + right.get(name, 0)
+                             for name in left.keys() | right.keys()})
+            node = node * rhs
         return node
 
     def parse_factor() -> MPoly:
@@ -630,6 +653,8 @@ def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False) -> M
             n = lx.take_int()
             if n >= EXPONENT_LIMIT:
                 raise ParseError(f"exponent must be below {EXPONENT_LIMIT}", here)
+            if max_degree is not None:
+                bound(here, {name: n * d for name, d in degrees(node).items()})
             node = node ** n
         return node
 

@@ -13,15 +13,19 @@ to scalars; scalars may be Fractions or parametric MPoly values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
 from .exactpoly import MPoly
 
 Scalar = Union[int, Fraction, MPoly]
+
+_NO_BRACKET: Mapping[str, Fraction] = MappingProxyType({})
 
 
 def is_zero_scalar(v: Scalar) -> bool:
@@ -51,7 +55,8 @@ class LieAlg:
 
     `table` holds the bracket of basis pairs: table[(i, j)] maps output
     basis names to rational coefficients.  Antisymmetry and the Jacobi
-    identity are verified exhaustively at construction.
+    identity are verified exhaustively at construction.  The table and
+    its rows are read-only views, so an algebra can be shared.
     """
 
     def __init__(self, names: Sequence[str], table: Mapping[tuple, Mapping[str, Scalar]]):
@@ -60,16 +65,16 @@ class LieAlg:
         for (i, j), out in table.items():
             cleaned = {k: Fraction(v) for k, v in out.items() if v}
             if cleaned:
-                full[(i, j)] = cleaned
-        self.table = full
+                full[(i, j)] = MappingProxyType(cleaned)
+        self.table: Mapping[tuple, Mapping[str, Fraction]] = MappingProxyType(full)
         self._validate()
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    def bracket_basis(self, i: str, j: str) -> dict[str, Fraction]:
-        return self.table.get((i, j), {})
+    def bracket_basis(self, i: str, j: str) -> Mapping[str, Fraction]:
+        return self.table.get((i, j), _NO_BRACKET)
 
     def bracket(self, x: Mapping[str, Scalar], y: Mapping[str, Scalar]) -> dict[str, Scalar]:
         """Bilinear extension of the structure constants."""
@@ -108,8 +113,9 @@ class LieAlg:
                 raise ValueError(f"Jacobi identity fails at ({i},{j},{k})")
 
 
+@functools.cache
 def sl2() -> LieAlg:
-    """The standard basis e, f, h."""
+    """The standard basis e, f, h; built and validated once, then shared."""
     return LieAlg(
         ("e", "f", "h"),
         {

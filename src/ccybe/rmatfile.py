@@ -12,9 +12,11 @@ Schema:
     }
 
 Coefficients are expression strings in d1, d2 and the declared
-parameters; parameters must be declared before use.  Each coefficient's
-degree in d1 and in d2 is at most MAX_SLOT_DEGREE: the checks expand
-powers of d1 + d2, so an unbounded degree would run without end.
+parameters; parameters must be declared before use.  A coefficient's
+degree in each symbol is at most MAX_SLOT_DEGREE, and so is every power
+and product on the way to it: the parser refuses one above the limit
+before expanding it.  The checks expand powers of d1 + d2, so an
+unbounded degree would run without end.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def from_dict(data: dict, reg: SymbolRegistry = None) -> RMat:
                 f"unknown basis pair ({left!r}, {right!r}) for algebra {data['algebra']}"
             )
         try:
-            poly = reg.parse(str(item.get("coeff", "0")))
+            poly = reg.parse(str(item.get("coeff", "0")), max_degree=MAX_SLOT_DEGREE)
         except ParseError as err:
             raise RMatFileError(
                 f"entry ({left}, {right}): {err}"
@@ -94,13 +96,6 @@ def from_dict(data: dict, reg: SymbolRegistry = None) -> RMat:
             raise RMatFileError(
                 f"entry ({left}, {right}) uses undeclared symbols {sorted(undeclared)}"
             )
-        for slot in ("d1", "d2"):
-            degree = poly.degree_in(reg.sym(slot))
-            if degree > MAX_SLOT_DEGREE:
-                raise RMatFileError(
-                    f"entry ({left}, {right}) has degree {degree} in {slot}, "
-                    f"above the limit {MAX_SLOT_DEGREE}"
-                )
         key = (left, right)
         entries[key] = entries.get(key, reg.zero()) + poly
     return RMat(alg, entries)

@@ -19,14 +19,20 @@ group per level, in a greedy order that completes each filter equation
 as early as possible.  In strict mode the skew-symmetry test prunes
 whole constants tuples up front; the coefficients of a consistent
 candidate are always skew, because the invariance relations make mirror
-coefficients equal in odd degrees and opposite in even ones.  As soon
-as every entry of a filter equation is fixed, the equation is evaluated
-at three integer sample points, and the whole branch below is pruned if
-any value is nonzero.  The pruning is exact: the equation is a
-polynomial identity in (x, y, z), and a polynomial with a nonzero value
-at some point is not the zero polynomial, so no candidate satisfying it
-is ever dropped.  Each leaf that survives every sample point is
-verified exactly (eval_equation on all filter equations), then
+coefficients equal in odd degrees and opposite in even ones.
+
+Two kinds of point evaluation decide the filter.  Each filter equation
+is a polynomial identity in (x, y, z) of total degree at most
+2 * max_degree.  The sample points prune: as soon as every entry of an
+equation is fixed, it is evaluated at three integer points, and the
+branch below is cut if any value is nonzero (a polynomial with a
+nonzero value is not zero, so no solution is ever dropped).  The
+principal lattice is the exact filter: a leaf that survives the sample
+points is kept iff every equation vanishes on the lattice of degree
+2 * max_degree in the variables the equation uses, which is unisolvent
+for that degree (see _lattice).  Both read entry values from flat
+tables of (entry, argument value) slots, filled group by group in int
+or Fraction arithmetic.  Only a kept leaf becomes a profile, which is
 re-verified with the full tensor computation (is_weak_solution on the
 canonical lift, plus is_strict_solution in strict mode) and the
 structural characterization.  Any survivor failing characterization is
@@ -55,7 +61,6 @@ from .ybe import (
     WEAK_EQUATIONS,
     DiagProfile,
     boundary_values,
-    eval_equation,
     is_strict_solution,
     is_weak_solution,
     lift_profile,
@@ -222,46 +227,124 @@ def count_consistent(cfg: SearchConfig) -> int:
     return total
 
 
-# Sample-point evaluation -----------------------------------------------------------
-
-_FILTER_ARGS = sorted({
-    arg
-    for eq in CATALOG.values()
-    for term in eq.terms
-    for arg in (term[2], term[4])
-})
-_ARG_INDEX = {arg: n for n, arg in enumerate(_FILTER_ARGS)}
-
-
-def _filter_terms(names: Sequence[str]):
-    """Catalog terms with entries and argument forms as flat indices."""
-    out = []
-    for name in names:
-        eq = CATALOG[name]
-        terms = tuple(
-            (coeff,
-             _PAIR_INDEX[(left[0], left[1])] * len(_FILTER_ARGS) + _ARG_INDEX[arg1],
-             _PAIR_INDEX[(right[0], right[1])] * len(_FILTER_ARGS) + _ARG_INDEX[arg2])
-            for coeff, left, arg1, right, arg2 in eq.terms
-        )
-        out.append((name, terms, eq.shifted))
-    return out
-
-
-_PRESCREEN_POINTS = ((2, 3, 5), (-3, 5, 2), (5, -2, -7))
-
-
-def _arg_values(point):
-    """Value of each argument form at a sample point."""
-    px, py, pz = point
-    return [ax * px + ay * py + az * pz for ax, ay, az in _FILTER_ARGS]
-
-
 def filter_equation_names(cfg: SearchConfig) -> tuple[str, ...]:
     names = WEAK_EQUATIONS
     if cfg.mode == "strict":
         names = names + ("efh",)
     return names
+
+
+# Checks at points ------------------------------------------------------------------
+#
+# A filter equation is sum c * A_left(arg1) * A_right(arg2), plus the
+# shift constant when shifted, with each argument a linear form in
+# (x, y, z).  At a point it reads one value per (entry, argument value),
+# so its value there is a "check": (shifted, terms), each term
+# (c, slot, slot) into a flat table of entry values.
+
+
+_PRESCREEN_POINTS = ((2, 3, 5), (-3, 5, 2), (5, -2, -7))
+
+
+def _at(form: tuple, point: tuple) -> int:
+    return form[0] * point[0] + form[1] * point[1] + form[2] * point[2]
+
+
+def _entry(name: str) -> int:
+    return _PAIR_INDEX[name[0], name[1]]
+
+
+def _lattice(n: int, variables: Sequence[int]) -> list[tuple]:
+    """The principal lattice T_n over the given positions of (x, y, z):
+    the nonnegative integer points with coordinate sum <= n, zero at the
+    other positions.
+
+    T_n is unisolvent for polynomials of total degree <= n (Chung & Yao,
+    "On lattices admitting unique Lagrange interpolations", SIAM J.
+    Numer. Anal. 1977): such a polynomial that vanishes on T_n is zero.
+    By induction on the number of variables k and on n.  For k = 0 or
+    n = 0 the polynomial is a constant, and T_n holds a point.  Otherwise
+    P(0, y, z) has degree <= n in k - 1 variables and vanishes on the
+    points of T_n with x = 0, which are T_n in those variables; so
+    P(0, y, z) == 0 and P = x * Q with deg Q <= n - 1.  At a point (i, j, l)
+    of T_n with i >= 1, 0 = P = i * Q(i, j, l), so Q(x + 1, y, z), of
+    degree <= n - 1, vanishes on T_{n-1}, hence is zero, and so is P.  The
+    bound is tight: x (x - 1) ... (x - n) has degree n + 1 and vanishes on
+    T_n.
+    """
+    points = []
+    for exps in itertools.product(range(n + 1), repeat=len(variables)):
+        if sum(exps) <= n:
+            point = [0, 0, 0]
+            for v, e in zip(variables, exps):
+                point[v] = e
+            points.append(tuple(point))
+    return points
+
+
+def _exact_points(eq, max_degree: int) -> list[tuple]:
+    """Points on which eq vanishes iff it is the zero polynomial.
+
+    With entries of degree <= max_degree every term is a polynomial of
+    total degree <= 2 * max_degree in the variables the argument forms
+    use, so the principal lattice of that degree in those variables
+    decides it exactly.
+    """
+    used = tuple(v for v in range(3)
+                 if any(term[k][v] for term in eq.terms for k in (2, 4)))
+    return _lattice(2 * max_degree, used)
+
+
+class _Checks:
+    """Checks of some equations, each at its own points.
+
+    `slots` lists the (entry index, argument value) pairs the checks
+    read, sorted by the level that fixes the entry, so each level's
+    values are one contiguous span (`spans`) and fixing a group is one
+    slice assignment.  `per_equation` holds one (shifted, terms) check
+    per point and equation; the terms reading the same pair of values
+    are merged.
+    """
+
+    def __init__(self, equations: Sequence, points: Sequence, level_of: Sequence[int],
+                 levels: int):
+        needed = {(_entry(entry), _at(form, point))
+                  for eq, pts in zip(equations, points) for point in pts
+                  for term in eq.terms for entry, form in (term[1:3], term[3:5])}
+        self.slots = sorted(needed, key=lambda slot: (level_of[slot[0]], slot))
+        position = {slot: n for n, slot in enumerate(self.slots)}
+        counts = [0] * levels
+        for i, _s in self.slots:
+            counts[level_of[i]] += 1
+        ends = list(itertools.accumulate(counts))
+        self.spans = list(zip([0] + ends[:-1], ends))
+        self.per_equation = []
+        for eq, pts in zip(equations, points):
+            checks = []
+            for point in pts:
+                merged: dict = {}
+                for c, left, arg1, right, arg2 in eq.terms:
+                    a = position[_entry(left), _at(arg1, point)]
+                    b = position[_entry(right), _at(arg2, point)]
+                    key = (a, b) if a <= b else (b, a)
+                    merged[key] = merged.get(key, 0) + c
+                checks.append((eq.shifted, tuple((c, a, b) for (a, b), c in merged.items() if c)))
+            self.per_equation.append(checks)
+
+    def level_slots(self, level: int) -> list:
+        lo, hi = self.spans[level]
+        return self.slots[lo:hi]
+
+
+def _vanishes(checks, vals, shift) -> bool:
+    """Whether every check reads zero on the value table."""
+    for shifted, terms in checks:
+        acc = shift if shifted else 0
+        for c, a, b in terms:
+            acc += c * vals[a] * vals[b]
+        if acc:
+            return False
+    return True
 
 
 # Depth-first scan ------------------------------------------------------------------
@@ -270,7 +353,9 @@ def filter_equation_names(cfg: SearchConfig) -> tuple[str, ...]:
 # shares its slots), so a consistent candidate is one constants tuple
 # plus one choice per group.  The scan fixes the constants, then one
 # group per level, and evaluates each filter equation at the sample
-# points at the first level where all of its entries are fixed.
+# points at the first level where all of its entries are fixed.  A
+# leaf is kept only if every filter equation vanishes on its exact
+# point set.
 
 _GROUPS = tuple(
     tuple(_PAIR_INDEX[pair] for pair in group)
@@ -299,26 +384,30 @@ def _group_order(needs: list[set]) -> list[int]:
 
 class _Plan:
     """The tables of the depth-first scan that do not depend on the
-    constants: the level order, each level's group choices with their
-    index offsets and the polynomial parts of their entries at every
-    (sample point, argument form), and the equations checked per level.
-
-    Entry values live in one flat list, one contiguous span per level, so
-    fixing a group is one slice assignment.
+    constants: the level order, the sample-point checks completed at
+    each level, the exact checks of a leaf, and each level's group
+    choices with their index offsets and the polynomial parts of their
+    entries at the slots of both value tables.
     """
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.names = filter_equation_names(cfg)
         self.const_grid = _fast(cfg.constants_grid)
-        n_args = len(_FILTER_ARGS)
-        equations = [(terms, shifted) for _name, terms, shifted in _filter_terms(self.names)]
-        needs = [{_GROUP_OF[k // n_args] for _c, k1, k2 in terms for k in (k1, k2)}
-                 for terms, _shifted in equations]
+        equations = [CATALOG[name] for name in self.names]
+        needs = [{_GROUP_OF[_entry(term[k])] for term in eq.terms for k in (1, 3)}
+                 for eq in equations]
         order = _group_order(needs)
-        used = sorted({k for terms, _shifted in equations for _c, k1, k2 in terms
-                       for k in (k1, k2)})
-        points_args = [_arg_values(p) for p in _PRESCREEN_POINTS]
+        level_of = [0] * len(PAIRS)
+        for level, g in enumerate(order):
+            for i in _GROUPS[g]:
+                level_of[i] = level
+        self.prescreen = _Checks(equations, [_PRESCREEN_POINTS] * len(equations),
+                                 level_of, len(order))
+        self.exact = _Checks(equations, [_exact_points(eq, cfg.max_degree) for eq in equations],
+                             level_of, len(order))
+        self.exact_checks = list(dict.fromkeys(
+            check for checks in self.exact.per_equation for check in checks))
 
         # Index weight of each free slot in the consistent-candidate index:
         # the four constants digits are the lowest, then the slots in order.
@@ -329,41 +418,29 @@ class _Plan:
             weights.append(radix)
             radix *= len(slot[3])
 
-        position = {}      # (point, flat key) -> position in the value list
-        self.spans = []    # per level: (lo, hi) of its values
-        self.entries = []  # per level: the entry index of each value
-        self.levels = []   # per level: [(offset, rows, polynomial parts)]
-        for g in order:
-            keys = [(p, k) for p in range(len(points_args)) for k in used
-                    if _GROUP_OF[k // n_args] == g]
-            lo = len(position)
-            for key in keys:
-                position[key] = len(position)
-            self.spans.append((lo, len(position)))
-            self.entries.append([k // n_args for _p, k in keys])
-            self.levels.append(self._choices(g, slots, weights, keys, points_args))
-
-        # Per level, the equations completed there, one check per sample point.
+        # Per level, the equations completed there, checked point by point.
         self.checks = []
+        self.levels = []   # per level: [(offset, rows, prescreen parts, exact parts)]
         fixed: set = set()
-        for g in order:
+        for level, g in enumerate(order):
             before = set(fixed)
             fixed.add(g)
-            self.checks.append([
-                (shifted, tuple((c, position[p, k1], position[p, k2])
-                                for c, k1, k2 in terms))
-                for p in range(len(points_args))
-                for (terms, shifted), need in zip(equations, needs)
-                if need <= fixed and not need <= before
-            ])
+            done = [checks for checks, need in zip(self.prescreen.per_equation, needs)
+                    if need <= fixed and not need <= before]
+            self.checks.append([check for at_point in zip(*done) for check in at_point])
+            self.levels.append(self._choices(g, level, slots, weights))
 
-    def _choices(self, g, slots, weights, keys, points_args) -> list:
-        """(index offset, coefficient rows, polynomial parts) per choice of
-        group g."""
-        cfg = self.cfg
-        degrees = cfg.degrees
+    def _choices(self, g, level, slots, weights) -> list:
+        """(index offset, coefficient rows, polynomial parts at the
+        prescreen and at the exact slots) per choice of group g."""
+        degrees = self.cfg.degrees
         own = [(weights[s], slot) for s, slot in enumerate(slots) if slot[1] in _GROUPS[g]]
-        n_args = len(_FILTER_ARGS)
+        pre = self.prescreen.level_slots(level)
+        exact = self.exact.level_slots(level)
+
+        def parts(rows, keys):
+            return [sum(c * s ** j for c, j in zip(rows[i], degrees) if c) for i, s in keys]
+
         out = []
         for digits in itertools.product(*(range(len(slot[3])) for _w, slot in own)):
             rows = {i: [0] * len(degrees) for i in _GROUPS[g]}
@@ -376,13 +453,8 @@ class _Plan:
                     rows[_MIRROR[i]][k] = v
                 elif kind == "pair-":
                     rows[_MIRROR[i]][k] = -v
-            parts = []
-            for p, key in keys:
-                i, n = divmod(key, n_args)
-                s = points_args[p][n]
-                parts.append(sum(c * s ** j for c, j in zip(rows[i], degrees) if c))
             out.append((offset, tuple((i, tuple(row)) for i, row in rows.items()),
-                        parts))
+                        parts(rows, pre), parts(rows, exact)))
         return out
 
 
@@ -390,8 +462,8 @@ class _Unit:
     """One work unit of the scan: the candidates with one constants tuple.
 
     Holds each level's choices with their entry values (boundary value
-    plus polynomial part), the flat value list, and the rows picked on
-    the current branch.
+    plus polynomial part) at the prescreen and the exact slots, both
+    value tables, and the choices picked on the current branch.
     """
 
     def __init__(self, plan: _Plan, constants: tuple, bnd: list):
@@ -399,11 +471,15 @@ class _Unit:
         self.constants = constants
         self.shift = shift_constant(constants)
         self.levels = []
-        for entries, choices in zip(plan.entries, plan.levels):
-            base = [bnd[i] for i in entries]
-            self.levels.append([(offset, rows, [b + v for b, v in zip(base, parts)])
-                                for offset, rows, parts in choices])
-        self.vals = [0] * plan.spans[-1][1]
+        for level, choices in enumerate(plan.levels):
+            pre = [bnd[i] for i, _s in plan.prescreen.level_slots(level)]
+            exact = [bnd[i] for i, _s in plan.exact.level_slots(level)]
+            self.levels.append([
+                (offset, rows, [b + v for b, v in zip(pre, pre_parts)],
+                 [b + v for b, v in zip(exact, exact_parts)])
+                for offset, rows, pre_parts, exact_parts in choices])
+        self.vals = [0] * len(plan.prescreen.slots)
+        self.table = [0] * len(plan.exact.slots)
         self.picks = [()] * len(plan.levels)
         self.out = []
 
@@ -412,21 +488,15 @@ def _descend(unit: _Unit, depth: int, index: int) -> None:
     """Try every choice of the group at this level; recurse under those
     whose completed equations vanish at every sample point."""
     plan = unit.plan
-    lo, hi = plan.spans[depth]
+    lo, hi = plan.prescreen.spans[depth]
     checks = plan.checks[depth]
     vals = unit.vals
     shift = unit.shift
     last = depth + 1 == len(plan.levels)
-    for offset, rows, values in unit.levels[depth]:
+    for offset, rows, values, exact in unit.levels[depth]:
         vals[lo:hi] = values
-        for shifted, terms in checks:
-            acc = shift if shifted else 0
-            for c, a, b in terms:
-                acc += c * vals[a] * vals[b]
-            if acc:
-                break
-        else:
-            unit.picks[depth] = rows
+        if _vanishes(checks, vals, shift):
+            unit.picks[depth] = (rows, exact)
             if last:
                 _leaf(unit, index + offset)
             else:
@@ -436,13 +506,17 @@ def _descend(unit: _Unit, depth: int, index: int) -> None:
 def _leaf(unit: _Unit, index: int) -> None:
     """Exact filter and post-verification of a prescreen survivor."""
     plan = unit.plan
+    table = unit.table
+    for (lo, hi), (_rows, exact) in zip(plan.exact.spans, unit.picks):
+        table[lo:hi] = exact
+    if not _vanishes(plan.exact_checks, table, unit.shift):
+        return
     coeffs: list = [()] * len(PAIRS)
-    for rows in unit.picks:
+    for rows, _exact in unit.picks:
         for i, row in rows:
             coeffs[i] = row
     profile = candidate_profile(plan.cfg, unit.constants, coeffs)
-    if all(eval_equation(CATALOG[name], profile).is_zero() for name in plan.names):
-        unit.out.append((index,) + _post_verify(plan.cfg, profile))
+    unit.out.append((index,) + _post_verify(plan.cfg, profile))
 
 
 def _scan_constants(plan: _Plan, c: int) -> list:

@@ -48,6 +48,7 @@ from .conformal import (
     act_on_tensor,
     permute_slots,
     project,
+    project_reduced,
     reduce_mod_total,
     tau,
 )
@@ -161,9 +162,23 @@ def ccybe_bracket(r: RMat) -> ConfTensor:
     d_sym, lam_sym = alg.d, alg.lam
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     s1, s2 = reg.sym("d1"), reg.sym("d2")
+    keys = list(r.entries)
+    # The five coefficient substitutions of the module docstring, once per
+    # entry: A at (-d2, d2) and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3)
+    # and (d2, -d2).
+    args = ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))
+    forms = [tuple(A.subst_many({s1: u, s2: v}) for u, v in args)
+             for A in r.entries.values()]
 
-    def at(poly: MPoly, u: MPoly, v: MPoly) -> MPoly:
-        return poly.subst_many({s1: u, s2: v})
+    # Per slot, the basis brackets with their (d, lam) read as (d1, d2),
+    # (d2, d3) and (d3, d2), signed: once per (basis pair, slot).
+    names = alg.basis_names
+    ins_1, ins_2, ins_3 = (
+        {(p, q): [(k, poly.subst_many({d_sym: d, lam_sym: lam}) * sign)
+                  for k, poly in alg.basis_bracket(p, q).items()]
+         for p in names for q in names}
+        for d, lam, sign in ((d1, d2, 1), (d2, d3, -1), (d3, d2, -1))
+    )
 
     out: dict[tuple, MPoly] = {}
 
@@ -171,32 +186,26 @@ def ccybe_bracket(r: RMat) -> ConfTensor:
         if not poly.is_zero():
             out[key] = out.get(key, reg.zero()) + poly
 
-    items = list(r.entries.items())
-    for (q, l), A in items:
-        A_13 = at(A, -d2, d2)
-        A_23 = at(A, d1, d2 + d3)
-        for (q2, l2), B in items:
+    for (q, l), (A_13, A_23, _, _, _) in zip(keys, forms):
+        for (q2, l2), (_, _, B_1, B_2, B_3) in zip(keys, forms):
             # [q, q2] in slot 1, contraction variable d2
-            bracket = alg.basis_bracket(q, q2)
+            bracket = ins_1[q, q2]
             if bracket:
-                coeff = A_13 * at(B, d1 + d2, d3)
-                for k, poly in bracket.items():
-                    ins = poly.subst_many({d_sym: d1, lam_sym: d2})
+                coeff = A_13 * B_1
+                for k, ins in bracket:
                     add((k, l, l2), coeff * ins)
             # [q2, l] in slot 2, contraction variable d3
-            bracket = alg.basis_bracket(q2, l)
+            bracket = ins_2[q2, l]
             if bracket:
-                coeff = A_23 * at(B, -d3, d3)
-                for k, poly in bracket.items():
-                    ins = poly.subst_many({d_sym: d2, lam_sym: d3})
-                    add((q, k, l2), -(coeff * ins))
+                coeff = A_23 * B_2
+                for k, ins in bracket:
+                    add((q, k, l2), coeff * ins)
             # [l2, l] in slot 3, contraction variable d2
-            bracket = alg.basis_bracket(l2, l)
+            bracket = ins_3[l2, l]
             if bracket:
-                coeff = A_23 * at(B, d2, -d2)
-                for k, poly in bracket.items():
-                    ins = poly.subst_many({d_sym: d3, lam_sym: d2})
-                    add((q, q2, k), -(coeff * ins))
+                coeff = A_23 * B_3
+                for k, ins in bracket:
+                    add((q, q2, k), coeff * ins)
     return ConfTensor(alg, 3, out)
 
 
@@ -661,8 +670,7 @@ def derive_projection(triple: Sequence[str], degree: int = 4,
         profile = generic_profile(SymbolRegistry(), degree)
     reg = profile.reg
     r = lift_profile(profile)
-    reduced = reduce_mod_total(ccybe_bracket(r))
-    return _rename_to_xyz(project(reduced, tuple(triple)), reg)
+    return _rename_to_xyz(project_reduced(ccybe_bracket(r), tuple(triple)), reg)
 
 
 def derive_weak_projection(generator: str, triple: Sequence[str], degree: int = 4,

@@ -176,8 +176,8 @@ def naive_run(cfg):
 
 # Flat scan of the consistent candidates: decode every index, test
 # skew-symmetry in strict mode, prescreen each candidate anew at
-# the sample points, then the same exact filter and post-verification
-# as the engine's depth-first scan.
+# the sample points, then filter exactly by symbolic evaluation
+# (eval_equation) and post-verify as the engine's depth-first scan does.
 
 
 def _decode(cfg, index, slots, const_grid):
@@ -211,10 +211,40 @@ def _is_skew(cfg, constants, coeffs):
     return True
 
 
+_FILTER_ARGS = sorted({
+    arg
+    for eq in CATALOG.values()
+    for term in eq.terms
+    for arg in (term[2], term[4])
+})
+_ARG_INDEX = {arg: n for n, arg in enumerate(_FILTER_ARGS)}
+
+
+def _filter_terms(names):
+    """Catalog terms with entries and argument forms as flat indices."""
+    out = []
+    for name in names:
+        eq = CATALOG[name]
+        terms = tuple(
+            (coeff,
+             search._PAIR_INDEX[(left[0], left[1])] * len(_FILTER_ARGS) + _ARG_INDEX[arg1],
+             search._PAIR_INDEX[(right[0], right[1])] * len(_FILTER_ARGS) + _ARG_INDEX[arg2])
+            for coeff, left, arg1, right, arg2 in eq.terms
+        )
+        out.append((name, terms, eq.shifted))
+    return out
+
+
+def _arg_values(point):
+    """Value of each argument form at a sample point."""
+    px, py, pz = point
+    return [ax * px + ay * py + az * pz for ax, ay, az in _FILTER_ARGS]
+
+
 def _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
     """True once any filter equation is nonzero at a sample point."""
     consts = boundary_values(constants)
-    n_args = len(search._FILTER_ARGS)
+    n_args = len(_FILTER_ARGS)
     for args in points_args:
         cache = {}
         for _name, eq_terms, shifted in terms:
@@ -239,10 +269,10 @@ def flat_scan(cfg):
     """(index, record, problems) for every consistent candidate passing
     the exact filter, in index order."""
     names = filter_equation_names(cfg)
-    terms = search._filter_terms(names)
+    terms = _filter_terms(names)
     slots = search._free_slots(cfg)
     const_grid = search._fast(cfg.constants_grid)
-    points_args = [search._arg_values(p) for p in search._PRESCREEN_POINTS]
+    points_args = [_arg_values(p) for p in search._PRESCREEN_POINTS]
     out = []
     for index in range(search.count_consistent(cfg)):
         constants, coeffs = _decode(cfg, index, slots, const_grid)

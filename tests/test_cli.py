@@ -4,7 +4,7 @@ import os
 import pytest
 
 from ccybe import cli, rmatfile, search, ybe
-from ccybe.exactpoly import SymbolRegistry
+from ccybe.exactpoly import MPoly, SymbolRegistry
 
 
 def write_rmat(tmp_path, name, data):
@@ -120,6 +120,29 @@ def test_verify_degree_above_limit(tmp_path, capsys):
     assert cli.main(["verify", path, "--mode", "weak"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "degree 20000 in d1" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("coeff, degree", [("(d1+d2)^20000", 20000),
+                                           ("(d1+d2)^40*(d1+d2)^40", 80),
+                                           ("alpha^65", 65)])
+def test_verify_power_refused_before_expanding(tmp_path, capsys, monkeypatch,
+                                               coeff, degree):
+    # the parser refuses a power or product above the degree limit before
+    # computing it, so no power above the limit is ever taken
+    real_pow = MPoly.__pow__
+
+    def bounded_pow(self, n):
+        assert n <= rmatfile.MAX_SLOT_DEGREE, f"power {n} was computed"
+        return real_pow(self, n)
+
+    monkeypatch.setattr(MPoly, "__pow__", bounded_pow)
+    path = write_rmat(tmp_path, "deep.json", {
+        "algebra": "cur_sl2", "parameters": ["alpha"],
+        "entries": [{"left": "h", "right": "h", "coeff": coeff}]})
+    assert cli.main(["verify", path, "--mode", "weak"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"degree {degree} in" in err
     assert len(err.splitlines()) == 1
 
 
@@ -332,6 +355,36 @@ def test_family_spec_malformed(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("number, text", [("0.1", "1/10"), ("1e-3", "1/1000"),
+                                          ("2.50", "5/2")])
+def test_family_spec_decimal_is_exact(tmp_path, capsys, number, text):
+    # a JSON decimal is read as the rational it spells, not as a binary float
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"case": "thm5_ii", "params": {"lhh": "1", "beta": %s, '
+                    '"zeta": "0"}, "f": "t+1"}' % number)
+    out = tmp_path / "fam.json"
+    assert cli.main(["family", "--spec", str(spec), "--out", str(out)]) == 0
+    entries = json.loads(out.read_text())["entries"]
+    assert {"left": "f", "right": "e", "coeff": text} in entries
+
+
+@pytest.mark.parametrize("number", ["1e5000", "-3E-5000"])
+def test_family_decimal_exponent_bound(tmp_path, capsys, number):
+    # Fraction would build 10**5000 (or 10**999999999) before refusing it
+    out = tmp_path / "fam.json"
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"case": "thm5_ii", "params": {"lhh": %s, "beta": "1", '
+                    '"zeta": "0"}}' % number)
+    for argv in (["family", "--spec", str(spec)],
+                 ["family", "thm5_ii", "--param", f"lhh={number}", "--param", "beta=1",
+                  "--param", "zeta=0"]):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exponent" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 # search ---------------------------------------------------------------------------

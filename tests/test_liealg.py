@@ -62,6 +62,22 @@ def test_jacobi_enforced():
         LieAlg(("a", "b"), {("a", "b"): {"a": 1}, ("b", "a"): {"a": 1}})
 
 
+def test_sl2_is_built_once_and_read_only():
+    # one shared, validated instance whose tables cannot be changed
+    alg = sl2()
+    assert sl2() is alg
+    assert algebra_from_json("sl2") is alg
+    with pytest.raises(TypeError):
+        alg.table[("e", "e")] = {"h": F(1)}
+    with pytest.raises(TypeError):
+        alg.table[("e", "f")]["h"] = F(2)
+    for pair in (("e", "f"), ("e", "e")):
+        with pytest.raises(TypeError):
+            alg.bracket_basis(*pair)["h"] = F(2)
+    assert alg.bracket_basis("e", "f") == {"h": F(1)}
+    assert alg.bracket_basis("e", "e") == {}
+
+
 def test_algebra_from_json_builtin():
     assert algebra_from_json("sl2").names == ("e", "f", "h")
 

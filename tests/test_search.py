@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,21 @@ from ccybe.search import (
     diff_reports,
     run_search,
 )
-from ccybe.ybe import invariance_residues
+from ccybe.exactpoly import SymbolRegistry
+from ccybe.families import FamilySpec, build_profile
+from ccybe.ybe import (
+    CATALOG,
+    CONSTANT_NAMES,
+    PAIRS,
+    DiagProfile,
+    Equation,
+    boundary_values,
+    eval_equation,
+    invariance_residues,
+    shift_constant,
+)
 
-from support import enumerate_candidates, enumerate_profiles, flat_scan, naive_run
+from support import enumerate_candidates, enumerate_profiles, flat_scan, naive_run, random_poly
 
 F = Fraction
 
@@ -190,6 +203,26 @@ def test_scan_matches_flat_scan(name):
     assert passed == flat_scan(cfg)
 
 
+@pytest.mark.parametrize("cfg", [
+    SCAN_CONFIGS["weak_01"],
+    SCAN_CONFIGS["fractional"],
+    SearchConfig(max_degree=1, coeff_grid=(-1, 1), constants_grid=(0, 1), mode="strict",
+                 raw=True),
+], ids=["weak_01", "fractional", "strict"])
+def test_exact_filter_alone_matches_flat_scan(cfg, monkeypatch):
+    # with the origin as the only sample point nearly every candidate
+    # reaches a leaf, so the lattice check alone must do what the
+    # symbolic filter of the reference scan does
+    monkeypatch.setattr(search, "_PRESCREEN_POINTS", ((0, 0, 0),))
+    leaves = []
+    leaf = search._leaf
+    monkeypatch.setattr(search, "_leaf", lambda unit, index: (leaves.append(index),
+                                                              leaf(unit, index)))
+    passed = search._scan(cfg)
+    assert len(leaves) > 2 * len(passed)
+    assert passed == flat_scan(cfg)
+
+
 def test_run_search_leaves_no_reference_cycles():
     cfg = SearchConfig(max_degree=1, coeff_grid=(0, 1), constants_grid=(0, 1))
     gc.disable()
@@ -220,3 +253,124 @@ def test_serial_without_fork(monkeypatch):
     with open(os.path.join(DATA, "search_golden.json")) as fh:
         golden = json.load(fh)
     assert report.content_hash == golden["content_hash"]
+
+
+# Exact filter on the principal lattice ---------------------------------------------
+
+
+def _value_at(poly, point):
+    reg = poly.reg
+    return poly.evaluate({reg.sym(n): v for n, v in zip("xyz", point)}).constant_value()
+
+
+@pytest.mark.parametrize("variables", [(0,), (0, 1), (0, 1, 2), (1, 2)])
+def test_lattice_unisolvent(variables):
+    # a nonzero polynomial of total degree <= n in the lattice's variables
+    # is nonzero somewhere on T_n
+    rng = random.Random(5)
+    reg = SymbolRegistry()
+    names = ["xyz"[v] for v in variables]
+    for n in range(6):
+        points = search._lattice(n, variables)
+        tried = 0
+        while tried < 12:
+            p = random_poly(reg, rng, names, max_degree=n, max_terms=6)
+            if p.is_zero():
+                continue
+            tried += 1
+            assert any(_value_at(p, pt) for pt in points), (n, p)
+
+
+@pytest.mark.parametrize("variables", [(0,), (0, 1), (0, 1, 2)])
+def test_lattice_degree_bound_is_tight(variables):
+    # x (x - 1) ... (x - n) has degree n + 1 and vanishes on all of T_n
+    reg = SymbolRegistry()
+    x = reg.var("x")
+    for n in range(6):
+        p = reg.const(1)
+        for k in range(n + 1):
+            p = p * (x - k)
+        assert not p.is_zero()
+        assert not any(_value_at(p, pt) for pt in search._lattice(n, variables))
+
+
+def _exact_agrees(eq, profile, max_degree):
+    """The leaf's exact check of one equation against eval_equation."""
+    checks = search._Checks([eq], [search._exact_points(eq, max_degree)],
+                            [0] * len(PAIRS), 1)
+    x = profile.reg.sym("x")
+    table = [profile.entry(*PAIRS[i]).subst_linear(x, profile.reg.const(s)).constant_value()
+             for i, s in checks.slots]
+    shift = 0
+    if profile.constants is not None:
+        shift = shift_constant([v.constant_value() for v in profile.constant_values()])
+    vanishes = search._vanishes(checks.per_equation[0], table, shift)
+    assert vanishes == eval_equation(eq, profile).is_zero(), (eq.name, max_degree)
+    return vanishes
+
+
+def _random_profile(rng, degree, fractional):
+    reg = SymbolRegistry()
+    x = reg.var("x")
+    constants = [F(rng.randint(-2, 2), rng.choice((1, 2, 3)) if fractional else 1)
+                 for _ in CONSTANT_NAMES]
+    entries = {}
+    for pair, b in zip(PAIRS, boundary_values(constants)):
+        poly = reg.const(b)
+        for j in range(1, degree + 1):
+            poly = poly + x ** j * F(rng.randint(-2, 2), rng.choice((1, 2)) if fractional else 1)
+        entries[pair] = poly
+    return DiagProfile(reg, entries, constants=dict(zip(CONSTANT_NAMES, constants)))
+
+
+def _family_profiles(degree):
+    """Solution-family members whose entries have degree <= degree."""
+    out = []
+    for case, params in (("thm5_i", {"alpha": 1, "beta": -2}),
+                         ("thm5_ii", {"lhh": F(1, 2), "beta": 1, "zeta": -1}),
+                         ("thm5_iii", {"alpha": 1, "beta": 2, "gamma": -1, "zeta": 1})):
+        reg = SymbolRegistry()
+        t = reg.var("t")
+        f = reg.const(1)
+        for k in range((degree - 1) // 2):
+            f = f * (t + k + 1)
+        out.append(build_profile(FamilySpec(case, reg, dict(params), f=f)))
+    return out
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3, 4, 5])
+def test_exact_check_matches_eval_equation(max_degree):
+    # per filter equation, the leaf's check on its point set agrees with
+    # the symbolic evaluation, on random profiles and on solutions
+    rng = random.Random(max_degree)
+    profiles = [_random_profile(rng, max_degree, fractional) for fractional in (False, True)]
+    profiles += _family_profiles(max_degree)
+    outcomes = set()
+    for profile in profiles:
+        for eq in CATALOG.values():
+            outcomes.add(_exact_agrees(eq, profile, max_degree))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3, 4, 5])
+def test_exact_check_catches_near_misses(max_degree):
+    # products ee(u) * ff(-y) that vanish on much of the space, but not
+    # identically, must fail the exact check:
+    # - ee = x (x - 1) ... (x - D + 1) and ff = x at u = x vanish on T_D,
+    #   so the lattice must have degree 2 * D;
+    # - with the roots of ee at the sample points' x values, they vanish
+    #   at all three sample points;
+    # - ee = ff = x at u = z vanishes wherever z = 0, so the lattice must
+    #   span z when the equation uses it
+    reg = SymbolRegistry()
+    x = reg.var("x")
+    root_sets = [range(max_degree)]
+    if max_degree >= len(search._PRESCREEN_POINTS):
+        root_sets.append([p[0] for p in search._PRESCREEN_POINTS])
+    for u, roots in [((1, 0, 0), r) for r in root_sets] + [((0, 0, 1), [0])]:
+        probe = Equation("probe", ("e", "e", "e"), ((1, "ee", u, "ff", (0, -1, 0)),))
+        ee = reg.const(1)
+        for v in roots:
+            ee = ee * (x - v)
+        profile = DiagProfile(reg, {("e", "e"): ee, ("f", "f"): x})
+        assert not _exact_agrees(probe, profile, max_degree)
