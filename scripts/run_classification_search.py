@@ -9,6 +9,7 @@ characterization failure shows up.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -42,10 +43,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for name, base in RUNS.items():
-        cfg = search.SearchConfig(
-            max_degree=base.max_degree, coeff_grid=base.coeff_grid,
-            constants_grid=base.constants_grid, mode=base.mode, raw=base.raw,
-            workers=args.jobs)
+        cfg = dataclasses.replace(base, workers=args.jobs)
         t0 = time.time()
         report = search.run_search(cfg)
         path = out_dir / f"{name}.json"

@@ -189,7 +189,10 @@ def cmd_family(args) -> int:
             case = args.case
             params = _parse_params(args.param)
             f_text = args.f
-        f = reg.parse(f_text) if f_text else None
+        # Entries carry x * f(x^2), so an f of degree n gives slot
+        # degree 2n + 1, which must stay within MAX_SLOT_DEGREE.
+        f_limit = (rmatfile.MAX_SLOT_DEGREE - 1) // 2
+        f = reg.parse(f_text, max_degree=f_limit) if f_text else None
         if f is not None and f.symbols() - {reg.sym("t")}:
             raise ValueError(f"f must be a polynomial in t alone, got {f_text!r}")
         spec = families.FamilySpec(case, reg, params, f=f)

@@ -23,7 +23,7 @@ d1 := -(d2 + ... + dN).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactpoly import MPoly, Sym, SymbolRegistry
 from .liealg import LieAlg
@@ -72,9 +72,6 @@ class ConfAlgebra:
         if name not in self.basis_names:
             raise ValueError(f"unknown generator {name!r}")
         return ConfElem(self, {name: self.reg.const(1)})
-
-    def generators(self) -> list["ConfElem"]:
-        return [self.generator(n) for n in self.basis_names]
 
 
 @dataclass
@@ -195,10 +192,6 @@ class ConfTensor:
         return ConfTensor(
             self.alg, self.arity, {t: fn(p) for t, p in self.entries.items()}
         )
-
-
-def tensor(alg: ConfAlgebra, arity: int, entries: Mapping[tuple, MPoly]) -> ConfTensor:
-    return ConfTensor(alg, arity, dict(entries))
 
 
 def act_on_tensor(a: ConfElem, t: ConfTensor, lam: MPoly) -> ConfTensor:

@@ -427,10 +427,6 @@ class MPoly:
         reg._check_guard(out)
         return MPoly._raw(reg, out)
 
-    def evaluate(self, values: Mapping[Sym, Scalar]) -> "MPoly":
-        """Substitute rational values for symbols (returns an MPoly)."""
-        return self.subst_many({s: self.reg.const(v) for s, v in values.items()})
-
     def cancel_inverse_pairs(self, sym: Sym, inv: Sym) -> "MPoly":
         """Reduce monomials using the relation sym * inv == 1."""
         out: dict[int, Scalar] = {}

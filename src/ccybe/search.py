@@ -15,30 +15,33 @@ its free slots over all degrees.
 
 run_search walks these choices depth first: the constants tuple is the
 outer loop (and the unit of work handed to a worker process), then one
-group per level, in a greedy order that completes each filter equation
+group per level, in a fixed order that completes each filter equation
 as early as possible.  In strict mode the skew-symmetry test prunes
 whole constants tuples up front; the coefficients of a consistent
 candidate are always skew, because the invariance relations make mirror
 coefficients equal in odd degrees and opposite in even ones.
 
-Two kinds of point evaluation decide the filter.  Each filter equation
-is a polynomial identity in (x, y, z) of total degree at most
-2 * max_degree.  The sample points prune: as soon as every entry of an
-equation is fixed, it is evaluated at three integer points, and the
+Point evaluations decide the filter.  Each filter equation is a
+polynomial identity in (x, y, z) of total degree at most
+2 * max_degree.  Its points are three integer sample points followed by
+the principal lattice of degree 2 * max_degree in the variables the
+equation uses, which is unisolvent for that degree (see _lattice).  One
+table of (entry, argument value) slots holds the entry values at all
+these points; each level fills its slice of it, in int or Fraction
+arithmetic, as it fixes a group.  The sample points prune: as soon as
+every entry of an equation is fixed, it is evaluated there, and the
 branch below is cut if any value is nonzero (a polynomial with a
 nonzero value is not zero, so no solution is ever dropped).  The
-principal lattice is the exact filter: a leaf that survives the sample
-points is kept iff every equation vanishes on the lattice of degree
-2 * max_degree in the variables the equation uses, which is unisolvent
-for that degree (see _lattice).  Both read entry values from flat
-tables of (entry, argument value) slots, filled group by group in int
-or Fraction arithmetic.  Only a kept leaf becomes a profile, which is
-re-verified with the full tensor computation (is_weak_solution on the
-canonical lift, plus is_strict_solution in strict mode) and the
-structural characterization.  Any survivor failing characterization is
-recorded; leaves carry their index in a fixed mixed-radix numbering of
-the consistent candidates, so the report is fully deterministic and
-independent of the worker count and of the order of the walk.
+lattice is the exact filter: a leaf is kept iff every equation also
+vanishes on its lattice points, read from the same table.  Only a kept
+leaf becomes a profile, which is re-verified with the full tensor
+computation (is_weak_solution on the canonical lift, plus
+is_strict_solution in strict mode) and the structural characterization.
+Any survivor failing characterization is recorded.  The walk inside a
+constants tuple is fixed, the tuples come in itertools.product order,
+and Pool.starmap returns the results of the tuples in that order, so
+the scan yields the same list for any worker count; the report also
+sorts survivors and failures by their canonical JSON.
 """
 
 from __future__ import annotations
@@ -354,8 +357,8 @@ def _vanishes(checks, vals, shift) -> bool:
 # plus one choice per group.  The scan fixes the constants, then one
 # group per level, and evaluates each filter equation at the sample
 # points at the first level where all of its entries are fixed.  A
-# leaf is kept only if every filter equation vanishes on its exact
-# point set.
+# leaf is kept only if every filter equation also vanishes on its
+# lattice points.
 
 _GROUPS = tuple(
     tuple(_PAIR_INDEX[pair] for pair in group)
@@ -363,98 +366,67 @@ _GROUPS = tuple(
                   (("e", "f"), ("f", "e")), (("e", "h"), ("h", "e")),
                   (("f", "h"), ("h", "f")))
 )
-_GROUP_OF = {i: g for g, group in enumerate(_GROUPS) for i in group}
 
-
-def _group_order(needs: list[set]) -> list[int]:
-    """Greedy level order: each level fixes the group that completes the
-    most pending equations, ties going to the group that the most
-    pending equations mention, then to the lower group number."""
-    order: list[int] = []
-    fixed: set = set()
-    while len(order) < len(_GROUPS):
-        pending = [need for need in needs if not need <= fixed]
-        g = max((g for g in range(len(_GROUPS)) if g not in fixed),
-                key=lambda g: (sum(need <= fixed | {g} for need in pending),
-                               sum(g in need for need in pending), -g))
-        order.append(g)
-        fixed.add(g)
-    return order
+# Level order eh/he, fh/hf, ee, ef/fe, ff, hh, for both modes and every
+# degree: each level fixes the group that completes the most pending
+# filter equations, so every equation prunes as high in the tree as it
+# can.
+_LEVEL_ORDER = (4, 5, 0, 3, 1, 2)
 
 
 class _Plan:
     """The tables of the depth-first scan that do not depend on the
-    constants: the level order, the sample-point checks completed at
-    each level, the exact checks of a leaf, and each level's group
-    choices with their index offsets and the polynomial parts of their
-    entries at the slots of both value tables.
+    constants: one check table over the sample and lattice points, the
+    sample-point checks completed at each level, the lattice checks of a
+    leaf, and each level's group choices with the polynomial parts of
+    their entries at the level's slots.
     """
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
-        self.names = filter_equation_names(cfg)
         self.const_grid = _fast(cfg.constants_grid)
-        equations = [CATALOG[name] for name in self.names]
-        needs = [{_GROUP_OF[_entry(term[k])] for term in eq.terms for k in (1, 3)}
-                 for eq in equations]
-        order = _group_order(needs)
+        equations = [CATALOG[name] for name in filter_equation_names(cfg)]
         level_of = [0] * len(PAIRS)
-        for level, g in enumerate(order):
+        for level, g in enumerate(_LEVEL_ORDER):
             for i in _GROUPS[g]:
                 level_of[i] = level
-        self.prescreen = _Checks(equations, [_PRESCREEN_POINTS] * len(equations),
-                                 level_of, len(order))
-        self.exact = _Checks(equations, [_exact_points(eq, cfg.max_degree) for eq in equations],
-                             level_of, len(order))
-        self.exact_checks = list(dict.fromkeys(
-            check for checks in self.exact.per_equation for check in checks))
-
-        # Index weight of each free slot in the consistent-candidate index:
-        # the four constants digits are the lowest, then the slots in order.
-        slots = _free_slots(cfg)
-        weights = []
-        radix = len(self.const_grid) ** 4
-        for slot in slots:
-            weights.append(radix)
-            radix *= len(slot[3])
+        samples = len(_PRESCREEN_POINTS)
+        self.table = _Checks(
+            equations,
+            [_PRESCREEN_POINTS + tuple(_exact_points(eq, cfg.max_degree)) for eq in equations],
+            level_of, len(_LEVEL_ORDER))
+        self.leaf_checks = list(dict.fromkeys(
+            check for checks in self.table.per_equation for check in checks[samples:]))
 
         # Per level, the equations completed there, checked point by point.
+        done_at = [max(level_of[_entry(term[k])] for term in eq.terms for k in (1, 3))
+                   for eq in equations]
         self.checks = []
-        self.levels = []   # per level: [(offset, rows, prescreen parts, exact parts)]
-        fixed: set = set()
-        for level, g in enumerate(order):
-            before = set(fixed)
-            fixed.add(g)
-            done = [checks for checks, need in zip(self.prescreen.per_equation, needs)
-                    if need <= fixed and not need <= before]
+        self.levels = []   # per level: [(coefficient rows, polynomial parts)]
+        slots = _free_slots(cfg)
+        for level, g in enumerate(_LEVEL_ORDER):
+            done = [checks[:samples] for checks, at in zip(self.table.per_equation, done_at)
+                    if at == level]
             self.checks.append([check for at_point in zip(*done) for check in at_point])
-            self.levels.append(self._choices(g, level, slots, weights))
+            self.levels.append(self._choices(g, level, slots))
 
-    def _choices(self, g, level, slots, weights) -> list:
-        """(index offset, coefficient rows, polynomial parts at the
-        prescreen and at the exact slots) per choice of group g."""
+    def _choices(self, g, level, slots) -> list:
+        """(coefficient rows, polynomial parts at the level's slots) per
+        choice of group g."""
         degrees = self.cfg.degrees
-        own = [(weights[s], slot) for s, slot in enumerate(slots) if slot[1] in _GROUPS[g]]
-        pre = self.prescreen.level_slots(level)
-        exact = self.exact.level_slots(level)
-
-        def parts(rows, keys):
-            return [sum(c * s ** j for c, j in zip(rows[i], degrees) if c) for i, s in keys]
-
+        own = [slot for slot in slots if slot[1] in _GROUPS[g]]
+        keys = self.table.level_slots(level)
         out = []
-        for digits in itertools.product(*(range(len(slot[3])) for _w, slot in own)):
+        for values in itertools.product(*(slot[3] for slot in own)):
             rows = {i: [0] * len(degrees) for i in _GROUPS[g]}
-            offset = 0
-            for r, (weight, (kind, i, k, choices)) in zip(digits, own):
-                offset += r * weight
-                v = choices[r]
+            for v, (kind, i, k, _grid) in zip(values, own):
                 rows[i][k] = v
                 if kind == "pair+":
                     rows[_MIRROR[i]][k] = v
                 elif kind == "pair-":
                     rows[_MIRROR[i]][k] = -v
-            out.append((offset, tuple((i, tuple(row)) for i, row in rows.items()),
-                        parts(rows, pre), parts(rows, exact)))
+            parts = [sum(c * s ** j for c, j in zip(rows[i], degrees) if c) for i, s in keys]
+            out.append((tuple((i, tuple(row)) for i, row in rows.items()), parts))
         return out
 
 
@@ -462,8 +434,8 @@ class _Unit:
     """One work unit of the scan: the candidates with one constants tuple.
 
     Holds each level's choices with their entry values (boundary value
-    plus polynomial part) at the prescreen and the exact slots, both
-    value tables, and the choices picked on the current branch.
+    plus polynomial part) at the level's slots, the value table, and the
+    coefficient rows picked on the current branch.
     """
 
     def __init__(self, plan: _Plan, constants: tuple, bnd: list):
@@ -472,62 +444,50 @@ class _Unit:
         self.shift = shift_constant(constants)
         self.levels = []
         for level, choices in enumerate(plan.levels):
-            pre = [bnd[i] for i, _s in plan.prescreen.level_slots(level)]
-            exact = [bnd[i] for i, _s in plan.exact.level_slots(level)]
-            self.levels.append([
-                (offset, rows, [b + v for b, v in zip(pre, pre_parts)],
-                 [b + v for b, v in zip(exact, exact_parts)])
-                for offset, rows, pre_parts, exact_parts in choices])
-        self.vals = [0] * len(plan.prescreen.slots)
-        self.table = [0] * len(plan.exact.slots)
+            base = [bnd[i] for i, _s in plan.table.level_slots(level)]
+            self.levels.append([(rows, [b + v for b, v in zip(base, parts)])
+                                for rows, parts in choices])
+        self.vals = [0] * len(plan.table.slots)
         self.picks = [()] * len(plan.levels)
         self.out = []
 
 
-def _descend(unit: _Unit, depth: int, index: int) -> None:
+def _descend(unit: _Unit, depth: int) -> None:
     """Try every choice of the group at this level; recurse under those
     whose completed equations vanish at every sample point."""
     plan = unit.plan
-    lo, hi = plan.prescreen.spans[depth]
+    lo, hi = plan.table.spans[depth]
     checks = plan.checks[depth]
     vals = unit.vals
     shift = unit.shift
     last = depth + 1 == len(plan.levels)
-    for offset, rows, values, exact in unit.levels[depth]:
+    for rows, values in unit.levels[depth]:
         vals[lo:hi] = values
         if _vanishes(checks, vals, shift):
-            unit.picks[depth] = (rows, exact)
+            unit.picks[depth] = rows
             if last:
-                _leaf(unit, index + offset)
+                _leaf(unit)
             else:
-                _descend(unit, depth + 1, index + offset)
+                _descend(unit, depth + 1)
 
 
-def _leaf(unit: _Unit, index: int) -> None:
-    """Exact filter and post-verification of a prescreen survivor."""
+def _leaf(unit: _Unit) -> None:
+    """Exact filter and post-verification of a prescreen survivor; every
+    level has already written its values into the table."""
     plan = unit.plan
-    table = unit.table
-    for (lo, hi), (_rows, exact) in zip(plan.exact.spans, unit.picks):
-        table[lo:hi] = exact
-    if not _vanishes(plan.exact_checks, table, unit.shift):
+    if not _vanishes(plan.leaf_checks, unit.vals, unit.shift):
         return
     coeffs: list = [()] * len(PAIRS)
-    for rows, _exact in unit.picks:
+    for rows in unit.picks:
         for i, row in rows:
             coeffs[i] = row
     profile = candidate_profile(plan.cfg, unit.constants, coeffs)
-    unit.out.append((index,) + _post_verify(plan.cfg, profile))
+    unit.out.append(_post_verify(plan.cfg, profile))
 
 
-def _scan_constants(plan: _Plan, c: int) -> list:
-    """Pure worker: scan the candidates with the c-th constants tuple.
-
-    Returns (index, record, problems) triples, the index being the
-    candidate's consistent-candidate index (slots in _free_slots order
-    above the four constants digits).
-    """
-    grid = plan.const_grid
-    constants = tuple(grid[c // len(grid) ** m % len(grid)] for m in range(4))
+def _scan_constants(plan: _Plan, constants: tuple) -> list:
+    """Pure worker: the (record, problems) pairs of the candidates with
+    this constants tuple, in walk order."""
     bnd = boundary_values(constants)
     # Skew-symmetry, A'_{ql}(x) + A'_{lq}(-x) == 0: the invariance
     # relations already give it degree by degree, so only the boundary
@@ -535,24 +495,21 @@ def _scan_constants(plan: _Plan, c: int) -> list:
     if plan.cfg.mode == "strict" and any(bnd[i] + bnd[m] for i, m in _MIRROR.items()):
         return []
     unit = _Unit(plan, constants, bnd)
-    _descend(unit, 0, c)
+    _descend(unit, 0)
     return unit.out
 
 
 def _scan(cfg: SearchConfig) -> list:
-    """Every candidate passing the exact filter, as (index, record,
-    problems) triples in index order."""
+    """Every candidate passing the exact filter, as (record, problems)
+    pairs in walk order."""
     plan = _Plan(cfg)
-    units = len(plan.const_grid) ** 4
-    if cfg.workers > 1 and units > 1 and "fork" in get_all_start_methods():
-        with get_context("fork").Pool(min(cfg.workers, units)) as pool:
-            results = pool.starmap(_scan_constants,
-                                   [(plan, c) for c in range(units)], chunksize=1)
+    units = list(itertools.product(plan.const_grid, repeat=4))
+    if cfg.workers > 1 and len(units) > 1 and "fork" in get_all_start_methods():
+        with get_context("fork").Pool(min(cfg.workers, len(units))) as pool:
+            results = pool.starmap(_scan_constants, [(plan, c) for c in units], chunksize=1)
     else:
-        results = [_scan_constants(plan, c) for c in range(units)]
-    passed = [item for chunk in results for item in chunk]
-    passed.sort(key=lambda item: item[0])
-    return passed
+        results = [_scan_constants(plan, c) for c in units]
+    return [item for chunk in results for item in chunk]
 
 
 def _post_verify(cfg: SearchConfig, profile: DiagProfile):
@@ -609,21 +566,25 @@ def _classify(profile: DiagProfile, report) -> dict:
     return record
 
 
+def _json_key(item: dict) -> str:
+    return json.dumps(item, sort_keys=True)
+
+
 def run_search(cfg: SearchConfig) -> SearchReport:
     t0 = time.time()
     scanned = count_candidates(cfg)
     consistent = count_consistent(cfg)
-    passed = _scan(cfg)
 
     survivors = []
     failures = []
-    for _index, record, problems in passed:
+    for record, problems in _scan(cfg):
         if problems:
             failures.append({"record": record, "problems": problems})
         else:
             survivors.append(record)
 
-    survivors.sort(key=lambda r: json.dumps(r, sort_keys=True))
+    survivors.sort(key=_json_key)
+    failures.sort(key=_json_key)
     return SearchReport(
         config=cfg.as_dict(),
         candidates_scanned=scanned,
@@ -632,16 +593,3 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         characterization_failures=failures,
         timing_seconds=round(time.time() - t0, 3),
     )
-
-
-def diff_reports(a: SearchReport, b: SearchReport) -> dict:
-    """Survivor-level diff of two reports over the same configuration."""
-    if a.config != b.config:
-        raise ValueError("reports come from different configurations")
-    key = lambda r: json.dumps(r, sort_keys=True)
-    sa = {key(r): r for r in a.survivors}
-    sb = {key(r): r for r in b.survivors}
-    return {
-        "added": [sb[k] for k in sorted(sb.keys() - sa.keys())],
-        "removed": [sa[k] for k in sorted(sa.keys() - sb.keys())],
-    }

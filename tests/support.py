@@ -174,10 +174,12 @@ def naive_run(cfg):
     return out
 
 
-# Flat scan of the consistent candidates: decode every index, test
-# skew-symmetry in strict mode, prescreen each candidate anew at
-# the sample points, then filter exactly by symbolic evaluation
-# (eval_equation) and post-verify as the engine's depth-first scan does.
+# Flat scan of the consistent candidates: number them in a mixed radix,
+# decode every index, test skew-symmetry in strict mode, prescreen each
+# candidate anew at the sample points, then filter exactly by symbolic
+# evaluation (eval_equation) and post-verify as the engine's depth-first
+# scan does.  The engine yields its leaves in walk order, so compare the
+# two as lists sorted by canonical JSON.
 
 
 def _decode(cfg, index, slots, const_grid):
@@ -266,8 +268,8 @@ def _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
 
 
 def flat_scan(cfg):
-    """(index, record, problems) for every consistent candidate passing
-    the exact filter, in index order."""
+    """(record, problems) for every consistent candidate passing the
+    exact filter, in index order."""
     names = filter_equation_names(cfg)
     terms = _filter_terms(names)
     slots = search._free_slots(cfg)
@@ -283,5 +285,5 @@ def flat_scan(cfg):
             continue
         profile = candidate_profile(cfg, constants, coeffs)
         if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
-            out.append((index,) + search._post_verify(cfg, profile))
+            out.append(search._post_verify(cfg, profile))
     return out

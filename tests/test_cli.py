@@ -338,6 +338,30 @@ def test_family_f_outside_t_rejected(tmp_path, capsys, f):
     assert not out.exists()
 
 
+def _thm5_ii_family(out, f):
+    return cli.main(["family", "thm5_ii", "--param", "lhh=1", "--param", "beta=2",
+                     "--param", "zeta=1", "--f", f, "--out", str(out)])
+
+
+def test_family_f_degree_above_limit(tmp_path, capsys):
+    # an f of degree n gives entries of degree 2n + 1, so t^32 would
+    # write a file that verify refuses
+    out = tmp_path / "fam.json"
+    assert _thm5_ii_family(out, "t^32") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "above the limit 31" in captured.err
+    assert not out.exists()
+
+
+def test_family_f_degree_at_limit_loads(tmp_path):
+    out = tmp_path / "fam.json"
+    assert _thm5_ii_family(out, "t^31") == 0
+    r = rmatfile.load(str(out))
+    assert max(p.degree_in(r.alg.reg.sym("d1")) for p in r.entries.values()) \
+        == rmatfile.MAX_SLOT_DEGREE - 1
+
+
 @pytest.mark.parametrize("text", [
     '["x"]',
     '{"case": "thm5_ii", "params": ["lhh"]}',

@@ -15,7 +15,6 @@ from ccybe.search import (
     candidate_profile,
     count_candidates,
     count_consistent,
-    diff_reports,
     run_search,
 )
 from ccybe.exactpoly import SymbolRegistry
@@ -142,20 +141,6 @@ def test_golden_report():
     assert report.candidates_scanned == golden["candidates_scanned"]
 
 
-def test_diff_reports():
-    cfg = SearchConfig(max_degree=1, coeff_grid=(0, 1), constants_grid=(0,))
-    rep1 = run_search(cfg)
-    rep2 = run_search(cfg)
-    assert diff_reports(rep1, rep2) == {"added": [], "removed": []}
-    rep2.survivors = rep2.survivors[:-1]
-    diff = diff_reports(rep1, rep2)
-    assert not diff["added"] and len(diff["removed"]) == 1
-    other = run_search(SearchConfig(max_degree=1, coeff_grid=(0,),
-                                    constants_grid=(0,)))
-    with pytest.raises(ValueError, match="different configurations"):
-        diff_reports(rep1, other)
-
-
 def test_fractional_grid():
     cfg = SearchConfig(max_degree=1, coeff_grid=(0, F(1, 2)), constants_grid=(0,))
     report = run_search(cfg)
@@ -193,14 +178,23 @@ SCAN_CONFIGS = {
 }
 
 
+def _canonical(pairs):
+    return sorted(pairs, key=lambda pair: json.dumps(pair, sort_keys=True))
+
+
 @pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
 def test_scan_matches_flat_scan(name):
-    # the depth-first scan keeps exactly the candidates, indices, records
-    # and problems of the flat reference scan, in the same order
+    # the depth-first scan keeps exactly the records and problems of the
+    # flat reference scan; a record fixes the constants and every entry,
+    # and the reference records are pairwise distinct, so equal sorted
+    # lists mean the same candidates
     cfg = SCAN_CONFIGS[name]
     passed = search._scan(cfg)
+    reference = flat_scan(cfg)
     assert passed
-    assert passed == flat_scan(cfg)
+    assert len({json.dumps(record, sort_keys=True) for record, _ in reference}) \
+        == len(reference)
+    assert _canonical(passed) == _canonical(reference)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -216,11 +210,27 @@ def test_exact_filter_alone_matches_flat_scan(cfg, monkeypatch):
     monkeypatch.setattr(search, "_PRESCREEN_POINTS", ((0, 0, 0),))
     leaves = []
     leaf = search._leaf
-    monkeypatch.setattr(search, "_leaf", lambda unit, index: (leaves.append(index),
-                                                              leaf(unit, index)))
+    monkeypatch.setattr(search, "_leaf", lambda unit: (leaves.append(unit), leaf(unit)))
     passed = search._scan(cfg)
     assert len(leaves) > 2 * len(passed)
-    assert passed == flat_scan(cfg)
+    assert _canonical(passed) == _canonical(flat_scan(cfg))
+
+
+def test_characterization_failures_sorted(monkeypatch):
+    # every survivor flagged by the post-verification lands in
+    # characterization_failures, sorted by canonical JSON; the scan
+    # yields them in another order, so the sort is what orders them
+    post_verify = search._post_verify
+    monkeypatch.setattr(search, "_post_verify", lambda cfg, profile: (
+        post_verify(cfg, profile)[0], ["characterize:forced"]))
+    cfg = SCAN_CONFIGS["weak_01"]
+    report = run_search(cfg)
+    assert not report.survivors
+    keys = [json.dumps(f, sort_keys=True) for f in report.characterization_failures]
+    assert len(keys) > 1 and keys == sorted(keys)
+    walk = [json.dumps({"record": r, "problems": p}, sort_keys=True)
+            for r, p in search._scan(cfg)]
+    assert walk != keys and sorted(walk) == keys
 
 
 def test_run_search_leaves_no_reference_cycles():
@@ -260,7 +270,8 @@ def test_serial_without_fork(monkeypatch):
 
 def _value_at(poly, point):
     reg = poly.reg
-    return poly.evaluate({reg.sym(n): v for n, v in zip("xyz", point)}).constant_value()
+    return poly.subst_many({reg.sym(n): reg.const(v)
+                            for n, v in zip("xyz", point)}).constant_value()
 
 
 @pytest.mark.parametrize("variables", [(0,), (0, 1), (0, 1, 2), (1, 2)])
