@@ -15,6 +15,10 @@ shifts di by the bracket variable's value and inserts the basis-level
 bracket.  That value is a polynomial, not a fresh symbol: a free
 variable for the module axioms, or -(d1 + ... + dN) (minus the tensor's
 `total()`) to read the action modulo the total derivation in one pass.
+act_on_tensor acts with a list of elements on one tensor, and the
+elements share the shifts: each (tuple, slot) coefficient is
+substituted at di + lam once and multiplied by every element's inserted
+bracket.
 
 Reduction "modulo the total derivation" eliminates d1 via
 d1 := -(d2 + ... + dN).
@@ -23,10 +27,10 @@ d1 := -(d2 + ... + dN).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .exactpoly import MPoly, Sym, SymbolRegistry
-from .liealg import LieAlg
+from .liealg import LieAlg, Scalar
 
 
 class ConfAlgebra:
@@ -41,7 +45,6 @@ class ConfAlgebra:
         self.reg = reg
         self.lie = lie
         self.d = reg.sym("d")
-        self.lam = reg.sym("lam")
 
     @classmethod
     def cur(cls, lie: LieAlg, reg: Optional[SymbolRegistry] = None) -> "ConfAlgebra":
@@ -55,18 +58,17 @@ class ConfAlgebra:
     def basis_names(self) -> tuple[str, ...]:
         return self.lie.names if self.kind == "cur" else ("v",)
 
-    def basis_bracket(self, p: str, q: str) -> dict[str, MPoly]:
-        """Bracket of basis generators as polynomials in (d, lam).
+    def basis_bracket(self, p: str, q: str, d: MPoly, lam: MPoly) -> Mapping[str, Scalar]:
+        """Bracket of basis generators with the derivation on the result's
+        slot read as `d` and the bracket variable as `lam`.
 
-        The symbol d refers to the derivation acting on the slot where
-        the result lives; lam is the bracket variable.
+        A current algebra's bracket is the structure constant, a scalar
+        from the read-only `LieAlg.bracket_basis` row; the Virasoro
+        bracket is the polynomial d + 2 lam.
         """
         if self.kind == "cur":
-            return {
-                k: self.reg.const(c)
-                for k, c in self.lie.bracket_basis(p, q).items()
-            }
-        return {"v": self.reg.var("d") + self.reg.var("lam") * 2}
+            return self.lie.bracket_basis(p, q)
+        return {"v": d + lam * 2}
 
     def generator(self, name: str) -> "ConfElem":
         if name not in self.basis_names:
@@ -118,7 +120,7 @@ def lambda_bracket(a: ConfElem, b: ConfElem) -> dict[str, MPoly]:
     for p, f in a.coeffs.items():
         f_at = f.subst_linear(d_sym, -lam)
         for q, g in b.coeffs.items():
-            bracket = alg.basis_bracket(p, q)
+            bracket = alg.basis_bracket(p, q, d, lam)
             if not bracket:
                 continue
             g_at = g.subst_linear(d_sym, lam + d)
@@ -194,52 +196,63 @@ class ConfTensor:
         )
 
 
-def act_on_tensor(a: ConfElem, t: ConfTensor, lam: MPoly) -> ConfTensor:
-    """Leibniz action of `a` on a tensor, with the bracket variable at `lam`.
+def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
+                  lam: MPoly) -> list[ConfTensor]:
+    """Leibniz action on a tensor, with the bracket variable at `lam`.
 
     On the acted slot i the coefficient argument di shifts to di + lam,
     the element's own polynomial is evaluated at -lam, and the
-    basis-level bracket polynomial is inserted with its d read as di and
-    its lam as `lam`.  Substituting before the products is a ring
-    homomorphism, so acting at -t.total() equals acting at a free
-    variable and eliminating it afterwards.
+    basis-level bracket is inserted with its d read as di and its lam as
+    `lam`.  Substituting before the products is a ring homomorphism, so
+    acting at -t.total() equals acting at a free variable and
+    eliminating it afterwards.
+
+    Returns the actions of `elems` in order.  The elements share the
+    shifts: each (tuple, slot) coefficient is moved to di + lam once, if
+    any element has a nonzero bracket with that slot's basis element,
+    and every such element multiplies the same shifted coefficient.
     """
     alg = t.alg
-    if a.alg is not alg:
+    if any(e.alg is not alg for e in elems):
         raise ValueError("element and tensor over different algebras")
     reg = alg.reg
-    d_sym, lam_sym = alg.d, alg.lam
-    # Per slot: its symbol di, di as a polynomial, and the shift di + lam.
-    slots = []
+    outs: list[dict] = [{} for _ in elems]
+    at_lam = [[(p, g.subst_linear(alg.d, -lam)) for p, g in e.coeffs.items()]
+              for e in elems]
+    # Per (basis element b, slot i): di's shift, and for each element
+    # with a nonzero bracket there, its output and the sum over p of
+    # g_p(-lam) [p _lam b] by output basis element.
+    table = {}
     for i in range(t.arity):
-        di = reg.var(t.slot_sym(i))
-        slots.append((t.slot_sym(i), di, di + lam))
-    out: dict[tuple, MPoly] = {}
-    for p, g in a.coeffs.items():
-        g_at = g.subst_linear(d_sym, -lam)
-        if g_at.is_zero():
-            continue
-        # g(-lam) times the inserted bracket, once per (basis element, slot).
-        factors: dict[tuple, list] = {}
-        for tup, coeff in t.entries.items():
-            for i, b in enumerate(tup):
-                di_sym, di, moved = slots[i]
-                factor = factors.get((b, i))
-                if factor is None:
-                    factor = factors[b, i] = [
-                        (k, g_at * poly.subst_many({d_sym: di, lam_sym: lam}))
-                        for k, poly in alg.basis_bracket(p, b).items()
-                    ]
-                if not factor:
-                    continue
-                shifted = coeff.subst_linear(di_sym, moved)
+        di_sym = t.slot_sym(i)
+        di = reg.var(di_sym)
+        shift = (di_sym, di + lam)
+        for b in alg.basis_names:
+            row = []
+            for out, gs in zip(outs, at_lam):
+                acc: dict[str, MPoly] = {}
+                for p, g_at in gs:
+                    for k, v in alg.basis_bracket(p, b, di, lam).items():
+                        term = g_at * v
+                        acc[k] = term if k not in acc else acc[k] + term
+                factor = [(k, f) for k, f in acc.items() if f]
+                if factor:
+                    row.append((out, factor))
+            table[b, i] = (shift, row)
+
+    for tup, coeff in t.entries.items():
+        for i, b in enumerate(tup):
+            shift, row = table[b, i]
+            if not row:
+                continue
+            shifted = coeff.subst_linear(*shift)
+            for out, factor in row:
                 for k, f in factor:
-                    new = list(tup)
-                    new[i] = k
-                    key = tuple(new)
+                    key = tup[:i] + (k,) + tup[i + 1:]
                     term = shifted * f
-                    out[key] = out.get(key, reg.zero()) + term
-    return ConfTensor(alg, t.arity, out)
+                    prev = out.get(key)
+                    out[key] = term if prev is None else prev + term
+    return [ConfTensor(alg, t.arity, out) for out in outs]
 
 
 def tau(t: ConfTensor) -> ConfTensor:

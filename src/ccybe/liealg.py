@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -41,13 +40,6 @@ def tensor_add(acc: dict, key: tuple, val: Scalar) -> None:
         acc.pop(key, None)
     else:
         acc[key] = new
-
-
-def tensors_equal(a: Mapping, b: Mapping) -> bool:
-    for k in set(a) | set(b):
-        if not is_zero_scalar(a.get(k, 0) - b.get(k, 0)):
-            return False
-    return True
 
 
 class LieAlg:
@@ -127,27 +119,6 @@ def sl2() -> LieAlg:
             ("f", "h"): {"f": 2},
         },
     )
-
-
-def algebra_from_json(data: Union[str, dict]) -> LieAlg:
-    """Load an algebra definition: {"basis": [...], "brackets": [[i, j, k, "p/q"], ...]}.
-
-    The name "sl2" is recognized as the builtin.
-    """
-    if isinstance(data, str):
-        if data == "sl2":
-            return sl2()
-        data = json.loads(data)
-    names = data["basis"]
-    table: dict[tuple, dict[str, Fraction]] = {}
-    for i, j, k, val in data["brackets"]:
-        table.setdefault((i, j), {})[k] = Fraction(val)
-    # fill antisymmetric counterparts that were left implicit
-    for (i, j), out in list(table.items()):
-        mirror = table.setdefault((j, i), {})
-        for k, v in out.items():
-            mirror.setdefault(k, -v)
-    return LieAlg(names, table)
 
 
 # Automorphisms ----------------------------------------------------------------
@@ -241,16 +212,6 @@ def psi_matrix(alg: Optional[LieAlg] = None) -> AutMatrix:
     return aut
 
 
-def identity_matrix(alg: Optional[LieAlg] = None) -> AutMatrix:
-    alg = alg or sl2()
-    n = alg.dim
-    m = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-    return AutMatrix(alg, m, provenance="identity")
-
-
 def transform_tensor(aut: AutMatrix, tensor: Mapping[tuple, Scalar]) -> dict[tuple, Scalar]:
     """Apply phi tensor-factor-wise to a constant tensor of any arity."""
     names = aut.alg.names
@@ -264,27 +225,6 @@ def transform_tensor(aut: AutMatrix, tensor: Mapping[tuple, Scalar]) -> dict[tup
                 val = val * v
             tensor_add(out, key, val)
     return out
-
-
-# Tensor symmetries ------------------------------------------------------------
-
-
-def antisymmetrize(tensor: Mapping[tuple, Scalar]) -> dict[tuple, Scalar]:
-    """Full antisymmetrization of a 3-tensor (the wedge projection)."""
-    out: dict[tuple, Scalar] = {}
-    perms = [
-        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-        ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
-    ]
-    for tup, coeff in tensor.items():
-        for perm, sign in perms:
-            key = tuple(tup[p] for p in perm)
-            tensor_add(out, key, coeff * Fraction(sign, 6))
-    return out
-
-
-def is_totally_antisymmetric(tensor: Mapping[tuple, Scalar]) -> bool:
-    return tensors_equal(tensor, antisymmetrize(tensor))
 
 
 # Symmetric coefficient matrices -------------------------------------------------

@@ -8,10 +8,12 @@ max_degree are populated, in raw mode every degree is.
 
 The invariance relations (per-degree linear conditions on the
 coefficients) are built into the enumeration, so the inconsistent bulk
-is counted arithmetically rather than visited.  A consistent candidate
-is a constants tuple plus one choice for each of six entry groups, ee,
-ff, hh, ef/fe, eh/he and fh/hf, a group's choice being the values of
-its free slots over all degrees.
+is counted arithmetically rather than visited.  A configuration whose
+invariance-consistent candidates outnumber MAX_CONSISTENT is refused
+when it is built, before any scan or worker pool starts.  A consistent
+candidate is a constants tuple plus one choice for each of six entry
+groups, ee, ff, hh, ef/fe, eh/he and fh/hf, a group's choice being the
+values of its free slots over all degrees.
 
 run_search walks these choices depth first: the constants tuple is the
 outer loop (and the unit of work handed to a worker process), then one
@@ -35,9 +37,12 @@ nonzero value is not zero, so no solution is ever dropped).  The
 lattice is the exact filter: a leaf is kept iff every equation also
 vanishes on its lattice points, read from the same table.  Only a kept
 leaf becomes a profile, which is re-verified with the full tensor
-computation (is_weak_solution on the canonical lift, plus
-is_strict_solution in strict mode) and the structural characterization.
-Any survivor failing characterization is recorded.  The walk inside a
+computation and the structural characterization.  The re-verification
+builds the double bracket of the canonical lift once and reads both
+verdicts from it: weak from the generator actions on it, strict (in
+strict mode) from its reduction modulo the total derivation.  The
+profiles of one process share one symbol registry.  Any survivor
+failing characterization is recorded.  The walk inside a
 constants tuple is fixed, the tuples come in itertools.product order,
 and Pool.starmap returns the results of the tuples in that order, so
 the scan yields the same list for any worker count; the report also
@@ -46,6 +51,7 @@ sorts survivors and failures by their canonical JSON.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -55,6 +61,7 @@ from hashlib import sha256
 from multiprocessing import get_all_start_methods, get_context
 from typing import Optional, Sequence
 
+from . import ybe
 from .exactpoly import SymbolRegistry
 from .families import characterize, scalar_relation_residues
 from .ybe import (
@@ -64,8 +71,6 @@ from .ybe import (
     WEAK_EQUATIONS,
     DiagProfile,
     boundary_values,
-    is_strict_solution,
-    is_weak_solution,
     lift_profile,
     shift_constant,
 )
@@ -76,6 +81,11 @@ _MIRROR = {i: _PAIR_INDEX[(l, q)] for (q, l), i in _PAIR_INDEX.items()}
 
 # Upper bound on SearchConfig.workers: each worker is one process.
 MAX_WORKERS = 64
+# Bound on the invariance-consistent candidates of a search.  The
+# odd-ansatz degree-5 grid over {-1,0,1} (3.1e10) takes about 17 s
+# serially (one CPU of a 2-CPU host, Python 3.11); degree 7 over the same
+# grid (2.3e13) is refused.
+MAX_CONSISTENT = 10 ** 11
 
 
 class SearchConfigError(ValueError):
@@ -106,6 +116,11 @@ class SearchConfig:
                            tuple(Fraction(v) for v in self.coeff_grid))
         object.__setattr__(self, "constants_grid",
                            tuple(Fraction(v) for v in self.constants_grid))
+        consistent = count_consistent(self)
+        if consistent > MAX_CONSISTENT:
+            raise SearchConfigError(
+                f"{consistent} invariance-consistent candidates exceed the bound "
+                f"{MAX_CONSISTENT}")
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -481,8 +496,15 @@ def _leaf(unit: _Unit) -> None:
     for rows in unit.picks:
         for i, row in rows:
             coeffs[i] = row
-    profile = candidate_profile(plan.cfg, unit.constants, coeffs)
+    profile = candidate_profile(plan.cfg, unit.constants, coeffs, _registry())
     unit.out.append(_post_verify(plan.cfg, profile))
+
+
+@functools.cache
+def _registry() -> SymbolRegistry:
+    """One registry for every survivor profile of this process: they all
+    use the same core symbols, so there is nothing to build per survivor."""
+    return SymbolRegistry()
 
 
 def _scan_constants(plan: _Plan, constants: tuple) -> list:
@@ -531,14 +553,15 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     for name, residue in scalar_relation_residues(profile, rep.matrix).items():
         if not residue.is_zero():
             problems.append(f"relation:{name}")
-    lift = lift_profile(profile)
-    weak_ok, _ = is_weak_solution(lift)
-    if not weak_ok:
+    # One double bracket gives both verdicts: the weak one from the
+    # generator actions on it, the strict one from its reduction.  The
+    # tensor steps are looked up on the ybe module, where a tracer that
+    # wraps them sees these calls.
+    bracket = ybe.ccybe_bracket(lift_profile(profile))
+    if not ybe.weak_verdict(bracket)[0]:
         problems.append("reverify:weak_defect")
-    if cfg.mode == "strict":
-        strict_ok, _ = is_strict_solution(lift)
-        if not strict_ok:
-            problems.append("reverify:strict")
+    if cfg.mode == "strict" and not ybe.strict_verdict(bracket)[0]:
+        problems.append("reverify:strict")
     record.update(_classify(profile, rep))
     record["matrix"] = [[str(v) for v in row] for row in rep.matrix.numeric()]
     return record, problems

@@ -10,18 +10,34 @@ coefficient substitutions are
     - A(d1, d2+d3)    B(-d3, d3)     on  q x [q',l] x l'
     - A(d1, d2+d3)    B(d2, -d2)     on  q x q' x [l',l]
 
-with the basis-level bracket polynomial evaluated at (d, lam) =
-(slot variable, contraction variable): (d1, d2), (d2, d3), (d3, d2)
-respectively.  The bracket is produced unreduced; reduction modulo the
-total derivation is a separate step so both forms stay testable.
+with the basis-level bracket evaluated at (d, lam) = (slot variable,
+contraction variable): (d1, d2), (d2, d3), (d3, d2) respectively.
+
+ccybe_bracket contracts first.  Each entry's five substituted forms are
+built once, the last two negated to carry their slots' sign.  Then, for
+each slot, the inserted bracket is summed against the B forms: slot 1
+gives, per left index q, a table keyed (k, l') of sum over entries
+(q', l') of [q, q']_k B; slots 2 and 3 give, per right index l, one
+shared table keyed (k, l') resp. (q', k), since both multiply
+A(d1, d2+d3).  For a current algebra the inserted bracket is a
+structure constant, so this step is scalar multiples and sums; for
+Virasoro it is the polynomial d + 2 lam.  Last, each A form is
+multiplied once by each coefficient of its table.  The bracket is
+produced unreduced; reduction modulo the total derivation is a separate
+step so both forms stay testable.
 
 Three checks are provided: strict (the reduced double bracket
 vanishes), weak (every generator action on the double bracket, taken
 at mu = -(d1+d2+d3), vanishes), and invariance (every generator action
 on r + tau(r), taken at lam = -(d1+d2), vanishes).  Each action is
 computed at that value directly; no action variable is introduced and
-eliminated.  The classical operator at zero derivations (`cybe`) is
-the double bracket's specialization at d1 = d2 = d3 = 0.
+eliminated.  generator_actions acts with all generators in one
+act_on_tensor call, so the weak and the invariance checks shift each
+coefficient once, not once per generator.  weak_verdict and
+strict_verdict read the two verdicts off a given bracket, so a caller
+that needs both builds the bracket once.  The classical operator at
+zero derivations (`cybe`) is the double bracket's specialization at
+d1 = d2 = d3 = 0.
 
 For the current algebra on sl2 the reduced double bracket only sees the
 diagonal restrictions A'_{ql}(x) = A_{ql}(x, -x).  The catalog below
@@ -46,14 +62,13 @@ from .conformal import (
     ConfElem,
     ConfTensor,
     act_on_tensor,
-    permute_slots,
     project,
     project_reduced,
     reduce_mod_total,
     tau,
 )
 from .exactpoly import MPoly, SymbolRegistry
-from .liealg import AutMatrix, LieAlg, Scalar, sl2, tensor_add
+from .liealg import AutMatrix, LieAlg, Scalar, sl2
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
 CONSTANT_NAMES = ("alpha", "beta", "gamma", "zeta")
@@ -156,63 +171,77 @@ def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
 
 
 def ccybe_bracket(r: RMat) -> ConfTensor:
-    """The double bracket of r with itself, unreduced, in d1, d2, d3."""
+    """The double bracket of r with itself, unreduced, in d1, d2, d3.
+
+    Contraction first (see the module docstring): one polynomial product
+    per (entry, key of its contracted table), not per pair of entries.
+    """
     alg = r.alg
     reg = alg.reg
-    d_sym, lam_sym = alg.d, alg.lam
+    names = alg.basis_names
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     s1, s2 = reg.sym("d1"), reg.sym("d2")
-    keys = list(r.entries)
-    # The five coefficient substitutions of the module docstring, once per
-    # entry: A at (-d2, d2) and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3)
-    # and (d2, -d2).
+    # The five coefficient substitutions, once per entry: A at (-d2, d2)
+    # and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2), the
+    # last two negated to carry their slots' sign.
     args = ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))
-    forms = [tuple(A.subst_many({s1: u, s2: v}) for u, v in args)
-             for A in r.entries.values()]
+    forms = {}
+    for key, A in r.entries.items():
+        a13, a23, b1, b2, b3 = (A.subst_many({s1: u, s2: v}) for u, v in args)
+        forms[key] = (a13, a23, b1, -b2, -b3)
 
-    # Per slot, the basis brackets with their (d, lam) read as (d1, d2),
-    # (d2, d3) and (d3, d2), signed: once per (basis pair, slot).
-    names = alg.basis_names
-    ins_1, ins_2, ins_3 = (
-        {(p, q): [(k, poly.subst_many({d_sym: d, lam_sym: lam}) * sign)
-                  for k, poly in alg.basis_bracket(p, q).items()]
-         for p in names for q in names}
-        for d, lam, sign in ((d1, d2, 1), (d2, d3, -1), (d3, d2, -1))
-    )
+    def add(acc: dict, key: tuple, poly: MPoly) -> None:
+        prev = acc.get(key)
+        acc[key] = poly if prev is None else prev + poly
+
+    # slot1[q]: sum over entries (q2, l2) of [q, q2] B_1, keyed (k, l2);
+    # slot23[l]: sum over entries (q2, l2) of [q2, l] B_2, keyed (k, l2),
+    # plus [l2, l] B_3, keyed (q2, k).  Both slot 2 and slot 3 multiply
+    # A(d1, d2+d3), so they share one table.
+    slot1: dict = {p: {} for p in names}
+    slot23: dict = {p: {} for p in names}
+    for (q2, l2), (_, _, b1, b2, b3) in forms.items():
+        for p in names:
+            for k, v in alg.basis_bracket(p, q2, d1, d2).items():
+                add(slot1[p], (k, l2), b1 * v)
+            for k, v in alg.basis_bracket(q2, p, d2, d3).items():
+                add(slot23[p], (k, l2), b2 * v)
+            for k, v in alg.basis_bracket(l2, p, d3, d2).items():
+                add(slot23[p], (q2, k), b3 * v)
 
     out: dict[tuple, MPoly] = {}
-
-    def add(key: tuple, poly: MPoly) -> None:
-        if not poly.is_zero():
-            out[key] = out.get(key, reg.zero()) + poly
-
-    for (q, l), (A_13, A_23, _, _, _) in zip(keys, forms):
-        for (q2, l2), (_, _, B_1, B_2, B_3) in zip(keys, forms):
-            # [q, q2] in slot 1, contraction variable d2
-            bracket = ins_1[q, q2]
-            if bracket:
-                coeff = A_13 * B_1
-                for k, ins in bracket:
-                    add((k, l, l2), coeff * ins)
-            # [q2, l] in slot 2, contraction variable d3
-            bracket = ins_2[q2, l]
-            if bracket:
-                coeff = A_23 * B_2
-                for k, ins in bracket:
-                    add((q, k, l2), coeff * ins)
-            # [l2, l] in slot 3, contraction variable d2
-            bracket = ins_3[l2, l]
-            if bracket:
-                coeff = A_23 * B_3
-                for k, ins in bracket:
-                    add((q, q2, k), coeff * ins)
+    for (q, l), (a13, a23, _, _, _) in forms.items():
+        for (k, l2), c in slot1[q].items():
+            if c:
+                add(out, (k, l, l2), a13 * c)
+        for (u, v), c in slot23[l].items():
+            if c:
+                add(out, (q, u, v), a23 * c)
     return ConfTensor(alg, 3, out)
 
 
-def is_strict_solution(r: RMat) -> tuple[bool, ConfTensor]:
-    """Reduced double bracket; True iff it vanishes identically."""
-    residue = reduce_mod_total(ccybe_bracket(r))
+def strict_verdict(bracket: ConfTensor) -> tuple[bool, ConfTensor]:
+    """The double bracket reduced modulo the total derivation; True iff
+    it vanishes identically."""
+    residue = reduce_mod_total(bracket)
     return residue.is_zero(), residue
+
+
+def is_strict_solution(r: RMat) -> tuple[bool, ConfTensor]:
+    return strict_verdict(ccybe_bracket(r))
+
+
+def generator_actions(t: ConfTensor) -> dict[str, ConfTensor]:
+    """Every generator's action on t at minus its total derivation.
+
+    One act_on_tensor call acts with all generators, so each shifted
+    coefficient of t is built once.  On the double bracket this is the
+    weak defect, on r + tau(r) the invariance defect.
+    """
+    alg = t.alg
+    names = alg.basis_names
+    acted = act_on_tensor([alg.generator(n) for n in names], t, -t.total())
+    return dict(zip(names, acted))
 
 
 def weak_defect(r: RMat) -> dict[str, ConfTensor]:
@@ -222,25 +251,22 @@ def weak_defect(r: RMat) -> dict[str, ConfTensor]:
     overall factor g(-mu) = g(d1 + d2 + d3), which scales the generator
     defect.
     """
-    alg = r.alg
-    bracket = ccybe_bracket(r)
-    mu = -bracket.total()
-    return {name: act_on_tensor(alg.generator(name), bracket, mu)
-            for name in alg.basis_names}
+    return generator_actions(ccybe_bracket(r))
+
+
+def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
+    """The generator actions on the double bracket; True iff all vanish."""
+    defects = generator_actions(bracket)
+    return all(t.is_zero() for t in defects.values()), defects
 
 
 def is_weak_solution(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
-    defects = weak_defect(r)
-    return all(t.is_zero() for t in defects.values()), defects
+    return weak_verdict(ccybe_bracket(r))
 
 
 def invariance_defect(r: RMat) -> dict[str, ConfTensor]:
     """Generator actions on r + tau(r) at lam = -(d1 + d2)."""
-    alg = r.alg
-    sym_part = rmat_tensor(r) + tau(rmat_tensor(r))
-    lam = -sym_part.total()
-    return {name: act_on_tensor(alg.generator(name), sym_part, lam)
-            for name in alg.basis_names}
+    return generator_actions(rmat_tensor(r) + tau(rmat_tensor(r)))
 
 
 def is_invariant(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
@@ -251,7 +277,7 @@ def is_invariant(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
 def cocommutator(a: ConfElem, r: RMat) -> ConfTensor:
     """The co-bracket a -> a_lam r at lam = -(d1 + d2)."""
     t = rmat_tensor(r)
-    return act_on_tensor(a, t, -t.total())
+    return act_on_tensor([a], t, -t.total())[0]
 
 
 # Classical Yang-Baxter at zero derivations --------------------------------------
@@ -285,24 +311,6 @@ def cybe(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
         v = poly.subst_many(zero)
         if not v.is_zero():
             out[tup] = v.constant_value() if v.is_constant() else v
-    return out
-
-
-def weak_cybe_defect(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
-                     reg: Optional[SymbolRegistry] = None) -> dict[str, dict[tuple, Scalar]]:
-    """Adjoint action of every basis element on cybe(r); all zero iff weak."""
-    alg = alg or sl2()
-    value = cybe(r, alg, reg)
-    out = {}
-    for a in alg.names:
-        defect: dict[tuple, Scalar] = {}
-        for tup, coeff in value.items():
-            for slot, b in enumerate(tup):
-                for k, s in alg.bracket_basis(a, b).items():
-                    new = list(tup)
-                    new[slot] = k
-                    tensor_add(defect, tuple(new), coeff * s)
-        out[a] = defect
     return out
 
 
@@ -351,17 +359,6 @@ class DiagProfile:
         return True
 
 
-def diagonal_profile_of(r: RMat) -> DiagProfile:
-    """Restrict every coefficient to the diagonal (d1, d2) = (x, -x)."""
-    reg = r.alg.reg
-    x = reg.var("x")
-    sub = {reg.sym("d1"): x, reg.sym("d2"): -x}
-    entries = {key: poly.subst_many(sub) for key, poly in r.entries.items()}
-    if r.alg.kind == "vir":
-        raise ValueError("diagonal profiles are defined over the sl2 current algebra")
-    return DiagProfile(reg, entries)
-
-
 def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> RMat:
     """Canonical lift A_{ql}(d1, d2) := A'_{ql}(d1)."""
     alg = alg or ConfAlgebra.cur(sl2(), p.reg)
@@ -373,48 +370,6 @@ def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> RMat:
         key: poly.subst_linear(x, d1) for key, poly in p.entries.items()
     }
     return RMat(alg, entries)
-
-
-def tensor2_diagonal(t: ConfTensor) -> dict[tuple, MPoly]:
-    """Diagonal restriction of an arity-2 tensor's coefficients."""
-    reg = t.alg.reg
-    x = reg.var("x")
-    sub = {reg.sym("d1"): x, reg.sym("d2"): -x}
-    out = {}
-    for key, poly in t.entries.items():
-        v = poly.subst_many(sub)
-        if not v.is_zero():
-            out[key] = v
-    return out
-
-
-# Invariance relations ------------------------------------------------------------
-
-# (left entry, right entry, multiple of zeta on the right-hand side):
-# A'_left(lam) + A'_right(-lam) == rhs_zeta * zeta.
-INVARIANCE_RELATIONS = (
-    (("e", "e"), ("e", "e"), 0),
-    (("f", "e"), ("e", "f"), 4),
-    (("h", "e"), ("e", "h"), 0),
-    (("f", "f"), ("f", "f"), 0),
-    (("h", "f"), ("f", "h"), 0),
-    (("h", "h"), ("h", "h"), 2),
-)
-
-
-def invariance_residues(p: DiagProfile) -> list[MPoly]:
-    """The six residues whose joint vanishing is equivalent to invariance."""
-    reg = p.reg
-    x = reg.sym("x")
-    lam = reg.var("lam")
-    out = []
-    for left, right, mult in INVARIANCE_RELATIONS:
-        res = p.entry(*left).subst_linear(x, lam)
-        res = res + p.entry(*right).subst_linear(x, -lam)
-        if mult:
-            res = res - p.constant("zeta") * mult
-        out.append(res)
-    return out
 
 
 # Equation catalog -----------------------------------------------------------------
@@ -615,42 +570,6 @@ def generic_profile(reg: SymbolRegistry, degree: int = 4, prefix: str = "c") -> 
     return DiagProfile(reg, entries, constants=None)
 
 
-def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3,
-                                prefix: str = "c") -> DiagProfile:
-    """Generic profile satisfying the invariance relations identically.
-
-    One side of each mirror pair is parametrized freely and the other is
-    defined through the relation, so every invariance residue vanishes
-    by construction:
-
-        ee, ff       free odd,
-        hh           zeta plus free odd,
-        eh, fh, ef   free with constant terms -alpha, -gamma, 4 zeta - beta,
-        he(x) = -eh(-x),  hf(x) = -fh(-x),  fe(x) = 4 zeta - ef(-x).
-    """
-    x = reg.var("x")
-    constants = {n: reg.var(n) for n in CONSTANT_NAMES}
-    boundary = dict(zip(PAIRS, boundary_values(list(constants.values()))))
-
-    def free(pair, degrees):
-        poly = reg.zero() + boundary[pair]
-        for j in degrees:
-            poly = poly + reg.var(f"{prefix}_{pair[0]}{pair[1]}_{j}") * x ** j
-        return poly
-
-    all_degrees = list(range(1, degree + 1))
-    odd_degrees = [j for j in all_degrees if j % 2]
-    entries = {}
-    for pair in (("e", "h"), ("f", "h"), ("e", "f")):
-        entries[pair] = free(pair, all_degrees)
-        # A'_{lq}(x) = A'_{ql}(0) + A'_{lq}(0) - A'_{ql}(-x)
-        flipped = entries[pair].subst_linear(reg.sym("x"), -x)
-        entries[pair[::-1]] = boundary[pair] + boundary[pair[::-1]] - flipped
-    for pair in (("e", "e"), ("f", "f"), ("h", "h")):
-        entries[pair] = free(pair, odd_degrees)
-    return DiagProfile(reg, entries, constants)
-
-
 def _rename_to_xyz(poly: MPoly, reg: SymbolRegistry) -> MPoly:
     return poly.subst_many({
         reg.sym("d2"): reg.var("x"),
@@ -685,7 +604,7 @@ def derive_weak_projection(generator: str, triple: Sequence[str], degree: int = 
     reg = profile.reg
     r = lift_profile(profile)
     bracket = ccybe_bracket(r)
-    acted = act_on_tensor(r.alg.generator(generator), bracket, -bracket.total())
+    acted = act_on_tensor([r.alg.generator(generator)], bracket, -bracket.total())[0]
     return _rename_to_xyz(project(acted, tuple(triple)), reg)
 
 
@@ -711,23 +630,3 @@ def catalog_diffs(degree: int = 3, catalog: Optional[Mapping[str, Equation]] = N
     return out
 
 
-def permutation_symmetry_check(p: DiagProfile) -> bool:
-    """Whether slot permutations fix the reduced double bracket up to sign.
-
-    For profiles satisfying the invariance relations the reduced double
-    bracket of the canonical lift is fixed by even slot permutations and
-    negated by odd ones; this is what makes the ten catalog projections
-    exhaust all twenty-seven.  Profiles violating invariance report False.
-    """
-    r = lift_profile(p)
-    bracket = ccybe_bracket(r)
-    reduced = reduce_mod_total(bracket)
-    perms = (
-        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-        ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
-    )
-    for perm, sign in perms:
-        moved = reduce_mod_total(permute_slots(bracket, perm))
-        if not (moved - reduced * sign).is_zero():
-            return False
-    return True

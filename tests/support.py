@@ -3,28 +3,40 @@
 The oracles here are deliberately written from scratch against textbook
 formulas (classical Yang-Baxter expansion, adjoint actions, slotwise
 lambda-actions) so that the engine under test is checked by a second,
-structurally different computation.  The rest are slower reference
-paths the engine replaced: the two-pass reduced action, the
-unstructured candidate enumeration of the search, and its flat scan of
-the consistent candidates.
+structurally different computation.  Others are slower reference
+paths the engine replaced: the pairwise double bracket, the two-pass
+reduced action, the unstructured candidate enumeration of the search,
+and its flat scan of the consistent candidates.  The rest are checks
+and constructions only the tests use: diagonal restrictions, the
+invariance residues, the invariance-constrained generic profile, slot
+permutation symmetry, the weak defect of a constant r, antisymmetry of
+constant 3-tensors, algebras from JSON and the identity automorphism.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from typing import Mapping, Optional, Union
 
 from ccybe import search
-from ccybe.conformal import act_on_tensor
+from ccybe.conformal import ConfTensor, act_on_tensor, permute_slots, reduce_mod_total
 from ccybe.exactpoly import MPoly, SymbolRegistry
+from ccybe.liealg import AutMatrix, LieAlg, Scalar, is_zero_scalar, sl2, tensor_add
 from ccybe.search import candidate_profile, filter_equation_names
 from ccybe.ybe import (
     CATALOG,
+    CONSTANT_NAMES,
     PAIRS,
+    DiagProfile,
+    RMat,
     boundary_values,
+    ccybe_bracket,
+    cybe,
     eval_equation,
-    invariance_residues,
+    lift_profile,
     shift_constant,
 )
 
@@ -122,13 +134,59 @@ def random_unimodular(rng, size=3, steps=4):
     return a, b, c, d
 
 
+# Pairwise double bracket: for every pair of entries, the product of
+# their substituted coefficients times each signed inserted bracket (the
+# loop the engine's contraction-first ccybe_bracket replaced).  The
+# inserted brackets are written out here: the structure constants of a
+# current algebra, d + 2 lam for Virasoro.
+
+
+def _inserted(alg, p, q, d, lam):
+    if alg.kind == "cur":
+        return list(alg.lie.bracket_basis(p, q).items())
+    return [("v", d + lam * 2)]
+
+
+def pairwise_bracket(r):
+    alg = r.alg
+    reg = alg.reg
+    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
+    s1, s2 = reg.sym("d1"), reg.sym("d2")
+    keys = list(r.entries)
+    args = ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))
+    forms = [tuple(A.subst_many({s1: u, s2: v}) for u, v in args)
+             for A in r.entries.values()]
+    names = alg.basis_names
+    ins_1, ins_2, ins_3 = (
+        {(p, q): [(k, v * sign) for k, v in _inserted(alg, p, q, d, lam)]
+         for p in names for q in names}
+        for d, lam, sign in ((d1, d2, 1), (d2, d3, -1), (d3, d2, -1))
+    )
+    out = {}
+
+    def add(key, poly):
+        if not poly.is_zero():
+            out[key] = out.get(key, reg.zero()) + poly
+
+    for (q, l), (A_13, A_23, _, _, _) in zip(keys, forms):
+        for (q2, l2), (_, _, B_1, B_2, B_3) in zip(keys, forms):
+            # [q, q2] in slot 1, [q2, l] in slot 2, [l2, l] in slot 3
+            for k, ins in ins_1[q, q2]:
+                add((k, l, l2), A_13 * B_1 * ins)
+            for k, ins in ins_2[q2, l]:
+                add((q, k, l2), A_23 * B_2 * ins)
+            for k, ins in ins_3[l2, l]:
+                add((q, q2, k), A_23 * B_3 * ins)
+    return ConfTensor(alg, 3, out)
+
+
 # Two-pass reduced action: act at a free variable mu, then eliminate it
 # via mu := -(d1 + ... + dN).  The engine acts at that value directly.
 
 
 def act_then_eliminate(elem, t):
     reg = t.alg.reg
-    acted = act_on_tensor(elem, t, reg.var("mu"))
+    acted = act_on_tensor([elem], t, reg.var("mu"))[0]
     return acted.map_coeffs(lambda p: p.subst_linear(reg.sym("mu"), -t.total()))
 
 
@@ -287,3 +345,189 @@ def flat_scan(cfg):
         if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
             out.append(search._post_verify(cfg, profile))
     return out
+
+
+# Checks and constructions only the tests use.
+
+
+def tensors_equal(a: Mapping, b: Mapping) -> bool:
+    for k in set(a) | set(b):
+        if not is_zero_scalar(a.get(k, 0) - b.get(k, 0)):
+            return False
+    return True
+
+
+def antisymmetrize(tensor: Mapping[tuple, Scalar]) -> dict[tuple, Scalar]:
+    """Full antisymmetrization of a 3-tensor (the wedge projection)."""
+    out: dict[tuple, Scalar] = {}
+    perms = [
+        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+        ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
+    ]
+    for tup, coeff in tensor.items():
+        for perm, sign in perms:
+            key = tuple(tup[p] for p in perm)
+            tensor_add(out, key, coeff * Fraction(sign, 6))
+    return out
+
+
+def is_totally_antisymmetric(tensor: Mapping[tuple, Scalar]) -> bool:
+    return tensors_equal(tensor, antisymmetrize(tensor))
+
+
+def algebra_from_json(data: Union[str, dict]) -> LieAlg:
+    """Load an algebra definition: {"basis": [...], "brackets": [[i, j, k, "p/q"], ...]}.
+
+    The name "sl2" is recognized as the builtin.
+    """
+    if isinstance(data, str):
+        if data == "sl2":
+            return sl2()
+        data = json.loads(data)
+    names = data["basis"]
+    table: dict[tuple, dict[str, Fraction]] = {}
+    for i, j, k, val in data["brackets"]:
+        table.setdefault((i, j), {})[k] = Fraction(val)
+    # fill antisymmetric counterparts that were left implicit
+    for (i, j), out in list(table.items()):
+        mirror = table.setdefault((j, i), {})
+        for k, v in out.items():
+            mirror.setdefault(k, -v)
+    return LieAlg(names, table)
+
+
+def identity_matrix(alg: Optional[LieAlg] = None) -> AutMatrix:
+    alg = alg or sl2()
+    n = alg.dim
+    m = tuple(
+        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
+        for i in range(n)
+    )
+    return AutMatrix(alg, m, provenance="identity")
+
+
+def weak_cybe_defect(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
+                     reg: Optional[SymbolRegistry] = None) -> dict[str, dict[tuple, Scalar]]:
+    """Adjoint action of every basis element on cybe(r); all zero iff weak."""
+    alg = alg or sl2()
+    value = cybe(r, alg, reg)
+    out = {}
+    for a in alg.names:
+        defect: dict[tuple, Scalar] = {}
+        for tup, coeff in value.items():
+            for slot, b in enumerate(tup):
+                for k, s in alg.bracket_basis(a, b).items():
+                    new = list(tup)
+                    new[slot] = k
+                    tensor_add(defect, tuple(new), coeff * s)
+        out[a] = defect
+    return out
+
+
+def diagonal_profile_of(r: RMat) -> DiagProfile:
+    """Restrict every coefficient to the diagonal (d1, d2) = (x, -x)."""
+    reg = r.alg.reg
+    x = reg.var("x")
+    sub = {reg.sym("d1"): x, reg.sym("d2"): -x}
+    entries = {key: poly.subst_many(sub) for key, poly in r.entries.items()}
+    if r.alg.kind == "vir":
+        raise ValueError("diagonal profiles are defined over the sl2 current algebra")
+    return DiagProfile(reg, entries)
+
+
+def tensor2_diagonal(t: ConfTensor) -> dict[tuple, MPoly]:
+    """Diagonal restriction of an arity-2 tensor's coefficients."""
+    reg = t.alg.reg
+    x = reg.var("x")
+    sub = {reg.sym("d1"): x, reg.sym("d2"): -x}
+    out = {}
+    for key, poly in t.entries.items():
+        v = poly.subst_many(sub)
+        if not v.is_zero():
+            out[key] = v
+    return out
+
+
+# (left entry, right entry, multiple of zeta on the right-hand side):
+# A'_left(lam) + A'_right(-lam) == rhs_zeta * zeta.
+INVARIANCE_RELATIONS = (
+    (("e", "e"), ("e", "e"), 0),
+    (("f", "e"), ("e", "f"), 4),
+    (("h", "e"), ("e", "h"), 0),
+    (("f", "f"), ("f", "f"), 0),
+    (("h", "f"), ("f", "h"), 0),
+    (("h", "h"), ("h", "h"), 2),
+)
+
+
+def invariance_residues(p: DiagProfile) -> list[MPoly]:
+    """The six residues whose joint vanishing is equivalent to invariance."""
+    reg = p.reg
+    x = reg.sym("x")
+    lam = reg.var("lam")
+    out = []
+    for left, right, mult in INVARIANCE_RELATIONS:
+        res = p.entry(*left).subst_linear(x, lam)
+        res = res + p.entry(*right).subst_linear(x, -lam)
+        if mult:
+            res = res - p.constant("zeta") * mult
+        out.append(res)
+    return out
+
+
+def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3,
+                                prefix: str = "c") -> DiagProfile:
+    """Generic profile satisfying the invariance relations identically.
+
+    One side of each mirror pair is parametrized freely and the other is
+    defined through the relation, so every invariance residue vanishes
+    by construction:
+
+        ee, ff       free odd,
+        hh           zeta plus free odd,
+        eh, fh, ef   free with constant terms -alpha, -gamma, 4 zeta - beta,
+        he(x) = -eh(-x),  hf(x) = -fh(-x),  fe(x) = 4 zeta - ef(-x).
+    """
+    x = reg.var("x")
+    constants = {n: reg.var(n) for n in CONSTANT_NAMES}
+    boundary = dict(zip(PAIRS, boundary_values(list(constants.values()))))
+
+    def free(pair, degrees):
+        poly = reg.zero() + boundary[pair]
+        for j in degrees:
+            poly = poly + reg.var(f"{prefix}_{pair[0]}{pair[1]}_{j}") * x ** j
+        return poly
+
+    all_degrees = list(range(1, degree + 1))
+    odd_degrees = [j for j in all_degrees if j % 2]
+    entries = {}
+    for pair in (("e", "h"), ("f", "h"), ("e", "f")):
+        entries[pair] = free(pair, all_degrees)
+        # A'_{lq}(x) = A'_{ql}(0) + A'_{lq}(0) - A'_{ql}(-x)
+        flipped = entries[pair].subst_linear(reg.sym("x"), -x)
+        entries[pair[::-1]] = boundary[pair] + boundary[pair[::-1]] - flipped
+    for pair in (("e", "e"), ("f", "f"), ("h", "h")):
+        entries[pair] = free(pair, odd_degrees)
+    return DiagProfile(reg, entries, constants)
+
+
+def permutation_symmetry_check(p: DiagProfile) -> bool:
+    """Whether slot permutations fix the reduced double bracket up to sign.
+
+    For profiles satisfying the invariance relations the reduced double
+    bracket of the canonical lift is fixed by even slot permutations and
+    negated by odd ones; this is what makes the ten catalog projections
+    exhaust all twenty-seven.  Profiles violating invariance report False.
+    """
+    r = lift_profile(p)
+    bracket = ccybe_bracket(r)
+    reduced = reduce_mod_total(bracket)
+    perms = (
+        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+        ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
+    )
+    for perm, sign in perms:
+        moved = reduce_mod_total(permute_slots(bracket, perm))
+        if not (moved - reduced * sign).is_zero():
+            return False
+    return True

@@ -22,19 +22,13 @@ from ccybe.conformal import (
     tau,
 )
 from ccybe.exactpoly import SymbolRegistry
-from ccybe.liealg import (
-    is_totally_antisymmetric,
-    phi_matrix,
-    sl2,
-    tensors_equal,
-)
+from ccybe.liealg import phi_matrix, sl2
 from ccybe.ybe import (
     CATALOG,
     RMat,
     ccybe_bracket,
     catalog_diffs,
     cybe,
-    invariance_residues,
     is_invariant,
     is_strict_solution,
     is_weak_solution,
@@ -42,11 +36,19 @@ from ccybe.ybe import (
     rmat_tensor,
     transform_conf_tensor,
     transform_rmat,
-    weak_cybe_defect,
     weak_defect,
 )
 
-from support import act_then_eliminate, random_unimodular, random_univariate
+from support import (
+    act_then_eliminate,
+    diagonal_profile_of,
+    invariance_residues,
+    is_totally_antisymmetric,
+    random_unimodular,
+    random_univariate,
+    tensors_equal,
+    weak_cybe_defect,
+)
 
 F = Fraction
 
@@ -133,10 +135,10 @@ def test_criterion_1_algebra_laws():
                         == t3.get(k, reg.zero()))
             # module axiom on tensor squares
             t = random_tensor2(alg, rng)
-            lhs = act_on_tensor(bracket_as_elem(alg, base, "nu"), t, reg.var(rho))
+            lhs = act_on_tensor([bracket_as_elem(alg, base, "nu")], t, reg.var(rho))[0]
             lhs = lhs.map_coeffs(lambda p: p.subst_many({rho: lam + mu, nu: lam}))
-            rhs = (act_on_tensor(a, act_on_tensor(b, t, mu), lam)
-                   - act_on_tensor(b, act_on_tensor(a, t, lam), mu))
+            rhs = (act_on_tensor([a], act_on_tensor([b], t, mu)[0], lam)[0]
+                   - act_on_tensor([b], act_on_tensor([a], t, lam)[0], mu)[0])
             assert lhs == rhs
             n_cases += 1
     assert n_cases == 200
@@ -211,7 +213,7 @@ def test_criterion_4_negative_controls():
     r_ee = RMat(cur, {("e", "e"): reg2.const(1)})
     ok, defects = is_invariant(r_ee)
     assert not ok
-    prof = ybe.diagonal_profile_of(r_ee)
+    prof = diagonal_profile_of(r_ee)
     prof.constants = {n: F(0) for n in ("alpha", "beta", "gamma", "zeta")}
     assert invariance_residues(prof)[0] == 2
 

@@ -440,6 +440,22 @@ def test_search_cli_jobs(tmp_path, capsys):
     assert a["survivors"] == b["survivors"]
 
 
+def test_search_cli_refuses_unbounded_work(monkeypatch, capsys):
+    # degree 7 over {-1,0,1}: 2.29e13 invariance-consistent candidates,
+    # refused with exit 2 before a scan or a worker pool starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("the search was started")
+
+    monkeypatch.setattr(search, "_scan", no_work)
+    monkeypatch.setattr(search, "get_context", no_work)
+    argv = ["search", "--max-degree", "7", "--coeffs=-1,0,1",
+            "--constants=-1,0,1", "--jobs", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "22876792454961" in captured.err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "65", "100000"])
 def test_search_cli_jobs_out_of_range(monkeypatch, capsys, jobs):
     def no_pool(*args, **kwargs):

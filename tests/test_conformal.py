@@ -17,7 +17,7 @@ from ccybe.conformal import (
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import sl2
 
-from support import random_univariate
+from support import act_then_eliminate, random_univariate
 
 F = Fraction
 
@@ -168,36 +168,61 @@ def test_module_action_compatibility(cur):
         t = ConfTensor(cur, 2, entries)
         # act with the bracket (lam renamed to the parameter nu) at the
         # fresh variable rho, then set rho := lam + mu and nu := lam.
-        lhs = act_on_tensor(bracket_as_elem(cur, lambda_bracket(a, b), "nu"), t,
-                            reg.var(rho))
+        lhs = act_on_tensor([bracket_as_elem(cur, lambda_bracket(a, b), "nu")], t,
+                            reg.var(rho))[0]
         lhs = lhs.map_coeffs(
             lambda p: p.subst_many({rho: lam + mu, nu: lam}))
-        ab = act_on_tensor(a, act_on_tensor(b, t, mu), lam)
-        ba = act_on_tensor(b, act_on_tensor(a, t, lam), mu)
+        ab = act_on_tensor([a], act_on_tensor([b], t, mu)[0], lam)[0]
+        ba = act_on_tensor([b], act_on_tensor([a], t, lam)[0], mu)[0]
         assert lhs == ab - ba
 
 
 # Tensor operations ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kind", ["cur", "vir"])
+@pytest.mark.parametrize("arity", [2, 3])
+def test_multi_element_action_matches_each_element(kind, arity):
+    # acting with several elements in one call, which share the shifted
+    # coefficients, equals acting with each alone at a free variable and
+    # eliminating it afterwards
+    reg = SymbolRegistry()
+    alg = ConfAlgebra.cur(sl2(), reg) if kind == "cur" else ConfAlgebra.vir(reg)
+    rng = random.Random(10 * arity + len(kind))
+    for _ in range(6):
+        elems = [random_elem(alg, rng, 2) for _ in range(rng.randint(1, 3))]
+        elems += [alg.generator(name) for name in alg.basis_names]
+        entries = {}
+        for _k in range(rng.randint(1, 4)):
+            tup = tuple(rng.choice(alg.basis_names) for _ in range(arity))
+            p = reg.const(rng.randint(1, 3))
+            for i in range(arity):
+                p = p * random_univariate(reg, rng, f"d{i + 1}", 2)
+            entries[tup] = entries.get(tup, reg.zero()) + p
+        t = ConfTensor(alg, arity, entries)
+        acted = act_on_tensor(elems, t, -t.total())
+        assert acted == [act_then_eliminate(e, t) for e in elems]
+        assert act_on_tensor(elems[-1:], t, -t.total()) == acted[-1:]
+
+
 def test_act_constant_coefficients(cur):
     reg = cur.reg
     t = ConfTensor(cur, 2, {("f", "f"): reg.const(1)})
-    out = act_on_tensor(cur.generator("e"), t, reg.var("mu"))
+    out = act_on_tensor([cur.generator("e")], t, reg.var("mu"))[0]
     assert out.entries == {("h", "f"): reg.const(1), ("f", "h"): reg.const(1)}
 
 
 def test_act_vir(vir):
     reg = vir.reg
     t = ConfTensor(vir, 2, {("v", "v"): reg.const(1)})
-    out = act_on_tensor(vir.generator("v"), t, reg.var("mu"))
+    out = act_on_tensor([vir.generator("v")], t, reg.var("mu"))[0]
     assert out.entries[("v", "v")] == reg.parse("d1 + d2 + 4*mu")
 
 
 def test_act_cancellation(cur):
     reg = cur.reg
     t = ConfTensor(cur, 2, {("e", "f"): reg.const(1)})
-    out = act_on_tensor(cur.generator("h"), t, reg.var("mu"))
+    out = act_on_tensor([cur.generator("h")], t, reg.var("mu"))[0]
     assert out.is_zero()
 
 

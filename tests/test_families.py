@@ -18,14 +18,14 @@ from ccybe.conformal import tau
 from ccybe.ybe import (
     PAIRS,
     boundary_values,
-    diagonal_profile_of,
     is_invariant,
     is_strict_solution,
     is_weak_solution,
     lift_profile,
     rmat_tensor,
-    tensor2_diagonal,
 )
+
+from support import diagonal_profile_of, tensor2_diagonal
 
 F = Fraction
 

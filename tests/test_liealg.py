@@ -8,25 +8,26 @@ from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import (
     LieAlg,
     SymMat3,
-    algebra_from_json,
-    antisymmetrize,
     congruence,
-    identity_matrix,
-    is_totally_antisymmetric,
     minors2,
     phi_matrix,
     psi_matrix,
     rank_le_1,
     sl2,
-    tensors_equal,
     transform_tensor,
 )
-from ccybe.ybe import cybe, weak_cybe_defect
+from ccybe.ybe import cybe
 
 from support import (
     adjoint_action_oracle,
+    algebra_from_json,
+    antisymmetrize,
     classical_cybe_oracle,
+    identity_matrix,
+    is_totally_antisymmetric,
     random_unimodular,
+    tensors_equal,
+    weak_cybe_defect,
 )
 
 F = Fraction

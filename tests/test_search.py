@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from ccybe import search
+from ccybe import search, ybe
 from ccybe.search import (
+    MAX_CONSISTENT,
     MAX_WORKERS,
     SearchConfig,
     SearchConfigError,
@@ -27,11 +28,17 @@ from ccybe.ybe import (
     Equation,
     boundary_values,
     eval_equation,
-    invariance_residues,
     shift_constant,
 )
 
-from support import enumerate_candidates, enumerate_profiles, flat_scan, naive_run, random_poly
+from support import (
+    enumerate_candidates,
+    enumerate_profiles,
+    flat_scan,
+    invariance_residues,
+    naive_run,
+    random_poly,
+)
 
 F = Fraction
 
@@ -47,6 +54,24 @@ def test_config_validation():
         SearchConfig(mode="fast")
     # raw mode allows even bounds
     SearchConfig(max_degree=2, raw=True)
+
+
+def test_consistent_bound(monkeypatch):
+    # degree 7 over {-1,0,1} is refused by default, before any scan
+    grid = dict(max_degree=7, coeff_grid=(-1, 0, 1), constants_grid=(-1, 0, 1))
+    with pytest.raises(SearchConfigError, match="22876792454961"):
+        SearchConfig(**grid)
+    # the degree-5 grid of the same size stays within the bound
+    assert count_consistent(SearchConfig(max_degree=5, coeff_grid=(-1, 0, 1))) \
+        < MAX_CONSISTENT
+    # the bound is read when a configuration is built, and a count equal
+    # to it is accepted
+    cfg = SearchConfig(max_degree=1, raw=True)
+    monkeypatch.setattr(search, "MAX_CONSISTENT", count_consistent(cfg))
+    SearchConfig(max_degree=1, raw=True)
+    monkeypatch.setattr(search, "MAX_CONSISTENT", count_consistent(cfg) - 1)
+    with pytest.raises(SearchConfigError, match=f"bound {count_consistent(cfg) - 1}"):
+        SearchConfig(max_degree=1, raw=True)
 
 
 def test_candidate_counting():
@@ -385,3 +410,19 @@ def test_exact_check_catches_near_misses(max_degree):
             ee = ee * (x - v)
         profile = DiagProfile(reg, {("e", "e"): ee, ("f", "f"): x})
         assert not _exact_agrees(probe, profile, max_degree)
+
+
+def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
+    # the weak verdict (generator actions) and the strict one (reduction)
+    # of a survivor are read from the same double bracket
+    calls = {"ccybe_bracket": 0, "generator_actions": 0, "reduce_mod_total": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(ybe, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ybe, name, counted)
+    cfg = SearchConfig(max_degree=1, coeff_grid=(-1, 0, 1), constants_grid=(-1, 0, 1),
+                       mode="strict", raw=True)
+    report = run_search(cfg)
+    assert len(report.survivors) == 39 and not report.characterization_failures
+    assert calls == {"ccybe_bracket": 39, "generator_actions": 39, "reduce_mod_total": 39}

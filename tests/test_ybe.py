@@ -13,28 +13,33 @@ from ccybe.ybe import (
     DiagProfile,
     ccybe_bracket,
     cocommutator,
-    constrained_generic_profile,
     derive_projection,
     derive_weak_projection,
-    diagonal_profile_of,
     eval_equation,
     generic_profile,
     invariance_defect,
-    invariance_residues,
     is_invariant,
     is_strict_solution,
     is_weak_solution,
     lift_profile,
-    permutation_symmetry_check,
     rmat_tensor,
     shift_constant,
-    tensor2_diagonal,
     transform_conf_tensor,
     transform_rmat,
     weak_defect,
 )
 
-from support import act_then_eliminate, random_unimodular, random_univariate
+from support import (
+    act_then_eliminate,
+    constrained_generic_profile,
+    diagonal_profile_of,
+    invariance_residues,
+    pairwise_bracket,
+    permutation_symmetry_check,
+    random_unimodular,
+    random_univariate,
+    tensor2_diagonal,
+)
 
 F = Fraction
 
@@ -93,6 +98,55 @@ def test_bracket_unreduced_vir(reg):
     r = RMat(vir, {("v", "v"): reg.const(1)})
     bracket = ccybe_bracket(r)
     assert bracket.entries == {("v", "v", "v"): reg.parse("d1 - d2 - 3*d3")}
+
+
+def _random_coeff(reg, rng, kind, degree):
+    """Random polynomial in d1, d2 of total degree <= degree whose
+    coefficients are ints, Fractions or affine in parameter symbols."""
+    p = reg.zero()
+    for _ in range(rng.randint(1, 4)):
+        e1 = rng.randint(0, degree)
+        e2 = rng.randint(0, degree - e1)
+        if kind == "int":
+            c = reg.const(rng.randint(-5, 5))
+        elif kind == "fraction":
+            c = reg.const(F(rng.randint(-5, 5), rng.randint(1, 6)))
+        else:
+            c = reg.var(rng.choice(("alpha", "beta"))) * rng.randint(-3, 3) \
+                + rng.randint(-2, 2)
+        p = p + c * reg.var("d1", e1) * reg.var("d2", e2)
+    return p
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "param"])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_bracket_matches_pairwise_oracle(kind, dense):
+    # contracting the structure constants with the B forms first gives
+    # the bracket that the pairwise loop over all entry pairs gives
+    rng = random.Random(10 * len(kind) + dense)
+    pairs = [(q, l) for q in "efh" for l in "efh"]
+    nonzero = 0
+    for degree in range(5):
+        for _ in range(2):
+            reg = SymbolRegistry()
+            cur = ConfAlgebra.cur(sl2(), reg)
+            support = pairs if dense else rng.sample(pairs, rng.randint(1, 3))
+            r = RMat(cur, {pair: _random_coeff(reg, rng, kind, degree) for pair in support})
+            bracket = ccybe_bracket(r)
+            assert bracket == pairwise_bracket(r)
+            nonzero += not bracket.is_zero()
+    assert nonzero >= 5
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "param"])
+def test_bracket_matches_pairwise_oracle_vir(kind):
+    rng = random.Random(len(kind))
+    for degree in range(5):
+        reg = SymbolRegistry()
+        r = RMat(ConfAlgebra.vir(reg), {("v", "v"): _random_coeff(reg, rng, kind, degree)})
+        bracket = ccybe_bracket(r)
+        assert not bracket.is_zero()
+        assert bracket == pairwise_bracket(r)
 
 
 def test_bracket_constant_solution_at_zero(cur, reg):
