@@ -16,9 +16,12 @@ bracket.  That value is a polynomial, not a fresh symbol: a free
 variable for the module axioms, or -(d1 + ... + dN) (minus the tensor's
 `total()`) to read the action modulo the total derivation in one pass.
 act_on_tensor acts with a list of elements on one tensor, and the
-elements share the shifts: each (tuple, slot) coefficient is
-substituted at di + lam once and multiplied by every element's inserted
-bracket.
+elements share the shifts: each slot's shift di -> di + lam is compiled
+once (exactpoly.Substitution, which keeps the powers of di + lam it
+builds), each (tuple, slot) coefficient is substituted once, and the
+result is multiplied by every element's inserted bracket.  The
+tensor-wide maps (tau, permute_slots, reduce_mod_total) likewise
+compile their substitution once per tensor.
 
 Reduction "modulo the total derivation" eliminates d1 via
 d1 := -(d2 + ... + dN).
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .exactpoly import MPoly, Sym, SymbolRegistry
+from .exactpoly import MPoly, Substitution, Sym, SymbolRegistry
 from .liealg import LieAlg, Scalar
 
 
@@ -208,25 +211,26 @@ def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
     eliminating it afterwards.
 
     Returns the actions of `elems` in order.  The elements share the
-    shifts: each (tuple, slot) coefficient is moved to di + lam once, if
-    any element has a nonzero bracket with that slot's basis element,
-    and every such element multiplies the same shifted coefficient.
+    shifts: each slot's map di -> di + lam is compiled once, each
+    (tuple, slot) coefficient is moved by it once, if any element has a
+    nonzero bracket with that slot's basis element, and every such
+    element multiplies the same shifted coefficient.
     """
     alg = t.alg
     if any(e.alg is not alg for e in elems):
         raise ValueError("element and tensor over different algebras")
     reg = alg.reg
     outs: list[dict] = [{} for _ in elems]
-    at_lam = [[(p, g.subst_linear(alg.d, -lam)) for p, g in e.coeffs.items()]
-              for e in elems]
-    # Per (basis element b, slot i): di's shift, and for each element
-    # with a nonzero bracket there, its output and the sum over p of
-    # g_p(-lam) [p _lam b] by output basis element.
+    at = Substitution(reg, {alg.d: -lam})
+    at_lam = [[(p, at(g)) for p, g in e.coeffs.items()] for e in elems]
+    # Per (basis element b, slot i): di's shift, compiled once per slot,
+    # and for each element with a nonzero bracket there, its output and
+    # the sum over p of g_p(-lam) [p _lam b] by output basis element.
     table = {}
     for i in range(t.arity):
         di_sym = t.slot_sym(i)
         di = reg.var(di_sym)
-        shift = (di_sym, di + lam)
+        shift = Substitution(reg, {di_sym: di + lam})
         for b in alg.basis_names:
             row = []
             for out, gs in zip(outs, at_lam):
@@ -245,7 +249,7 @@ def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
             shift, row = table[b, i]
             if not row:
                 continue
-            shifted = coeff.subst_linear(*shift)
+            shifted = shift(coeff)
             for out, factor in row:
                 for k, f in factor:
                     key = tup[:i] + (k,) + tup[i + 1:]
@@ -261,11 +265,11 @@ def tau(t: ConfTensor) -> ConfTensor:
         raise ValueError("tau is defined on arity-2 tensors")
     reg = t.alg.reg
     d1, d2 = t.slot_sym(0), t.slot_sym(1)
-    swap = {d1: reg.var(d2), d2: reg.var(d1)}
+    swap = Substitution(reg, {d1: reg.var(d2), d2: reg.var(d1)})
     out = {}
     for (p, q), poly in t.entries.items():
         key = (q, p)
-        val = poly.subst_many(swap)
+        val = swap(poly)
         out[key] = out.get(key, reg.zero()) + val
     return ConfTensor(t.alg, 2, out)
 
@@ -278,8 +282,7 @@ def _eliminate_d1(t: ConfTensor) -> dict:
 
 def reduce_mod_total(t: ConfTensor) -> ConfTensor:
     """Reduce modulo the total derivation: d1 := -(d2 + ... + dN)."""
-    sub = _eliminate_d1(t)
-    return t.map_coeffs(lambda p: p.subst_many(sub))
+    return t.map_coeffs(Substitution(t.alg.reg, _eliminate_d1(t)))
 
 
 def project_reduced(t: ConfTensor, tup: Sequence[str]) -> MPoly:
@@ -301,15 +304,15 @@ def permute_slots(t: ConfTensor, perm: Sequence[int]) -> ConfTensor:
     if sorted(perm) != list(range(t.arity)):
         raise ValueError("not a permutation")
     reg = t.alg.reg
-    mapping = {
+    rename = Substitution(reg, {
         t.slot_sym(i): reg.var(t.slot_sym(perm[i])) for i in range(t.arity)
-    }
+    })
     out: dict[tuple, MPoly] = {}
     for tup, poly in t.entries.items():
         new = [""] * t.arity
         for i, name in enumerate(tup):
             new[perm[i]] = name
         key = tuple(new)
-        val = poly.subst_many(mapping)
+        val = rename(poly)
         out[key] = out.get(key, reg.zero()) + val
     return ConfTensor(t.alg, t.arity, out)

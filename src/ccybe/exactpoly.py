@@ -21,6 +21,12 @@ neighbour.  The public API speaks tuples: terms() yields exponent tuples
 indexed by symbol id with trailing zeros stripped, and terms(),
 coefficient(), constant_term() and constant_value() return Fractions.
 
+Substitution is the one substitution path: a map {symbol: polynomial}
+is compiled once, keeps the powers of its targets that it builds, and is
+applied to any number of polynomials; MPoly.subst_many compiles a map
+for a single use.  Callers that apply one map to many polynomials (a
+tensor's coefficients) build it once.
+
 Symbols are interned in a SymbolRegistry (append-only, synchronized).
 Two polynomials may only be combined when they share the same registry
 object; mixing registries raises RegistryMismatch.
@@ -379,53 +385,7 @@ class MPoly:
 
     def subst_many(self, mapping: Mapping[Sym, "MPoly"]) -> "MPoly":
         """Simultaneous substitution of several symbols."""
-        if not mapping:
-            return self
-        reg = self.reg
-        targets = {}
-        for sym, expr in mapping.items():
-            if not isinstance(expr, MPoly):
-                expr = reg.const(expr)
-            self._check(expr)
-            targets[sym.index] = expr
-        shifts = [(idx, _FIELD * idx) for idx in sorted(targets)]
-        cleared = reduce(or_, (_FIELD_MASK << shift for _, shift in shifts))
-        # Write p = sum over t of m_t * q_t, with m_t the part of a monomial
-        # in the substituted symbols and q_t free of them; then each q_t is
-        # multiplied by the image of m_t once.
-        groups: dict[int, dict[int, Scalar]] = {}
-        for key, coeff in self._terms.items():
-            t = key & cleared
-            groups.setdefault(t, {})[key ^ t] = coeff
-        powers: dict[tuple[int, int], MPoly] = {}
-
-        def power_of(idx: int, n: int) -> MPoly:
-            pw = powers.get((idx, n))
-            if pw is None:
-                below = powers.get((idx, n - 1))
-                pw = targets[idx] ** n if below is None else below * targets[idx]
-                powers[(idx, n)] = pw
-            return pw
-
-        out = groups.pop(0, {})
-        get = out.get
-        for t, rest in groups.items():
-            image = None
-            for idx, shift in shifts:
-                e = (t >> shift) & _FIELD_MASK
-                if e:
-                    pw = power_of(idx, e)
-                    image = pw if image is None else image * pw
-            for e2, c2 in image._terms.items():
-                for e1, c1 in rest.items():
-                    k = e1 + e2
-                    s = get(k, 0) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        reg._check_guard(out)
-        return MPoly._raw(reg, out)
+        return Substitution(self.reg, mapping)(self)
 
     def cancel_inverse_pairs(self, sym: Sym, inv: Sym) -> "MPoly":
         """Reduce monomials using the relation sym * inv == 1."""
@@ -546,6 +506,75 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.to_string()})"
+
+
+class Substitution:
+    """A simultaneous substitution, compiled once and applied to many
+    polynomials of one registry: `Substitution(reg, {sym: expr})(p)`.
+
+    A polynomial is written as the sum over t of m_t * q_t, with m_t the
+    part of a monomial in the substituted symbols and q_t free of them;
+    then each q_t is multiplied by the image of m_t once.  The image of
+    m_t is a product of powers of the targets, and each power is built
+    on first use and kept for the lifetime of the object, so every
+    polynomial the map is applied to reuses the powers already made.
+    The cache belongs to the object: build one per map and drop it when
+    its polynomials are done.
+    """
+
+    __slots__ = ("reg", "_targets", "_shifts", "_cleared", "_powers")
+
+    def __init__(self, reg: SymbolRegistry, mapping: Mapping[Sym, Union[MPoly, Scalar]]):
+        self.reg = reg
+        targets: dict[int, MPoly] = {}
+        for sym, expr in mapping.items():
+            if not isinstance(expr, MPoly):
+                expr = reg.const(expr)
+            elif expr.reg is not reg:
+                raise RegistryMismatch("operands use different symbol registries")
+            targets[sym.index] = expr
+        self._targets = targets
+        self._shifts = [(idx, _FIELD * idx) for idx in sorted(targets)]
+        self._cleared = reduce(or_, (_FIELD_MASK << shift for _, shift in self._shifts), 0)
+        self._powers: dict[tuple[int, int], MPoly] = {}  # (idx, n): targets[idx] ** n
+
+    def _power(self, idx: int, n: int) -> MPoly:
+        pw = self._powers.get((idx, n))
+        if pw is None:
+            below = self._powers.get((idx, n - 1))
+            pw = self._targets[idx] ** n if below is None else below * self._targets[idx]
+            self._powers[idx, n] = pw
+        return pw
+
+    def __call__(self, p: MPoly) -> MPoly:
+        if p.reg is not self.reg:
+            raise RegistryMismatch("operands use different symbol registries")
+        cleared = self._cleared
+        if not cleared:
+            return p
+        groups: dict[int, dict[int, Scalar]] = {}
+        for key, coeff in p._terms.items():
+            t = key & cleared
+            groups.setdefault(t, {})[key ^ t] = coeff
+        out = groups.pop(0, {})
+        get = out.get
+        for t, rest in groups.items():
+            image = None
+            for idx, shift in self._shifts:
+                e = (t >> shift) & _FIELD_MASK
+                if e:
+                    pw = self._power(idx, e)
+                    image = pw if image is None else image * pw
+            for e2, c2 in image._terms.items():
+                for e1, c1 in rest.items():
+                    k = e1 + e2
+                    s = get(k, 0) + c1 * c2
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        self.reg._check_guard(out)
+        return MPoly._raw(self.reg, out)
 
 
 # Parsing ---------------------------------------------------------------------

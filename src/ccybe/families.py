@@ -253,6 +253,15 @@ class Characterization:
                 and self.rank_le_1 and self.constants_ok)
 
 
+def _scalar_constants(p: DiagProfile) -> list[Scalar]:
+    """(alpha, beta, gamma, zeta) of a parameter-free profile as exact
+    scalars (raises ValueError on a parameter)."""
+    if p.constants is None:
+        raise ValueError("profile carries no boundary constants")
+    values = (p.constants[n] for n in CONSTANT_NAMES)
+    return [v.constant_value() if isinstance(v, MPoly) else v for v in values]
+
+
 def characterize(p: DiagProfile) -> Characterization:
     """Check the structural form every invariant weak solution must have."""
     if not p.is_numeric():
@@ -264,13 +273,11 @@ def characterize(p: DiagProfile) -> Characterization:
     centered = {}
     for pair in PAIRS:
         entry = p.entry(*pair)
-        centered[pair] = entry - entry.constant_term()
+        c0 = entry.constant_term()
+        centered[pair] = entry - c0 if c0 else entry
 
     odd = all(c.odd_even_split(x)[1].is_zero() for c in centered.values())
-    sym = all(
-        (centered[(q, l)] - centered[(l, q)]).is_zero()
-        for q in names for l in names
-    )
+    sym = all(centered[(q, l)] == centered[(l, q)] for q, l in PAIRS)
 
     fs = []
     scalars: dict[tuple, Fraction] = {}
@@ -300,7 +307,7 @@ def characterize(p: DiagProfile) -> Characterization:
 
     constants_ok = p.constants is not None and all(
         want == p.entry(*pair).constant_term()
-        for pair, want in zip(PAIRS, boundary_values(p.constant_values()))
+        for pair, want in zip(PAIRS, boundary_values(_scalar_constants(p)))
     )
 
     return Characterization(
@@ -312,19 +319,16 @@ def characterize(p: DiagProfile) -> Characterization:
 def scalar_relation_residues(p: DiagProfile, matrix: SymMat3) -> dict[str, MPoly]:
     """Residues of the proportionality and minor relations tying the
     coefficient matrix to the boundary constants; all must vanish on a
-    genuine invariant weak solution."""
+    genuine invariant weak solution.
+
+    For a parameter-free profile and a numeric matrix, as characterize
+    gives them: the minors and the constant relations are exact scalars
+    (returned as constant polynomials), and each entry relation is a
+    scalar multiple of each of its two entries plus a constant.
+    """
     reg = p.reg
-    names = ("e", "f", "h")
-    idx = {n: i for i, n in enumerate(names)}
-
-    def a(q, l):
-        v = matrix.a[idx[q]][idx[l]]
-        return v if isinstance(v, MPoly) else reg.const(v)
-
-    alpha = p.constant("alpha")
-    beta = p.constant("beta")
-    gamma = p.constant("gamma")
-    zeta = p.constant("zeta")
+    (a_ee, _, _), (a_fe, a_ff, _), (a_he, a_hf, a_hh) = matrix.numeric()
+    alpha, beta, gamma, zeta = _scalar_constants(p)
     two_zb = zeta * 2 - beta
 
     ee = p.entry("e", "e")
@@ -334,22 +338,29 @@ def scalar_relation_residues(p: DiagProfile, matrix: SymMat3) -> dict[str, MPoly
     hf = p.entry("h", "f")
     fe = p.entry("f", "e")
 
+    def rel(c1, p1, k1, c2, p2, k2) -> MPoly:
+        """c1 (p1 - k1) - c2 (p2 - k2)."""
+        out = p1 * c1 + p2 * -c2
+        k = c2 * k2 - c1 * k1
+        return out + k if k else out
+
+    const = reg.const
     return {
-        "he_ee": a("h", "e") * ee - a("e", "e") * (he - alpha),
-        "he_hh": a("h", "e") * (hh - zeta) - a("h", "h") * (he - alpha),
-        "minor_e": a("e", "e") * a("h", "h") - a("h", "e") * a("h", "e"),
-        "c_e1": two_zb * a("e", "e") - alpha * 2 * a("h", "e"),
-        "c_e2": alpha * 2 * a("h", "h") - two_zb * a("h", "e"),
-        "hf_ff": a("h", "f") * ff - a("f", "f") * (hf - gamma),
-        "hf_hh": a("h", "f") * (hh - zeta) - a("h", "h") * (hf - gamma),
-        "minor_f": a("f", "f") * a("h", "h") - a("h", "f") * a("h", "f"),
-        "c_f1": two_zb * a("f", "f") + gamma * 2 * a("h", "f"),
-        "c_f2": -(gamma * 2) * a("h", "h") - two_zb * a("h", "f"),
-        "fe_ee": a("f", "e") * ee - a("e", "e") * (fe - beta),
-        "fe_ff": a("f", "e") * ff - a("f", "f") * (fe - beta),
-        "minor_h": a("e", "e") * a("f", "f") - a("f", "e") * a("f", "e"),
-        "c_h1": gamma * a("e", "e") + alpha * a("f", "e"),
-        "c_h2": alpha * a("f", "f") + gamma * a("f", "e"),
-        "minor_x1": a("e", "e") * a("h", "f") - a("f", "e") * a("h", "e"),
-        "minor_x2": a("f", "f") * a("h", "e") - a("f", "e") * a("h", "f"),
+        "he_ee": rel(a_he, ee, 0, a_ee, he, alpha),
+        "he_hh": rel(a_he, hh, zeta, a_hh, he, alpha),
+        "minor_e": const(a_ee * a_hh - a_he * a_he),
+        "c_e1": const(two_zb * a_ee - alpha * 2 * a_he),
+        "c_e2": const(alpha * 2 * a_hh - two_zb * a_he),
+        "hf_ff": rel(a_hf, ff, 0, a_ff, hf, gamma),
+        "hf_hh": rel(a_hf, hh, zeta, a_hh, hf, gamma),
+        "minor_f": const(a_ff * a_hh - a_hf * a_hf),
+        "c_f1": const(two_zb * a_ff + gamma * 2 * a_hf),
+        "c_f2": const(-(gamma * 2) * a_hh - two_zb * a_hf),
+        "fe_ee": rel(a_fe, ee, 0, a_ee, fe, beta),
+        "fe_ff": rel(a_fe, ff, 0, a_ff, fe, beta),
+        "minor_h": const(a_ee * a_ff - a_fe * a_fe),
+        "c_h1": const(gamma * a_ee + alpha * a_fe),
+        "c_h2": const(alpha * a_ff + gamma * a_fe),
+        "minor_x1": const(a_ee * a_hf - a_fe * a_he),
+        "minor_x2": const(a_ff * a_he - a_fe * a_hf),
     }

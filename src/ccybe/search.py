@@ -9,11 +9,12 @@ max_degree are populated, in raw mode every degree is.
 The invariance relations (per-degree linear conditions on the
 coefficients) are built into the enumeration, so the inconsistent bulk
 is counted arithmetically rather than visited.  A configuration whose
-invariance-consistent candidates outnumber MAX_CONSISTENT is refused
-when it is built, before any scan or worker pool starts.  A consistent
-candidate is a constants tuple plus one choice for each of six entry
-groups, ee, ff, hh, ef/fe, eh/he and fh/hf, a group's choice being the
-values of its free slots over all degrees.
+invariance-consistent candidates outnumber MAX_CONSISTENT, or whose
+max_degree is above MAX_DEGREE, is refused when it is built, before any
+scan or worker pool starts.  A consistent candidate is a constants
+tuple plus one choice for each of six entry groups, ee, ff, hh, ef/fe,
+eh/he and fh/hf, a group's choice being the values of its free slots
+over all degrees.
 
 run_search walks these choices depth first: the constants tuple is the
 outer loop (and the unit of work handed to a worker process), then one
@@ -86,6 +87,13 @@ MAX_WORKERS = 64
 # serially (one CPU of a 2-CPU host, Python 3.11); degree 7 over the same
 # grid (2.3e13) is refused.
 MAX_CONSISTENT = 10 ** 11
+# Bound on max_degree, whose cost the consistent count does not see: the
+# exact filter's lattice has C(2 max_degree + 3, 3) points per equation.
+# With one candidate (grids {0}), building the scan tables takes about
+# 0.07 s and 23 MB at degree 7, 1.2 s and 57 MB at 21 and 3.6-4.0 s and
+# 130 MB at 31 (raw or odd ansatz), and 10.6 s and 245 MB at 41 (raw), on
+# one CPU of a 2-CPU host with Python 3.11.
+MAX_DEGREE = 31
 
 
 class SearchConfigError(ValueError):
@@ -108,8 +116,8 @@ class SearchConfig:
             raise SearchConfigError(f"unknown mode {self.mode!r}")
         if not self.raw and (self.max_degree < 1 or self.max_degree % 2 == 0):
             raise SearchConfigError("ansatz mode requires an odd max_degree >= 1")
-        if self.max_degree < 1:
-            raise SearchConfigError("max_degree must be >= 1")
+        if not 1 <= self.max_degree <= MAX_DEGREE:
+            raise SearchConfigError(f"max_degree must be between 1 and {MAX_DEGREE}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise SearchConfigError(f"workers must be between 1 and {MAX_WORKERS}")
         object.__setattr__(self, "coeff_grid",

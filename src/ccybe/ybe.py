@@ -13,8 +13,9 @@ coefficient substitutions are
 with the basis-level bracket evaluated at (d, lam) = (slot variable,
 contraction variable): (d1, d2), (d2, d3), (d3, d2) respectively.
 
-ccybe_bracket contracts first.  Each entry's five substituted forms are
-built once, the last two negated to carry their slots' sign.  Then, for
+ccybe_bracket contracts first.  Each of the five substitutions is
+compiled once (exactpoly.Substitution) and each entry's forms are built
+once, the last two negated to carry their slots' sign.  Then, for
 each slot, the inserted bracket is summed against the B forms: slot 1
 gives, per left index q, a table keyed (k, l') of sum over entries
 (q', l') of [q, q']_k B; slots 2 and 3 give, per right index l, one
@@ -25,6 +26,14 @@ Virasoro it is the polynomial d + 2 lam.  Last, each A form is
 multiplied once by each coefficient of its table.  The bracket is
 produced unreduced; reduction modulo the total derivation is a separate
 step so both forms stay testable.
+
+Given a set of output triples, ccybe_bracket builds only those
+coefficients: a final product or a table key that feeds no wanted
+triple is skipped, and so is every substituted form that only such keys
+read.  The catalog re-derivation (derive_projection,
+derive_weak_projection) reads one coefficient, or the few that a
+generator action moves onto one triple, and asks for just those; the
+verdicts, `expand` and `cybe` take the full bracket.
 
 Three checks are provided: strict (the reduced double bracket
 vanishes), weak (every generator action on the double bracket, taken
@@ -55,7 +64,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .conformal import (
     ConfAlgebra,
@@ -67,7 +76,7 @@ from .conformal import (
     reduce_mod_total,
     tau,
 )
-from .exactpoly import MPoly, SymbolRegistry
+from .exactpoly import MPoly, Substitution, SymbolRegistry
 from .liealg import AutMatrix, LieAlg, Scalar, sl2
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
@@ -170,29 +179,49 @@ def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
     return ConfTensor(t.alg, t.arity, out)
 
 
-def ccybe_bracket(r: RMat) -> ConfTensor:
+def ccybe_bracket(r: RMat, tuples: Optional[Iterable[tuple]] = None) -> ConfTensor:
     """The double bracket of r with itself, unreduced, in d1, d2, d3.
 
     Contraction first (see the module docstring): one polynomial product
     per (entry, key of its contracted table), not per pair of entries.
+    With `tuples`, only those output triples are computed: a table key
+    or a final product that feeds no wanted triple is skipped, and so is
+    every substituted form that only such keys would read.
     """
     alg = r.alg
     reg = alg.reg
     names = alg.basis_names
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     s1, s2 = reg.sym("d1"), reg.sym("d2")
-    # The five coefficient substitutions, once per entry: A at (-d2, d2)
-    # and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2), the
-    # last two negated to carry their slots' sign.
-    args = ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))
-    forms = {}
-    for key, A in r.entries.items():
-        a13, a23, b1, b2, b3 = (A.subst_many({s1: u, s2: v}) for u, v in args)
-        forms[key] = (a13, a23, b1, -b2, -b3)
+    # The five coefficient substitutions, each compiled once: A at
+    # (-d2, d2) and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and
+    # (d2, -d2), the last two negated to carry their slots' sign.  An
+    # entry's form is substituted on first use.
+    maps = [Substitution(reg, {s1: u, s2: v}) for u, v in
+            ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))]
+    forms: dict = {}
+
+    def form(key: tuple, j: int) -> MPoly:
+        poly = forms.get((key, j))
+        if poly is None:
+            poly = maps[j](r.entries[key])
+            if j >= 3:
+                poly = -poly
+            forms[key, j] = poly
+        return poly
 
     def add(acc: dict, key: tuple, poly: MPoly) -> None:
         prev = acc.get(key)
         acc[key] = poly if prev is None else prev + poly
+
+    # A wanted triple (a, b, c) reads slot 1's tables at (a, c) and the
+    # shared slot-2/3 tables at (b, c).
+    if tuples is None:
+        wanted = set(itertools.product(names, repeat=3))
+    else:
+        wanted = {tuple(tup) for tup in tuples}
+    keys13 = {(a, c) for a, _, c in wanted}
+    keys23 = {(b, c) for _, b, c in wanted}
 
     # slot1[q]: sum over entries (q2, l2) of [q, q2] B_1, keyed (k, l2);
     # slot23[l]: sum over entries (q2, l2) of [q2, l] B_2, keyed (k, l2),
@@ -200,23 +229,28 @@ def ccybe_bracket(r: RMat) -> ConfTensor:
     # A(d1, d2+d3), so they share one table.
     slot1: dict = {p: {} for p in names}
     slot23: dict = {p: {} for p in names}
-    for (q2, l2), (_, _, b1, b2, b3) in forms.items():
+    for key2 in r.entries:
+        q2, l2 = key2
         for p in names:
             for k, v in alg.basis_bracket(p, q2, d1, d2).items():
-                add(slot1[p], (k, l2), b1 * v)
+                if (k, l2) in keys13:
+                    add(slot1[p], (k, l2), form(key2, 2) * v)
             for k, v in alg.basis_bracket(q2, p, d2, d3).items():
-                add(slot23[p], (k, l2), b2 * v)
+                if (k, l2) in keys23:
+                    add(slot23[p], (k, l2), form(key2, 3) * v)
             for k, v in alg.basis_bracket(l2, p, d3, d2).items():
-                add(slot23[p], (q2, k), b3 * v)
+                if (q2, k) in keys23:
+                    add(slot23[p], (q2, k), form(key2, 4) * v)
 
     out: dict[tuple, MPoly] = {}
-    for (q, l), (a13, a23, _, _, _) in forms.items():
+    for key in r.entries:
+        q, l = key
         for (k, l2), c in slot1[q].items():
-            if c:
-                add(out, (k, l, l2), a13 * c)
+            if c and (k, l, l2) in wanted:
+                add(out, (k, l, l2), form(key, 0) * c)
         for (u, v), c in slot23[l].items():
-            if c:
-                add(out, (q, u, v), a23 * c)
+            if c and (q, u, v) in wanted:
+                add(out, (q, u, v), form(key, 1) * c)
     return ConfTensor(alg, 3, out)
 
 
@@ -305,10 +339,10 @@ def cybe(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
         else:
             entries[(q, l)] = reg.const(v)
     bracket = ccybe_bracket(RMat(ConfAlgebra.cur(alg, reg), entries))
-    zero = {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")}
+    at_zero = Substitution(reg, {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")})
     out: dict[tuple, Scalar] = {}
     for tup, poly in bracket.entries.items():
-        v = poly.subst_many(zero)
+        v = at_zero(poly)
         if not v.is_zero():
             out[tup] = v.constant_value() if v.is_constant() else v
     return out
@@ -364,11 +398,8 @@ def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> RMat:
     alg = alg or ConfAlgebra.cur(sl2(), p.reg)
     if alg.reg is not p.reg:
         raise ValueError("profile and algebra must share a registry")
-    d1 = p.reg.var("d1")
-    x = p.reg.sym("x")
-    entries = {
-        key: poly.subst_linear(x, d1) for key, poly in p.entries.items()
-    }
+    at_d1 = Substitution(p.reg, {p.reg.sym("x"): p.reg.var("d1")})
+    entries = {key: at_d1(poly) for key, poly in p.entries.items()}
     return RMat(alg, entries)
 
 
@@ -539,13 +570,15 @@ def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
     x_sym = reg.sym("x")
     x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
     args = {arg for term in eq.terms for arg in (term[2], term[4])}
-    forms = {arg: x * arg[0] + y * arg[1] + z * arg[2] for arg in args}
-    # Each distinct (entry, argument form) is substituted once.
+    maps = {arg: Substitution(reg, {x_sym: x * arg[0] + y * arg[1] + z * arg[2]})
+            for arg in args}
+    # Each distinct (entry, argument form) is substituted once, by the
+    # form's one compiled map.
     at = {}
     for _coeff, left, arg1, right, arg2 in eq.terms:
         for entry, arg in ((left, arg1), (right, arg2)):
             if (entry, arg) not in at:
-                at[entry, arg] = p.entry(entry[0], entry[1]).subst_linear(x_sym, forms[arg])
+                at[entry, arg] = maps[arg](p.entry(entry[0], entry[1]))
     acc = reg.zero()
     for coeff, left, arg1, right, arg2 in eq.terms:
         acc = acc + at[left, arg1] * at[right, arg2] * coeff
@@ -582,14 +615,15 @@ def derive_projection(triple: Sequence[str], degree: int = 4,
                       profile: Optional[DiagProfile] = None) -> MPoly:
     """Raw projection of the reduced double bracket of the generic lift.
 
-    Returned in the variables (x, y) = (d2, d3).  Matches the catalog
-    entry for the triple up to the entry's recorded integer scale.
+    Only the triple's own coefficient of the bracket is built.  Returned
+    in the variables (x, y) = (d2, d3).  Matches the catalog entry for
+    the triple up to the entry's recorded integer scale.
     """
     if profile is None:
         profile = generic_profile(SymbolRegistry(), degree)
-    reg = profile.reg
-    r = lift_profile(profile)
-    return _rename_to_xyz(project_reduced(ccybe_bracket(r), tuple(triple)), reg)
+    triple = tuple(triple)
+    bracket = ccybe_bracket(lift_profile(profile), [triple])
+    return _rename_to_xyz(project_reduced(bracket, triple), profile.reg)
 
 
 def derive_weak_projection(generator: str, triple: Sequence[str], degree: int = 4,
@@ -597,15 +631,24 @@ def derive_weak_projection(generator: str, triple: Sequence[str], degree: int = 
     """Raw projection of a generator action on the double bracket.
 
     The action is taken at mu = -(d1+d2+d3); the result is renamed to
-    (x, y, z) = (d2, d3, d1).
+    (x, y, z) = (d2, d3, d1).  The action on slot i moves a tuple's
+    entry b to the components of [g, b], so the triple T only reads the
+    bracket at T with slot i replaced by some b whose [g, b] has a
+    T[i] component: only those coefficients of the bracket are built.
     """
     if profile is None:
         profile = generic_profile(SymbolRegistry(), degree)
     reg = profile.reg
     r = lift_profile(profile)
-    bracket = ccybe_bracket(r)
-    acted = act_on_tensor([r.alg.generator(generator)], bracket, -bracket.total())[0]
-    return _rename_to_xyz(project(acted, tuple(triple)), reg)
+    alg = r.alg
+    triple = tuple(triple)
+    d, lam = reg.var("d"), reg.var("lam")
+    feeds = [triple[:i] + (b,) + triple[i + 1:]
+             for i in range(3) for b in alg.basis_names
+             if triple[i] in alg.basis_bracket(generator, b, d, lam)]
+    bracket = ccybe_bracket(r, feeds)
+    acted = act_on_tensor([alg.generator(generator)], bracket, -bracket.total())[0]
+    return _rename_to_xyz(project(acted, triple), reg)
 
 
 def catalog_diffs(degree: int = 3, catalog: Optional[Mapping[str, Equation]] = None,

@@ -56,6 +56,23 @@ def random_poly(reg, rng, names, max_degree=4, max_terms=5):
     return p
 
 
+def termwise_subst(p: MPoly, mapping: Mapping) -> MPoly:
+    """Simultaneous substitution one term at a time, each power expanded
+    by repeated multiplication: an oracle for the compiled
+    exactpoly.Substitution, through the public API only."""
+    reg = p.reg
+    images = {sym.index: expr for sym, expr in mapping.items()}
+    out = reg.zero()
+    for exps, c in p.terms():
+        term = reg.const(c)
+        for i, e in enumerate(exps):
+            factor = images.get(i, reg.var(reg.name_of(i)))
+            for _ in range(e):
+                term = term * factor
+        out = out + term
+    return out
+
+
 def random_univariate(reg, rng, name, max_degree=3, lo=-3, hi=3):
     p = reg.zero()
     for k in range(max_degree + 1):

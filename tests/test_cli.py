@@ -261,6 +261,27 @@ def test_catalog_negative_degree(capsys):
     assert len(captured.err.splitlines()) == 1 and "--degree" in captured.err
 
 
+@pytest.mark.parametrize("degree", [str(cli.MAX_CATALOG_DEGREE + 1), "100000"])
+def test_catalog_degree_above_limit(monkeypatch, capsys, degree):
+    # refused with exit 2 before any identity is re-derived
+    def no_work(*args, **kwargs):
+        raise AssertionError("the re-derivation was started")
+
+    monkeypatch.setattr(ybe, "catalog_diffs", no_work)
+    assert cli.main(["catalog", "--degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--degree" in captured.err
+    assert str(cli.MAX_CATALOG_DEGREE) in captured.err
+
+
+def test_catalog_degree_at_limit_accepted(monkeypatch):
+    seen = []
+    monkeypatch.setattr(ybe, "catalog_diffs", lambda degree: seen.append(degree) or {})
+    assert cli.main(["catalog", "--degree", str(cli.MAX_CATALOG_DEGREE)]) == 0
+    assert seen == [cli.MAX_CATALOG_DEGREE]
+
+
 # family ---------------------------------------------------------------------------
 
 
@@ -454,6 +475,24 @@ def test_search_cli_refuses_unbounded_work(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "22876792454961" in captured.err
+
+
+@pytest.mark.parametrize("raw", [True, False])
+def test_search_cli_refuses_unbounded_degree(monkeypatch, capsys, raw):
+    # one consistent candidate, but a max_degree whose scan tables alone
+    # would take minutes: refused with exit 2 before any work starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("the search was started")
+
+    monkeypatch.setattr(search, "_scan", no_work)
+    monkeypatch.setattr(search, "get_context", no_work)
+    argv = ["search", "--max-degree", "201", "--coeffs", "0", "--constants", "0",
+            "--jobs", "2"] + (["--raw"] if raw else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:") and str(search.MAX_DEGREE) in captured.err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "65", "100000"])

@@ -11,11 +11,12 @@ from ccybe.exactpoly import (
     MPoly,
     ParseError,
     RegistryMismatch,
+    Substitution,
     SymbolRegistry,
     parse_poly,
 )
 
-from support import random_poly
+from support import random_poly, termwise_subst
 
 
 @pytest.fixture()
@@ -225,19 +226,6 @@ def _tuple_product(p, q):
     return out
 
 
-def _termwise_subst(p, sym, expr):
-    # One term at a time, through the public API only.
-    reg = p.reg
-    out = reg.zero()
-    for exps, c in p.terms():
-        term = reg.const(c)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * (expr ** e if i == sym.index else reg.var(reg.name_of(i), e))
-        out = out + term
-    return out
-
-
 def test_packed_products_high_symbol_ids(reg):
     rng = random.Random(3)
     names = [f"s{i}" for i in range(80)]
@@ -255,9 +243,60 @@ def test_packed_products_high_symbol_ids(reg):
         assert reg.parse(prod.to_string()) == prod
         assert prod.degree() == max((sum(e) for e in want if want[e]), default=-1)
         s = reg.sym(high[1])
-        assert prod.subst_linear(s, q) == _termwise_subst(prod, s, q)
+        assert prod.subst_linear(s, q) == termwise_subst(prod, {s: q})
     top = reg.var(names[-1], EXPONENT_LIMIT - 1)
     assert (top * reg.var("d")).to_string() == f"d*{names[-1]}^{EXPONENT_LIMIT - 1}"
+
+
+def test_compiled_substitution_matches_termwise_oracle(reg):
+    # one compiled map applied to many polynomials, its cached powers
+    # shared between them, equals the term-by-term expansion of each
+    rng = random.Random(11)
+    names = [f"s{i}" for i in range(70)]
+    for name in names:
+        reg.sym(name)
+    high = names[-5:] + ["d1", "x"]
+    assert reg.sym(high[0]).index > 70
+    for _ in range(12):
+        targets = rng.sample(high, rng.randint(1, 3))
+        mapping = {reg.sym(n): random_poly(reg, rng, high, max_degree=3, max_terms=4)
+                   for n in targets}
+        sub = Substitution(reg, mapping)
+        polys = [random_poly(reg, rng, high, max_degree=5, max_terms=8) for _ in range(10)]
+        for p in polys + polys[:3]:
+            want = termwise_subst(p, mapping)
+            assert sub(p) == want
+            assert p.subst_many(mapping) == want
+    # scalar and zero targets, and the empty map
+    x, y = reg.var("x"), reg.var("y")
+    p = x * x * y + x - 3
+    assert Substitution(reg, {reg.sym("x"): 2})(p) == y * 4 - 1
+    assert Substitution(reg, {reg.sym("x"): reg.zero()})(p) == -3
+    assert Substitution(reg, {})(p) is p
+
+
+def test_compiled_substitution_errors(reg):
+    # overflow and registry checks hold through a compiled map, and a
+    # failed application leaves the map usable
+    x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
+    square = Substitution(reg, {reg.sym("x"): x * x})
+    assert square(reg.var("x", 2 ** 14 - 1)) == reg.var("x", 2 ** 15 - 2)
+    with pytest.raises(ExponentOverflow, match="x"):
+        square(reg.var("x", 2 ** 14))
+    with pytest.raises(ExponentOverflow, match="x"):
+        square(reg.var("x", 2 ** 14 - 1) * y + reg.var("x", 2 ** 14))
+    assert square(x + y) == x * x + y
+    merge = Substitution(reg, {reg.sym("x"): z, reg.sym("y"): z})
+    with pytest.raises(ExponentOverflow, match="z"):
+        merge(reg.var("x", 20000) * reg.var("y", 20000))
+    assert merge(x * y) == z * z
+    other = SymbolRegistry()
+    with pytest.raises(RegistryMismatch):
+        Substitution(reg, {reg.sym("x"): other.var("y")})
+    with pytest.raises(RegistryMismatch):
+        square(other.var("x"))
+    with pytest.raises(RegistryMismatch):
+        x.subst_many({reg.sym("x"): other.var("y")})
 
 
 def test_exponent_overflow_guard(reg):

@@ -10,6 +10,7 @@ import pytest
 from ccybe import search, ybe
 from ccybe.search import (
     MAX_CONSISTENT,
+    MAX_DEGREE,
     MAX_WORKERS,
     SearchConfig,
     SearchConfigError,
@@ -72,6 +73,22 @@ def test_consistent_bound(monkeypatch):
     monkeypatch.setattr(search, "MAX_CONSISTENT", count_consistent(cfg) - 1)
     with pytest.raises(SearchConfigError, match=f"bound {count_consistent(cfg) - 1}"):
         SearchConfig(max_degree=1, raw=True)
+
+
+def test_degree_bound(monkeypatch):
+    # max_degree is bounded on its own, even with a single candidate
+    # whose consistent count is far inside MAX_CONSISTENT
+    tiny = dict(coeff_grid=(0,), constants_grid=(0,), raw=True)
+    SearchConfig(max_degree=MAX_DEGREE, **tiny)
+    SearchConfig(max_degree=7, coeff_grid=(0, 1))
+    for degree in (MAX_DEGREE + 1, MAX_DEGREE + 2, 201):
+        with pytest.raises(SearchConfigError, match=f"between 1 and {MAX_DEGREE}"):
+            SearchConfig(max_degree=degree, **tiny)
+    # the bound is read when a configuration is built
+    monkeypatch.setattr(search, "MAX_DEGREE", 3)
+    SearchConfig(max_degree=3, **tiny)
+    with pytest.raises(SearchConfigError, match="between 1 and 3"):
+        SearchConfig(max_degree=4, **tiny)
 
 
 def test_candidate_counting():

@@ -1,10 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ccybe import ybe
-from ccybe.conformal import ConfAlgebra, ConfElem, reduce_mod_total, tau
+from ccybe.conformal import (
+    ConfAlgebra,
+    ConfElem,
+    act_on_tensor,
+    project,
+    project_reduced,
+    reduce_mod_total,
+    tau,
+)
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import phi_matrix, psi_matrix, sl2
 from ccybe.ybe import (
@@ -118,12 +127,24 @@ def _random_coeff(reg, rng, kind, degree):
     return p
 
 
+def _check_restricted(r, oracle, rng):
+    # the bracket restricted to a random set S of triples is the
+    # oracle's bracket restricted to S, with no other keys
+    triples = list(itertools.product(r.alg.basis_names, repeat=3))
+    for size in (1, rng.randint(0, len(triples))):
+        wanted = rng.sample(triples, size)
+        part = ccybe_bracket(r, wanted)
+        assert part.entries == {t: p for t, p in oracle.entries.items() if t in wanted}
+
+
 @pytest.mark.parametrize("kind", ["int", "fraction", "param"])
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
 def test_bracket_matches_pairwise_oracle(kind, dense):
     # contracting the structure constants with the B forms first gives
-    # the bracket that the pairwise loop over all entry pairs gives
+    # the bracket that the pairwise loop over all entry pairs gives, and
+    # so does the bracket restricted to a random subset of triples
     rng = random.Random(10 * len(kind) + dense)
+    subsets = random.Random(20 * len(kind) + dense)
     pairs = [(q, l) for q in "efh" for l in "efh"]
     nonzero = 0
     for degree in range(5):
@@ -133,7 +154,9 @@ def test_bracket_matches_pairwise_oracle(kind, dense):
             support = pairs if dense else rng.sample(pairs, rng.randint(1, 3))
             r = RMat(cur, {pair: _random_coeff(reg, rng, kind, degree) for pair in support})
             bracket = ccybe_bracket(r)
-            assert bracket == pairwise_bracket(r)
+            oracle = pairwise_bracket(r)
+            assert bracket == oracle
+            _check_restricted(r, oracle, subsets)
             nonzero += not bracket.is_zero()
     assert nonzero >= 5
 
@@ -141,12 +164,16 @@ def test_bracket_matches_pairwise_oracle(kind, dense):
 @pytest.mark.parametrize("kind", ["int", "fraction", "param"])
 def test_bracket_matches_pairwise_oracle_vir(kind):
     rng = random.Random(len(kind))
+    subsets = random.Random(10 + len(kind))
     for degree in range(5):
         reg = SymbolRegistry()
         r = RMat(ConfAlgebra.vir(reg), {("v", "v"): _random_coeff(reg, rng, kind, degree)})
         bracket = ccybe_bracket(r)
         assert not bracket.is_zero()
-        assert bracket == pairwise_bracket(r)
+        oracle = pairwise_bracket(r)
+        assert bracket == oracle
+        _check_restricted(r, oracle, subsets)
+        assert ccybe_bracket(r, []).is_zero()
 
 
 def test_bracket_constant_solution_at_zero(cur, reg):
@@ -387,6 +414,27 @@ def test_weak_projection_is_shifted_triple_projection(reg):
     prof = generic_profile(reg, 2)
     dwp = derive_weak_projection("e", ("h", "f", "f"), 2, prof)
     assert dwp == eval_equation(CATALOG["fff"], prof) * 2
+
+
+def test_derived_projections_match_full_bracket(reg):
+    # each derived projection, built from the bracket restricted to the
+    # coefficients it reads, equals the projection of the full bracket
+    # (and, for the weak one, of a generator action on all of it)
+    prof = generic_profile(reg, 2)
+    r = lift_profile(prof)
+    full = ccybe_bracket(r)
+    to_xyz = {reg.sym("d2"): reg.var("x"), reg.sym("d3"): reg.var("y"),
+              reg.sym("d1"): reg.var("z")}
+    triples = list(itertools.product("efh", repeat=3))
+    for triple in triples:
+        want = project_reduced(full, triple).subst_many(to_xyz)
+        assert derive_projection(triple, 2, prof) == want
+    for generator in "efh":
+        acted = act_on_tensor([r.alg.generator(generator)], full, -full.total())[0]
+        assert not acted.is_zero()
+        for triple in triples:
+            want = project(acted, triple).subst_many(to_xyz)
+            assert derive_weak_projection(generator, triple, 2, prof) == want
 
 
 def test_fhf_substitution_matches_hff(reg):
