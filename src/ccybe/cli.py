@@ -179,7 +179,10 @@ def cmd_family(args) -> int:
     try:
         if args.spec:
             with open(args.spec, "r", encoding="utf-8") as fh:
-                data = json.load(fh, parse_float=_rational)
+                try:
+                    data = json.load(fh, parse_float=_rational)
+                except RecursionError as err:
+                    raise ValueError(f"spec file nests too deeply: {err}") from err
             if not isinstance(data, dict):
                 raise ValueError("a spec file must hold a JSON object")
             case = data["case"]

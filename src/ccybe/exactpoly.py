@@ -22,14 +22,21 @@ indexed by symbol id with trailing zeros stripped, and terms(),
 coefficient(), constant_term() and constant_value() return Fractions.
 
 Substitution is the one substitution path: a map {symbol: polynomial}
-is compiled once, keeps the powers of its targets that it builds, and is
-applied to any number of polynomials; MPoly.subst_many compiles a map
-for a single use.  Callers that apply one map to many polynomials (a
-tensor's coefficients) build it once.
+is compiled once and applied to any number of polynomials; MPoly.subst_many
+compiles a map for a single use.  Each target keeps the powers it has
+built, and a missing power n is built from them: as power(m) *
+power(n - m) from the highest power m held below n when 2m >= n, else
+by squaring, so no power is expanded from scratch and a lone high power
+costs O(log n) products.  A power that would take an exponent to
+EXPONENT_LIMIT is refused before the first product, as MPoly.__pow__
+refuses it.  Callers that apply one map to many polynomials (a tensor's
+coefficients) build it once.
 
 Symbols are interned in a SymbolRegistry (append-only, synchronized).
-Two polynomials may only be combined when they share the same registry
-object; mixing registries raises RegistryMismatch.
+A registry starts from a prebuilt table of the core symbols, and a
+lookup of a name already interned takes no lock.  Two polynomials may
+only be combined when they share the same registry object; mixing
+registries raises RegistryMismatch.
 
 The text grammar accepted by parse_poly:
 
@@ -38,9 +45,10 @@ The text grammar accepted by parse_poly:
     factor := '-' factor | atom ('^' INT)?
     atom   := INT ('/' INT)? | SYMBOL | '(' expr ')'
 
-Exponents must be nonnegative integer literals below 2**15 and implicit
-multiplication is not allowed.  With a degree limit, a power or product
-that would exceed it in some symbol is refused before it is expanded.
+Exponents must be nonnegative integer literals below 2**15, parentheses
+nest at most MAX_NESTING deep, and implicit multiplication is not
+allowed.  With a degree limit, a power or product that would exceed it
+in some symbol is refused before it is expanded.
 The canonical printer emits terms in descending graded-lexicographic
 order with explicit '*', and parse(print(p)) == p.
 """
@@ -60,6 +68,9 @@ Scalar = Union[int, Fraction]
 _FIELD = 16
 _FIELD_MASK = (1 << _FIELD) - 1
 EXPONENT_LIMIT = 1 << (_FIELD - 1)  # the guard bit of a field
+# Deepest parenthesis nesting parse_poly accepts: each level costs four
+# frames of its recursive descent.
+MAX_NESTING = 100
 
 
 class RegistryMismatch(ValueError):
@@ -92,6 +103,9 @@ CORE_SYMBOLS = (
     "d", "lam", "mu", "d1", "d2", "d3", "x", "y", "z", "t",
     "alpha", "beta", "gamma", "zeta", "lhh",
 )
+
+_CORE_SYMS = {name: Sym(name, idx) for idx, name in enumerate(CORE_SYMBOLS)}
+_CORE_GUARD = sum(EXPONENT_LIMIT << (_FIELD * idx) for idx in range(len(CORE_SYMBOLS)))
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | set("0123456789")
@@ -128,32 +142,39 @@ def _unpack(key: int) -> tuple:
 
 
 class SymbolRegistry:
-    """Append-only bijective interning of symbol names to integer ids."""
+    """Append-only bijective interning of symbol names to integer ids.
 
-    def __init__(self, core: Iterable[str] = CORE_SYMBOLS):
+    Every registry starts with CORE_SYMBOLS at ids 0-14, copied from one
+    prebuilt table.  A name already interned is a single dict lookup;
+    only a new name is validated and interned under the lock.
+    """
+
+    def __init__(self):
         self._lock = threading.Lock()
-        self._names: list[str] = []
-        self._ids: dict[str, int] = {}
-        self._guard = 0  # guard bit of every interned symbol's field
-        for name in core:
-            self.sym(name)
+        self._names: list[str] = list(CORE_SYMBOLS)
+        self._syms: dict[str, Sym] = dict(_CORE_SYMS)
+        self._guard = _CORE_GUARD  # guard bit of every interned symbol's field
 
     def sym(self, name: str) -> Sym:
         """Return the Sym for `name`, interning it if new."""
+        found = self._syms.get(name)
+        if found is not None:
+            return found
         if not name or name[0] not in _NAME_START or not all(c in _NAME_CONT for c in name):
             raise ValueError(f"invalid symbol name {name!r}")
         with self._lock:
-            idx = self._ids.get(name)
-            if idx is None:
+            found = self._syms.get(name)
+            if found is None:
                 idx = len(self._names)
                 self._names.append(name)
-                self._ids[name] = idx
                 self._guard |= EXPONENT_LIMIT << (_FIELD * idx)
-        return Sym(name, idx)
+                # published last, so a lock-free lookup never sees a
+                # symbol whose field the guard mask does not yet cover
+                found = self._syms[name] = Sym(name, idx)
+        return found
 
     def get(self, name: str) -> Optional[Sym]:
-        idx = self._ids.get(name)
-        return None if idx is None else Sym(name, idx)
+        return self._syms.get(name)
 
     def name_of(self, index: int) -> str:
         return self._names[index]
@@ -162,7 +183,7 @@ class SymbolRegistry:
         return len(self._names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._ids
+        return name in self._syms
 
     def _check_guard(self, keys: Iterable[int]) -> None:
         """Raise ExponentOverflow if any packed key sets a guard bit."""
@@ -347,12 +368,7 @@ class MPoly:
         if n < 0:
             raise ValueError("negative exponents are not supported")
         if n > 1:
-            # Over Q, deg_s(p**n) = n * deg_s(p): refuse before expanding.
-            top = max((max(_unpack(key), default=0) for key in self._terms), default=0)
-            if n * top >= EXPONENT_LIMIT:
-                raise ExponentOverflow(
-                    f"power {n} takes an exponent {top} to {n * top}, "
-                    f"not below {EXPONENT_LIMIT}")
+            self._refuse_power(n)
         result = self.reg.const(1)
         base = self
         while n:
@@ -361,6 +377,16 @@ class MPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    def _refuse_power(self, n: int) -> None:
+        """Raise ExponentOverflow if self ** n would reach EXPONENT_LIMIT
+        in some symbol: over Q, deg_s(p**n) = n * deg_s(p), so this is
+        known before anything is expanded."""
+        top = max((max(_unpack(key), default=0) for key in self._terms), default=0)
+        if n * top >= EXPONENT_LIMIT:
+            raise ExponentOverflow(
+                f"power {n} takes an exponent {top} to {n * top}, "
+                f"not below {EXPONENT_LIMIT}")
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -515,35 +541,41 @@ class Substitution:
     A polynomial is written as the sum over t of m_t * q_t, with m_t the
     part of a monomial in the substituted symbols and q_t free of them;
     then each q_t is multiplied by the image of m_t once.  The image of
-    m_t is a product of powers of the targets, and each power is built
-    on first use and kept for the lifetime of the object, so every
-    polynomial the map is applied to reuses the powers already made.
-    The cache belongs to the object: build one per map and drop it when
-    its polynomials are done.
+    m_t is a product of powers of the targets.  Each power built is kept
+    for the lifetime of the object, and a missing power n is built from
+    the highest power m < n of that target already held: as
+    power(m) * power(n - m) when 2m >= n, else as power(n // 2) squared
+    (times the target for odd n), each factor found or built the same
+    way.  So rising exponents, odd-only or gapped ones (x * f(x^2))
+    included, cost about one product per new power, a lone power n
+    costs O(log n) products and keeps O(log n) powers, and no power is
+    expanded from scratch.  A power whose exponent would reach
+    EXPONENT_LIMIT is refused before any product is taken.  The cache
+    belongs to the object: build one per map and drop it when its
+    polynomials are done.
     """
 
-    __slots__ = ("reg", "_targets", "_shifts", "_cleared", "_powers")
+    __slots__ = ("reg", "_shifts", "_cleared", "_powers")
 
     def __init__(self, reg: SymbolRegistry, mapping: Mapping[Sym, Union[MPoly, Scalar]]):
         self.reg = reg
-        targets: dict[int, MPoly] = {}
+        powers: dict[int, dict[int, MPoly]] = {}  # powers[idx][n]: target ** n
         for sym, expr in mapping.items():
             if not isinstance(expr, MPoly):
                 expr = reg.const(expr)
             elif expr.reg is not reg:
                 raise RegistryMismatch("operands use different symbol registries")
-            targets[sym.index] = expr
-        self._targets = targets
-        self._shifts = [(idx, _FIELD * idx) for idx in sorted(targets)]
+            powers[sym.index] = {1: expr}
+        self._powers = powers
+        self._shifts = [(idx, _FIELD * idx) for idx in sorted(powers)]
         self._cleared = reduce(or_, (_FIELD_MASK << shift for _, shift in self._shifts), 0)
-        self._powers: dict[tuple[int, int], MPoly] = {}  # (idx, n): targets[idx] ** n
 
     def _power(self, idx: int, n: int) -> MPoly:
-        pw = self._powers.get((idx, n))
+        held = self._powers[idx]
+        pw = held.get(n)
         if pw is None:
-            below = self._powers.get((idx, n - 1))
-            pw = self._targets[idx] ** n if below is None else below * self._targets[idx]
-            self._powers[idx, n] = pw
+            held[1]._refuse_power(n)
+            pw = _build_power(held, n)
         return pw
 
     def __call__(self, p: MPoly) -> MPoly:
@@ -575,6 +607,23 @@ class Substitution:
                         del out[k]
         self.reg._check_guard(out)
         return MPoly._raw(self.reg, out)
+
+
+def _build_power(held: dict[int, MPoly], n: int) -> MPoly:
+    """target ** n from the powers in `held` ({k: target ** k}, with 1),
+    keeping in it every power built.  Each recursion at most halves n."""
+    pw = held.get(n)
+    if pw is None:
+        m = max(k for k in held if k < n)
+        if 2 * m >= n:
+            pw = held[m] * _build_power(held, n - m)
+        else:
+            half = _build_power(held, n // 2)
+            pw = half * half
+            if n % 2:
+                pw = pw * held[1]
+        held[n] = pw
+    return pw
 
 
 # Parsing ---------------------------------------------------------------------
@@ -626,7 +675,9 @@ def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False,
     symbol at most max_degree, or raises ParseError before it is
     computed: over Q, deg_s(p**n) = n * deg_s(p) and deg_s(p*q) =
     deg_s(p) + deg_s(q), and sums never raise a degree, so the result and
-    every step towards it stay within the limit.
+    every step towards it stay within the limit.  Parentheses nest at
+    most MAX_NESTING deep, so the recursive descent stays far below
+    Python's recursion limit; a unary minus is a loop, not a recursion.
     """
     lx = _Lexer(text)
 
@@ -666,9 +717,10 @@ def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False,
         return node
 
     def parse_factor() -> MPoly:
-        if lx.peek() == "-":
+        negate = False
+        while lx.peek() == "-":
             lx.pos += 1
-            return -parse_factor()
+            negate = not negate
         node = parse_atom()
         if lx.peek() == "^":
             lx.pos += 1
@@ -681,16 +733,23 @@ def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False,
             if max_degree is not None:
                 bound(here, {name: n * d for name, d in degrees(node).items()})
             node = node ** n
-        return node
+        return -node if negate else node
+
+    depth = 0  # open parentheses
 
     def parse_atom() -> MPoly:
+        nonlocal depth
         ch = lx.peek()
         if ch is None:
             raise ParseError("unexpected end of input", lx.pos)
         if ch == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", lx.pos)
+            depth += 1
             lx.pos += 1
             node = parse_expr()
             lx.expect(")")
+            depth -= 1
             return node
         if ch.isdigit():
             num = lx.take_int()

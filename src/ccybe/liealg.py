@@ -275,15 +275,17 @@ def congruence(mat: SymMat3, aut: AutMatrix) -> SymMat3:
     return SymMat3(tuple(out))
 
 
+def _minors(a) -> list[Scalar]:
+    out = []
+    for r0, r1 in itertools.combinations(range(3), 2):
+        for c0, c1 in itertools.combinations(range(3), 2):
+            out.append(a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0])
+    return out
+
+
 def minors2(mat: SymMat3) -> list[Scalar]:
     """All nine 2x2 minors, for symbolic rank checking."""
-    out = []
-    for rows in itertools.combinations(range(3), 2):
-        for cols in itertools.combinations(range(3), 2):
-            r0, r1 = rows
-            c0, c1 = cols
-            out.append(mat.a[r0][c0] * mat.a[r1][c1] - mat.a[r0][c1] * mat.a[r1][c0])
-    return out
+    return _minors(mat.a)
 
 
 def rank_le_1(mat: SymMat3) -> bool:
@@ -292,6 +294,4 @@ def rank_le_1(mat: SymMat3) -> bool:
         raise ValueError(
             "parametric matrix: check the minors2() identities symbolically instead"
         )
-    a = mat.numeric()
-    m = SymMat3(a)
-    return all(v == 0 for v in minors2(m))
+    return not any(_minors(mat.numeric()))

@@ -48,7 +48,9 @@ def make_algebra(name: str, reg: SymbolRegistry) -> ConfAlgebra:
 def loads(text: str, reg: SymbolRegistry = None) -> RMat:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
+        # RecursionError: arrays or objects nested deeper than the
+        # decoder's recursion limit
         raise RMatFileError(f"invalid JSON: {err}") from err
     return from_dict(data, reg)
 
@@ -103,7 +105,11 @@ def from_dict(data: dict, reg: SymbolRegistry = None) -> RMat:
 
 def load(path: str, reg: SymbolRegistry = None) -> RMat:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), reg)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise RMatFileError(f"not UTF-8 text: {err}") from err
+    return loads(text, reg)
 
 
 def to_dict(r: RMat, parameters: Union[list, tuple] = ()) -> dict:

@@ -591,14 +591,18 @@ def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
 
 
 def generic_profile(reg: SymbolRegistry, degree: int = 4, prefix: str = "c") -> DiagProfile:
-    """Profile with one free coefficient symbol per entry per degree."""
-    x = reg.var("x")
+    """Profile with one free coefficient symbol per entry per degree.
+
+    The entry (q, l) is the sum over j of c_{ql}_j * x^j.  Its symbols are
+    interned entry by entry and by rising j, an order that fixes their
+    ids and so the canonical print order of everything built on them.
+    """
+    x = reg.sym("x")
     entries = {}
     for q, l in PAIRS:
         poly = reg.zero()
         for j in range(degree + 1):
-            c = reg.var(f"{prefix}_{q}{l}_{j}")
-            poly = poly + c * x ** j
+            poly = poly + reg.var(f"{prefix}_{q}{l}_{j}") * reg.var(x, j)
         entries[(q, l)] = poly
     return DiagProfile(reg, entries, constants=None)
 

@@ -6,7 +6,8 @@ lambda-actions) so that the engine under test is checked by a second,
 structurally different computation.  Others are slower reference
 paths the engine replaced: the pairwise double bracket, the two-pass
 reduced action, the unstructured candidate enumeration of the search,
-and its flat scan of the consistent candidates.  The rest are checks
+its flat scan of the consistent candidates, and the term-by-term
+generic profile.  The rest are checks
 and constructions only the tests use: diagonal restrictions, the
 invariance residues, the invariance-constrained generic profile, slot
 permutation symmetry, the weak defect of a constant r, antisymmetry of
@@ -490,6 +491,22 @@ def invariance_residues(p: DiagProfile) -> list[MPoly]:
             res = res - p.constant("zeta") * mult
         out.append(res)
     return out
+
+
+def termwise_generic_profile(reg: SymbolRegistry, degree: int = 4,
+                             prefix: str = "c") -> DiagProfile:
+    """ybe.generic_profile built term by term, poly + c * x**j, interning
+    each coefficient symbol as it goes: the reference for the profile
+    summed from monomials."""
+    x = reg.var("x")
+    entries = {}
+    for q, l in PAIRS:
+        poly = reg.zero()
+        for j in range(degree + 1):
+            c = reg.var(f"{prefix}_{q}{l}_{j}")
+            poly = poly + c * x ** j
+        entries[(q, l)] = poly
+    return DiagProfile(reg, entries, constants=None)
 
 
 def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3,

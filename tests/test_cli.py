@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccybe import cli, rmatfile, search, ybe
+from ccybe import cli, families, rmatfile, search, ybe
 from ccybe.exactpoly import MPoly, SymbolRegistry
 
 
@@ -159,6 +163,24 @@ def test_verify_malformed_file(tmp_path, capsys, data):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+@pytest.mark.parametrize("content", [
+    b"[" * 100000,
+    b'{"algebra": "cur_sl2", "entries": ' + b"[" * 100000,
+    b"\xff\xfe",
+    json.dumps({"algebra": "cur_sl2", "entries": [
+        {"left": "e", "right": "e", "coeff": "(" * 150 + "d1" + ")" * 150}]}).encode(),
+], ids=["deep_json", "deep_entries", "not_utf8", "deep_parentheses"])
+def test_verify_unreadable_file_exit(tmp_path, capsys, command, content):
+    # nesting beyond the JSON decoder's or the parser's recursion, and
+    # bytes that are not UTF-8, are usage errors, not tracebacks
+    path = tmp_path / "r.json"
+    path.write_bytes(content)
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_verify_json_format_hashed(tmp_path, capsys):
@@ -415,6 +437,21 @@ def test_family_spec_decimal_is_exact(tmp_path, capsys, number, text):
     assert {"left": "f", "right": "e", "coeff": text} in entries
 
 
+@pytest.mark.parametrize("content", [
+    b'{"case": ' + b"[" * 100000,
+    b"\xff",
+    json.dumps({"case": "cor6_i", "params": {"alpha": 1},
+                "f": "(" * 150 + "t" + ")" * 150}).encode(),
+], ids=["deep_json", "not_utf8", "deep_parentheses"])
+def test_family_spec_unreadable_exit(tmp_path, capsys, content):
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    spec.write_bytes(content)
+    assert cli.main(["family", "--spec", str(spec), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("number", ["1e5000", "-3E-5000"])
 def test_family_decimal_exponent_bound(tmp_path, capsys, number):
     # Fraction would build 10**5000 (or 10**999999999) before refusing it
@@ -534,9 +571,132 @@ def test_vir_cli(capsys):
     assert cli.main(["vir", "x + z", "--mode", "weak"]) == 2
 
 
+def test_vir_deep_nesting(capsys):
+    assert cli.main(["vir", "(" * 1000 + "x" + ")" * 1000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nest deeper" in err
+    # a chain of unary minus signs is a loop in the parser, so any length parses
+    code = cli.main(["vir", "x + " + "-" * 5001 + "y", "--format", "json"])
+    chained = capsys.readouterr().out
+    assert cli.main(["vir", "x - y", "--format", "json"]) == code
+    assert capsys.readouterr().out == chained
+
+
 def test_vir_degree_above_limit(capsys):
     assert cli.main(["vir", "x^20000 + y", "--mode", "weak"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "degree 20000 in x" in err
     assert cli.main(["vir", "x + y^65", "--mode", "weak"]) == 2
     assert "degree 65 in y" in capsys.readouterr().err
+
+
+# exit-code contract on arbitrary input ------------------------------------------------
+
+
+def _call(argv) -> tuple:
+    """(exit status, stdout, stderr) of one in-process call; a usage error
+    (SystemExit) counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_TOKENS = ("d1", "d2", "d3", "x", "y", "t", "alpha", "lam", "0", "1", "2", "1/2",
+           "3/0", "(", ")", "+", "-", "*", "^", "^2", "^3", "^65", "^99999", " ",
+           "1e5", "1.5", "!", "", "(" * 150, "-" * 3000)
+_junk_text = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
+
+
+def _poly(names):
+    """Well-formed polynomial text of low degree in the given symbols."""
+    term = st.builds(lambda c, v, e: f"{c}*{v}^{e}", st.integers(-3, 3),
+                     st.sampled_from(names), st.integers(0, 3))
+    return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+
+
+_text = _poly(("d1", "d2")) | _poly(("d1", "d2")) | _poly(("x", "y")) | _junk_text
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_basis = st.sampled_from(("e", "f", "h") * 4 + ("v", "x", ""))
+_entry = st.fixed_dictionaries(
+    {"left": _basis, "right": _basis, "coeff": st.one_of(_text, _text, st.integers(-3, 3),
+                                                         _junk)})
+_rmat = st.fixed_dictionaries(
+    {"algebra": st.sampled_from(("cur_sl2", "cur_sl2", "vir", "sl3")),
+     "entries": st.one_of(*[st.lists(_entry, max_size=3)] * 3, _junk)},
+    optional={"parameters": st.lists(st.sampled_from(("alpha", "beta", "lam", "1x", "d1"))
+                                     | _junk, max_size=2)})
+_value = st.sampled_from(("1", "-2", "1/2", "0", "1e5", "1e99999", "3/0", "x", "")) \
+    | st.integers(-3, 3) | st.floats(allow_nan=True, allow_infinity=True)
+_case = st.sampled_from(sorted(families.CASE_PARAMS) + ["vir", "nope"])
+_name = st.sampled_from(("alpha", "beta", "gamma", "zeta", "lhh", "a", ""))
+_monic = st.builds(lambda k, cs: " + ".join([f"t^{k}"] + [f"{c}*t^{j}" for j, c in
+                                                         enumerate(cs[:k])]),
+                   st.integers(0, 3), st.lists(st.integers(-2, 2), max_size=3))
+_f = st.one_of(_monic, _monic, st.sampled_from(("t^40", "t^2+x")), _poly(("t",)), _junk_text)
+_params = st.dictionaries(_name, _value, max_size=2)
+_spec = st.fixed_dictionaries(
+    {"case": _case}, optional={"params": _params | _junk, "f": _f | _junk})
+
+
+def _family(case, params, f, out, flags):
+    # the case's own parameters, small integers unless drawn otherwise
+    own = {name: 1 for name in families.CASE_PARAMS.get(case, ())}
+    pairs = [f"{n}={v}" for n, v in {**own, **params}.items()]
+    return ["family", case, *sum((["--param", p] for p in pairs), []), "--f", f,
+            *out, *flags]
+
+
+def _document(obj):
+    as_json = obj.map(lambda data: json.dumps(data, allow_nan=True).encode())
+    return st.one_of(*[as_json] * 6, st.binary(max_size=12),
+                     st.sampled_from((b"[" * 100000, b'{"a": ' * 100000)))
+
+
+def _flags(*pairs):
+    return st.lists(st.sampled_from(pairs), max_size=2).map(lambda chosen: sum(chosen, []))
+
+
+_MODES = [["--mode", m] for m in ("invariance", "weak", "strict", "bogus")]
+_FORMATS = [["--format", f] for f in ("text", "json", "xml")]
+_argv = st.one_of(
+    st.builds(lambda flags: ["verify", "{file}", *flags],
+              _flags(*_MODES, *_MODES, *_FORMATS, ["--bogus"])),
+    st.just(["expand", "{file}"]),
+    st.builds(lambda expr, flags: ["vir", expr, *flags], _text, _flags(*_MODES, *_FORMATS)),
+    st.builds(lambda degree, flags: ["catalog", "--degree", degree, *flags],
+              st.integers(-3, 2).map(str) | st.sampled_from(("x", "", "17")),
+              _flags(["-h"])),
+    st.builds(_family, _case, st.just({}) | _params, _f,
+              st.sampled_from((["--out", "{out}"], ["--out", "{out}"], ["--out", "{dir}"],
+                               [])),
+              _flags(["--spec", "{spec}"], ["--bogus"])),
+    st.lists(st.sampled_from(("verify", "{file}", "--help", "bogus", "")), max_size=3),
+)
+
+
+@settings(max_examples=300)
+@given(argv=_argv, rmat=_document(_rmat), spec=_document(_spec),
+       missing=st.sampled_from((False, False, False, True)))
+def test_cli_exit_contract_fuzz(tmp_path_factory, argv, rmat, spec, missing):
+    # any r-matrix file, spec file and argument vector gives exit 0, 1 or
+    # 2 and never an uncaught exception
+    base = tmp_path_factory.getbasetemp() / "fuzz"
+    base.mkdir(exist_ok=True)
+    paths = {"file": base / "r.json", "spec": base / "spec.json", "out": base / "out.json",
+             "dir": base}
+    paths["file"].write_bytes(rmat)
+    paths["spec"].write_bytes(spec)
+    if missing:
+        paths["file"].unlink()
+    code, out, err = _call([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccybe.exactpoly import (
+    CORE_SYMBOLS,
     EXPONENT_LIMIT,
+    MAX_NESTING,
     ExponentOverflow,
     MPoly,
     ParseError,
     RegistryMismatch,
     Substitution,
+    Sym,
     SymbolRegistry,
     parse_poly,
 )
@@ -299,6 +302,80 @@ def test_compiled_substitution_errors(reg):
         x.subst_many({reg.sym("x"): other.var("y")})
 
 
+@pytest.fixture()
+def products(monkeypatch):
+    """The polynomial-by-polynomial products taken while the test runs."""
+    seen = []
+    real_mul = MPoly.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, MPoly):
+            seen.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counting_mul)
+    return seen
+
+
+@pytest.mark.parametrize("mapping", [
+    {"x": "x + 2*z", "y": "1 - y"},
+    {"x": "-3*z^2", "y": "2*x*y"},
+], ids=["binomial", "monomial"])
+def test_substitution_powers_from_held(reg, monkeypatch, products, mapping):
+    # a missing power is built from the powers held and kept: x^9 first
+    # keeps x^2, x^4 and x^9, the gapped exponents after it take one
+    # product each from those, and no power is expanded from scratch
+    mapping = {reg.sym(name): reg.parse(expr) for name, expr in mapping.items()}
+    polys = [reg.parse(text) for text in
+             ("x^9", "x^3 + x^7", "x^2*y^5", "x^12 + 3*y^2*z", "x^9*y^5")]
+    wants = [termwise_subst(p, mapping) for p in polys]
+
+    def no_pow(self, n):
+        raise AssertionError(f"power {n} expanded from scratch")
+
+    monkeypatch.setattr(MPoly, "__pow__", no_pow)
+    sub = Substitution(reg, mapping)
+    steps = []
+    for p, want in zip(polys, wants):
+        del products[:]
+        assert sub(p) == want
+        steps.append(len(products))
+    # x: 2, 4, 4^2 * x; 2 * 1 and 4 * 3; y: 2, 2^2 * y and the image
+    # x^2 * y^5; x: 9 * 3; the image x^9 * y^5
+    assert steps == [4, 2, 4, 1, 1]
+
+
+@pytest.mark.parametrize("target, n", [("x*x + y", 1000), ("2", 30000)],
+                         ids=["binomial", "constant"])
+def test_substitution_lone_power_logarithmic(reg, products, target, n):
+    # a lone high power is built by squaring: O(log n) products and
+    # powers kept, also for a constant target, which the exponent guard
+    # never refuses
+    x = reg.sym("x")
+    mapping = {x: reg.parse(target)}
+    want = mapping[x] ** n
+    del products[:]
+    sub = Substitution(reg, mapping)
+    assert sub(reg.var("x", n)) == want
+    assert len(products) <= 2 * n.bit_length()
+    assert len(sub._powers[x.index]) <= n.bit_length() + 1
+
+
+def test_substitution_power_refused_before_expanding(reg, products):
+    # n * deg(target) at EXPONENT_LIMIT is refused before any product
+    # is taken, also when some powers are already held, and the powers
+    # held stay usable after the refusal
+    x, y = reg.var("x"), reg.var("y")
+    target = x * x * y * -2
+    sub = Substitution(reg, {reg.sym("x"): target})
+    assert sub(reg.var("x", 3)) == target ** 3
+    del products[:]
+    with pytest.raises(ExponentOverflow, match="16384"):
+        sub(reg.var("x", EXPONENT_LIMIT // 2))
+    assert products == []
+    assert sub(reg.var("x", 4)) == target ** 4
+
+
 def test_exponent_overflow_guard(reg):
     x, y = reg.var("x"), reg.var("y")
     with pytest.raises(ExponentOverflow):
@@ -325,6 +402,20 @@ def test_exponent_overflow_guard(reg):
     # A full field never spills into its neighbour.
     edge = reg.var("x", 2 ** 15 - 1) * reg.var("y", 2 ** 15 - 1)
     assert edge.degree_in(reg.sym("x")) == edge.degree_in(reg.sym("y")) == 2 ** 15 - 1
+
+
+def test_parse_nesting_limit(reg):
+    x = reg.var("x")
+    at_limit = "(" * MAX_NESTING + "x + 1" + ")" * MAX_NESTING
+    assert reg.parse(at_limit) == x + 1
+    for depth in (MAX_NESTING + 1, 100000):
+        with pytest.raises(ParseError, match="nest deeper") as err:
+            reg.parse("(" * depth + "x" + ")" * depth)
+        assert err.value.position == MAX_NESTING
+    # siblings do not add up: the limit is on depth, not on count
+    assert reg.parse(" + ".join(["(x)"] * 500)) == x * 500
+    assert reg.parse("-" * 100001 + "x^2") == -(x * x)
+    assert reg.parse("-" * 100000 + "x") == x
 
 
 def test_parse_exponent_limit(reg):
@@ -445,8 +536,29 @@ def test_interning_bijective(reg):
     s2 = reg.sym("alpha")
     assert s1 == s2
     assert reg.name_of(s1.index) == "alpha"
-    with pytest.raises(ValueError):
-        reg.sym("not valid!")
+    for bad in ("not valid!", "1x", "", "x\u00e9"):
+        with pytest.raises(ValueError):
+            reg.sym(bad)
+
+
+def test_registry_core_table(reg):
+    # every registry starts from the core table at fixed ids, with a guard
+    # bit on each core field, and owns its copy of the table
+    assert len(reg) == len(CORE_SYMBOLS)
+    for idx, name in enumerate(CORE_SYMBOLS):
+        assert reg.sym(name) == reg.get(name) == Sym(name, idx)
+        assert name in reg and reg.name_of(idx) == name
+        with pytest.raises(ExponentOverflow, match=f"of {name} reaches"):
+            reg.var(name, EXPONENT_LIMIT - 1) * reg.var(name)
+    fresh = reg.sym("fresh")
+    assert fresh == Sym("fresh", len(CORE_SYMBOLS)) and reg.sym("fresh") is fresh
+    with pytest.raises(ExponentOverflow, match="of fresh reaches"):
+        reg.var("fresh", EXPONENT_LIMIT - 1) * reg.var("fresh")
+    other = SymbolRegistry()
+    assert "fresh" not in other and other.get("fresh") is None
+    assert len(other) == len(CORE_SYMBOLS)
+    assert other.sym("elsewhere").index == len(CORE_SYMBOLS)
+    assert "elsewhere" not in reg
 
 
 def test_interning_concurrent(reg):

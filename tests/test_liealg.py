@@ -9,6 +9,7 @@ from ccybe.liealg import (
     LieAlg,
     SymMat3,
     congruence,
+    is_zero_scalar,
     minors2,
     phi_matrix,
     psi_matrix,
@@ -250,6 +251,36 @@ def test_rank_le_1():
     v = (F(1), F(2), F(3))
     outer = SymMat3(tuple(tuple(a * b for b in v) for a in v))
     assert rank_le_1(outer)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "constant_poly"])
+def test_rank_le_1_matches_minors(kind):
+    # rank_le_1 takes the minors on the numeric rows directly; it agrees
+    # with minors2 on numeric symmetric matrices
+    # built as sums of 0, 1, 2 and 3 scaled outer products v v^T
+    rng = random.Random(5)
+    reg = SymbolRegistry()
+
+    def scalar():
+        if kind == "int":
+            return rng.randint(-4, 4)
+        return F(rng.randint(-4, 4), rng.randint(1, 5))
+
+    verdicts = {0: set(), 1: set(), 2: set(), 3: set()}
+    for _ in range(30):
+        vs = [[scalar() for _ in range(3)] for _ in range(3)]
+        for n in range(4):
+            ks = [scalar() for _ in range(n)]
+            a = [[sum((k * v[i] * v[j] for k, v in zip(ks, vs)), 0 * scalar())
+                  for j in range(3)] for i in range(3)]
+            if kind == "constant_poly":
+                a = [[reg.const(x) for x in row] for row in a]
+            m = SymMat3(tuple(tuple(row) for row in a))
+            want = all(is_zero_scalar(x) for x in minors2(m))
+            assert rank_le_1(m) == want
+            verdicts[n].add(want)
+    assert verdicts[0] == verdicts[1] == {True}
+    assert False in verdicts[2] and False in verdicts[3]
 
 
 def test_rank_parametric_error():

@@ -48,6 +48,7 @@ from support import (
     random_unimodular,
     random_univariate,
     tensor2_diagonal,
+    termwise_generic_profile,
 )
 
 F = Fraction
@@ -313,6 +314,26 @@ def test_invariance_skew_trivial(cur, reg):
     assert (t + tau(t)).is_zero()
     ok, _ = is_invariant(r)
     assert ok
+
+
+def test_generic_profile_matches_termwise():
+    # entries summed from monomials give the term-by-term profile, with
+    # the symbols interned in the same order (ids fix the print order),
+    # also on a registry that already holds some of them
+    for degree in range(5):
+        for prefix, held in (("c", ()), ("k", ("k_hh_0", "k_ef_1", "zz"))):
+            got_reg, want_reg = SymbolRegistry(), SymbolRegistry()
+            for name in held:
+                got_reg.sym(name)
+                want_reg.sym(name)
+            got = generic_profile(got_reg, degree, prefix)
+            want = termwise_generic_profile(want_reg, degree, prefix)
+            names = [got_reg.name_of(i) for i in range(len(got_reg))]
+            assert names == [want_reg.name_of(i) for i in range(len(want_reg))]
+            assert got.entries.keys() == want.entries.keys()
+            for pair, poly in want.entries.items():
+                assert dict(got.entries[pair].terms()) == dict(poly.terms())
+                assert got.entries[pair].to_string() == poly.to_string()
 
 
 def test_invariance_defect_he_coefficient(reg):
