@@ -9,6 +9,7 @@ text; there is no floating point anywhere in the tool.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -231,11 +232,21 @@ def cmd_search(args) -> int:
     except (ValueError, search.SearchConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
-    report = search.run_search(cfg)
-    payload = report.as_dict()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    # The report file is opened before the scan, so a path that cannot
+    # be written is refused up front rather than after the whole search;
+    # it is opened to append, so a report already there is kept until
+    # the new one replaces it.
+    with contextlib.ExitStack() as stack:
+        if args.out:
+            try:
+                fh = stack.enter_context(open(args.out, "a", encoding="utf-8"))
+            except (OSError, ValueError) as err:
+                print(f"error: {err}", file=sys.stderr)
+                return USAGE
+        report = search.run_search(cfg)
+        if args.out:
+            fh.truncate(0)
+            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"scanned {report.candidates_scanned} candidates "
           f"({report.consistent_candidates} invariance-consistent), "

@@ -19,9 +19,12 @@ act_on_tensor acts with a list of elements on one tensor, and the
 elements share the shifts: each slot's shift di -> di + lam is compiled
 once (exactpoly.Substitution, which keeps the powers of di + lam it
 builds), each (tuple, slot) coefficient is substituted once, and the
-result is multiplied by every element's inserted bracket.  The
-tensor-wide maps (tau, permute_slots, reduce_mod_total) likewise
-compile their substitution once per tensor.
+result is multiplied by every element's inserted bracket.  Each output
+coefficient is one exactpoly.PolySum: the Leibniz sum adds its
+products there term by term, with no polynomial built per product, and
+so do the inserted-bracket factors.  The tensor-wide maps (tau,
+permute_slots, reduce_mod_total) likewise compile their substitution
+once per tensor.
 
 Reduction "modulo the total derivation" eliminates d1 via
 d1 := -(d2 + ... + dN).
@@ -29,10 +32,12 @@ d1 := -(d2 + ... + dN).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
-from .exactpoly import MPoly, Substitution, Sym, SymbolRegistry
+from .exactpoly import MPoly, PolySum, Substitution, Sym, SymbolRegistry
 from .liealg import LieAlg, Scalar
 
 
@@ -144,11 +149,12 @@ class ConfTensor:
 
     def __post_init__(self):
         cleaned = {}
+        names = self.alg.basis_names
         for tup, poly in self.entries.items():
             if len(tup) != self.arity:
                 raise ValueError(f"tuple {tup} has wrong arity")
             for name in tup:
-                if name not in self.alg.basis_names:
+                if name not in names:
                     raise ValueError(f"unknown basis element {name!r}")
             if not poly.is_zero():
                 cleaned[tup] = poly
@@ -220,7 +226,8 @@ def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
     if any(e.alg is not alg for e in elems):
         raise ValueError("element and tensor over different algebras")
     reg = alg.reg
-    outs: list[dict] = [{} for _ in elems]
+    new_sum = partial(PolySum, reg)
+    outs = [defaultdict(new_sum) for _ in elems]
     at = Substitution(reg, {alg.d: -lam})
     at_lam = [[(p, at(g)) for p, g in e.coeffs.items()] for e in elems]
     # Per (basis element b, slot i): di's shift, compiled once per slot,
@@ -234,12 +241,11 @@ def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
         for b in alg.basis_names:
             row = []
             for out, gs in zip(outs, at_lam):
-                acc: dict[str, MPoly] = {}
+                acc = defaultdict(new_sum)
                 for p, g_at in gs:
                     for k, v in alg.basis_bracket(p, b, di, lam).items():
-                        term = g_at * v
-                        acc[k] = term if k not in acc else acc[k] + term
-                factor = [(k, f) for k, f in acc.items() if f]
+                        acc[k].add(g_at, v)
+                factor = [(k, f) for k, s in acc.items() if (f := s.value())]
                 if factor:
                     row.append((out, factor))
             table[b, i] = (shift, row)
@@ -252,11 +258,9 @@ def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
             shifted = shift(coeff)
             for out, factor in row:
                 for k, f in factor:
-                    key = tup[:i] + (k,) + tup[i + 1:]
-                    term = shifted * f
-                    prev = out.get(key)
-                    out[key] = term if prev is None else prev + term
-    return [ConfTensor(alg, t.arity, out) for out in outs]
+                    out[tup[:i] + (k,) + tup[i + 1:]].add(shifted, f)
+    return [ConfTensor(alg, t.arity, {key: s.value() for key, s in out.items()})
+            for out in outs]
 
 
 def tau(t: ConfTensor) -> ConfTensor:

@@ -4,9 +4,9 @@ A polynomial is a mapping from packed monomials to nonzero coefficients.
 A coefficient is a plain int when its denominator is 1 and a Fraction
 otherwise, so integer work never pays for Fraction arithmetic.  Values
 are made int-first where they enter (constants, variables, the
-constructor and scalar multiples); a sum or product of two Fractions is
-stored as it comes, since an integral Fraction compares, hashes and
-prints exactly like the int.  All arithmetic is exact; there is no
+constructor and scalar multiples) and in PolySum sums; a sum or product
+of two MPolys is stored as it comes, since an integral Fraction
+compares, hashes and prints exactly like the int.  All arithmetic is exact; there is no
 floating-point mode anywhere.
 
 A monomial is packed into one Python int with a 16-bit field per symbol:
@@ -31,6 +31,12 @@ costs O(log n) products.  A power that would take an exponent to
 EXPONENT_LIMIT is refused before the first product, as MPoly.__pow__
 refuses it.  Callers that apply one map to many polynomials (a tensor's
 coefficients) build it once.
+
+PolySum is the fused multiply-accumulate: a sum of products a * b (b a
+polynomial or an exact scalar) added term by term into one table, with
+no polynomial built per product and one guard check when the sum is
+read.  The tensor code (the double bracket's contraction tables and
+final products, the Leibniz sum of an action) sums its products there.
 
 Symbols are interned in a SymbolRegistry (append-only, synchronized).
 A registry starts from a prebuilt table of the core symbols, and a
@@ -624,6 +630,65 @@ def _build_power(held: dict[int, MPoly], n: int) -> MPoly:
                 pw = pw * held[1]
         held[n] = pw
     return pw
+
+
+class PolySum:
+    """A fused multiply-accumulate: a sum of products a * b built term by
+    term in one table, with no polynomial made per product.
+
+    `add(a, b)` adds a * b, with `a` a polynomial and `b` a polynomial or
+    an exact scalar; `value()` returns the sum as an MPoly and leaves the
+    accumulator empty.  The guard mask is checked once, in value(), and
+    that is enough: every stored key has each field below EXPONENT_LIMIT,
+    so the key of a product term, the sum of two such keys, has each
+    field below 2 * EXPONENT_LIMIT and never carries into its neighbour.
+    A table key is therefore the exact exponent vector of its monomial,
+    and a monomial whose exponent reaches the limit either keeps its
+    guard bit to the end, where value() raises ExponentOverflow, or
+    cancels exactly and is gone from the sum as well.  value() also turns
+    integral Fractions into ints, so the sum is stored int-first.
+    """
+
+    __slots__ = ("reg", "_terms")
+
+    def __init__(self, reg: SymbolRegistry):
+        self.reg = reg
+        self._terms: dict[int, Scalar] = {}
+
+    def add(self, a: MPoly, b: Union[MPoly, Scalar]) -> None:
+        reg = self.reg
+        if a.reg is not reg:
+            raise RegistryMismatch("operands use different symbol registries")
+        out = self._terms
+        get = out.get
+        if isinstance(b, MPoly):
+            if b.reg is not reg:
+                raise RegistryMismatch("operands use different symbol registries")
+            bterms = b._terms.items()
+            for ea, ca in a._terms.items():
+                for eb, cb in bterms:
+                    key = ea + eb
+                    s = get(key, 0) + ca * cb
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+            return
+        if not isinstance(b, (int, Fraction)):
+            raise TypeError(f"cannot multiply a polynomial by {type(b).__name__}")
+        b = _scalar(b)
+        if b:
+            for key, ca in a._terms.items():
+                s = get(key, 0) + ca * b
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+
+    def value(self) -> MPoly:
+        terms, self._terms = self._terms, {}
+        self.reg._check_guard(terms)
+        return MPoly._raw(self.reg, _ints_first(terms))
 
 
 # Parsing ---------------------------------------------------------------------

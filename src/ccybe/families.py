@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .conformal import ConfAlgebra
-from .exactpoly import MPoly, SymbolRegistry
+from .exactpoly import MPoly, PolySum, SymbolRegistry, _scalar
 from .liealg import Scalar, SymMat3, rank_le_1, sl2
 from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, RMat, boundary_values, lift_profile
 
@@ -255,15 +255,19 @@ class Characterization:
 
 def _scalar_constants(p: DiagProfile) -> list[Scalar]:
     """(alpha, beta, gamma, zeta) of a parameter-free profile as exact
-    scalars (raises ValueError on a parameter)."""
+    scalars, int-first (raises ValueError on a parameter)."""
     if p.constants is None:
         raise ValueError("profile carries no boundary constants")
     values = (p.constants[n] for n in CONSTANT_NAMES)
-    return [v.constant_value() if isinstance(v, MPoly) else v for v in values]
+    return [_scalar(v.constant_value() if isinstance(v, MPoly) else v) for v in values]
 
 
 def characterize(p: DiagProfile) -> Characterization:
-    """Check the structural form every invariant weak solution must have."""
+    """Check the structural form every invariant weak solution must have.
+
+    The matrix entries are exact scalars, int-first (`exactpoly._scalar`),
+    so an integral survivor is characterized in int arithmetic.
+    """
     if not p.is_numeric():
         raise ValueError("characterize requires a parameter-free profile")
     reg = p.reg
@@ -271,42 +275,41 @@ def characterize(p: DiagProfile) -> Characterization:
     names = ("e", "f", "h")
 
     centered = {}
+    boundary = {}
     for pair in PAIRS:
         entry = p.entry(*pair)
-        c0 = entry.constant_term()
+        c0 = boundary[pair] = _scalar(entry.constant_term())
         centered[pair] = entry - c0 if c0 else entry
 
     odd = all(c.odd_even_split(x)[1].is_zero() for c in centered.values())
     sym = all(centered[(q, l)] == centered[(l, q)] for q, l in PAIRS)
 
     fs = []
-    scalars: dict[tuple, Fraction] = {}
+    scalars: dict[tuple, Scalar] = {}
     decomposable = True
     for pair in PAIRS:
         c = centered[pair]
         if c.is_zero():
-            scalars[pair] = Fraction(0)
+            scalars[pair] = 0
             continue
         match = c.match_axf(x)
         if match is None:
             decomposable = False
-            scalars[pair] = Fraction(0)
+            scalars[pair] = 0
             continue
         a, f = match
-        scalars[pair] = a.constant_value()
+        scalars[pair] = _scalar(a.constant_value())
         fs.append(f)
     shared_ok = decomposable and all((f - fs[0]).is_zero() for f in fs[1:])
     shared = fs[0] if (fs and shared_ok) else None
 
     matrix = SymMat3(tuple(
-        tuple(scalars[(q, l)] for l in names) for q in names
-    )) if sym else SymMat3(tuple(
-        tuple(Fraction(0) for _ in names) for _ in names
+        tuple(scalars[(q, l)] if sym else 0 for l in names) for q in names
     ))
     rank_ok = rank_le_1(matrix) if sym else False
 
     constants_ok = p.constants is not None and all(
-        want == p.entry(*pair).constant_term()
+        want == boundary[pair]
         for pair, want in zip(PAIRS, boundary_values(_scalar_constants(p)))
     )
 
@@ -316,20 +319,22 @@ def characterize(p: DiagProfile) -> Characterization:
     )
 
 
-def scalar_relation_residues(p: DiagProfile, matrix: SymMat3) -> dict[str, MPoly]:
+def scalar_relation_residues(p: DiagProfile, m) -> dict[str, MPoly]:
     """Residues of the proportionality and minor relations tying the
     coefficient matrix to the boundary constants; all must vanish on a
     genuine invariant weak solution.
 
-    For a parameter-free profile and a numeric matrix, as characterize
-    gives them: the minors and the constant relations are exact scalars
-    (returned as constant polynomials), and each entry relation is a
-    scalar multiple of each of its two entries plus a constant.
+    For a parameter-free profile and the rows `m` of its numeric matrix,
+    as `characterize(p).matrix.numeric()` gives them: the minors and the
+    constant relations are exact scalars (returned as constant
+    polynomials), and each entry relation is a scalar multiple of each of
+    its two entries plus a constant, summed in one accumulator.
     """
     reg = p.reg
-    (a_ee, _, _), (a_fe, a_ff, _), (a_he, a_hf, a_hh) = matrix.numeric()
+    (a_ee, _, _), (a_fe, a_ff, _), (a_he, a_hf, a_hh) = m
     alpha, beta, gamma, zeta = _scalar_constants(p)
     two_zb = zeta * 2 - beta
+    one = reg.const(1)
 
     ee = p.entry("e", "e")
     ff = p.entry("f", "f")
@@ -340,9 +345,11 @@ def scalar_relation_residues(p: DiagProfile, matrix: SymMat3) -> dict[str, MPoly
 
     def rel(c1, p1, k1, c2, p2, k2) -> MPoly:
         """c1 (p1 - k1) - c2 (p2 - k2)."""
-        out = p1 * c1 + p2 * -c2
-        k = c2 * k2 - c1 * k1
-        return out + k if k else out
+        acc = PolySum(reg)
+        acc.add(p1, c1)
+        acc.add(p2, -c2)
+        acc.add(one, c2 * k2 - c1 * k1)
+        return acc.value()
 
     const = reg.const
     return {

@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
-from .exactpoly import MPoly
+from .exactpoly import MPoly, _scalar
 
 Scalar = Union[int, Fraction, MPoly]
 
@@ -46,26 +46,27 @@ class LieAlg:
     """A Lie algebra over Q presented by structure constants.
 
     `table` holds the bracket of basis pairs: table[(i, j)] maps output
-    basis names to rational coefficients.  Antisymmetry and the Jacobi
+    basis names to rational coefficients, int-first (an int where the
+    value is integral, a Fraction otherwise).  Antisymmetry and the Jacobi
     identity are verified exhaustively at construction.  The table and
     its rows are read-only views, so an algebra can be shared.
     """
 
     def __init__(self, names: Sequence[str], table: Mapping[tuple, Mapping[str, Scalar]]):
         self.names = tuple(names)
-        full: dict[tuple, dict[str, Fraction]] = {}
+        full: dict[tuple, dict[str, Union[int, Fraction]]] = {}
         for (i, j), out in table.items():
-            cleaned = {k: Fraction(v) for k, v in out.items() if v}
+            cleaned = {k: _scalar(v) for k, v in out.items() if v}
             if cleaned:
                 full[(i, j)] = MappingProxyType(cleaned)
-        self.table: Mapping[tuple, Mapping[str, Fraction]] = MappingProxyType(full)
+        self.table: Mapping[tuple, Mapping[str, Union[int, Fraction]]] = MappingProxyType(full)
         self._validate()
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    def bracket_basis(self, i: str, j: str) -> Mapping[str, Fraction]:
+    def bracket_basis(self, i: str, j: str) -> Mapping[str, Union[int, Fraction]]:
         return self.table.get((i, j), _NO_BRACKET)
 
     def bracket(self, x: Mapping[str, Scalar], y: Mapping[str, Scalar]) -> dict[str, Scalar]:
@@ -249,14 +250,12 @@ class SymMat3:
         return all(not isinstance(v, MPoly) or v.is_constant()
                    for row in self.a for v in row)
 
-    def numeric(self) -> tuple[tuple[Fraction, ...], ...]:
-        out = []
-        for row in self.a:
-            vals = []
-            for v in row:
-                vals.append(v.constant_value() if isinstance(v, MPoly) else Fraction(v))
-            out.append(tuple(vals))
-        return tuple(out)
+    def numeric(self) -> tuple[tuple[Union[int, Fraction], ...], ...]:
+        """The entries as exact scalars, int-first: an int where the value
+        is integral, a Fraction otherwise (raises on a parametric entry)."""
+        return tuple(
+            tuple(_scalar(v.constant_value() if isinstance(v, MPoly) else v) for v in row)
+            for row in self.a)
 
 
 def congruence(mat: SymMat3, aut: AutMatrix) -> SymMat3:

@@ -63,7 +63,7 @@ from multiprocessing import get_all_start_methods, get_context
 from typing import Optional, Sequence
 
 from . import ybe
-from .exactpoly import SymbolRegistry
+from .exactpoly import SymbolRegistry, _scalar
 from .families import characterize, scalar_relation_residues
 from .ybe import (
     CATALOG,
@@ -83,7 +83,7 @@ _MIRROR = {i: _PAIR_INDEX[(l, q)] for (q, l), i in _PAIR_INDEX.items()}
 # Upper bound on SearchConfig.workers: each worker is one process.
 MAX_WORKERS = 64
 # Bound on the invariance-consistent candidates of a search.  The
-# odd-ansatz degree-5 grid over {-1,0,1} (3.1e10) takes about 17 s
+# odd-ansatz degree-5 grid over {-1,0,1} (3.1e10) takes about 15 s
 # serially (one CPU of a 2-CPU host, Python 3.11); degree 7 over the same
 # grid (2.3e13) is refused.
 MAX_CONSISTENT = 10 ** 11
@@ -120,10 +120,14 @@ class SearchConfig:
             raise SearchConfigError(f"max_degree must be between 1 and {MAX_DEGREE}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise SearchConfigError(f"workers must be between 1 and {MAX_WORKERS}")
-        object.__setattr__(self, "coeff_grid",
-                           tuple(Fraction(v) for v in self.coeff_grid))
-        object.__setattr__(self, "constants_grid",
-                           tuple(Fraction(v) for v in self.constants_grid))
+        for name in ("coeff_grid", "constants_grid"):
+            grid = tuple(Fraction(v) for v in getattr(self, name))
+            if len(set(grid)) != len(grid):
+                # a repeated value would count each candidate it builds
+                # once per copy
+                raise SearchConfigError(f"{name} repeats a value: "
+                                        f"{', '.join(str(v) for v in grid)}")
+            object.__setattr__(self, name, grid)
         consistent = count_consistent(self)
         if consistent > MAX_CONSISTENT:
             raise SearchConfigError(
@@ -224,14 +228,9 @@ _REP_PAIRS = tuple(
 )
 
 
-def _fast(values) -> tuple:
-    """Integer-valued Fractions as plain ints (much faster arithmetic)."""
-    return tuple(int(v) if v.denominator == 1 else v for v in values)
-
-
 def _free_slots(cfg: SearchConfig) -> list[tuple]:
     """(kind, entry index, degree position, value choices) per free slot."""
-    grid = _fast(cfg.coeff_grid)
+    grid = tuple(map(_scalar, cfg.coeff_grid))
     neg_ok = tuple(v for v in grid if -v in grid)
     slots = []
     for k, j in enumerate(cfg.degrees):
@@ -407,7 +406,7 @@ class _Plan:
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
-        self.const_grid = _fast(cfg.constants_grid)
+        self.const_grid = tuple(map(_scalar, cfg.constants_grid))
         equations = [CATALOG[name] for name in filter_equation_names(cfg)]
         level_of = [0] * len(PAIRS)
         for level, g in enumerate(_LEVEL_ORDER):
@@ -558,7 +557,8 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     for flag in ("odd", "sym", "shared_f_ok", "rank_le_1", "constants_ok"):
         if not getattr(rep, flag):
             problems.append(f"characterize:{flag}")
-    for name, residue in scalar_relation_residues(profile, rep.matrix).items():
+    m = rep.matrix.numeric()
+    for name, residue in scalar_relation_residues(profile, m).items():
         if not residue.is_zero():
             problems.append(f"relation:{name}")
     # One double bracket gives both verdicts: the weak one from the
@@ -570,14 +570,14 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
         problems.append("reverify:weak_defect")
     if cfg.mode == "strict" and not ybe.strict_verdict(bracket)[0]:
         problems.append("reverify:strict")
-    record.update(_classify(profile, rep))
-    record["matrix"] = [[str(v) for v in row] for row in rep.matrix.numeric()]
+    record.update(_classify(profile, rep, m))
+    record["matrix"] = [[str(v) for v in row] for row in m]
     return record, problems
 
 
-def _classify(profile: DiagProfile, report) -> dict:
-    """Family-spec-like record for a survivor in normal form."""
-    m = report.matrix.numeric()
+def _classify(profile: DiagProfile, report, m) -> dict:
+    """Family-spec-like record for a survivor in normal form, with `m`
+    the rows of its numeric matrix."""
     consts = {n: profile.constants[n] for n in CONSTANT_NAMES}
     nonzero = [(i, j) for i in range(3) for j in range(3) if m[i][j]]
     record: dict = {"case": "other"}

@@ -23,7 +23,10 @@ shared table keyed (k, l') resp. (q', k), since both multiply
 A(d1, d2+d3).  For a current algebra the inserted bracket is a
 structure constant, so this step is scalar multiples and sums; for
 Virasoro it is the polynomial d + 2 lam.  Last, each A form is
-multiplied once by each coefficient of its table.  The bracket is
+multiplied once by each coefficient of its table.  Every table
+coefficient and every output coefficient is one exactpoly.PolySum, so
+each of these products is added term by term into its sum, with no
+polynomial built per product.  The bracket is
 produced unreduced; reduction modulo the total derivation is a separate
 step so both forms stay testable.
 
@@ -62,8 +65,10 @@ form: raw == scale * stored.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .conformal import (
@@ -76,7 +81,7 @@ from .conformal import (
     reduce_mod_total,
     tau,
 )
-from .exactpoly import MPoly, Substitution, SymbolRegistry
+from .exactpoly import MPoly, PolySum, Substitution, SymbolRegistry
 from .liealg import AutMatrix, LieAlg, Scalar, sl2
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
@@ -210,10 +215,6 @@ def ccybe_bracket(r: RMat, tuples: Optional[Iterable[tuple]] = None) -> ConfTens
             forms[key, j] = poly
         return poly
 
-    def add(acc: dict, key: tuple, poly: MPoly) -> None:
-        prev = acc.get(key)
-        acc[key] = poly if prev is None else prev + poly
-
     # A wanted triple (a, b, c) reads slot 1's tables at (a, c) and the
     # shared slot-2/3 tables at (b, c).
     if tuples is None:
@@ -223,35 +224,39 @@ def ccybe_bracket(r: RMat, tuples: Optional[Iterable[tuple]] = None) -> ConfTens
     keys13 = {(a, c) for a, _, c in wanted}
     keys23 = {(b, c) for _, b, c in wanted}
 
+    new_sum = partial(PolySum, reg)
     # slot1[q]: sum over entries (q2, l2) of [q, q2] B_1, keyed (k, l2);
     # slot23[l]: sum over entries (q2, l2) of [q2, l] B_2, keyed (k, l2),
     # plus [l2, l] B_3, keyed (q2, k).  Both slot 2 and slot 3 multiply
     # A(d1, d2+d3), so they share one table.
-    slot1: dict = {p: {} for p in names}
-    slot23: dict = {p: {} for p in names}
+    slot1 = {p: defaultdict(new_sum) for p in names}
+    slot23 = {p: defaultdict(new_sum) for p in names}
     for key2 in r.entries:
         q2, l2 = key2
         for p in names:
             for k, v in alg.basis_bracket(p, q2, d1, d2).items():
                 if (k, l2) in keys13:
-                    add(slot1[p], (k, l2), form(key2, 2) * v)
+                    slot1[p][k, l2].add(form(key2, 2), v)
             for k, v in alg.basis_bracket(q2, p, d2, d3).items():
                 if (k, l2) in keys23:
-                    add(slot23[p], (k, l2), form(key2, 3) * v)
+                    slot23[p][k, l2].add(form(key2, 3), v)
             for k, v in alg.basis_bracket(l2, p, d3, d2).items():
                 if (q2, k) in keys23:
-                    add(slot23[p], (q2, k), form(key2, 4) * v)
+                    slot23[p][q2, k].add(form(key2, 4), v)
+    for tables in (slot1, slot23):
+        for p, table in tables.items():
+            tables[p] = {key: acc.value() for key, acc in table.items()}
 
-    out: dict[tuple, MPoly] = {}
+    out = defaultdict(new_sum)
     for key in r.entries:
         q, l = key
         for (k, l2), c in slot1[q].items():
             if c and (k, l, l2) in wanted:
-                add(out, (k, l, l2), form(key, 0) * c)
+                out[k, l, l2].add(form(key, 0), c)
         for (u, v), c in slot23[l].items():
             if c and (q, u, v) in wanted:
-                add(out, (q, u, v), form(key, 1) * c)
-    return ConfTensor(alg, 3, out)
+                out[q, u, v].add(form(key, 1), c)
+    return ConfTensor(alg, 3, {tup: acc.value() for tup, acc in out.items()})
 
 
 def strict_verdict(bracket: ConfTensor) -> tuple[bool, ConfTensor]:

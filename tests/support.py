@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Union
 
 from ccybe import search
 from ccybe.conformal import ConfTensor, act_on_tensor, permute_slots, reduce_mod_total
-from ccybe.exactpoly import MPoly, SymbolRegistry
+from ccybe.exactpoly import MPoly, SymbolRegistry, _scalar
 from ccybe.liealg import AutMatrix, LieAlg, Scalar, is_zero_scalar, sl2, tensor_add
 from ccybe.search import candidate_profile, filter_equation_names
 from ccybe.ybe import (
@@ -349,7 +349,7 @@ def flat_scan(cfg):
     names = filter_equation_names(cfg)
     terms = _filter_terms(names)
     slots = search._free_slots(cfg)
-    const_grid = search._fast(cfg.constants_grid)
+    const_grid = tuple(map(_scalar, cfg.constants_grid))
     points_args = [_arg_values(p) for p in search._PRESCREEN_POINTS]
     out = []
     for index in range(search.count_consistent(cfg)):

@@ -532,6 +532,58 @@ def test_search_cli_refuses_unbounded_degree(monkeypatch, capsys, raw):
     assert captured.err.startswith("error:") and str(search.MAX_DEGREE) in captured.err
 
 
+@pytest.mark.parametrize("where", ["missing_parent", "directory", "null_byte"])
+def test_search_cli_unwritable_out(tmp_path, monkeypatch, capsys, where):
+    # a report path that cannot be written is refused with exit 2 and one
+    # error line before the search starts, not after it
+    def no_search(cfg):
+        raise AssertionError("the search was started")
+
+    monkeypatch.setattr(search, "run_search", no_search)
+    out = {"missing_parent": str(tmp_path / "missing" / "r.json"),
+           "directory": str(tmp_path), "null_byte": str(tmp_path / "r\0.json")}[where]
+    argv = ["search", "--max-degree", "1", "--coeffs", "0,1", "--constants", "0",
+            "--out", out]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_search_cli_out_replaces_report_after_scan(tmp_path, monkeypatch, capsys):
+    # an existing report is left whole until the new one replaces it
+    out = tmp_path / "r.json"
+    out.write_text("x" * 100000)
+    run_search = search.run_search
+
+    def check_kept(cfg):
+        assert out.read_text() == "x" * 100000
+        return run_search(cfg)
+
+    monkeypatch.setattr(search, "run_search", check_kept)
+    argv = ["search", "--max-degree", "1", "--coeffs", "0,1", "--constants", "0",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["candidates_scanned"] == 512
+
+
+@pytest.mark.parametrize("flag, values", [
+    ("--coeffs", "1,1.0,2/2"),
+    ("--coeffs", "0,0"),
+    ("--constants", "-1,0,-2/2"),
+])
+def test_search_cli_duplicate_grid_values(monkeypatch, capsys, flag, values):
+    def no_search(cfg):
+        raise AssertionError("the search was started")
+
+    monkeypatch.setattr(search, "run_search", no_search)
+    assert cli.main(["search", "--max-degree", "1", f"{flag}={values}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "repeats a value" in captured.err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "65", "100000"])
 def test_search_cli_jobs_out_of_range(monkeypatch, capsys, jobs):
     def no_pool(*args, **kwargs):
@@ -700,3 +752,60 @@ def test_cli_exit_contract_fuzz(tmp_path_factory, argv, rmat, spec, missing):
     code, out, err = _call([arg.format(**paths) for arg in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
+
+
+# search: every grid drawn is small enough that an example scans at most
+# 2^6 coefficient choices times 2^4 constants tuples (1,024 consistent
+# candidates) at max_degree 1, and 2^4 above it.  A token holds no
+# comma, so it gives at most one grid value.
+_rational_token = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+    st.sampled_from(("0", "1", "-1", "1.0", "2/2", "-0.5", "1e2")))
+_grid_token = st.one_of(
+    _rational_token,
+    st.sampled_from(("1/0", "1e99999", "nan", "inf", "x", " ", "")),
+    st.text(alphabet=st.characters(blacklist_characters=",", blacklist_categories=("Cs",)),
+            max_size=6))
+
+
+@st.composite
+def _search_argv(draw):
+    """(argument vector, report path below the test directory or None).
+
+    Half of the examples draw valid degrees, modes and rational grids, so
+    that they run a search; the other half draw any of them."""
+    tokens, degrees, modes = draw(st.sampled_from((
+        (_rational_token, ("1", "1", "1", "3"), ("weak", "strict")),
+        (_grid_token, ("1", "3", "2", "0", "32", "99999999999", "x", "1.5"),
+         ("weak", "strict", "bogus")))))
+    degree = draw(st.sampled_from(degrees))
+    coeffs = draw(st.lists(tokens, min_size=1, max_size=1 if degree in ("2", "3") else 2))
+    constants = draw(st.lists(tokens, min_size=1, max_size=2))
+    argv = ["search", "--jobs", "1", "--max-degree", degree, "--coeffs=" + ",".join(coeffs),
+            "--constants=" + ",".join(constants), "--mode", draw(st.sampled_from(modes))]
+    if draw(st.booleans()):
+        argv.append("--raw")
+    out = draw(st.one_of(
+        st.sampled_from(("/r.json", "/r.json", "", "/missing/r.json")),
+        st.text(alphabet=st.characters(blacklist_characters="/", blacklist_categories=("Cs",)),
+                min_size=1, max_size=6).map(lambda name: "/" + name),
+        st.none()))
+    return argv, out
+
+
+@settings(max_examples=120, deadline=None)
+@given(drawn=_search_argv())
+def test_cli_search_exit_contract_fuzz(tmp_path_factory, drawn):
+    # any grids, degree and report path (the test directory itself, one
+    # below a missing directory, or any name in it) give exit 0, 1 or 2
+    # and never an uncaught exception
+    argv, out = drawn
+    base = tmp_path_factory.getbasetemp() / "search_fuzz"
+    base.mkdir(exist_ok=True)
+    if out is not None:
+        argv = argv + ["--out", str(base) + out]
+    code, stdout, err = _call(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stdout + err
+    if code == 2:
+        assert not stdout and err

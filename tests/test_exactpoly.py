@@ -12,6 +12,7 @@ from ccybe.exactpoly import (
     ExponentOverflow,
     MPoly,
     ParseError,
+    PolySum,
     RegistryMismatch,
     Substitution,
     Sym,
@@ -488,6 +489,117 @@ def test_split_parity(p):
     minus_x = -reg.var("x")
     assert odd.subst_linear(x, minus_x) == -odd
     assert even.subst_linear(x, minus_x) == even
+
+
+# Fused multiply-accumulate ---------------------------------------------------
+
+# The registry of _addends: 80 interned names, so s79 has the highest id,
+# next to d1 (id 3); exponents are small or just below the limit.
+_SUM_NAMES = ("d1", "s79")
+_exponent = st.sampled_from((1, 2, 3) + tuple(EXPONENT_LIMIT - k for k in (1, 2, 3)))
+_coefficient = st.sampled_from((1, -1, 2, -3)) | st.builds(
+    Fraction, st.sampled_from((1, -1, 2, 4, -6)), st.integers(1, 3))
+
+
+@st.composite
+def _sum_poly(draw, reg):
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exps = [0] * len(reg)
+        for name in draw(st.lists(st.sampled_from(_SUM_NAMES), min_size=1, max_size=2,
+                                  unique=True)):
+            exps[reg.sym(name).index] = draw(_exponent)
+        terms[tuple(exps)] = draw(_coefficient)
+    return MPoly(reg, terms)
+
+
+@st.composite
+def _addends(draw):
+    """(registry, [(a, b)]): b a polynomial or an int or Fraction scalar,
+    each addend drawn with or without its exact negation."""
+    reg = SymbolRegistry()
+    for i in range(80):
+        reg.sym(f"s{i}")
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(_sum_poly(reg))
+        b = draw(_sum_poly(reg) | _coefficient)
+        out.append((a, b))
+        if draw(st.booleans()):
+            out.append((-a, b) if draw(st.booleans()) else (a, -b))
+    return reg, out
+
+
+def _exact_sum(addends) -> dict:
+    """Sum of products on exponent tuples, with no exponent limit."""
+    out = {}
+    for a, b in addends:
+        bterms = list(b.terms()) if isinstance(b, MPoly) else [((), Fraction(b))]
+        for ea, ca in a.terms():
+            for eb, cb in bterms:
+                n = max(len(ea), len(eb))
+                key = tuple(x + y for x, y in zip(ea + (0,) * (n - len(ea)),
+                                                  eb + (0,) * (n - len(eb))))
+                out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_addends())
+def test_polysum_matches_sum_of_products(drawn):
+    # the accumulator equals the sum of the products, stores integral
+    # coefficients as ints and raises ExponentOverflow exactly when a
+    # monomial that survives the sum reaches the limit
+    reg, addends = drawn
+    acc = PolySum(reg)
+    for a, b in addends:
+        acc.add(a, b)
+    want = _exact_sum(addends)
+    if any(e >= EXPONENT_LIMIT for exps in want for e in exps):
+        with pytest.raises(ExponentOverflow):
+            acc.value()
+        return
+    got = acc.value()
+    assert got == MPoly(reg, want)
+    assert all(type(c) is int or c.denominator > 1 for c in got._terms.values())
+    try:
+        products = reg.zero()
+        for a, b in addends:
+            products = products + a * b
+    except ExponentOverflow:
+        pass  # a product overflows, but that monomial cancels in the sum
+    else:
+        assert got == products
+    assert acc.value().is_zero()  # value() leaves the accumulator empty
+
+
+def test_polysum_examples(reg):
+    x, y = reg.var("x"), reg.var("y")
+    acc = PolySum(reg)
+    acc.add(x + y, x - y)
+    acc.add(y, y)
+    acc.add(x, Fraction(-2, 4))
+    acc.add(x, Fraction(1, 2))
+    acc.add(y, 0)
+    got = acc.value()
+    assert got == x * x and got.to_string() == "x^2"
+    acc.add(x * Fraction(1, 3), 3)
+    assert acc.value()._terms == {reg.var("x")._terms.popitem()[0]: 1}
+    top = reg.var("x", EXPONENT_LIMIT - 1)
+    acc.add(top, x)
+    acc.add(top, -x)  # an overflowing monomial that cancels is no overflow
+    acc.add(top, 1)
+    assert acc.value() == top
+    acc.add(top, x + 1)
+    with pytest.raises(ExponentOverflow, match="of x reaches"):
+        acc.value()
+    other = SymbolRegistry()
+    with pytest.raises(RegistryMismatch):
+        acc.add(other.var("x"), 1)
+    with pytest.raises(RegistryMismatch):
+        acc.add(x, other.var("x"))
+    with pytest.raises(TypeError):
+        acc.add(x, 0.5)
 
 
 def test_match_axf_roundtrip(reg):

@@ -15,6 +15,7 @@ from ccybe.families import (
     vir_rmatrix,
 )
 from ccybe.conformal import tau
+from ccybe.liealg import SymMat3, rank_le_1
 from ccybe.ybe import (
     PAIRS,
     boundary_values,
@@ -109,6 +110,28 @@ def test_characterize_family(reg):
     assert sum(1 for row in rep.matrix.numeric() for v in row if v) == 1
 
 
+@pytest.mark.parametrize("scale", [1, F(4, 2), F(3, 2), F(-1, 3)])
+def test_characterize_matrix_int_first(reg, scale):
+    # the numeric matrix holds an int where an entry is integral and a
+    # Fraction otherwise, and the rank verdict is that of its Fraction form
+    x = reg.var("x")
+    rank1 = FamilySpec("thm5_ii", reg, {"lhh": scale * 2, "beta": 1, "zeta": scale},
+                       f=reg.parse("t + 1"))
+    rank2 = ybe.DiagProfile(reg, {("e", "e"): x * scale, ("f", "f"): x},
+                            {n: scale for n in ("alpha", "beta", "gamma", "zeta")})
+    for prof, rank_ok in ((build_profile(rank1), True), (rank2, False)):
+        rep = characterize(prof)
+        m = rep.matrix.numeric()
+        for row in m:
+            for v in row:
+                assert type(v) is (int if F(v).denominator == 1 else F)
+        assert rep.rank_le_1 is rank_ok
+        as_fractions = SymMat3(tuple(tuple(F(v) for v in row) for row in m))
+        assert rank_le_1(as_fractions) is rank_ok
+        assert m == as_fractions.numeric()
+    assert characterize(build_profile(rank1)).ok
+
+
 def test_characterize_rank2(reg):
     prof = ybe.DiagProfile(reg, {
         ("e", "e"): reg.var("x"), ("f", "f"): reg.var("x"),
@@ -165,7 +188,7 @@ def test_characterize_roundtrip_random(reg):
             assert rep.shared_f == f
         else:
             assert all(v == 0 for row in m for v in row)
-        for residue in scalar_relation_residues(prof, rep.matrix).values():
+        for residue in scalar_relation_residues(prof, m).values():
             assert residue.is_zero()
 
 

@@ -57,6 +57,21 @@ def test_config_validation():
     SearchConfig(max_degree=2, raw=True)
 
 
+@pytest.mark.parametrize("grids", [
+    {"coeff_grid": (0, 0), "constants_grid": (0,)},
+    {"coeff_grid": (1, 1.0, Fraction(2, 2))},
+    {"coeff_grid": (-1, 0, 1), "constants_grid": (Fraction(1, 2), 0, Fraction(2, 4))},
+], ids=["zeros", "one_three_ways", "constants_half"])
+def test_config_refuses_repeated_grid_values(grids):
+    # a repeated value counted each candidate it builds once per copy:
+    # coeff_grid (0, 0) reported 64 identical survivors
+    with pytest.raises(SearchConfigError, match="repeats a value"):
+        SearchConfig(max_degree=1, raw=True, **grids)
+    distinct = {name: tuple(dict.fromkeys(Fraction(v) for v in grid))
+                for name, grid in grids.items()}
+    assert SearchConfig(max_degree=1, raw=True, **distinct)
+
+
 def test_consistent_bound(monkeypatch):
     # degree 7 over {-1,0,1} is refused by default, before any scan
     grid = dict(max_degree=7, coeff_grid=(-1, 0, 1), constants_grid=(-1, 0, 1))
