@@ -217,6 +217,12 @@ def cmd_family(args) -> int:
     return PASS
 
 
+# The flag of each SearchConfig field, so a refused configuration is
+# reported in the terms the user typed.
+_SEARCH_FLAGS = {"max_degree": "--max-degree", "coeff_grid": "--coeffs",
+                 "constants_grid": "--constants", "workers": "--jobs"}
+
+
 def cmd_search(args) -> int:
     try:
         coeffs = tuple(_rational(v) for v in args.coeffs.split(",") if v.strip())
@@ -229,7 +235,11 @@ def cmd_search(args) -> int:
             raw=args.raw,
             workers=args.jobs,
         )
-    except (ValueError, search.SearchConfigError) as err:
+    except search.SearchConfigError as err:
+        flag = _SEARCH_FLAGS.get(err.field)
+        print(f"error: {flag + ': ' if flag else ''}{err}", file=sys.stderr)
+        return USAGE
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     # The report file is opened before the scan, so a path that cannot
@@ -313,8 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="bounded exhaustive classification cross-check")
     p.add_argument("--mode", choices=("weak", "strict"), default="weak")
     p.add_argument("--max-degree", type=int, default=1)
-    p.add_argument("--coeffs", default="-1,0,1")
-    p.add_argument("--constants", default="-1,0,1")
+    p.add_argument("--coeffs", default="-1,0,1",
+                   help="coefficient grid, written --coeffs=-1,0,1")
+    p.add_argument("--constants", default="-1,0,1",
+                   help="boundary-constant grid, written --constants=-1,0,1")
     p.add_argument("--raw", action="store_true",
                    help="drop the odd-polynomial ansatz")
     p.add_argument("--jobs", type=int, default=1)

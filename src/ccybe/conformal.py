@@ -267,15 +267,7 @@ def tau(t: ConfTensor) -> ConfTensor:
     """Swap the two tensor factors (and the two slot symbols)."""
     if t.arity != 2:
         raise ValueError("tau is defined on arity-2 tensors")
-    reg = t.alg.reg
-    d1, d2 = t.slot_sym(0), t.slot_sym(1)
-    swap = Substitution(reg, {d1: reg.var(d2), d2: reg.var(d1)})
-    out = {}
-    for (p, q), poly in t.entries.items():
-        key = (q, p)
-        val = swap(poly)
-        out[key] = out.get(key, reg.zero()) + val
-    return ConfTensor(t.alg, 2, out)
+    return permute_slots(t, (1, 0))
 
 
 def _eliminate_d1(t: ConfTensor) -> dict:

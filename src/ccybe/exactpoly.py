@@ -455,56 +455,28 @@ class MPoly:
             (odd if key & low_bit else even)[key] = coeff
         return MPoly._raw(self.reg, odd), MPoly._raw(self.reg, even)
 
-    def match_axf(self, sym: Sym, t_name: str = "t") -> Optional[tuple["MPoly", "MPoly"]]:
-        """Match p == a * sym * f(sym^2) with f monic in the symbol `t_name`.
+    def match_axf(self, sym: Sym) -> Optional[tuple["MPoly", "MPoly"]]:
+        """Match p == a * sym * f(sym^2) with f monic in the symbol t.
 
-        Returns (a, f) where f is a monic univariate polynomial in t
-        (standing for sym^2).  The factor a is a rational constant, or
-        q * sigma for a single parameter symbol sigma.  Returns None when
-        p is not of that shape (even part present, zero polynomial, or a
-        mixed-parameter leading coefficient).
+        Returns (a, f) where a is a rational constant and f a monic
+        univariate polynomial in t (standing for sym^2).  Returns None
+        when p is not of that shape (even part present, or the zero
+        polynomial); a coefficient with a parameter in it raises
+        ValueError.
         """
         if self.is_zero():
             return None
         odd, even = self.odd_even_split(sym)
         if not even.is_zero():
             return None
-        uni = self.as_univariate_in(sym)
-        coeffs: dict[int, MPoly] = {}
-        for deg, c in uni.items():
-            coeffs[(deg - 1) // 2] = c
-        top = max(coeffs)
-        numeric = all(c.is_constant() for c in coeffs.values())
-        t = self.reg.var(t_name)
-        if numeric:
-            a_val = coeffs[top].constant_value()
-            f = self.reg.zero()
-            for k, c in coeffs.items():
-                f = f + (t ** k) * (c.constant_value() / a_val)
-            return self.reg.const(a_val), f
-        # Parametric: every coefficient must be q_k * sigma for one shared
-        # parameter symbol sigma to the first power.
-        sigma_index: Optional[int] = None
-        ratios: dict[int, Fraction] = {}
-        for k, c in coeffs.items():
-            items = list(c.terms())
-            if len(items) != 1:
-                return None
-            exps, q = items[0]
-            nz = [(i, e) for i, e in enumerate(exps) if e]
-            if len(nz) != 1 or nz[0][1] != 1:
-                return None
-            idx = nz[0][0]
-            if sigma_index is None:
-                sigma_index = idx
-            elif sigma_index != idx:
-                return None
-            ratios[k] = q
-        a = coeffs[top]
+        coeffs = {(deg - 1) // 2: c.constant_value()
+                  for deg, c in self.as_univariate_in(sym).items()}
+        a_val = coeffs[max(coeffs)]
+        t = self.reg.var("t")
         f = self.reg.zero()
-        for k, q in ratios.items():
-            f = f + (t ** k) * (q / ratios[top])
-        return a, f
+        for k, c in coeffs.items():
+            f = f + (t ** k) * (c / a_val)
+        return self.reg.const(a_val), f
 
     # Printing ----------------------------------------------------------------
 

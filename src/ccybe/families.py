@@ -6,51 +6,105 @@ thm5_iii (weak solutions up to automorphism), cor6_i / cor6_ii /
 cor6_iii (their skew-symmetric strict refinements with zeta = 0), and
 vir (a single-entry tensor over the Virasoro algebra).
 
-Every profile entry has the shape A'_{ql}(x) = A'_{ql}(0) + a_{ql} x f(x^2)
-with one shared monic f; the boundary values A'_{ql}(0) follow the fixed
-table `ybe.boundary_values` over (alpha, beta, gamma, zeta), and the
-only nonzero a_{ql} is a_ee = 1 (case i), a_hh = lhh (case ii), or none
-(case iii).
+Every sl2 profile entry has the shape
+A'_{ql}(x) = A'_{ql}(0) + a_{ql} x f(x^2) with one shared monic f; the
+boundary values A'_{ql}(0) follow the fixed table `ybe.boundary_values`
+over (alpha, beta, gamma, zeta).  The table SL2_CASES states each sl2
+case once: its constants, each a parameter, 0 or beta/2, and its one
+nonzero a_{ql}, a_ee = 1 (case i), a_hh = lhh (case ii), or none
+(case iii).  FamilySpec checks a member against its row and builds it
+from it; name_case reads the same rows to name a search survivor.  Only
+vir and the cor6_iii quadric 4 alpha gamma = beta^2 are checked outside
+the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .conformal import ConfAlgebra
 from .exactpoly import MPoly, PolySum, SymbolRegistry, _scalar
 from .liealg import Scalar, SymMat3, rank_le_1, sl2
 from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, RMat, boundary_values, lift_profile
 
-CASES = (
-    "lemma1", "thm5_i", "thm5_ii", "thm5_iii",
-    "cor6_i", "cor6_ii", "cor6_iii", "vir",
-)
 
-# Free parameters per case (besides the monic factor f where applicable).
-CASE_PARAMS = {
-    "lemma1": ("alpha", "beta", "gamma", "zeta"),
-    "thm5_i": ("alpha", "beta"),
-    "thm5_ii": ("lhh", "beta", "zeta"),
-    "thm5_iii": ("alpha", "beta", "gamma", "zeta"),
-    "cor6_i": ("alpha",),
-    "cor6_ii": ("lhh",),
-    "cor6_iii": ("alpha", "beta", "gamma"),
+class Case(NamedTuple):
+    """One sl2 case of the classification, up to automorphism.
+
+    `constants` gives (alpha, beta, gamma, zeta), each a parameter name,
+    "0" or "beta/2".  `entry` is the one nonzero coefficient-matrix entry
+    a_{ql}, as ((q, l), value) with the value "1" or a parameter name, or
+    None for a constants-only case.  A case with an entry takes a monic
+    f and needs that entry nonzero.
+    """
+
+    constants: tuple[str, str, str, str]
+    entry: Optional[tuple[tuple[str, str], str]] = None
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """The free parameters: the entry's, then the constants' in order."""
+        values = self.constants if self.entry is None else (self.entry[1], *self.constants)
+        return tuple(v for v in values if v not in _FIXED)
+
+
+_FIXED = ("0", "1", "beta/2")
+
+# lemma1 is the general invariant constant tensor; thm5_* are the weak
+# solutions (Theorem 5), cor6_* their skew-symmetric strict refinements
+# (Corollary 6).  cor6_iii also needs 4 alpha gamma = beta^2, checked by
+# FamilySpec.
+SL2_CASES = {
+    "lemma1": Case(("alpha", "beta", "gamma", "zeta")),
+    "thm5_i": Case(("alpha", "beta", "0", "beta/2"), (("e", "e"), "1")),
+    "thm5_ii": Case(("0", "beta", "0", "zeta"), (("h", "h"), "lhh")),
+    "thm5_iii": Case(("alpha", "beta", "gamma", "zeta")),
+    "cor6_i": Case(("alpha", "0", "0", "0"), (("e", "e"), "1")),
+    "cor6_ii": Case(("0", "0", "0", "0"), (("h", "h"), "lhh")),
+    "cor6_iii": Case(("alpha", "beta", "gamma", "0")),
 }
+CASES = (*SL2_CASES, "vir")
 
-# Constants a case pins to a fixed value; passing them explicitly is
-# accepted only when the pinned relation already holds.
-CASE_PINNED = {
-    "thm5_i": {"gamma": "0", "zeta": "beta/2"},
-    "thm5_ii": {"alpha": "0", "gamma": "0"},
-    "cor6_i": {"beta": "0", "gamma": "0", "zeta": "0"},
-    "cor6_ii": {"alpha": "0", "beta": "0", "gamma": "0", "zeta": "0"},
-    "cor6_iii": {"zeta": "0"},
-}
 
-_CASES_WITH_F = ("thm5_i", "thm5_ii", "cor6_i", "cor6_ii")
+def _evaluate(text: str, param):
+    """A table value: 0, 1, beta/2 or the parameter `text`, with
+    `param(name)` giving a parameter's value."""
+    if text == "0":
+        return 0
+    if text == "1":
+        return 1
+    if text == "beta/2":
+        return param("beta") * Fraction(1, 2)
+    return param(text)
+
+
+def name_case(constants: Sequence[Scalar], m,
+              cases: Sequence[str] = ("thm5_iii", "thm5_i", "thm5_ii")):
+    """The first of `cases` that a parameter-free survivor is a member
+    of, as (case, {parameter: value}), or None; by default the weak
+    cases, constants-only first.
+
+    `constants` is (alpha, beta, gamma, zeta) and `m` the rows of the
+    numeric coefficient matrix.  A case matches when its entry is the
+    only nonzero entry of m (no entry is nonzero, for a constants-only
+    case) and every fixed value of its row holds; its parameters are
+    read off the survivor.
+    """
+    amat = dict(zip(PAIRS, (v for row in m for v in row)))
+    nonzero = [pair for pair, v in amat.items() if v]
+    for case in cases:
+        row = SL2_CASES[case]
+        if nonzero != ([] if row.entry is None else [row.entry[0]]):
+            continue
+        slots = list(zip(row.constants, constants))
+        if row.entry is not None:
+            slots.append((row.entry[1], amat[row.entry[0]]))
+        params = {text: v for text, v in slots if text not in _FIXED}
+        if all(v == _evaluate(text, params.get) for text, v in slots if text in _FIXED):
+            return case, {name: params[name] for name in row.params}
+    return None
 
 
 class ConstraintViolation(ValueError):
@@ -64,7 +118,8 @@ class FamilySpec:
     `params` values may be rational or parameter symbols (MPoly); `f` is
     a monic polynomial in the symbol t (standing for x^2) and defaults
     to 1.  For the vir case, `coeff` is the two-variable coefficient in
-    x, y.
+    x, y.  An sl2 case's parameters, pinned constants, monic f and
+    nonzero entry are checked against its SL2_CASES row.
     """
 
     case: str
@@ -87,36 +142,53 @@ class FamilySpec:
                     "coeff(x, -x) = 0 required for case vir"
                 )
             return
-        required = CASE_PARAMS[self.case]
-        pinned = CASE_PINNED.get(self.case, {})
-        for name in required:
+        row = self.row
+        for name in row.params:
             if name not in self.params:
                 raise ConstraintViolation(f"case {self.case} requires parameter {name!r}")
+        # A pinned constant may be passed only when its pinned relation holds.
+        pinned = {n: v for n, v in zip(CONSTANT_NAMES, row.constants) if v in _FIXED}
         for name in list(self.params):
-            if name in required:
+            if name in row.params:
                 continue
-            if name in pinned:
-                self._check_pinned(name, pinned[name])
-                del self.params[name]
-            else:
+            if name not in pinned:
                 raise ConstraintViolation(
                     f"case {self.case} does not take parameter {name!r}"
                 )
+            self._require_zero(self.param(name) - self._value(pinned[name]),
+                               f"{name} = {pinned[name]}")
+            del self.params[name]
         if self.f is None:
             self.f = self.reg.const(1)
-        if self.case in _CASES_WITH_F:
+        if row.entry:
             self._check_monic()
-        self._check_constraints()
+            if self._value(row.entry[1]).is_zero():
+                raise ConstraintViolation(
+                    f"{row.entry[1]} != 0 required for case {self.case}")
+        if self.case == "cor6_iii":
+            # Strictness of a constants-only skew profile forces the
+            # boundary constants onto the quadric 4 alpha gamma = beta^2
+            # (the orbit of the rank-one constant solution).
+            residue = self.param("alpha") * self.param("gamma") * 4 \
+                - self.param("beta") * self.param("beta")
+            self._require_zero(residue, "4*alpha*gamma = beta^2")
 
-    def _check_pinned(self, name: str, relation: str) -> None:
-        value = self.param(name)
-        want = self.reg.zero() if relation == "0" else self.param("beta") * Fraction(1, 2)
-        if not (value - want).is_zero():
-            text = f"{name} = {relation}" if relation != "0" else f"{name} = 0"
+    @property
+    def row(self) -> Case:
+        if self.case not in SL2_CASES:
+            raise ConstraintViolation(f"case {self.case} has no sl2 diagonal profile")
+        return SL2_CASES[self.case]
+
+    def _require_zero(self, value: MPoly, text: str) -> None:
+        if not value.is_zero():
             raise ConstraintViolation(f"{text} required for case {self.case}")
 
     def param(self, name: str, default: Scalar = 0) -> MPoly:
         v = self.params.get(name, default)
+        return v if isinstance(v, MPoly) else self.reg.const(v)
+
+    def _value(self, text: str) -> MPoly:
+        v = _evaluate(text, self.param)
         return v if isinstance(v, MPoly) else self.reg.const(v)
 
     def _check_monic(self) -> None:
@@ -128,65 +200,21 @@ class FamilySpec:
         if lead != 1:
             raise ConstraintViolation("f must be monic in t")
 
-    def _check_constraints(self) -> None:
-        def require_zero(value: MPoly, text: str) -> None:
-            if not value.is_zero():
-                raise ConstraintViolation(f"{text} required for case {self.case}")
-
-        if self.case == "thm5_ii":
-            lhh = self.param("lhh")
-            if lhh.is_constant() and lhh.constant_value() == 0:
-                raise ConstraintViolation("lhh != 0 required for case thm5_ii")
-        if self.case == "cor6_ii":
-            lhh = self.param("lhh")
-            if lhh.is_constant() and lhh.constant_value() == 0:
-                raise ConstraintViolation("lhh != 0 required for case cor6_ii")
-        if self.case == "cor6_iii":
-            # Strictness of a constants-only skew profile forces the
-            # boundary constants onto the quadric 4 alpha gamma = beta^2
-            # (the orbit of the rank-one constant solution).
-            residue = self.param("alpha") * self.param("gamma") * 4 \
-                - self.param("beta") * self.param("beta")
-            require_zero(residue, "4*alpha*gamma = beta^2")
-
     def constants(self) -> dict[str, MPoly]:
         """The (alpha, beta, gamma, zeta) table for this case."""
-        zero = self.reg.zero()
-        if self.case in ("lemma1", "thm5_iii"):
-            return {n: self.param(n) for n in CONSTANT_NAMES}
-        if self.case == "thm5_i":
-            # gamma = 0 and 2 zeta = beta
-            beta = self.param("beta")
-            return {"alpha": self.param("alpha"), "beta": beta,
-                    "gamma": zero, "zeta": beta * Fraction(1, 2)}
-        if self.case == "thm5_ii":
-            return {"alpha": zero, "beta": self.param("beta"),
-                    "gamma": zero, "zeta": self.param("zeta")}
-        if self.case == "cor6_i":
-            return {"alpha": self.param("alpha"), "beta": zero,
-                    "gamma": zero, "zeta": zero}
-        if self.case == "cor6_ii":
-            return {"alpha": zero, "beta": zero, "gamma": zero, "zeta": zero}
-        if self.case == "cor6_iii":
-            return {"alpha": self.param("alpha"), "beta": self.param("beta"),
-                    "gamma": self.param("gamma"), "zeta": zero}
-        raise ConstraintViolation(f"case {self.case} has no sl2 constants")
+        return {n: self._value(v) for n, v in zip(CONSTANT_NAMES, self.row.constants)}
 
     def coefficient_matrix(self) -> dict[tuple, MPoly]:
         """The a_{ql} scalars as a map over basis pairs."""
-        zero = self.reg.zero()
-        out = {pair: zero for pair in PAIRS}
-        if self.case in ("thm5_i", "cor6_i"):
-            out[("e", "e")] = self.reg.const(1)
-        elif self.case in ("thm5_ii", "cor6_ii"):
-            out[("h", "h")] = self.param("lhh")
+        out = {pair: self.reg.zero() for pair in PAIRS}
+        if self.row.entry:
+            pair, text = self.row.entry
+            out[pair] = self._value(text)
         return out
 
 
 def build_profile(spec: FamilySpec) -> DiagProfile:
     """Diagonal profile of a family member (sl2 cases only)."""
-    if spec.case == "vir":
-        raise ConstraintViolation("vir families have no sl2 diagonal profile")
     reg = spec.reg
     constants = spec.constants()
     x = reg.var("x")

@@ -214,18 +214,24 @@ def psi_matrix(alg: Optional[LieAlg] = None) -> AutMatrix:
 
 
 def transform_tensor(aut: AutMatrix, tensor: Mapping[tuple, Scalar]) -> dict[tuple, Scalar]:
-    """Apply phi tensor-factor-wise to a constant tensor of any arity."""
-    names = aut.alg.names
+    """Phi^{(x)n}: apply phi to every factor of a tensor of any arity.
+
+    This is the one automorphism transport: the values may be int,
+    Fraction or MPoly, so it serves constant tensors, coefficient
+    matrices and the coefficients of conformal tensors alike.  Each output
+    value is reduced by the automorphism's inverse pairs; zero values are
+    dropped.
+    """
+    images = {name: list(aut.image(name).items()) for name in aut.alg.names}
     out: dict[tuple, Scalar] = {}
     for tup, coeff in tensor.items():
-        pieces = [list(aut.image(b).items()) for b in tup]
-        for combo in itertools.product(*pieces):
-            key = tuple(name for name, _ in combo)
-            val = coeff
+        for combo in itertools.product(*(images[b] for b in tup)):
+            c: Scalar = 1
             for _, v in combo:
-                val = val * v
-            tensor_add(out, key, val)
-    return out
+                c = c * v
+            tensor_add(out, tuple(name for name, _ in combo), coeff * c)
+    reduced = {key: aut._reduce(v) for key, v in out.items()}
+    return {key: v for key, v in reduced.items() if not is_zero_scalar(v)}
 
 
 # Symmetric coefficient matrices -------------------------------------------------
@@ -259,19 +265,11 @@ class SymMat3:
 
 
 def congruence(mat: SymMat3, aut: AutMatrix) -> SymMat3:
-    """The action M -> Phi M Phi^T."""
-    phi = aut.m
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc: Scalar = 0
-            for q in range(3):
-                for l in range(3):
-                    acc = acc + phi[i][q] * phi[j][l] * mat.a[q][l]
-            row.append(aut._reduce(acc) if isinstance(acc, MPoly) else acc)
-        out.append(tuple(row))
-    return SymMat3(tuple(out))
+    """The action M -> Phi M Phi^T, M transported as a two-tensor."""
+    names = aut.alg.names
+    moved = transform_tensor(aut, {
+        (q, l): v for q, row in zip(names, mat.a) for l, v in zip(names, row)})
+    return SymMat3(tuple(tuple(moved.get((q, l), 0) for l in names) for q in names))
 
 
 def _minors(a) -> list[Scalar]:

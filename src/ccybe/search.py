@@ -43,7 +43,9 @@ builds the double bracket of the canonical lift once and reads both
 verdicts from it: weak from the generator actions on it, strict (in
 strict mode) from its reduction modulo the total derivation.  The
 profiles of one process share one symbol registry.  Any survivor
-failing characterization is recorded.  The walk inside a
+failing characterization is recorded.  A survivor is named by
+families.name_case, which reads the family table there, so this module
+states no family case itself.  The walk inside a
 constants tuple is fixed, the tuples come in itertools.product order,
 and Pool.starmap returns the results of the tuples in that order, so
 the scan yields the same list for any worker count; the report also
@@ -64,7 +66,7 @@ from typing import Optional, Sequence
 
 from . import ybe
 from .exactpoly import SymbolRegistry, _scalar
-from .families import characterize, scalar_relation_residues
+from .families import characterize, name_case, scalar_relation_residues
 from .ybe import (
     CATALOG,
     CONSTANT_NAMES,
@@ -97,7 +99,12 @@ MAX_DEGREE = 31
 
 
 class SearchConfigError(ValueError):
-    """Invalid search configuration."""
+    """Invalid search configuration; `field` names the SearchConfig field
+    at fault, where there is one."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -110,23 +117,26 @@ class SearchConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not self.coeff_grid or not self.constants_grid:
-            raise SearchConfigError("grids must be nonempty")
         if self.mode not in ("weak", "strict"):
-            raise SearchConfigError(f"unknown mode {self.mode!r}")
+            raise SearchConfigError(f"unknown mode {self.mode!r}", "mode")
         if not self.raw and (self.max_degree < 1 or self.max_degree % 2 == 0):
-            raise SearchConfigError("ansatz mode requires an odd max_degree >= 1")
+            raise SearchConfigError("ansatz mode requires an odd max_degree >= 1",
+                                    "max_degree")
         if not 1 <= self.max_degree <= MAX_DEGREE:
-            raise SearchConfigError(f"max_degree must be between 1 and {MAX_DEGREE}")
+            raise SearchConfigError(f"max_degree must be between 1 and {MAX_DEGREE}",
+                                    "max_degree")
         if not 1 <= self.workers <= MAX_WORKERS:
-            raise SearchConfigError(f"workers must be between 1 and {MAX_WORKERS}")
+            raise SearchConfigError(f"workers must be between 1 and {MAX_WORKERS}",
+                                    "workers")
         for name in ("coeff_grid", "constants_grid"):
             grid = tuple(Fraction(v) for v in getattr(self, name))
+            if not grid:
+                raise SearchConfigError(f"{name} must be nonempty", name)
             if len(set(grid)) != len(grid):
                 # a repeated value would count each candidate it builds
                 # once per copy
                 raise SearchConfigError(f"{name} repeats a value: "
-                                        f"{', '.join(str(v) for v in grid)}")
+                                        f"{', '.join(str(v) for v in grid)}", name)
             object.__setattr__(self, name, grid)
         consistent = count_consistent(self)
         if consistent > MAX_CONSISTENT:
@@ -577,22 +587,13 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
 
 def _classify(profile: DiagProfile, report, m) -> dict:
     """Family-spec-like record for a survivor in normal form, with `m`
-    the rows of its numeric matrix."""
-    consts = {n: profile.constants[n] for n in CONSTANT_NAMES}
-    nonzero = [(i, j) for i in range(3) for j in range(3) if m[i][j]]
-    record: dict = {"case": "other"}
-    if not nonzero:
-        record["case"] = "thm5_iii"
-        record["params"] = {n: str(consts[n]) for n in CONSTANT_NAMES}
-    elif nonzero == [(0, 0)] and m[0][0] == 1 and consts["gamma"] == 0 \
-            and 2 * consts["zeta"] == consts["beta"]:
-        record["case"] = "thm5_i"
-        record["params"] = {"alpha": str(consts["alpha"]), "beta": str(consts["beta"])}
-    elif nonzero == [(2, 2)] and consts["alpha"] == 0 and consts["gamma"] == 0:
-        record["case"] = "thm5_ii"
-        record["params"] = {"lhh": str(m[2][2]), "beta": str(consts["beta"]),
-                            "zeta": str(consts["zeta"])}
-    if report.shared_f is not None and record["case"] != "other":
+    the rows of its numeric matrix; families.name_case names it."""
+    named = name_case([profile.constants[n] for n in CONSTANT_NAMES], m)
+    if named is None:
+        return {"case": "other"}
+    case, params = named
+    record = {"case": case, "params": {n: str(v) for n, v in params.items()}}
+    if report.shared_f is not None:
         record["f"] = report.shared_f.to_string()
     return record
 

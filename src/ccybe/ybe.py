@@ -67,7 +67,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -82,7 +81,7 @@ from .conformal import (
     tau,
 )
 from .exactpoly import MPoly, PolySum, Substitution, SymbolRegistry
-from .liealg import AutMatrix, LieAlg, Scalar, sl2
+from .liealg import AutMatrix, LieAlg, Scalar, sl2, transform_tensor
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
 CONSTANT_NAMES = ("alpha", "beta", "gamma", "zeta")
@@ -147,41 +146,14 @@ def transform_rmat(aut: AutMatrix, r: RMat) -> RMat:
     """
     if r.alg.kind != "cur":
         raise ValueError("automorphisms act on current-algebra r-matrices")
-    names = r.alg.basis_names
-    reg = r.alg.reg
-    out: dict[tuple, MPoly] = {}
-    for (q, l), poly in r.entries.items():
-        qi = names.index(q)
-        li = names.index(l)
-        for i in range(len(names)):
-            for j in range(len(names)):
-                c = aut.m[i][qi] * aut.m[j][li]
-                if isinstance(c, (int, Fraction)) and c == 0:
-                    continue
-                key = (names[i], names[j])
-                term = poly * c
-                out[key] = out.get(key, reg.zero()) + term
-    return RMat(r.alg, out)
+    return RMat(r.alg, transform_tensor(aut, r.entries))
 
 
 def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
     """Apply phi factor-wise to a tensor over the current algebra."""
     if t.alg.kind != "cur":
         raise ValueError("automorphisms act on current-algebra tensors")
-    names = t.alg.basis_names
-    reg = t.alg.reg
-    out: dict[tuple, MPoly] = {}
-    for tup, poly in t.entries.items():
-        cols = [names.index(b) for b in tup]
-        for combo in itertools.product(range(len(names)), repeat=t.arity):
-            c: Scalar = 1
-            for i, col in zip(combo, cols):
-                c = c * aut.m[i][col]
-            if isinstance(c, (int, Fraction)) and c == 0:
-                continue
-            key = tuple(names[i] for i in combo)
-            out[key] = out.get(key, reg.zero()) + poly * c
-    return ConfTensor(t.alg, t.arity, out)
+    return ConfTensor(t.alg, t.arity, transform_tensor(aut, t.entries))
 
 
 def ccybe_bracket(r: RMat, tuples: Optional[Iterable[tuple]] = None) -> ConfTensor:
@@ -283,18 +255,14 @@ def generator_actions(t: ConfTensor) -> dict[str, ConfTensor]:
     return dict(zip(names, acted))
 
 
-def weak_defect(r: RMat) -> dict[str, ConfTensor]:
-    """Generator actions on the double bracket at mu = -(d1 + d2 + d3).
+def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
+    """The generator actions on the double bracket at mu = -(d1 + d2 + d3);
+    True iff all vanish.
 
     Checking generators suffices: an element g(D)a contributes the
     overall factor g(-mu) = g(d1 + d2 + d3), which scales the generator
     defect.
     """
-    return generator_actions(ccybe_bracket(r))
-
-
-def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
-    """The generator actions on the double bracket; True iff all vanish."""
     defects = generator_actions(bracket)
     return all(t.is_zero() for t in defects.values()), defects
 
@@ -303,13 +271,10 @@ def is_weak_solution(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
     return weak_verdict(ccybe_bracket(r))
 
 
-def invariance_defect(r: RMat) -> dict[str, ConfTensor]:
-    """Generator actions on r + tau(r) at lam = -(d1 + d2)."""
-    return generator_actions(rmat_tensor(r) + tau(rmat_tensor(r)))
-
-
 def is_invariant(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
-    defects = invariance_defect(r)
+    """The generator actions on r + tau(r) at lam = -(d1 + d2); True iff
+    all vanish."""
+    defects = generator_actions(rmat_tensor(r) + tau(rmat_tensor(r)))
     return all(t.is_zero() for t in defects.values()), defects
 
 

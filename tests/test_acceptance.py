@@ -36,7 +36,6 @@ from ccybe.ybe import (
     rmat_tensor,
     transform_conf_tensor,
     transform_rmat,
-    weak_defect,
 )
 
 from support import (

@@ -584,6 +584,21 @@ def test_search_cli_duplicate_grid_values(monkeypatch, capsys, flag, values):
     assert captured.err.startswith("error:") and "repeats a value" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--coeffs", "1,1"], "--coeffs"),
+    (["--constants", "0,0"], "--constants"),
+    (["--jobs", "0"], "--jobs"),
+    (["--max-degree", "2"], "--max-degree"),
+])
+def test_search_cli_errors_name_the_flag(capsys, argv, flag):
+    # a refused configuration is reported under the flag the user typed,
+    # not the SearchConfig field behind it
+    assert cli.main(["search", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "65", "100000"])
 def test_search_cli_jobs_out_of_range(monkeypatch, capsys, jobs):
     def no_pool(*args, **kwargs):
@@ -688,7 +703,7 @@ _rmat = st.fixed_dictionaries(
                                      | _junk, max_size=2)})
 _value = st.sampled_from(("1", "-2", "1/2", "0", "1e5", "1e99999", "3/0", "x", "")) \
     | st.integers(-3, 3) | st.floats(allow_nan=True, allow_infinity=True)
-_case = st.sampled_from(sorted(families.CASE_PARAMS) + ["vir", "nope"])
+_case = st.sampled_from(sorted(families.SL2_CASES) + ["vir", "nope"])
 _name = st.sampled_from(("alpha", "beta", "gamma", "zeta", "lhh", "a", ""))
 _monic = st.builds(lambda k, cs: " + ".join([f"t^{k}"] + [f"{c}*t^{j}" for j, c in
                                                          enumerate(cs[:k])]),
@@ -701,7 +716,8 @@ _spec = st.fixed_dictionaries(
 
 def _family(case, params, f, out, flags):
     # the case's own parameters, small integers unless drawn otherwise
-    own = {name: 1 for name in families.CASE_PARAMS.get(case, ())}
+    own = {name: 1 for name in (families.SL2_CASES[case].params
+                                if case in families.SL2_CASES else ())}
     pairs = [f"{n}={v}" for n, v in {**own, **params}.items()]
     return ["family", case, *sum((["--param", p] for p in pairs), []), "--f", f,
             *out, *flags]

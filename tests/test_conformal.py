@@ -286,6 +286,10 @@ def test_permute_slots(cur):
     t = ConfTensor(cur, 3, {("e", "f", "h"): reg.var("d1")})
     out = permute_slots(t, (1, 0, 2))
     assert out.entries == {("f", "e", "h"): reg.var("d2")}
+    # the arity-2 swap, which tau is
+    t = ConfTensor(cur, 2, {("e", "f"): reg.parse("d1^2 - 2*d2"), ("h", "h"): reg.var("d1")})
+    assert permute_slots(t, (1, 0)).entries == {("f", "e"): reg.parse("d2^2 - 2*d1"),
+                                                ("h", "h"): reg.var("d2")}
 
 
 # Hypothesis properties -------------------------------------------------------------

@@ -124,22 +124,6 @@ def test_match_axf_even_rejected(reg):
     assert reg.parse("x^2").match_axf(x) is None
 
 
-def test_match_axf_parametric(reg):
-    x = reg.sym("x")
-    a_ee = reg.var("a_ee")
-    match = (a_ee * reg.var("x")).match_axf(x)
-    assert match is not None
-    a, f = match
-    assert a == a_ee
-    assert f == 1
-
-
-def test_match_axf_mixed_parameters_rejected(reg):
-    x = reg.sym("x")
-    p = reg.var("a_ee") * reg.var("x") + reg.var("a_hh") * reg.var("x", 3)
-    assert p.match_axf(x) is None
-
-
 def test_parse_basic(reg):
     p = reg.parse("3/2*d1^2 - d2")
     assert p == reg.var("d1", 2) * Fraction(3, 2) - reg.var("d2")

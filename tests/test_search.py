@@ -20,7 +20,7 @@ from ccybe.search import (
     run_search,
 )
 from ccybe.exactpoly import SymbolRegistry
-from ccybe.families import FamilySpec, build_profile
+from ccybe.families import SL2_CASES, FamilySpec, build_profile, name_case
 from ccybe.ybe import (
     CATALOG,
     CONSTANT_NAMES,
@@ -185,6 +185,32 @@ def test_constants_only_matches_general_solution():
     assert len(report.survivors) == 3 ** 4
     assert not report.characterization_failures
     assert all(r["case"] == "thm5_iii" for r in report.survivors)
+
+
+@pytest.mark.parametrize("mode", ["weak", "strict"])
+def test_named_survivors_round_trip(mode):
+    # a survivor named by the family table is rebuilt exactly from its
+    # record through FamilySpec, and no row of the table names a survivor
+    # recorded as "other"
+    report = run_search(SearchConfig(max_degree=1, raw=True, mode=mode))
+    named = 0
+    for record in report.survivors:
+        constants = [F(record["constants"][n]) for n in CONSTANT_NAMES]
+        if record["case"] == "other":
+            matrix = [[F(v) for v in row] for row in record["matrix"]]
+            assert name_case(constants, matrix, tuple(SL2_CASES)) is None
+            continue
+        reg = SymbolRegistry()
+        params = {n: F(v) for n, v in record["params"].items()}
+        f = reg.parse(record["f"]) if "f" in record else None
+        profile = build_profile(FamilySpec(record["case"], reg, params, f=f))
+        entries = {"".join(pair): p.to_string()
+                   for pair, p in profile.entries.items() if not p.is_zero()}
+        assert entries == record["entries"]
+        assert {n: str(v.constant_value()) for n, v in profile.constants.items()} \
+            == record["constants"]
+        named += 1
+    assert named == {"weak": 102, "strict": 10}[mode]
 
 
 def test_golden_report():
