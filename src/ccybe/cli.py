@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
+import stat
 import sys
 from fractions import Fraction
 
@@ -245,7 +247,8 @@ def cmd_search(args) -> int:
     # The report file is opened before the scan, so a path that cannot
     # be written is refused up front rather than after the whole search;
     # it is opened to append, so a report already there is kept until
-    # the new one replaces it.
+    # the new one replaces it.  Only a regular file is truncated: a pipe
+    # or a device (/dev/stdout, /dev/full) cannot be.
     with contextlib.ExitStack() as stack:
         if args.out:
             try:
@@ -255,9 +258,19 @@ def cmd_search(args) -> int:
                 return USAGE
         report = search.run_search(cfg)
         if args.out:
-            fh.truncate(0)
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            try:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+                fh.close()
+            except OSError as err:
+                # a failed write can leave data in the buffer: close the
+                # file here, so that leaving the stack cannot raise again
+                with contextlib.suppress(OSError):
+                    fh.close()
+                print(f"error: {err}", file=sys.stderr)
+                return USAGE
     print(f"scanned {report.candidates_scanned} candidates "
           f"({report.consistent_candidates} invariance-consistent), "
           f"{len(report.survivors)} survivors, "

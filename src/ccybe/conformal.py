@@ -16,15 +16,22 @@ bracket.  That value is a polynomial, not a fresh symbol: a free
 variable for the module axioms, or -(d1 + ... + dN) (minus the tensor's
 `total()`) to read the action modulo the total derivation in one pass.
 act_on_tensor acts with a list of elements on one tensor, and the
-elements share the shifts: each slot's shift di -> di + lam is compiled
-once (exactpoly.Substitution, which keeps the powers of di + lam it
-builds), each (tuple, slot) coefficient is substituted once, and the
-result is multiplied by every element's inserted bracket.  Each output
-coefficient is one exactpoly.PolySum: the Leibniz sum adds its
-products there term by term, with no polynomial built per product, and
-so do the inserted-bracket factors.  The tensor-wide maps (tau,
-permute_slots, reduce_mod_total) likewise compile their substitution
-once per tensor.
+elements share the shifts: each (tuple, slot) coefficient is moved by
+its slot's shift di -> di + lam (an exactpoly.Substitution) once and
+multiplied by every element's inserted bracket.  Each output
+coefficient is one exactpoly.PolySum: the Leibniz sum adds its products
+there term by term, with no polynomial built per product.  The
+tensor-wide maps (tau, permute_slots, reduce_mod_total) compile their
+substitution once per tensor.
+
+The algebra owns the tables that depend on it alone: `ConfAlgebra.memo`
+builds a table on first use and keeps it as long as the algebra lives.
+act_on_tensor keeps there, per (arity, lam, elements), its slot shifts
+with the powers of di + lam they have built and its inserted-bracket
+factor rows; ybe keeps the double bracket's coefficient maps and the
+lift map there.  A caller that checks many tensors over one algebra
+(the search) builds each table once; one that makes an algebra per
+check builds them once per check.  Nothing is cached at module level.
 
 Reduction "modulo the total derivation" eliminates d1 via
 d1 := -(d2 + ... + dN).
@@ -53,6 +60,21 @@ class ConfAlgebra:
         self.reg = reg
         self.lie = lie
         self.d = reg.sym("d")
+        self._tables: dict = {}
+
+    def memo(self, key, build):
+        """The table held under `key`, made by `build()` on first use.
+
+        Kept as long as the algebra, so a key must name everything the
+        table depends on besides the algebra, and must not hold the
+        algebra or its elements (that would be a reference cycle).  A
+        table is a function of its key alone, so if two threads miss at
+        once and both build it, either copy serves.
+        """
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build()
+        return table
 
     @classmethod
     def cur(cls, lie: LieAlg, reg: Optional[SymbolRegistry] = None) -> "ConfAlgebra":
@@ -217,22 +239,44 @@ def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
     eliminating it afterwards.
 
     Returns the actions of `elems` in order.  The elements share the
-    shifts: each slot's map di -> di + lam is compiled once, each
-    (tuple, slot) coefficient is moved by it once, if any element has a
-    nonzero bracket with that slot's basis element, and every such
-    element multiplies the same shifted coefficient.
+    shifts: each (tuple, slot) coefficient is moved by its slot's shift
+    once, if any element has a nonzero bracket with that slot's basis
+    element, and every such element multiplies the same shifted
+    coefficient.  The shifts and the factor rows come from the
+    algebra's memo (see _action_table).
     """
     alg = t.alg
     if any(e.alg is not alg for e in elems):
         raise ValueError("element and tensor over different algebras")
+    key = ("act_on_tensor", t.arity, lam, tuple(tuple(e.coeffs.items()) for e in elems))
+    table = alg.memo(key, partial(_action_table, elems, t, lam))
+    new_sum = partial(PolySum, alg.reg)
+    outs = [defaultdict(new_sum) for _ in elems]
+    for tup, coeff in t.entries.items():
+        for i, b in enumerate(tup):
+            shift, row = table[b, i]
+            if not row:
+                continue
+            shifted = shift(coeff)
+            for j, k, f in row:
+                outs[j][tup[:i] + (k,) + tup[i + 1:]].add(shifted, f)
+    return [ConfTensor(alg, t.arity, {tup: s.value() for tup, s in out.items()})
+            for out in outs]
+
+
+def _action_table(elems: Sequence[ConfElem], t: ConfTensor, lam: MPoly) -> dict:
+    """act_on_tensor's table for elems acting at `lam` on t's arity.
+
+    Per (basis element b, slot i): di's shift di -> di + lam, and the
+    row of (j, k, f): f is the nonzero k component of the sum over p of
+    g_p(-lam) [p _lam b], g_p the coefficients of element j.  It reads t
+    only for its arity and slot symbols.
+    """
+    alg = t.alg
     reg = alg.reg
     new_sum = partial(PolySum, reg)
-    outs = [defaultdict(new_sum) for _ in elems]
     at = Substitution(reg, {alg.d: -lam})
     at_lam = [[(p, at(g)) for p, g in e.coeffs.items()] for e in elems]
-    # Per (basis element b, slot i): di's shift, compiled once per slot,
-    # and for each element with a nonzero bracket there, its output and
-    # the sum over p of g_p(-lam) [p _lam b] by output basis element.
     table = {}
     for i in range(t.arity):
         di_sym = t.slot_sym(i)
@@ -240,27 +284,14 @@ def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
         shift = Substitution(reg, {di_sym: di + lam})
         for b in alg.basis_names:
             row = []
-            for out, gs in zip(outs, at_lam):
+            for j, gs in enumerate(at_lam):
                 acc = defaultdict(new_sum)
                 for p, g_at in gs:
                     for k, v in alg.basis_bracket(p, b, di, lam).items():
                         acc[k].add(g_at, v)
-                factor = [(k, f) for k, s in acc.items() if (f := s.value())]
-                if factor:
-                    row.append((out, factor))
+                row += [(j, k, f) for k, s in acc.items() if (f := s.value())]
             table[b, i] = (shift, row)
-
-    for tup, coeff in t.entries.items():
-        for i, b in enumerate(tup):
-            shift, row = table[b, i]
-            if not row:
-                continue
-            shifted = shift(coeff)
-            for out, factor in row:
-                for k, f in factor:
-                    out[tup[:i] + (k,) + tup[i + 1:]].add(shifted, f)
-    return [ConfTensor(alg, t.arity, {key: s.value() for key, s in out.items()})
-            for out in outs]
+    return table
 
 
 def tau(t: ConfTensor) -> ConfTensor:

@@ -30,7 +30,9 @@ by squaring, so no power is expanded from scratch and a lone high power
 costs O(log n) products.  A power that would take an exponent to
 EXPONENT_LIMIT is refused before the first product, as MPoly.__pow__
 refuses it.  Callers that apply one map to many polynomials (a tensor's
-coefficients) build it once.
+coefficients) build it once; a map that depends only on an algebra is
+kept by that algebra (conformal.ConfAlgebra.memo) and serves every
+tensor over it.
 
 PolySum is the fused multiply-accumulate: a sum of products a * b (b a
 polynomial or an exact scalar) added term by term into one table, with
@@ -218,6 +220,22 @@ class SymbolRegistry:
         if power == 0:
             return self.const(1)
         return MPoly._raw(self, {power << (_FIELD * sym.index): 1})
+
+    def univariate(self, name_or_sym: Union[str, Sym],
+                   coeffs: Mapping[int, Scalar]) -> "MPoly":
+        """The sum of c * sym ** j over the items (j, c) of `coeffs`,
+        built straight from its packed terms."""
+        sym = name_or_sym if isinstance(name_or_sym, Sym) else self.sym(name_or_sym)
+        shift = _FIELD * sym.index
+        terms: dict[int, Scalar] = {}
+        for j, coeff in coeffs.items():
+            if not 0 <= j < EXPONENT_LIMIT:
+                raise ExponentOverflow(
+                    f"exponent {j} of {sym.name} is not in [0, {EXPONENT_LIMIT})")
+            c = _scalar(coeff)
+            if c:
+                terms[j << shift] = c
+        return MPoly._raw(self, terms)
 
     def parse(self, text: str, auto_register: bool = False,
               max_degree: Optional[int] = None) -> "MPoly":
@@ -472,10 +490,7 @@ class MPoly:
         coeffs = {(deg - 1) // 2: c.constant_value()
                   for deg, c in self.as_univariate_in(sym).items()}
         a_val = coeffs[max(coeffs)]
-        t = self.reg.var("t")
-        f = self.reg.zero()
-        for k, c in coeffs.items():
-            f = f + (t ** k) * (c / a_val)
+        f = self.reg.univariate("t", {k: c / a_val for k, c in coeffs.items()})
         return self.reg.const(a_val), f
 
     # Printing ----------------------------------------------------------------
@@ -529,8 +544,9 @@ class Substitution:
     costs O(log n) products and keeps O(log n) powers, and no power is
     expanded from scratch.  A power whose exponent would reach
     EXPONENT_LIMIT is refused before any product is taken.  The cache
-    belongs to the object: build one per map and drop it when its
-    polynomials are done.
+    belongs to the object, and its powers are bounded by the degrees it
+    has seen: a map may live as long as the algebra that holds it (see
+    conformal.ConfAlgebra.memo), or be built for one tensor and dropped.
     """
 
     __slots__ = ("reg", "_shifts", "_cleared", "_powers")

@@ -143,6 +143,9 @@ class FamilySpec:
                 )
             return
         row = self.row
+        # the pinned names are deleted below, from a copy, so the
+        # caller's dict is left as it was
+        self.params = dict(self.params)
         for name in row.params:
             if name not in self.params:
                 raise ConstraintViolation(f"case {self.case} requires parameter {name!r}")

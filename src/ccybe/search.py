@@ -41,8 +41,13 @@ leaf becomes a profile, which is re-verified with the full tensor
 computation and the structural characterization.  The re-verification
 builds the double bracket of the canonical lift once and reads both
 verdicts from it: weak from the generator actions on it, strict (in
-strict mode) from its reduction modulo the total derivation.  The
-profiles of one process share one symbol registry.  Any survivor
+strict mode) from its reduction modulo the total derivation.  A
+process holds one symbol registry and one current algebra on sl2 over
+it: every survivor profile is built on that registry and lifted onto
+that algebra, so the tables the algebra keeps (the generator-action
+table, the double bracket's coefficient maps and the lift map, with
+the powers of their targets) are built once per process, not once per
+survivor.  Any survivor
 failing characterization is recorded.  A survivor is named by
 families.name_case, which reads the family table there, so this module
 states no family case itself.  The walk inside a
@@ -65,8 +70,10 @@ from multiprocessing import get_all_start_methods, get_context
 from typing import Optional, Sequence
 
 from . import ybe
+from .conformal import ConfAlgebra
 from .exactpoly import SymbolRegistry, _scalar
 from .families import characterize, name_case, scalar_relation_residues
+from .liealg import sl2
 from .ybe import (
     CATALOG,
     CONSTANT_NAMES,
@@ -204,16 +211,11 @@ def candidate_profile(cfg: SearchConfig, constants: Sequence[Fraction],
                       coeffs: Sequence[Sequence[Fraction]],
                       reg: Optional[SymbolRegistry] = None) -> DiagProfile:
     reg = reg or SymbolRegistry()
-    x = reg.var("x")
+    x = reg.sym("x")
+    degrees = (0,) + cfg.degrees
     consts = boundary_values(constants)
-    entries = {}
-    for i, pair in enumerate(PAIRS):
-        poly = reg.const(consts[i])
-        for k, j in enumerate(cfg.degrees):
-            c = coeffs[i][k]
-            if c:
-                poly = poly + x ** j * c
-        entries[pair] = poly
+    entries = {pair: reg.univariate(x, dict(zip(degrees, (consts[i], *coeffs[i]))))
+               for i, pair in enumerate(PAIRS)}
     named = dict(zip(CONSTANT_NAMES, (Fraction(v) for v in constants)))
     return DiagProfile(reg, entries, constants=named)
 
@@ -524,6 +526,14 @@ def _registry() -> SymbolRegistry:
     return SymbolRegistry()
 
 
+@functools.cache
+def _algebra() -> ConfAlgebra:
+    """The current algebra on sl2 over _registry(), onto which every
+    survivor of this process is lifted, so that the tables it keeps are
+    built once per process."""
+    return ConfAlgebra.cur(sl2(), _registry())
+
+
 def _scan_constants(plan: _Plan, constants: tuple) -> list:
     """Pure worker: the (record, problems) pairs of the candidates with
     this constants tuple, in walk order."""
@@ -552,7 +562,8 @@ def _scan(cfg: SearchConfig) -> list:
 
 
 def _post_verify(cfg: SearchConfig, profile: DiagProfile):
-    """Survivor record plus any characterization problems."""
+    """Survivor record plus any characterization problems, for a
+    profile built on _registry()."""
     entry_strings = {
         "".join(pair): profile.entry(*pair).to_string()
         for pair in PAIRS
@@ -575,7 +586,7 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     # generator actions on it, the strict one from its reduction.  The
     # tensor steps are looked up on the ybe module, where a tracer that
     # wraps them sees these calls.
-    bracket = ybe.ccybe_bracket(lift_profile(profile))
+    bracket = ybe.ccybe_bracket(lift_profile(profile, _algebra()))
     if not ybe.weak_verdict(bracket)[0]:
         problems.append("reverify:weak_defect")
     if cfg.mode == "strict" and not ybe.strict_verdict(bracket)[0]:

@@ -14,8 +14,10 @@ with the basis-level bracket evaluated at (d, lam) = (slot variable,
 contraction variable): (d1, d2), (d2, d3), (d3, d2) respectively.
 
 ccybe_bracket contracts first.  Each of the five substitutions is
-compiled once (exactpoly.Substitution) and each entry's forms are built
-once, the last two negated to carry their slots' sign.  Then, for
+compiled once per algebra (an exactpoly.Substitution kept in the
+algebra's memo, see conformal.ConfAlgebra.memo, with the powers of its
+targets it has built) and each entry's forms are built once, the last
+two negated to carry their slots' sign.  Then, for
 each slot, the inserted bracket is summed against the B forms: slot 1
 gives, per left index q, a table keyed (k, l') of sum over entries
 (q', l') of [q, q']_k B; slots 2 and 3 give, per right index l, one
@@ -50,6 +52,15 @@ strict_verdict read the two verdicts off a given bracket, so a caller
 that needs both builds the bracket once.  The classical operator at
 zero derivations (`cybe`) is the double bracket's specialization at
 d1 = d2 = d3 = 0.
+
+The tables these checks read belong to the algebra of the r-matrix and
+live as long as it (conformal.ConfAlgebra.memo): the double bracket's
+five coefficient maps, the generator-action table of each arity, and
+lift_profile's map x -> d1, each with the powers of its targets it has
+built, which the degrees seen so far bound.  So a caller that checks
+many r-matrices over one algebra (the search, with one algebra per
+process) builds each table once; a caller that makes an algebra per
+check (the CLI, catalog_diffs) builds each once per check.
 
 For the current algebra on sl2 the reduced double bracket only sees the
 diagonal restrictions A'_{ql}(x) = A_{ql}(x, -x).  The catalog below
@@ -170,12 +181,13 @@ def ccybe_bracket(r: RMat, tuples: Optional[Iterable[tuple]] = None) -> ConfTens
     names = alg.basis_names
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     s1, s2 = reg.sym("d1"), reg.sym("d2")
-    # The five coefficient substitutions, each compiled once: A at
+    # The five coefficient substitutions, kept by the algebra: A at
     # (-d2, d2) and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and
     # (d2, -d2), the last two negated to carry their slots' sign.  An
     # entry's form is substituted on first use.
-    maps = [Substitution(reg, {s1: u, s2: v}) for u, v in
-            ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))]
+    maps = alg.memo("ccybe_bracket.maps", lambda: [
+        Substitution(reg, {s1: u, s2: v}) for u, v in
+        ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))])
     forms: dict = {}
 
     def form(key: tuple, j: int) -> MPoly:
@@ -364,11 +376,15 @@ class DiagProfile:
 
 
 def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> RMat:
-    """Canonical lift A_{ql}(d1, d2) := A'_{ql}(d1)."""
-    alg = alg or ConfAlgebra.cur(sl2(), p.reg)
-    if alg.reg is not p.reg:
+    """Canonical lift A_{ql}(d1, d2) := A'_{ql}(d1), onto `alg` (a fresh
+    current algebra on sl2 by default); the map x -> d1 is kept in the
+    algebra's memo."""
+    reg = p.reg
+    alg = alg or ConfAlgebra.cur(sl2(), reg)
+    if alg.reg is not reg:
         raise ValueError("profile and algebra must share a registry")
-    at_d1 = Substitution(p.reg, {p.reg.sym("x"): p.reg.var("d1")})
+    at_d1 = alg.memo("lift_profile.at_d1",
+                     lambda: Substitution(reg, {reg.sym("x"): reg.var("d1")}))
     entries = {key: at_d1(poly) for key, poly in p.entries.items()}
     return RMat(alg, entries)
 

@@ -359,7 +359,7 @@ def flat_scan(cfg):
         shift = shift_constant(constants)
         if _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
             continue
-        profile = candidate_profile(cfg, constants, coeffs)
+        profile = candidate_profile(cfg, constants, coeffs, search._registry())
         if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
             out.append(search._post_verify(cfg, profile))
     return out

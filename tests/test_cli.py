@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -566,6 +567,39 @@ def test_search_cli_out_replaces_report_after_scan(tmp_path, monkeypatch, capsys
             "--out", str(out)]
     assert cli.main(argv) == 0
     assert json.loads(out.read_text())["candidates_scanned"] == 512
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_search_cli_out_write_failure(capsys):
+    # a report that cannot be written after the scan (the device is
+    # full) gives one error line and exit 2, not a traceback
+    argv = ["search", "--max-degree", "1", "--coeffs=-1,0,1", "--constants=-1,0,1",
+            "--raw", "--out", "/dev/full"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "28" in captured.err
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd here")
+def test_search_cli_out_to_pipe(capsys):
+    # a pipe cannot be truncated: the report is written to it whole
+    read_fd, write_fd = os.pipe()
+    received = []
+    with os.fdopen(read_fd, "rb") as pipe:
+        reader = threading.Thread(target=lambda: received.append(pipe.read()))
+        reader.start()
+        try:
+            code = cli.main(["search", "--max-degree", "1", "--coeffs=0,1",
+                             "--constants=0", "--out", f"/dev/fd/{write_fd}"])
+        finally:
+            os.close(write_fd)
+            reader.join()
+    assert code == 0
+    report = json.loads(received[0])
+    assert report["candidates_scanned"] == 512
+    assert report["content_hash"] in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, values", [

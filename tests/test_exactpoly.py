@@ -676,3 +676,20 @@ def test_interning_concurrent(reg):
     for bucket in results[1:]:
         assert bucket == results[0]
     assert len({s.index for s in results[0]}) == len(names)
+
+
+def test_univariate_matches_sums(reg):
+    # the packed-term constructor equals the sum of c * sym ** j, stores
+    # integral values as ints and drops zeros
+    for name in ("x", "fresh"):
+        coeffs = {0: Fraction(3), 1: Fraction(-1, 2), 2: 0, 5: Fraction(4, 2)}
+        p = reg.univariate(name, coeffs)
+        s = reg.var(name)
+        assert p == sum((s ** j * c for j, c in coeffs.items()), reg.zero())
+        assert sorted(type(c).__name__ for c in p._terms.values()) == \
+            ["Fraction", "int", "int"]
+    assert reg.univariate("x", {}).is_zero()
+    reg.univariate("x", {EXPONENT_LIMIT - 1: 1})
+    for bad in (-1, EXPONENT_LIMIT):
+        with pytest.raises(ExponentOverflow):
+            reg.univariate("x", {bad: 1})

@@ -73,6 +73,17 @@ def test_constraint_errors(reg):
         FamilySpec("thm9_x", reg, {})
 
 
+def test_family_spec_leaves_caller_params(reg):
+    # the pinned constants passed are checked and dropped from the
+    # spec's own copy of params, not from the caller's dict
+    params = {"lhh": 1, "beta": 2, "zeta": 1, "alpha": 0, "gamma": 0}
+    spec = FamilySpec("thm5_ii", reg, params)
+    assert params == {"lhh": 1, "beta": 2, "zeta": 1, "alpha": 0, "gamma": 0}
+    assert spec.params == {"lhh": 1, "beta": 2, "zeta": 1}
+    again = FamilySpec("thm5_ii", reg, params)
+    assert build_profile(again) == build_profile(spec)
+
+
 def test_lift_examples(reg):
     prof = ybe.DiagProfile(reg, {("h", "h"): reg.var("x")}, None)
     r = lift_profile(prof)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ccybe import search, ybe
+from ccybe import conformal, search, ybe
 from ccybe.search import (
     MAX_CONSISTENT,
     MAX_DEGREE,
@@ -428,7 +428,7 @@ def _family_profiles(degree):
         f = reg.const(1)
         for k in range((degree - 1) // 2):
             f = f * (t + k + 1)
-        out.append(build_profile(FamilySpec(case, reg, dict(params), f=f)))
+        out.append(build_profile(FamilySpec(case, reg, params, f=f)))
     return out
 
 
@@ -472,15 +472,30 @@ def test_exact_check_catches_near_misses(max_degree):
 
 def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
     # the weak verdict (generator actions) and the strict one (reduction)
-    # of a survivor are read from the same double bracket
-    calls = {"ccybe_bracket": 0, "generator_actions": 0, "reduce_mod_total": 0}
+    # of a survivor are read from the same double bracket; the generator
+    # actions are one act_on_tensor call per survivor, looked up on ybe,
+    # where a tracer sees it; and the arity-3 action table is built once
+    # per process, on the process's algebra
+    calls = {"ccybe_bracket": 0, "generator_actions": 0, "reduce_mod_total": 0,
+             "act_on_tensor": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(ybe, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(ybe, name, counted)
+    builds = []
+    build = conformal._action_table
+
+    def counted_build(elems, t, lam):
+        builds.append(t.arity)
+        return build(elems, t, lam)
+
+    monkeypatch.setattr(conformal, "_action_table", counted_build)
+    search._algebra.cache_clear()
     cfg = SearchConfig(max_degree=1, coeff_grid=(-1, 0, 1), constants_grid=(-1, 0, 1),
                        mode="strict", raw=True)
-    report = run_search(cfg)
-    assert len(report.survivors) == 39 and not report.characterization_failures
-    assert calls == {"ccybe_bracket": 39, "generator_actions": 39, "reduce_mod_total": 39}
+    for runs in (1, 2):
+        report = run_search(cfg)
+        assert len(report.survivors) == 39 and not report.characterization_failures
+        assert calls == dict.fromkeys(calls, 39 * runs)
+        assert builds == [3]

@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from ccybe import ybe
+from ccybe import conformal, ybe
 from ccybe.conformal import (
     ConfAlgebra,
     ConfElem,
+    ConfTensor,
     act_on_tensor,
     project,
     project_reduced,
     reduce_mod_total,
     tau,
 )
-from ccybe.exactpoly import SymbolRegistry
+from ccybe.exactpoly import RegistryMismatch, SymbolRegistry
 from ccybe.liealg import phi_matrix, psi_matrix, sl2
 from ccybe.ybe import (
     CATALOG,
@@ -25,6 +26,7 @@ from ccybe.ybe import (
     derive_projection,
     derive_weak_projection,
     eval_equation,
+    generator_actions,
     generic_profile,
     is_invariant,
     is_strict_solution,
@@ -408,6 +410,138 @@ def test_cocommutator_conformal_linear(cur, reg):
         total = reg.parse("d1 + d2")
         rhs = cocommutator(a, r).map_coeffs(lambda p: p * total)
         assert lhs == rhs
+
+
+# Tables the algebra keeps -----------------------------------------------------------
+
+
+def _algebra(kind):
+    reg = SymbolRegistry()
+    return ConfAlgebra.cur(sl2(), reg) if kind == "cur" else ConfAlgebra.vir(reg)
+
+
+def _memo_cases(kind, seed):
+    """Inputs as text, so that each can be built over any registry:
+    (r-matrix entries, arity-3 tensor entries, element coefficients).
+    Entries reach degree 3 per slot; some carry a Fraction or the
+    parameter alpha."""
+    rng = random.Random(seed)
+    scratch = SymbolRegistry()
+    names = ("e", "f", "h") if kind == "cur" else ("v",)
+    extras = ("1", "1/2", "alpha")
+
+    def poly(arity):
+        p = scratch.parse(rng.choice(extras))
+        for i in range(arity):
+            p = p * random_univariate(scratch, rng, f"d{i + 1}", rng.randint(0, 3))
+        return p.to_string()
+
+    def entries(arity):
+        return {tuple(rng.choice(names) for _ in range(arity)): poly(arity)
+                for _ in range(rng.randint(1, 4))}
+
+    elem = {n: random_univariate(scratch, rng, "d", 2).to_string() for n in names}
+    return entries(2), entries(3), elem
+
+
+def _printed(t):
+    return {tup: p.to_string() for tup, p in t.entries.items()}
+
+
+def _memo_inputs(alg, case):
+    reg = alg.reg
+    r_text, t_text, elem_text = case
+    return (RMat(alg, {k: reg.parse(v) for k, v in r_text.items()}),
+            ConfTensor(alg, 3, {k: reg.parse(v) for k, v in t_text.items()}),
+            ConfElem(alg, {k: reg.parse(v) for k, v in elem_text.items()}))
+
+
+def _actions(defects):
+    return {g: _printed(a) for g, a in defects.items()}
+
+
+# Every check that reads the algebra's tables, as (r, t, elem) ->
+# printed result, so that results over different registries compare.
+_MEMO_CHECKS = {
+    "bracket": lambda r, t, elem: _printed(ccybe_bracket(r)),
+    "weak": lambda r, t, elem: _actions(generator_actions(ccybe_bracket(r))),
+    "arity3": lambda r, t, elem: _actions(generator_actions(t)),
+    "arity2": lambda r, t, elem: _actions(generator_actions(rmat_tensor(r))),
+    "invariant": lambda r, t, elem: (is_invariant(r)[0], _actions(is_invariant(r)[1])),
+    "cocommutator": lambda r, t, elem: _printed(cocommutator(elem, r)),
+    # at a free variable, on both arities with the same element
+    "free": lambda r, t, elem: [_printed(act_on_tensor([elem], u, r.alg.reg.var("mu"))[0])
+                                for u in (rmat_tensor(r), t)],
+    "lift": lambda r, t, elem: r.alg.kind == "cur" and _printed(rmat_tensor(lift_profile(
+        DiagProfile(r.alg.reg, {("e", "f"): r.alg.reg.parse("x^3 + 2*x")}), r.alg))),
+}
+
+
+@pytest.mark.parametrize("kind", ["cur", "vir"])
+def test_algebra_tables_match_fresh_algebras(kind):
+    # one algebra keeps its tables (action table, bracket maps, lift
+    # map) from check to check and case to case; in either order, every
+    # result equals the one computed on a fresh algebra over a fresh
+    # registry
+    cases = [_memo_cases(kind, seed) for seed in range(6)]
+    expected = [{name: check(*_memo_inputs(_algebra(kind), case))
+                 for name, check in _MEMO_CHECKS.items()} for case in cases]
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        shared = _algebra(kind)
+        for n in order:
+            inputs = _memo_inputs(shared, cases[n])
+            for name, check in _MEMO_CHECKS.items():
+                assert check(*inputs) == expected[n][name], (n, name)
+
+
+def test_action_table_built_once_per_key(monkeypatch, cur, reg):
+    builds = []
+    build = conformal._action_table
+
+    def counted(elems, t, lam):
+        builds.append(t.arity)
+        return build(elems, t, lam)
+
+    monkeypatch.setattr(conformal, "_action_table", counted)
+    rs = [RMat(cur, {("e", "f"): reg.parse("d1 + 1"), ("h", "h"): reg.parse("d1^3")}),
+          RMat(cur, {("h", "e"): reg.parse("2*d1^2 - d2"), ("e", "h"): reg.const(3)})]
+    for r in rs:
+        generator_actions(ccybe_bracket(r))
+    assert builds == [3]
+    for r in rs:
+        is_invariant(r)
+        generator_actions(rmat_tensor(r))
+    assert builds == [3, 2]
+    for r in rs:
+        cocommutator(cur.generator("e"), r)
+    assert builds == [3, 2, 2]
+    cocommutator(cur.generator("f"), rs[0])
+    act_on_tensor([cur.generator("e")], rmat_tensor(rs[0]), reg.var("mu"))
+    assert builds == [3, 2, 2, 2, 2]
+    # another algebra keeps its own tables
+    other = ConfAlgebra.cur(sl2(), reg)
+    generator_actions(ccybe_bracket(RMat(other, {("e", "f"): reg.parse("d1")})))
+    assert builds == [3, 2, 2, 2, 2, 3]
+
+
+def test_algebra_tables_refuse_foreign_tensors(cur, reg):
+    r = RMat(cur, {("e", "f"): reg.parse("d1 + 1")})
+    generator_actions(ccybe_bracket(r))
+    other = ConfAlgebra.cur(sl2(), SymbolRegistry())
+    foreign = ConfTensor(other, 2, {("e", "f"): other.reg.parse("d1 + 1")})
+    with pytest.raises(ValueError, match="different algebras"):
+        act_on_tensor([cur.generator("e")], foreign, -foreign.total())
+    # the algebra's own tensor and r-matrix with another registry's
+    # coefficients, after the tables for them exist
+    with pytest.raises(RegistryMismatch):
+        generator_actions(ConfTensor(cur, 3, {("e", "f", "h"): other.reg.parse("d1")}))
+    with pytest.raises(RegistryMismatch):
+        ccybe_bracket(RMat(cur, {("e", "f"): other.reg.parse("d1")}))
+    with pytest.raises(ValueError, match="share a registry"):
+        lift_profile(DiagProfile(other.reg, {("e", "f"): other.reg.parse("x")}), cur)
+    # and the refused calls leave the tables sound
+    fresh = RMat(ConfAlgebra.cur(sl2(), reg), r.entries)
+    assert ccybe_bracket(r).entries == ccybe_bracket(fresh).entries
 
 
 # Catalog ---------------------------------------------------------------------------
