@@ -225,6 +225,16 @@ _SEARCH_FLAGS = {"max_degree": "--max-degree", "coeff_grid": "--coeffs",
                  "constants_grid": "--constants", "workers": "--jobs"}
 
 
+def _same_file(st: os.stat_result, stream) -> bool:
+    """Whether `st` is the file that `stream` writes to; a stream with no
+    file descriptor (a StringIO) is no file."""
+    try:
+        other = os.fstat(stream.fileno())
+    except (OSError, ValueError):
+        return False
+    return (st.st_dev, st.st_ino) == (other.st_dev, other.st_ino)
+
+
 def cmd_search(args) -> int:
     try:
         coeffs = tuple(_rational(v) for v in args.coeffs.split(",") if v.strip())
@@ -248,18 +258,24 @@ def cmd_search(args) -> int:
     # be written is refused up front rather than after the whole search;
     # it is opened to append, so a report already there is kept until
     # the new one replaces it.  Only a regular file is truncated: a pipe
-    # or a device (/dev/stdout, /dev/full) cannot be.
+    # or a device (/dev/stdout, /dev/full) cannot be.  When the report
+    # goes to standard output, the summary goes to standard error, so
+    # that the stream holds the JSON alone.
+    summary = sys.stdout
     with contextlib.ExitStack() as stack:
         if args.out:
             try:
                 fh = stack.enter_context(open(args.out, "a", encoding="utf-8"))
+                out_stat = os.fstat(fh.fileno())
             except (OSError, ValueError) as err:
                 print(f"error: {err}", file=sys.stderr)
                 return USAGE
+            if _same_file(out_stat, sys.stdout):
+                summary = sys.stderr
         report = search.run_search(cfg)
         if args.out:
             try:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                if stat.S_ISREG(out_stat.st_mode):
                     fh.truncate(0)
                 json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -275,11 +291,11 @@ def cmd_search(args) -> int:
           f"({report.consistent_candidates} invariance-consistent), "
           f"{len(report.survivors)} survivors, "
           f"{len(report.characterization_failures)} characterization failures "
-          f"[{report.timing_seconds}s]")
-    print(f"content hash: {report.content_hash}")
+          f"[{report.timing_seconds}s]", file=summary)
+    print(f"content hash: {report.content_hash}", file=summary)
     if report.characterization_failures:
         for failure in report.characterization_failures:
-            print(f"  FAILURE {failure['problems']}: {failure['record']}")
+            print(f"  FAILURE {failure['problems']}: {failure['record']}", file=summary)
         return FAIL
     return PASS
 
@@ -302,38 +318,30 @@ def cmd_vir(args) -> int:
     return PASS if report["ok"] else FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ccybe",
-        description="Exact checks for conformal Yang-Baxter structures "
-                    "on the sl2 current algebra and the Virasoro algebra.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check an r-matrix file")
+def _verify_arguments(p) -> None:
     p.add_argument("input")
     p.add_argument("--mode", choices=("invariance", "weak", "strict"),
                    default="strict")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("expand", help="print the double bracket of an r-matrix")
+
+def _expand_arguments(p) -> None:
     p.add_argument("input")
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("catalog", help="re-derive the projection equation catalog")
+
+def _catalog_arguments(p) -> None:
     p.add_argument("--degree", type=int, default=3)
-    p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("family", help="write a solution family member to a file")
+
+def _family_arguments(p) -> None:
     p.add_argument("case", nargs="?", choices=families.CASES[:-1])
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--f", default="1", help="monic polynomial in t")
     p.add_argument("--spec", help="family spec JSON file")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("search", help="bounded exhaustive classification cross-check")
+
+def _search_arguments(p) -> None:
     p.add_argument("--mode", choices=("weak", "strict"), default="weak")
     p.add_argument("--max-degree", type=int, default=1)
     p.add_argument("--coeffs", default="-1,0,1",
@@ -344,21 +352,58 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop the odd-polynomial ansatz")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("vir", help="check a Virasoro coefficient polynomial")
+
+def _vir_arguments(p) -> None:
     p.add_argument("expr", help="polynomial in x, y")
     p.add_argument("--mode", choices=("invariance", "weak", "strict"),
                    default="weak")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_vir)
 
+
+# The commands, in the order the help lists them: name -> (help line,
+# the function that adds its arguments, its handler).
+COMMANDS = {
+    "verify": ("check an r-matrix file", _verify_arguments, cmd_verify),
+    "expand": ("print the double bracket of an r-matrix", _expand_arguments,
+               cmd_expand),
+    "catalog": ("re-derive the projection equation catalog", _catalog_arguments,
+                cmd_catalog),
+    "family": ("write a solution family member to a file", _family_arguments,
+               cmd_family),
+    "search": ("bounded exhaustive classification cross-check", _search_arguments,
+               cmd_search),
+    "vir": ("check a Virasoro coefficient polynomial", _vir_arguments, cmd_vir),
+}
+
+
+def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with a subparser for each command in `names`."""
+    parser = argparse.ArgumentParser(
+        prog="ccybe",
+        description="Exact checks for conformal Yang-Baxter structures "
+                    "on the sl2 current algebra and the Virasoro algebra.",
+    )
+    # A parser for some of the commands still names all of them in the
+    # usage line that an unrecognized argument prints.
+    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser has no option but -h, so when the first
+    # argument names a command, that command's subparser reads all the
+    # rest, and the others would only be built to go unused.
+    names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    args = build_parser(names).parse_args(argv)
     try:
         return args.func(args)
     except ExponentOverflow as err:

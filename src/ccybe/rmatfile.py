@@ -12,11 +12,11 @@ Schema:
     }
 
 Coefficients are expression strings in d1, d2 and the declared
-parameters; parameters must be declared before use.  A coefficient's
-degree in each symbol is at most MAX_SLOT_DEGREE, and so is every power
-and product on the way to it: the parser refuses one above the limit
-before expanding it.  The checks expand powers of d1 + d2, so an
-unbounded degree would run without end.
+parameters, or JSON integers; parameters must be declared before use.
+A coefficient's degree in each symbol is at most MAX_SLOT_DEGREE, and
+so is every power and product on the way to it: the parser refuses one
+above the limit before expanding it.  The checks expand powers of
+d1 + d2, so an unbounded degree would run without end.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .ybe import RMat
 
 ALGEBRAS = ("cur_sl2", "vir")
 MAX_SLOT_DEGREE = 64
+# The JSON names of the values a coefficient cannot be.
+_JSON_TYPES = {dict: "an object", list: "an array", bool: "a boolean",
+               float: "a decimal number", type(None): "null"}
 
 
 class RMatFileError(ValueError):
@@ -48,9 +51,10 @@ def make_algebra(name: str, reg: SymbolRegistry) -> ConfAlgebra:
 def loads(text: str, reg: SymbolRegistry = None) -> RMat:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:
-        # RecursionError: arrays or objects nested deeper than the
-        # decoder's recursion limit
+    except (ValueError, RecursionError) as err:
+        # ValueError: also an integer literal longer than int() reads
+        # (4300 digits); RecursionError: arrays or objects nested deeper
+        # than the decoder's recursion limit
         raise RMatFileError(f"invalid JSON: {err}") from err
     return from_dict(data, reg)
 
@@ -86,8 +90,13 @@ def from_dict(data: dict, reg: SymbolRegistry = None) -> RMat:
             raise RMatFileError(
                 f"unknown basis pair ({left!r}, {right!r}) for algebra {data['algebra']}"
             )
+        coeff = item.get("coeff", "0")
+        if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
+            raise RMatFileError(f"entry ({left}, {right}): coeff must be a string "
+                                f"or an integer, got "
+                                f"{_JSON_TYPES.get(type(coeff), type(coeff).__name__)}")
         try:
-            poly = reg.parse(str(item.get("coeff", "0")), max_degree=MAX_SLOT_DEGREE)
+            poly = reg.parse(str(coeff), max_degree=MAX_SLOT_DEGREE)
         except ParseError as err:
             raise RMatFileError(
                 f"entry ({left}, {right}): {err}"

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -56,6 +58,32 @@ def test_rmatfile_errors():
     with pytest.raises(rmatfile.RMatFileError, match="position"):
         rmatfile.from_dict({"algebra": "cur_sl2",
                             "entries": [{"left": "e", "right": "e", "coeff": "x^(-1)"}]})
+
+
+@pytest.mark.parametrize("coeff, kind", [
+    ({"a": 1}, "an object"), ([1], "an array"), (True, "a boolean"),
+    (0.5, "a decimal number"), (None, "null"),
+], ids=["object", "array", "boolean", "decimal", "null"])
+def test_verify_coeff_type_refused(tmp_path, capsys, coeff, kind):
+    # a coefficient is read as text only when it is a string or an integer
+    path = write_rmat(tmp_path, "r.json", {
+        "algebra": "cur_sl2", "entries": [{"left": "h", "right": "h", "coeff": coeff}]})
+    assert cli.main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: entry (h, h): coeff must be a string or an integer, "
+                            f"got {kind}\n")
+
+
+def test_verify_integer_coeff_accepted(tmp_path, capsys):
+    as_int = write_rmat(tmp_path, "int.json", {
+        "algebra": "cur_sl2", "entries": [{"left": "e", "right": "e", "coeff": 2}]})
+    as_text = write_rmat(tmp_path, "text.json", {
+        "algebra": "cur_sl2", "entries": [{"left": "e", "right": "e", "coeff": "2"}]})
+    assert cli.main(["verify", as_int, "--mode", "weak", "--format", "json"]) == 0
+    from_int = capsys.readouterr().out
+    assert cli.main(["verify", as_text, "--mode", "weak", "--format", "json"]) == 0
+    assert capsys.readouterr().out == from_int
 
 
 def test_rmatfile_degree_limit():
@@ -173,10 +201,13 @@ def test_verify_malformed_file(tmp_path, capsys, data):
     b"\xff\xfe",
     json.dumps({"algebra": "cur_sl2", "entries": [
         {"left": "e", "right": "e", "coeff": "(" * 150 + "d1" + ")" * 150}]}).encode(),
-], ids=["deep_json", "deep_entries", "not_utf8", "deep_parentheses"])
+    b'{"algebra": "cur_sl2", "entries": [{"left": "e", "right": "e", "coeff": 1'
+    + b"0" * 5000 + b"}]}",
+], ids=["deep_json", "deep_entries", "not_utf8", "deep_parentheses", "long_integer"])
 def test_verify_unreadable_file_exit(tmp_path, capsys, command, content):
-    # nesting beyond the JSON decoder's or the parser's recursion, and
-    # bytes that are not UTF-8, are usage errors, not tracebacks
+    # nesting beyond the JSON decoder's or the parser's recursion, an
+    # integer literal longer than int() reads, and bytes that are not
+    # UTF-8 are usage errors, not tracebacks
     path = tmp_path / "r.json"
     path.write_bytes(content)
     assert cli.main([command, str(path)]) == 2
@@ -602,6 +633,26 @@ def test_search_cli_out_to_pipe(capsys):
     assert report["content_hash"] in capsys.readouterr().out
 
 
+def _ccybe(*argv) -> subprocess.CompletedProcess:
+    """`python -m ccybe.cli` on `argv` in a new process, importing the
+    package these tests import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "ccybe.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout here")
+def test_search_cli_out_to_stdout():
+    # a report written to standard output is the whole stream: the
+    # summary lines go to standard error
+    done = _ccybe("search", "--max-degree", "1", "--coeffs=0,1", "--constants=0",
+                  "--out", "/dev/stdout")
+    assert done.returncode == 0
+    report = json.loads(done.stdout)
+    assert report["candidates_scanned"] == 512
+    assert f"content hash: {report['content_hash']}" in done.stderr
+
+
 @pytest.mark.parametrize("flag, values", [
     ("--coeffs", "1,1.0,2/2"),
     ("--coeffs", "0,0"),
@@ -694,16 +745,79 @@ def test_vir_degree_above_limit(capsys):
 # exit-code contract on arbitrary input ------------------------------------------------
 
 
-def _call(argv) -> tuple:
+def _call(argv, run=cli.main) -> tuple:
     """(exit status, stdout, stderr) of one in-process call; a usage error
     (SystemExit) counts as its exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            code = run(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+# the command table -------------------------------------------------------------------
+
+
+def _run_full_parser(argv) -> int:
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["--", "verify"],
+    *([command, "-h"] for command in cli.COMMANDS),
+    ["verify"], ["verify", "a", "b"], ["verify", "x", "--mode", "nope"],
+    ["verify", "x", "--bogus"], ["verify", "x", "--mo", "weak"],
+    ["search", "--jobs", "x"], ["catalog", "--degree"], ["vir"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_matches_full_parser(argv):
+    # main builds only the named command's subparser: what the user sees
+    # is what the parser of every command gives
+    assert _call(argv) == _call(argv, _run_full_parser)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "r.json", "--mode", "weak", "--format", "json"],
+    ["expand", "r.json"],
+    ["catalog", "--degree", "2"],
+    ["family", "thm5_ii", "--param", "lhh=1", "--param", "beta=2", "--f", "t^2 + 1",
+     "--out", "o.json"],
+    ["search", "--max-degree", "2", "--coeffs=-1,1", "--constants=0", "--raw", "--jobs",
+     "2", "--out", "s.json", "--mode", "strict"],
+    ["vir", "x - y", "--mode", "strict", "--format", "json"],
+], ids=lambda argv: argv[0])
+def test_command_parser_matches_full_parser(argv):
+    full = cli.build_parser().parse_args(argv)
+    assert cli.build_parser(argv[:1]).parse_args(argv) == full
+
+
+def test_main_builds_only_the_named_command(monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def record(names):
+        built.append(tuple(names))
+        return build(names)
+
+    monkeypatch.setattr(cli, "build_parser", record)
+    for argv in (["verify", "-h"], ["vir", "-h"], ["-h"], ["verif", "-h"]):
+        _call(argv)
+    every = tuple(cli.COMMANDS)
+    assert built == [("verify",), ("vir",), every, every]
+
+
+def test_entry_point_process_matches_main(tmp_path, capsys):
+    # `python -m ccybe.cli` reads its arguments from sys.argv
+    path = str(tmp_path / "thm5_ii.json")
+    assert cli.main(["family", "thm5_ii", "--param", "lhh=1", "--param", "beta=2",
+                     "--param", "zeta=1", "--out", path]) == 0
+    capsys.readouterr()
+    argv = ["verify", path, "--mode", "strict", "--format", "json"]
+    code = cli.main(argv)
+    done = _ccybe(*argv)
+    assert (done.returncode, done.stdout) == (code, capsys.readouterr().out)
 
 
 _TOKENS = ("d1", "d2", "d3", "x", "y", "t", "alpha", "lam", "0", "1", "2", "1/2",
