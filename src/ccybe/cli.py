@@ -24,20 +24,11 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 
 def _defect_rows(defects) -> list:
-    rows = []
-    for generator, tensor in sorted(defects.items()):
-        for tup in sorted(tensor.entries):
-            rows.append({
-                "generator": generator,
-                "tuple": list(tup),
-                "poly": tensor.entries[tup].to_string(),
-            })
-    return rows
-
-
-def _residue_rows(tensor) -> list:
+    """One row per coefficient of each tensor in `defects`, a map from
+    the acting generator (None for the strict residue) to a tensor."""
     return [
-        {"generator": None, "tuple": list(tup), "poly": tensor.entries[tup].to_string()}
+        {"generator": generator, "tuple": list(tup), "poly": tensor.entries[tup].to_string()}
+        for generator, tensor in sorted(defects.items())
         for tup in sorted(tensor.entries)
     ]
 
@@ -60,20 +51,18 @@ def _emit_report(report: dict, fmt: str) -> None:
 def _run_check(r, mode: str) -> dict:
     if mode == "invariance":
         ok, defects = ybe.is_invariant(r)
-        rows = _defect_rows(defects)
     elif mode == "weak":
         ok, defects = ybe.is_weak_solution(r)
-        rows = _defect_rows(defects)
     elif mode == "strict":
         ok, residue = ybe.is_strict_solution(r)
-        rows = _residue_rows(residue)
+        defects = {None: residue}
     else:
         raise ValueError(f"unknown mode {mode!r}")
     report = {
         "check": mode,
         "algebra": "cur_sl2" if r.alg.kind == "cur" else "vir",
         "ok": ok,
-        "defects": rows,
+        "defects": _defect_rows(defects),
     }
     if r.alg.kind == "vir" and mode == "weak" and not ok:
         reg = r.alg.reg
@@ -106,19 +95,14 @@ def cmd_expand(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     bracket = ybe.ccybe_bracket(r)
-    from .conformal import reduce_mod_total
-
-    reduced = reduce_mod_total(bracket)
-    print("double bracket (unreduced):")
-    for tup in sorted(bracket.entries):
-        print(f"  ({', '.join(tup)}): {bracket.entries[tup].to_string()}")
-    if not bracket.entries:
-        print("  0")
-    print("reduced modulo the total derivation:")
-    for tup in sorted(reduced.entries):
-        print(f"  ({', '.join(tup)}): {reduced.entries[tup].to_string()}")
-    if not reduced.entries:
-        print("  0")
+    for title, tensor in (("double bracket (unreduced)", bracket),
+                          ("reduced modulo the total derivation",
+                           ybe.strict_verdict(bracket)[1])):
+        print(f"{title}:")
+        for tup in sorted(tensor.entries):
+            print(f"  ({', '.join(tup)}): {tensor.entries[tup].to_string()}")
+        if not tensor.entries:
+            print("  0")
     return PASS
 
 

@@ -148,12 +148,12 @@ def lambda_bracket(a: ConfElem, b: ConfElem) -> dict[str, MPoly]:
     d_sym = alg.d
     out: dict[str, MPoly] = {}
     for p, f in a.coeffs.items():
-        f_at = f.subst_linear(d_sym, -lam)
+        f_at = f.subst_many({d_sym: -lam})
         for q, g in b.coeffs.items():
             bracket = alg.basis_bracket(p, q, d, lam)
             if not bracket:
                 continue
-            g_at = g.subst_linear(d_sym, lam + d)
+            g_at = g.subst_many({d_sym: lam + d})
             factor = f_at * g_at
             for k, poly in bracket.items():
                 term = factor * poly

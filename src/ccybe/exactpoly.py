@@ -429,10 +429,6 @@ class MPoly:
 
     # Substitution ------------------------------------------------------------
 
-    def subst_linear(self, sym: Sym, expr: "MPoly") -> "MPoly":
-        """Replace every occurrence of `sym` by `expr` (any polynomial)."""
-        return self.subst_many({sym: expr})
-
     def subst_many(self, mapping: Mapping[Sym, "MPoly"]) -> "MPoly":
         """Simultaneous substitution of several symbols."""
         return Substitution(self.reg, mapping)(self)

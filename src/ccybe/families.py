@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .conformal import ConfAlgebra
+from .conformal import ConfAlgebra, ConfTensor
 from .exactpoly import MPoly, PolySum, SymbolRegistry, _scalar
 from .liealg import Scalar, SymMat3, rank_le_1, sl2
-from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, RMat, boundary_values, lift_profile
+from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, boundary_values, lift_profile
 
 
 class Case(NamedTuple):
@@ -221,7 +221,7 @@ def build_profile(spec: FamilySpec) -> DiagProfile:
     reg = spec.reg
     constants = spec.constants()
     x = reg.var("x")
-    fx2 = spec.f.subst_linear(reg.sym("t"), x * x)
+    fx2 = spec.f.subst_many({reg.sym("t"): x * x})
     odd_base = x * fx2
     amat = spec.coefficient_matrix()
     values = boundary_values([constants[n] for n in CONSTANT_NAMES])
@@ -231,7 +231,7 @@ def build_profile(spec: FamilySpec) -> DiagProfile:
 
 def invariant_constant_rmat(alpha: Scalar, beta: Scalar, gamma: Scalar,
                             zeta: Scalar, reg: Optional[SymbolRegistry] = None,
-                            alg: Optional[ConfAlgebra] = None) -> RMat:
+                            alg: Optional[ConfAlgebra] = None) -> ConfTensor:
     """The general invariant constant tensor
 
         alpha (h x e - e x h) + beta (f x e - e x f)
@@ -247,7 +247,7 @@ def invariant_constant_rmat(alpha: Scalar, beta: Scalar, gamma: Scalar,
     return lift_profile(build_profile(spec), alg)
 
 
-def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> RMat:
+def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
     """Single-entry tensor over the Virasoro algebra.
 
     `coeff` is given in the symbols (x, y), read as (d1, d2).
@@ -260,7 +260,7 @@ def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> RMat:
         reg.sym("x"): reg.var("d1"),
         reg.sym("y"): reg.var("d2"),
     })
-    return RMat(alg, {("v", "v"): poly})
+    return ConfTensor(alg, 2, {("v", "v"): poly})
 
 
 # Characterization ---------------------------------------------------------------

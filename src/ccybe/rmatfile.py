@@ -1,5 +1,9 @@
 """JSON file format for r-matrices.
 
+A file holds one r-matrix r = sum A_{ql}(d1, d2) q x l, read into and
+written from an arity-2 conformal.ConfTensor; the format depends on the
+algebras and polynomials alone, not on the checks in `ybe`.
+
 Schema:
 
     {
@@ -24,10 +28,9 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .conformal import ConfAlgebra
+from .conformal import ConfAlgebra, ConfTensor
 from .exactpoly import ParseError, SymbolRegistry
 from .liealg import sl2
-from .ybe import RMat
 
 ALGEBRAS = ("cur_sl2", "vir")
 MAX_SLOT_DEGREE = 64
@@ -48,7 +51,7 @@ def make_algebra(name: str, reg: SymbolRegistry) -> ConfAlgebra:
     raise RMatFileError(f"unknown algebra {name!r} (expected one of {ALGEBRAS})")
 
 
-def loads(text: str, reg: SymbolRegistry = None) -> RMat:
+def loads(text: str, reg: SymbolRegistry = None) -> ConfTensor:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as err:
@@ -59,7 +62,7 @@ def loads(text: str, reg: SymbolRegistry = None) -> RMat:
     return from_dict(data, reg)
 
 
-def from_dict(data: dict, reg: SymbolRegistry = None) -> RMat:
+def from_dict(data: dict, reg: SymbolRegistry = None) -> ConfTensor:
     reg = reg or SymbolRegistry()
     if not isinstance(data, dict):
         raise RMatFileError("top level must be an object")
@@ -109,10 +112,10 @@ def from_dict(data: dict, reg: SymbolRegistry = None) -> RMat:
             )
         key = (left, right)
         entries[key] = entries.get(key, reg.zero()) + poly
-    return RMat(alg, entries)
+    return ConfTensor(alg, 2, entries)
 
 
-def load(path: str, reg: SymbolRegistry = None) -> RMat:
+def load(path: str, reg: SymbolRegistry = None) -> ConfTensor:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -121,7 +124,7 @@ def load(path: str, reg: SymbolRegistry = None) -> RMat:
     return loads(text, reg)
 
 
-def to_dict(r: RMat, parameters: Union[list, tuple] = ()) -> dict:
+def to_dict(r: ConfTensor, parameters: Union[list, tuple] = ()) -> dict:
     name = "cur_sl2" if r.alg.kind == "cur" else "vir"
     entries = [
         {"left": q, "right": l, "coeff": poly.to_string()}
@@ -133,7 +136,7 @@ def to_dict(r: RMat, parameters: Union[list, tuple] = ()) -> dict:
     return out
 
 
-def dump(r: RMat, path: str, parameters: Union[list, tuple] = ()) -> None:
+def dump(r: ConfTensor, path: str, parameters: Union[list, tuple] = ()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_dict(r, parameters), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,7 +1,8 @@
 """Conformal Yang-Baxter checks and the projection-equation catalog.
 
-An r-matrix over a conformal algebra with basis {q} is a finitely
-supported map (q, l) -> A_{ql}(d1, d2).  The double bracket of r with
+An r-matrix over a conformal algebra R with basis {q} is an element
+r = sum A_{ql}(d1, d2) q x l of R x R: an arity-2 conformal.ConfTensor,
+whose entries map (q, l) to A_{ql}.  The double bracket of r with
 itself is an arity-3 tensor built from three contraction sums; writing
 A for the left factor's coefficient and B for the right factor's, the
 coefficient substitutions are
@@ -126,49 +127,21 @@ def shift_constant(constants: Sequence[Scalar]) -> Scalar:
     return 4 * alpha * gamma + (4 * zeta - beta) * beta
 
 
-@dataclass
-class RMat:
-    """r = sum A_{ql}(d1, d2) q tensor l over a conformal algebra."""
-
-    alg: ConfAlgebra
-    entries: dict[tuple, MPoly]
-
-    def __post_init__(self):
-        cleaned = {}
-        for (q, l), poly in self.entries.items():
-            if q not in self.alg.basis_names or l not in self.alg.basis_names:
-                raise ValueError(f"unknown basis pair ({q}, {l})")
-            if not poly.is_zero():
-                cleaned[(q, l)] = poly
-        self.entries = cleaned
-
-    def entry(self, q: str, l: str) -> MPoly:
-        return self.entries.get((q, l), self.alg.reg.zero())
-
-
-def rmat_tensor(r: RMat) -> ConfTensor:
-    return ConfTensor(r.alg, 2, dict(r.entries))
-
-
-def transform_rmat(aut: AutMatrix, r: RMat) -> RMat:
-    """Coefficient transport along a Lie algebra automorphism.
-
-    The transformed matrix is \\hat A_{ij} = sum_{ql} Phi_iq Phi_jl A_{ql}.
-    """
-    if r.alg.kind != "cur":
-        raise ValueError("automorphisms act on current-algebra r-matrices")
-    return RMat(r.alg, transform_tensor(aut, r.entries))
-
-
 def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
-    """Apply phi factor-wise to a tensor over the current algebra."""
+    """Coefficient transport along a Lie algebra automorphism phi, applied
+    to every factor of a tensor over the current algebra.
+
+    On an r-matrix the transformed coefficients are
+    \\hat A_{ij} = sum_{ql} Phi_iq Phi_jl A_{ql}.
+    """
     if t.alg.kind != "cur":
         raise ValueError("automorphisms act on current-algebra tensors")
     return ConfTensor(t.alg, t.arity, transform_tensor(aut, t.entries))
 
 
-def ccybe_bracket(r: RMat, tuples: Optional[Iterable[tuple]] = None) -> ConfTensor:
-    """The double bracket of r with itself, unreduced, in d1, d2, d3.
+def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None) -> ConfTensor:
+    """The double bracket of the r-matrix r with itself, unreduced, in
+    d1, d2, d3.
 
     Contraction first (see the module docstring): one polynomial product
     per (entry, key of its contracted table), not per pair of entries.
@@ -176,6 +149,8 @@ def ccybe_bracket(r: RMat, tuples: Optional[Iterable[tuple]] = None) -> ConfTens
     or a final product that feeds no wanted triple is skipped, and so is
     every substituted form that only such keys would read.
     """
+    if r.arity != 2:
+        raise ValueError("the double bracket is defined on arity-2 tensors")
     alg = r.alg
     reg = alg.reg
     names = alg.basis_names
@@ -250,7 +225,7 @@ def strict_verdict(bracket: ConfTensor) -> tuple[bool, ConfTensor]:
     return residue.is_zero(), residue
 
 
-def is_strict_solution(r: RMat) -> tuple[bool, ConfTensor]:
+def is_strict_solution(r: ConfTensor) -> tuple[bool, ConfTensor]:
     return strict_verdict(ccybe_bracket(r))
 
 
@@ -279,21 +254,20 @@ def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
     return all(t.is_zero() for t in defects.values()), defects
 
 
-def is_weak_solution(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
+def is_weak_solution(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
     return weak_verdict(ccybe_bracket(r))
 
 
-def is_invariant(r: RMat) -> tuple[bool, dict[str, ConfTensor]]:
+def is_invariant(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
     """The generator actions on r + tau(r) at lam = -(d1 + d2); True iff
     all vanish."""
-    defects = generator_actions(rmat_tensor(r) + tau(rmat_tensor(r)))
+    defects = generator_actions(r + tau(r))
     return all(t.is_zero() for t in defects.values()), defects
 
 
-def cocommutator(a: ConfElem, r: RMat) -> ConfTensor:
+def cocommutator(a: ConfElem, r: ConfTensor) -> ConfTensor:
     """The co-bracket a -> a_lam r at lam = -(d1 + d2)."""
-    t = rmat_tensor(r)
-    return act_on_tensor([a], t, -t.total())[0]
+    return act_on_tensor([a], r, -r.total())[0]
 
 
 # Classical Yang-Baxter at zero derivations --------------------------------------
@@ -320,7 +294,7 @@ def cybe(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
             entries[(q, l)] = v
         else:
             entries[(q, l)] = reg.const(v)
-    bracket = ccybe_bracket(RMat(ConfAlgebra.cur(alg, reg), entries))
+    bracket = ccybe_bracket(ConfTensor(ConfAlgebra.cur(alg, reg), 2, entries))
     at_zero = Substitution(reg, {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")})
     out: dict[tuple, Scalar] = {}
     for tup, poly in bracket.entries.items():
@@ -375,7 +349,7 @@ class DiagProfile:
         return True
 
 
-def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> RMat:
+def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
     """Canonical lift A_{ql}(d1, d2) := A'_{ql}(d1), onto `alg` (a fresh
     current algebra on sl2 by default); the map x -> d1 is kept in the
     algebra's memo."""
@@ -386,7 +360,7 @@ def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> RMat:
     at_d1 = alg.memo("lift_profile.at_d1",
                      lambda: Substitution(reg, {reg.sym("x"): reg.var("d1")}))
     entries = {key: at_d1(poly) for key, poly in p.entries.items()}
-    return RMat(alg, entries)
+    return ConfTensor(alg, 2, entries)
 
 
 # Equation catalog -----------------------------------------------------------------

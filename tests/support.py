@@ -32,7 +32,6 @@ from ccybe.ybe import (
     CONSTANT_NAMES,
     PAIRS,
     DiagProfile,
-    RMat,
     boundary_values,
     ccybe_bracket,
     cybe,
@@ -205,7 +204,7 @@ def pairwise_bracket(r):
 def act_then_eliminate(elem, t):
     reg = t.alg.reg
     acted = act_on_tensor([elem], t, reg.var("mu"))[0]
-    return acted.map_coeffs(lambda p: p.subst_linear(reg.sym("mu"), -t.total()))
+    return acted.map_coeffs(lambda p: p.subst_many({reg.sym("mu"): -t.total()}))
 
 
 # Unstructured search oracles (desk-scale configurations only).
@@ -240,7 +239,7 @@ def naive_run(cfg):
             x = profile.reg.sym("x")
             minus = -profile.reg.var("x")
             skew = all(
-                (profile.entry(q, l) + profile.entry(l, q).subst_linear(x, minus)).is_zero()
+                (profile.entry(q, l) + profile.entry(l, q).subst_many({x: minus})).is_zero()
                 for q, l in PAIRS
             )
             if not skew:
@@ -442,28 +441,16 @@ def weak_cybe_defect(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
     return out
 
 
-def diagonal_profile_of(r: RMat) -> DiagProfile:
-    """Restrict every coefficient to the diagonal (d1, d2) = (x, -x)."""
-    reg = r.alg.reg
-    x = reg.var("x")
-    sub = {reg.sym("d1"): x, reg.sym("d2"): -x}
-    entries = {key: poly.subst_many(sub) for key, poly in r.entries.items()}
-    if r.alg.kind == "vir":
+def diagonal_profile_of(t: ConfTensor) -> DiagProfile:
+    """Restrict every coefficient of an r-matrix over the sl2 current
+    algebra to the diagonal (d1, d2) = (x, -x); the zero restrictions
+    are dropped."""
+    if t.alg.kind == "vir":
         raise ValueError("diagonal profiles are defined over the sl2 current algebra")
-    return DiagProfile(reg, entries)
-
-
-def tensor2_diagonal(t: ConfTensor) -> dict[tuple, MPoly]:
-    """Diagonal restriction of an arity-2 tensor's coefficients."""
     reg = t.alg.reg
     x = reg.var("x")
     sub = {reg.sym("d1"): x, reg.sym("d2"): -x}
-    out = {}
-    for key, poly in t.entries.items():
-        v = poly.subst_many(sub)
-        if not v.is_zero():
-            out[key] = v
-    return out
+    return DiagProfile(reg, {key: poly.subst_many(sub) for key, poly in t.entries.items()})
 
 
 # (left entry, right entry, multiple of zeta on the right-hand side):
@@ -485,8 +472,8 @@ def invariance_residues(p: DiagProfile) -> list[MPoly]:
     lam = reg.var("lam")
     out = []
     for left, right, mult in INVARIANCE_RELATIONS:
-        res = p.entry(*left).subst_linear(x, lam)
-        res = res + p.entry(*right).subst_linear(x, -lam)
+        res = p.entry(*left).subst_many({x: lam})
+        res = res + p.entry(*right).subst_many({x: -lam})
         if mult:
             res = res - p.constant("zeta") * mult
         out.append(res)
@@ -538,7 +525,7 @@ def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3,
     for pair in (("e", "h"), ("f", "h"), ("e", "f")):
         entries[pair] = free(pair, all_degrees)
         # A'_{lq}(x) = A'_{ql}(0) + A'_{lq}(0) - A'_{ql}(-x)
-        flipped = entries[pair].subst_linear(reg.sym("x"), -x)
+        flipped = entries[pair].subst_many({reg.sym("x"): -x})
         entries[pair[::-1]] = boundary[pair] + boundary[pair[::-1]] - flipped
     for pair in (("e", "e"), ("f", "f"), ("h", "h")):
         entries[pair] = free(pair, odd_degrees)

@@ -25,7 +25,6 @@ from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import phi_matrix, sl2
 from ccybe.ybe import (
     CATALOG,
-    RMat,
     ccybe_bracket,
     catalog_diffs,
     cybe,
@@ -33,9 +32,7 @@ from ccybe.ybe import (
     is_strict_solution,
     is_weak_solution,
     lift_profile,
-    rmat_tensor,
     transform_conf_tensor,
-    transform_rmat,
 )
 
 from support import (
@@ -87,7 +84,7 @@ def bracket_as_elem(alg, out, rename_to):
     reg = alg.reg
     lam = reg.sym("lam")
     return ConfElem(alg, {
-        k: v.subst_linear(lam, reg.var(rename_to)) for k, v in out.items()
+        k: v.subst_many({lam: reg.var(rename_to)}) for k, v in out.items()
     })
 
 
@@ -119,12 +116,11 @@ def test_criterion_1_algebra_laws():
             # conformal anticommutativity
             flipped = lambda_bracket(b, a)
             for k in set(base) | set(flipped):
-                moved = -flipped.get(k, reg.zero()).subst_linear(
-                    lam_s, -lam - d)
+                moved = -flipped.get(k, reg.zero()).subst_many({lam_s: -lam - d})
                 assert base.get(k, reg.zero()) == moved
             # conformal Jacobi
             t1 = lambda_bracket(a, bracket_as_elem(alg, lambda_bracket(b, c), "nu1"))
-            t1 = {k: v.subst_linear(nu1, mu) for k, v in t1.items()}
+            t1 = {k: v.subst_many({nu1: mu}) for k, v in t1.items()}
             t2 = lambda_bracket(b, bracket_as_elem(alg, lambda_bracket(a, c), "nu2"))
             t2 = {k: v.subst_many({lam_s: mu, nu2: lam}) for k, v in t2.items()}
             t3 = lambda_bracket(bracket_as_elem(alg, base, "nu3"), c)
@@ -209,7 +205,7 @@ def test_criterion_4_negative_controls():
     # constant e x e fails invariance with the predicted residue
     reg2 = SymbolRegistry()
     cur = ConfAlgebra.cur(sl2(), reg2)
-    r_ee = RMat(cur, {("e", "e"): reg2.const(1)})
+    r_ee = ConfTensor(cur, 2, {("e", "e"): reg2.const(1)})
     ok, defects = is_invariant(r_ee)
     assert not ok
     prof = diagonal_profile_of(r_ee)
@@ -424,8 +420,8 @@ def test_criterion_8_automorphism_covariance():
                 + random_univariate(reg, rng, "d2", 1, -2, 2)
             if not p.is_zero():
                 entries[pair] = entries.get(pair, reg.zero()) + p
-        r = RMat(cur, entries)
-        moved = transform_rmat(aut, r)
+        r = ConfTensor(cur, 2, entries)
+        moved = transform_conf_tensor(aut, r)
 
         # the reduced double bracket transports along phi x phi x phi
         lhs = reduce_mod_total(ccybe_bracket(moved))

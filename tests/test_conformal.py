@@ -108,7 +108,7 @@ def test_anticommutativity(kind):
         lhs = lambda_bracket(a, b)
         rhs = lambda_bracket(b, a)
         flipped = {
-            k: -v.subst_linear(lam, -reg.var("lam") - reg.var("d"))
+            k: -v.subst_many({lam: -reg.var("lam") - reg.var("d")})
             for k, v in rhs.items()
         }
         keys = set(lhs) | set(flipped)
@@ -121,7 +121,7 @@ def bracket_as_elem(alg, out, rename_to):
     reg = alg.reg
     lam = reg.sym("lam")
     return ConfElem(alg, {
-        k: v.subst_linear(lam, reg.var(rename_to)) for k, v in out.items()
+        k: v.subst_many({lam: reg.var(rename_to)}) for k, v in out.items()
     })
 
 
@@ -137,7 +137,7 @@ def test_conformal_jacobi(kind):
     for _ in range(25):
         a, b, c = (random_elem(alg, rng, 2) for _ in range(3))
         t1 = lambda_bracket(a, bracket_as_elem(alg, lambda_bracket(b, c), "nu1"))
-        t1 = {k: v.subst_linear(nu1, mu) for k, v in t1.items()}
+        t1 = {k: v.subst_many({nu1: mu}) for k, v in t1.items()}
         t2 = lambda_bracket(b, bracket_as_elem(alg, lambda_bracket(a, c), "nu2"))
         t2 = {k: v.subst_many({lam_s: mu, nu2: reg.var("lam")}) for k, v in t2.items()}
         inner = bracket_as_elem(alg, lambda_bracket(a, b), "nu3")

@@ -23,10 +23,9 @@ from ccybe.ybe import (
     is_strict_solution,
     is_weak_solution,
     lift_profile,
-    rmat_tensor,
 )
 
-from support import diagonal_profile_of, tensor2_diagonal
+from support import diagonal_profile_of
 
 F = Fraction
 
@@ -215,8 +214,8 @@ def test_cor6_profiles_strict_and_skew(reg):
         assert is_strict_solution(r)[0]
         assert is_weak_solution(r)[0]
         assert is_invariant(r)[0]
-        sym_part = rmat_tensor(r) + tau(rmat_tensor(r))
-        assert tensor2_diagonal(sym_part) == {}
+        sym_part = r + tau(r)
+        assert diagonal_profile_of(sym_part).entries == {}
 
 
 def test_vir_rmatrix(reg):

@@ -393,7 +393,7 @@ def _exact_agrees(eq, profile, max_degree):
     checks = search._Checks([eq], [search._exact_points(eq, max_degree)],
                             [0] * len(PAIRS), 1)
     x = profile.reg.sym("x")
-    table = [profile.entry(*PAIRS[i]).subst_linear(x, profile.reg.const(s)).constant_value()
+    table = [profile.entry(*PAIRS[i]).subst_many({x: profile.reg.const(s)}).constant_value()
              for i, s in checks.slots]
     shift = 0
     if profile.constants is not None:

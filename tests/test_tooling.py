@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 from ccybe import exactpoly
 
@@ -30,3 +33,30 @@ def test_tracer_bindings_exist():
         if not found:
             missing.add((owner, attr))
     assert missing <= KNOWN_MISSING
+
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def _run_script(name, *argv) -> subprocess.CompletedProcess:
+    """scripts/<name> on `argv` in a new process, importing the package
+    these tests import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactpoly.__file__)))
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+
+
+def test_certify_families_script():
+    done = _run_script("certify_families.py")
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_classification_search_script(tmp_path):
+    done = _run_script("run_classification_search.py", "--out-dir", str(tmp_path))
+    assert done.returncode == 0, done.stdout + done.stderr
+    reports = sorted(tmp_path.glob("*.json"))
+    assert [p.stem for p in reports] == sorted(
+        ["weak_raw_deg1", "strict_raw_deg1", "weak_odd_deg3", "weak_odd_deg5"])
+    for path in reports:
+        assert json.loads(path.read_text())["characterization_failures"] == []

@@ -19,7 +19,6 @@ from ccybe.exactpoly import RegistryMismatch, SymbolRegistry
 from ccybe.liealg import phi_matrix, psi_matrix, sl2
 from ccybe.ybe import (
     CATALOG,
-    RMat,
     DiagProfile,
     ccybe_bracket,
     cocommutator,
@@ -32,10 +31,8 @@ from ccybe.ybe import (
     is_strict_solution,
     is_weak_solution,
     lift_profile,
-    rmat_tensor,
     shift_constant,
     transform_conf_tensor,
-    transform_rmat,
 )
 
 from support import (
@@ -47,7 +44,6 @@ from support import (
     permutation_symmetry_check,
     random_unimodular,
     random_univariate,
-    tensor2_diagonal,
     termwise_generic_profile,
 )
 
@@ -80,11 +76,22 @@ ZERO_CONSTANTS = {"alpha": 0, "beta": 0, "gamma": 0, "zeta": 0}
 
 
 def test_bracket_zero(cur):
-    assert ccybe_bracket(RMat(cur, {})).is_zero()
+    assert ccybe_bracket(ConfTensor(cur, 2, {})).is_zero()
+
+
+@pytest.mark.parametrize("arity", [1, 3])
+def test_bracket_refuses_other_arities(cur, reg, arity):
+    # an r-matrix is an arity-2 tensor; the checks refuse any other
+    t = ConfTensor(cur, arity, {("h",) * arity: reg.parse("d1 + 1")})
+    with pytest.raises(ValueError, match="arity-2"):
+        ccybe_bracket(t)
+    if arity == 3:
+        with pytest.raises(ValueError, match="arity-2"):
+            is_invariant(t)
 
 
 def test_bracket_single_hh(cur, reg):
-    r = RMat(cur, {("h", "h"): reg.parse("d1^2 - d2")})
+    r = ConfTensor(cur, 2, {("h", "h"): reg.parse("d1^2 - d2")})
     assert ccybe_bracket(r).is_zero()
 
 
@@ -92,7 +99,7 @@ def test_bracket_unreduced_single_entry(cur, reg):
     # r = A(d1, d2) e x f: the only surviving contraction is the middle
     # one, with coefficient -A(d1, d2 + d3) A(-d3, d3) at e x h x f.
     A = reg.parse("d1^2 + 3*d2 - 1")
-    r = RMat(cur, {("e", "f"): A})
+    r = ConfTensor(cur, 2, {("e", "f"): A})
     s1, s2 = reg.sym("d1"), reg.sym("d2")
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     want = -(A.subst_many({s2: d2 + d3})
@@ -105,7 +112,7 @@ def test_bracket_unreduced_vir(reg):
     # r = v x v with coefficient 1: the three contractions give
     # (d1 + 2 d2) - (d2 + 2 d3) - (d3 + 2 d2) = d1 - d2 - 3 d3.
     vir = ConfAlgebra.vir(reg)
-    r = RMat(vir, {("v", "v"): reg.const(1)})
+    r = ConfTensor(vir, 2, {("v", "v"): reg.const(1)})
     bracket = ccybe_bracket(r)
     assert bracket.entries == {("v", "v", "v"): reg.parse("d1 - d2 - 3*d3")}
 
@@ -153,7 +160,8 @@ def test_bracket_matches_pairwise_oracle(kind, dense):
             reg = SymbolRegistry()
             cur = ConfAlgebra.cur(sl2(), reg)
             support = pairs if dense else rng.sample(pairs, rng.randint(1, 3))
-            r = RMat(cur, {pair: _random_coeff(reg, rng, kind, degree) for pair in support})
+            r = ConfTensor(cur, 2, {pair: _random_coeff(reg, rng, kind, degree)
+                                    for pair in support})
             bracket = ccybe_bracket(r)
             oracle = pairwise_bracket(r)
             assert bracket == oracle
@@ -168,7 +176,8 @@ def test_bracket_matches_pairwise_oracle_vir(kind):
     subsets = random.Random(10 + len(kind))
     for degree in range(5):
         reg = SymbolRegistry()
-        r = RMat(ConfAlgebra.vir(reg), {("v", "v"): _random_coeff(reg, rng, kind, degree)})
+        r = ConfTensor(ConfAlgebra.vir(reg), 2,
+                       {("v", "v"): _random_coeff(reg, rng, kind, degree)})
         bracket = ccybe_bracket(r)
         assert not bracket.is_zero()
         oracle = pairwise_bracket(r)
@@ -179,7 +188,7 @@ def test_bracket_matches_pairwise_oracle_vir(kind):
 
 def test_bracket_constant_solution_at_zero(cur, reg):
     alpha = reg.var("alpha")
-    r = RMat(cur, {("h", "e"): alpha, ("e", "h"): -alpha})
+    r = ConfTensor(cur, 2, {("h", "e"): alpha, ("e", "h"): -alpha})
     bracket = ccybe_bracket(r)
     zero = {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")}
     at_zero = bracket.map_coeffs(lambda p: p.subst_many(zero))
@@ -191,7 +200,7 @@ def test_bracket_constant_solution_at_zero(cur, reg):
 
 def test_strict_cor6_ii_shape(cur, reg):
     # A_hh(x, y) = x f(x^2) lifted: all h-h brackets vanish identically
-    r = RMat(cur, {("h", "h"): reg.parse("d1^3 + d1")})
+    r = ConfTensor(cur, 2, {("h", "h"): reg.parse("d1^3 + d1")})
     ok, residue = is_strict_solution(r)
     assert ok and residue.is_zero()
 
@@ -235,11 +244,11 @@ def test_weak_defect_constants(cur, reg):
     # e x e has an identically vanishing double bracket (every contraction
     # hits [e, e]), so its weak defect is zero even though it fails
     # invariance; e x f is a genuine weak non-solution.
-    r_ee = RMat(cur, {("e", "e"): reg.const(1)})
+    r_ee = ConfTensor(cur, 2, {("e", "e"): reg.const(1)})
     assert ccybe_bracket(r_ee).is_zero()
     assert is_weak_solution(r_ee)[0]
     assert not is_invariant(r_ee)[0]
-    r_ef = RMat(cur, {("e", "f"): reg.const(1)})
+    r_ef = ConfTensor(cur, 2, {("e", "f"): reg.const(1)})
     ok, defects = is_weak_solution(r_ef)
     assert not ok
     assert any(not t.is_zero() for t in defects.values())
@@ -253,14 +262,14 @@ def test_weak_defect_alternate_path(case):
     reg = SymbolRegistry()
     if case == "vir_weak":
         alg = ConfAlgebra.vir(reg)
-        r = RMat(alg, {("v", "v"): reg.parse("d1^2 - 3*d1*d2 + 2")})
+        r = ConfTensor(alg, 2, {("v", "v"): reg.parse("d1^2 - 3*d1*d2 + 2")})
     else:
         alg = ConfAlgebra.cur(sl2(), reg)
-        r = RMat(alg, {("e", "e"): reg.const(1), ("h", "f"): reg.var("d1"),
-                       ("f", "h"): reg.parse("d2^2 - 2*d1")})
+        r = ConfTensor(alg, 2, {("e", "e"): reg.const(1), ("h", "f"): reg.var("d1"),
+                                ("f", "h"): reg.parse("d2^2 - 2*d1")})
     if case == "cur_invariance":
         direct = is_invariant(r)[1]
-        base = rmat_tensor(r) + tau(rmat_tensor(r))
+        base = r + tau(r)
     else:
         direct = is_weak_solution(r)[1]
         base = ccybe_bracket(r)
@@ -274,7 +283,7 @@ def test_weak_generator_sufficiency(cur, reg):
     # the defect of g(D)a factors through g evaluated at the total
     # derivation, so checking the generators decides the weak condition
     rng = random.Random(41)
-    r = RMat(cur, {("e", "f"): reg.const(1), ("h", "e"): reg.var("d1")})
+    r = ConfTensor(cur, 2, {("e", "f"): reg.const(1), ("h", "e"): reg.var("d1")})
     bracket = ccybe_bracket(r)
     total = reg.parse("d1 + d2 + d3")
     defects = is_weak_solution(r)[1]
@@ -285,7 +294,7 @@ def test_weak_generator_sufficiency(cur, reg):
             continue
         elem = ConfElem(cur, {name: g})
         acted = act_then_eliminate(elem, bracket)
-        factor = g.subst_linear(reg.sym("d"), total)
+        factor = g.subst_many({reg.sym("d"): total})
         assert acted == defects[name].map_coeffs(lambda p: p * factor)
 
 
@@ -298,7 +307,7 @@ def test_invariance_constrained_profile(reg):
 
 
 def test_invariance_defect_ee(cur, reg):
-    r = RMat(cur, {("e", "e"): reg.const(1)})
+    r = ConfTensor(cur, 2, {("e", "e"): reg.const(1)})
     ok, defects = is_invariant(r)
     assert not ok
     # h-action: both slots of 2 e x e pick up the eigenvalue 2
@@ -309,9 +318,8 @@ def test_invariance_defect_ee(cur, reg):
 
 
 def test_invariance_skew_trivial(cur, reg):
-    r = RMat(cur, {("e", "f"): reg.const(1), ("f", "e"): reg.const(-1)})
-    t = rmat_tensor(r)
-    assert (t + tau(t)).is_zero()
+    r = ConfTensor(cur, 2, {("e", "f"): reg.const(1), ("f", "e"): reg.const(-1)})
+    assert (r + tau(r)).is_zero()
     ok, _ = is_invariant(r)
     assert ok
 
@@ -346,7 +354,7 @@ def test_invariance_defect_he_coefficient(reg):
     d1, d2 = reg.var("d1"), reg.var("d2")
 
     def at(q, l, arg):
-        return prof.entry(q, l).subst_linear(x, arg)
+        return prof.entry(q, l).subst_many({x: arg})
 
     want = (at("f", "e", -d2) - at("h", "h", d1) * 2
             + at("e", "f", d2) - at("h", "h", -d1) * 2)
@@ -369,18 +377,18 @@ def test_invariance_residues_all_zero_profile(reg):
 
 
 def test_cocommutator_zero(cur, reg):
-    assert cocommutator(cur.generator("h"), RMat(cur, {})).is_zero()
+    assert cocommutator(cur.generator("h"), ConfTensor(cur, 2, {})).is_zero()
 
 
 def test_cocommutator_h_on_constant_ef(cur, reg):
-    r = RMat(cur, {("e", "f"): reg.const(1)})
+    r = ConfTensor(cur, 2, {("e", "f"): reg.const(1)})
     assert cocommutator(cur.generator("h"), r).is_zero()
 
 
 def test_cocommutator_h_general_formula(cur, reg):
     # h acting on A(d1,d2) e x f gives 2(A(-d2,d2) - A(d1,-d1)) e x f
     A = reg.parse("d1^2 + 3*d2")
-    r = RMat(cur, {("e", "f"): A})
+    r = ConfTensor(cur, 2, {("e", "f"): A})
     out = cocommutator(cur.generator("h"), r)
     s1, s2 = reg.sym("d1"), reg.sym("d2")
     d1, d2 = reg.var("d1"), reg.var("d2")
@@ -389,7 +397,7 @@ def test_cocommutator_h_general_formula(cur, reg):
 
 
 def test_cocommutator_e_on_hh(cur, reg):
-    r = RMat(cur, {("h", "h"): reg.const(1)})
+    r = ConfTensor(cur, 2, {("h", "h"): reg.const(1)})
     out = cocommutator(cur.generator("e"), r)
     assert out.entries == {
         ("e", "h"): reg.const(-2), ("h", "e"): reg.const(-2),
@@ -399,7 +407,7 @@ def test_cocommutator_e_on_hh(cur, reg):
 def test_cocommutator_conformal_linear(cur, reg):
     # delta(D a) = (d1 + d2) delta(a): sesquilinearity at lam = -(d1+d2)
     rng = random.Random(19)
-    r = RMat(cur, {
+    r = ConfTensor(cur, 2, {
         ("h", "h"): random_univariate(reg, rng, "d1", 2),
         ("e", "f"): random_univariate(reg, rng, "d2", 2),
         ("f", "e"): reg.parse("d1*d2"),
@@ -451,7 +459,7 @@ def _printed(t):
 def _memo_inputs(alg, case):
     reg = alg.reg
     r_text, t_text, elem_text = case
-    return (RMat(alg, {k: reg.parse(v) for k, v in r_text.items()}),
+    return (ConfTensor(alg, 2, {k: reg.parse(v) for k, v in r_text.items()}),
             ConfTensor(alg, 3, {k: reg.parse(v) for k, v in t_text.items()}),
             ConfElem(alg, {k: reg.parse(v) for k, v in elem_text.items()}))
 
@@ -466,14 +474,14 @@ _MEMO_CHECKS = {
     "bracket": lambda r, t, elem: _printed(ccybe_bracket(r)),
     "weak": lambda r, t, elem: _actions(generator_actions(ccybe_bracket(r))),
     "arity3": lambda r, t, elem: _actions(generator_actions(t)),
-    "arity2": lambda r, t, elem: _actions(generator_actions(rmat_tensor(r))),
+    "arity2": lambda r, t, elem: _actions(generator_actions(r)),
     "invariant": lambda r, t, elem: (is_invariant(r)[0], _actions(is_invariant(r)[1])),
     "cocommutator": lambda r, t, elem: _printed(cocommutator(elem, r)),
     # at a free variable, on both arities with the same element
     "free": lambda r, t, elem: [_printed(act_on_tensor([elem], u, r.alg.reg.var("mu"))[0])
-                                for u in (rmat_tensor(r), t)],
-    "lift": lambda r, t, elem: r.alg.kind == "cur" and _printed(rmat_tensor(lift_profile(
-        DiagProfile(r.alg.reg, {("e", "f"): r.alg.reg.parse("x^3 + 2*x")}), r.alg))),
+                                for u in (r, t)],
+    "lift": lambda r, t, elem: r.alg.kind == "cur" and _printed(lift_profile(
+        DiagProfile(r.alg.reg, {("e", "f"): r.alg.reg.parse("x^3 + 2*x")}), r.alg)),
 }
 
 
@@ -503,29 +511,29 @@ def test_action_table_built_once_per_key(monkeypatch, cur, reg):
         return build(elems, t, lam)
 
     monkeypatch.setattr(conformal, "_action_table", counted)
-    rs = [RMat(cur, {("e", "f"): reg.parse("d1 + 1"), ("h", "h"): reg.parse("d1^3")}),
-          RMat(cur, {("h", "e"): reg.parse("2*d1^2 - d2"), ("e", "h"): reg.const(3)})]
+    rs = [ConfTensor(cur, 2, {("e", "f"): reg.parse("d1 + 1"), ("h", "h"): reg.parse("d1^3")}),
+          ConfTensor(cur, 2, {("h", "e"): reg.parse("2*d1^2 - d2"), ("e", "h"): reg.const(3)})]
     for r in rs:
         generator_actions(ccybe_bracket(r))
     assert builds == [3]
     for r in rs:
         is_invariant(r)
-        generator_actions(rmat_tensor(r))
+        generator_actions(r)
     assert builds == [3, 2]
     for r in rs:
         cocommutator(cur.generator("e"), r)
     assert builds == [3, 2, 2]
     cocommutator(cur.generator("f"), rs[0])
-    act_on_tensor([cur.generator("e")], rmat_tensor(rs[0]), reg.var("mu"))
+    act_on_tensor([cur.generator("e")], rs[0], reg.var("mu"))
     assert builds == [3, 2, 2, 2, 2]
     # another algebra keeps its own tables
     other = ConfAlgebra.cur(sl2(), reg)
-    generator_actions(ccybe_bracket(RMat(other, {("e", "f"): reg.parse("d1")})))
+    generator_actions(ccybe_bracket(ConfTensor(other, 2, {("e", "f"): reg.parse("d1")})))
     assert builds == [3, 2, 2, 2, 2, 3]
 
 
 def test_algebra_tables_refuse_foreign_tensors(cur, reg):
-    r = RMat(cur, {("e", "f"): reg.parse("d1 + 1")})
+    r = ConfTensor(cur, 2, {("e", "f"): reg.parse("d1 + 1")})
     generator_actions(ccybe_bracket(r))
     other = ConfAlgebra.cur(sl2(), SymbolRegistry())
     foreign = ConfTensor(other, 2, {("e", "f"): other.reg.parse("d1 + 1")})
@@ -536,11 +544,11 @@ def test_algebra_tables_refuse_foreign_tensors(cur, reg):
     with pytest.raises(RegistryMismatch):
         generator_actions(ConfTensor(cur, 3, {("e", "f", "h"): other.reg.parse("d1")}))
     with pytest.raises(RegistryMismatch):
-        ccybe_bracket(RMat(cur, {("e", "f"): other.reg.parse("d1")}))
+        ccybe_bracket(ConfTensor(cur, 2, {("e", "f"): other.reg.parse("d1")}))
     with pytest.raises(ValueError, match="share a registry"):
         lift_profile(DiagProfile(other.reg, {("e", "f"): other.reg.parse("x")}), cur)
     # and the refused calls leave the tables sound
-    fresh = RMat(ConfAlgebra.cur(sl2(), reg), r.entries)
+    fresh = ConfTensor(ConfAlgebra.cur(sl2(), reg), 2, r.entries)
     assert ccybe_bracket(r).entries == ccybe_bracket(fresh).entries
 
 
@@ -597,7 +605,7 @@ def test_fhf_substitution_matches_hff(reg):
     fhf = eval_equation(CATALOG["fhf"], prof)
     hff = eval_equation(CATALOG["hff"], prof)
     x, y = reg.sym("x"), reg.var("y")
-    assert (fhf.subst_linear(x, -reg.var("x") - y) + hff).is_zero()
+    assert (fhf.subst_many({x: -reg.var("x") - y}) + hff).is_zero()
 
 
 def test_efh_shift_on_families(reg):
@@ -632,7 +640,7 @@ def test_permutation_symmetry_violated(reg):
 
 def test_diagonal_sufficiency(cur, reg):
     rng = random.Random(31)
-    base = RMat(cur, {
+    base = ConfTensor(cur, 2, {
         ("e", "e"): reg.parse("d1"),
         ("h", "e"): reg.parse("1"),
         ("e", "h"): reg.parse("-1"),
@@ -644,7 +652,7 @@ def test_diagonal_sufficiency(cur, reg):
         bump = total * random_univariate(reg, rng, "d1", 1) \
             * random_univariate(reg, rng, "d2", 1)
         perturbed_entries[pair] = perturbed_entries.get(pair, reg.zero()) + bump
-    perturbed = RMat(cur, perturbed_entries)
+    perturbed = ConfTensor(cur, 2, perturbed_entries)
     # same diagonal profile
     assert diagonal_profile_of(base).entries == diagonal_profile_of(perturbed).entries
     assert is_invariant(base)[1] == is_invariant(perturbed)[1]
@@ -656,15 +664,15 @@ def test_bracket_covariance(cur, reg):
     rng = random.Random(7)
     a, b, c, d = random_unimodular(rng)
     aut = phi_matrix(F(a), F(b), F(c), F(d), cur.lie)
-    r = RMat(cur, {("e", "f"): reg.parse("d1 + 1"), ("h", "h"): reg.parse("d2")})
-    lhs = reduce_mod_total(ccybe_bracket(transform_rmat(aut, r)))
+    r = ConfTensor(cur, 2, {("e", "f"): reg.parse("d1 + 1"), ("h", "h"): reg.parse("d2")})
+    lhs = reduce_mod_total(ccybe_bracket(transform_conf_tensor(aut, r)))
     rhs = transform_conf_tensor(aut, reduce_mod_total(ccybe_bracket(r)))
     assert lhs == rhs
 
 
 def test_transform_rmat_psi(cur, reg):
-    r = RMat(cur, {("e", "e"): reg.parse("d1")})
-    out = transform_rmat(psi_matrix(cur.lie), r)
+    r = ConfTensor(cur, 2, {("e", "e"): reg.parse("d1")})
+    out = transform_conf_tensor(psi_matrix(cur.lie), r)
     assert out.entries == {("f", "f"): reg.parse("d1")}
 
 
@@ -682,6 +690,6 @@ def test_lift_roundtrip(reg):
 def test_tensor2_diagonal_skew(reg):
     prof = profile_from(reg, {"ee": "x", "he": "1", "eh": "-1"}, None)
     r = lift_profile(prof)
-    t = rmat_tensor(r) + tau(rmat_tensor(r))
-    diag = tensor2_diagonal(t)
+    t = r + tau(r)
+    diag = diagonal_profile_of(t).entries
     assert diag == {}
