@@ -53,11 +53,9 @@ def _run_check(r, mode: str) -> dict:
         ok, defects = ybe.is_invariant(r)
     elif mode == "weak":
         ok, defects = ybe.is_weak_solution(r)
-    elif mode == "strict":
+    else:
         ok, residue = ybe.is_strict_solution(r)
         defects = {None: residue}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     report = {
         "check": mode,
         "algebra": "cur_sl2" if r.alg.kind == "cur" else "vir",
@@ -318,7 +316,7 @@ def _catalog_arguments(p) -> None:
 
 
 def _family_arguments(p) -> None:
-    p.add_argument("case", nargs="?", choices=families.CASES[:-1])
+    p.add_argument("case", nargs="?", choices=tuple(families.SL2_CASES))
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--f", default="1", help="monic polynomial in t")
     p.add_argument("--spec", help="family spec JSON file")

@@ -27,12 +27,12 @@ compiles a map for a single use.  Each target keeps the powers it has
 built, and a missing power n is built from them: as power(m) *
 power(n - m) from the highest power m held below n when 2m >= n, else
 by squaring, so no power is expanded from scratch and a lone high power
-costs O(log n) products.  A power that would take an exponent to
-EXPONENT_LIMIT is refused before the first product, as MPoly.__pow__
-refuses it.  Callers that apply one map to many polynomials (a tensor's
-coefficients) build it once; a map that depends only on an algebra is
-kept by that algebra (conformal.ConfAlgebra.memo) and serves every
-tensor over it.
+costs O(log n) products; MPoly.__pow__ builds a nonconstant power the
+same way.  A power that would take an exponent to EXPONENT_LIMIT is
+refused before the first product.  Callers that apply one map to many
+polynomials (a tensor's coefficients) build it once; a map that depends
+only on an algebra is kept by that algebra (conformal.ConfAlgebra.memo)
+and serves every tensor over it.
 
 PolySum is the fused multiply-accumulate: a sum of products a * b (b a
 polynomial or an exact scalar) added term by term into one table, with
@@ -53,10 +53,11 @@ The text grammar accepted by parse_poly:
     factor := '-' factor | atom ('^' INT)?
     atom   := INT ('/' INT)? | SYMBOL | '(' expr ')'
 
-Exponents must be nonnegative integer literals below 2**15, parentheses
-nest at most MAX_NESTING deep, and implicit multiplication is not
-allowed.  With a degree limit, a power or product that would exceed it
-in some symbol is refused before it is expanded.
+A SYMBOL must already be interned in the registry.  Exponents must be
+nonnegative integer literals below 2**15, parentheses nest at most
+MAX_NESTING deep, and implicit multiplication is not allowed.  With a
+degree limit, a power or product that would exceed it in some symbol is
+refused before it is expanded.
 The canonical printer emits terms in descending graded-lexicographic
 order with explicit '*', and parse(print(p)) == p.
 """
@@ -237,9 +238,8 @@ class SymbolRegistry:
                 terms[j << shift] = c
         return MPoly._raw(self, terms)
 
-    def parse(self, text: str, auto_register: bool = False,
-              max_degree: Optional[int] = None) -> "MPoly":
-        return parse_poly(text, self, auto_register=auto_register, max_degree=max_degree)
+    def parse(self, text: str, max_degree: Optional[int] = None) -> "MPoly":
+        return parse_poly(text, self, max_degree=max_degree)
 
 
 class MPoly:
@@ -391,16 +391,13 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponents are not supported")
-        if n > 1:
-            self._refuse_power(n)
-        result = self.reg.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.reg.const(1)
+        if self.is_constant():
+            # exact, and at any n: _build_power recurses log2 n deep
+            return self.reg.const(self._terms.get(0, 0) ** n)
+        self._refuse_power(n)
+        return _build_power({1: self}, n)
 
     def _refuse_power(self, n: int) -> None:
         """Raise ExponentOverflow if self ** n would reach EXPONENT_LIMIT
@@ -715,16 +712,16 @@ class _Lexer:
         self.pos += 1
 
 
-def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False,
+def parse_poly(text: str, reg: SymbolRegistry,
                max_degree: Optional[int] = None) -> MPoly:
     """Parse an expression into an MPoly over `reg`.
 
-    Unknown symbols raise ParseError unless auto_register is set.  With
-    max_degree set, every power and product keeps the degree in each
-    symbol at most max_degree, or raises ParseError before it is
-    computed: over Q, deg_s(p**n) = n * deg_s(p) and deg_s(p*q) =
-    deg_s(p) + deg_s(q), and sums never raise a degree, so the result and
-    every step towards it stay within the limit.  Parentheses nest at
+    An unknown symbol raises ParseError.  With max_degree set, every
+    power and product keeps the degree in each symbol at most
+    max_degree, or raises ParseError before it is computed: over Q,
+    deg_s(p**n) = n * deg_s(p) and deg_s(p*q) = deg_s(p) + deg_s(q), and
+    sums never raise a degree, so the result and every step towards it
+    stay within the limit.  Parentheses nest at
     most MAX_NESTING deep, so the recursive descent stays far below
     Python's recursion limit; a unary minus is a loop, not a recursion.
     """
@@ -813,7 +810,7 @@ def parse_poly(text: str, reg: SymbolRegistry, auto_register: bool = False,
         if ch in _NAME_START:
             here = lx.pos
             name = lx.take_name()
-            if name not in reg and not auto_register:
+            if name not in reg:
                 raise ParseError(f"unknown symbol {name!r}", here)
             return reg.var(name)
         raise ParseError(f"unexpected character {ch!r}", lx.pos)

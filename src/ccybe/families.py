@@ -3,8 +3,9 @@
 Case identifiers follow the family-spec file format: lemma1 (constants
 only, the general invariant constant tensor), thm5_i / thm5_ii /
 thm5_iii (weak solutions up to automorphism), cor6_i / cor6_ii /
-cor6_iii (their skew-symmetric strict refinements with zeta = 0), and
-vir (a single-entry tensor over the Virasoro algebra).
+cor6_iii (their skew-symmetric strict refinements with zeta = 0).  The
+Virasoro side check builds its tensor with vir_rmatrix; it is not a
+family case.
 
 Every sl2 profile entry has the shape
 A'_{ql}(x) = A'_{ql}(0) + a_{ql} x f(x^2) with one shared monic f; the
@@ -14,8 +15,8 @@ case once: its constants, each a parameter, 0 or beta/2, and its one
 nonzero a_{ql}, a_ee = 1 (case i), a_hh = lhh (case ii), or none
 (case iii).  FamilySpec checks a member against its row and builds it
 from it; name_case reads the same rows to name a search survivor.  Only
-vir and the cor6_iii quadric 4 alpha gamma = beta^2 are checked outside
-the table.
+the cor6_iii quadric 4 alpha gamma = beta^2 is checked outside the
+table.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .conformal import ConfAlgebra, ConfTensor
 from .exactpoly import MPoly, PolySum, SymbolRegistry, _scalar
-from .liealg import Scalar, SymMat3, rank_le_1, sl2
+from .liealg import Scalar, SymMat3, rank_le_1
 from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, boundary_values, lift_profile
 
 
@@ -65,7 +66,6 @@ SL2_CASES = {
     "cor6_ii": Case(("0", "0", "0", "0"), (("h", "h"), "lhh")),
     "cor6_iii": Case(("alpha", "beta", "gamma", "0")),
 }
-CASES = (*SL2_CASES, "vir")
 
 
 def _evaluate(text: str, param):
@@ -117,31 +117,18 @@ class FamilySpec:
 
     `params` values may be rational or parameter symbols (MPoly); `f` is
     a monic polynomial in the symbol t (standing for x^2) and defaults
-    to 1.  For the vir case, `coeff` is the two-variable coefficient in
-    x, y.  An sl2 case's parameters, pinned constants, monic f and
-    nonzero entry are checked against its SL2_CASES row.
+    to 1.  The case's parameters, pinned constants, monic f and nonzero
+    entry are checked against its SL2_CASES row.
     """
 
     case: str
     reg: SymbolRegistry
     params: dict[str, Scalar] = field(default_factory=dict)
     f: Optional[MPoly] = None
-    coeff: Optional[MPoly] = None
 
     def __post_init__(self):
-        if self.case not in CASES:
+        if self.case not in SL2_CASES:
             raise ConstraintViolation(f"unknown case {self.case!r}")
-        if self.case == "vir":
-            if self.coeff is None:
-                raise ConstraintViolation("vir case requires a coefficient polynomial")
-            diag = self.coeff.subst_many({
-                self.reg.sym("y"): -self.reg.var("x"),
-            })
-            if not diag.is_zero():
-                raise ConstraintViolation(
-                    "coeff(x, -x) = 0 required for case vir"
-                )
-            return
         row = self.row
         # the pinned names are deleted below, from a copy, so the
         # caller's dict is left as it was
@@ -178,16 +165,14 @@ class FamilySpec:
 
     @property
     def row(self) -> Case:
-        if self.case not in SL2_CASES:
-            raise ConstraintViolation(f"case {self.case} has no sl2 diagonal profile")
         return SL2_CASES[self.case]
 
     def _require_zero(self, value: MPoly, text: str) -> None:
         if not value.is_zero():
             raise ConstraintViolation(f"{text} required for case {self.case}")
 
-    def param(self, name: str, default: Scalar = 0) -> MPoly:
-        v = self.params.get(name, default)
+    def param(self, name: str) -> MPoly:
+        v = self.params.get(name, 0)
         return v if isinstance(v, MPoly) else self.reg.const(v)
 
     def _value(self, text: str) -> MPoly:
@@ -217,7 +202,7 @@ class FamilySpec:
 
 
 def build_profile(spec: FamilySpec) -> DiagProfile:
-    """Diagonal profile of a family member (sl2 cases only)."""
+    """Diagonal profile of a family member."""
     reg = spec.reg
     constants = spec.constants()
     x = reg.var("x")
@@ -230,21 +215,18 @@ def build_profile(spec: FamilySpec) -> DiagProfile:
 
 
 def invariant_constant_rmat(alpha: Scalar, beta: Scalar, gamma: Scalar,
-                            zeta: Scalar, reg: Optional[SymbolRegistry] = None,
-                            alg: Optional[ConfAlgebra] = None) -> ConfTensor:
+                            zeta: Scalar) -> ConfTensor:
     """The general invariant constant tensor
 
         alpha (h x e - e x h) + beta (f x e - e x f)
-        + gamma (h x f - f x h) + zeta (h x h + 4 e x f).
+        + gamma (h x f - f x h) + zeta (h x h + 4 e x f),
+
+    over a fresh current algebra on sl2.
     """
-    if alg is None:
-        reg = reg or SymbolRegistry()
-        alg = ConfAlgebra.cur(sl2(), reg)
-    reg = alg.reg
-    spec = FamilySpec("lemma1", reg, {
+    spec = FamilySpec("lemma1", SymbolRegistry(), {
         "alpha": alpha, "beta": beta, "gamma": gamma, "zeta": zeta,
     })
-    return lift_profile(build_profile(spec), alg)
+    return lift_profile(build_profile(spec))
 
 
 def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> ConfTensor:

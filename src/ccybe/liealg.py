@@ -1,9 +1,10 @@
 """Finite-dimensional Lie algebras given by structure constants.
 
 Provides the builtin sl2 basis (e, f, h with [e,f] = h, [h,e] = 2e,
-[h,f] = -2f), automorphism matrices (including the two-parameter family
-coming from conjugation by an SL2 matrix and the swap e <-> f, h -> -h),
-and the congruence action on symmetric 3x3 coefficient matrices.  The
+[h,f] = -2f), automorphism matrices, the two of sl2 built from their
+formulas (phi_matrix, conjugation by an SL2 matrix; psi_matrix, the swap
+e <-> f, h -> -h), and the congruence action on symmetric 3x3
+coefficient matrices.  The
 classical Yang-Baxter operator, the conformal double bracket at zero
 derivations, lives in `ybe`.
 
@@ -18,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .exactpoly import MPoly, _scalar
 
@@ -131,11 +132,7 @@ class AutMatrix:
 
     alg: LieAlg
     m: tuple[tuple[Scalar, ...], ...]
-    provenance: str = "literal"
     inverse_pairs: tuple = ()  # ((sym, inv_sym), ...) with sym*inv == 1
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.m[i][j]
 
     def image(self, name: str) -> dict[str, Scalar]:
         j = self.alg.names.index(name)
@@ -171,22 +168,17 @@ class AutMatrix:
 
 
 def phi_matrix(a: Scalar, b: Scalar, c: Scalar, d: Scalar,
-               alg: Optional[LieAlg] = None,
                inverse_pairs: tuple = ()) -> AutMatrix:
     """Automorphism of sl2 induced by conjugation with [[a, b], [c, d]].
 
     Requires a*d - b*c == 1 (checked exactly, after reduction by any
     declared inverse pairs for parametric entries).
     """
-    alg = alg or sl2()
     det = a * d - b * c
     if isinstance(det, MPoly):
         for s, inv in inverse_pairs:
             det = det.cancel_inverse_pairs(s, inv)
-        ok = det == 1
-    else:
-        ok = det == 1
-    if not ok:
+    if det != 1:
         raise ValueError(f"a*d - b*c must equal 1, got {det}")
     two = 2
     m = (
@@ -194,21 +186,20 @@ def phi_matrix(a: Scalar, b: Scalar, c: Scalar, d: Scalar,
         (-(c * c), d * d, (c * d) * two),
         (-(a * c), b * d, a * d + b * c),
     )
-    aut = AutMatrix(alg, m, provenance=f"phi({a},{b},{c},{d})", inverse_pairs=inverse_pairs)
+    aut = AutMatrix(sl2(), m, inverse_pairs=inverse_pairs)
     if not aut.preserves_bracket():
         raise ValueError("phi matrix does not preserve the bracket")
     return aut
 
 
-def psi_matrix(alg: Optional[LieAlg] = None) -> AutMatrix:
-    """The swap e <-> f with h -> -h."""
-    alg = alg or sl2()
+def psi_matrix() -> AutMatrix:
+    """The swap e <-> f with h -> -h of sl2."""
     m = (
         (Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(-1)),
     )
-    aut = AutMatrix(alg, m, provenance="psi")
+    aut = AutMatrix(sl2(), m)
     assert aut.preserves_bracket()
     return aut
 

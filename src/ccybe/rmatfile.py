@@ -51,7 +51,7 @@ def make_algebra(name: str, reg: SymbolRegistry) -> ConfAlgebra:
     raise RMatFileError(f"unknown algebra {name!r} (expected one of {ALGEBRAS})")
 
 
-def loads(text: str, reg: SymbolRegistry = None) -> ConfTensor:
+def loads(text: str) -> ConfTensor:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as err:
@@ -59,11 +59,11 @@ def loads(text: str, reg: SymbolRegistry = None) -> ConfTensor:
         # (4300 digits); RecursionError: arrays or objects nested deeper
         # than the decoder's recursion limit
         raise RMatFileError(f"invalid JSON: {err}") from err
-    return from_dict(data, reg)
+    return from_dict(data)
 
 
-def from_dict(data: dict, reg: SymbolRegistry = None) -> ConfTensor:
-    reg = reg or SymbolRegistry()
+def from_dict(data: dict) -> ConfTensor:
+    reg = SymbolRegistry()
     if not isinstance(data, dict):
         raise RMatFileError("top level must be an object")
     alg = make_algebra(data.get("algebra", ""), reg)
@@ -115,13 +115,13 @@ def from_dict(data: dict, reg: SymbolRegistry = None) -> ConfTensor:
     return ConfTensor(alg, 2, entries)
 
 
-def load(path: str, reg: SymbolRegistry = None) -> ConfTensor:
+def load(path: str) -> ConfTensor:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as err:
             raise RMatFileError(f"not UTF-8 text: {err}") from err
-    return loads(text, reg)
+    return loads(text)
 
 
 def to_dict(r: ConfTensor, parameters: Union[list, tuple] = ()) -> dict:

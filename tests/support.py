@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -420,7 +419,7 @@ def identity_matrix(alg: Optional[LieAlg] = None) -> AutMatrix:
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
         for i in range(n)
     )
-    return AutMatrix(alg, m, provenance="identity")
+    return AutMatrix(alg, m)
 
 
 def weak_cybe_defect(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,

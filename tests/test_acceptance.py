@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from ccybe import families, search, ybe
 from ccybe.conformal import (
     ConfAlgebra,
@@ -19,12 +17,10 @@ from ccybe.conformal import (
     ConfTensor,
     act_on_tensor,
     reduce_mod_total,
-    tau,
 )
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import phi_matrix, sl2
 from ccybe.ybe import (
-    CATALOG,
     ccybe_bracket,
     catalog_diffs,
     cybe,
@@ -42,7 +38,6 @@ from support import (
     is_totally_antisymmetric,
     random_unimodular,
     random_univariate,
-    tensors_equal,
     weak_cybe_defect,
 )
 
@@ -412,7 +407,7 @@ def test_criterion_8_automorphism_covariance():
         reg = SymbolRegistry()
         cur = ConfAlgebra.cur(sl2(), reg)
         a, b, c, d = random_unimodular(rng, size=2)
-        aut = phi_matrix(F(a), F(b), F(c), F(d), cur.lie)
+        aut = phi_matrix(F(a), F(b), F(c), F(d))
         entries = {}
         for _ in range(rng.randint(1, 3)):
             pair = (rng.choice(cur.basis_names), rng.choice(cur.basis_names))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccybe import cli, families, rmatfile, search, ybe
-from ccybe.exactpoly import MPoly, SymbolRegistry
+from ccybe.exactpoly import MPoly
 
 
 def write_rmat(tmp_path, name, data):
@@ -478,8 +478,9 @@ def test_family_f_degree_at_limit_loads(tmp_path):
     '{"case": "thm5_ii", "params": {"lhh": "1", "beta": "2", "zeta": "1"}, "f": 3}',
     '{"case": "thm5_ii", "params": {"lhh": "1/0"}}',
     '{"case": "thm5_ii", "params": {"lhh": Infinity}}',
+    '{"case": "vir"}',
 ], ids=["top_level_list", "params_list", "param_value_list", "f_not_string",
-        "param_zero_denominator", "param_infinity"])
+        "param_zero_denominator", "param_infinity", "vir_case"])
 def test_family_spec_malformed(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
     spec.write_text(text)

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from ccybe import families, ybe
+from ccybe import ybe
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.families import (
-    Characterization,
     ConstraintViolation,
     FamilySpec,
     build_profile,
@@ -68,8 +67,9 @@ def test_constraint_errors(reg):
         FamilySpec("thm5_i", reg, {"alpha": 0})
     with pytest.raises(ConstraintViolation, match="monic"):
         FamilySpec("thm5_i", reg, {"alpha": 0, "beta": 0}, f=reg.parse("2*t"))
-    with pytest.raises(ConstraintViolation, match="unknown case"):
-        FamilySpec("thm9_x", reg, {})
+    for case in ("thm9_x", "vir"):
+        with pytest.raises(ConstraintViolation, match="unknown case"):
+            FamilySpec(case, reg, {})
 
 
 def test_family_spec_leaves_caller_params(reg):
@@ -235,13 +235,6 @@ def test_vir_rmatrix(reg):
         reg.sym("d3"): reg.zero(), reg.sym("d1"): reg.var("d2") * -2,
     })
     assert slice_poly == reg.parse("-24*d2^2")
-
-
-def test_vir_family_spec_enforces_zero_diagonal(reg):
-    spec = FamilySpec("vir", reg, coeff=reg.parse("x + y"))
-    assert spec.coeff == reg.parse("x + y")
-    with pytest.raises(ConstraintViolation, match="coeff\\(x, -x\\)"):
-        FamilySpec("vir", reg, coeff=reg.parse("x"))
 
 
 def test_constants_table():

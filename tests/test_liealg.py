@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from ccybe import liealg
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import (
     LieAlg,
@@ -157,33 +156,33 @@ def test_antisymmetrize_projects():
 # Automorphisms -----------------------------------------------------------------
 
 
-def test_psi_swaps(alg):
-    psi = psi_matrix(alg)
+def test_psi_swaps():
+    psi = psi_matrix()
     assert psi.image("e") == {"f": F(1)}
     assert psi.image("f") == {"e": F(1)}
     assert psi.image("h") == {"h": F(-1)}
     assert psi.preserves_bracket()
 
 
-def test_phi_det_validated(alg):
+def test_phi_det_validated():
     with pytest.raises(ValueError, match="a\\*d - b\\*c"):
-        phi_matrix(F(1), F(1), F(1), F(1), alg)
+        phi_matrix(F(1), F(1), F(1), F(1))
 
 
-def test_phi_random_unimodular_preserves_bracket(alg):
+def test_phi_random_unimodular_preserves_bracket():
     rng = random.Random(5)
     for _ in range(10):
         a, b, c, d = random_unimodular(rng)
-        aut = phi_matrix(F(a), F(b), F(c), F(d), alg)
+        aut = phi_matrix(F(a), F(b), F(c), F(d))
         assert aut.preserves_bracket()
 
 
-def test_cybe_covariance_classical(alg):
+def test_cybe_covariance_classical():
     rng = random.Random(23)
     r = {("e", "f"): F(2), ("h", "e"): F(1), ("f", "f"): F(-1)}
     for _ in range(8):
         a, b, c, d = random_unimodular(rng)
-        aut = phi_matrix(F(a), F(b), F(c), F(d), alg)
+        aut = phi_matrix(F(a), F(b), F(c), F(d))
         lhs = cybe(transform_tensor(aut, r))
         rhs = transform_tensor(aut, cybe(r))
         assert tensors_equal(lhs, rhs)
@@ -198,8 +197,8 @@ def _e11():
     ))
 
 
-def test_congruence_psi_moves_corner(alg):
-    out = congruence(_e11(), psi_matrix(alg))
+def test_congruence_psi_moves_corner():
+    out = congruence(_e11(), psi_matrix())
     assert out.a[1][1] == 1
     assert sum(1 for row in out.a for v in row if v) == 1
 
@@ -209,13 +208,13 @@ def test_congruence_identity(alg):
     assert congruence(m, identity_matrix(alg)).a == m.a
 
 
-def test_congruence_parametric_derived(alg):
+def test_congruence_parametric_derived():
     # phi(a, 0, c, 1/a): the image of the first slot is (a^2, -c^2, -a c),
     # so congruating the corner matrix gives its symmetric outer square.
     reg = SymbolRegistry()
     a, c, ainv = reg.var("a"), reg.var("c"), reg.var("ainv")
     pairs = ((reg.sym("a"), reg.sym("ainv")),)
-    aut = phi_matrix(a, reg.zero(), c, ainv, alg, inverse_pairs=pairs)
+    aut = phi_matrix(a, reg.zero(), c, ainv, inverse_pairs=pairs)
     m = SymMat3((
         (reg.const(1), reg.zero(), reg.zero()),
         (reg.zero(), reg.zero(), reg.zero()),
@@ -228,13 +227,13 @@ def test_congruence_parametric_derived(alg):
             assert (out.a[i][j] - col[i] * col[j]).is_zero()
 
 
-def test_congruence_second_diagonal_formula(alg):
+def test_congruence_second_diagonal_formula():
     # With b = 0 the (2,2) entry of Phi M Phi^T expands to
     # c^4 m11 - 4 c^3 d m13 + 2 c^2 d^2 (2 m33 - m12) + 4 c d^3 m23 + d^4 m22.
     reg = SymbolRegistry()
     c, d, dinv = reg.var("c"), reg.var("d"), reg.var("dinv")
     pairs = ((reg.sym("d"), reg.sym("dinv")),)
-    aut = phi_matrix(dinv, reg.zero(), c, d, alg, inverse_pairs=pairs)
+    aut = phi_matrix(dinv, reg.zero(), c, d, inverse_pairs=pairs)
     names = ("m11", "m12", "m13", "m22", "m23", "m33")
     m11, m12, m13, m22, m23, m33 = (reg.var(n) for n in names)
     m = SymMat3(((m11, m12, m13), (m12, m22, m23), (m13, m23, m33)))

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -60,3 +61,35 @@ def test_classification_search_script(tmp_path):
         ["weak_raw_deg1", "strict_raw_deg1", "weak_odd_deg3", "weak_odd_deg5"])
     for path in reports:
         assert json.loads(path.read_text())["characterization_failures"] == []
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _unused_imports(path) -> list:
+    """(line, name) of each name that an import in `path` binds and the
+    module never reads; `from __future__` imports bind nothing."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    found = []
+    for top in ("src/ccybe", "scripts", "tests"):
+        for folder, _dirs, files in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(folder, name)
+                    found += [f"{os.path.relpath(path, ROOT)}:{line}: {unused}"
+                              for line, unused in _unused_imports(path)]
+    assert found == []

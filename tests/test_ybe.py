@@ -663,7 +663,7 @@ def test_diagonal_sufficiency(cur, reg):
 def test_bracket_covariance(cur, reg):
     rng = random.Random(7)
     a, b, c, d = random_unimodular(rng)
-    aut = phi_matrix(F(a), F(b), F(c), F(d), cur.lie)
+    aut = phi_matrix(F(a), F(b), F(c), F(d))
     r = ConfTensor(cur, 2, {("e", "f"): reg.parse("d1 + 1"), ("h", "h"): reg.parse("d2")})
     lhs = reduce_mod_total(ccybe_bracket(transform_conf_tensor(aut, r)))
     rhs = transform_conf_tensor(aut, reduce_mod_total(ccybe_bracket(r)))
@@ -672,7 +672,7 @@ def test_bracket_covariance(cur, reg):
 
 def test_transform_rmat_psi(cur, reg):
     r = ConfTensor(cur, 2, {("e", "e"): reg.parse("d1")})
-    out = transform_conf_tensor(psi_matrix(cur.lie), r)
+    out = transform_conf_tensor(psi_matrix(), r)
     assert out.entries == {("f", "f"): reg.parse("d1")}
 
 
