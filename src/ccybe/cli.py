@@ -3,7 +3,9 @@
 Commands: verify, expand, catalog, family, search, vir.  Exit status is
 0 when the requested check passes, 1 when it fails, and 2 for usage,
 parse, or constraint errors.  All numeric output is exact rational
-text; there is no floating point anywhere in the tool.
+text; there is no floating point anywhere in the tool.  Only the
+commands that use them import `search` (with multiprocessing) and
+`families`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import stat
 import sys
 from fractions import Fraction
 
-from . import families, rmatfile, search, ybe
+from . import rmatfile, ybe
 from .exactpoly import ExponentOverflow, ParseError, SymbolRegistry
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -35,7 +37,7 @@ def _defect_rows(defects) -> list:
 
 def _emit_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        report["content_hash"] = search.canonical_hash(report)
+        report["content_hash"] = ybe.canonical_hash(report)
         print(json.dumps(report, indent=2, sort_keys=True))
         return
     status = "PASS" if report["ok"] else "FAIL"
@@ -160,6 +162,7 @@ def _parse_params(pairs) -> dict:
 
 
 def cmd_family(args) -> int:
+    from . import families
     reg = SymbolRegistry()
     try:
         if args.spec:
@@ -218,6 +221,7 @@ def _same_file(st: os.stat_result, stream) -> bool:
 
 
 def cmd_search(args) -> int:
+    from . import search
     try:
         coeffs = tuple(_rational(v) for v in args.coeffs.split(",") if v.strip())
         constants = tuple(_rational(v) for v in args.constants.split(",") if v.strip())
@@ -283,6 +287,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_vir(args) -> int:
+    from . import families
     reg = SymbolRegistry()
     try:
         coeff = reg.parse(args.expr, max_degree=rmatfile.MAX_SLOT_DEGREE)
@@ -316,6 +321,7 @@ def _catalog_arguments(p) -> None:
 
 
 def _family_arguments(p) -> None:
+    from . import families
     p.add_argument("case", nargs="?", choices=tuple(families.SL2_CASES))
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--f", default="1", help="monic polynomial in t")

@@ -77,12 +77,12 @@ class ConfAlgebra:
         return table
 
     @classmethod
-    def cur(cls, lie: LieAlg, reg: Optional[SymbolRegistry] = None) -> "ConfAlgebra":
-        return cls("cur", reg or SymbolRegistry(), lie)
+    def cur(cls, lie: LieAlg, reg: SymbolRegistry) -> "ConfAlgebra":
+        return cls("cur", reg, lie)
 
     @classmethod
-    def vir(cls, reg: Optional[SymbolRegistry] = None) -> "ConfAlgebra":
-        return cls("vir", reg or SymbolRegistry())
+    def vir(cls, reg: SymbolRegistry) -> "ConfAlgebra":
+        return cls("vir", reg)
 
     @property
     def basis_names(self) -> tuple[str, ...]:
@@ -339,7 +339,7 @@ def permute_slots(t: ConfTensor, perm: Sequence[int]) -> ConfTensor:
         new = [""] * t.arity
         for i, name in enumerate(tup):
             new[perm[i]] = name
-        key = tuple(new)
-        val = rename(poly)
-        out[key] = out.get(key, reg.zero()) + val
+        # a permutation maps distinct tuples to distinct tuples, so no
+        # two entries land on one key
+        out[tuple(new)] = rename(poly)
     return ConfTensor(t.alg, t.arity, out)

@@ -39,6 +39,8 @@ polynomial or an exact scalar) added term by term into one table, with
 no polynomial built per product and one guard check when the sum is
 read.  The tensor code (the double bracket's contraction tables and
 final products, the Leibniz sum of an action) sums its products there.
+A product of two polynomials, a substitution and PolySum all add their
+term products through one loop, _mac.
 
 Symbols are interned in a SymbolRegistry (append-only, synchronized).
 A registry starts from a prebuilt table of the core symbols, and a
@@ -148,6 +150,21 @@ def _unpack(key: int) -> tuple:
     """Exponent tuple of a packed monomial, trailing zeros stripped."""
     n = (key.bit_length() + _FIELD - 1) // _FIELD
     return struct.unpack(f"<{n}H", key.to_bytes(2 * n, "little"))
+
+
+def _mac(out: dict, a_terms, b_terms) -> None:
+    """Add the product of two term lists, as (packed key, coefficient)
+    pairs, into the table `out`, dropping a key whose sum cancels.  The
+    caller checks the guard mask of the result."""
+    get = out.get
+    for ea, ca in a_terms:
+        for eb, cb in b_terms:
+            key = ea + eb
+            s = get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
 
 
 class SymbolRegistry:
@@ -373,16 +390,7 @@ class MPoly:
             return NotImplemented
         self._check(other)
         out: dict[int, Scalar] = {}
-        get = out.get
-        bterms = other._terms.items()
-        for ea, ca in self._terms.items():
-            for eb, cb in bterms:
-                key = ea + eb
-                s = get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        _mac(out, self._terms.items(), other._terms.items())
         self.reg._check_guard(out)
         return MPoly._raw(self.reg, out)
 
@@ -576,7 +584,6 @@ class Substitution:
             t = key & cleared
             groups.setdefault(t, {})[key ^ t] = coeff
         out = groups.pop(0, {})
-        get = out.get
         for t, rest in groups.items():
             image = None
             for idx, shift in self._shifts:
@@ -584,14 +591,7 @@ class Substitution:
                 if e:
                     pw = self._power(idx, e)
                     image = pw if image is None else image * pw
-            for e2, c2 in image._terms.items():
-                for e1, c1 in rest.items():
-                    k = e1 + e2
-                    s = get(k, 0) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+            _mac(out, image._terms.items(), rest.items())
         self.reg._check_guard(out)
         return MPoly._raw(self.reg, out)
 
@@ -641,24 +641,16 @@ class PolySum:
         if a.reg is not reg:
             raise RegistryMismatch("operands use different symbol registries")
         out = self._terms
-        get = out.get
         if isinstance(b, MPoly):
             if b.reg is not reg:
                 raise RegistryMismatch("operands use different symbol registries")
-            bterms = b._terms.items()
-            for ea, ca in a._terms.items():
-                for eb, cb in bterms:
-                    key = ea + eb
-                    s = get(key, 0) + ca * cb
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+            _mac(out, a._terms.items(), b._terms.items())
             return
         if not isinstance(b, (int, Fraction)):
             raise TypeError(f"cannot multiply a polynomial by {type(b).__name__}")
         b = _scalar(b)
         if b:
+            get = out.get
             for key, ca in a._terms.items():
                 s = get(key, 0) + ca * b
                 if s:

@@ -27,8 +27,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .conformal import ConfAlgebra, ConfTensor
 from .exactpoly import MPoly, PolySum, SymbolRegistry, _scalar
-from .liealg import Scalar, SymMat3, rank_le_1
-from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, boundary_values, lift_profile
+from .liealg import Scalar, rank_le_1
+from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, boundary_values
 
 
 class Case(NamedTuple):
@@ -214,21 +214,6 @@ def build_profile(spec: FamilySpec) -> DiagProfile:
     return DiagProfile(reg, entries, constants=dict(constants))
 
 
-def invariant_constant_rmat(alpha: Scalar, beta: Scalar, gamma: Scalar,
-                            zeta: Scalar) -> ConfTensor:
-    """The general invariant constant tensor
-
-        alpha (h x e - e x h) + beta (f x e - e x f)
-        + gamma (h x f - f x h) + zeta (h x h + 4 e x f),
-
-    over a fresh current algebra on sl2.
-    """
-    spec = FamilySpec("lemma1", SymbolRegistry(), {
-        "alpha": alpha, "beta": beta, "gamma": gamma, "zeta": zeta,
-    })
-    return lift_profile(build_profile(spec))
-
-
 def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
     """Single-entry tensor over the Virasoro algebra.
 
@@ -250,13 +235,15 @@ def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
 
 @dataclass
 class Characterization:
-    """Structure report for a parameter-free diagonal profile."""
+    """Structure report for a parameter-free diagonal profile; `matrix`
+    holds the rows (e, f, h) of (a_ql), exact scalars, int-first (all
+    zero when the profile is not symmetric)."""
 
     odd: bool
     sym: bool
     shared_f: Optional[MPoly]
     shared_f_ok: bool
-    matrix: SymMat3
+    matrix: tuple[tuple[Scalar, ...], ...]
     rank_le_1: bool
     constants_ok: bool
 
@@ -316,9 +303,9 @@ def characterize(p: DiagProfile) -> Characterization:
     shared_ok = decomposable and all((f - fs[0]).is_zero() for f in fs[1:])
     shared = fs[0] if (fs and shared_ok) else None
 
-    matrix = SymMat3(tuple(
+    matrix = tuple(
         tuple(scalars[(q, l)] if sym else 0 for l in names) for q in names
-    ))
+    )
     rank_ok = rank_le_1(matrix) if sym else False
 
     constants_ok = p.constants is not None and all(
@@ -338,7 +325,7 @@ def scalar_relation_residues(p: DiagProfile, m) -> dict[str, MPoly]:
     genuine invariant weak solution.
 
     For a parameter-free profile and the rows `m` of its numeric matrix,
-    as `characterize(p).matrix.numeric()` gives them: the minors and the
+    as `characterize(p).matrix` gives them: the minors and the
     constant relations are exact scalars (returned as constant
     polynomials), and each entry relation is a scalar multiple of each of
     its two entries plus a constant, summed in one accumulator.

@@ -3,10 +3,12 @@
 Provides the builtin sl2 basis (e, f, h with [e,f] = h, [h,e] = 2e,
 [h,f] = -2f), automorphism matrices, the two of sl2 built from their
 formulas (phi_matrix, conjugation by an SL2 matrix; psi_matrix, the swap
-e <-> f, h -> -h), and the congruence action on symmetric 3x3
-coefficient matrices.  The
-classical Yang-Baxter operator, the conformal double bracket at zero
-derivations, lives in `ybe`.
+e <-> f, h -> -h), their one transport transform_tensor, and the rank
+test of a numeric 3x3 coefficient matrix.  A coefficient matrix is
+moved by an automorphism as the two-tensor {(q, l): a_ql}, so
+transform_tensor gives Phi M Phi^T.  The classical Yang-Baxter
+operator, the conformal double bracket at zero derivations, lives in
+`ybe`.
 
 Tensors over the Lie algebra are plain dicts mapping basis-name tuples
 to scalars; scalars may be Fractions or parametric MPoly values.
@@ -225,61 +227,12 @@ def transform_tensor(aut: AutMatrix, tensor: Mapping[tuple, Scalar]) -> dict[tup
     return {key: v for key, v in reduced.items() if not is_zero_scalar(v)}
 
 
-# Symmetric coefficient matrices -------------------------------------------------
+# Coefficient matrices -----------------------------------------------------------
 
 
-@dataclass
-class SymMat3:
-    """Symmetric 3x3 matrix of scalars, basis order (e, f, h)."""
-
-    a: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self):
-        if len(self.a) != 3 or any(len(row) != 3 for row in self.a):
-            raise ValueError("expected a 3x3 matrix")
-        for i in range(3):
-            for j in range(3):
-                diff = self.a[i][j] - self.a[j][i]
-                if not is_zero_scalar(diff):
-                    raise ValueError("matrix is not symmetric")
-
-    def is_numeric(self) -> bool:
-        return all(not isinstance(v, MPoly) or v.is_constant()
-                   for row in self.a for v in row)
-
-    def numeric(self) -> tuple[tuple[Union[int, Fraction], ...], ...]:
-        """The entries as exact scalars, int-first: an int where the value
-        is integral, a Fraction otherwise (raises on a parametric entry)."""
-        return tuple(
-            tuple(_scalar(v.constant_value() if isinstance(v, MPoly) else v) for v in row)
-            for row in self.a)
-
-
-def congruence(mat: SymMat3, aut: AutMatrix) -> SymMat3:
-    """The action M -> Phi M Phi^T, M transported as a two-tensor."""
-    names = aut.alg.names
-    moved = transform_tensor(aut, {
-        (q, l): v for q, row in zip(names, mat.a) for l, v in zip(names, row)})
-    return SymMat3(tuple(tuple(moved.get((q, l), 0) for l in names) for q in names))
-
-
-def _minors(a) -> list[Scalar]:
-    out = []
-    for r0, r1 in itertools.combinations(range(3), 2):
-        for c0, c1 in itertools.combinations(range(3), 2):
-            out.append(a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0])
-    return out
-
-
-def minors2(mat: SymMat3) -> list[Scalar]:
-    """All nine 2x2 minors, for symbolic rank checking."""
-    return _minors(mat.a)
-
-
-def rank_le_1(mat: SymMat3) -> bool:
-    """True iff every 2x2 minor vanishes (numeric matrices only)."""
-    if not mat.is_numeric():
-        raise ValueError(
-            "parametric matrix: check the minors2() identities symbolically instead"
-        )
-    return not any(_minors(mat.numeric()))
+def rank_le_1(rows) -> bool:
+    """True iff every 2x2 minor of the numeric 3x3 matrix `rows` vanishes."""
+    return not any(
+        rows[r0][c0] * rows[r1][c1] - rows[r0][c1] * rows[r1][c0]
+        for r0, r1 in itertools.combinations(range(3), 2)
+        for c0, c1 in itertools.combinations(range(3), 2))

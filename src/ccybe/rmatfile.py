@@ -136,7 +136,7 @@ def to_dict(r: ConfTensor, parameters: Union[list, tuple] = ()) -> dict:
     return out
 
 
-def dump(r: ConfTensor, path: str, parameters: Union[list, tuple] = ()) -> None:
+def dump(r: ConfTensor, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(r, parameters), fh, indent=2, sort_keys=True)
+        json.dump(to_dict(r), fh, indent=2, sort_keys=True)
         fh.write("\n")

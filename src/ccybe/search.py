@@ -65,7 +65,6 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from hashlib import sha256
 from multiprocessing import get_all_start_methods, get_context
 from typing import Optional, Sequence
 
@@ -167,12 +166,6 @@ class SearchConfig:
         }
 
 
-def canonical_hash(payload: dict) -> str:
-    """sha256 of the payload's canonical JSON (sorted keys, no spaces)."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return sha256(blob.encode()).hexdigest()
-
-
 @dataclass
 class SearchReport:
     config: dict
@@ -185,7 +178,7 @@ class SearchReport:
 
     def __post_init__(self):
         if not self.content_hash:
-            self.content_hash = canonical_hash({
+            self.content_hash = ybe.canonical_hash({
                 "config": self.config,
                 "candidates_scanned": self.candidates_scanned,
                 "survivors": self.survivors,
@@ -578,8 +571,7 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     for flag in ("odd", "sym", "shared_f_ok", "rank_le_1", "constants_ok"):
         if not getattr(rep, flag):
             problems.append(f"characterize:{flag}")
-    m = rep.matrix.numeric()
-    for name, residue in scalar_relation_residues(profile, m).items():
+    for name, residue in scalar_relation_residues(profile, rep.matrix).items():
         if not residue.is_zero():
             problems.append(f"relation:{name}")
     # One double bracket gives both verdicts: the weak one from the
@@ -591,15 +583,15 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
         problems.append("reverify:weak_defect")
     if cfg.mode == "strict" and not ybe.strict_verdict(bracket)[0]:
         problems.append("reverify:strict")
-    record.update(_classify(profile, rep, m))
-    record["matrix"] = [[str(v) for v in row] for row in m]
+    record.update(_classify(profile, rep))
+    record["matrix"] = [[str(v) for v in row] for row in rep.matrix]
     return record, problems
 
 
-def _classify(profile: DiagProfile, report, m) -> dict:
-    """Family-spec-like record for a survivor in normal form, with `m`
-    the rows of its numeric matrix; families.name_case names it."""
-    named = name_case([profile.constants[n] for n in CONSTANT_NAMES], m)
+def _classify(profile: DiagProfile, report) -> dict:
+    """Family-spec-like record for a survivor in normal form, with
+    `report` its characterization; families.name_case names it."""
+    named = name_case([profile.constants[n] for n in CONSTANT_NAMES], report.matrix)
     if named is None:
         return {"case": "other"}
     case, params = named

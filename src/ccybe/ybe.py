@@ -61,7 +61,8 @@ lift_profile's map x -> d1, each with the powers of its targets it has
 built, which the degrees seen so far bound.  So a caller that checks
 many r-matrices over one algebra (the search, with one algebra per
 process) builds each table once; a caller that makes an algebra per
-check (the CLI, catalog_diffs) builds each once per check.
+check (the CLI) builds each once per check, and catalog_diffs lifts its
+generic profile once, so all its identities share one algebra.
 
 For the current algebra on sl2 the reduced double bracket only sees the
 diagonal restrictions A'_{ql}(x) = A_{ql}(x, -x).  The catalog below
@@ -77,9 +78,11 @@ form: raw == scale * stored.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from hashlib import sha256
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .conformal import (
@@ -575,24 +578,20 @@ def _rename_to_xyz(poly: MPoly, reg: SymbolRegistry) -> MPoly:
     })
 
 
-def derive_projection(triple: Sequence[str], degree: int = 4,
-                      profile: Optional[DiagProfile] = None) -> MPoly:
-    """Raw projection of the reduced double bracket of the generic lift.
+def derive_projection(triple: Sequence[str], r: ConfTensor) -> MPoly:
+    """Raw projection of the reduced double bracket of the generic lift `r`.
 
     Only the triple's own coefficient of the bracket is built.  Returned
     in the variables (x, y) = (d2, d3).  Matches the catalog entry for
     the triple up to the entry's recorded integer scale.
     """
-    if profile is None:
-        profile = generic_profile(SymbolRegistry(), degree)
     triple = tuple(triple)
-    bracket = ccybe_bracket(lift_profile(profile), [triple])
-    return _rename_to_xyz(project_reduced(bracket, triple), profile.reg)
+    bracket = ccybe_bracket(r, [triple])
+    return _rename_to_xyz(project_reduced(bracket, triple), r.alg.reg)
 
 
-def derive_weak_projection(generator: str, triple: Sequence[str], degree: int = 4,
-                           profile: Optional[DiagProfile] = None) -> MPoly:
-    """Raw projection of a generator action on the double bracket.
+def derive_weak_projection(generator: str, triple: Sequence[str], r: ConfTensor) -> MPoly:
+    """Raw projection of a generator action on the bracket of the generic lift `r`.
 
     The action is taken at mu = -(d1+d2+d3); the result is renamed to
     (x, y, z) = (d2, d3, d1).  The action on slot i moves a tuple's
@@ -600,11 +599,8 @@ def derive_weak_projection(generator: str, triple: Sequence[str], degree: int = 
     bracket at T with slot i replaced by some b whose [g, b] has a
     T[i] component: only those coefficients of the bracket are built.
     """
-    if profile is None:
-        profile = generic_profile(SymbolRegistry(), degree)
-    reg = profile.reg
-    r = lift_profile(profile)
     alg = r.alg
+    reg = alg.reg
     triple = tuple(triple)
     d, lam = reg.var("d"), reg.var("lam")
     feeds = [triple[:i] + (b,) + triple[i + 1:]
@@ -626,14 +622,20 @@ def catalog_diffs(degree: int = 3, catalog: Optional[Mapping[str, Equation]] = N
     catalog = CATALOG if catalog is None else catalog
     reg = SymbolRegistry()
     profile = generic_profile(reg, degree)
+    r = lift_profile(profile)
     out = {}
     for name in (names or [n for n in catalog if not catalog[n].shifted]):
         eq = catalog[name]
         if eq.action is None:
-            raw = derive_projection(eq.triple, degree, profile)
+            raw = derive_projection(eq.triple, r)
         else:
-            raw = derive_weak_projection(eq.action, eq.triple, degree, profile)
+            raw = derive_weak_projection(eq.action, eq.triple, r)
         out[name] = raw - eval_equation(eq, profile) * eq.scale
     return out
 
 
+def canonical_hash(payload: dict) -> str:
+    """sha256 of the payload's canonical JSON (sorted keys, no spaces):
+    the content hash of a verify report and of a search report."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return sha256(blob.encode()).hexdigest()

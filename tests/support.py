@@ -11,7 +11,8 @@ generic profile.  The rest are checks
 and constructions only the tests use: diagonal restrictions, the
 invariance residues, the invariance-constrained generic profile, slot
 permutation symmetry, the weak defect of a constant r, antisymmetry of
-constant 3-tensors, algebras from JSON and the identity automorphism.
+constant 3-tensors, algebras from JSON, the identity automorphism and
+the general invariant constant tensor.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Mapping, Optional, Union
 from ccybe import search
 from ccybe.conformal import ConfTensor, act_on_tensor, permute_slots, reduce_mod_total
 from ccybe.exactpoly import MPoly, SymbolRegistry, _scalar
+from ccybe.families import FamilySpec, build_profile
 from ccybe.liealg import AutMatrix, LieAlg, Scalar, is_zero_scalar, sl2, tensor_add
 from ccybe.search import candidate_profile, filter_equation_names
 from ccybe.ybe import (
@@ -420,6 +422,21 @@ def identity_matrix(alg: Optional[LieAlg] = None) -> AutMatrix:
         for i in range(n)
     )
     return AutMatrix(alg, m)
+
+
+def invariant_constant_rmat(alpha: Scalar, beta: Scalar, gamma: Scalar,
+                            zeta: Scalar) -> ConfTensor:
+    """The general invariant constant tensor
+
+        alpha (h x e - e x h) + beta (f x e - e x f)
+        + gamma (h x f - f x h) + zeta (h x h + 4 e x f),
+
+    the lemma1 family member, over a fresh current algebra on sl2.
+    """
+    spec = FamilySpec("lemma1", SymbolRegistry(), {
+        "alpha": alpha, "beta": beta, "gamma": gamma, "zeta": zeta,
+    })
+    return lift_profile(build_profile(spec))
 
 
 def weak_cybe_defect(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,

@@ -37,7 +37,7 @@ def test_rmatfile_roundtrip(tmp_path):
         ],
     })
     path = tmp_path / "r.json"
-    rmatfile.dump(r, str(path), parameters=["alpha"])
+    path.write_text(json.dumps(rmatfile.to_dict(r, ["alpha"])))
     again = rmatfile.load(str(path))
     assert {k: v.to_string() for k, v in again.entries.items()} == \
         {k: v.to_string() for k, v in r.entries.items()}
@@ -853,6 +853,21 @@ def test_entry_point_process_matches_main(tmp_path, capsys):
     code = cli.main(argv)
     done = _ccybe(*argv)
     assert (done.returncode, done.stdout) == (code, capsys.readouterr().out)
+
+
+def test_verify_does_not_import_search(tmp_path):
+    # verify reads no search code: neither the module nor its process
+    # pool is loaded, so a verify process does not pay for them
+    path = write_rmat(tmp_path, "exe.json", E_X_E)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import contextlib, io, sys\n"
+             "from ccybe import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(['verify', sys.argv[1], '--format', 'json'])\n"
+             "print(code, 'ccybe.search' in sys.modules, 'multiprocessing' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe, path], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert done.stdout.split() == ["0", "False", "False"]
 
 
 _TOKENS = ("d1", "d2", "d3", "x", "y", "t", "alpha", "lam", "0", "1", "2", "1/2",

@@ -9,12 +9,11 @@ from ccybe.families import (
     FamilySpec,
     build_profile,
     characterize,
-    invariant_constant_rmat,
     scalar_relation_residues,
     vir_rmatrix,
 )
 from ccybe.conformal import tau
-from ccybe.liealg import SymMat3, rank_le_1
+from ccybe.liealg import rank_le_1
 from ccybe.ybe import (
     PAIRS,
     boundary_values,
@@ -24,7 +23,7 @@ from ccybe.ybe import (
     lift_profile,
 )
 
-from support import diagonal_profile_of
+from support import diagonal_profile_of, invariant_constant_rmat
 
 F = Fraction
 
@@ -116,8 +115,8 @@ def test_characterize_family(reg):
     rep = characterize(build_profile(spec))
     assert rep.ok
     assert rep.shared_f == reg.parse("t + 1")
-    assert rep.matrix.numeric()[0][0] == 1
-    assert sum(1 for row in rep.matrix.numeric() for v in row if v) == 1
+    assert rep.matrix[0][0] == 1
+    assert sum(1 for row in rep.matrix for v in row if v) == 1
 
 
 @pytest.mark.parametrize("scale", [1, F(4, 2), F(3, 2), F(-1, 3)])
@@ -131,14 +130,13 @@ def test_characterize_matrix_int_first(reg, scale):
                             {n: scale for n in ("alpha", "beta", "gamma", "zeta")})
     for prof, rank_ok in ((build_profile(rank1), True), (rank2, False)):
         rep = characterize(prof)
-        m = rep.matrix.numeric()
+        m = rep.matrix
         for row in m:
             for v in row:
                 assert type(v) is (int if F(v).denominator == 1 else F)
         assert rep.rank_le_1 is rank_ok
-        as_fractions = SymMat3(tuple(tuple(F(v) for v in row) for row in m))
+        as_fractions = tuple(tuple(F(v) for v in row) for row in m)
         assert rank_le_1(as_fractions) is rank_ok
-        assert m == as_fractions.numeric()
     assert characterize(build_profile(rank1)).ok
 
 
@@ -189,7 +187,7 @@ def test_characterize_roundtrip_random(reg):
         prof = build_profile(spec)
         rep = characterize(prof)
         assert rep.ok
-        m = rep.matrix.numeric()
+        m = rep.matrix
         if case == "thm5_i":
             assert m[0][0] == 1 and sum(v != 0 for row in m for v in row) == 1
             assert rep.shared_f == f

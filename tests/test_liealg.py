@@ -6,10 +6,7 @@ import pytest
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import (
     LieAlg,
-    SymMat3,
-    congruence,
     is_zero_scalar,
-    minors2,
     phi_matrix,
     psi_matrix,
     rank_le_1,
@@ -190,22 +187,38 @@ def test_cybe_covariance_classical():
 
 # Congruence and rank -------------------------------------------------------------
 
+# A coefficient matrix M moves as the two-tensor {(q, l): M_ql}, so
+# transform_tensor gives Phi M Phi^T.
+NAMES = ("e", "f", "h")
+
+
+def _tensor(rows):
+    return {(q, l): v for q, row in zip(NAMES, rows) for l, v in zip(NAMES, row)}
+
+
+def _rows(tensor):
+    return tuple(tuple(tensor.get((q, l), 0) for l in NAMES) for q in NAMES)
+
 
 def _e11():
-    return SymMat3((
-        (F(1), F(0), F(0)), (F(0), F(0), F(0)), (F(0), F(0), F(0)),
-    ))
+    return ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+
+
+def _minors(a):
+    return [a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0]
+            for r0 in range(3) for r1 in range(r0 + 1, 3)
+            for c0 in range(3) for c1 in range(c0 + 1, 3)]
 
 
 def test_congruence_psi_moves_corner():
-    out = congruence(_e11(), psi_matrix())
-    assert out.a[1][1] == 1
-    assert sum(1 for row in out.a for v in row if v) == 1
+    out = _rows(transform_tensor(psi_matrix(), _tensor(_e11())))
+    assert out[1][1] == 1
+    assert sum(1 for row in out for v in row if v) == 1
 
 
 def test_congruence_identity(alg):
-    m = SymMat3(((F(1), F(2), F(3)), (F(2), F(4), F(5)), (F(3), F(5), F(6))))
-    assert congruence(m, identity_matrix(alg)).a == m.a
+    m = ((F(1), F(2), F(3)), (F(2), F(4), F(5)), (F(3), F(5), F(6)))
+    assert _rows(transform_tensor(identity_matrix(alg), _tensor(m))) == m
 
 
 def test_congruence_parametric_derived():
@@ -215,16 +228,11 @@ def test_congruence_parametric_derived():
     a, c, ainv = reg.var("a"), reg.var("c"), reg.var("ainv")
     pairs = ((reg.sym("a"), reg.sym("ainv")),)
     aut = phi_matrix(a, reg.zero(), c, ainv, inverse_pairs=pairs)
-    m = SymMat3((
-        (reg.const(1), reg.zero(), reg.zero()),
-        (reg.zero(), reg.zero(), reg.zero()),
-        (reg.zero(), reg.zero(), reg.zero()),
-    ))
-    out = congruence(m, aut)
+    out = _rows(transform_tensor(aut, {("e", "e"): reg.const(1)}))
     col = (a * a, -(c * c), -(a * c))
     for i in range(3):
         for j in range(3):
-            assert (out.a[i][j] - col[i] * col[j]).is_zero()
+            assert (out[i][j] - col[i] * col[j]).is_zero()
 
 
 def test_congruence_second_diagonal_formula():
@@ -236,27 +244,27 @@ def test_congruence_second_diagonal_formula():
     aut = phi_matrix(dinv, reg.zero(), c, d, inverse_pairs=pairs)
     names = ("m11", "m12", "m13", "m22", "m23", "m33")
     m11, m12, m13, m22, m23, m33 = (reg.var(n) for n in names)
-    m = SymMat3(((m11, m12, m13), (m12, m22, m23), (m13, m23, m33)))
-    out = congruence(m, aut)
+    m = ((m11, m12, m13), (m12, m22, m23), (m13, m23, m33))
+    out = _rows(transform_tensor(aut, _tensor(m)))
     want = (c ** 4 * m11 + d ** 4 * m22 - c ** 3 * d * m13 * 4
             + c * c * d * d * (m33 * 2 - m12) * 2 + c * d ** 3 * m23 * 4)
-    assert (out.a[1][1] - want).is_zero()
+    assert (out[1][1] - want).is_zero()
 
 
 def test_rank_le_1():
     assert rank_le_1(_e11())
-    diag = SymMat3(((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(0))))
+    diag = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(0)))
     assert not rank_le_1(diag)
     v = (F(1), F(2), F(3))
-    outer = SymMat3(tuple(tuple(a * b for b in v) for a in v))
+    outer = tuple(tuple(a * b for b in v) for a in v)
     assert rank_le_1(outer)
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "constant_poly"])
 def test_rank_le_1_matches_minors(kind):
-    # rank_le_1 takes the minors on the numeric rows directly; it agrees
-    # with minors2 on numeric symmetric matrices
-    # built as sums of 0, 1, 2 and 3 scaled outer products v v^T
+    # rank_le_1 agrees with the vanishing of all nine 2x2 minors on
+    # numeric symmetric matrices built as sums of 0, 1, 2 and 3 scaled
+    # outer products v v^T
     rng = random.Random(5)
     reg = SymbolRegistry()
 
@@ -274,25 +282,9 @@ def test_rank_le_1_matches_minors(kind):
                   for j in range(3)] for i in range(3)]
             if kind == "constant_poly":
                 a = [[reg.const(x) for x in row] for row in a]
-            m = SymMat3(tuple(tuple(row) for row in a))
-            want = all(is_zero_scalar(x) for x in minors2(m))
+            m = tuple(tuple(row) for row in a)
+            want = all(is_zero_scalar(x) for x in _minors(m))
             assert rank_le_1(m) == want
             verdicts[n].add(want)
     assert verdicts[0] == verdicts[1] == {True}
     assert False in verdicts[2] and False in verdicts[3]
-
-
-def test_rank_parametric_error():
-    reg = SymbolRegistry()
-    t = reg.var("t")
-    m = SymMat3(((t, reg.zero(), reg.zero()),
-                 (reg.zero(), reg.zero(), reg.zero()),
-                 (reg.zero(), reg.zero(), reg.zero())))
-    with pytest.raises(ValueError, match="minors"):
-        rank_le_1(m)
-    assert all(v.is_zero() for v in minors2(m))
-
-
-def test_symmetry_enforced():
-    with pytest.raises(ValueError, match="symmetric"):
-        SymMat3(((F(0), F(1), F(0)), (F(0), F(0), F(0)), (F(0), F(0), F(0))))

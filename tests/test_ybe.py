@@ -573,7 +573,7 @@ def test_weak_projection_is_shifted_triple_projection(reg):
     # the e-action projection at h x f x f is the f x f x f projection
     # transported by the action, i.e. exactly twice the stored identity
     prof = generic_profile(reg, 2)
-    dwp = derive_weak_projection("e", ("h", "f", "f"), 2, prof)
+    dwp = derive_weak_projection("e", ("h", "f", "f"), lift_profile(prof))
     assert dwp == eval_equation(CATALOG["fff"], prof) * 2
 
 
@@ -589,13 +589,13 @@ def test_derived_projections_match_full_bracket(reg):
     triples = list(itertools.product("efh", repeat=3))
     for triple in triples:
         want = project_reduced(full, triple).subst_many(to_xyz)
-        assert derive_projection(triple, 2, prof) == want
+        assert derive_projection(triple, r) == want
     for generator in "efh":
         acted = act_on_tensor([r.alg.generator(generator)], full, -full.total())[0]
         assert not acted.is_zero()
         for triple in triples:
             want = project(acted, triple).subst_many(to_xyz)
-            assert derive_weak_projection(generator, triple, 2, prof) == want
+            assert derive_weak_projection(generator, triple, r) == want
 
 
 def test_fhf_substitution_matches_hff(reg):
