@@ -174,6 +174,8 @@ def cmd_family(args) -> int:
             if not isinstance(data, dict):
                 raise ValueError("a spec file must hold a JSON object")
             case = data["case"]
+            if not isinstance(case, str):
+                raise ValueError(f"spec case must be a string, got {case!r}")
             params = data.get("params", {})
             if not isinstance(params, dict):
                 raise ValueError("spec params must be a JSON object")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .conformal import ConfAlgebra, ConfTensor
-from .exactpoly import MPoly, PolySum, SymbolRegistry, _scalar
+from .exactpoly import MPoly, SymbolRegistry, _scalar
 from .liealg import Scalar, rank_le_1
 from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, boundary_values
 
@@ -235,11 +235,13 @@ def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
 
 @dataclass
 class Characterization:
-    """Structure report for a parameter-free diagonal profile; `matrix`
-    holds the rows (e, f, h) of (a_ql), exact scalars, int-first (all
-    zero when the profile is not symmetric)."""
+    """Structure report for a parameter-free diagonal profile.
 
-    odd: bool
+    `shared_f_ok`: every A'_ql - A'_ql(0) is a_ql x f(x^2) with one f,
+    hence odd.  `matrix` holds the rows (e, f, h) of (a_ql), exact
+    scalars, int-first (all zero when the profile is not symmetric), and
+    `rank_le_1` is the rank test of that matrix."""
+
     sym: bool
     shared_f: Optional[MPoly]
     shared_f_ok: bool
@@ -249,8 +251,7 @@ class Characterization:
 
     @property
     def ok(self) -> bool:
-        return (self.odd and self.sym and self.shared_f_ok
-                and self.rank_le_1 and self.constants_ok)
+        return self.sym and self.shared_f_ok and self.rank_le_1 and self.constants_ok
 
 
 def _scalar_constants(p: DiagProfile) -> list[Scalar]:
@@ -281,7 +282,6 @@ def characterize(p: DiagProfile) -> Characterization:
         c0 = boundary[pair] = _scalar(entry.constant_term())
         centered[pair] = entry - c0 if c0 else entry
 
-    odd = all(c.odd_even_split(x)[1].is_zero() for c in centered.values())
     sym = all(centered[(q, l)] == centered[(l, q)] for q, l in PAIRS)
 
     fs = []
@@ -306,7 +306,6 @@ def characterize(p: DiagProfile) -> Characterization:
     matrix = tuple(
         tuple(scalars[(q, l)] if sym else 0 for l in names) for q in names
     )
-    rank_ok = rank_le_1(matrix) if sym else False
 
     constants_ok = p.constants is not None and all(
         want == boundary[pair]
@@ -314,60 +313,32 @@ def characterize(p: DiagProfile) -> Characterization:
     )
 
     return Characterization(
-        odd=odd, sym=sym, shared_f=shared, shared_f_ok=shared_ok,
-        matrix=matrix, rank_le_1=rank_ok, constants_ok=constants_ok,
+        sym=sym, shared_f=shared, shared_f_ok=shared_ok,
+        matrix=matrix, rank_le_1=rank_le_1(matrix), constants_ok=constants_ok,
     )
 
 
-def scalar_relation_residues(p: DiagProfile, m) -> dict[str, MPoly]:
-    """Residues of the proportionality and minor relations tying the
-    coefficient matrix to the boundary constants; all must vanish on a
-    genuine invariant weak solution.
+def scalar_relation_residues(p: DiagProfile, m) -> dict[str, Scalar]:
+    """Residues of the six relations tying the coefficient matrix to the
+    boundary constants; all vanish on a genuine invariant weak solution.
 
-    For a parameter-free profile and the rows `m` of its numeric matrix,
-    as `characterize(p).matrix` gives them: the minors and the
-    constant relations are exact scalars (returned as constant
-    polynomials), and each entry relation is a scalar multiple of each of
-    its two entries plus a constant, summed in one accumulator.
+    `m` holds the rows of the numeric matrix of the parameter-free
+    profile `p`, as `characterize(p).matrix` gives them; each residue is
+    an exact scalar, int-first.  `characterize` decides every other
+    relation: the 2x2 minors of m are `rank_le_1`, and each entry
+    relation a_lq (A'_ql - A'_ql(0)) - a_ql (A'_lq - A'_lq(0)) vanishes
+    term by term once every centered entry is a x f(x^2) with one f
+    (`shared_f_ok`) and A'(0) follows the boundary table (`constants_ok`).
     """
-    reg = p.reg
     (a_ee, _, _), (a_fe, a_ff, _), (a_he, a_hf, a_hh) = m
     alpha, beta, gamma, zeta = _scalar_constants(p)
     two_zb = zeta * 2 - beta
-    one = reg.const(1)
-
-    ee = p.entry("e", "e")
-    ff = p.entry("f", "f")
-    hh = p.entry("h", "h")
-    he = p.entry("h", "e")
-    hf = p.entry("h", "f")
-    fe = p.entry("f", "e")
-
-    def rel(c1, p1, k1, c2, p2, k2) -> MPoly:
-        """c1 (p1 - k1) - c2 (p2 - k2)."""
-        acc = PolySum(reg)
-        acc.add(p1, c1)
-        acc.add(p2, -c2)
-        acc.add(one, c2 * k2 - c1 * k1)
-        return acc.value()
-
-    const = reg.const
-    return {
-        "he_ee": rel(a_he, ee, 0, a_ee, he, alpha),
-        "he_hh": rel(a_he, hh, zeta, a_hh, he, alpha),
-        "minor_e": const(a_ee * a_hh - a_he * a_he),
-        "c_e1": const(two_zb * a_ee - alpha * 2 * a_he),
-        "c_e2": const(alpha * 2 * a_hh - two_zb * a_he),
-        "hf_ff": rel(a_hf, ff, 0, a_ff, hf, gamma),
-        "hf_hh": rel(a_hf, hh, zeta, a_hh, hf, gamma),
-        "minor_f": const(a_ff * a_hh - a_hf * a_hf),
-        "c_f1": const(two_zb * a_ff + gamma * 2 * a_hf),
-        "c_f2": const(-(gamma * 2) * a_hh - two_zb * a_hf),
-        "fe_ee": rel(a_fe, ee, 0, a_ee, fe, beta),
-        "fe_ff": rel(a_fe, ff, 0, a_ff, fe, beta),
-        "minor_h": const(a_ee * a_ff - a_fe * a_fe),
-        "c_h1": const(gamma * a_ee + alpha * a_fe),
-        "c_h2": const(alpha * a_ff + gamma * a_fe),
-        "minor_x1": const(a_ee * a_hf - a_fe * a_he),
-        "minor_x2": const(a_ff * a_he - a_fe * a_hf),
+    residues = {
+        "c_e1": two_zb * a_ee - alpha * 2 * a_he,
+        "c_e2": alpha * 2 * a_hh - two_zb * a_he,
+        "c_f1": two_zb * a_ff + gamma * 2 * a_hf,
+        "c_f2": -(gamma * 2) * a_hh - two_zb * a_hf,
+        "c_h1": gamma * a_ee + alpha * a_fe,
+        "c_h2": alpha * a_ff + gamma * a_fe,
     }
+    return {name: _scalar(v) for name, v in residues.items()}

@@ -63,7 +63,7 @@ import functools
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import get_all_start_methods, get_context
 from typing import Optional, Sequence
@@ -174,15 +174,14 @@ class SearchReport:
     survivors: list
     characterization_failures: list
     timing_seconds: float
-    content_hash: str = ""
+    content_hash: str = field(init=False)
 
     def __post_init__(self):
-        if not self.content_hash:
-            self.content_hash = ybe.canonical_hash({
-                "config": self.config,
-                "candidates_scanned": self.candidates_scanned,
-                "survivors": self.survivors,
-            })
+        self.content_hash = ybe.canonical_hash({
+            "config": self.config,
+            "candidates_scanned": self.candidates_scanned,
+            "survivors": self.survivors,
+        })
 
     def as_dict(self) -> dict:
         return {
@@ -568,11 +567,11 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     }
     problems = []
     rep = characterize(profile)
-    for flag in ("odd", "sym", "shared_f_ok", "rank_le_1", "constants_ok"):
+    for flag in ("sym", "shared_f_ok", "rank_le_1", "constants_ok"):
         if not getattr(rep, flag):
             problems.append(f"characterize:{flag}")
     for name, residue in scalar_relation_residues(profile, rep.matrix).items():
-        if not residue.is_zero():
+        if residue:
             problems.append(f"relation:{name}")
     # One double bracket gives both verdicts: the weak one from the
     # generator actions on it, the strict one from its reduction.  The

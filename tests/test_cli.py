@@ -479,8 +479,11 @@ def test_family_f_degree_at_limit_loads(tmp_path):
     '{"case": "thm5_ii", "params": {"lhh": "1/0"}}',
     '{"case": "thm5_ii", "params": {"lhh": Infinity}}',
     '{"case": "vir"}',
+    '{"case": ["x"]}',
+    '{"case": {"a": 1}}',
 ], ids=["top_level_list", "params_list", "param_value_list", "f_not_string",
-        "param_zero_denominator", "param_infinity", "vir_case"])
+        "param_zero_denominator", "param_infinity", "vir_case", "case_list",
+        "case_object"])
 def test_family_spec_malformed(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
@@ -909,7 +912,7 @@ _monic = st.builds(lambda k, cs: " + ".join([f"t^{k}"] + [f"{c}*t^{j}" for j, c 
 _f = st.one_of(_monic, _monic, st.sampled_from(("t^40", "t^2+x")), _poly(("t",)), _junk_text)
 _params = st.dictionaries(_name, _value, max_size=2)
 _spec = st.fixed_dictionaries(
-    {"case": _case}, optional={"params": _params | _junk, "f": _f | _junk})
+    {"case": _case | _junk}, optional={"params": _params | _junk, "f": _f | _junk})
 
 
 def _family(case, params, f, out, flags):

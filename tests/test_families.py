@@ -145,7 +145,7 @@ def test_characterize_rank2(reg):
         ("e", "e"): reg.var("x"), ("f", "f"): reg.var("x"),
     }, {n: F(0) for n in ("alpha", "beta", "gamma", "zeta")})
     rep = characterize(prof)
-    assert rep.odd and rep.sym and rep.constants_ok
+    assert rep.sym and rep.shared_f_ok and rep.constants_ok
     assert not rep.rank_le_1
     assert not rep.ok
 
@@ -196,8 +196,7 @@ def test_characterize_roundtrip_random(reg):
             assert rep.shared_f == f
         else:
             assert all(v == 0 for row in m for v in row)
-        for residue in scalar_relation_residues(prof, m).values():
-            assert residue.is_zero()
+        assert not any(scalar_relation_residues(prof, m).values())
 
 
 def test_cor6_profiles_strict_and_skew(reg):

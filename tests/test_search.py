@@ -299,6 +299,26 @@ def test_exact_filter_alone_matches_flat_scan(cfg, monkeypatch):
     assert _canonical(passed) == _canonical(flat_scan(cfg))
 
 
+_REVERIFY = ["reverify:weak_defect", "reverify:strict"]
+
+
+@pytest.mark.parametrize("entries, beta, problems", [
+    ({"ee": "x", "ff": "x"}, 0, ["characterize:rank_le_1", *_REVERIFY]),
+    ({"ee": "x^2"}, 0, ["characterize:shared_f_ok"]),
+    ({"ef": "x", "fe": "2*x"}, 0, ["characterize:sym", *_REVERIFY]),
+    ({"ee": "x", "ef": "-1", "fe": "1"}, 1, ["relation:c_e1", *_REVERIFY]),
+], ids=["rank2", "even", "not_symmetric", "constant_relation"])
+def test_post_verify_names_each_fault_once(entries, beta, problems):
+    # a flag that covers a relation is its only report: the minors are
+    # rank_le_1, an even entry fails shared_f_ok, and a non-symmetric
+    # profile reports an all-zero matrix, which passes rank_le_1
+    reg = search._registry()
+    profile = DiagProfile(reg, {(k[0], k[1]): reg.parse(v) for k, v in entries.items()},
+                          {"alpha": 0, "beta": beta, "gamma": 0, "zeta": 0})
+    cfg = SearchConfig(mode="strict", raw=True)
+    assert search._post_verify(cfg, profile)[1] == problems
+
+
 def test_characterization_failures_sorted(monkeypatch):
     # every survivor flagged by the post-verification lands in
     # characterization_failures, sorted by canonical JSON; the scan

@@ -53,6 +53,15 @@ def test_certify_families_script():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+# The content hash of each report that run_classification_search.py writes.
+SCRIPT_HASHES = {
+    "weak_raw_deg1": "62e76329bb13037fc6a541a8b741127fe937778eb034fc94fbaf1f49cb41a32f",
+    "strict_raw_deg1": "fd4065f89eb5835dc63087821429206a3575954082365853e0cdc680426cc392",
+    "weak_odd_deg3": "7e416beae41a1fce7fd1d5981c5133e1998b6cb04a77de524b5c6822c49aa4b2",
+    "weak_odd_deg5": "594424deecbec318ddde69c6d6849ed7458b05a1b975fe2aea629ae592ccf877",
+}
+
+
 def test_classification_search_script(tmp_path):
     done = _run_script("run_classification_search.py", "--out-dir", str(tmp_path))
     assert done.returncode == 0, done.stdout + done.stderr
@@ -60,7 +69,9 @@ def test_classification_search_script(tmp_path):
     assert [p.stem for p in reports] == sorted(
         ["weak_raw_deg1", "strict_raw_deg1", "weak_odd_deg3", "weak_odd_deg5"])
     for path in reports:
-        assert json.loads(path.read_text())["characterization_failures"] == []
+        report = json.loads(path.read_text())
+        assert report["characterization_failures"] == []
+        assert report["content_hash"] == SCRIPT_HASHES[path.stem], path.stem
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
