@@ -94,10 +94,9 @@ def cmd_expand(args) -> int:
     except (OSError, rmatfile.RMatFileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
-    bracket = ybe.ccybe_bracket(r)
-    for title, tensor in (("double bracket (unreduced)", bracket),
+    for title, tensor in (("double bracket (unreduced)", ybe.ccybe_bracket(r)),
                           ("reduced modulo the total derivation",
-                           ybe.strict_verdict(bracket)[1])):
+                           ybe.ccybe_bracket(r, reduced=True))):
         print(f"{title}:")
         for tup in sorted(tensor.entries):
             print(f"  ({', '.join(tup)}): {tensor.entries[tup].to_string()}")

@@ -21,8 +21,8 @@ its slot's shift di -> di + lam (an exactpoly.Substitution) once and
 multiplied by every element's inserted bracket.  Each output
 coefficient is one exactpoly.PolySum: the Leibniz sum adds its products
 there term by term, with no polynomial built per product.  The
-tensor-wide maps (tau, permute_slots, reduce_mod_total) compile their
-substitution once per tensor.
+tensor-wide maps (tau, permute_slots) compile their substitution once
+per tensor.
 
 The algebra owns the tables that depend on it alone: `ConfAlgebra.memo`
 builds a table on first use and keeps it as long as the algebra lives.
@@ -33,8 +33,11 @@ lift map there.  A caller that checks many tensors over one algebra
 (the search) builds each table once; one that makes an algebra per
 check builds them once per check.  Nothing is cached at module level.
 
-Reduction "modulo the total derivation" eliminates d1 via
-d1 := -(d2 + ... + dN).
+The quotient by the image of the total derivation is read with
+d1 := -(d2 + ... + dN).  No tensor-wide reduction is provided: the
+double bracket is built in the quotient directly (ybe.ccybe_bracket
+with `reduced`), and an action at -(d1 + ... + dN) reads only the
+class of the tensor it acts on.
 """
 
 from __future__ import annotations
@@ -299,22 +302,6 @@ def tau(t: ConfTensor) -> ConfTensor:
     if t.arity != 2:
         raise ValueError("tau is defined on arity-2 tensors")
     return permute_slots(t, (1, 0))
-
-
-def _eliminate_d1(t: ConfTensor) -> dict:
-    """The substitution d1 := -(d2 + ... + dN)."""
-    d1 = t.slot_sym(0)
-    return {d1: t.alg.reg.var(d1) - t.total()}
-
-
-def reduce_mod_total(t: ConfTensor) -> ConfTensor:
-    """Reduce modulo the total derivation: d1 := -(d2 + ... + dN)."""
-    return t.map_coeffs(Substitution(t.alg.reg, _eliminate_d1(t)))
-
-
-def project_reduced(t: ConfTensor, tup: Sequence[str]) -> MPoly:
-    """project(reduce_mod_total(t), tup), reducing that coefficient only."""
-    return project(t, tup).subst_many(_eliminate_d1(t))
 
 
 def project(t: ConfTensor, tup: Sequence[str]) -> MPoly:

@@ -39,9 +39,9 @@ lattice is the exact filter: a leaf is kept iff every equation also
 vanishes on its lattice points, read from the same table.  Only a kept
 leaf becomes a profile, which is re-verified with the full tensor
 computation and the structural characterization.  The re-verification
-builds the double bracket of the canonical lift once and reads both
-verdicts from it: weak from the generator actions on it, strict (in
-strict mode) from its reduction modulo the total derivation.  A
+builds the double bracket of the canonical lift once, modulo the total
+derivation, and reads both verdicts from it: weak from the generator
+actions on it, strict (in strict mode) from whether it vanishes.  A
 process holds one symbol registry and one current algebra on sl2 over
 it: every survivor profile is built on that registry and lifted onto
 that algebra, so the tables the algebra keeps (the generator-action
@@ -573,14 +573,15 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     for name, residue in scalar_relation_residues(profile, rep.matrix).items():
         if residue:
             problems.append(f"relation:{name}")
-    # One double bracket gives both verdicts: the weak one from the
-    # generator actions on it, the strict one from its reduction.  The
-    # tensor steps are looked up on the ybe module, where a tracer that
-    # wraps them sees these calls.
-    bracket = ybe.ccybe_bracket(lift_profile(profile, _algebra()))
+    # One double bracket, built modulo the total derivation, gives both
+    # verdicts: the weak one from the generator actions on it, the
+    # strict one from whether it vanishes.  The tensor steps are looked
+    # up on the ybe module, where a tracer that wraps them sees these
+    # calls.
+    bracket = ybe.ccybe_bracket(lift_profile(profile, _algebra()), reduced=True)
     if not ybe.weak_verdict(bracket)[0]:
         problems.append("reverify:weak_defect")
-    if cfg.mode == "strict" and not ybe.strict_verdict(bracket)[0]:
+    if cfg.mode == "strict" and not bracket.is_zero():
         problems.append("reverify:strict")
     record.update(_classify(profile, rep))
     record["matrix"] = [[str(v) for v in row] for row in rep.matrix]

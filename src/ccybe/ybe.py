@@ -29,9 +29,16 @@ Virasoro it is the polynomial d + 2 lam.  Last, each A form is
 multiplied once by each coefficient of its table.  Every table
 coefficient and every output coefficient is one exactpoly.PolySum, so
 each of these products is added term by term into its sum, with no
-polynomial built per product.  The bracket is
-produced unreduced; reduction modulo the total derivation is a separate
-step so both forms stay testable.
+polynomial built per product.
+
+Following Liberati, the CCYBE and its weak version live in the quotient
+of R x R x R by the image of the total derivation d1 + d2 + d3, read
+with d1 := -(d2 + d3).  With `reduced`, ccybe_bracket builds the
+bracket's class there directly: d1 is read as -(d2 + d3) in the A and
+B substitutions (B(d1+d2, d3) becomes B(-d3, d3)) and in slot 1's
+inserted bracket, so no product carries d1.  A substitution is a ring
+map, so this is the full bracket reduced afterwards.  Every verdict
+reads only the class; the full bracket serves `expand` and `cybe`.
 
 Given a set of output triples, ccybe_bracket builds only those
 coefficients: a final product or a table key that feeds no wanted
@@ -42,27 +49,30 @@ generator action moves onto one triple, and asks for just those; the
 verdicts, `expand` and `cybe` take the full bracket.
 
 Three checks are provided: strict (the reduced double bracket
-vanishes), weak (every generator action on the double bracket, taken
-at mu = -(d1+d2+d3), vanishes), and invariance (every generator action
-on r + tau(r), taken at lam = -(d1+d2), vanishes).  Each action is
-computed at that value directly; no action variable is introduced and
-eliminated.  generator_actions acts with all generators in one
-act_on_tensor call, so the weak and the invariance checks shift each
-coefficient once, not once per generator.  weak_verdict and
-strict_verdict read the two verdicts off a given bracket, so a caller
-that needs both builds the bracket once.  The classical operator at
-zero derivations (`cybe`) is the double bracket's specialization at
-d1 = d2 = d3 = 0.
+vanishes), weak (every generator action on the reduced double bracket,
+taken at mu = -(d1+d2+d3), vanishes), and invariance (every generator
+action on r + tau(r), taken at lam = -(d1+d2), vanishes).  Each action
+is computed at that value directly; no action variable is introduced
+and eliminated.  Each slot shift of such an action sends d1 + d2 + d3
+to 0, so it reads only the class of the tensor it acts on.
+generator_actions acts with all generators in one act_on_tensor call,
+so the weak and the invariance checks shift each coefficient once, not
+once per generator.  weak_verdict reads the weak verdict off a given
+reduced bracket, and the strict verdict is whether that bracket is
+zero, so a caller that needs both builds the bracket once.  The
+classical operator at zero derivations (`cybe`) is the double
+bracket's specialization at d1 = d2 = d3 = 0.
 
 The tables these checks read belong to the algebra of the r-matrix and
 live as long as it (conformal.ConfAlgebra.memo): the double bracket's
-five coefficient maps, the generator-action table of each arity, and
-lift_profile's map x -> d1, each with the powers of its targets it has
-built, which the degrees seen so far bound.  So a caller that checks
-many r-matrices over one algebra (the search, with one algebra per
-process) builds each table once; a caller that makes an algebra per
-check (the CLI) builds each once per check, and catalog_diffs lifts its
-generic profile once, so all its identities share one algebra.
+five coefficient maps of each variant, the generator-action table of
+each arity, and lift_profile's map x -> d1, each with the powers of its
+targets it has built, which the degrees seen so far bound.  So a caller
+that checks many r-matrices over one algebra (the search, with one
+algebra per process) builds each table once; a caller that makes an
+algebra per check (the CLI) builds each once per check, and
+catalog_diffs lifts its generic profile once, so all its identities
+share one algebra.
 
 For the current algebra on sl2 the reduced double bracket only sees the
 diagonal restrictions A'_{ql}(x) = A_{ql}(x, -x).  The catalog below
@@ -91,8 +101,6 @@ from .conformal import (
     ConfTensor,
     act_on_tensor,
     project,
-    project_reduced,
-    reduce_mod_total,
     tau,
 )
 from .exactpoly import MPoly, PolySum, Substitution, SymbolRegistry
@@ -142,9 +150,10 @@ def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
     return ConfTensor(t.alg, t.arity, transform_tensor(aut, t.entries))
 
 
-def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None) -> ConfTensor:
-    """The double bracket of the r-matrix r with itself, unreduced, in
-    d1, d2, d3.
+def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
+                  reduced: bool = False) -> ConfTensor:
+    """The double bracket of the r-matrix r with itself, in d1, d2, d3;
+    with `reduced`, its class modulo the total derivation, in d2, d3.
 
     Contraction first (see the module docstring): one polynomial product
     per (entry, key of its contracted table), not per pair of entries.
@@ -158,12 +167,15 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None) -> Co
     reg = alg.reg
     names = alg.basis_names
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
+    if reduced:
+        # the maps and slot 1's bracket read d1 as -(d2 + d3)
+        d1 = -(d2 + d3)
     s1, s2 = reg.sym("d1"), reg.sym("d2")
     # The five coefficient substitutions, kept by the algebra: A at
     # (-d2, d2) and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and
     # (d2, -d2), the last two negated to carry their slots' sign.  An
     # entry's form is substituted on first use.
-    maps = alg.memo("ccybe_bracket.maps", lambda: [
+    maps = alg.memo(("ccybe_bracket.maps", reduced), lambda: [
         Substitution(reg, {s1: u, s2: v}) for u, v in
         ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))])
     forms: dict = {}
@@ -221,15 +233,11 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None) -> Co
     return ConfTensor(alg, 3, {tup: acc.value() for tup, acc in out.items()})
 
 
-def strict_verdict(bracket: ConfTensor) -> tuple[bool, ConfTensor]:
-    """The double bracket reduced modulo the total derivation; True iff
-    it vanishes identically."""
-    residue = reduce_mod_total(bracket)
-    return residue.is_zero(), residue
-
-
 def is_strict_solution(r: ConfTensor) -> tuple[bool, ConfTensor]:
-    return strict_verdict(ccybe_bracket(r))
+    """The double bracket modulo the total derivation; True iff it
+    vanishes identically."""
+    residue = ccybe_bracket(r, reduced=True)
+    return residue.is_zero(), residue
 
 
 def generator_actions(t: ConfTensor) -> dict[str, ConfTensor]:
@@ -246,8 +254,9 @@ def generator_actions(t: ConfTensor) -> dict[str, ConfTensor]:
 
 
 def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
-    """The generator actions on the double bracket at mu = -(d1 + d2 + d3);
-    True iff all vanish.
+    """The generator actions on the double bracket, or on its class
+    modulo the total derivation (the same actions), at
+    mu = -(d1 + d2 + d3); True iff all vanish.
 
     Checking generators suffices: an element g(D)a contributes the
     overall factor g(-mu) = g(d1 + d2 + d3), which scales the generator
@@ -258,7 +267,7 @@ def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
 
 
 def is_weak_solution(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
-    return weak_verdict(ccybe_bracket(r))
+    return weak_verdict(ccybe_bracket(r, reduced=True))
 
 
 def is_invariant(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
@@ -586,8 +595,8 @@ def derive_projection(triple: Sequence[str], r: ConfTensor) -> MPoly:
     the triple up to the entry's recorded integer scale.
     """
     triple = tuple(triple)
-    bracket = ccybe_bracket(r, [triple])
-    return _rename_to_xyz(project_reduced(bracket, triple), r.alg.reg)
+    bracket = ccybe_bracket(r, [triple], reduced=True)
+    return _rename_to_xyz(project(bracket, triple), r.alg.reg)
 
 
 def derive_weak_projection(generator: str, triple: Sequence[str], r: ConfTensor) -> MPoly:
@@ -606,7 +615,7 @@ def derive_weak_projection(generator: str, triple: Sequence[str], r: ConfTensor)
     feeds = [triple[:i] + (b,) + triple[i + 1:]
              for i in range(3) for b in alg.basis_names
              if triple[i] in alg.basis_bracket(generator, b, d, lam)]
-    bracket = ccybe_bracket(r, feeds)
+    bracket = ccybe_bracket(r, feeds, reduced=True)
     acted = act_on_tensor([alg.generator(generator)], bracket, -bracket.total())[0]
     return _rename_to_xyz(project(acted, triple), reg)
 

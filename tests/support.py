@@ -5,7 +5,8 @@ formulas (classical Yang-Baxter expansion, adjoint actions, slotwise
 lambda-actions) so that the engine under test is checked by a second,
 structurally different computation.  Others are slower reference
 paths the engine replaced: the pairwise double bracket, the two-pass
-reduced action, the unstructured candidate enumeration of the search,
+reduced action, the reduction modulo the total derivation after the
+bracket is built, the unstructured candidate enumeration of the search,
 its flat scan of the consistent candidates, and the term-by-term
 generic profile.  The rest are checks
 and constructions only the tests use: diagonal restrictions, the
@@ -23,8 +24,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from ccybe import search
-from ccybe.conformal import ConfTensor, act_on_tensor, permute_slots, reduce_mod_total
-from ccybe.exactpoly import MPoly, SymbolRegistry, _scalar
+from ccybe.conformal import ConfTensor, act_on_tensor, permute_slots, project
+from ccybe.exactpoly import MPoly, Substitution, SymbolRegistry, _scalar
 from ccybe.families import FamilySpec, build_profile
 from ccybe.liealg import AutMatrix, LieAlg, Scalar, is_zero_scalar, sl2, tensor_add
 from ccybe.search import candidate_profile, filter_equation_names
@@ -206,6 +207,27 @@ def act_then_eliminate(elem, t):
     reg = t.alg.reg
     acted = act_on_tensor([elem], t, reg.var("mu"))[0]
     return acted.map_coeffs(lambda p: p.subst_many({reg.sym("mu"): -t.total()}))
+
+
+# Reduction modulo the total derivation after the fact: d1 := -(d2 + ...
+# + dN) on every coefficient.  The engine builds the double bracket in
+# the quotient directly (ccybe_bracket with `reduced`).
+
+
+def _eliminate_d1(t: ConfTensor) -> dict:
+    """The substitution d1 := -(d2 + ... + dN)."""
+    d1 = t.slot_sym(0)
+    return {d1: t.alg.reg.var(d1) - t.total()}
+
+
+def reduce_mod_total(t: ConfTensor) -> ConfTensor:
+    """Reduce modulo the total derivation: d1 := -(d2 + ... + dN)."""
+    return t.map_coeffs(Substitution(t.alg.reg, _eliminate_d1(t)))
+
+
+def project_reduced(t: ConfTensor, tup) -> MPoly:
+    """project(reduce_mod_total(t), tup), reducing that coefficient only."""
+    return project(t, tup).subst_many(_eliminate_d1(t))
 
 
 # Unstructured search oracles (desk-scale configurations only).

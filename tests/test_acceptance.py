@@ -16,7 +16,6 @@ from ccybe.conformal import (
     ConfElem,
     ConfTensor,
     act_on_tensor,
-    reduce_mod_total,
 )
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import phi_matrix, sl2
@@ -38,6 +37,7 @@ from support import (
     is_totally_antisymmetric,
     random_unimodular,
     random_univariate,
+    reduce_mod_total,
     weak_cybe_defect,
 )
 

@@ -948,6 +948,8 @@ _argv = st.one_of(
               st.sampled_from((["--out", "{out}"], ["--out", "{out}"], ["--out", "{dir}"],
                                [])),
               _flags(["--spec", "{spec}"], ["--bogus"])),
+    # the drawn spec file always reaches cmd_family here
+    st.builds(lambda case: ["family", case, "--spec", "{spec}", "--out", "{out}"], _case),
     st.lists(st.sampled_from(("verify", "{file}", "--help", "bogus", "")), max_size=3),
 )
 

@@ -11,13 +11,12 @@ from ccybe.conformal import (
     lambda_bracket,
     permute_slots,
     project,
-    reduce_mod_total,
     tau,
 )
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import sl2
 
-from support import act_then_eliminate, random_univariate
+from support import act_then_eliminate, random_univariate, reduce_mod_total
 
 F = Fraction
 

@@ -39,6 +39,7 @@ from support import (
     invariance_residues,
     naive_run,
     random_poly,
+    reduce_mod_total,
 )
 
 F = Fraction
@@ -491,18 +492,22 @@ def test_exact_check_catches_near_misses(max_degree):
 
 
 def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
-    # the weak verdict (generator actions) and the strict one (reduction)
-    # of a survivor are read from the same double bracket; the generator
-    # actions are one act_on_tensor call per survivor, looked up on ybe,
-    # where a tracer sees it; and the arity-3 action table is built once
-    # per process, on the process's algebra
+    # the weak verdict (generator actions) and the strict one (whether it
+    # vanishes) of a survivor are read from the same double bracket, built
+    # modulo the total derivation, so no reduction step runs; the
+    # generator actions are one act_on_tensor call per survivor, looked up
+    # on ybe, where a tracer sees it; and the arity-3 action table is
+    # built once per process, on the process's algebra
     calls = {"ccybe_bracket": 0, "generator_actions": 0, "reduce_mod_total": 0,
              "act_on_tensor": 0}
+    unreduced = []
     for name in calls:
-        def counted(*args, _name=name, _fn=getattr(ybe, name)):
+        def counted(*args, _name=name, _fn=getattr(ybe, name, reduce_mod_total), **kwargs):
             calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(ybe, name, counted)
+            if _name == "ccybe_bracket" and not kwargs.get("reduced"):
+                unreduced.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ybe, name, counted, raising=False)
     builds = []
     build = conformal._action_table
 
@@ -517,5 +522,7 @@ def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
     for runs in (1, 2):
         report = run_search(cfg)
         assert len(report.survivors) == 39 and not report.characterization_failures
-        assert calls == dict.fromkeys(calls, 39 * runs)
+        assert calls == {"ccybe_bracket": 39 * runs, "generator_actions": 39 * runs,
+                         "reduce_mod_total": 0, "act_on_tensor": 39 * runs}
+        assert not unreduced
         assert builds == [3]

@@ -11,11 +11,10 @@ from ccybe.conformal import (
     ConfTensor,
     act_on_tensor,
     project,
-    project_reduced,
-    reduce_mod_total,
     tau,
 )
 from ccybe.exactpoly import RegistryMismatch, SymbolRegistry
+from ccybe.families import SL2_CASES, FamilySpec, build_profile
 from ccybe.liealg import phi_matrix, psi_matrix, sl2
 from ccybe.ybe import (
     CATALOG,
@@ -42,8 +41,10 @@ from support import (
     invariance_residues,
     pairwise_bracket,
     permutation_symmetry_check,
+    project_reduced,
     random_unimodular,
     random_univariate,
+    reduce_mod_total,
     termwise_generic_profile,
 )
 
@@ -193,6 +194,104 @@ def test_bracket_constant_solution_at_zero(cur, reg):
     zero = {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")}
     at_zero = bracket.map_coeffs(lambda p: p.subst_many(zero))
     assert at_zero.is_zero()
+
+
+# Double bracket modulo the total derivation ------------------------------------------
+
+
+def _member(case, formal):
+    """The canonical lift of a member of the family `case`, with integer
+    or formal parameters and f of degree 2 (formal coefficients too)."""
+    reg = SymbolRegistry()
+    names = SL2_CASES[case].params
+    if case == "cor6_iii":
+        u, v = (reg.var(n) for n in "uv") if formal else (1, 2)
+        params = {"alpha": u * u, "beta": u * v * 2, "gamma": v * v}
+    elif formal:
+        params = {n: reg.var(n) for n in names}
+    else:
+        params = {n: k + 1 for k, n in enumerate(names)}
+    t = reg.var("t")
+    f = t * t + (reg.var("f1") * t + reg.var("f0") if formal else t * -2 + 3)
+    return lift_profile(build_profile(FamilySpec(case, reg, params, f=f)))
+
+
+def _check_reduced(r, tuples=None):
+    # the bracket built modulo the total derivation is the reduction of
+    # the full bracket, and no coefficient of it reads d1; the full one
+    # is built second on the same algebra, whose memo holds the maps of
+    # both variants, and must still match the pairwise oracle
+    reduced = ccybe_bracket(r, tuples, reduced=True)
+    full = ccybe_bracket(r, tuples)
+    oracle = pairwise_bracket(r).entries
+    wanted = oracle.keys() if tuples is None else set(tuples)
+    assert full.entries == {t: p for t, p in oracle.items() if t in wanted}
+    assert reduced == reduce_mod_total(full)
+    d1 = r.alg.reg.sym("d1")
+    assert all(d1 not in p.symbols() for p in reduced.entries.values())
+    return reduced
+
+
+@pytest.mark.parametrize("formal", [False, True], ids=["numeric", "formal"])
+def test_reduced_bracket_family_members(formal):
+    nonzero = 0
+    for case in sorted(SL2_CASES):
+        r = _member(case, formal)
+        reduced = _check_reduced(r)
+        # the cor6 members are strict solutions, the thm5 ones only weak
+        assert reduced.is_zero() == case.startswith("cor6"), case
+        nonzero += not reduced.is_zero()
+    assert nonzero >= 3
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "param"])
+def test_reduced_bracket_random_and_restricted(kind):
+    # dense random r in d1 and d2 on sl2 and on Virasoro, whole and
+    # restricted to random sets of triples
+    rng = random.Random(30 + len(kind))
+    pairs = list(itertools.product("efh", repeat=2))
+    triples = list(itertools.product("efh", repeat=3))
+    nonzero = 0
+    for degree in range(4):
+        reg = SymbolRegistry()
+        cur = ConfAlgebra.cur(sl2(), reg)
+        r = ConfTensor(cur, 2, {pair: _random_coeff(reg, rng, kind, degree) for pair in pairs})
+        nonzero += not _check_reduced(r).is_zero()
+        for size in (0, 1, rng.randint(2, len(triples))):
+            _check_reduced(r, rng.sample(triples, size))
+        vir = ConfAlgebra.vir(reg)
+        r = ConfTensor(vir, 2, {("v", "v"): _random_coeff(reg, rng, kind, degree)})
+        nonzero += not _check_reduced(r).is_zero()
+        _check_reduced(r, [("v", "v", "v")])
+    assert nonzero >= 6
+
+
+def test_reduced_bracket_zero_and_vir(cur, reg):
+    assert ccybe_bracket(ConfTensor(cur, 2, {}), reduced=True).is_zero()
+    # v x v with coefficient 1: d1 - d2 - 3 d3 at d1 = -(d2 + d3); slot
+    # 1's inserted bracket d + 2 lam is read at d = -(d2 + d3) too
+    vir = ConfAlgebra.vir(reg)
+    r = ConfTensor(vir, 2, {("v", "v"): reg.const(1)})
+    assert ccybe_bracket(r, reduced=True).entries == {("v", "v", "v"): reg.parse("-2*d2 - 4*d3")}
+
+
+def test_generator_actions_read_only_the_class(cur, reg):
+    # acting at -(d1 + d2 + d3) sends the total derivation to zero, so
+    # the generator actions on the reduced bracket are those on the full
+    # one: the weak verdict may read the class alone
+    vir = ConfAlgebra.vir(reg)
+    cases = [  # (r, whether its weak defect is nonzero)
+        (ConfTensor(cur, 2, {("e", "f"): reg.const(1)}), True),
+        (ConfTensor(cur, 2, {("e", "e"): reg.const(1), ("h", "f"): reg.var("d1"),
+                             ("f", "h"): reg.parse("d2^2 - 2*d1")}), True),
+        (ConfTensor(vir, 2, {("v", "v"): reg.const(1)}), True),
+        (ConfTensor(vir, 2, {("v", "v"): reg.parse("d1^2 - 3*d1*d2 + 2")}), True),
+        (_member("thm5_ii", False), False),
+    ]
+    for r, defective in cases:
+        full = generator_actions(ccybe_bracket(r))
+        assert generator_actions(ccybe_bracket(r, reduced=True)) == full
+        assert any(not t.is_zero() for t in full.values()) == defective
 
 
 # Strict / weak / invariance --------------------------------------------------------
