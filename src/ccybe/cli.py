@@ -77,23 +77,29 @@ def _run_check(r, mode: str) -> dict:
     return report
 
 
-def cmd_verify(args) -> int:
-    try:
-        r = rmatfile.load(args.input)
-    except (OSError, rmatfile.RMatFileError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE
+def _reads_rmatrix(run):
+    """The handler that loads the r-matrix file `args.input` and returns
+    run(args, r); a file that cannot be read or parsed prints one
+    `error:` line and exits USAGE."""
+    def handler(args) -> int:
+        try:
+            r = rmatfile.load(args.input)
+        except (OSError, rmatfile.RMatFileError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return USAGE
+        return run(args, r)
+    return handler
+
+
+@_reads_rmatrix
+def cmd_verify(args, r) -> int:
     report = _run_check(r, args.mode)
     _emit_report(report, args.format)
     return PASS if report["ok"] else FAIL
 
 
-def cmd_expand(args) -> int:
-    try:
-        r = rmatfile.load(args.input)
-    except (OSError, rmatfile.RMatFileError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE
+@_reads_rmatrix
+def cmd_expand(args, r) -> int:
     for title, tensor in (("double bracket (unreduced)", ybe.ccybe_bracket(r)),
                           ("reduced modulo the total derivation",
                            ybe.ccybe_bracket(r, reduced=True))):

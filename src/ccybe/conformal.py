@@ -224,11 +224,6 @@ class ConfTensor:
             and self.entries == other.entries
         )
 
-    def map_coeffs(self, fn) -> "ConfTensor":
-        return ConfTensor(
-            self.alg, self.arity, {t: fn(p) for t, p in self.entries.items()}
-        )
-
 
 def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
                   lam: MPoly) -> list[ConfTensor]:

@@ -23,16 +23,20 @@ coefficient(), constant_term() and constant_value() return Fractions.
 
 Substitution is the one substitution path: a map {symbol: polynomial}
 is compiled once and applied to any number of polynomials; MPoly.subst_many
-compiles a map for a single use.  Each target keeps the powers it has
-built, and a missing power n is built from them: as power(m) *
+compiles a map for a single use.  The cost model: a power of a one-term
+polynomial c * m is the one term c ** n * m ** n, one key product and
+one scalar power, with no polynomial product; so when every target of a
+map is one term (a rename, a sign flip, a constant), each term maps to
+one term by key arithmetic alone.  Any other target keeps the powers it
+has built, and a missing power n is built from them: as power(m) *
 power(n - m) from the highest power m held below n when 2m >= n, else
 by squaring, so no power is expanded from scratch and a lone high power
-costs O(log n) products; MPoly.__pow__ builds a nonconstant power the
-same way.  A power that would take an exponent to EXPONENT_LIMIT is
-refused before the first product.  Callers that apply one map to many
-polynomials (a tensor's coefficients) build it once; a map that depends
-only on an algebra is kept by that algebra (conformal.ConfAlgebra.memo)
-and serves every tensor over it.
+costs O(log n) products; MPoly.__pow__ builds a power the same way,
+through the same function.  A power that would take an exponent to
+EXPONENT_LIMIT is refused before the first product or key sum.  Callers
+that apply one map to many polynomials (a tensor's coefficients) build
+it once; a map that depends only on an algebra is kept by that algebra
+(conformal.ConfAlgebra.memo) and serves every tensor over it.
 
 PolySum is the fused multiply-accumulate: a sum of products a * b (b a
 polynomial or an exact scalar) added term by term into one table, with
@@ -401,11 +405,9 @@ class MPoly:
             raise ValueError("negative exponents are not supported")
         if n == 0:
             return self.reg.const(1)
-        if self.is_constant():
-            # exact, and at any n: _build_power recurses log2 n deep
-            return self.reg.const(self._terms.get(0, 0) ** n)
-        self._refuse_power(n)
-        return _build_power({1: self}, n)
+        if not self._terms:
+            return self
+        return _power_from({1: self}, n)
 
     def _refuse_power(self, n: int) -> None:
         """Raise ExponentOverflow if self ** n would reach EXPONENT_LIMIT
@@ -532,25 +534,42 @@ class Substitution:
     """A simultaneous substitution, compiled once and applied to many
     polynomials of one registry: `Substitution(reg, {sym: expr})(p)`.
 
-    A polynomial is written as the sum over t of m_t * q_t, with m_t the
-    part of a monomial in the substituted symbols and q_t free of them;
-    then each q_t is multiplied by the image of m_t once.  The image of
-    m_t is a product of powers of the targets.  Each power built is kept
-    for the lifetime of the object, and a missing power n is built from
-    the highest power m < n of that target already held: as
+    When every target is one term c * m (a rename, a sign flip, a
+    monomial, a constant, or zero), every term of a polynomial maps to
+    one term, and the map costs key arithmetic only: a term
+    a * m_t * q, with m_t = prod s_i ** e_i its part in the substituted
+    symbols, goes to a * prod c_i ** e_i * prod m_i ** e_i * q, whose key
+    is the key of q plus sum e_i * key(m_i).  No power is built and no
+    polynomial product is taken.  Each e_i * key(m_i) has every field
+    below EXPONENT_LIMIT (else the power is refused, as below), but two
+    images can meet in one field, so the guard mask is checked after
+    each addition to the image key, before a third could carry; adding
+    the key of q then cannot carry, and the result's guard bits are
+    checked once, as for any sum of two clean keys.
+
+    Otherwise a polynomial is written as the sum over t of m_t * q_t,
+    with q_t free of the substituted symbols, and each q_t is multiplied
+    by the image of m_t once.  That image is a product of powers of the
+    targets.  Each power of a target of two or more terms is kept for
+    the lifetime of the object, and a missing power n is built from the
+    highest power m < n of that target already held: as
     power(m) * power(n - m) when 2m >= n, else as power(n // 2) squared
     (times the target for odd n), each factor found or built the same
     way.  So rising exponents, odd-only or gapped ones (x * f(x^2))
     included, cost about one product per new power, a lone power n
     costs O(log n) products and keeps O(log n) powers, and no power is
-    expanded from scratch.  A power whose exponent would reach
-    EXPONENT_LIMIT is refused before any product is taken.  The cache
-    belongs to the object, and its powers are bounded by the degrees it
-    has seen: a map may live as long as the algebra that holds it (see
-    conformal.ConfAlgebra.memo), or be built for one tensor and dropped.
+    expanded from scratch.  A power of a one-term target in such a map
+    is that one term, built with no product (see _power_from).  The
+    cache belongs to the object, and its powers are bounded by the
+    degrees it has seen: a map may live as long as the algebra that
+    holds it (see conformal.ConfAlgebra.memo), or be built for one
+    tensor and dropped.
+
+    On both paths a power whose exponent would reach EXPONENT_LIMIT is
+    refused before any product or key sum takes it.
     """
 
-    __slots__ = ("reg", "_shifts", "_cleared", "_powers")
+    __slots__ = ("reg", "_shifts", "_cleared", "_powers", "_monomials")
 
     def __init__(self, reg: SymbolRegistry, mapping: Mapping[Sym, Union[MPoly, Scalar]]):
         self.reg = reg
@@ -564,13 +583,23 @@ class Substitution:
         self._powers = powers
         self._shifts = [(idx, _FIELD * idx) for idx in sorted(powers)]
         self._cleared = reduce(or_, (_FIELD_MASK << shift for _, shift in self._shifts), 0)
+        # (shift, key, coefficient, top exponent, target) per one-term
+        # target, zero as (0, 0); None unless every target is one term
+        monomials = []
+        for idx, shift in self._shifts:
+            target = powers[idx][1]
+            if len(target._terms) > 1:
+                monomials = None
+                break
+            ((k, c),) = target._terms.items() or ((0, 0),)
+            monomials.append((shift, k, c, max(_unpack(k), default=0), target))
+        self._monomials = monomials
 
     def _power(self, idx: int, n: int) -> MPoly:
         held = self._powers[idx]
         pw = held.get(n)
         if pw is None:
-            held[1]._refuse_power(n)
-            pw = _build_power(held, n)
+            pw = _power_from(held, n)
         return pw
 
     def __call__(self, p: MPoly) -> MPoly:
@@ -579,6 +608,8 @@ class Substitution:
         cleared = self._cleared
         if not cleared:
             return p
+        if self._monomials is not None:
+            return self._map_terms(p)
         groups: dict[int, dict[int, Scalar]] = {}
         for key, coeff in p._terms.items():
             t = key & cleared
@@ -594,6 +625,55 @@ class Substitution:
             _mac(out, image._terms.items(), rest.items())
         self.reg._check_guard(out)
         return MPoly._raw(self.reg, out)
+
+    def _map_terms(self, p: MPoly) -> MPoly:
+        """The image of p when every target is one term: term to term."""
+        reg = self.reg
+        guard = reg._guard
+        cleared = self._cleared
+        monomials = self._monomials
+        out: dict[int, Scalar] = {}
+        get = out.get
+        for key, coeff in p._terms.items():
+            t = key & cleared
+            if t:
+                image = 0
+                for shift, k, c, top, target in monomials:
+                    e = (t >> shift) & _FIELD_MASK
+                    if e:
+                        if e * top >= EXPONENT_LIMIT:
+                            target._refuse_power(e)
+                        if c != 1:
+                            coeff = coeff * c ** e
+                        image += e * k
+                        # a zero image has no key to overflow
+                        if image & guard and coeff:
+                            reg._check_guard((image,))
+                if not coeff:
+                    continue
+                key = (key ^ t) + image
+            s = get(key, 0) + coeff
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        reg._check_guard(out)
+        return MPoly._raw(reg, out)
+
+
+def _power_from(held: dict[int, MPoly], n: int) -> MPoly:
+    """base ** n for n >= 1, with `held` the powers of base built so far
+    ({k: base ** k}, with base at 1): the one power path of ** and
+    Substitution.  A power that would take an exponent to EXPONENT_LIMIT
+    is refused first.  A one-term base c * m gives the one term
+    c ** n * m ** n, with no product; any other base is built from held
+    by _build_power, which keeps every power it builds there."""
+    base = held[1]
+    base._refuse_power(n)
+    if len(base._terms) == 1:
+        ((k, c),) = base._terms.items()
+        return MPoly._raw(base.reg, {k * n: c ** n})
+    return _build_power(held, n)
 
 
 def _build_power(held: dict[int, MPoly], n: int) -> MPoly:

@@ -14,31 +14,34 @@ coefficient substitutions are
 with the basis-level bracket evaluated at (d, lam) = (slot variable,
 contraction variable): (d1, d2), (d2, d3), (d3, d2) respectively.
 
-ccybe_bracket contracts first.  Each of the five substitutions is
-compiled once per algebra (an exactpoly.Substitution kept in the
-algebra's memo, see conformal.ConfAlgebra.memo, with the powers of its
-targets it has built) and each entry's forms are built once, the last
-two negated to carry their slots' sign.  Then, for
-each slot, the inserted bracket is summed against the B forms: slot 1
-gives, per left index q, a table keyed (k, l') of sum over entries
-(q', l') of [q, q']_k B; slots 2 and 3 give, per right index l, one
-shared table keyed (k, l') resp. (q', k), since both multiply
-A(d1, d2+d3).  For a current algebra the inserted bracket is a
-structure constant, so this step is scalar multiples and sums; for
-Virasoro it is the polynomial d + 2 lam.  Last, each A form is
-multiplied once by each coefficient of its table.  Every table
-coefficient and every output coefficient is one exactpoly.PolySum, so
-each of these products is added term by term into its sum, with no
-polynomial built per product.
+ccybe_bracket contracts first.  Each of the five substitutions (four
+for the class below) is compiled once per algebra (an
+exactpoly.Substitution kept in the algebra's memo, see
+conformal.ConfAlgebra.memo, with the powers of its targets it has
+built) and each entry's forms are built once; the minus signs of slots
+2 and 3 go on the inserted bracket.  Then, for each slot, the inserted
+bracket is summed against the B forms: slot 1 gives, per left index q,
+a table keyed (k, l') of sum over entries (q', l') of [q, q']_k B;
+slots 2 and 3 give, per right index l, one shared table keyed (k, l')
+resp. (q', k), since both multiply A(d1, d2+d3).  For a current
+algebra the inserted bracket is a structure constant, so this step is
+scalar multiples and sums; for Virasoro it is the polynomial d + 2 lam.
+Last, each A form is multiplied once by each coefficient of its table.
+Every table coefficient and every output coefficient is one
+exactpoly.PolySum, so each of these products is added term by term
+into its sum, with no polynomial built per product.
 
 Following Liberati, the CCYBE and its weak version live in the quotient
 of R x R x R by the image of the total derivation d1 + d2 + d3, read
 with d1 := -(d2 + d3).  With `reduced`, ccybe_bracket builds the
 bracket's class there directly: d1 is read as -(d2 + d3) in the A and
-B substitutions (B(d1+d2, d3) becomes B(-d3, d3)) and in slot 1's
-inserted bracket, so no product carries d1.  A substitution is a ring
-map, so this is the full bracket reduced afterwards.  Every verdict
-reads only the class; the full bracket serves `expand` and `cybe`.
+B substitutions (B(d1+d2, d3) becomes B(-d3, d3), so slots 1 and 2
+share one B form and four maps serve) and in slot 1's inserted bracket,
+so no product carries d1.  A substitution is a ring map, so this is the
+full bracket reduced afterwards.  Every verdict reads only the class;
+the full bracket serves `expand` and `cybe`.  Four of the reduced
+maps, and lift_profile's, send each symbol to one term, so they map
+term to term with no polynomial product (see exactpoly.Substitution).
 
 Given a set of output triples, ccybe_bracket builds only those
 coefficients: a final product or a table key that feeds no wanted
@@ -65,9 +68,10 @@ bracket's specialization at d1 = d2 = d3 = 0.
 
 The tables these checks read belong to the algebra of the r-matrix and
 live as long as it (conformal.ConfAlgebra.memo): the double bracket's
-five coefficient maps of each variant, the generator-action table of
-each arity, and lift_profile's map x -> d1, each with the powers of its
-targets it has built, which the degrees seen so far bound.  So a caller
+coefficient maps (five for the full bracket, four for its class), the
+generator-action table of each arity, and lift_profile's map x -> d1,
+each with the powers of its targets it has built, which the degrees
+seen so far bound.  So a caller
 that checks many r-matrices over one algebra (the search, with one
 algebra per process) builds each table once; a caller that makes an
 algebra per check (the CLI) builds each once per check, and
@@ -171,22 +175,27 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
         # the maps and slot 1's bracket read d1 as -(d2 + d3)
         d1 = -(d2 + d3)
     s1, s2 = reg.sym("d1"), reg.sym("d2")
-    # The five coefficient substitutions, kept by the algebra: A at
-    # (-d2, d2) and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and
-    # (d2, -d2), the last two negated to carry their slots' sign.  An
-    # entry's form is substituted on first use.
-    maps = alg.memo(("ccybe_bracket.maps", reduced), lambda: [
-        Substitution(reg, {s1: u, s2: v}) for u, v in
-        ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))])
+
+    # The coefficient substitutions, kept by the algebra: A at (-d2, d2)
+    # and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2).  In
+    # the class, d1 + d2 reads -d3, so B's first two maps are one and
+    # four are kept.
+    def build_maps() -> list:
+        pairs = [(-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2)]
+        if reduced:
+            del pairs[3]
+        return [Substitution(reg, {s1: u, s2: v}) for u, v in pairs]
+
+    maps = alg.memo(("ccybe_bracket.maps", reduced), build_maps)
+    # the maps of B in slots 2 and 3; slot 1's is map 2
+    b2, b3 = (2, 3) if reduced else (3, 4)
     forms: dict = {}
 
     def form(key: tuple, j: int) -> MPoly:
+        """Map j's image of an entry, substituted on first use."""
         poly = forms.get((key, j))
         if poly is None:
-            poly = maps[j](r.entries[key])
-            if j >= 3:
-                poly = -poly
-            forms[key, j] = poly
+            poly = forms[key, j] = maps[j](r.entries[key])
         return poly
 
     # A wanted triple (a, b, c) reads slot 1's tables at (a, c) and the
@@ -211,12 +220,13 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
             for k, v in alg.basis_bracket(p, q2, d1, d2).items():
                 if (k, l2) in keys13:
                     slot1[p][k, l2].add(form(key2, 2), v)
+            # slots 2 and 3 carry a minus sign, put on the bracket value
             for k, v in alg.basis_bracket(q2, p, d2, d3).items():
                 if (k, l2) in keys23:
-                    slot23[p][k, l2].add(form(key2, 3), v)
+                    slot23[p][k, l2].add(form(key2, b2), -v)
             for k, v in alg.basis_bracket(l2, p, d3, d2).items():
                 if (q2, k) in keys23:
-                    slot23[p][q2, k].add(form(key2, 4), v)
+                    slot23[p][q2, k].add(form(key2, b3), -v)
     for tables in (slot1, slot23):
         for p, table in tables.items():
             tables[p] = {key: acc.value() for key, acc in table.items()}
@@ -551,12 +561,12 @@ def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
         for entry, arg in ((left, arg1), (right, arg2)):
             if (entry, arg) not in at:
                 at[entry, arg] = maps[arg](p.entry(entry[0], entry[1]))
-    acc = reg.zero()
+    acc = PolySum(reg)
     for coeff, left, arg1, right, arg2 in eq.terms:
-        acc = acc + at[left, arg1] * at[right, arg2] * coeff
+        acc.add(at[left, arg1] * coeff, at[right, arg2])
     if eq.shifted:
-        acc = acc + shift_constant(p.constant_values())
-    return acc
+        acc.add(shift_constant(p.constant_values()), 1)
+    return acc.value()
 
 
 # Generic profiles and re-derivation ------------------------------------------------
@@ -572,10 +582,10 @@ def generic_profile(reg: SymbolRegistry, degree: int = 4, prefix: str = "c") -> 
     x = reg.sym("x")
     entries = {}
     for q, l in PAIRS:
-        poly = reg.zero()
+        acc = PolySum(reg)
         for j in range(degree + 1):
-            poly = poly + reg.var(f"{prefix}_{q}{l}_{j}") * reg.var(x, j)
-        entries[(q, l)] = poly
+            acc.add(reg.var(f"{prefix}_{q}{l}_{j}"), reg.var(x, j))
+        entries[(q, l)] = acc.value()
     return DiagProfile(reg, entries, constants=None)
 
 

@@ -12,8 +12,9 @@ generic profile.  The rest are checks
 and constructions only the tests use: diagonal restrictions, the
 invariance residues, the invariance-constrained generic profile, slot
 permutation symmetry, the weak defect of a constant r, antisymmetry of
-constant 3-tensors, algebras from JSON, the identity automorphism and
-the general invariant constant tensor.
+constant 3-tensors, algebras from JSON, the identity automorphism, the
+general invariant constant tensor and a map over a tensor's
+coefficients.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def random_poly(reg, rng, names, max_degree=4, max_terms=5):
                 term = term * reg.var(name, e)
         p = p + term
     return p
+
+
+def map_coeffs(t: ConfTensor, fn) -> ConfTensor:
+    """The tensor with fn applied to every coefficient."""
+    return ConfTensor(t.alg, t.arity, {tup: fn(p) for tup, p in t.entries.items()})
 
 
 def termwise_subst(p: MPoly, mapping: Mapping) -> MPoly:
@@ -206,7 +212,7 @@ def pairwise_bracket(r):
 def act_then_eliminate(elem, t):
     reg = t.alg.reg
     acted = act_on_tensor([elem], t, reg.var("mu"))[0]
-    return acted.map_coeffs(lambda p: p.subst_many({reg.sym("mu"): -t.total()}))
+    return map_coeffs(acted, lambda p: p.subst_many({reg.sym("mu"): -t.total()}))
 
 
 # Reduction modulo the total derivation after the fact: d1 := -(d2 + ...
@@ -222,7 +228,7 @@ def _eliminate_d1(t: ConfTensor) -> dict:
 
 def reduce_mod_total(t: ConfTensor) -> ConfTensor:
     """Reduce modulo the total derivation: d1 := -(d2 + ... + dN)."""
-    return t.map_coeffs(Substitution(t.alg.reg, _eliminate_d1(t)))
+    return map_coeffs(t, Substitution(t.alg.reg, _eliminate_d1(t)))
 
 
 def project_reduced(t: ConfTensor, tup) -> MPoly:

@@ -35,6 +35,7 @@ from support import (
     diagonal_profile_of,
     invariance_residues,
     is_totally_antisymmetric,
+    map_coeffs,
     random_unimodular,
     random_univariate,
     reduce_mod_total,
@@ -126,7 +127,7 @@ def test_criterion_1_algebra_laws():
             # module axiom on tensor squares
             t = random_tensor2(alg, rng)
             lhs = act_on_tensor([bracket_as_elem(alg, base, "nu")], t, reg.var(rho))[0]
-            lhs = lhs.map_coeffs(lambda p: p.subst_many({rho: lam + mu, nu: lam}))
+            lhs = map_coeffs(lhs, lambda p: p.subst_many({rho: lam + mu, nu: lam}))
             rhs = (act_on_tensor([a], act_on_tensor([b], t, mu)[0], lam)[0]
                    - act_on_tensor([b], act_on_tensor([a], t, lam)[0], mu)[0])
             assert lhs == rhs

@@ -16,7 +16,7 @@ from ccybe.conformal import (
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import sl2
 
-from support import act_then_eliminate, random_univariate, reduce_mod_total
+from support import act_then_eliminate, map_coeffs, random_univariate, reduce_mod_total
 
 F = Fraction
 
@@ -169,8 +169,7 @@ def test_module_action_compatibility(cur):
         # fresh variable rho, then set rho := lam + mu and nu := lam.
         lhs = act_on_tensor([bracket_as_elem(cur, lambda_bracket(a, b), "nu")], t,
                             reg.var(rho))[0]
-        lhs = lhs.map_coeffs(
-            lambda p: p.subst_many({rho: lam + mu, nu: lam}))
+        lhs = map_coeffs(lhs, lambda p: p.subst_many({rho: lam + mu, nu: lam}))
         ab = act_on_tensor([a], act_on_tensor([b], t, mu)[0], lam)[0]
         ba = act_on_tensor([b], act_on_tensor([a], t, lam)[0], mu)[0]
         assert lhs == ab - ba

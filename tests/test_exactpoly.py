@@ -300,11 +300,14 @@ def products(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("mapping", [
-    {"x": "x + 2*z", "y": "1 - y"},
-    {"x": "-3*z^2", "y": "2*x*y"},
+@pytest.mark.parametrize("mapping, expected", [
+    # x: 2, 4, 4^2 * x; 2 * 1 and 4 * 3; y: 2, 2^2 * y and the image
+    # x^2 * y^5; x: 9 * 3; the image x^9 * y^5
+    ({"x": "x + 2*z", "y": "1 - y"}, [4, 2, 4, 1, 1]),
+    # one-term targets: every term maps to one term, with no product
+    ({"x": "-3*z^2", "y": "2*x*y"}, [0, 0, 0, 0, 0]),
 ], ids=["binomial", "monomial"])
-def test_substitution_powers_from_held(reg, monkeypatch, products, mapping):
+def test_substitution_powers_from_held(reg, monkeypatch, products, mapping, expected):
     # a missing power is built from the powers held and kept: x^9 first
     # keeps x^2, x^4 and x^9, the gapped exponents after it take one
     # product each from those, and no power is expanded from scratch
@@ -323,9 +326,7 @@ def test_substitution_powers_from_held(reg, monkeypatch, products, mapping):
         del products[:]
         assert sub(p) == want
         steps.append(len(products))
-    # x: 2, 4, 4^2 * x; 2 * 1 and 4 * 3; y: 2, 2^2 * y and the image
-    # x^2 * y^5; x: 9 * 3; the image x^9 * y^5
-    assert steps == [4, 2, 4, 1, 1]
+    assert steps == expected
 
 
 @pytest.mark.parametrize("target, n", [("x*x + y", 1000), ("2", 30000)],
@@ -364,6 +365,84 @@ def test_substitution_power_refused_before_expanding(reg, products):
         sub(reg.var("x", EXPONENT_LIMIT // 2))
     assert products == []
     assert sub(reg.var("x", 4)) == target * target * target * target
+
+
+@pytest.mark.parametrize("mapping", [
+    {"x": "y", "y": "x"},
+    {"x": "-x", "d2": "-d2"},
+    {"x": "-2/3*y^2*z", "y": "3*x*z"},
+    {"x": "5/2", "z": "0"},
+    {"x": "-1", "y": "x^3", "z": "z"},
+    {"x": "-y", "y": "y + 2*z"},
+], ids=["swap", "sign", "monomials", "constants", "identity", "mixed"])
+def test_one_term_targets_match_termwise_oracle(reg, products, mapping):
+    # one-term targets map each term to one term, exactly as the term by
+    # term expansion, and take no product; a mixed map takes the grouped
+    # path for its binomial target and gives the same result
+    mapping = {reg.sym(name): reg.parse(text) for name, text in mapping.items()}
+    sub = Substitution(reg, mapping)
+    rng = random.Random(19)
+    names = ["x", "y", "z", "d2"]
+    for _ in range(40):
+        p = random_poly(reg, rng, names, max_degree=6, max_terms=8)
+        want = termwise_subst(p, mapping)
+        del products[:]
+        assert sub(p) == want
+        if all(target.num_terms() <= 1 for target in mapping.values()):
+            assert products == []
+    # terms that meet and cancel after the map
+    x, y = reg.var("x"), reg.var("y")
+    assert Substitution(reg, {reg.sym("x"): y, reg.sym("y"): x})(x * y * 2 - y * x) == x * y
+    assert Substitution(reg, {reg.sym("x"): -y})(x + y) == 0
+
+
+def test_one_term_power_refused_before_any_product(reg, products):
+    # x -> y^2 on x^20000 is refused as its power would be, before any
+    # product or key sum, and the message is the power's; so is an image
+    # sum that reaches the guard bit, with the guard's message
+    square = Substitution(reg, {reg.sym("x"): reg.parse("y^2")})
+    merge = Substitution(reg, {reg.sym("x"): reg.var("z", 20000),
+                               reg.sym("y"): reg.var("z", 20000)})
+    high, xy = reg.parse("x^20000 + x"), reg.parse("x*y")
+    del products[:]
+    with pytest.raises(ExponentOverflow, match="power 20000 takes an exponent 2 to 40000"):
+        square(high)
+    with pytest.raises(ExponentOverflow, match="exponent of z reaches"):
+        merge(xy)
+    assert products == []
+    assert square(reg.parse("x^16383*z")) == reg.parse("y^32766*z")
+
+
+def test_one_term_images_checked_after_each_key_sum(reg, products):
+    # two images that meet in one field are checked before a third key
+    # is added: z^40000 has its guard bit set, and adding z^30000 to it
+    # would carry into the next field and leave no guard bit to find
+    z20, z30 = reg.var("z", 20000), reg.var("z", 30000)
+    two = Substitution(reg, {reg.sym("x"): z20, reg.sym("y"): z20})
+    three = Substitution(reg, {reg.sym(n): z30 for n in ("x", "y", "w")})
+    # a zero image has no key to overflow, as a product with zero has none
+    zero_first = Substitution(reg, {reg.sym("d"): 0, reg.sym("x"): z30, reg.sym("y"): z30})
+    polys = [reg.parse(text) for text in
+             ("x*y*z^30000", "x*y*w", "y*z^30000", "x + y", "d*x*y + 1")]
+    del products[:]
+    for sub, p in ((two, polys[0]), (three, polys[1]), (two, polys[2])):
+        with pytest.raises(ExponentOverflow, match="exponent of z reaches"):
+            sub(p)
+    assert two(polys[3]) == z20 * 2
+    assert zero_first(polys[4]) == 1
+    assert products == []
+
+
+def test_one_term_power_takes_no_product(reg, products):
+    # a one-term base raised to n is one term, refused as any power
+    base = reg.parse("-3/2*d1^2*x")
+    del products[:]
+    assert base ** 9 == MPoly(reg, {(0, 0, 0, 18, 0, 0, 9): Fraction(-3, 2) ** 9})
+    assert reg.parse("d1^9") == reg.var("d1", 9)
+    assert reg.const(-2) ** 5 == -32
+    assert products == []
+    with pytest.raises(ExponentOverflow, match="power 16384 takes an exponent 2 to 32768"):
+        base ** 16384
 
 
 def test_exponent_overflow_guard(reg):

@@ -39,6 +39,7 @@ from support import (
     constrained_generic_profile,
     diagonal_profile_of,
     invariance_residues,
+    map_coeffs,
     pairwise_bracket,
     permutation_symmetry_check,
     project_reduced,
@@ -192,7 +193,7 @@ def test_bracket_constant_solution_at_zero(cur, reg):
     r = ConfTensor(cur, 2, {("h", "e"): alpha, ("e", "h"): -alpha})
     bracket = ccybe_bracket(r)
     zero = {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")}
-    at_zero = bracket.map_coeffs(lambda p: p.subst_many(zero))
+    at_zero = map_coeffs(bracket, lambda p: p.subst_many(zero))
     assert at_zero.is_zero()
 
 
@@ -394,7 +395,7 @@ def test_weak_generator_sufficiency(cur, reg):
         elem = ConfElem(cur, {name: g})
         acted = act_then_eliminate(elem, bracket)
         factor = g.subst_many({reg.sym("d"): total})
-        assert acted == defects[name].map_coeffs(lambda p: p * factor)
+        assert acted == map_coeffs(defects[name], lambda p: p * factor)
 
 
 def test_invariance_constrained_profile(reg):
@@ -515,7 +516,7 @@ def test_cocommutator_conformal_linear(cur, reg):
         a = cur.generator(name)
         lhs = cocommutator(a.apply_derivation(), r)
         total = reg.parse("d1 + d2")
-        rhs = cocommutator(a, r).map_coeffs(lambda p: p * total)
+        rhs = map_coeffs(cocommutator(a, r), lambda p: p * total)
         assert lhs == rhs
 
 
