@@ -10,7 +10,9 @@ family case.
 Every sl2 profile entry has the shape
 A'_{ql}(x) = A'_{ql}(0) + a_{ql} x f(x^2) with one shared monic f; the
 boundary values A'_{ql}(0) follow the fixed table `ybe.boundary_values`
-over (alpha, beta, gamma, zeta).  The table SL2_CASES states each sl2
+over (alpha, beta, gamma, zeta), which are themselves A'(0) at he, fe,
+hf and hh (`ybe.CONSTANT_PAIRS`), so a profile carries its constants in
+its entries.  The table SL2_CASES states each sl2
 case once: its constants, each a parameter, 0 or beta/2, and its one
 nonzero a_{ql}, a_ee = 1 (case i), a_hh = lhh (case ii), or none
 (case iii).  FamilySpec checks a member against its row and builds it
@@ -28,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 from .conformal import ConfAlgebra, ConfTensor
 from .exactpoly import MPoly, SymbolRegistry, _scalar
 from .liealg import Scalar, rank_le_1
-from .ybe import CONSTANT_NAMES, PAIRS, DiagProfile, boundary_values
+from .ybe import CONSTANT_NAMES, CONSTANT_PAIRS, PAIRS, DiagProfile, boundary_values
 
 
 class Case(NamedTuple):
@@ -211,7 +213,7 @@ def build_profile(spec: FamilySpec) -> DiagProfile:
     amat = spec.coefficient_matrix()
     values = boundary_values([constants[n] for n in CONSTANT_NAMES])
     entries = {pair: amat[pair] * odd_base + v for pair, v in zip(PAIRS, values)}
-    return DiagProfile(reg, entries, constants=dict(constants))
+    return DiagProfile(reg, entries)
 
 
 def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
@@ -240,7 +242,9 @@ class Characterization:
     `shared_f_ok`: every A'_ql - A'_ql(0) is a_ql x f(x^2) with one f,
     hence odd.  `matrix` holds the rows (e, f, h) of (a_ql), exact
     scalars, int-first (all zero when the profile is not symmetric), and
-    `rank_le_1` is the rank test of that matrix."""
+    `rank_le_1` is the rank test of that matrix.  `constants_ok`: the
+    nine A'(0) follow `ybe.boundary_values` of the four constants, the
+    values A'(0) at `ybe.CONSTANT_PAIRS`."""
 
     sym: bool
     shared_f: Optional[MPoly]
@@ -252,15 +256,6 @@ class Characterization:
     @property
     def ok(self) -> bool:
         return self.sym and self.shared_f_ok and self.rank_le_1 and self.constants_ok
-
-
-def _scalar_constants(p: DiagProfile) -> list[Scalar]:
-    """(alpha, beta, gamma, zeta) of a parameter-free profile as exact
-    scalars, int-first (raises ValueError on a parameter)."""
-    if p.constants is None:
-        raise ValueError("profile carries no boundary constants")
-    values = (p.constants[n] for n in CONSTANT_NAMES)
-    return [_scalar(v.constant_value() if isinstance(v, MPoly) else v) for v in values]
 
 
 def characterize(p: DiagProfile) -> Characterization:
@@ -307,9 +302,9 @@ def characterize(p: DiagProfile) -> Characterization:
         tuple(scalars[(q, l)] if sym else 0 for l in names) for q in names
     )
 
-    constants_ok = p.constants is not None and all(
-        want == boundary[pair]
-        for pair, want in zip(PAIRS, boundary_values(_scalar_constants(p)))
+    constants = [boundary[pair] for pair in CONSTANT_PAIRS]
+    constants_ok = all(
+        want == boundary[pair] for pair, want in zip(PAIRS, boundary_values(constants))
     )
 
     return Characterization(
@@ -318,20 +313,21 @@ def characterize(p: DiagProfile) -> Characterization:
     )
 
 
-def scalar_relation_residues(p: DiagProfile, m) -> dict[str, Scalar]:
+def scalar_relation_residues(constants: Sequence[Scalar], m) -> dict[str, Scalar]:
     """Residues of the six relations tying the coefficient matrix to the
     boundary constants; all vanish on a genuine invariant weak solution.
 
-    `m` holds the rows of the numeric matrix of the parameter-free
-    profile `p`, as `characterize(p).matrix` gives them; each residue is
-    an exact scalar, int-first.  `characterize` decides every other
+    `constants` is (alpha, beta, gamma, zeta) of a parameter-free profile
+    p as exact scalars, and `m` holds the rows of its numeric matrix, as
+    `characterize(p).matrix` gives them; each residue is an exact
+    scalar, int-first.  `characterize` decides every other
     relation: the 2x2 minors of m are `rank_le_1`, and each entry
     relation a_lq (A'_ql - A'_ql(0)) - a_ql (A'_lq - A'_lq(0)) vanishes
     term by term once every centered entry is a x f(x^2) with one f
     (`shared_f_ok`) and A'(0) follows the boundary table (`constants_ok`).
     """
     (a_ee, _, _), (a_fe, a_ff, _), (a_he, a_hf, a_hh) = m
-    alpha, beta, gamma, zeta = _scalar_constants(p)
+    alpha, beta, gamma, zeta = constants
     two_zb = zeta * 2 - beta
     residues = {
         "c_e1": two_zb * a_ee - alpha * 2 * a_he,

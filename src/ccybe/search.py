@@ -25,7 +25,7 @@ candidate are always skew, because the invariance relations make mirror
 coefficients equal in odd degrees and opposite in even ones.
 
 Point evaluations decide the filter.  Each filter equation is a
-polynomial identity in (x, y, z) of total degree at most
+polynomial identity in (d2, d3, d1) of total degree at most
 2 * max_degree.  Its points are three integer sample points followed by
 the principal lattice of degree 2 * max_degree in the variables the
 equation uses, which is unisolvent for that degree (see _lattice).  One
@@ -201,15 +201,13 @@ class SearchReport:
 
 def candidate_profile(cfg: SearchConfig, constants: Sequence[Fraction],
                       coeffs: Sequence[Sequence[Fraction]],
-                      reg: Optional[SymbolRegistry] = None) -> DiagProfile:
-    reg = reg or SymbolRegistry()
+                      reg: SymbolRegistry) -> DiagProfile:
     x = reg.sym("x")
     degrees = (0,) + cfg.degrees
     consts = boundary_values(constants)
     entries = {pair: reg.univariate(x, dict(zip(degrees, (consts[i], *coeffs[i]))))
                for i, pair in enumerate(PAIRS)}
-    named = dict(zip(CONSTANT_NAMES, (Fraction(v) for v in constants)))
-    return DiagProfile(reg, entries, constants=named)
+    return DiagProfile(reg, entries)
 
 
 def count_candidates(cfg: SearchConfig) -> int:
@@ -267,7 +265,7 @@ def filter_equation_names(cfg: SearchConfig) -> tuple[str, ...]:
 #
 # A filter equation is sum c * A_left(arg1) * A_right(arg2), plus the
 # shift constant when shifted, with each argument a linear form in
-# (x, y, z).  At a point it reads one value per (entry, argument value),
+# (d2, d3, d1).  At a point it reads one value per (entry, argument value),
 # so its value there is a "check": (shifted, terms), each term
 # (c, slot, slot) into a flat table of entry values.
 
@@ -284,22 +282,22 @@ def _entry(name: str) -> int:
 
 
 def _lattice(n: int, variables: Sequence[int]) -> list[tuple]:
-    """The principal lattice T_n over the given positions of (x, y, z):
-    the nonnegative integer points with coordinate sum <= n, zero at the
-    other positions.
+    """The principal lattice T_n over the given positions of (d2, d3, d1),
+    the coordinates of a filter equation's points: the nonnegative
+    integer points with coordinate sum <= n, zero at the other positions.
 
     T_n is unisolvent for polynomials of total degree <= n (Chung & Yao,
     "On lattices admitting unique Lagrange interpolations", SIAM J.
     Numer. Anal. 1977): such a polynomial that vanishes on T_n is zero.
-    By induction on the number of variables k and on n.  For k = 0 or
-    n = 0 the polynomial is a constant, and T_n holds a point.  Otherwise
-    P(0, y, z) has degree <= n in k - 1 variables and vanishes on the
-    points of T_n with x = 0, which are T_n in those variables; so
-    P(0, y, z) == 0 and P = x * Q with deg Q <= n - 1.  At a point (i, j, l)
-    of T_n with i >= 1, 0 = P = i * Q(i, j, l), so Q(x + 1, y, z), of
-    degree <= n - 1, vanishes on T_{n-1}, hence is zero, and so is P.  The
-    bound is tight: x (x - 1) ... (x - n) has degree n + 1 and vanishes on
-    T_n.
+    By induction on the number of variables k and on n, writing (u, v, w)
+    for the variables.  For k = 0 or n = 0 the polynomial is a constant,
+    and T_n holds a point.  Otherwise P(0, v, w) has degree <= n in k - 1
+    variables and vanishes on the points of T_n with u = 0, which are T_n
+    in those variables; so P(0, v, w) == 0 and P = u * Q with
+    deg Q <= n - 1.  At a point (i, j, l) of T_n with i >= 1,
+    0 = P = i * Q(i, j, l), so Q(u + 1, v, w), of degree <= n - 1,
+    vanishes on T_{n-1}, hence is zero, and so is P.  The bound is tight:
+    u (u - 1) ... (u - n) has degree n + 1 and vanishes on T_n.
     """
     points = []
     for exps in itertools.product(range(n + 1), repeat=len(variables)):
@@ -561,16 +559,18 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
         for pair in PAIRS
         if not profile.entry(*pair).is_zero()
     }
+    rep = characterize(profile)
+    # (alpha, beta, gamma, zeta), read off the entries once
+    constants = [_scalar(v.constant_value()) for v in profile.constant_values()]
     record = {
-        "constants": {n: str(profile.constants[n]) for n in CONSTANT_NAMES},
+        "constants": {n: str(v) for n, v in zip(CONSTANT_NAMES, constants)},
         "entries": entry_strings,
     }
     problems = []
-    rep = characterize(profile)
     for flag in ("sym", "shared_f_ok", "rank_le_1", "constants_ok"):
         if not getattr(rep, flag):
             problems.append(f"characterize:{flag}")
-    for name, residue in scalar_relation_residues(profile, rep.matrix).items():
+    for name, residue in scalar_relation_residues(constants, rep.matrix).items():
         if residue:
             problems.append(f"relation:{name}")
     # One double bracket, built modulo the total derivation, gives both
@@ -583,15 +583,16 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
         problems.append("reverify:weak_defect")
     if cfg.mode == "strict" and not bracket.is_zero():
         problems.append("reverify:strict")
-    record.update(_classify(profile, rep))
+    record.update(_classify(constants, rep))
     record["matrix"] = [[str(v) for v in row] for row in rep.matrix]
     return record, problems
 
 
-def _classify(profile: DiagProfile, report) -> dict:
+def _classify(constants: Sequence, report) -> dict:
     """Family-spec-like record for a survivor in normal form, with
-    `report` its characterization; families.name_case names it."""
-    named = name_case([profile.constants[n] for n in CONSTANT_NAMES], report.matrix)
+    `constants` its (alpha, beta, gamma, zeta) and `report` its
+    characterization; families.name_case names it."""
+    named = name_case(constants, report.matrix)
     if named is None:
         return {"case": "other"}
     case, params = named

@@ -79,14 +79,20 @@ catalog_diffs lifts its generic profile once, so all its identities
 share one algebra.
 
 For the current algebra on sl2 the reduced double bracket only sees the
-diagonal restrictions A'_{ql}(x) = A_{ql}(x, -x).  The catalog below
-stores, over the generic diagonal profile, the ten independent
-projection identities (named by their basis triple), the worked
-f x h x f variant, the two action-variable identities that replace the
-e x f x h projection in the weak case, and its shifted variant with the
-boundary-constant correction.  Each catalog entry records the positive
-integer `scale` relating the raw projection to the stored normalized
-form: raw == scale * stored.
+diagonal restrictions A'_{ql}(x) = A_{ql}(x, -x), which a DiagProfile
+holds.  A profile stores only these nine entries: the boundary constants
+(alpha, beta, gamma, zeta) are the values A'(0) at CONSTANT_PAIRS, where
+the table boundary_values puts them, and constant_values reads them
+there.  The catalog below stores, over the generic diagonal profile,
+the ten independent projection identities (named by their basis
+triple), the worked f x h x f variant, the two action-variable
+identities that replace the e x f x h projection in the weak case, and
+its shifted variant with the boundary-constant correction.  Each
+identity's argument forms are linear in the bracket's own variables d2,
+d3 and (where a generator action brings it back) d1, so a derived
+projection is compared with its identity as it is built.  Each catalog
+entry records the positive integer `scale` relating the raw projection
+to the stored normalized form: raw == scale * stored.
 """
 
 from __future__ import annotations
@@ -112,6 +118,9 @@ from .liealg import AutMatrix, LieAlg, Scalar, sl2, transform_tensor
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
 CONSTANT_NAMES = ("alpha", "beta", "gamma", "zeta")
+# Where boundary_values puts each bare constant: A'(0) at he, fe, hf and
+# hh is alpha, beta, gamma and zeta.
+CONSTANT_PAIRS = (("h", "e"), ("f", "e"), ("h", "f"), ("h", "h"))
 
 
 def boundary_values(constants: Sequence[Scalar]) -> list:
@@ -333,14 +342,13 @@ def cybe(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
 class DiagProfile:
     """The nine univariate restrictions A'_{ql}(x) = A_{ql}(x, -x).
 
-    `constants` optionally carries the boundary scalars (alpha, beta,
-    gamma, zeta); entry values may reference parameter symbols of the
-    shared registry.
+    Entry values may reference parameter symbols of the shared registry.
+    The boundary constants (alpha, beta, gamma, zeta) are the values
+    A'(0) at CONSTANT_PAIRS, which constant_values reads.
     """
 
     reg: SymbolRegistry
     entries: dict[tuple, MPoly]
-    constants: Optional[dict[str, Scalar]] = None
 
     def __post_init__(self):
         for key in self.entries:
@@ -351,24 +359,15 @@ class DiagProfile:
     def entry(self, q: str, l: str) -> MPoly:
         return self.entries.get((q, l), self.reg.zero())
 
-    def constant(self, name: str) -> MPoly:
-        if self.constants is None:
-            raise ValueError("profile carries no boundary constants")
-        v = self.constants[name]
-        return v if isinstance(v, MPoly) else self.reg.const(v)
-
     def constant_values(self) -> list[MPoly]:
-        """(alpha, beta, gamma, zeta) as polynomials."""
-        return [self.constant(n) for n in CONSTANT_NAMES]
+        """(alpha, beta, gamma, zeta): the x-free parts of the entries at
+        CONSTANT_PAIRS."""
+        x = self.reg.sym("x")
+        return [self.entry(*pair).as_univariate_in(x).get(0, self.reg.zero())
+                for pair in CONSTANT_PAIRS]
 
     def is_numeric(self) -> bool:
-        if any(e.symbols() - {self.reg.sym("x")} for e in self.entries.values()):
-            return False
-        if self.constants is not None:
-            for v in self.constants.values():
-                if isinstance(v, MPoly) and not v.is_constant():
-                    return False
-        return True
+        return not any(e.symbols() - {self.reg.sym("x")} for e in self.entries.values())
 
 
 def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
@@ -387,15 +386,17 @@ def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> ConfTenso
 
 # Equation catalog -----------------------------------------------------------------
 
-# Linear argument forms in (x, y, z).
-_X = (1, 0, 0)
-_NX = (-1, 0, 0)
-_NY = (0, -1, 0)
-_NXY = (-1, -1, 0)
-_Z = (0, 0, 1)
-_YZ = (0, 1, 1)
-_XZ = (1, 0, 1)
-_NYZ = (0, -1, -1)
+# Linear argument forms (a, b, c), read as a*d2 + b*d3 + c*d1: the
+# reduced double bracket's variables d2, d3, and d1, which only the
+# action identities read (a generator action brings it back).
+_D2 = (1, 0, 0)
+_ND2 = (-1, 0, 0)
+_ND3 = (0, -1, 0)
+_ND23 = (-1, -1, 0)
+_D1 = (0, 0, 1)
+_D13 = (0, 1, 1)
+_D12 = (1, 0, 1)
+_ND13 = (0, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -410,126 +411,122 @@ class Equation:
     shifted: bool = False
 
 
-def _eq(name, triple, terms, scale=1, action=None, shifted=False):
-    return Equation(name, triple, tuple(terms), scale, action, shifted)
-
-
 _EFH_TERMS = (
-    (2, "hf", _NX, "eh", _NY),
-    (-2, "ef", _NX, "hh", _NY),
-    (2, "ef", _NXY, "hh", _NY),
-    (-2, "eh", _NXY, "fh", _NY),
-    (1, "ee", _NXY, "ff", _X),
-    (-1, "ef", _NXY, "fe", _X),
+    (2, "hf", _ND2, "eh", _ND3),
+    (-2, "ef", _ND2, "hh", _ND3),
+    (2, "ef", _ND23, "hh", _ND3),
+    (-2, "eh", _ND23, "fh", _ND3),
+    (1, "ee", _ND23, "ff", _D2),
+    (-1, "ef", _ND23, "fe", _D2),
 )
 
 CATALOG: dict[str, Equation] = {
     eq.name: eq
     for eq in (
-        _eq("eee", ("e", "e", "e"), (
-            (1, "he", _NX, "ee", _NY),
-            (-1, "ee", _NX, "he", _NY),
-            (1, "eh", _NXY, "ee", _NY),
-            (-1, "ee", _NXY, "he", _NY),
-            (1, "eh", _NXY, "ee", _X),
-            (-1, "ee", _NXY, "eh", _X),
+        Equation("eee", ("e", "e", "e"), (
+            (1, "he", _ND2, "ee", _ND3),
+            (-1, "ee", _ND2, "he", _ND3),
+            (1, "eh", _ND23, "ee", _ND3),
+            (-1, "ee", _ND23, "he", _ND3),
+            (1, "eh", _ND23, "ee", _D2),
+            (-1, "ee", _ND23, "eh", _D2),
         ), scale=2),
-        _eq("hee", ("h", "e", "e"), (
-            (1, "ee", _NX, "fe", _NY),
-            (-1, "fe", _NX, "ee", _NY),
-            (2, "hh", _NXY, "ee", _NY),
-            (-2, "he", _NXY, "he", _NY),
-            (2, "hh", _NXY, "ee", _X),
-            (-2, "he", _NXY, "eh", _X),
+        Equation("hee", ("h", "e", "e"), (
+            (1, "ee", _ND2, "fe", _ND3),
+            (-1, "fe", _ND2, "ee", _ND3),
+            (2, "hh", _ND23, "ee", _ND3),
+            (-2, "he", _ND23, "he", _ND3),
+            (2, "hh", _ND23, "ee", _D2),
+            (-2, "he", _ND23, "eh", _D2),
         )),
-        _eq("fff", ("f", "f", "f"), (
-            (1, "ff", _NX, "hf", _NY),
-            (-1, "hf", _NX, "ff", _NY),
-            (1, "ff", _NXY, "hf", _NY),
-            (-1, "fh", _NXY, "ff", _NY),
-            (1, "ff", _NXY, "fh", _X),
-            (-1, "fh", _NXY, "ff", _X),
+        Equation("fff", ("f", "f", "f"), (
+            (1, "ff", _ND2, "hf", _ND3),
+            (-1, "hf", _ND2, "ff", _ND3),
+            (1, "ff", _ND23, "hf", _ND3),
+            (-1, "fh", _ND23, "ff", _ND3),
+            (1, "ff", _ND23, "fh", _D2),
+            (-1, "fh", _ND23, "ff", _D2),
         ), scale=2),
-        _eq("hff", ("h", "f", "f"), (
-            (1, "ef", _NX, "ff", _NY),
-            (-1, "ff", _NX, "ef", _NY),
-            (2, "hf", _NXY, "hf", _NY),
-            (-2, "hh", _NXY, "ff", _NY),
-            (2, "hf", _NXY, "fh", _X),
-            (-2, "hh", _NXY, "ff", _X),
+        Equation("hff", ("h", "f", "f"), (
+            (1, "ef", _ND2, "ff", _ND3),
+            (-1, "ff", _ND2, "ef", _ND3),
+            (2, "hf", _ND23, "hf", _ND3),
+            (-2, "hh", _ND23, "ff", _ND3),
+            (2, "hf", _ND23, "fh", _D2),
+            (-2, "hh", _ND23, "ff", _D2),
         )),
-        _eq("ehh", ("e", "h", "h"), (
-            (2, "hh", _NX, "eh", _NY),
-            (-2, "eh", _NX, "hh", _NY),
-            (1, "ee", _NXY, "fh", _NY),
-            (-1, "ef", _NXY, "eh", _NY),
-            (1, "ee", _NXY, "hf", _X),
-            (-1, "ef", _NXY, "he", _X),
+        Equation("ehh", ("e", "h", "h"), (
+            (2, "hh", _ND2, "eh", _ND3),
+            (-2, "eh", _ND2, "hh", _ND3),
+            (1, "ee", _ND23, "fh", _ND3),
+            (-1, "ef", _ND23, "eh", _ND3),
+            (1, "ee", _ND23, "hf", _D2),
+            (-1, "ef", _ND23, "he", _D2),
         )),
-        _eq("fhh", ("f", "h", "h"), (
-            (2, "fh", _NX, "hh", _NY),
-            (-2, "hh", _NX, "fh", _NY),
-            (1, "fe", _NXY, "fh", _NY),
-            (-1, "ff", _NXY, "eh", _NY),
-            (1, "fe", _NXY, "hf", _X),
-            (-1, "ff", _NXY, "he", _X),
+        Equation("fhh", ("f", "h", "h"), (
+            (2, "fh", _ND2, "hh", _ND3),
+            (-2, "hh", _ND2, "fh", _ND3),
+            (1, "fe", _ND23, "fh", _ND3),
+            (-1, "ff", _ND23, "eh", _ND3),
+            (1, "fe", _ND23, "hf", _D2),
+            (-1, "ff", _ND23, "he", _D2),
         )),
-        _eq("fee", ("f", "e", "e"), (
-            (1, "fe", _NX, "he", _NY),
-            (-1, "he", _NX, "fe", _NY),
-            (1, "fh", _NXY, "ee", _NY),
-            (-1, "fe", _NXY, "he", _NY),
-            (1, "fh", _NXY, "ee", _X),
-            (-1, "fe", _NXY, "eh", _X),
+        Equation("fee", ("f", "e", "e"), (
+            (1, "fe", _ND2, "he", _ND3),
+            (-1, "he", _ND2, "fe", _ND3),
+            (1, "fh", _ND23, "ee", _ND3),
+            (-1, "fe", _ND23, "he", _ND3),
+            (1, "fh", _ND23, "ee", _D2),
+            (-1, "fe", _ND23, "eh", _D2),
         ), scale=2),
-        _eq("eff", ("e", "f", "f"), (
-            (1, "hf", _NX, "ef", _NY),
-            (-1, "ef", _NX, "hf", _NY),
-            (1, "ef", _NXY, "hf", _NY),
-            (-1, "eh", _NXY, "ff", _NY),
-            (1, "ef", _NXY, "fh", _X),
-            (-1, "eh", _NXY, "ff", _X),
+        Equation("eff", ("e", "f", "f"), (
+            (1, "hf", _ND2, "ef", _ND3),
+            (-1, "ef", _ND2, "hf", _ND3),
+            (1, "ef", _ND23, "hf", _ND3),
+            (-1, "eh", _ND23, "ff", _ND3),
+            (1, "ef", _ND23, "fh", _D2),
+            (-1, "eh", _ND23, "ff", _D2),
         ), scale=2),
-        _eq("hhh", ("h", "h", "h"), (
-            (1, "eh", _NX, "fh", _NY),
-            (-1, "fh", _NX, "eh", _NY),
-            (1, "he", _NXY, "fh", _NY),
-            (-1, "hf", _NXY, "eh", _NY),
-            (1, "he", _NXY, "hf", _X),
-            (-1, "hf", _NXY, "he", _X),
+        Equation("hhh", ("h", "h", "h"), (
+            (1, "eh", _ND2, "fh", _ND3),
+            (-1, "fh", _ND2, "eh", _ND3),
+            (1, "he", _ND23, "fh", _ND3),
+            (-1, "hf", _ND23, "eh", _ND3),
+            (1, "he", _ND23, "hf", _D2),
+            (-1, "hf", _ND23, "he", _D2),
         )),
-        _eq("efh", ("e", "f", "h"), _EFH_TERMS),
-        _eq("fhf", ("f", "h", "f"), (
-            (2, "fh", _NX, "hf", _NY),
-            (-2, "hh", _NX, "ff", _NY),
-            (1, "fe", _NXY, "ff", _NY),
-            (-1, "ff", _NXY, "ef", _NY),
-            (2, "ff", _NXY, "hh", _X),
-            (-2, "fh", _NXY, "hf", _X),
+        Equation("efh", ("e", "f", "h"), _EFH_TERMS),
+        Equation("fhf", ("f", "h", "f"), (
+            (2, "fh", _ND2, "hf", _ND3),
+            (-2, "hh", _ND2, "ff", _ND3),
+            (1, "fe", _ND23, "ff", _ND3),
+            (-1, "ff", _ND23, "ef", _ND3),
+            (2, "ff", _ND23, "hh", _D2),
+            (-2, "fh", _ND23, "hf", _D2),
         )),
-        _eq("efh_h", ("e", "f", "h"), _EFH_TERMS + (
-            (-2, "hf", _YZ, "eh", _NY),
-            (2, "ef", _YZ, "hh", _NY),
-            (-2, "ef", _Z, "hh", _NY),
-            (2, "eh", _Z, "fh", _NY),
-            (-1, "ee", _Z, "ff", _NYZ),
-            (1, "ef", _Z, "fe", _NYZ),
+        Equation("efh_h", ("e", "f", "h"), _EFH_TERMS + (
+            (-2, "hf", _D13, "eh", _ND3),
+            (2, "ef", _D13, "hh", _ND3),
+            (-2, "ef", _D1, "hh", _ND3),
+            (2, "eh", _D1, "fh", _ND3),
+            (-1, "ee", _D1, "ff", _ND13),
+            (1, "ef", _D1, "fe", _ND13),
         ), scale=2, action="h"),
-        _eq("efh_e", ("e", "f", "e"), (
-            (-1, "ef", _NX, "fe", _NY),
-            (1, "ff", _NX, "ee", _NY),
-            (2, "hh", _NXY, "fe", _NY),
-            (-2, "hf", _NXY, "he", _NY),
-            (2, "he", _NXY, "fh", _X),
-            (-2, "hh", _NXY, "fe", _X),
-            (2, "ef", _NX, "hh", _XZ),
-            (-2, "hf", _NX, "eh", _XZ),
-            (-2, "ef", _Z, "hh", _XZ),
-            (2, "eh", _Z, "fh", _XZ),
-            (-1, "ee", _Z, "ff", _X),
-            (1, "ef", _Z, "fe", _X),
+        Equation("efh_e", ("e", "f", "e"), (
+            (-1, "ef", _ND2, "fe", _ND3),
+            (1, "ff", _ND2, "ee", _ND3),
+            (2, "hh", _ND23, "fe", _ND3),
+            (-2, "hf", _ND23, "he", _ND3),
+            (2, "he", _ND23, "fh", _D2),
+            (-2, "hh", _ND23, "fe", _D2),
+            (2, "ef", _ND2, "hh", _D12),
+            (-2, "hf", _ND2, "eh", _D12),
+            (-2, "ef", _D1, "hh", _D12),
+            (2, "eh", _D1, "fh", _D12),
+            (-1, "ee", _D1, "ff", _D2),
+            (1, "ef", _D1, "fe", _D2),
         ), scale=2, action="e"),
-        _eq("efh_shift", ("e", "f", "h"), _EFH_TERMS, shifted=True),
+        Equation("efh_shift", ("e", "f", "h"), _EFH_TERMS, shifted=True),
     )
 }
 
@@ -547,12 +544,13 @@ WEAK_EQUATIONS = (
 
 
 def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
-    """Evaluate a catalog entry on a profile; zero iff the identity holds."""
+    """Evaluate a catalog entry on a profile, in d1, d2, d3; zero iff the
+    identity holds."""
     reg = p.reg
-    x_sym = reg.sym("x")
-    x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
+    x = reg.sym("x")
+    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     args = {arg for term in eq.terms for arg in (term[2], term[4])}
-    maps = {arg: Substitution(reg, {x_sym: x * arg[0] + y * arg[1] + z * arg[2]})
+    maps = {arg: Substitution(reg, {x: d2 * arg[0] + d3 * arg[1] + d1 * arg[2]})
             for arg in args}
     # Each distinct (entry, argument form) is substituted once, by the
     # form's one compiled map.
@@ -572,7 +570,7 @@ def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
 # Generic profiles and re-derivation ------------------------------------------------
 
 
-def generic_profile(reg: SymbolRegistry, degree: int = 4, prefix: str = "c") -> DiagProfile:
+def generic_profile(reg: SymbolRegistry, degree: int = 4) -> DiagProfile:
     """Profile with one free coefficient symbol per entry per degree.
 
     The entry (q, l) is the sum over j of c_{ql}_j * x^j.  Its symbols are
@@ -584,39 +582,30 @@ def generic_profile(reg: SymbolRegistry, degree: int = 4, prefix: str = "c") -> 
     for q, l in PAIRS:
         acc = PolySum(reg)
         for j in range(degree + 1):
-            acc.add(reg.var(f"{prefix}_{q}{l}_{j}"), reg.var(x, j))
+            acc.add(reg.var(f"c_{q}{l}_{j}"), reg.var(x, j))
         entries[(q, l)] = acc.value()
-    return DiagProfile(reg, entries, constants=None)
-
-
-def _rename_to_xyz(poly: MPoly, reg: SymbolRegistry) -> MPoly:
-    return poly.subst_many({
-        reg.sym("d2"): reg.var("x"),
-        reg.sym("d3"): reg.var("y"),
-        reg.sym("d1"): reg.var("z"),
-    })
+    return DiagProfile(reg, entries)
 
 
 def derive_projection(triple: Sequence[str], r: ConfTensor) -> MPoly:
     """Raw projection of the reduced double bracket of the generic lift `r`.
 
-    Only the triple's own coefficient of the bracket is built.  Returned
-    in the variables (x, y) = (d2, d3).  Matches the catalog entry for
-    the triple up to the entry's recorded integer scale.
+    Only the triple's own coefficient of the bracket is built, in d2 and
+    d3.  Matches the catalog entry for the triple up to the entry's
+    recorded integer scale.
     """
     triple = tuple(triple)
-    bracket = ccybe_bracket(r, [triple], reduced=True)
-    return _rename_to_xyz(project(bracket, triple), r.alg.reg)
+    return project(ccybe_bracket(r, [triple], reduced=True), triple)
 
 
 def derive_weak_projection(generator: str, triple: Sequence[str], r: ConfTensor) -> MPoly:
     """Raw projection of a generator action on the bracket of the generic lift `r`.
 
-    The action is taken at mu = -(d1+d2+d3); the result is renamed to
-    (x, y, z) = (d2, d3, d1).  The action on slot i moves a tuple's
-    entry b to the components of [g, b], so the triple T only reads the
-    bracket at T with slot i replaced by some b whose [g, b] has a
-    T[i] component: only those coefficients of the bracket are built.
+    The action is taken at mu = -(d1+d2+d3), and the result is in d1,
+    d2, d3.  The action on slot i moves a tuple's entry b to the
+    components of [g, b], so the triple T only reads the bracket at T
+    with slot i replaced by some b whose [g, b] has a T[i] component:
+    only those coefficients of the bracket are built.
     """
     alg = r.alg
     reg = alg.reg
@@ -627,24 +616,22 @@ def derive_weak_projection(generator: str, triple: Sequence[str], r: ConfTensor)
              if triple[i] in alg.basis_bracket(generator, b, d, lam)]
     bracket = ccybe_bracket(r, feeds, reduced=True)
     acted = act_on_tensor([alg.generator(generator)], bracket, -bracket.total())[0]
-    return _rename_to_xyz(project(acted, triple), reg)
+    return project(acted, triple)
 
 
-def catalog_diffs(degree: int = 3, catalog: Optional[Mapping[str, Equation]] = None,
-                  names: Optional[Sequence[str]] = None) -> dict[str, MPoly]:
+def catalog_diffs(degree: int = 3, names: Optional[Sequence[str]] = None) -> dict[str, MPoly]:
     """Re-derive every catalog identity from the generic profile.
 
-    Returns {name: raw_projection - scale * stored_form}; the catalog is
-    faithful iff every difference is the zero polynomial.  The shifted
-    variant is excluded (it is not a raw projection).
+    Returns {name: raw_projection - scale * stored_form}, in d1, d2, d3;
+    the catalog is faithful iff every difference is the zero polynomial.
+    The shifted variant is excluded (it is not a raw projection).
     """
-    catalog = CATALOG if catalog is None else catalog
     reg = SymbolRegistry()
     profile = generic_profile(reg, degree)
     r = lift_profile(profile)
     out = {}
-    for name in (names or [n for n in catalog if not catalog[n].shifted]):
-        eq = catalog[name]
+    for name in (names or [n for n, eq in CATALOG.items() if not eq.shifted]):
+        eq = CATALOG[name]
         if eq.action is None:
             raw = derive_projection(eq.triple, r)
         else:

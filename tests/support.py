@@ -253,7 +253,7 @@ def enumerate_candidates(cfg):
 def enumerate_profiles(cfg):
     """Stream every candidate profile, with no filtering."""
     for constants, combo in enumerate_candidates(cfg):
-        yield candidate_profile(cfg, constants, combo)
+        yield candidate_profile(cfg, constants, combo, SymbolRegistry())
 
 
 def naive_run(cfg):
@@ -514,18 +514,18 @@ def invariance_residues(p: DiagProfile) -> list[MPoly]:
     reg = p.reg
     x = reg.sym("x")
     lam = reg.var("lam")
+    zeta = p.constant_values()[3]
     out = []
     for left, right, mult in INVARIANCE_RELATIONS:
         res = p.entry(*left).subst_many({x: lam})
         res = res + p.entry(*right).subst_many({x: -lam})
         if mult:
-            res = res - p.constant("zeta") * mult
+            res = res - zeta * mult
         out.append(res)
     return out
 
 
-def termwise_generic_profile(reg: SymbolRegistry, degree: int = 4,
-                             prefix: str = "c") -> DiagProfile:
+def termwise_generic_profile(reg: SymbolRegistry, degree: int = 4) -> DiagProfile:
     """ybe.generic_profile built term by term, poly + c * x**j, interning
     each coefficient symbol as it goes: the reference for the profile
     summed from monomials."""
@@ -534,14 +534,13 @@ def termwise_generic_profile(reg: SymbolRegistry, degree: int = 4,
     for q, l in PAIRS:
         poly = reg.zero()
         for j in range(degree + 1):
-            c = reg.var(f"{prefix}_{q}{l}_{j}")
+            c = reg.var(f"c_{q}{l}_{j}")
             poly = poly + c * x ** j
         entries[(q, l)] = poly
-    return DiagProfile(reg, entries, constants=None)
+    return DiagProfile(reg, entries)
 
 
-def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3,
-                                prefix: str = "c") -> DiagProfile:
+def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3) -> DiagProfile:
     """Generic profile satisfying the invariance relations identically.
 
     One side of each mirror pair is parametrized freely and the other is
@@ -554,13 +553,12 @@ def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3,
         he(x) = -eh(-x),  hf(x) = -fh(-x),  fe(x) = 4 zeta - ef(-x).
     """
     x = reg.var("x")
-    constants = {n: reg.var(n) for n in CONSTANT_NAMES}
-    boundary = dict(zip(PAIRS, boundary_values(list(constants.values()))))
+    boundary = dict(zip(PAIRS, boundary_values([reg.var(n) for n in CONSTANT_NAMES])))
 
     def free(pair, degrees):
         poly = reg.zero() + boundary[pair]
         for j in degrees:
-            poly = poly + reg.var(f"{prefix}_{pair[0]}{pair[1]}_{j}") * x ** j
+            poly = poly + reg.var(f"c_{pair[0]}{pair[1]}_{j}") * x ** j
         return poly
 
     all_degrees = list(range(1, degree + 1))
@@ -573,7 +571,7 @@ def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3,
         entries[pair[::-1]] = boundary[pair] + boundary[pair[::-1]] - flipped
     for pair in (("e", "e"), ("f", "f"), ("h", "h")):
         entries[pair] = free(pair, odd_degrees)
-    return DiagProfile(reg, entries, constants)
+    return DiagProfile(reg, entries)
 
 
 def permutation_symmetry_check(p: DiagProfile) -> bool:

@@ -204,14 +204,11 @@ def test_criterion_4_negative_controls():
     r_ee = ConfTensor(cur, 2, {("e", "e"): reg2.const(1)})
     ok, defects = is_invariant(r_ee)
     assert not ok
-    prof = diagonal_profile_of(r_ee)
-    prof.constants = {n: F(0) for n in ("alpha", "beta", "gamma", "zeta")}
-    assert invariance_residues(prof)[0] == 2
+    assert invariance_residues(diagonal_profile_of(r_ee))[0] == 2
 
     # an even entry fails invariance
     reg3 = SymbolRegistry()
-    prof3 = ybe.DiagProfile(reg3, {("e", "e"): reg3.var("x", 2)},
-                            {n: F(0) for n in ("alpha", "beta", "gamma", "zeta")})
+    prof3 = ybe.DiagProfile(reg3, {("e", "e"): reg3.var("x", 2)})
     residues = invariance_residues(prof3)
     assert residues[0] == reg3.parse("2*lam^2")
     assert not is_invariant(lift_profile(prof3))[0]
@@ -281,9 +278,8 @@ def _grid_family_records(reg_factory):
             "".join(pair): prof.entry(*pair).to_string()
             for pair in ybe.PAIRS if not prof.entry(*pair).is_zero()
         }
-        constants = {k: str(v.constant_value()) for k, v in
-                     ((n, prof.constant(n)) for n in
-                      ("alpha", "beta", "gamma", "zeta"))}
+        constants = {n: str(v.constant_value()) for n, v in
+                     zip(ybe.CONSTANT_NAMES, prof.constant_values())}
         records.add(json.dumps({"constants": constants, "entries": entries},
                                sort_keys=True))
     return records

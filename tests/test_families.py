@@ -83,10 +83,10 @@ def test_family_spec_leaves_caller_params(reg):
 
 
 def test_lift_examples(reg):
-    prof = ybe.DiagProfile(reg, {("h", "h"): reg.var("x")}, None)
+    prof = ybe.DiagProfile(reg, {("h", "h"): reg.var("x")})
     r = lift_profile(prof)
     assert r.entries == {("h", "h"): reg.var("d1")}
-    assert lift_profile(ybe.DiagProfile(reg, {}, None)).entries == {}
+    assert lift_profile(ybe.DiagProfile(reg, {})).entries == {}
 
 
 def test_lift_diagonal_roundtrip(reg):
@@ -126,8 +126,7 @@ def test_characterize_matrix_int_first(reg, scale):
     x = reg.var("x")
     rank1 = FamilySpec("thm5_ii", reg, {"lhh": scale * 2, "beta": 1, "zeta": scale},
                        f=reg.parse("t + 1"))
-    rank2 = ybe.DiagProfile(reg, {("e", "e"): x * scale, ("f", "f"): x},
-                            {n: scale for n in ("alpha", "beta", "gamma", "zeta")})
+    rank2 = ybe.DiagProfile(reg, {("e", "e"): x * scale, ("f", "f"): x})
     for prof, rank_ok in ((build_profile(rank1), True), (rank2, False)):
         rep = characterize(prof)
         m = rep.matrix
@@ -143,7 +142,7 @@ def test_characterize_matrix_int_first(reg, scale):
 def test_characterize_rank2(reg):
     prof = ybe.DiagProfile(reg, {
         ("e", "e"): reg.var("x"), ("f", "f"): reg.var("x"),
-    }, {n: F(0) for n in ("alpha", "beta", "gamma", "zeta")})
+    })
     rep = characterize(prof)
     assert rep.sym and rep.shared_f_ok and rep.constants_ok
     assert not rep.rank_le_1
@@ -153,14 +152,14 @@ def test_characterize_rank2(reg):
 def test_characterize_different_f(reg):
     prof = ybe.DiagProfile(reg, {
         ("e", "e"): reg.parse("x^3 + x"), ("h", "h"): reg.var("x"),
-    }, {n: F(0) for n in ("alpha", "beta", "gamma", "zeta")})
+    })
     rep = characterize(prof)
     assert rep.shared_f is None
     assert not rep.shared_f_ok
 
 
 def test_characterize_requires_numeric(reg):
-    prof = ybe.DiagProfile(reg, {("e", "e"): reg.var("alpha") * reg.var("x")}, None)
+    prof = ybe.DiagProfile(reg, {("e", "e"): reg.var("alpha") * reg.var("x")})
     with pytest.raises(ValueError, match="parameter-free"):
         characterize(prof)
 
@@ -196,7 +195,8 @@ def test_characterize_roundtrip_random(reg):
             assert rep.shared_f == f
         else:
             assert all(v == 0 for row in m for v in row)
-        assert not any(scalar_relation_residues(prof, m).values())
+        constants = [v.constant_value() for v in prof.constant_values()]
+        assert not any(scalar_relation_residues(constants, m).values())
 
 
 def test_cor6_profiles_strict_and_skew(reg):

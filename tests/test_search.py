@@ -122,7 +122,7 @@ def test_raw_mode_includes_even_entries():
     # candidate whose first row is x^2's coefficients is built
     for constants, coeffs in itertools.islice(enumerate_candidates(cfg), 4 ** 8 + 1):
         if coeffs[0] == (0, 1):
-            profile = candidate_profile(cfg, constants, coeffs)
+            profile = candidate_profile(cfg, constants, coeffs, SymbolRegistry())
             x = profile.reg.var("x")
             if profile.entry("e", "e") == x * x:
                 found = profile
@@ -142,7 +142,7 @@ def test_structured_matches_naive_weak():
             "".join(pair): profile.entry(*pair).to_string()
             for pair in search.PAIRS if not profile.entry(*pair).is_zero()
         }
-        constants = {k: str(v) for k, v in profile.constants.items()}
+        constants = {n: str(v) for n, v in zip(CONSTANT_NAMES, profile.constant_values())}
         naive_keys.add(json.dumps({"constants": constants, "entries": entries},
                                   sort_keys=True))
     report_keys = {
@@ -208,7 +208,8 @@ def test_named_survivors_round_trip(mode):
         entries = {"".join(pair): p.to_string()
                    for pair, p in profile.entries.items() if not p.is_zero()}
         assert entries == record["entries"]
-        assert {n: str(v.constant_value()) for n, v in profile.constants.items()} \
+        assert {n: str(v.constant_value())
+                for n, v in zip(CONSTANT_NAMES, profile.constant_values())} \
             == record["constants"]
         named += 1
     assert named == {"weak": 102, "strict": 10}[mode]
@@ -303,19 +304,21 @@ def test_exact_filter_alone_matches_flat_scan(cfg, monkeypatch):
 _REVERIFY = ["reverify:weak_defect", "reverify:strict"]
 
 
-@pytest.mark.parametrize("entries, beta, problems", [
-    ({"ee": "x", "ff": "x"}, 0, ["characterize:rank_le_1", *_REVERIFY]),
-    ({"ee": "x^2"}, 0, ["characterize:shared_f_ok"]),
-    ({"ef": "x", "fe": "2*x"}, 0, ["characterize:sym", *_REVERIFY]),
-    ({"ee": "x", "ef": "-1", "fe": "1"}, 1, ["relation:c_e1", *_REVERIFY]),
-], ids=["rank2", "even", "not_symmetric", "constant_relation"])
-def test_post_verify_names_each_fault_once(entries, beta, problems):
+@pytest.mark.parametrize("entries, problems", [
+    ({"ee": "x", "ff": "x"}, ["characterize:rank_le_1", *_REVERIFY]),
+    ({"ee": "x^2"}, ["characterize:shared_f_ok"]),
+    ({"ef": "x", "fe": "2*x"}, ["characterize:sym", *_REVERIFY]),
+    ({"ee": "x", "ef": "-1", "fe": "1"}, ["relation:c_e1", *_REVERIFY]),
+    ({"ee": "x + 1"}, ["characterize:constants_ok"]),
+], ids=["rank2", "even", "not_symmetric", "constant_relation", "boundary_off_table"])
+def test_post_verify_names_each_fault_once(entries, problems):
     # a flag that covers a relation is its only report: the minors are
     # rank_le_1, an even entry fails shared_f_ok, and a non-symmetric
-    # profile reports an all-zero matrix, which passes rank_le_1
+    # profile reports an all-zero matrix, which passes rank_le_1; the
+    # constants are A'(0) at he, fe, hf, hh (beta = 1 is fe(0) = 1), and
+    # an ee(0) off the boundary table fails constants_ok
     reg = search._registry()
-    profile = DiagProfile(reg, {(k[0], k[1]): reg.parse(v) for k, v in entries.items()},
-                          {"alpha": 0, "beta": beta, "gamma": 0, "zeta": 0})
+    profile = DiagProfile(reg, {(k[0], k[1]): reg.parse(v) for k, v in entries.items()})
     cfg = SearchConfig(mode="strict", raw=True)
     assert search._post_verify(cfg, profile)[1] == problems
 
@@ -416,9 +419,7 @@ def _exact_agrees(eq, profile, max_degree):
     x = profile.reg.sym("x")
     table = [profile.entry(*PAIRS[i]).subst_many({x: profile.reg.const(s)}).constant_value()
              for i, s in checks.slots]
-    shift = 0
-    if profile.constants is not None:
-        shift = shift_constant([v.constant_value() for v in profile.constant_values()])
+    shift = shift_constant([v.constant_value() for v in profile.constant_values()])
     vanishes = search._vanishes(checks.per_equation[0], table, shift)
     assert vanishes == eval_equation(eq, profile).is_zero(), (eq.name, max_degree)
     return vanishes
@@ -435,7 +436,7 @@ def _random_profile(rng, degree, fractional):
         for j in range(1, degree + 1):
             poly = poly + x ** j * F(rng.randint(-2, 2), rng.choice((1, 2)) if fractional else 1)
         entries[pair] = poly
-    return DiagProfile(reg, entries, constants=dict(zip(CONSTANT_NAMES, constants)))
+    return DiagProfile(reg, entries)
 
 
 def _family_profiles(degree):

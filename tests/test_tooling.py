@@ -107,3 +107,43 @@ def test_no_unused_imports():
                     found += [f"{os.path.relpath(path, ROOT)}:{line}: {unused}"
                               for line, unused in _unused_imports(path)]
     assert found == []
+
+
+def _private_defs(tree) -> list:
+    """(line, name) of each `_`-prefixed function or class at module
+    level, and of each such method; dunder methods are left out."""
+    found = []
+    for node in tree.body:
+        bodies = [node]
+        if isinstance(node, ast.ClassDef):
+            bodies += node.body
+        for item in bodies:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and item.name.startswith("_") and not item.name.endswith("__"):
+                found.append((item.lineno, item.name))
+    return found
+
+
+def test_no_unread_private_defs():
+    # a private helper whose last caller is gone is dead code: every
+    # `_`-prefixed function, class or method in src/ccybe is read, as a
+    # name or an attribute, somewhere in src/ccybe
+    trees = {}
+    for folder, _dirs, files in os.walk(os.path.join(ROOT, "src", "ccybe")):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as fh:
+                    trees[os.path.relpath(path, ROOT)] = ast.parse(fh.read(), path)
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [(path, line, name) for path, tree in trees.items()
+               for line, name in _private_defs(tree)]
+    assert len(defined) > 50
+    assert [f"{path}:{line}: {name}" for path, line, name in defined
+            if name not in read] == []

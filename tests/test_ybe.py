@@ -13,12 +13,15 @@ from ccybe.conformal import (
     project,
     tau,
 )
-from ccybe.exactpoly import RegistryMismatch, SymbolRegistry
+from ccybe.exactpoly import MPoly, RegistryMismatch, SymbolRegistry
 from ccybe.families import SL2_CASES, FamilySpec, build_profile
 from ccybe.liealg import phi_matrix, psi_matrix, sl2
 from ccybe.ybe import (
     CATALOG,
+    CONSTANT_NAMES,
+    PAIRS,
     DiagProfile,
+    boundary_values,
     ccybe_bracket,
     cocommutator,
     derive_projection,
@@ -62,16 +65,9 @@ def cur(reg):
     return ConfAlgebra.cur(sl2(), reg)
 
 
-def profile_from(reg, entries, constants=None):
-    parsed = {}
-    for key, text in entries.items():
-        parsed[(key[0], key[1])] = reg.parse(text)
-    if constants is not None:
-        constants = {k: F(v) for k, v in constants.items()}
-    return DiagProfile(reg, parsed, constants)
-
-
-ZERO_CONSTANTS = {"alpha": 0, "beta": 0, "gamma": 0, "zeta": 0}
+def profile_from(reg, entries):
+    return DiagProfile(reg, {(key[0], key[1]): reg.parse(text)
+                             for key, text in entries.items()})
 
 
 # Double bracket -------------------------------------------------------------------
@@ -308,9 +304,7 @@ def test_strict_cor6_ii_shape(cur, reg):
 def test_strict_cor6_i_with_catalog_oracle(reg):
     # a_ee = 1, f = 1, alpha = 1: strict via the tensor machinery, and
     # independently all ten projection identities vanish on the profile.
-    prof = profile_from(reg, {
-        "ee": "x", "he": "1", "eh": "-1",
-    }, {"alpha": 1, "beta": 0, "gamma": 0, "zeta": 0})
+    prof = profile_from(reg, {"ee": "x", "he": "1", "eh": "-1"})
     r = lift_profile(prof)
     ok, _ = is_strict_solution(r)
     assert ok
@@ -319,9 +313,7 @@ def test_strict_cor6_i_with_catalog_oracle(reg):
 
 
 def test_strict_fails_with_beta(reg):
-    prof = profile_from(reg, {
-        "hh": "x + 1", "ef": "2", "fe": "2",
-    }, {"alpha": 0, "beta": 2, "gamma": 0, "zeta": 1})
+    prof = profile_from(reg, {"hh": "x + 1", "ef": "2", "fe": "2"})
     r = lift_profile(prof)
     weak_ok, _ = is_weak_solution(r)
     strict_ok, _ = is_strict_solution(r)
@@ -335,7 +327,7 @@ def test_weak_thm5_iii_symbolic(reg):
         ("h", "e"): a, ("e", "h"): -a,
         ("h", "f"): g, ("f", "h"): -g,
         ("h", "h"): z,
-    }, {"alpha": a, "beta": b, "gamma": g, "zeta": z})
+    })
     ok, _ = is_weak_solution(lift_profile(prof))
     assert ok
 
@@ -412,9 +404,7 @@ def test_invariance_defect_ee(cur, reg):
     assert not ok
     # h-action: both slots of 2 e x e pick up the eigenvalue 2
     assert defects["h"].entries[("e", "e")] == 8
-    prof = diagonal_profile_of(r)
-    prof.constants = {k: F(v) for k, v in ZERO_CONSTANTS.items()}
-    assert invariance_residues(prof)[0] == 2
+    assert invariance_residues(diagonal_profile_of(r))[0] == 2
 
 
 def test_invariance_skew_trivial(cur, reg):
@@ -429,13 +419,13 @@ def test_generic_profile_matches_termwise():
     # the symbols interned in the same order (ids fix the print order),
     # also on a registry that already holds some of them
     for degree in range(5):
-        for prefix, held in (("c", ()), ("k", ("k_hh_0", "k_ef_1", "zz"))):
+        for held in ((), ("c_hh_0", "c_ef_1", "zz")):
             got_reg, want_reg = SymbolRegistry(), SymbolRegistry()
             for name in held:
                 got_reg.sym(name)
                 want_reg.sym(name)
-            got = generic_profile(got_reg, degree, prefix)
-            want = termwise_generic_profile(want_reg, degree, prefix)
+            got = generic_profile(got_reg, degree)
+            want = termwise_generic_profile(want_reg, degree)
             names = [got_reg.name_of(i) for i in range(len(got_reg))]
             assert names == [want_reg.name_of(i) for i in range(len(want_reg))]
             assert got.entries.keys() == want.entries.keys()
@@ -462,14 +452,14 @@ def test_invariance_defect_he_coefficient(reg):
 
 
 def test_invariance_residues_even_entry(reg):
-    prof = profile_from(reg, {"ee": "x^2"}, ZERO_CONSTANTS)
+    prof = profile_from(reg, {"ee": "x^2"})
     residues = invariance_residues(prof)
     assert residues[0] == reg.parse("2*lam^2")
     assert all(r.is_zero() for r in residues[1:])
 
 
 def test_invariance_residues_all_zero_profile(reg):
-    prof = profile_from(reg, {}, ZERO_CONSTANTS)
+    prof = profile_from(reg, {})
     assert all(r.is_zero() for r in invariance_residues(prof))
 
 
@@ -660,12 +650,11 @@ def test_catalog_rederivation_quick():
     assert all(diff.is_zero() for diff in diffs.values())
 
 
-def test_catalog_fault_detected():
-    broken = dict(CATALOG)
+def test_catalog_fault_detected(monkeypatch):
     eq = CATALOG["eee"]
     flipped = tuple((-c, l, a1, r, a2) for c, l, a1, r, a2 in eq.terms)
-    broken["eee"] = ybe.Equation("eee", eq.triple, flipped, eq.scale)
-    diffs = ybe.catalog_diffs(degree=1, catalog=broken, names=["eee"])
+    monkeypatch.setitem(ybe.CATALOG, "eee", ybe.Equation("eee", eq.triple, flipped, eq.scale))
+    diffs = ybe.catalog_diffs(degree=1, names=["eee"])
     assert not diffs["eee"].is_zero()
 
 
@@ -684,28 +673,24 @@ def test_derived_projections_match_full_bracket(reg):
     prof = generic_profile(reg, 2)
     r = lift_profile(prof)
     full = ccybe_bracket(r)
-    to_xyz = {reg.sym("d2"): reg.var("x"), reg.sym("d3"): reg.var("y"),
-              reg.sym("d1"): reg.var("z")}
     triples = list(itertools.product("efh", repeat=3))
     for triple in triples:
-        want = project_reduced(full, triple).subst_many(to_xyz)
-        assert derive_projection(triple, r) == want
+        assert derive_projection(triple, r) == project_reduced(full, triple)
     for generator in "efh":
         acted = act_on_tensor([r.alg.generator(generator)], full, -full.total())[0]
         assert not acted.is_zero()
         for triple in triples:
-            want = project(acted, triple).subst_many(to_xyz)
-            assert derive_weak_projection(generator, triple, r) == want
+            assert derive_weak_projection(generator, triple, r) == project(acted, triple)
 
 
 def test_fhf_substitution_matches_hff(reg):
-    # substituting x := -x-y transports the f x h x f identity to minus
-    # the h x f x f identity modulo the invariance relations
+    # substituting d2 := -d2-d3 transports the f x h x f identity to
+    # minus the h x f x f identity modulo the invariance relations
     prof = constrained_generic_profile(reg, degree=2)
     fhf = eval_equation(CATALOG["fhf"], prof)
     hff = eval_equation(CATALOG["hff"], prof)
-    x, y = reg.sym("x"), reg.var("y")
-    assert (fhf.subst_many({x: -reg.var("x") - y}) + hff).is_zero()
+    d2, d3 = reg.var("d2"), reg.var("d3")
+    assert (fhf.subst_many({reg.sym("d2"): -d2 - d3}) + hff).is_zero()
 
 
 def test_efh_shift_on_families(reg):
@@ -718,7 +703,7 @@ def test_efh_shift_on_families(reg):
         ("e", "f"): zeta * 4 - b, ("f", "e"): b,
         ("h", "e"): a, ("e", "h"): -a,
         ("h", "h"): zeta,
-    }, {"alpha": a, "beta": b, "gamma": reg.zero(), "zeta": zeta})
+    })
     assert eval_equation(CATALOG["efh_shift"], prof).is_zero()
     assert eval_equation(CATALOG["efh"], prof) == -shift_constant(prof.constant_values())
 
@@ -732,7 +717,7 @@ def test_permutation_symmetry_violated(reg):
     prof = constrained_generic_profile(reg, degree=2)
     broken = dict(prof.entries)
     broken[("e", "e")] = broken.get(("e", "e"), reg.zero()) + reg.var("x", 2)
-    assert not permutation_symmetry_check(DiagProfile(reg, broken, prof.constants))
+    assert not permutation_symmetry_check(DiagProfile(reg, broken))
 
 
 # Diagonal sufficiency and covariance ------------------------------------------------
@@ -780,15 +765,31 @@ def test_transform_rmat_psi(cur, reg):
 
 
 def test_lift_roundtrip(reg):
-    prof = profile_from(reg, {"hh": "x", "ef": "3"}, None)
+    prof = profile_from(reg, {"hh": "x", "ef": "3"})
     r = lift_profile(prof)
     assert r.entries[("h", "h")] == reg.var("d1")
     back = diagonal_profile_of(r)
     assert back.entries == prof.entries
 
 
+@pytest.mark.parametrize("kind", ["int", "fraction", "mpoly"])
+def test_constant_values_round_trip(reg, kind):
+    # the values A'(0) at CONSTANT_PAIRS give back the constants that
+    # boundary_values spreads over the nine entries, also under an x part
+    # that carries the same symbols
+    constants = {"int": [2, -1, 3, 5],
+                 "fraction": [F(1, 2), F(-3, 4), F(0), F(5, 3)],
+                 "mpoly": [reg.var(n) for n in CONSTANT_NAMES]}[kind]
+    x = reg.var("x")
+    entries = {}
+    for k, (pair, v) in enumerate(zip(PAIRS, boundary_values(constants))):
+        v = v if isinstance(v, MPoly) else reg.const(v)
+        entries[pair] = v + x * (k + 1) * (constants[k % 4] + 1)
+    assert DiagProfile(reg, entries).constant_values() == constants
+
+
 def test_tensor2_diagonal_skew(reg):
-    prof = profile_from(reg, {"ee": "x", "he": "1", "eh": "-1"}, None)
+    prof = profile_from(reg, {"ee": "x", "he": "1", "eh": "-1"})
     r = lift_profile(prof)
     t = r + tau(r)
     diag = diagonal_profile_of(t).entries
