@@ -440,21 +440,6 @@ class MPoly:
         """Simultaneous substitution of several symbols."""
         return Substitution(self.reg, mapping)(self)
 
-    def cancel_inverse_pairs(self, sym: Sym, inv: Sym) -> "MPoly":
-        """Reduce monomials using the relation sym * inv == 1."""
-        out: dict[int, Scalar] = {}
-        si, sj = _FIELD * sym.index, _FIELD * inv.index
-        for key, coeff in self._terms.items():
-            k = min((key >> si) & _FIELD_MASK, (key >> sj) & _FIELD_MASK)
-            if k:
-                key -= (k << si) + (k << sj)
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return MPoly._raw(self.reg, out)
-
     # Structure ---------------------------------------------------------------
 
     def as_univariate_in(self, sym: Sym) -> dict[int, "MPoly"]:

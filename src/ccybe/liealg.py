@@ -1,14 +1,13 @@
 """Finite-dimensional Lie algebras given by structure constants.
 
 Provides the builtin sl2 basis (e, f, h with [e,f] = h, [h,e] = 2e,
-[h,f] = -2f), automorphism matrices, the two of sl2 built from their
-formulas (phi_matrix, conjugation by an SL2 matrix; psi_matrix, the swap
-e <-> f, h -> -h), their one transport transform_tensor, and the rank
-test of a numeric 3x3 coefficient matrix.  A coefficient matrix is
-moved by an automorphism as the two-tensor {(q, l): a_ql}, so
-transform_tensor gives Phi M Phi^T.  The classical Yang-Baxter
-operator, the conformal double bracket at zero derivations, lives in
-`ybe`.
+[h,f] = -2f), automorphism matrices with their one constructor for sl2
+(ad, conjugation X -> g X g^-1 by an invertible 2x2 matrix g) and their
+one transport transform_tensor, and the rank test of a numeric 3x3
+coefficient matrix.  A coefficient matrix is moved by an automorphism
+as the two-tensor {(q, l): a_ql}, so transform_tensor gives
+Phi M Phi^T.  The classical Yang-Baxter operator, the conformal double
+bracket at zero derivations, lives in `ybe`.
 
 Tensors over the Lie algebra are plain dicts mapping basis-name tuples
 to scalars; scalars may be Fractions or parametric MPoly values.
@@ -64,10 +63,6 @@ class LieAlg:
                 full[(i, j)] = MappingProxyType(cleaned)
         self.table: Mapping[tuple, Mapping[str, Union[int, Fraction]]] = MappingProxyType(full)
         self._validate()
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
 
     def bracket_basis(self, i: str, j: str) -> Mapping[str, Union[int, Fraction]]:
         return self.table.get((i, j), _NO_BRACKET)
@@ -134,7 +129,6 @@ class AutMatrix:
 
     alg: LieAlg
     m: tuple[tuple[Scalar, ...], ...]
-    inverse_pairs: tuple = ()  # ((sym, inv_sym), ...) with sym*inv == 1
 
     def image(self, name: str) -> dict[str, Scalar]:
         j = self.alg.names.index(name)
@@ -145,65 +139,40 @@ class AutMatrix:
                 out[row_name] = v
         return out
 
-    def _reduce(self, v: Scalar) -> Scalar:
-        if isinstance(v, MPoly):
-            for s, inv in self.inverse_pairs:
-                v = v.cancel_inverse_pairs(s, inv)
-        return v
 
-    def preserves_bracket(self) -> bool:
-        for i in self.alg.names:
-            for j in self.alg.names:
-                lhs = self.alg.bracket(self.image(i), self.image(j))
-                rhs: dict[str, Scalar] = {}
-                for k, s in self.alg.bracket_basis(i, j).items():
-                    for name, v in self.image(k).items():
-                        tensor_add(rhs, (name,), v * s)
-                rhs_flat = {name: v for (name,), v in rhs.items()}
-                keys = set(lhs) | set(rhs_flat)
-                for k in keys:
-                    diff = lhs.get(k, 0) - rhs_flat.get(k, 0)
-                    diff = self._reduce(diff) if isinstance(diff, MPoly) else diff
-                    if not is_zero_scalar(diff):
-                        return False
-        return True
+def ad(g) -> AutMatrix:
+    """Ad g: X -> g X g^-1 on sl2, for an invertible g = ((a, b), (c, d)).
 
+    Every automorphism of sl2 is one of these.  The columns, the images
+    of e, f and h, are
 
-def phi_matrix(a: Scalar, b: Scalar, c: Scalar, d: Scalar,
-               inverse_pairs: tuple = ()) -> AutMatrix:
-    """Automorphism of sl2 induced by conjugation with [[a, b], [c, d]].
+        e -> ( a^2 e - c^2 f - a c h) / det g
+        f -> (-b^2 e + d^2 f + b d h) / det g
+        h -> (-2 a b e + 2 c d f + (a d + b c) h) / det g.
 
-    Requires a*d - b*c == 1 (checked exactly, after reduction by any
-    declared inverse pairs for parametric entries).
+    Entries may be MPoly when det g is a nonzero constant; number
+    entries are int-first.  A singular g or a non-constant det raises
+    ValueError.
     """
+    (a, b), (c, d) = g
     det = a * d - b * c
     if isinstance(det, MPoly):
-        for s, inv in inverse_pairs:
-            det = det.cancel_inverse_pairs(s, inv)
-    if det != 1:
-        raise ValueError(f"a*d - b*c must equal 1, got {det}")
-    two = 2
+        if not det.is_constant():
+            raise ValueError(f"det g must be a constant, got {det}")
+        det = det.constant_value()
+    if not det:
+        raise ValueError("g must be invertible")
+    inv = Fraction(1) / det
+
+    def scaled(v: Scalar) -> Scalar:
+        return v * inv if isinstance(v, MPoly) else _scalar(v * inv)
+
     m = (
-        (a * a, -(b * b), -(a * b) * two),
-        (-(c * c), d * d, (c * d) * two),
+        (a * a, -(b * b), -2 * a * b),
+        (-(c * c), d * d, 2 * c * d),
         (-(a * c), b * d, a * d + b * c),
     )
-    aut = AutMatrix(sl2(), m, inverse_pairs=inverse_pairs)
-    if not aut.preserves_bracket():
-        raise ValueError("phi matrix does not preserve the bracket")
-    return aut
-
-
-def psi_matrix() -> AutMatrix:
-    """The swap e <-> f with h -> -h of sl2."""
-    m = (
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(-1)),
-    )
-    aut = AutMatrix(sl2(), m)
-    assert aut.preserves_bracket()
-    return aut
+    return AutMatrix(sl2(), tuple(tuple(scaled(v) for v in row) for row in m))
 
 
 def transform_tensor(aut: AutMatrix, tensor: Mapping[tuple, Scalar]) -> dict[tuple, Scalar]:
@@ -211,9 +180,8 @@ def transform_tensor(aut: AutMatrix, tensor: Mapping[tuple, Scalar]) -> dict[tup
 
     This is the one automorphism transport: the values may be int,
     Fraction or MPoly, so it serves constant tensors, coefficient
-    matrices and the coefficients of conformal tensors alike.  Each output
-    value is reduced by the automorphism's inverse pairs; zero values are
-    dropped.
+    matrices and the coefficients of conformal tensors alike.  Zero
+    values are dropped.
     """
     images = {name: list(aut.image(name).items()) for name in aut.alg.names}
     out: dict[tuple, Scalar] = {}
@@ -223,8 +191,7 @@ def transform_tensor(aut: AutMatrix, tensor: Mapping[tuple, Scalar]) -> dict[tup
             for _, v in combo:
                 c = c * v
             tensor_add(out, tuple(name for name, _ in combo), coeff * c)
-    reduced = {key: aut._reduce(v) for key, v in out.items()}
-    return {key: v for key, v in reduced.items() if not is_zero_scalar(v)}
+    return out
 
 
 # Coefficient matrices -----------------------------------------------------------

@@ -22,7 +22,11 @@ group per level, in a fixed order that completes each filter equation
 as early as possible.  In strict mode the skew-symmetry test prunes
 whole constants tuples up front; the coefficients of a consistent
 candidate are always skew, because the invariance relations make mirror
-coefficients equal in odd degrees and opposite in even ones.
+coefficients equal in odd degrees and opposite in even ones.  So a
+strict search finds the skew-symmetric strict solutions only: an
+invariant one that is not skew, such as the constant profile with
+(alpha, beta, gamma, zeta) = (0, 0, 0, 1), passes `verify --mode
+strict` but is never a strict survivor.
 
 Point evaluations decide the filter.  Each filter equation is a
 polynomial identity in (d2, d3, d1) of total degree at most

@@ -12,9 +12,10 @@ generic profile.  The rest are checks
 and constructions only the tests use: diagonal restrictions, the
 invariance residues, the invariance-constrained generic profile, slot
 permutation symmetry, the weak defect of a constant r, antisymmetry of
-constant 3-tensors, algebras from JSON, the identity automorphism, the
-general invariant constant tensor and a map over a tensor's
-coefficients.
+constant 3-tensors, algebras from JSON, random invertible integer
+matrices, the identity automorphism and the check that an automorphism
+preserves the bracket, the general invariant constant tensor and a map
+over a tensor's coefficients.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ccybe import search
 from ccybe.conformal import ConfTensor, act_on_tensor, permute_slots, project
 from ccybe.exactpoly import MPoly, Substitution, SymbolRegistry, _scalar
 from ccybe.families import FamilySpec, build_profile
-from ccybe.liealg import AutMatrix, LieAlg, Scalar, is_zero_scalar, sl2, tensor_add
+from ccybe.liealg import AutMatrix, LieAlg, Scalar, ad, is_zero_scalar, sl2, tensor_add
 from ccybe.search import candidate_profile, filter_equation_names
 from ccybe.ybe import (
     CATALOG,
@@ -145,18 +146,13 @@ def adjoint_action_oracle(alg, a, tensor):
     return out
 
 
-def random_unimodular(rng, size=3, steps=4):
-    """Random integer (a, b, c, d) with a*d - b*c == 1, via shear products."""
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(steps):
-        k = rng.randint(-size, size)
-        if rng.random() < 0.5:
-            # multiply by [[1, k], [0, 1]]
-            a, b = a + k * c, b + k * d
-        else:
-            # multiply by [[1, 0], [k, 1]]
-            c, d = c + k * a, d + k * b
-    return a, b, c, d
+def random_invertible(rng, size=2):
+    """Random integer 2x2 matrix ((a, b), (c, d)) with entries in
+    [-size, size] and a*d - b*c != 0."""
+    while True:
+        a, b, c, d = (rng.randint(-size, size) for _ in range(4))
+        if a * d - b * c:
+            return (a, b), (c, d)
 
 
 # Pairwise double bracket: for every pair of entries, the product of
@@ -442,14 +438,23 @@ def algebra_from_json(data: Union[str, dict]) -> LieAlg:
     return LieAlg(names, table)
 
 
-def identity_matrix(alg: Optional[LieAlg] = None) -> AutMatrix:
-    alg = alg or sl2()
-    n = alg.dim
-    m = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-    return AutMatrix(alg, m)
+def identity_matrix() -> AutMatrix:
+    return ad(((1, 0), (0, 1)))
+
+
+def preserves_bracket(aut: AutMatrix) -> bool:
+    """Whether aut([i, j]) == [aut(i), aut(j)] for every pair of basis
+    elements; ad(g) always passes, so this checks the constructor."""
+    alg = aut.alg
+    for i in alg.names:
+        for j in alg.names:
+            rhs: dict[str, Scalar] = {}
+            for k, s in alg.bracket_basis(i, j).items():
+                for name, v in aut.image(k).items():
+                    tensor_add(rhs, name, v * s)
+            if not tensors_equal(alg.bracket(aut.image(i), aut.image(j)), rhs):
+                return False
+    return True
 
 
 def invariant_constant_rmat(alpha: Scalar, beta: Scalar, gamma: Scalar,

@@ -18,7 +18,7 @@ from ccybe.conformal import (
     act_on_tensor,
 )
 from ccybe.exactpoly import SymbolRegistry
-from ccybe.liealg import phi_matrix, sl2
+from ccybe.liealg import ad, sl2
 from ccybe.ybe import (
     ccybe_bracket,
     catalog_diffs,
@@ -36,7 +36,7 @@ from support import (
     invariance_residues,
     is_totally_antisymmetric,
     map_coeffs,
-    random_unimodular,
+    random_invertible,
     random_univariate,
     reduce_mod_total,
     weak_cybe_defect,
@@ -400,11 +400,13 @@ def test_criterion_8_automorphism_covariance():
     t0 = time.time()
     rng = random.Random(88)
     checked = 0
+    dets = []
     for _ in range(20):
         reg = SymbolRegistry()
         cur = ConfAlgebra.cur(sl2(), reg)
-        a, b, c, d = random_unimodular(rng, size=2)
-        aut = phi_matrix(F(a), F(b), F(c), F(d))
+        (a, b), (c, d) = g = random_invertible(rng)
+        dets.append(a * d - b * c)
+        aut = ad(g)
         entries = {}
         for _ in range(rng.randint(1, 3)):
             pair = (rng.choice(cur.basis_names), rng.choice(cur.basis_names))
@@ -431,4 +433,7 @@ def test_criterion_8_automorphism_covariance():
         assert lhs_w == rhs_w
         checked += 1
     assert checked == 20
-    report(8, "defect covariance under 20 random integer automorphisms", t0)
+    # conjugation by matrices outside SL2 is covered too
+    assert max(abs(det) for det in dets) > 1
+    report(8, "defect covariance under conjugation by 20 random invertible "
+              "integer matrices", t0)

@@ -712,13 +712,6 @@ def test_pow(reg):
         p ** -1
 
 
-def test_cancel_inverse_pairs(reg):
-    a, ainv = reg.var("a"), reg.var("ainv")
-    p = a * a * ainv + a * ainv - 2
-    q = p.cancel_inverse_pairs(reg.sym("a"), reg.sym("ainv"))
-    assert q == a - 1
-
-
 def test_interning_bijective(reg):
     s1 = reg.sym("alpha")
     s2 = reg.sym("alpha")

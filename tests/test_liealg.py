@@ -5,10 +5,10 @@ import pytest
 
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import (
+    AutMatrix,
     LieAlg,
+    ad,
     is_zero_scalar,
-    phi_matrix,
-    psi_matrix,
     rank_le_1,
     sl2,
     transform_tensor,
@@ -22,7 +22,8 @@ from support import (
     classical_cybe_oracle,
     identity_matrix,
     is_totally_antisymmetric,
-    random_unimodular,
+    preserves_bracket,
+    random_invertible,
     tensors_equal,
     weak_cybe_defect,
 )
@@ -153,33 +154,62 @@ def test_antisymmetrize_projects():
 # Automorphisms -----------------------------------------------------------------
 
 
+SWAP = ((0, 1), (1, 0))
+
+
 def test_psi_swaps():
-    psi = psi_matrix()
+    # Ad of the swap matrix is the swap e <-> f with h -> -h
+    psi = ad(SWAP)
+    assert psi.m == ((0, 1, 0), (1, 0, 0), (0, 0, -1))
     assert psi.image("e") == {"f": F(1)}
     assert psi.image("f") == {"e": F(1)}
     assert psi.image("h") == {"h": F(-1)}
-    assert psi.preserves_bracket()
+    assert preserves_bracket(psi)
 
 
-def test_phi_det_validated():
-    with pytest.raises(ValueError, match="a\\*d - b\\*c"):
-        phi_matrix(F(1), F(1), F(1), F(1))
+def test_ad_diagonal_scales_e_and_f():
+    # Ad diag(k, 1) is e -> k e, f -> f / k, h -> h, with int-first entries
+    for k in (2, -3, F(1, 2)):
+        aut = ad(((k, 0), (0, 1)))
+        assert aut.image("e") == {"e": k}
+        assert aut.image("f") == {"f": 1 / F(k)}
+        assert aut.image("h") == {"h": 1}
+        assert all(type(v) is int for row in aut.m for v in row if F(v).denominator == 1)
 
 
-def test_phi_random_unimodular_preserves_bracket():
+def test_ad_refuses_singular_and_nonconstant_det():
+    reg = SymbolRegistry()
+    b = reg.var("b")
+    for g in (((1, 1), (1, 1)), ((0, 0), (0, 0)), ((F(1, 2), 1), (1, 2)),
+              ((b, b), (1, 1))):
+        with pytest.raises(ValueError, match="invertible"):
+            ad(g)
+    with pytest.raises(ValueError, match="constant"):
+        ad(((b, 0), (0, 1)))
+
+
+def test_ad_preserves_bracket():
     rng = random.Random(5)
+    dets = set()
     for _ in range(10):
-        a, b, c, d = random_unimodular(rng)
-        aut = phi_matrix(F(a), F(b), F(c), F(d))
-        assert aut.preserves_bracket()
+        g = random_invertible(rng)
+        dets.add(abs(g[0][0] * g[1][1] - g[0][1] * g[1][0]))
+        assert preserves_bracket(ad(g))
+    assert max(dets) > 1
+    # the symbolic shears, with formal entries of a constant det
+    reg = SymbolRegistry()
+    b, c = reg.var("b"), reg.var("c")
+    for g in (((1, b), (0, 1)), ((1, 0), (c, 1))):
+        assert preserves_bracket(ad(g))
+    # and a matrix that is not an automorphism fails the check
+    assert not preserves_bracket(AutMatrix(sl2(), ((1, 0, 0), (0, 1, 0), (0, 0, 2))))
 
 
 def test_cybe_covariance_classical():
     rng = random.Random(23)
     r = {("e", "f"): F(2), ("h", "e"): F(1), ("f", "f"): F(-1)}
     for _ in range(8):
-        a, b, c, d = random_unimodular(rng)
-        aut = phi_matrix(F(a), F(b), F(c), F(d))
+        aut = ad(random_invertible(rng))
         lhs = cybe(transform_tensor(aut, r))
         rhs = transform_tensor(aut, cybe(r))
         assert tensors_equal(lhs, rhs)
@@ -211,44 +241,47 @@ def _minors(a):
 
 
 def test_congruence_psi_moves_corner():
-    out = _rows(transform_tensor(psi_matrix(), _tensor(_e11())))
+    out = _rows(transform_tensor(ad(SWAP), _tensor(_e11())))
     assert out[1][1] == 1
     assert sum(1 for row in out for v in row if v) == 1
 
 
 def test_congruence_identity(alg):
     m = ((F(1), F(2), F(3)), (F(2), F(4), F(5)), (F(3), F(5), F(6)))
-    assert _rows(transform_tensor(identity_matrix(alg), _tensor(m))) == m
+    assert _rows(transform_tensor(identity_matrix(), _tensor(m))) == m
+
+
+SCALINGS = (1, 2, -3, F(1, 2))
 
 
 def test_congruence_parametric_derived():
-    # phi(a, 0, c, 1/a): the image of the first slot is (a^2, -c^2, -a c),
-    # so congruating the corner matrix gives its symmetric outer square.
+    # Ad ((k, 0), (c, 1/k)): the image of the first slot is
+    # (k^2, -c^2, -k c), so congruating the corner matrix gives its
+    # symmetric outer square.
     reg = SymbolRegistry()
-    a, c, ainv = reg.var("a"), reg.var("c"), reg.var("ainv")
-    pairs = ((reg.sym("a"), reg.sym("ainv")),)
-    aut = phi_matrix(a, reg.zero(), c, ainv, inverse_pairs=pairs)
-    out = _rows(transform_tensor(aut, {("e", "e"): reg.const(1)}))
-    col = (a * a, -(c * c), -(a * c))
-    for i in range(3):
-        for j in range(3):
-            assert (out[i][j] - col[i] * col[j]).is_zero()
+    c = reg.var("c")
+    for k in SCALINGS:
+        aut = ad(((k, 0), (c, 1 / F(k))))
+        out = _rows(transform_tensor(aut, {("e", "e"): reg.const(1)}))
+        col = (reg.const(k * k), -(c * c), -(c * k))
+        for i in range(3):
+            for j in range(3):
+                assert (out[i][j] - col[i] * col[j]).is_zero()
 
 
 def test_congruence_second_diagonal_formula():
-    # With b = 0 the (2,2) entry of Phi M Phi^T expands to
+    # Ad ((1/d, 0), (c, d)): the (2,2) entry of Phi M Phi^T expands to
     # c^4 m11 - 4 c^3 d m13 + 2 c^2 d^2 (2 m33 - m12) + 4 c d^3 m23 + d^4 m22.
     reg = SymbolRegistry()
-    c, d, dinv = reg.var("c"), reg.var("d"), reg.var("dinv")
-    pairs = ((reg.sym("d"), reg.sym("dinv")),)
-    aut = phi_matrix(dinv, reg.zero(), c, d, inverse_pairs=pairs)
+    c = reg.var("c")
     names = ("m11", "m12", "m13", "m22", "m23", "m33")
     m11, m12, m13, m22, m23, m33 = (reg.var(n) for n in names)
     m = ((m11, m12, m13), (m12, m22, m23), (m13, m23, m33))
-    out = _rows(transform_tensor(aut, _tensor(m)))
-    want = (c ** 4 * m11 + d ** 4 * m22 - c ** 3 * d * m13 * 4
-            + c * c * d * d * (m33 * 2 - m12) * 2 + c * d ** 3 * m23 * 4)
-    assert (out[1][1] - want).is_zero()
+    for d in map(F, SCALINGS):
+        out = _rows(transform_tensor(ad(((1 / d, 0), (c, d))), _tensor(m)))
+        want = (c ** 4 * m11 + m22 * d ** 4 - c ** 3 * m13 * (4 * d)
+                + c * c * (m33 * 2 - m12) * (2 * d * d) + c * m23 * (4 * d ** 3))
+        assert (out[1][1] - want).is_zero()
 
 
 def test_rank_le_1():

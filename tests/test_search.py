@@ -29,6 +29,9 @@ from ccybe.ybe import (
     Equation,
     boundary_values,
     eval_equation,
+    is_invariant,
+    is_strict_solution,
+    lift_profile,
     shift_constant,
 )
 
@@ -167,6 +170,25 @@ def test_structured_matches_naive_strict():
                                      constants_grid=(0, 1), mode="strict"))
     assert len(strict.survivors) < len(weak.survivors)
     assert all(r["constants"]["zeta"] == "0" for r in strict.survivors)
+
+
+def test_strict_search_finds_skew_solutions_only():
+    # strict mode prunes non-skew constants tuples up front, so it misses
+    # the constant profile (alpha, beta, gamma, zeta) = (0, 0, 0, 1):
+    # invariant and strict on its lift, but not skew, so it passes
+    # verify --mode strict
+    reg = SymbolRegistry()
+    values = boundary_values((0, 0, 0, 1))
+    r = lift_profile(DiagProfile(reg, {pair: reg.const(v) for pair, v in zip(PAIRS, values)}))
+    assert is_invariant(r)[0] and is_strict_solution(r)[0]
+    grids = dict(max_degree=1, raw=True, coeff_grid=(0,), constants_grid=(0, 1))
+    weak = run_search(SearchConfig(**grids))
+    strict = run_search(SearchConfig(mode="strict", **grids))
+    zeta_only = {"alpha": "0", "beta": "0", "gamma": "0", "zeta": "1"}
+    assert len(weak.survivors) == 16
+    assert zeta_only in [rec["constants"] for rec in weak.survivors]
+    assert len(strict.survivors) == 3
+    assert zeta_only not in [rec["constants"] for rec in strict.survivors]
 
 
 def test_worker_count_determinism():

@@ -124,6 +124,17 @@ def _private_defs(tree) -> list:
     return found
 
 
+def _names_read(tree) -> set:
+    """Every name `tree` reads, as a name or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def test_no_unread_private_defs():
     # a private helper whose last caller is gone is dead code: every
     # `_`-prefixed function, class or method in src/ccybe is read, as a
@@ -135,15 +146,29 @@ def test_no_unread_private_defs():
                 path = os.path.join(folder, name)
                 with open(path, encoding="utf-8") as fh:
                     trees[os.path.relpath(path, ROOT)] = ast.parse(fh.read(), path)
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = set().union(*(_names_read(tree) for tree in trees.values()))
     defined = [(path, line, name) for path, tree in trees.items()
                for line, name in _private_defs(tree)]
     assert len(defined) > 50
     assert [f"{path}:{line}: {name}" for path, line, name in defined
             if name not in read] == []
+
+
+def test_support_helpers_read():
+    # a helper in tests/support.py whose last reader is gone is dead
+    # code: each public def or class there is read by some test module,
+    # and each private one inside support.py
+    tests = os.path.join(ROOT, "tests")
+    trees = {}
+    for name in sorted(os.listdir(tests)):
+        if name == "support.py" or (name.startswith("test_") and name.endswith(".py")):
+            with open(os.path.join(tests, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read(), name)
+    support = trees.pop("support.py")
+    in_tests = set().union(*(_names_read(tree) for tree in trees.values()))
+    in_support = _names_read(support)
+    defined = [(node.lineno, node.name) for node in support.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert len(defined) > 30
+    assert [f"tests/support.py:{line}: {name}" for line, name in defined
+            if name not in (in_support if name.startswith("_") else in_tests)] == []

@@ -15,7 +15,7 @@ from ccybe.conformal import (
 )
 from ccybe.exactpoly import MPoly, RegistryMismatch, SymbolRegistry
 from ccybe.families import SL2_CASES, FamilySpec, build_profile
-from ccybe.liealg import phi_matrix, psi_matrix, sl2
+from ccybe.liealg import ad, sl2
 from ccybe.ybe import (
     CATALOG,
     CONSTANT_NAMES,
@@ -23,7 +23,6 @@ from ccybe.ybe import (
     DiagProfile,
     boundary_values,
     ccybe_bracket,
-    cocommutator,
     derive_projection,
     derive_weak_projection,
     eval_equation,
@@ -46,7 +45,7 @@ from support import (
     pairwise_bracket,
     permutation_symmetry_check,
     project_reduced,
-    random_unimodular,
+    random_invertible,
     random_univariate,
     reduce_mod_total,
     termwise_generic_profile,
@@ -463,23 +462,24 @@ def test_invariance_residues_all_zero_profile(reg):
     assert all(r.is_zero() for r in invariance_residues(prof))
 
 
-# Cocommutator ----------------------------------------------------------------------
+# Cocommutator: a -> a_lam r at lam = -(d1 + d2) -------------------------------------
 
 
 def test_cocommutator_zero(cur, reg):
-    assert cocommutator(cur.generator("h"), ConfTensor(cur, 2, {})).is_zero()
+    zero = ConfTensor(cur, 2, {})
+    assert act_on_tensor([cur.generator("h")], zero, -zero.total())[0].is_zero()
 
 
 def test_cocommutator_h_on_constant_ef(cur, reg):
     r = ConfTensor(cur, 2, {("e", "f"): reg.const(1)})
-    assert cocommutator(cur.generator("h"), r).is_zero()
+    assert act_on_tensor([cur.generator("h")], r, -r.total())[0].is_zero()
 
 
 def test_cocommutator_h_general_formula(cur, reg):
     # h acting on A(d1,d2) e x f gives 2(A(-d2,d2) - A(d1,-d1)) e x f
     A = reg.parse("d1^2 + 3*d2")
     r = ConfTensor(cur, 2, {("e", "f"): A})
-    out = cocommutator(cur.generator("h"), r)
+    out = act_on_tensor([cur.generator("h")], r, -r.total())[0]
     s1, s2 = reg.sym("d1"), reg.sym("d2")
     d1, d2 = reg.var("d1"), reg.var("d2")
     want = (A.subst_many({s1: -d2, s2: d2}) - A.subst_many({s1: d1, s2: -d1})) * 2
@@ -488,7 +488,7 @@ def test_cocommutator_h_general_formula(cur, reg):
 
 def test_cocommutator_e_on_hh(cur, reg):
     r = ConfTensor(cur, 2, {("h", "h"): reg.const(1)})
-    out = cocommutator(cur.generator("e"), r)
+    out = act_on_tensor([cur.generator("e")], r, -r.total())[0]
     assert out.entries == {
         ("e", "h"): reg.const(-2), ("h", "e"): reg.const(-2),
     }
@@ -504,9 +504,8 @@ def test_cocommutator_conformal_linear(cur, reg):
     })
     for name in cur.basis_names:
         a = cur.generator(name)
-        lhs = cocommutator(a.apply_derivation(), r)
-        total = reg.parse("d1 + d2")
-        rhs = map_coeffs(cocommutator(a, r), lambda p: p * total)
+        lhs = act_on_tensor([a.apply_derivation()], r, -r.total())[0]
+        rhs = map_coeffs(act_on_tensor([a], r, -r.total())[0], lambda p: p * r.total())
         assert lhs == rhs
 
 
@@ -566,7 +565,7 @@ _MEMO_CHECKS = {
     "arity3": lambda r, t, elem: _actions(generator_actions(t)),
     "arity2": lambda r, t, elem: _actions(generator_actions(r)),
     "invariant": lambda r, t, elem: (is_invariant(r)[0], _actions(is_invariant(r)[1])),
-    "cocommutator": lambda r, t, elem: _printed(cocommutator(elem, r)),
+    "cocommutator": lambda r, t, elem: _printed(act_on_tensor([elem], r, -r.total())[0]),
     # at a free variable, on both arities with the same element
     "free": lambda r, t, elem: [_printed(act_on_tensor([elem], u, r.alg.reg.var("mu"))[0])
                                 for u in (r, t)],
@@ -611,9 +610,9 @@ def test_action_table_built_once_per_key(monkeypatch, cur, reg):
         generator_actions(r)
     assert builds == [3, 2]
     for r in rs:
-        cocommutator(cur.generator("e"), r)
+        act_on_tensor([cur.generator("e")], r, -r.total())
     assert builds == [3, 2, 2]
-    cocommutator(cur.generator("f"), rs[0])
+    act_on_tensor([cur.generator("f")], rs[0], -rs[0].total())
     act_on_tensor([cur.generator("e")], rs[0], reg.var("mu"))
     assert builds == [3, 2, 2, 2, 2]
     # another algebra keeps its own tables
@@ -648,6 +647,35 @@ def test_algebra_tables_refuse_foreign_tensors(cur, reg):
 def test_catalog_rederivation_quick():
     diffs = ybe.catalog_diffs(degree=2)
     assert all(diff.is_zero() for diff in diffs.values())
+
+
+def test_catalog_rederivation_degree_7():
+    # by the argument in catalog_diffs, this proves the catalog at every
+    # degree
+    diffs = ybe.catalog_diffs(degree=7)
+    assert all(diff.is_zero() for diff in diffs.values())
+
+
+def test_catalog_forms_are_the_bracket_and_action_forms(reg):
+    # the argument forms the catalog uses are the images of the lift's
+    # d1 under the reduced bracket's maps, and under a generator
+    # action's slot shifts at -(d1+d2+d3); a new form would raise the
+    # degree that catalog_diffs needs to prove the catalog
+    r = lift_profile(generic_profile(reg, 1))
+    alg = r.alg
+    bracket = ccybe_bracket(r, reduced=True)
+    lifted_x = alg.memo("lift_profile.at_d1", None)(reg.var("x"))
+    maps = alg.memo(("ccybe_bracket.maps", True), None)
+    images = {m(lifted_x) for m in maps}
+    generators = [alg.generator(n) for n in alg.basis_names]
+    table = conformal._action_table(generators, bracket, -bracket.total())
+    forms = images | {shift(u) for shift, _row in table.values() for u in images}
+    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
+    used = {d2 * a + d3 * b + d1 * c for eq in CATALOG.values()
+            for term in eq.terms for a, b, c in (term[2], term[4])}
+    assert len(images) == 4
+    assert forms == used
+    assert len(used) == 8
 
 
 def test_catalog_fault_detected(monkeypatch):
@@ -747,8 +775,7 @@ def test_diagonal_sufficiency(cur, reg):
 
 def test_bracket_covariance(cur, reg):
     rng = random.Random(7)
-    a, b, c, d = random_unimodular(rng)
-    aut = phi_matrix(F(a), F(b), F(c), F(d))
+    aut = ad(random_invertible(rng))
     r = ConfTensor(cur, 2, {("e", "f"): reg.parse("d1 + 1"), ("h", "h"): reg.parse("d2")})
     lhs = reduce_mod_total(ccybe_bracket(transform_conf_tensor(aut, r)))
     rhs = transform_conf_tensor(aut, reduce_mod_total(ccybe_bracket(r)))
@@ -757,7 +784,7 @@ def test_bracket_covariance(cur, reg):
 
 def test_transform_rmat_psi(cur, reg):
     r = ConfTensor(cur, 2, {("e", "e"): reg.parse("d1")})
-    out = transform_conf_tensor(psi_matrix(), r)
+    out = transform_conf_tensor(ad(((0, 1), (1, 0))), r)
     assert out.entries == {("f", "f"): reg.parse("d1")}
 
 
