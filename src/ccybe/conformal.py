@@ -19,8 +19,9 @@ act_on_tensor acts with a list of elements on one tensor, and the
 elements share the shifts: each (tuple, slot) coefficient is moved by
 its slot's shift di -> di + lam (an exactpoly.Substitution) once and
 multiplied by every element's inserted bracket.  Each output
-coefficient is one exactpoly.PolySum: the Leibniz sum adds its products
-there term by term, with no polynomial built per product.  The
+coefficient is a plain term table: the Leibniz sum adds its products
+there through exactpoly._mac, with no polynomial built per product, and
+exactpoly._finished makes each table a polynomial once.  The
 tensor-wide maps (tau, permute_slots) compile their substitution once
 per tensor.
 
@@ -28,8 +29,9 @@ The algebra owns the tables that depend on it alone: `ConfAlgebra.memo`
 builds a table on first use and keeps it as long as the algebra lives.
 act_on_tensor keeps there, per (arity, lam, elements), its slot shifts
 with the powers of di + lam they have built and its inserted-bracket
-factor rows; ybe keeps the double bracket's coefficient maps and the
-lift map there.  A caller that checks many tensors over one algebra
+factor rows; ybe keeps there the double bracket's coefficient maps
+and contraction plans, the generator actions' value of lam per arity,
+and the lift map.  A caller that checks many tensors over one algebra
 (the search) builds each table once; one that makes an algebra per
 check builds them once per check.  Nothing is cached at module level.
 
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
-from .exactpoly import MPoly, PolySum, Substitution, Sym, SymbolRegistry
+from .exactpoly import MPoly, PolySum, Substitution, Sym, SymbolRegistry, _finished, _mac
 from .liealg import LieAlg, Scalar
 
 
@@ -69,10 +71,12 @@ class ConfAlgebra:
         """The table held under `key`, made by `build()` on first use.
 
         Kept as long as the algebra, so a key must name everything the
-        table depends on besides the algebra, and must not hold the
-        algebra or its elements (that would be a reference cycle).  A
-        table is a function of its key alone, so if two threads miss at
-        once and both build it, either copy serves.
+        table depends on besides the algebra.  Neither a key nor a table
+        may hold the algebra or its elements, or a tensor over it: the
+        algebra holds them, so that would be a reference cycle, which
+        only the cyclic collector frees.  A table is a function of its
+        key alone, so if two threads miss at once and both build it (or
+        fill the same part of it), either copy serves.
         """
         table = self._tables.get(key)
         if table is None:
@@ -125,10 +129,6 @@ class ConfElem:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def apply_derivation(self) -> "ConfElem":
-        d = self.alg.reg.var("d")
-        return ConfElem(self.alg, {k: v * d for k, v in self.coeffs.items()})
-
     def __add__(self, other: "ConfElem") -> "ConfElem":
         if self.alg is not other.alg:
             raise ValueError("elements over different algebras")
@@ -139,29 +139,6 @@ class ConfElem:
 
     def __mul__(self, scalar) -> "ConfElem":
         return ConfElem(self.alg, {k: v * scalar for k, v in self.coeffs.items()})
-
-
-def lambda_bracket(a: ConfElem, b: ConfElem) -> dict[str, MPoly]:
-    """[a _lam b] as a map from basis names to polynomials in (d, lam)."""
-    if a.alg is not b.alg:
-        raise ValueError("elements over different algebras")
-    alg = a.alg
-    reg = alg.reg
-    d, lam = reg.var("d"), reg.var("lam")
-    d_sym = alg.d
-    out: dict[str, MPoly] = {}
-    for p, f in a.coeffs.items():
-        f_at = f.subst_many({d_sym: -lam})
-        for q, g in b.coeffs.items():
-            bracket = alg.basis_bracket(p, q, d, lam)
-            if not bracket:
-                continue
-            g_at = g.subst_many({d_sym: lam + d})
-            factor = f_at * g_at
-            for k, poly in bracket.items():
-                term = factor * poly
-                out[k] = out.get(k, reg.zero()) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 @dataclass
@@ -248,17 +225,23 @@ def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
         raise ValueError("element and tensor over different algebras")
     key = ("act_on_tensor", t.arity, lam, tuple(tuple(e.coeffs.items()) for e in elems))
     table = alg.memo(key, partial(_action_table, elems, t, lam))
-    new_sum = partial(PolySum, alg.reg)
-    outs = [defaultdict(new_sum) for _ in elems]
+    outs = [{} for _ in elems]
     for tup, coeff in t.entries.items():
         for i, b in enumerate(tup):
             shift, row = table[b, i]
             if not row:
                 continue
-            shifted = shift(coeff)
+            shifted = shift(coeff)._terms.items()
             for j, k, f in row:
-                outs[j][tup[:i] + (k,) + tup[i + 1:]].add(shifted, f)
-    return [ConfTensor(alg, t.arity, {tup: s.value() for tup, s in out.items()})
+                out = outs[j]
+                acted = tup[:i] + (k,) + tup[i + 1:]
+                terms = out.get(acted)
+                if terms is None:
+                    terms = out[acted] = {}
+                _mac(terms, f, shifted)
+    reg = alg.reg
+    return [ConfTensor(alg, t.arity, {tup: _finished(reg, terms)
+                                      for tup, terms in out.items() if terms})
             for out in outs]
 
 
@@ -266,9 +249,9 @@ def _action_table(elems: Sequence[ConfElem], t: ConfTensor, lam: MPoly) -> dict:
     """act_on_tensor's table for elems acting at `lam` on t's arity.
 
     Per (basis element b, slot i): di's shift di -> di + lam, and the
-    row of (j, k, f): f is the nonzero k component of the sum over p of
-    g_p(-lam) [p _lam b], g_p the coefficients of element j.  It reads t
-    only for its arity and slot symbols.
+    row of (j, k, f): f is the term list of the nonzero k component of
+    the sum over p of g_p(-lam) [p _lam b], g_p the coefficients of
+    element j.  It reads t only for its arity and slot symbols.
     """
     alg = t.alg
     reg = alg.reg
@@ -287,7 +270,8 @@ def _action_table(elems: Sequence[ConfElem], t: ConfTensor, lam: MPoly) -> dict:
                 for p, g_at in gs:
                     for k, v in alg.basis_bracket(p, b, di, lam).items():
                         acc[k].add(g_at, v)
-                row += [(j, k, f) for k, s in acc.items() if (f := s.value())]
+                row += [(j, k, tuple(f._terms.items()))
+                        for k, s in acc.items() if (f := s.value())]
             table[b, i] = (shift, row)
     return table
 

@@ -38,13 +38,17 @@ that apply one map to many polynomials (a tensor's coefficients) build
 it once; a map that depends only on an algebra is kept by that algebra
 (conformal.ConfAlgebra.memo) and serves every tensor over it.
 
-PolySum is the fused multiply-accumulate: a sum of products a * b (b a
-polynomial or an exact scalar) added term by term into one table, with
-no polynomial built per product and one guard check when the sum is
-read.  The tensor code (the double bracket's contraction tables and
-final products, the Leibniz sum of an action) sums its products there.
-A product of two polynomials, a substitution and PolySum all add their
-term products through one loop, _mac.
+_mac is the one product loop: it adds the product of two term lists
+into a table of terms, and a product of two polynomials, a substitution
+and PolySum all go through it.  A filled table becomes a polynomial
+through one helper, _finished: one guard check, integral Fractions made
+ints, no copy.  PolySum is the fused multiply-accumulate over one such
+table: a sum of products a * b (b a polynomial or an exact scalar) with
+no polynomial built per product.  The tensor code (the double bracket's
+contraction tables and outputs, the Leibniz sum of an action) keeps
+many tables at once, so it calls _mac on plain term tables, a scalar
+factor as the one-term list ((0, v),), and finishes each output with
+_finished.
 
 Symbols are interned in a SymbolRegistry (append-only, synchronized).
 A registry starts from a prebuilt table of the core symbols, and a
@@ -169,6 +173,14 @@ def _mac(out: dict, a_terms, b_terms) -> None:
                 out[key] = s
             else:
                 del out[key]
+
+
+def _finished(reg: "SymbolRegistry", terms: dict) -> "MPoly":
+    """The polynomial of a term table that _mac filled, taking the table
+    as its terms: the guard mask is checked once and integral Fractions
+    become ints (see PolySum for why one check at the end suffices)."""
+    reg._check_guard(terms)
+    return MPoly._raw(reg, _ints_first(terms))
 
 
 class SymbolRegistry:
@@ -534,7 +546,8 @@ class Substitution:
 
     Otherwise a polynomial is written as the sum over t of m_t * q_t,
     with q_t free of the substituted symbols, and each q_t is multiplied
-    by the image of m_t once.  That image is a product of powers of the
+    by the image of m_t once (a polynomial free of those symbols is
+    returned as it is).  That image is a product of powers of the
     targets.  Each power of a target of two or more terms is kept for
     the lifetime of the object, and a missing power n is built from the
     highest power m < n of that target already held: as
@@ -600,6 +613,8 @@ class Substitution:
             t = key & cleared
             groups.setdefault(t, {})[key ^ t] = coeff
         out = groups.pop(0, {})
+        if not groups:
+            return p  # no term has a substituted symbol
         for t, rest in groups.items():
             image = None
             for idx, shift in self._shifts:
@@ -725,8 +740,7 @@ class PolySum:
 
     def value(self) -> MPoly:
         terms, self._terms = self._terms, {}
-        self.reg._check_guard(terms)
-        return MPoly._raw(self.reg, _ints_first(terms))
+        return _finished(self.reg, terms)
 
 
 # Parsing ---------------------------------------------------------------------

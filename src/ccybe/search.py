@@ -558,11 +558,8 @@ def _scan(cfg: SearchConfig) -> list:
 def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     """Survivor record plus any characterization problems, for a
     profile built on _registry()."""
-    entry_strings = {
-        "".join(pair): profile.entry(*pair).to_string()
-        for pair in PAIRS
-        if not profile.entry(*pair).is_zero()
-    }
+    entries = profile.entries  # the nonzero entries only
+    entry_strings = {"".join(pair): entries[pair].to_string() for pair in PAIRS if pair in entries}
     rep = characterize(profile)
     # (alpha, beta, gamma, zeta), read off the entries once
     constants = [_scalar(v.constant_value()) for v in profile.constant_values()]

@@ -18,18 +18,29 @@ ccybe_bracket contracts first.  Each of the five substitutions (four
 for the class below) is compiled once per algebra (an
 exactpoly.Substitution kept in the algebra's memo, see
 conformal.ConfAlgebra.memo, with the powers of its targets it has
-built) and each entry's forms are built once; the minus signs of slots
-2 and 3 go on the inserted bracket.  Then, for each slot, the inserted
-bracket is summed against the B forms: slot 1 gives, per left index q,
-a table keyed (k, l') of sum over entries (q', l') of [q, q']_k B;
-slots 2 and 3 give, per right index l, one shared table keyed (k, l')
-resp. (q', k), since both multiply A(d1, d2+d3).  For a current
-algebra the inserted bracket is a structure constant, so this step is
-scalar multiples and sums; for Virasoro it is the polynomial d + 2 lam.
-Last, each A form is multiplied once by each coefficient of its table.
-Every table coefficient and every output coefficient is one
-exactpoly.PolySum, so each of these products is added term by term
-into its sum, with no polynomial built per product.
+built), and each entry's form under each map is built at most once;
+the minus signs of slots 2 and 3 go on the inserted bracket.  Then, for
+each slot, the inserted bracket is summed against the B forms: slot 1
+gives, per left index q, a table keyed (k, l') of sum over entries
+(q', l') of [q, q']_k B; slots 2 and 3 give, per right index l, one
+shared table keyed (k, l') resp. (q', k), since both multiply
+A(d1, d2+d3).  For a current algebra the inserted bracket is a
+structure constant, so this step is scalar multiples and sums; for
+Virasoro it is the polynomial d + 2 lam.  Last, each A form is
+multiplied once by each coefficient of its table.
+
+Which products there are depends on the algebra, `reduced`, the wanted
+triples and the entry keys alone, not on the coefficients, so it is
+compiled once into a contraction plan kept in the algebra's memo:
+per entry key, the (map, table key, inserted bracket) rows its B forms
+feed, and the tables its A forms read with the output triple each
+table key lands on.  A plan is filled entry key by entry key, so a
+one-shot algebra (the CLI, catalog_diffs) builds only the rows it
+reads, and a search over one algebra builds each row once.  The tables
+and the outputs are plain term tables, filled through exactpoly._mac
+with no polynomial built per product or per table (a scalar factor is
+the one term ((0, v),)), and each output coefficient is made a
+polynomial once, by exactpoly._finished.
 
 Following Liberati, the CCYBE and its weak version live in the quotient
 of R x R x R by the image of the total derivation d1 + d2 + d3, read
@@ -68,12 +79,13 @@ bracket's specialization at d1 = d2 = d3 = 0.
 
 The tables these checks read belong to the algebra of the r-matrix and
 live as long as it (conformal.ConfAlgebra.memo): the double bracket's
-coefficient maps (five for the full bracket, four for its class), the
-generator-action table of each arity, and lift_profile's map x -> d1,
-each with the powers of its targets it has built, which the degrees
-seen so far bound.  So a caller
-that checks many r-matrices over one algebra (the search, with one
-algebra per process) builds each table once; a caller that makes an
+coefficient maps (five for the full bracket, four for its class) and
+its contraction plan per `reduced` and set of wanted triples, the
+generator actions' lam = -(d1 + ... + dN) and action table of each
+arity, and lift_profile's map x -> d1; each map keeps the powers of
+its targets it has built, which the degrees seen so far bound.  So a
+caller that checks many r-matrices over one algebra (the search, with
+one algebra per process) builds each table once; a caller that makes an
 algebra per check (the CLI) builds each once per check, and
 catalog_diffs lifts its generic profile once, so all its identities
 share one algebra.
@@ -99,7 +111,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from hashlib import sha256
@@ -112,7 +123,7 @@ from .conformal import (
     project,
     tau,
 )
-from .exactpoly import MPoly, PolySum, Substitution, SymbolRegistry
+from .exactpoly import MPoly, PolySum, Substitution, SymbolRegistry, _finished, _mac, _scalar
 from .liealg import AutMatrix, LieAlg, Scalar, sl2, transform_tensor
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
@@ -177,78 +188,166 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
         raise ValueError("the double bracket is defined on arity-2 tensors")
     alg = r.alg
     reg = alg.reg
-    names = alg.basis_names
+    maps = alg.memo(("ccybe_bracket.maps", reduced), partial(_bracket_maps, reg, reduced))
+    wanted = None if tuples is None else frozenset(tuple(tup) for tup in tuples)
+    plan = alg.memo(("ccybe_bracket.plan", reduced, wanted),
+                    partial(_ContractionPlan, reg, alg.basis_names, reduced, wanted))
+    rows = [(poly, plan.rows(alg, key)) for key, poly in r.entries.items()]
+    # tables[i][table key]: the terms of contracted table i at that key.
+    # The feeds read maps 2 and up and the reads maps 0 and 1, so each
+    # form is substituted in one place, once, and only when it is read.
+    tables = [{} for _ in range(plan.tables)]
+    for poly, (feeds, _) in rows:
+        for j, group in feeds:
+            form = maps[j](poly)._terms.items()
+            for i, tkey, factor in group:
+                table = tables[i]
+                terms = table.get(tkey)
+                if terms is None:
+                    terms = table[tkey] = {}
+                _mac(terms, factor, form)
+    # An inserted bracket has degree at most 1 in each symbol (a
+    # structure constant, or d + 2 lam), so a key of A * B * bracket has
+    # every field below 2 * EXPONENT_LIMIT and never carries: the guard
+    # check of each finished output coefficient covers the tables too.
+    out: dict = {}
+    for poly, (_, reads) in rows:
+        for j, i, lands in reads:
+            form = None
+            for tkey, terms in tables[i].items():
+                tup = lands.get(tkey)
+                if tup is not None and terms:
+                    if form is None:
+                        form = maps[j](poly)._terms.items()
+                    acc = out.get(tup)
+                    if acc is None:
+                        acc = out[tup] = {}
+                    _mac(acc, form, terms.items())
+    return ConfTensor(alg, 3, {tup: _finished(reg, terms) for tup, terms in out.items() if terms})
+
+
+def _bracket_maps(reg: SymbolRegistry, reduced: bool) -> list:
+    """The double bracket's coefficient substitutions: A at (-d2, d2)
+    and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2).  In the
+    class d1 reads -(d2 + d3), so d1 + d2 reads -d3, B's first two maps
+    are one and four are kept."""
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     if reduced:
-        # the maps and slot 1's bracket read d1 as -(d2 + d3)
         d1 = -(d2 + d3)
+    pairs = [(-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2)]
+    if reduced:
+        del pairs[3]
     s1, s2 = reg.sym("d1"), reg.sym("d2")
+    return [Substitution(reg, {s1: u, s2: v}) for u, v in pairs]
 
-    # The coefficient substitutions, kept by the algebra: A at (-d2, d2)
-    # and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2).  In
-    # the class, d1 + d2 reads -d3, so B's first two maps are one and
-    # four are kept.
-    def build_maps() -> list:
-        pairs = [(-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2)]
+
+class _ContractionPlan:
+    """ccybe_bracket's contraction over one algebra, for one `reduced`
+    and one set of wanted triples (None for all), kept in the algebra's
+    memo and filled entry key by entry key on first use.
+
+    rows(alg, (q, l)) is the pair (feeds, reads) of that entry key.
+    feeds lists, per map, the rows (table, table key, factor): the
+    entry's B form under that map times the factor, the term list of
+    the signed inserted bracket, adds to that key of that table.  Of
+    the `tables` = 2n tables (n basis elements), table i < n is slot 1's
+    table of left index names[i], keyed (k, l'), and table n + i is the
+    slot-2/3 table of right index names[i], keyed (k, l') resp. (q', k).
+    reads lists (map, table, lands): the entry's A form under that map
+    multiplies each coefficient of the table, slot 1's of q or slot
+    2/3's of l, and lands sends a table key to the output triple the
+    product adds to.  A wanted triple (a, b, c) reads slot 1's tables at
+    (a, c) and slot 2/3's at (b, c); only table keys and triples that
+    feed a wanted triple appear.  The inserted brackets with each basis
+    element are built once, on first use.
+
+    The plan holds names, triples, term lists and the inserted
+    brackets' variables (polynomials over the registry), never the
+    algebra (see conformal.ConfAlgebra.memo): rows() is given it.
+    """
+
+    __slots__ = ("tables", "_index", "_brackets", "_reduced", "_read", "_lands",
+                 "_inserted", "_rows")
+
+    def __init__(self, reg: SymbolRegistry, names: Sequence[str], reduced: bool,
+                 wanted: Optional[frozenset]):
+        self.tables = 2 * len(names)
+        self._index = {p: i for i, p in enumerate(names)}
+        # the inserted brackets' (d, lam): (d1, d2), (d2, d3), (d3, d2);
+        # slot 1's reads d1 as -(d2 + d3) in the class
+        d1, d2, d3 = (reg.var(s) for s in ("d1", "d2", "d3"))
         if reduced:
-            del pairs[3]
-        return [Substitution(reg, {s1: u, s2: v}) for u, v in pairs]
+            d1 = -(d2 + d3)
+        self._brackets = ((d1, d2), (d2, d3), (d3, d2))
+        self._reduced = reduced
+        # The table keys a wanted triple (a, b, c) reads, per slot: slot
+        # 1's (a, c) and slot 2's (b, c), as {c: the k of (k, c)}, and
+        # slot 3's (b, c), as {b: the k of (b, k)}.  Slot 1's tables land
+        # (a, c) on (a, b, c) for the entries (q, b), the slot-2/3 tables
+        # (b, c) on (a, b, c) for the entries (a, l).
+        self._read = ({}, {}, {})
+        self._lands = ({}, {})
+        read1, read2, read3 = self._read
+        lands1, lands23 = self._lands
+        for a, b, c in itertools.product(names, repeat=3) if wanted is None else wanted:
+            read1.setdefault(c, set()).add(a)
+            read2.setdefault(c, set()).add(b)
+            read3.setdefault(b, set()).add(c)
+            lands1.setdefault(b, {})[a, c] = (a, b, c)
+            lands23.setdefault(a, {})[b, c] = (a, b, c)
+        self._inserted: dict = {}
+        self._rows: dict = {}
 
-    maps = alg.memo(("ccybe_bracket.maps", reduced), build_maps)
-    # the maps of B in slots 2 and 3; slot 1's is map 2
-    b2, b3 = (2, 3) if reduced else (3, 4)
-    forms: dict = {}
+    def rows(self, alg: ConfAlgebra, key: tuple) -> tuple:
+        found = self._rows.get(key)
+        if found is None:
+            found = self._rows[key] = self._build(alg, key)
+        return found
 
-    def form(key: tuple, j: int) -> MPoly:
-        """Map j's image of an entry, substituted on first use."""
-        poly = forms.get((key, j))
-        if poly is None:
-            poly = forms[key, j] = maps[j](r.entries[key])
-        return poly
-
-    # A wanted triple (a, b, c) reads slot 1's tables at (a, c) and the
-    # shared slot-2/3 tables at (b, c).
-    if tuples is None:
-        wanted = set(itertools.product(names, repeat=3))
-    else:
-        wanted = {tuple(tup) for tup in tuples}
-    keys13 = {(a, c) for a, _, c in wanted}
-    keys23 = {(b, c) for _, b, c in wanted}
-
-    new_sum = partial(PolySum, reg)
-    # slot1[q]: sum over entries (q2, l2) of [q, q2] B_1, keyed (k, l2);
-    # slot23[l]: sum over entries (q2, l2) of [q2, l] B_2, keyed (k, l2),
-    # plus [l2, l] B_3, keyed (q2, k).  Both slot 2 and slot 3 multiply
-    # A(d1, d2+d3), so they share one table.
-    slot1 = {p: defaultdict(new_sum) for p in names}
-    slot23 = {p: defaultdict(new_sum) for p in names}
-    for key2 in r.entries:
-        q2, l2 = key2
-        for p in names:
-            for k, v in alg.basis_bracket(p, q2, d1, d2).items():
-                if (k, l2) in keys13:
-                    slot1[p][k, l2].add(form(key2, 2), v)
-            # slots 2 and 3 carry a minus sign, put on the bracket value
-            for k, v in alg.basis_bracket(q2, p, d2, d3).items():
-                if (k, l2) in keys23:
-                    slot23[p][k, l2].add(form(key2, b2), -v)
-            for k, v in alg.basis_bracket(l2, p, d3, d2).items():
-                if (q2, k) in keys23:
-                    slot23[p][q2, k].add(form(key2, b3), -v)
-    for tables in (slot1, slot23):
-        for p, table in tables.items():
-            tables[p] = {key: acc.value() for key, acc in table.items()}
-
-    out = defaultdict(new_sum)
-    for key in r.entries:
+    def _build(self, alg: ConfAlgebra, key: tuple) -> tuple:
         q, l = key
-        for (k, l2), c in slot1[q].items():
-            if c and (k, l, l2) in wanted:
-                out[k, l, l2].add(form(key, 0), c)
-        for (u, v), c in slot23[l].items():
-            if c and (q, u, v) in wanted:
-                out[q, u, v].add(form(key, 1), c)
-    return ConfTensor(alg, 3, {tup: acc.value() for tup, acc in out.items()})
+        read1, read2, read3 = self._read
+        ks1, ks2, ks3 = read1.get(l), read2.get(l), read3.get(q)
+        rows1 = [(i, (k, l), f) for i, k, f in self._inserted_by(alg, 0, q)
+                 if k in ks1] if ks1 else []
+        rows2 = [(i, (k, l), f) for i, k, f in self._inserted_by(alg, 1, q)
+                 if k in ks2] if ks2 else []
+        rows3 = [(i, (q, k), f) for i, k, f in self._inserted_by(alg, 2, l)
+                 if k in ks3] if ks3 else []
+        # B's maps: slots 1 and 2 share map 2 in the class
+        groups = ((2, rows1 + rows2), (3, rows3)) if self._reduced \
+            else ((2, rows1), (3, rows2), (4, rows3))
+        feeds = [(j, rows) for j, rows in groups if rows]
+        lands1, lands23 = self._lands
+        reads = ((0, self._index[q], lands1.get(l)),
+                 (1, self.tables // 2 + self._index[l], lands23.get(q)))
+        return feeds, [read for read in reads if read[2]]
+
+    def _inserted_by(self, alg: ConfAlgebra, s: int, x: str) -> list:
+        """The rows (table, k, factor) of slot s + 1's inserted brackets
+        with the entry index x: [p, x]_k into slot 1's table of p, and
+        -[x, p]_k into the slot-2/3 table of p for slots 2 and 3."""
+        found = self._inserted.get((s, x))
+        if found is None:
+            d, lam = self._brackets[s]
+            n = self.tables // 2
+            if s == 0:
+                found = [(i, k, _term_list(v)) for i, p in enumerate(alg.basis_names)
+                         for k, v in alg.basis_bracket(p, x, d, lam).items()]
+            else:
+                found = [(n + i, k, _term_list(-v)) for i, p in enumerate(alg.basis_names)
+                         for k, v in alg.basis_bracket(x, p, d, lam).items()]
+            self._inserted[s, x] = found
+        return found
+
+
+def _term_list(value) -> tuple:
+    """An inserted bracket's value as a term list: a polynomial's terms,
+    or a scalar v as the one term ((0, v),)."""
+    if isinstance(value, MPoly):
+        return tuple(value._terms.items())
+    c = _scalar(value)
+    return ((0, c),) if c else ()
 
 
 def is_strict_solution(r: ConfTensor) -> tuple[bool, ConfTensor]:
@@ -262,12 +361,15 @@ def generator_actions(t: ConfTensor) -> dict[str, ConfTensor]:
     """Every generator's action on t at minus its total derivation.
 
     One act_on_tensor call acts with all generators, so each shifted
-    coefficient of t is built once.  On the double bracket this is the
-    weak defect, on r + tau(r) the invariance defect.
+    coefficient of t is built once.  The algebra keeps that value of
+    lam per arity, so its action table is found without building or
+    hashing a new polynomial.  On the double bracket this is the weak
+    defect, on r + tau(r) the invariance defect.
     """
     alg = t.alg
     names = alg.basis_names
-    acted = act_on_tensor([alg.generator(n) for n in names], t, -t.total())
+    lam = alg.memo(("generator_actions.lam", t.arity), lambda: -t.total())
+    acted = act_on_tensor([alg.generator(n) for n in names], t, lam)
     return dict(zip(names, acted))
 
 

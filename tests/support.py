@@ -14,8 +14,10 @@ invariance residues, the invariance-constrained generic profile, slot
 permutation symmetry, the weak defect of a constant r, antisymmetry of
 constant 3-tensors, algebras from JSON, random invertible integer
 matrices, the identity automorphism and the check that an automorphism
-preserves the bracket, the general invariant constant tensor and a map
-over a tensor's coefficients.
+preserves the bracket, the general invariant constant tensor, a map
+over a tensor's coefficients, and the lambda-bracket of two elements
+with the derivation applied to an element (the algebra laws' oracle;
+the engine inserts basis-level brackets only).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from ccybe import search
-from ccybe.conformal import ConfTensor, act_on_tensor, permute_slots, project
+from ccybe.conformal import ConfElem, ConfTensor, act_on_tensor, permute_slots, project
 from ccybe.exactpoly import MPoly, Substitution, SymbolRegistry, _scalar
 from ccybe.families import FamilySpec, build_profile
 from ccybe.liealg import AutMatrix, LieAlg, Scalar, ad, is_zero_scalar, sl2, tensor_add
@@ -63,6 +65,35 @@ def random_poly(reg, rng, names, max_degree=4, max_terms=5):
 def map_coeffs(t: ConfTensor, fn) -> ConfTensor:
     """The tensor with fn applied to every coefficient."""
     return ConfTensor(t.alg, t.arity, {tup: fn(p) for tup, p in t.entries.items()})
+
+
+def apply_derivation(a: ConfElem) -> ConfElem:
+    """D a: every coefficient g(d) becomes d * g(d)."""
+    d = a.alg.reg.var("d")
+    return ConfElem(a.alg, {k: v * d for k, v in a.coeffs.items()})
+
+
+def lambda_bracket(a: ConfElem, b: ConfElem) -> dict[str, MPoly]:
+    """[a _lam b] as a map from basis names to polynomials in (d, lam)."""
+    if a.alg is not b.alg:
+        raise ValueError("elements over different algebras")
+    alg = a.alg
+    reg = alg.reg
+    d, lam = reg.var("d"), reg.var("lam")
+    d_sym = alg.d
+    out: dict[str, MPoly] = {}
+    for p, f in a.coeffs.items():
+        f_at = f.subst_many({d_sym: -lam})
+        for q, g in b.coeffs.items():
+            bracket = alg.basis_bracket(p, q, d, lam)
+            if not bracket:
+                continue
+            g_at = g.subst_many({d_sym: lam + d})
+            factor = f_at * g_at
+            for k, poly in bracket.items():
+                term = factor * poly
+                out[k] = out.get(k, reg.zero()) + term
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def termwise_subst(p: MPoly, mapping: Mapping) -> MPoly:
@@ -168,36 +199,48 @@ def _inserted(alg, p, q, d, lam):
     return [("v", d + lam * 2)]
 
 
-def pairwise_bracket(r):
-    alg = r.alg
+def pairwise_args(reg):
+    """The five coefficient arguments of the pairwise bracket, as (first
+    slot, second slot) values: A at (-d2, d2) and (d1, d2+d3), B at
+    (d1+d2, d3), (-d3, d3) and (d2, -d2)."""
+    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
+    return (-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2)
+
+
+def pairwise_products(alg, keys):
+    """Every product of the pairwise bracket of the entries at `keys`, as
+    (output triple, signed inserted bracket, (A's key, argument),
+    (B's key, argument)), an argument indexing pairwise_args."""
     reg = alg.reg
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
-    s1, s2 = reg.sym("d1"), reg.sym("d2")
-    keys = list(r.entries)
-    args = ((-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2))
-    forms = [tuple(A.subst_many({s1: u, s2: v}) for u, v in args)
-             for A in r.entries.values()]
     names = alg.basis_names
     ins_1, ins_2, ins_3 = (
         {(p, q): [(k, v * sign) for k, v in _inserted(alg, p, q, d, lam)]
          for p in names for q in names}
         for d, lam, sign in ((d1, d2, 1), (d2, d3, -1), (d3, d2, -1))
     )
-    out = {}
-
-    def add(key, poly):
-        if not poly.is_zero():
-            out[key] = out.get(key, reg.zero()) + poly
-
-    for (q, l), (A_13, A_23, _, _, _) in zip(keys, forms):
-        for (q2, l2), (_, _, B_1, B_2, B_3) in zip(keys, forms):
+    for q, l in keys:
+        for q2, l2 in keys:
             # [q, q2] in slot 1, [q2, l] in slot 2, [l2, l] in slot 3
             for k, ins in ins_1[q, q2]:
-                add((k, l, l2), A_13 * B_1 * ins)
+                yield (k, l, l2), ins, ((q, l), 0), ((q2, l2), 2)
             for k, ins in ins_2[q2, l]:
-                add((q, k, l2), A_23 * B_2 * ins)
+                yield (q, k, l2), ins, ((q, l), 1), ((q2, l2), 3)
             for k, ins in ins_3[l2, l]:
-                add((q, q2, k), A_23 * B_3 * ins)
+                yield (q, q2, k), ins, ((q, l), 1), ((q2, l2), 4)
+
+
+def pairwise_bracket(r):
+    alg = r.alg
+    reg = alg.reg
+    s1, s2 = reg.sym("d1"), reg.sym("d2")
+    forms = {key: [A.subst_many({s1: u, s2: v}) for u, v in pairwise_args(reg)]
+             for key, A in r.entries.items()}
+    out = {}
+    for tup, ins, (a, i), (b, j) in pairwise_products(alg, list(r.entries)):
+        poly = forms[a][i] * forms[b][j] * ins
+        if not poly.is_zero():
+            out[tup] = out.get(tup, reg.zero()) + poly
     return ConfTensor(alg, 3, out)
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -13,13 +14,21 @@ from ccybe.conformal import (
     project,
     tau,
 )
-from ccybe.exactpoly import MPoly, RegistryMismatch, SymbolRegistry
+from ccybe.exactpoly import (
+    EXPONENT_LIMIT,
+    ExponentOverflow,
+    MPoly,
+    RegistryMismatch,
+    Substitution,
+    SymbolRegistry,
+)
 from ccybe.families import SL2_CASES, FamilySpec, build_profile
 from ccybe.liealg import ad, sl2
 from ccybe.ybe import (
     CATALOG,
     CONSTANT_NAMES,
     PAIRS,
+    STRICT_EQUATIONS,
     DiagProfile,
     boundary_values,
     ccybe_bracket,
@@ -38,11 +47,14 @@ from ccybe.ybe import (
 
 from support import (
     act_then_eliminate,
+    apply_derivation,
     constrained_generic_profile,
     diagonal_profile_of,
     invariance_residues,
     map_coeffs,
+    pairwise_args,
     pairwise_bracket,
+    pairwise_products,
     permutation_symmetry_check,
     project_reduced,
     random_invertible,
@@ -504,7 +516,7 @@ def test_cocommutator_conformal_linear(cur, reg):
     })
     for name in cur.basis_names:
         a = cur.generator(name)
-        lhs = act_on_tensor([a.apply_derivation()], r, -r.total())[0]
+        lhs = act_on_tensor([apply_derivation(a)], r, -r.total())[0]
         rhs = map_coeffs(act_on_tensor([a], r, -r.total())[0], lambda p: p * r.total())
         assert lhs == rhs
 
@@ -571,6 +583,15 @@ _MEMO_CHECKS = {
                                 for u in (r, t)],
     "lift": lambda r, t, elem: r.alg.kind == "cur" and _printed(lift_profile(
         DiagProfile(r.alg.reg, {("e", "f"): r.alg.reg.parse("x^3 + 2*x")}), r.alg)),
+    "reduced": lambda r, t, elem: _printed(ccybe_bracket(r, reduced=True)),
+    # each subset of triples has its own contraction plan
+    "restricted": lambda r, t, elem: [_printed(ccybe_bracket(r, tuples, reduced=True))
+                                      for tuples in _RESTRICTED[r.alg.kind]],
+}
+_RESTRICTED = {
+    "cur": ([("e", "f", "h")], [("h", "h", "h"), ("e", "e", "f"), ("f", "h", "e")],
+            [("h", "e", "f"), ("e", "f", "h")], []),
+    "vir": ([("v", "v", "v")], []),
 }
 
 
@@ -639,6 +660,82 @@ def test_algebra_tables_refuse_foreign_tensors(cur, reg):
     # and the refused calls leave the tables sound
     fresh = ConfTensor(ConfAlgebra.cur(sl2(), reg), 2, r.entries)
     assert ccybe_bracket(r).entries == ccybe_bracket(fresh).entries
+
+
+def test_fresh_algebra_leaves_no_reference_cycles():
+    # an algebra's tables hold neither it nor its elements, so an
+    # algebra and all it built are freed by reference counting alone;
+    # the entries are built without the parser, whose nested functions
+    # form cycles of their own
+    gc.collect()
+    gc.disable()
+    try:
+        reg = SymbolRegistry()
+        alg = ConfAlgebra.cur(sl2(), reg)
+        d1, d2 = reg.var("d1"), reg.var("d2")
+        r = ConfTensor(alg, 2, {("e", "f"): d1 + 1, ("h", "h"): d1 * d1 - d2,
+                                ("h", "e"): reg.const(3)})
+        is_invariant(r)
+        is_weak_solution(r)
+        is_strict_solution(r)
+        ccybe_bracket(r, [("e", "f", "h")], reduced=True)
+        ybe.catalog_diffs(degree=2)
+        del reg, alg, d1, d2, r
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_restricted_bracket_substitutes_only_forms_it_reads(monkeypatch):
+    # each (entry, map) a restricted bracket substitutes is read by a
+    # product that the pairwise bracket sends to the wanted triple, at
+    # that argument read modulo the total derivation, and it is
+    # substituted once
+    reg = SymbolRegistry()
+    r = lift_profile(generic_profile(reg, 3))
+    applied = []
+
+    class Counted(Substitution):
+        __slots__ = ("images",)
+
+        def __init__(self, reg, mapping):
+            super().__init__(reg, mapping)
+            self.images = tuple(mapping.values())
+
+        def __call__(self, p):
+            applied.append((self.images, p))
+            return super().__call__(p)
+
+    monkeypatch.setattr(ybe, "Substitution", Counted)
+    d2, d3 = reg.var("d2"), reg.var("d3")
+    in_class = Substitution(reg, {reg.sym("d1"): -(d2 + d3)})
+    args = [(in_class(u), in_class(v)) for u, v in pairwise_args(reg)]
+    key_of = {id(poly): key for key, poly in r.entries.items()}
+    for name in STRICT_EQUATIONS:
+        triple = CATALOG[name].triple
+        applied.clear()
+        derive_projection(triple, r)
+        read = {(key, args[i]) for tup, _ins, a, b in pairwise_products(r.alg, r.entries)
+                if tup == triple for key, i in (a, b)}
+        substituted = [(key_of[id(p)], images) for images, p in applied]
+        assert substituted, name
+        assert len(set(substituted)) == len(substituted), name
+        assert set(substituted) <= read, name
+
+
+@pytest.mark.parametrize("kind", ["cur", "vir"])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_bracket_refuses_exponent_overflow(kind, reduced):
+    # A * B reaches the guard bit of alpha; the finished output
+    # coefficient refuses it
+    reg = SymbolRegistry()
+    alg = ConfAlgebra.cur(sl2(), reg) if kind == "cur" else ConfAlgebra.vir(reg)
+    key = ("e", "f") if kind == "cur" else ("v", "v")
+    r = ConfTensor(alg, 2, {key: reg.var("alpha", EXPONENT_LIMIT // 2)})
+    with pytest.raises(ExponentOverflow):
+        ccybe_bracket(r, reduced=reduced)
+    half = ConfTensor(alg, 2, {key: reg.var("alpha", EXPONENT_LIMIT // 2 - 1)})
+    assert not ccybe_bracket(half, reduced=reduced).is_zero()
 
 
 # Catalog ---------------------------------------------------------------------------
