@@ -18,8 +18,8 @@ exponent must stay below 2**15, products and substitutions check their
 result against the registry's guard mask, and a field that reaches the
 guard bit raises ExponentOverflow instead of wrapping into its
 neighbour.  The public API speaks tuples: terms() yields exponent tuples
-indexed by symbol id with trailing zeros stripped, and terms(),
-coefficient(), constant_term() and constant_value() return Fractions.
+indexed by symbol id with trailing zeros stripped, and terms() and
+constant_value() return Fractions.
 
 Substitution is the one substitution path: a map {symbol: polynomial}
 is compiled once and applied to any number of polynomials; MPoly.subst_many
@@ -334,9 +334,6 @@ class MPoly:
             return Fraction(self._terms[0])
         raise ValueError(f"not a constant polynomial: {self}")
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self._terms.get(0, 0))
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
@@ -352,12 +349,6 @@ class MPoly:
     def symbols(self) -> set[Sym]:
         used = _unpack(reduce(or_, self._terms, 0))
         return {Sym(self.reg.name_of(i), i) for i, e in enumerate(used) if e}
-
-    def coefficient(self, exps: tuple) -> Fraction:
-        exps = tuple(exps)
-        if not all(0 <= e < EXPONENT_LIMIT for e in exps):
-            return Fraction(0)
-        return Fraction(self._terms.get(_pack(exps), 0))
 
     # Arithmetic --------------------------------------------------------------
 
@@ -463,35 +454,6 @@ class MPoly:
             e = (key >> shift) & _FIELD_MASK
             buckets.setdefault(e, {})[key & keep] = coeff
         return {deg: MPoly._raw(self.reg, terms) for deg, terms in buckets.items()}
-
-    def odd_even_split(self, sym: Sym) -> tuple["MPoly", "MPoly"]:
-        """Return (odd part, even part) with respect to `sym`."""
-        low_bit = 1 << (_FIELD * sym.index)
-        odd: dict[int, Scalar] = {}
-        even: dict[int, Scalar] = {}
-        for key, coeff in self._terms.items():
-            (odd if key & low_bit else even)[key] = coeff
-        return MPoly._raw(self.reg, odd), MPoly._raw(self.reg, even)
-
-    def match_axf(self, sym: Sym) -> Optional[tuple["MPoly", "MPoly"]]:
-        """Match p == a * sym * f(sym^2) with f monic in the symbol t.
-
-        Returns (a, f) where a is a rational constant and f a monic
-        univariate polynomial in t (standing for sym^2).  Returns None
-        when p is not of that shape (even part present, or the zero
-        polynomial); a coefficient with a parameter in it raises
-        ValueError.
-        """
-        if self.is_zero():
-            return None
-        odd, even = self.odd_even_split(sym)
-        if not even.is_zero():
-            return None
-        coeffs = {(deg - 1) // 2: c.constant_value()
-                  for deg, c in self.as_univariate_in(sym).items()}
-        a_val = coeffs[max(coeffs)]
-        f = self.reg.univariate("t", {k: c / a_val for k, c in coeffs.items()})
-        return self.reg.const(a_val), f
 
     # Printing ----------------------------------------------------------------
 
@@ -746,10 +708,21 @@ class PolySum:
 # Parsing ---------------------------------------------------------------------
 
 
-class _Lexer:
-    def __init__(self, text: str):
+class _Parser:
+    """Recursive descent over the module docstring's grammar, one method
+    per rule.
+
+    It holds the text and the position in it, the registry, the degree
+    limit and the number of open parentheses; the methods reach one
+    another through the instance, so a parse leaves no reference cycle.
+    """
+
+    def __init__(self, text: str, reg: SymbolRegistry, max_degree: Optional[int]):
         self.text = text
         self.pos = 0
+        self.reg = reg
+        self.max_degree = max_degree
+        self.depth = 0  # open parentheses
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -782,6 +755,92 @@ class _Lexer:
             raise ParseError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
+    def bound(self, here: int, degs: dict) -> None:
+        for name, d in sorted(degs.items()):
+            if d > self.max_degree:
+                raise ParseError(
+                    f"degree {d} in {name} is above the limit {self.max_degree}", here)
+
+    def expr(self) -> MPoly:
+        node = self.term()
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                node = node + self.term()
+            elif ch == "-":
+                self.pos += 1
+                node = node - self.term()
+            else:
+                return node
+
+    def term(self) -> MPoly:
+        node = self.factor()
+        while self.peek() == "*":
+            here = self.pos
+            self.pos += 1
+            rhs = self.factor()
+            if self.max_degree is not None and node and rhs:
+                left, right = _degrees(node), _degrees(rhs)
+                self.bound(here, {name: left.get(name, 0) + right.get(name, 0)
+                                  for name in left.keys() | right.keys()})
+            node = node * rhs
+        return node
+
+    def factor(self) -> MPoly:
+        negate = False
+        while self.peek() == "-":
+            self.pos += 1
+            negate = not negate
+        node = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            if self.peek() is None or not self.peek().isdigit():
+                raise ParseError("exponent must be a nonnegative integer literal", self.pos)
+            here = self.pos
+            n = self.take_int()
+            if n >= EXPONENT_LIMIT:
+                raise ParseError(f"exponent must be below {EXPONENT_LIMIT}", here)
+            if self.max_degree is not None:
+                self.bound(here, {name: n * d for name, d in _degrees(node).items()})
+            node = node ** n
+        return -node if negate else node
+
+    def atom(self) -> MPoly:
+        ch = self.peek()
+        if ch is None:
+            raise ParseError("unexpected end of input", self.pos)
+        if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", self.pos)
+            self.depth += 1
+            self.pos += 1
+            node = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return node
+        if ch.isdigit():
+            num = self.take_int()
+            if self.peek() == "/":
+                self.pos += 1
+                here = self.pos
+                den = self.take_int()
+                if den == 0:
+                    raise ParseError("zero denominator", here)
+                return self.reg.const(Fraction(num, den))
+            return self.reg.const(num)
+        if ch in _NAME_START:
+            here = self.pos
+            name = self.take_name()
+            if name not in self.reg:
+                raise ParseError(f"unknown symbol {name!r}", here)
+            return self.reg.var(name)
+        raise ParseError(f"unexpected character {ch!r}", self.pos)
+
+
+def _degrees(p: MPoly) -> dict:
+    return {sym.name: p.degree_in(sym) for sym in p.symbols()}
+
 
 def parse_poly(text: str, reg: SymbolRegistry,
                max_degree: Optional[int] = None) -> MPoly:
@@ -796,97 +855,8 @@ def parse_poly(text: str, reg: SymbolRegistry,
     most MAX_NESTING deep, so the recursive descent stays far below
     Python's recursion limit; a unary minus is a loop, not a recursion.
     """
-    lx = _Lexer(text)
-
-    def degrees(p: MPoly) -> dict:
-        return {sym.name: p.degree_in(sym) for sym in p.symbols()}
-
-    def bound(here: int, degs: dict) -> None:
-        for name, d in sorted(degs.items()):
-            if d > max_degree:
-                raise ParseError(
-                    f"degree {d} in {name} is above the limit {max_degree}", here)
-
-    def parse_expr() -> MPoly:
-        node = parse_term()
-        while True:
-            ch = lx.peek()
-            if ch == "+":
-                lx.pos += 1
-                node = node + parse_term()
-            elif ch == "-":
-                lx.pos += 1
-                node = node - parse_term()
-            else:
-                return node
-
-    def parse_term() -> MPoly:
-        node = parse_factor()
-        while lx.peek() == "*":
-            here = lx.pos
-            lx.pos += 1
-            rhs = parse_factor()
-            if max_degree is not None and node and rhs:
-                left, right = degrees(node), degrees(rhs)
-                bound(here, {name: left.get(name, 0) + right.get(name, 0)
-                             for name in left.keys() | right.keys()})
-            node = node * rhs
-        return node
-
-    def parse_factor() -> MPoly:
-        negate = False
-        while lx.peek() == "-":
-            lx.pos += 1
-            negate = not negate
-        node = parse_atom()
-        if lx.peek() == "^":
-            lx.pos += 1
-            if lx.peek() is None or not lx.peek().isdigit():
-                raise ParseError("exponent must be a nonnegative integer literal", lx.pos)
-            here = lx.pos
-            n = lx.take_int()
-            if n >= EXPONENT_LIMIT:
-                raise ParseError(f"exponent must be below {EXPONENT_LIMIT}", here)
-            if max_degree is not None:
-                bound(here, {name: n * d for name, d in degrees(node).items()})
-            node = node ** n
-        return -node if negate else node
-
-    depth = 0  # open parentheses
-
-    def parse_atom() -> MPoly:
-        nonlocal depth
-        ch = lx.peek()
-        if ch is None:
-            raise ParseError("unexpected end of input", lx.pos)
-        if ch == "(":
-            if depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", lx.pos)
-            depth += 1
-            lx.pos += 1
-            node = parse_expr()
-            lx.expect(")")
-            depth -= 1
-            return node
-        if ch.isdigit():
-            num = lx.take_int()
-            if lx.peek() == "/":
-                lx.pos += 1
-                here = lx.pos
-                den = lx.take_int()
-                if den == 0:
-                    raise ParseError("zero denominator", here)
-                return reg.const(Fraction(num, den))
-            return reg.const(num)
-        if ch in _NAME_START:
-            here = lx.pos
-            name = lx.take_name()
-            if name not in reg:
-                raise ParseError(f"unknown symbol {name!r}", here)
-            return reg.var(name)
-        raise ParseError(f"unexpected character {ch!r}", lx.pos)
-
-    result = parse_expr()
-    if lx.peek() is not None:
-        raise ParseError(f"unexpected trailing input {lx.peek()!r}", lx.pos)
+    parser = _Parser(text, reg, max_degree)
+    result = parser.expr()
+    if parser.peek() is not None:
+        raise ParseError(f"unexpected trailing input {parser.peek()!r}", parser.pos)
     return result

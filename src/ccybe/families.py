@@ -19,6 +19,11 @@ nonzero a_{ql}, a_ee = 1 (case i), a_hh = lhh (case ii), or none
 from it; name_case reads the same rows to name a search survivor.  Only
 the cor6_iii quadric 4 alpha gamma = beta^2 is checked outside the
 table.
+
+characterize checks that shape on a parameter-free profile.  It reads
+each entry once, as a row {degree in x: exact scalar}, and decides
+every relation from the rows by dict and scalar arithmetic; its report
+carries the four constants, so a caller reads them from there.
 """
 
 from __future__ import annotations
@@ -194,25 +199,19 @@ class FamilySpec:
         """The (alpha, beta, gamma, zeta) table for this case."""
         return {n: self._value(v) for n, v in zip(CONSTANT_NAMES, self.row.constants)}
 
-    def coefficient_matrix(self) -> dict[tuple, MPoly]:
-        """The a_{ql} scalars as a map over basis pairs."""
-        out = {pair: self.reg.zero() for pair in PAIRS}
-        if self.row.entry:
-            pair, text = self.row.entry
-            out[pair] = self._value(text)
-        return out
-
 
 def build_profile(spec: FamilySpec) -> DiagProfile:
-    """Diagonal profile of a family member."""
+    """Diagonal profile of a family member: the boundary values of its
+    constants, plus a x f(x^2) on its case's one nonzero entry a."""
     reg = spec.reg
     constants = spec.constants()
-    x = reg.var("x")
-    fx2 = spec.f.subst_many({reg.sym("t"): x * x})
-    odd_base = x * fx2
-    amat = spec.coefficient_matrix()
     values = boundary_values([constants[n] for n in CONSTANT_NAMES])
-    entries = {pair: amat[pair] * odd_base + v for pair, v in zip(PAIRS, values)}
+    entries = {pair: reg.zero() + v for pair, v in zip(PAIRS, values)}
+    if spec.row.entry:
+        pair, text = spec.row.entry
+        x = reg.var("x")
+        odd_base = x * spec.f.subst_many({reg.sym("t"): x * x})
+        entries[pair] = spec._value(text) * odd_base + entries[pair]
     return DiagProfile(reg, entries)
 
 
@@ -242,15 +241,17 @@ class Characterization:
     `shared_f_ok`: every A'_ql - A'_ql(0) is a_ql x f(x^2) with one f,
     hence odd.  `matrix` holds the rows (e, f, h) of (a_ql), exact
     scalars, int-first (all zero when the profile is not symmetric), and
-    `rank_le_1` is the rank test of that matrix.  `constants_ok`: the
-    nine A'(0) follow `ybe.boundary_values` of the four constants, the
-    values A'(0) at `ybe.CONSTANT_PAIRS`."""
+    `rank_le_1` is the rank test of that matrix.  `constants` is
+    (alpha, beta, gamma, zeta), the values A'(0) at `ybe.CONSTANT_PAIRS`
+    as exact scalars, int-first; `constants_ok`: the nine A'(0) follow
+    `ybe.boundary_values` of them."""
 
     sym: bool
     shared_f: Optional[MPoly]
     shared_f_ok: bool
     matrix: tuple[tuple[Scalar, ...], ...]
     rank_le_1: bool
+    constants: tuple[Scalar, ...]
     constants_ok: bool
 
     @property
@@ -261,55 +262,48 @@ class Characterization:
 def characterize(p: DiagProfile) -> Characterization:
     """Check the structural form every invariant weak solution must have.
 
-    The matrix entries are exact scalars, int-first (`exactpoly._scalar`),
-    so an integral survivor is characterized in int arithmetic.
+    Each entry is read once, as its row {degree in x: exact scalar,
+    int-first (`exactpoly._scalar`)}; every check below is dict and
+    scalar arithmetic on the rows, so an integral survivor is
+    characterized in int arithmetic.  A centered row has the shape
+    a x f(x^2) when all its degrees are odd: a is its top coefficient
+    and f(t) has the coefficient c / a at t^((deg - 1) / 2).
     """
-    if not p.is_numeric():
-        raise ValueError("characterize requires a parameter-free profile")
-    reg = p.reg
-    x = reg.sym("x")
-    names = ("e", "f", "h")
-
-    centered = {}
-    boundary = {}
+    x = p.reg.sym("x")
+    rows = {}
     for pair in PAIRS:
-        entry = p.entry(*pair)
-        c0 = boundary[pair] = _scalar(entry.constant_term())
-        centered[pair] = entry - c0 if c0 else entry
+        row = rows[pair] = {}
+        for deg, c in p.entry(*pair).as_univariate_in(x).items():
+            if not c.is_constant():
+                raise ValueError("characterize requires a parameter-free profile")
+            row[deg] = _scalar(c.constant_value())
+    boundary = {pair: row.pop(0, 0) for pair, row in rows.items()}
 
-    sym = all(centered[(q, l)] == centered[(l, q)] for q, l in PAIRS)
+    sym = all(rows[(q, l)] == rows[(l, q)] for q, l in PAIRS)
 
+    scalars = dict.fromkeys(PAIRS, 0)
     fs = []
-    scalars: dict[tuple, Scalar] = {}
-    decomposable = True
-    for pair in PAIRS:
-        c = centered[pair]
-        if c.is_zero():
-            scalars[pair] = 0
-            continue
-        match = c.match_axf(x)
-        if match is None:
-            decomposable = False
-            scalars[pair] = 0
-            continue
-        a, f = match
-        scalars[pair] = _scalar(a.constant_value())
-        fs.append(f)
-    shared_ok = decomposable and all((f - fs[0]).is_zero() for f in fs[1:])
-    shared = fs[0] if (fs and shared_ok) else None
+    shared_ok = True
+    for pair, row in rows.items():
+        if any(deg % 2 == 0 for deg in row):
+            shared_ok = False
+        elif row:
+            a = scalars[pair] = row[max(row)]
+            fs.append({(deg - 1) // 2: Fraction(c, a) for deg, c in row.items()})
+    shared_ok = shared_ok and all(f == fs[0] for f in fs)
+    shared = p.reg.univariate("t", fs[0]) if fs and shared_ok else None
 
-    matrix = tuple(
-        tuple(scalars[(q, l)] if sym else 0 for l in names) for q in names
-    )
+    names = ("e", "f", "h")
+    matrix = tuple(tuple(scalars[(q, l)] if sym else 0 for l in names) for q in names)
 
-    constants = [boundary[pair] for pair in CONSTANT_PAIRS]
+    constants = tuple(boundary[pair] for pair in CONSTANT_PAIRS)
     constants_ok = all(
         want == boundary[pair] for pair, want in zip(PAIRS, boundary_values(constants))
     )
 
     return Characterization(
-        sym=sym, shared_f=shared, shared_f_ok=shared_ok,
-        matrix=matrix, rank_le_1=rank_le_1(matrix), constants_ok=constants_ok,
+        sym=sym, shared_f=shared, shared_f_ok=shared_ok, matrix=matrix,
+        rank_le_1=rank_le_1(matrix), constants=constants, constants_ok=constants_ok,
     )
 
 

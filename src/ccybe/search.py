@@ -561,17 +561,15 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     entries = profile.entries  # the nonzero entries only
     entry_strings = {"".join(pair): entries[pair].to_string() for pair in PAIRS if pair in entries}
     rep = characterize(profile)
-    # (alpha, beta, gamma, zeta), read off the entries once
-    constants = [_scalar(v.constant_value()) for v in profile.constant_values()]
     record = {
-        "constants": {n: str(v) for n, v in zip(CONSTANT_NAMES, constants)},
+        "constants": {n: str(v) for n, v in zip(CONSTANT_NAMES, rep.constants)},
         "entries": entry_strings,
     }
     problems = []
     for flag in ("sym", "shared_f_ok", "rank_le_1", "constants_ok"):
         if not getattr(rep, flag):
             problems.append(f"characterize:{flag}")
-    for name, residue in scalar_relation_residues(constants, rep.matrix).items():
+    for name, residue in scalar_relation_residues(rep.constants, rep.matrix).items():
         if residue:
             problems.append(f"relation:{name}")
     # One double bracket, built modulo the total derivation, gives both
@@ -584,16 +582,15 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
         problems.append("reverify:weak_defect")
     if cfg.mode == "strict" and not bracket.is_zero():
         problems.append("reverify:strict")
-    record.update(_classify(constants, rep))
+    record.update(_classify(rep))
     record["matrix"] = [[str(v) for v in row] for row in rep.matrix]
     return record, problems
 
 
-def _classify(constants: Sequence, report) -> dict:
+def _classify(report) -> dict:
     """Family-spec-like record for a survivor in normal form, with
-    `constants` its (alpha, beta, gamma, zeta) and `report` its
-    characterization; families.name_case names it."""
-    named = name_case(constants, report.matrix)
+    `report` its characterization; families.name_case names it."""
+    named = name_case(report.constants, report.matrix)
     if named is None:
         return {"case": "other"}
     case, params = named

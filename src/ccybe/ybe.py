@@ -50,7 +50,7 @@ B substitutions (B(d1+d2, d3) becomes B(-d3, d3), so slots 1 and 2
 share one B form and four maps serve) and in slot 1's inserted bracket,
 so no product carries d1.  A substitution is a ring map, so this is the
 full bracket reduced afterwards.  Every verdict reads only the class;
-the full bracket serves `expand` and `cybe`.  Four of the reduced
+the full bracket serves only `expand`.  Four of the reduced
 maps, and lift_profile's, send each symbol to one term, so they map
 term to term with no polynomial product (see exactpoly.Substitution).
 
@@ -60,7 +60,7 @@ triple is skipped, and so is every substituted form that only such keys
 read.  The catalog re-derivation (derive_projection,
 derive_weak_projection) reads one coefficient, or the few that a
 generator action moves onto one triple, and asks for just those; the
-verdicts, `expand` and `cybe` take the full bracket.
+verdicts and `expand` take every coefficient.
 
 Three checks are provided: strict (the reduced double bracket
 vanishes), weak (every generator action on the reduced double bracket,
@@ -73,9 +73,7 @@ generator_actions acts with all generators in one act_on_tensor call,
 so the weak and the invariance checks shift each coefficient once, not
 once per generator.  weak_verdict reads the weak verdict off a given
 reduced bracket, and the strict verdict is whether that bracket is
-zero, so a caller that needs both builds the bracket once.  The
-classical operator at zero derivations (`cybe`) is the double
-bracket's specialization at d1 = d2 = d3 = 0.
+zero, so a caller that needs both builds the bracket once.
 
 The tables these checks read belong to the algebra of the r-matrix and
 live as long as it (conformal.ConfAlgebra.memo): the double bracket's
@@ -114,7 +112,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from hashlib import sha256
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .conformal import (
     ConfAlgebra,
@@ -124,7 +122,7 @@ from .conformal import (
     tau,
 )
 from .exactpoly import MPoly, PolySum, Substitution, SymbolRegistry, _finished, _mac, _scalar
-from .liealg import AutMatrix, LieAlg, Scalar, sl2, transform_tensor
+from .liealg import AutMatrix, Scalar, sl2, transform_tensor
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
 CONSTANT_NAMES = ("alpha", "beta", "gamma", "zeta")
@@ -397,40 +395,6 @@ def is_invariant(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
     return all(t.is_zero() for t in defects.values()), defects
 
 
-# Classical Yang-Baxter at zero derivations --------------------------------------
-
-
-def cybe(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
-         reg: Optional[SymbolRegistry] = None) -> dict[tuple, Scalar]:
-    """Classical YBE operator on a constant r in g tensor g.
-
-    Computed by specializing the conformal double bracket at all slot
-    derivations equal to zero, so there is a single source of truth for
-    the expansion; the textbook three-bracket formula lives only in the
-    test oracle.
-    """
-    alg = alg or sl2()
-    reg = reg or SymbolRegistry()
-    entries = {}
-    for (q, l), v in r.items():
-        if isinstance(v, MPoly):
-            if v.reg is not reg:
-                raise ValueError("parametric coefficients must share the registry")
-            if any(sym.name in ("d1", "d2", "d3") for sym in v.symbols()):
-                raise ValueError("cybe requires constant (derivation-free) input")
-            entries[(q, l)] = v
-        else:
-            entries[(q, l)] = reg.const(v)
-    bracket = ccybe_bracket(ConfTensor(ConfAlgebra.cur(alg, reg), 2, entries))
-    at_zero = Substitution(reg, {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")})
-    out: dict[tuple, Scalar] = {}
-    for tup, poly in bracket.entries.items():
-        v = at_zero(poly)
-        if not v.is_zero():
-            out[tup] = v.constant_value() if v.is_constant() else v
-    return out
-
-
 # Diagonal profiles --------------------------------------------------------------
 
 
@@ -461,9 +425,6 @@ class DiagProfile:
         x = self.reg.sym("x")
         return [self.entry(*pair).as_univariate_in(x).get(0, self.reg.zero())
                 for pair in CONSTANT_PAIRS]
-
-    def is_numeric(self) -> bool:
-        return not any(e.symbols() - {self.reg.sym("x")} for e in self.entries.values())
 
 
 def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> ConfTensor:

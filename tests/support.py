@@ -14,7 +14,9 @@ invariance residues, the invariance-constrained generic profile, slot
 permutation symmetry, the weak defect of a constant r, antisymmetry of
 constant 3-tensors, algebras from JSON, random invertible integer
 matrices, the identity automorphism and the check that an automorphism
-preserves the bracket, the general invariant constant tensor, a map
+preserves the bracket, the general invariant constant tensor, the
+classical operator at zero derivations (the double bracket at
+d1 = d2 = d3 = 0, which classical_cybe_oracle checks), a map
 over a tensor's coefficients, and the lambda-bracket of two elements
 with the derivation applied to an element (the algebra laws' oracle;
 the engine inserts basis-level brackets only).
@@ -28,7 +30,14 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from ccybe import search
-from ccybe.conformal import ConfElem, ConfTensor, act_on_tensor, permute_slots, project
+from ccybe.conformal import (
+    ConfAlgebra,
+    ConfElem,
+    ConfTensor,
+    act_on_tensor,
+    permute_slots,
+    project,
+)
 from ccybe.exactpoly import MPoly, Substitution, SymbolRegistry, _scalar
 from ccybe.families import FamilySpec, build_profile
 from ccybe.liealg import AutMatrix, LieAlg, Scalar, ad, is_zero_scalar, sl2, tensor_add
@@ -40,7 +49,6 @@ from ccybe.ybe import (
     DiagProfile,
     boundary_values,
     ccybe_bracket,
-    cybe,
     eval_equation,
     lift_profile,
     shift_constant,
@@ -513,6 +521,36 @@ def invariant_constant_rmat(alpha: Scalar, beta: Scalar, gamma: Scalar,
         "alpha": alpha, "beta": beta, "gamma": gamma, "zeta": zeta,
     })
     return lift_profile(build_profile(spec))
+
+
+def cybe(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
+         reg: Optional[SymbolRegistry] = None) -> dict[tuple, Scalar]:
+    """Classical YBE operator on a constant r in g tensor g.
+
+    Computed by specializing the conformal double bracket at all slot
+    derivations equal to zero, so the engine's expansion is compared
+    with the textbook three-bracket formula of classical_cybe_oracle.
+    """
+    alg = alg or sl2()
+    reg = reg or SymbolRegistry()
+    entries = {}
+    for (q, l), v in r.items():
+        if isinstance(v, MPoly):
+            if v.reg is not reg:
+                raise ValueError("parametric coefficients must share the registry")
+            if any(sym.name in ("d1", "d2", "d3") for sym in v.symbols()):
+                raise ValueError("cybe requires constant (derivation-free) input")
+            entries[(q, l)] = v
+        else:
+            entries[(q, l)] = reg.const(v)
+    bracket = ccybe_bracket(ConfTensor(ConfAlgebra.cur(alg, reg), 2, entries))
+    at_zero = Substitution(reg, {reg.sym(n): reg.zero() for n in ("d1", "d2", "d3")})
+    out: dict[tuple, Scalar] = {}
+    for tup, poly in bracket.entries.items():
+        v = at_zero(poly)
+        if not v.is_zero():
+            out[tup] = v.constant_value() if v.is_constant() else v
+    return out
 
 
 def weak_cybe_defect(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,

@@ -22,7 +22,6 @@ from ccybe.liealg import ad, sl2
 from ccybe.ybe import (
     ccybe_bracket,
     catalog_diffs,
-    cybe,
     is_invariant,
     is_strict_solution,
     is_weak_solution,
@@ -33,6 +32,7 @@ from ccybe.ybe import (
 from support import (
     act_then_eliminate,
     apply_derivation,
+    cybe,
     diagonal_profile_of,
     invariance_residues,
     is_totally_antisymmetric,

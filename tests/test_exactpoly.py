@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -88,42 +89,6 @@ def test_subst_zero(reg):
     assert p.subst_many({reg.sym("x"): reg.zero()}).is_zero()
 
 
-def test_odd_even_split(reg):
-    x = reg.sym("x")
-    p = reg.parse("x^3 + x^2 + x + 1")
-    odd, even = p.odd_even_split(x)
-    assert odd == reg.parse("x^3 + x")
-    assert even == reg.parse("x^2 + 1")
-
-
-def test_odd_even_split_pure_odd(reg):
-    x = reg.sym("x")
-    odd, even = reg.parse("x^5 + x").odd_even_split(x)
-    assert odd == reg.parse("x^5 + x")
-    assert even.is_zero()
-
-
-def test_odd_even_split_constant(reg):
-    x = reg.sym("x")
-    odd, even = reg.const(7).odd_even_split(x)
-    assert odd.is_zero()
-    assert even == 7
-
-
-def test_match_axf_numeric(reg):
-    x = reg.sym("x")
-    match = reg.parse("2*x^3 + 2*x").match_axf(x)
-    assert match is not None
-    a, f = match
-    assert a == 2
-    assert f == reg.parse("t + 1")
-
-
-def test_match_axf_even_rejected(reg):
-    x = reg.sym("x")
-    assert reg.parse("x^2").match_axf(x) is None
-
-
 def test_parse_basic(reg):
     p = reg.parse("3/2*d1^2 - d2")
     assert p == reg.var("d1", 2) * Fraction(3, 2) - reg.var("d2")
@@ -154,6 +119,25 @@ def test_parse_no_division_operator(reg):
         reg.parse("x/2")
 
 
+def test_parse_leaves_no_reference_cycle(reg):
+    # a parse frees everything it built by reference counting alone,
+    # refusals included: no garbage is left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        p = reg.parse("-(d1 + 2*d2)^3 - d1*d2 + 1/2", max_degree=3)
+        assert p == -reg.parse("d1 + 2*d2") ** 3 - reg.parse("d1*d2") + Fraction(1, 2)
+        try:
+            reg.parse("(x + ")
+        except ParseError as err:
+            assert err.position == 5
+        else:
+            raise AssertionError("a truncated expression parsed")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_print_canonical(reg):
     p = reg.parse("- d2 + 3/2*d1^2")
     assert p.to_string() == "3/2*d1^2 - d2"
@@ -164,24 +148,10 @@ def test_print_canonical(reg):
 # Int-first coefficients and packed monomials --------------------------------
 
 
-def test_match_axf_rational_ratio(reg):
-    # c / a_val must stay exact: 2/3, not the float 0.666...
-    a, f = reg.parse("3*x^3 + 2*x").match_axf(reg.sym("x"))
-    assert a == 3
-    assert f == reg.parse("t + 2/3")
-    assert f.to_string() == "t + 2/3"
-
-
 def test_public_coefficients_are_fractions(reg):
     p = reg.parse("3*x^2 + 1/2*y + 5")
-    assert type(p.constant_term()) is Fraction and p.constant_term() == 5
     assert type(reg.const(4).constant_value()) is Fraction
     assert type(reg.zero().constant_value()) is Fraction
-    assert type(reg.zero().constant_term()) is Fraction
-    x_index = reg.sym("x").index
-    exps = (0,) * x_index + (2,)
-    assert type(p.coefficient(exps)) is Fraction and p.coefficient(exps) == 3
-    assert type(p.coefficient((0, 7))) is Fraction and p.coefficient((0, 7)) == 0
     for exps, c in p.terms():
         assert type(exps) is tuple and type(c) is Fraction
         assert not exps or exps[-1] != 0
@@ -555,18 +525,6 @@ def test_subst_commutes_when_disjoint(p, e1, e2):
     assert seq == sim
 
 
-@settings(max_examples=100)
-@given(polys())
-def test_split_parity(p):
-    reg = p.reg
-    x = reg.sym("x")
-    odd, even = p.odd_even_split(x)
-    assert odd + even == p
-    minus_x = -reg.var("x")
-    assert odd.subst_many({x: minus_x}) == -odd
-    assert even.subst_many({x: minus_x}) == even
-
-
 # Fused multiply-accumulate ---------------------------------------------------
 
 # The registry of _addends: 80 interned names, so s79 has the highest id,
@@ -676,25 +634,6 @@ def test_polysum_examples(reg):
         acc.add(x, other.var("x"))
     with pytest.raises(TypeError):
         acc.add(x, 0.5)
-
-
-def test_match_axf_roundtrip(reg):
-    rng = random.Random(7)
-    x = reg.sym("x")
-    for _ in range(100):
-        p = random_poly(reg, rng, ("x",), max_degree=7, max_terms=4)
-        odd, even = p.odd_even_split(x)
-        match = p.match_axf(x)
-        if match is None:
-            assert p.is_zero() or not even.is_zero()
-        else:
-            assert even.is_zero() and p.constant_term() == 0
-            a, f = match
-            rebuilt = a * reg.var("x") * f.subst_many({reg.sym("t"): reg.var("x", 2)})
-            assert rebuilt == p
-            # monic in t
-            top = f.degree_in(reg.sym("t"))
-            assert f.as_univariate_in(reg.sym("t"))[top] == 1
 
 
 def test_parse_print_roundtrip(reg):

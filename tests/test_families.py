@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ccybe import ybe
-from ccybe.exactpoly import SymbolRegistry
+from ccybe.exactpoly import SymbolRegistry, _scalar
 from ccybe.families import (
     ConstraintViolation,
     FamilySpec,
@@ -23,7 +24,7 @@ from ccybe.ybe import (
     lift_profile,
 )
 
-from support import diagonal_profile_of, invariant_constant_rmat
+from support import diagonal_profile_of, invariant_constant_rmat, random_poly
 
 F = Fraction
 
@@ -159,13 +160,105 @@ def test_characterize_different_f(reg):
 
 
 def test_characterize_requires_numeric(reg):
-    prof = ybe.DiagProfile(reg, {("e", "e"): reg.var("alpha") * reg.var("x")})
-    with pytest.raises(ValueError, match="parameter-free"):
-        characterize(prof)
+    # a parameter in any coefficient of any entry, the boundary value
+    # included, is refused
+    for text in ("alpha*x", "alpha*x^3 + x", "x + beta"):
+        prof = ybe.DiagProfile(reg, {("e", "e"): reg.parse(text)})
+        with pytest.raises(ValueError, match="parameter-free"):
+            characterize(prof)
+
+
+def _ee(reg, text):
+    return characterize(ybe.DiagProfile(reg, {("e", "e"): reg.parse(text)}))
+
+
+def test_characterize_axf_numeric(reg):
+    # 2x^3 + 2x = 2 x f(x^2) with f = t + 1
+    rep = _ee(reg, "2*x^3 + 2*x")
+    assert rep.ok and rep.matrix[0][0] == 2
+    assert rep.shared_f == reg.parse("t + 1")
+
+
+def test_characterize_axf_rational_ratio(reg):
+    # f's coefficients are c / a exactly: 2/3, not the float 0.666...
+    rep = _ee(reg, "3*x^3 + 2*x")
+    assert rep.matrix[0][0] == 3
+    assert rep.shared_f.to_string() == "t + 2/3"
+
+
+def test_characterize_even_part_rejected(reg):
+    # a centered entry with an even degree is no a x f(x^2)
+    rep = _ee(reg, "x^2")
+    assert not rep.shared_f_ok and rep.shared_f is None
+    assert rep.matrix[0][0] == 0
+
+
+def test_characterize_mixed_parity_rejected(reg):
+    # x^3 + x^2 + x + 1 centers to x^3 + x^2 + x: its odd part x^3 + x
+    # has the shape, but the even x^2 left over refuses the entry
+    rep = characterize(ybe.DiagProfile(reg, {("h", "h"): reg.parse("x^3 + x^2 + x + 1")}))
+    assert not rep.shared_f_ok and rep.shared_f is None
+    assert rep.matrix[2][2] == 0
+    assert rep.constants == (0, 0, 0, 1)
+
+
+def test_characterize_pure_odd(reg):
+    # x^5 + x = x f(x^2) with f = t^2 + 1
+    rep = characterize(ybe.DiagProfile(reg, {("h", "h"): reg.parse("x^5 + x")}))
+    assert rep.ok and rep.matrix[2][2] == 1
+    assert rep.shared_f.to_string() == "t^2 + 1"
+
+
+def test_characterize_constants_only(reg):
+    # an entry that is its boundary value alone centers to zero: no f,
+    # no matrix entry, and the constants read exactly, int-first
+    constants = (1, -2, F(1, 2), 3)
+    spec = FamilySpec("lemma1", reg, dict(zip(ybe.CONSTANT_NAMES, constants)))
+    rep = characterize(build_profile(spec))
+    assert rep.ok and rep.shared_f is None
+    assert all(v == 0 for row in rep.matrix for v in row)
+    assert rep.constants == constants
+    assert [type(v) for v in rep.constants] == [int, int, F, int]
+
+
+def test_characterize_axf_roundtrip(reg):
+    rng = random.Random(7)
+    x, t = reg.sym("x"), reg.sym("t")
+    for _ in range(100):
+        p = random_poly(reg, rng, ("x",), max_degree=7, max_terms=4)
+        rep = characterize(ybe.DiagProfile(reg, {("e", "e"): p}))
+        centered = p - p.subst_many({x: reg.zero()})
+        has_even = any(deg % 2 == 0 for deg in centered.as_univariate_in(x))
+        assert rep.shared_f_ok is not has_even
+        if has_even or centered.is_zero():
+            assert rep.shared_f is None
+            continue
+        f = rep.shared_f
+        assert reg.var("x") * f.subst_many({t: reg.var("x", 2)}) * rep.matrix[0][0] == centered
+        # monic in t
+        assert f.as_univariate_in(t)[f.degree_in(t)] == 1
+
+
+def test_characterize_parity_reading(reg):
+    # the degree reading agrees with the parity under x -> -x: an entry
+    # passes exactly when its centered part is odd, its value at 0 is
+    # the boundary constant (zeta, on hh), and f(x^2) is even
+    rng = random.Random(11)
+    x = reg.sym("x")
+    minus_x = {x: -reg.var("x")}
+    for _ in range(100):
+        p = random_poly(reg, rng, ("x",), max_degree=7, max_terms=4)
+        rep = characterize(ybe.DiagProfile(reg, {("h", "h"): p}))
+        at_zero = p.subst_many({x: reg.zero()})
+        centered = p - at_zero
+        assert rep.shared_f_ok is (centered.subst_many(minus_x) == -centered)
+        assert at_zero == rep.constants[3]
+        if rep.shared_f is not None:
+            f_of_x2 = rep.shared_f.subst_many({reg.sym("t"): reg.var("x", 2)})
+            assert f_of_x2.subst_many(minus_x) == f_of_x2
 
 
 def test_characterize_roundtrip_random(reg):
-    import random
     rng = random.Random(13)
     for _ in range(50):
         case = rng.choice(["thm5_i", "thm5_ii", "thm5_iii"])
@@ -196,6 +289,8 @@ def test_characterize_roundtrip_random(reg):
         else:
             assert all(v == 0 for row in m for v in row)
         constants = [v.constant_value() for v in prof.constant_values()]
+        assert rep.constants == tuple(map(_scalar, constants))
+        assert all(type(v) is (int if F(v).denominator == 1 else F) for v in rep.constants)
         assert not any(scalar_relation_residues(constants, m).values())
 
 

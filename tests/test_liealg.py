@@ -13,13 +13,13 @@ from ccybe.liealg import (
     sl2,
     transform_tensor,
 )
-from ccybe.ybe import cybe
 
 from support import (
     adjoint_action_oracle,
     algebra_from_json,
     antisymmetrize,
     classical_cybe_oracle,
+    cybe,
     identity_matrix,
     is_totally_antisymmetric,
     preserves_bracket,
