@@ -1,37 +1,38 @@
 """Lambda-bracket calculus on free conformal algebras of finite type.
 
-Elements live in a free polynomial module over a single derivation
-symbol `d`; a basis element with coefficient g(d) stands for g(D)a.
-Two algebra kinds are supported:
+An algebra is a free module over the polynomials in D on its basis, the
+generators.  Two algebra kinds are supported:
 
   * the current algebra over a structure-constant Lie algebra, with
     bracket  [f(D)a _lam g(D)b] = f(-lam) g(lam + D) [a, b];
   * the Virasoro algebra on one generator v, with [v _lam v] = (D + 2 lam) v.
 
 Tensor powers are maps from basis tuples to polynomials in the slot
-symbols d1..dN (plus any parameter symbols).  The left action of an
-element on a tensor is the Leibniz sum over slots: acting on slot i
+symbols d1..dN (plus any parameter symbols).  The left action of a
+generator on a tensor is the Leibniz sum over slots: acting on slot i
 shifts di by the bracket variable's value and inserts the basis-level
 bracket.  That value is a polynomial, not a fresh symbol: a free
 variable for the module axioms, or -(d1 + ... + dN) (minus the tensor's
 `total()`) to read the action modulo the total derivation in one pass.
-act_on_tensor acts with a list of elements on one tensor, and the
-elements share the shifts: each (tuple, slot) coefficient is moved by
-its slot's shift di -> di + lam (an exactpoly.Substitution) once and
-multiplied by every element's inserted bracket.  Each output
-coefficient is a plain term table: the Leibniz sum adds its products
-there through exactpoly._mac, with no polynomial built per product, and
-exactpoly._finished makes each table a polynomial once.  The
-tensor-wide maps (tau, permute_slots) compile their substitution once
-per tensor.
+Only generators act: by sesquilinearity an element g(D)a acts as
+g(-lam) times a's action, so every check that asks all elements to act
+asks the generators.  act_on_tensor acts with a list of generators,
+named, on one tensor, and they share the shifts: each (tuple, slot)
+coefficient is moved by its slot's shift di -> di + lam (an
+exactpoly.Substitution) once and multiplied by every generator's
+inserted bracket.  Each output coefficient is a plain term table: the
+Leibniz sum adds its products there through exactpoly._mac, with no
+polynomial built per product, and exactpoly._finished makes each table
+a polynomial once.  The tensor-wide maps (tau, permute_slots) compile
+their substitution once per tensor.
 
 The algebra owns the tables that depend on it alone: `ConfAlgebra.memo`
 builds a table on first use and keeps it as long as the algebra lives.
-act_on_tensor keeps there, per (arity, lam, elements), its slot shifts
-with the powers of di + lam they have built and its inserted-bracket
-factor rows; ybe keeps there the double bracket's coefficient maps
-and contraction plans, the generator actions' value of lam per arity,
-and the lift map.  A caller that checks many tensors over one algebra
+act_on_tensor keeps there, per (arity, lam, generator names), its slot
+shifts with the powers of di + lam they have built and its
+inserted-bracket rows; ybe keeps there the double bracket's coefficient
+maps and contraction plans, the generator actions' value of lam per
+arity, and the lift map.  A caller that checks many tensors over one algebra
 (the search) builds each table once; one that makes an algebra per
 check builds them once per check.  Nothing is cached at module level.
 
@@ -44,12 +45,11 @@ class of the tensor it acts on.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
-from .exactpoly import MPoly, PolySum, Substitution, Sym, SymbolRegistry, _finished, _mac
+from .exactpoly import MPoly, Substitution, Sym, SymbolRegistry, _finished, _mac, _term_list
 from .liealg import LieAlg, Scalar
 
 
@@ -64,7 +64,6 @@ class ConfAlgebra:
         self.kind = kind
         self.reg = reg
         self.lie = lie
-        self.d = reg.sym("d")
         self._tables: dict = {}
 
     def memo(self, key, build):
@@ -72,9 +71,9 @@ class ConfAlgebra:
 
         Kept as long as the algebra, so a key must name everything the
         table depends on besides the algebra.  Neither a key nor a table
-        may hold the algebra or its elements, or a tensor over it: the
-        algebra holds them, so that would be a reference cycle, which
-        only the cyclic collector frees.  A table is a function of its
+        may hold the algebra or a tensor over it: the algebra holds them,
+        so that would be a reference cycle, which only the cyclic
+        collector frees.  A table is a function of its
         key alone, so if two threads miss at once and both build it (or
         fill the same part of it), either copy serves.
         """
@@ -106,39 +105,6 @@ class ConfAlgebra:
         if self.kind == "cur":
             return self.lie.bracket_basis(p, q)
         return {"v": d + lam * 2}
-
-    def generator(self, name: str) -> "ConfElem":
-        if name not in self.basis_names:
-            raise ValueError(f"unknown generator {name!r}")
-        return ConfElem(self, {name: self.reg.const(1)})
-
-
-@dataclass
-class ConfElem:
-    """A finite combination sum_a g_a(d) * a over the algebra basis."""
-
-    alg: ConfAlgebra
-    coeffs: dict[str, MPoly]
-
-    def __post_init__(self):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if not v.is_zero()}
-        for k in self.coeffs:
-            if k not in self.alg.basis_names:
-                raise ValueError(f"unknown basis element {k!r}")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "ConfElem") -> "ConfElem":
-        if self.alg is not other.alg:
-            raise ValueError("elements over different algebras")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, self.alg.reg.zero()) + v
-        return ConfElem(self.alg, out)
-
-    def __mul__(self, scalar) -> "ConfElem":
-        return ConfElem(self.alg, {k: v * scalar for k, v in self.coeffs.items()})
 
 
 @dataclass
@@ -202,30 +168,31 @@ class ConfTensor:
         )
 
 
-def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
-                  lam: MPoly) -> list[ConfTensor]:
-    """Leibniz action on a tensor, with the bracket variable at `lam`.
+def act_on_tensor(names: Sequence[str], t: ConfTensor, lam: MPoly) -> list[ConfTensor]:
+    """Leibniz action of the generators `names` on a tensor, with the
+    bracket variable at `lam`.
 
     On the acted slot i the coefficient argument di shifts to di + lam,
-    the element's own polynomial is evaluated at -lam, and the
-    basis-level bracket is inserted with its d read as di and its lam as
-    `lam`.  Substituting before the products is a ring homomorphism, so
-    acting at -t.total() equals acting at a free variable and
-    eliminating it afterwards.
+    and the basis-level bracket is inserted with its d read as di and
+    its lam as `lam`.  Substituting before the products is a ring
+    homomorphism, so acting at -t.total() equals acting at a free
+    variable and eliminating it afterwards.  An element g(D)a acts as
+    g(-lam) times a's action (sesquilinearity), so the generators'
+    actions are all there is to compute.
 
-    Returns the actions of `elems` in order.  The elements share the
-    shifts: each (tuple, slot) coefficient is moved by its slot's shift
-    once, if any element has a nonzero bracket with that slot's basis
-    element, and every such element multiplies the same shifted
-    coefficient.  The shifts and the factor rows come from the
-    algebra's memo (see _action_table).
+    Returns the actions of `names` in order; a name that is no basis
+    element raises ValueError.  The generators share the shifts: each
+    (tuple, slot) coefficient is moved by its slot's shift once, if any
+    generator has a nonzero bracket with that slot's basis element, and
+    every such generator multiplies the same shifted coefficient.  The
+    shifts and the factor rows come from the algebra's memo (see
+    _action_table).
     """
     alg = t.alg
-    if any(e.alg is not alg for e in elems):
-        raise ValueError("element and tensor over different algebras")
-    key = ("act_on_tensor", t.arity, lam, tuple(tuple(e.coeffs.items()) for e in elems))
-    table = alg.memo(key, partial(_action_table, elems, t, lam))
-    outs = [{} for _ in elems]
+    names = tuple(names)
+    table = alg.memo(("act_on_tensor", t.arity, lam, names),
+                     partial(_action_table, alg, names, t.arity, lam))
+    outs = [{} for _ in names]
     for tup, coeff in t.entries.items():
         for i, b in enumerate(tup):
             shift, row = table[b, i]
@@ -245,33 +212,28 @@ def act_on_tensor(elems: Sequence[ConfElem], t: ConfTensor,
             for out in outs]
 
 
-def _action_table(elems: Sequence[ConfElem], t: ConfTensor, lam: MPoly) -> dict:
-    """act_on_tensor's table for elems acting at `lam` on t's arity.
+def _action_table(alg: ConfAlgebra, names: tuple, arity: int, lam: MPoly) -> dict:
+    """act_on_tensor's table for the generators `names` acting at `lam`
+    on tensors of `arity`.
 
     Per (basis element b, slot i): di's shift di -> di + lam, and the
     row of (j, k, f): f is the term list of the nonzero k component of
-    the sum over p of g_p(-lam) [p _lam b], g_p the coefficients of
-    element j.  It reads t only for its arity and slot symbols.
+    [g _lam b], g the generator names[j].  A name that is no basis
+    element raises ValueError, so no table is kept for it.
     """
-    alg = t.alg
+    for g in names:
+        if g not in alg.basis_names:
+            raise ValueError(f"unknown generator {g!r}")
     reg = alg.reg
-    new_sum = partial(PolySum, reg)
-    at = Substitution(reg, {alg.d: -lam})
-    at_lam = [[(p, at(g)) for p, g in e.coeffs.items()] for e in elems]
     table = {}
-    for i in range(t.arity):
-        di_sym = t.slot_sym(i)
+    for i in range(arity):
+        di_sym = reg.sym(f"d{i + 1}")
         di = reg.var(di_sym)
         shift = Substitution(reg, {di_sym: di + lam})
         for b in alg.basis_names:
-            row = []
-            for j, gs in enumerate(at_lam):
-                acc = defaultdict(new_sum)
-                for p, g_at in gs:
-                    for k, v in alg.basis_bracket(p, b, di, lam).items():
-                        acc[k].add(g_at, v)
-                row += [(j, k, tuple(f._terms.items()))
-                        for k, s in acc.items() if (f := s.value())]
+            row = [(j, k, f) for j, g in enumerate(names)
+                   for k, v in alg.basis_bracket(g, b, di, lam).items()
+                   if (f := _term_list(v))]
             table[b, i] = (shift, row)
     return table
 

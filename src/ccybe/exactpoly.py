@@ -4,10 +4,10 @@ A polynomial is a mapping from packed monomials to nonzero coefficients.
 A coefficient is a plain int when its denominator is 1 and a Fraction
 otherwise, so integer work never pays for Fraction arithmetic.  Values
 are made int-first where they enter (constants, variables, the
-constructor and scalar multiples) and in PolySum sums; a sum or product
-of two MPolys is stored as it comes, since an integral Fraction
-compares, hashes and prints exactly like the int.  All arithmetic is exact; there is no
-floating-point mode anywhere.
+constructor and scalar multiples) and in finished term tables; a sum or
+product of two MPolys is stored as it comes, since an integral Fraction
+compares, hashes and prints exactly like the int.  All arithmetic is
+exact; there is no floating-point mode anywhere.
 
 A monomial is packed into one Python int with a 16-bit field per symbol:
 field i (bits 16*i to 16*i + 15) holds the exponent of symbol id i, so a
@@ -39,16 +39,15 @@ it once; a map that depends only on an algebra is kept by that algebra
 (conformal.ConfAlgebra.memo) and serves every tensor over it.
 
 _mac is the one product loop: it adds the product of two term lists
-into a table of terms, and a product of two polynomials, a substitution
-and PolySum all go through it.  A filled table becomes a polynomial
+into a table of terms, and a product of two polynomials and a
+substitution go through it.  A filled table becomes a polynomial
 through one helper, _finished: one guard check, integral Fractions made
-ints, no copy.  PolySum is the fused multiply-accumulate over one such
-table: a sum of products a * b (b a polynomial or an exact scalar) with
-no polynomial built per product.  The tensor code (the double bracket's
-contraction tables and outputs, the Leibniz sum of an action) keeps
-many tables at once, so it calls _mac on plain term tables, a scalar
-factor as the one-term list ((0, v),), and finishes each output with
-_finished.
+ints, no copy.  So a sum of products is one table that _mac fills, with
+no polynomial built per product, and _term_list gives a polynomial's
+or a scalar's terms (v as the one term ((0, v),)).  The tensor code (the
+double bracket's contraction tables and outputs, the Leibniz sum of an
+action) keeps many tables at once; the catalog's equations and the
+generic profile fill one each.
 
 Symbols are interned in a SymbolRegistry (append-only, synchronized).
 A registry starts from a prebuilt table of the core symbols, and a
@@ -175,10 +174,29 @@ def _mac(out: dict, a_terms, b_terms) -> None:
                 del out[key]
 
 
+def _term_list(value) -> tuple:
+    """A polynomial's terms as a term list for _mac, or a scalar v as the
+    one term ((0, v),) (no term for 0)."""
+    if isinstance(value, MPoly):
+        return tuple(value._terms.items())
+    c = _scalar(value)
+    return ((0, c),) if c else ()
+
+
 def _finished(reg: "SymbolRegistry", terms: dict) -> "MPoly":
     """The polynomial of a term table that _mac filled, taking the table
     as its terms: the guard mask is checked once and integral Fractions
-    become ints (see PolySum for why one check at the end suffices)."""
+    become ints.
+
+    One check at the end is enough when every factor _mac multiplied has
+    each field below EXPONENT_LIMIT: the key of a product term, the sum
+    of two such keys, has each field below 2 * EXPONENT_LIMIT and never
+    carries into its neighbour.  A table key is therefore the exact
+    exponent vector of its monomial, and a monomial whose exponent
+    reaches the limit either keeps its guard bit to the end, where this
+    check raises ExponentOverflow, or cancels exactly and is gone from
+    the sum as well.
+    """
     reg._check_guard(terms)
     return MPoly._raw(reg, _ints_first(terms))
 
@@ -653,56 +671,6 @@ def _build_power(held: dict[int, MPoly], n: int) -> MPoly:
                 pw = pw * held[1]
         held[n] = pw
     return pw
-
-
-class PolySum:
-    """A fused multiply-accumulate: a sum of products a * b built term by
-    term in one table, with no polynomial made per product.
-
-    `add(a, b)` adds a * b, with `a` a polynomial and `b` a polynomial or
-    an exact scalar; `value()` returns the sum as an MPoly and leaves the
-    accumulator empty.  The guard mask is checked once, in value(), and
-    that is enough: every stored key has each field below EXPONENT_LIMIT,
-    so the key of a product term, the sum of two such keys, has each
-    field below 2 * EXPONENT_LIMIT and never carries into its neighbour.
-    A table key is therefore the exact exponent vector of its monomial,
-    and a monomial whose exponent reaches the limit either keeps its
-    guard bit to the end, where value() raises ExponentOverflow, or
-    cancels exactly and is gone from the sum as well.  value() also turns
-    integral Fractions into ints, so the sum is stored int-first.
-    """
-
-    __slots__ = ("reg", "_terms")
-
-    def __init__(self, reg: SymbolRegistry):
-        self.reg = reg
-        self._terms: dict[int, Scalar] = {}
-
-    def add(self, a: MPoly, b: Union[MPoly, Scalar]) -> None:
-        reg = self.reg
-        if a.reg is not reg:
-            raise RegistryMismatch("operands use different symbol registries")
-        out = self._terms
-        if isinstance(b, MPoly):
-            if b.reg is not reg:
-                raise RegistryMismatch("operands use different symbol registries")
-            _mac(out, a._terms.items(), b._terms.items())
-            return
-        if not isinstance(b, (int, Fraction)):
-            raise TypeError(f"cannot multiply a polynomial by {type(b).__name__}")
-        b = _scalar(b)
-        if b:
-            get = out.get
-            for key, ca in a._terms.items():
-                s = get(key, 0) + ca * b
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-
-    def value(self) -> MPoly:
-        terms, self._terms = self._terms, {}
-        return _finished(self.reg, terms)
 
 
 # Parsing ---------------------------------------------------------------------

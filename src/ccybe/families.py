@@ -215,20 +215,18 @@ def build_profile(spec: FamilySpec) -> DiagProfile:
     return DiagProfile(reg, entries)
 
 
-def vir_rmatrix(coeff: MPoly, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
-    """Single-entry tensor over the Virasoro algebra.
+def vir_rmatrix(coeff: MPoly) -> ConfTensor:
+    """Single-entry tensor over a fresh Virasoro algebra on the
+    coefficient's registry.
 
     `coeff` is given in the symbols (x, y), read as (d1, d2).
     """
     reg = coeff.reg
-    alg = alg or ConfAlgebra.vir(reg)
-    if alg.reg is not reg:
-        raise ValueError("coefficient and algebra must share a registry")
     poly = coeff.subst_many({
         reg.sym("x"): reg.var("d1"),
         reg.sym("y"): reg.var("d2"),
     })
-    return ConfTensor(alg, 2, {("v", "v"): poly})
+    return ConfTensor(ConfAlgebra.vir(reg), 2, {("v", "v"): poly})
 
 
 # Characterization ---------------------------------------------------------------
@@ -253,10 +251,6 @@ class Characterization:
     rank_le_1: bool
     constants: tuple[Scalar, ...]
     constants_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.sym and self.shared_f_ok and self.rank_le_1 and self.constants_ok
 
 
 def characterize(p: DiagProfile) -> Characterization:

@@ -6,8 +6,7 @@ Provides the builtin sl2 basis (e, f, h with [e,f] = h, [h,e] = 2e,
 one transport transform_tensor, and the rank test of a numeric 3x3
 coefficient matrix.  A coefficient matrix is moved by an automorphism
 as the two-tensor {(q, l): a_ql}, so transform_tensor gives
-Phi M Phi^T.  The classical Yang-Baxter operator, the conformal double
-bracket at zero derivations, lives in `ybe`.
+Phi M Phi^T.
 
 Tensors over the Lie algebra are plain dicts mapping basis-name tuples
 to scalars; scalars may be Fractions or parametric MPoly values.
@@ -66,24 +65,6 @@ class LieAlg:
 
     def bracket_basis(self, i: str, j: str) -> Mapping[str, Union[int, Fraction]]:
         return self.table.get((i, j), _NO_BRACKET)
-
-    def bracket(self, x: Mapping[str, Scalar], y: Mapping[str, Scalar]) -> dict[str, Scalar]:
-        """Bilinear extension of the structure constants."""
-        out: dict[str, Scalar] = {}
-        for i, ci in x.items():
-            if i not in self.names:
-                raise ValueError(f"unknown basis element {i!r}")
-            for j, cj in y.items():
-                if j not in self.names:
-                    raise ValueError(f"unknown basis element {j!r}")
-                for k, s in self.bracket_basis(i, j).items():
-                    cur = out.get(k, 0)
-                    new = cur + ci * cj * s
-                    if is_zero_scalar(new):
-                        out.pop(k, None)
-                    else:
-                        out[k] = new
-        return out
 
     def _validate(self) -> None:
         for i in self.names:

@@ -26,7 +26,10 @@ coefficients equal in odd degrees and opposite in even ones.  So a
 strict search finds the skew-symmetric strict solutions only: an
 invariant one that is not skew, such as the constant profile with
 (alpha, beta, gamma, zeta) = (0, 0, 0, 1), passes `verify --mode
-strict` but is never a strict survivor.
+strict` but is never a strict survivor.  Over the raw degree-2 grid
+with coefficients {0, 1} and constants {-1, 0, 1}, 32 of the 5,184
+consistent candidates are strict solutions, and the strict search keeps
+the 16 skew ones.
 
 Point evaluations decide the filter.  Each filter equation is a
 polynomial identity in (d2, d3, d1) of total degree at most

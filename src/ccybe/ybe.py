@@ -39,8 +39,8 @@ one-shot algebra (the CLI, catalog_diffs) builds only the rows it
 reads, and a search over one algebra builds each row once.  The tables
 and the outputs are plain term tables, filled through exactpoly._mac
 with no polynomial built per product or per table (a scalar factor is
-the one term ((0, v),)), and each output coefficient is made a
-polynomial once, by exactpoly._finished.
+the one term ((0, v),), see exactpoly._term_list), and each output
+coefficient is made a polynomial once, by exactpoly._finished.
 
 Following Liberati, the CCYBE and its weak version live in the quotient
 of R x R x R by the image of the total derivation d1 + d2 + d3, read
@@ -68,12 +68,15 @@ taken at mu = -(d1+d2+d3), vanishes), and invariance (every generator
 action on r + tau(r), taken at lam = -(d1+d2), vanishes).  Each action
 is computed at that value directly; no action variable is introduced
 and eliminated.  Each slot shift of such an action sends d1 + d2 + d3
-to 0, so it reads only the class of the tensor it acts on.
-generator_actions acts with all generators in one act_on_tensor call,
-so the weak and the invariance checks shift each coefficient once, not
-once per generator.  weak_verdict reads the weak verdict off a given
-reduced bracket, and the strict verdict is whether that bracket is
-zero, so a caller that needs both builds the bracket once.
+to 0, so it reads only the class of the tensor it acts on.  Both
+conditions ask every element to act, and the generators decide them:
+an element g(D)a acts as g(-lam) times a's action (sesquilinearity),
+so only generators ever act.  generator_actions acts with all of them,
+by name, in one act_on_tensor call, so the weak and the invariance
+checks shift each coefficient once, not once per generator.
+weak_verdict reads the weak verdict off a given reduced bracket, and
+the strict verdict is whether that bracket is zero, so a caller that
+needs both builds the bracket once.
 
 The tables these checks read belong to the algebra of the r-matrix and
 live as long as it (conformal.ConfAlgebra.memo): the double bracket's
@@ -121,7 +124,7 @@ from .conformal import (
     project,
     tau,
 )
-from .exactpoly import MPoly, PolySum, Substitution, SymbolRegistry, _finished, _mac, _scalar
+from .exactpoly import MPoly, Substitution, SymbolRegistry, _finished, _mac, _term_list
 from .liealg import AutMatrix, Scalar, sl2, transform_tensor
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
@@ -339,15 +342,6 @@ class _ContractionPlan:
         return found
 
 
-def _term_list(value) -> tuple:
-    """An inserted bracket's value as a term list: a polynomial's terms,
-    or a scalar v as the one term ((0, v),)."""
-    if isinstance(value, MPoly):
-        return tuple(value._terms.items())
-    c = _scalar(value)
-    return ((0, c),) if c else ()
-
-
 def is_strict_solution(r: ConfTensor) -> tuple[bool, ConfTensor]:
     """The double bracket modulo the total derivation; True iff it
     vanishes identically."""
@@ -367,8 +361,7 @@ def generator_actions(t: ConfTensor) -> dict[str, ConfTensor]:
     alg = t.alg
     names = alg.basis_names
     lam = alg.memo(("generator_actions.lam", t.arity), lambda: -t.total())
-    acted = act_on_tensor([alg.generator(n) for n in names], t, lam)
-    return dict(zip(names, acted))
+    return dict(zip(names, act_on_tensor(names, t, lam)))
 
 
 def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
@@ -616,12 +609,12 @@ def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
         for entry, arg in ((left, arg1), (right, arg2)):
             if (entry, arg) not in at:
                 at[entry, arg] = maps[arg](p.entry(entry[0], entry[1]))
-    acc = PolySum(reg)
+    acc: dict = {}
     for coeff, left, arg1, right, arg2 in eq.terms:
-        acc.add(at[left, arg1] * coeff, at[right, arg2])
+        _mac(acc, (at[left, arg1] * coeff)._terms.items(), at[right, arg2]._terms.items())
     if eq.shifted:
-        acc.add(shift_constant(p.constant_values()), 1)
-    return acc.value()
+        _mac(acc, shift_constant(p.constant_values())._terms.items(), _term_list(1))
+    return _finished(reg, acc)
 
 
 # Generic profiles and re-derivation ------------------------------------------------
@@ -637,10 +630,10 @@ def generic_profile(reg: SymbolRegistry, degree: int = 4) -> DiagProfile:
     x = reg.sym("x")
     entries = {}
     for q, l in PAIRS:
-        acc = PolySum(reg)
+        acc: dict = {}
         for j in range(degree + 1):
-            acc.add(reg.var(f"c_{q}{l}_{j}"), reg.var(x, j))
-        entries[(q, l)] = acc.value()
+            _mac(acc, reg.var(f"c_{q}{l}_{j}")._terms.items(), reg.var(x, j)._terms.items())
+        entries[(q, l)] = _finished(reg, acc)
     return DiagProfile(reg, entries)
 
 
@@ -672,7 +665,7 @@ def derive_weak_projection(generator: str, triple: Sequence[str], r: ConfTensor)
              for i in range(3) for b in alg.basis_names
              if triple[i] in alg.basis_bracket(generator, b, d, lam)]
     bracket = ccybe_bracket(r, feeds, reduced=True)
-    acted = act_on_tensor([alg.generator(generator)], bracket, -bracket.total())[0]
+    acted = act_on_tensor([generator], bracket, -bracket.total())[0]
     return project(acted, triple)
 
 

@@ -7,32 +7,36 @@ structurally different computation.  Others are slower reference
 paths the engine replaced: the pairwise double bracket, the two-pass
 reduced action, the reduction modulo the total derivation after the
 bracket is built, the unstructured candidate enumeration of the search,
-its flat scan of the consistent candidates, and the term-by-term
-generic profile.  The rest are checks
-and constructions only the tests use: diagonal restrictions, the
-invariance residues, the invariance-constrained generic profile, slot
-permutation symmetry, the weak defect of a constant r, antisymmetry of
-constant 3-tensors, algebras from JSON, random invertible integer
-matrices, the identity automorphism and the check that an automorphism
-preserves the bracket, the general invariant constant tensor, the
+its flat scan of the consistent candidates, the verdicts of every
+consistent candidate checked one by one, and the term-by-term generic
+profile.  The rest are checks and constructions only the tests use:
+diagonal restrictions, the invariance residues, the
+invariance-constrained generic profile, slot permutation symmetry, the
+weak defect of a constant r, antisymmetry of constant 3-tensors,
+algebras from JSON, random invertible integer matrices, the identity
+automorphism, the Lie bracket of two elements and the check that an
+automorphism preserves it, the general invariant constant tensor, the
 classical operator at zero derivations (the double bracket at
-d1 = d2 = d3 = 0, which classical_cybe_oracle checks), a map
-over a tensor's coefficients, and the lambda-bracket of two elements
-with the derivation applied to an element (the algebra laws' oracle;
-the engine inserts basis-level brackets only).
+d1 = d2 = d3 = 0, which classical_cybe_oracle checks), whether a
+characterization passes, a map over a tensor's coefficients, and the
+elements of a conformal algebra: the lambda-bracket of two elements,
+the derivation applied to an element (the algebra laws' oracle; the
+engine inserts basis-level brackets only) and an element's action on a
+tensor, the linear extension of the generators' actions (the engine
+acts with generators only).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from ccybe import search
 from ccybe.conformal import (
     ConfAlgebra,
-    ConfElem,
     ConfTensor,
     act_on_tensor,
     permute_slots,
@@ -50,8 +54,10 @@ from ccybe.ybe import (
     boundary_values,
     ccybe_bracket,
     eval_equation,
+    is_invariant,
     lift_profile,
     shift_constant,
+    weak_verdict,
 )
 
 
@@ -75,6 +81,45 @@ def map_coeffs(t: ConfTensor, fn) -> ConfTensor:
     return ConfTensor(t.alg, t.arity, {tup: fn(p) for tup, p in t.entries.items()})
 
 
+# Elements of a conformal algebra.  The engine acts with generators
+# only (conformal.act_on_tensor takes their names); an element g(D)a
+# acts as g(-lam) times a's action, which `act` writes out.
+
+
+@dataclass
+class ConfElem:
+    """A finite combination sum_a g_a(d) * a over the algebra basis."""
+
+    alg: ConfAlgebra
+    coeffs: dict[str, MPoly]
+
+    def __post_init__(self):
+        self.coeffs = {k: v for k, v in self.coeffs.items() if not v.is_zero()}
+        for k in self.coeffs:
+            if k not in self.alg.basis_names:
+                raise ValueError(f"unknown basis element {k!r}")
+
+
+def generator(alg: ConfAlgebra, name: str) -> ConfElem:
+    """The basis element `name` as an element, with coefficient 1."""
+    return ConfElem(alg, {name: alg.reg.const(1)})
+
+
+def act(elems, t: ConfTensor, lam: MPoly) -> list[ConfTensor]:
+    """Each element's action on t at `lam`: the sum over p of g_p(-lam)
+    times generator p's action, the linear extension of act_on_tensor."""
+    names = t.alg.basis_names
+    actions = dict(zip(names, act_on_tensor(names, t, lam)))
+    at = {t.alg.reg.sym("d"): -lam}
+    out = []
+    for elem in elems:
+        acc = ConfTensor(t.alg, t.arity, {})
+        for p, g in elem.coeffs.items():
+            acc = acc + actions[p] * g.subst_many(at)
+        out.append(acc)
+    return out
+
+
 def apply_derivation(a: ConfElem) -> ConfElem:
     """D a: every coefficient g(d) becomes d * g(d)."""
     d = a.alg.reg.var("d")
@@ -88,7 +133,7 @@ def lambda_bracket(a: ConfElem, b: ConfElem) -> dict[str, MPoly]:
     alg = a.alg
     reg = alg.reg
     d, lam = reg.var("d"), reg.var("lam")
-    d_sym = alg.d
+    d_sym = reg.sym("d")
     out: dict[str, MPoly] = {}
     for p, f in a.coeffs.items():
         f_at = f.subst_many({d_sym: -lam})
@@ -258,7 +303,7 @@ def pairwise_bracket(r):
 
 def act_then_eliminate(elem, t):
     reg = t.alg.reg
-    acted = act_on_tensor([elem], t, reg.var("mu"))[0]
+    acted = act([elem], t, reg.var("mu"))[0]
     return map_coeffs(acted, lambda p: p.subst_many({reg.sym("mu"): -t.total()}))
 
 
@@ -303,6 +348,14 @@ def enumerate_profiles(cfg):
         yield candidate_profile(cfg, constants, combo, SymbolRegistry())
 
 
+def _skew_profile(profile: DiagProfile) -> bool:
+    """A'_{ql}(x) + A'_{lq}(-x) == 0 for all pairs."""
+    x = profile.reg.sym("x")
+    minus = -profile.reg.var("x")
+    return all((profile.entry(q, l) + profile.entry(l, q).subst_many({x: minus})).is_zero()
+               for q, l in PAIRS)
+
+
 def naive_run(cfg):
     """Reference filter: the invariance residues, skew-symmetry in strict
     mode, and the exact filter equations on every enumerated candidate."""
@@ -311,17 +364,52 @@ def naive_run(cfg):
     for profile in enumerate_profiles(cfg):
         if any(not r.is_zero() for r in invariance_residues(profile)):
             continue
-        if cfg.mode == "strict":
-            x = profile.reg.sym("x")
-            minus = -profile.reg.var("x")
-            skew = all(
-                (profile.entry(q, l) + profile.entry(l, q).subst_many({x: minus})).is_zero()
-                for q, l in PAIRS
-            )
-            if not skew:
-                continue
+        if cfg.mode == "strict" and not _skew_profile(profile):
+            continue
         if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
             out.append(profile)
+    return out
+
+
+# Brute-force verdicts: every invariance-consistent raw candidate, with
+# the consistent coefficients read off the invariance relations here,
+# lifted and checked by the tensor engine, with no catalog equation and
+# no search table.
+
+
+def brute_force_verdicts(max_degree, coeff_grid, constants_grid):
+    """(entries, invariant, weak, strict, skew) per invariance-consistent
+    raw candidate: every degree 1..max_degree populated from
+    coeff_grid, the constant terms the boundary values of a constants
+    tuple over constants_grid.  `entries` is the canonical JSON of the
+    nonzero entries as a search survivor prints them; the weak and
+    strict verdicts come from one reduced double bracket."""
+    # The relation A'_left(lam) + A'_right(-lam) == const holds in degree
+    # j iff c_left + (-1)^j c_right == 0; a diagonal entry is its own
+    # mirror, so it is zero in even degrees.
+    choices = []   # per (relation, degree): the (c_left, c_right) that hold
+    for left, right, _mult in INVARIANCE_RELATIONS:
+        for j in range(1, max_degree + 1):
+            choices.append([(left, right, j, a, b) for a in coeff_grid for b in coeff_grid
+                            if a + (-1) ** j * b == 0 and (left != right or a == b)])
+    reg = SymbolRegistry()
+    alg = ConfAlgebra.cur(sl2(), reg)
+    x = reg.sym("x")
+    out = []
+    for constants in itertools.product(constants_grid, repeat=4):
+        bnd = dict(zip(PAIRS, boundary_values(constants)))
+        for picks in itertools.product(*choices):
+            rows = {pair: {0: bnd[pair]} for pair in PAIRS}
+            for left, right, j, a, b in picks:
+                rows[left][j] = a
+                rows[right][j] = b
+            profile = DiagProfile(reg, {pair: reg.univariate(x, row)
+                                        for pair, row in rows.items()})
+            r = lift_profile(profile, alg)
+            bracket = ccybe_bracket(r, reduced=True)
+            entries = {"".join(pair): poly.to_string() for pair, poly in profile.entries.items()}
+            out.append((json.dumps(entries, sort_keys=True), is_invariant(r)[0],
+                        weak_verdict(bracket)[0], bracket.is_zero(), _skew_profile(profile)))
     return out
 
 
@@ -493,6 +581,18 @@ def identity_matrix() -> AutMatrix:
     return ad(((1, 0), (0, 1)))
 
 
+def lie_bracket(alg: LieAlg, x: Mapping[str, Scalar],
+                y: Mapping[str, Scalar]) -> dict[str, Scalar]:
+    """Bilinear extension of the structure constants to two elements
+    given as {basis name: coefficient}."""
+    out: dict[str, Scalar] = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            for k, s in alg.bracket_basis(i, j).items():
+                tensor_add(out, k, ci * cj * s)
+    return out
+
+
 def preserves_bracket(aut: AutMatrix) -> bool:
     """Whether aut([i, j]) == [aut(i), aut(j)] for every pair of basis
     elements; ad(g) always passes, so this checks the constructor."""
@@ -503,7 +603,7 @@ def preserves_bracket(aut: AutMatrix) -> bool:
             for k, s in alg.bracket_basis(i, j).items():
                 for name, v in aut.image(k).items():
                     tensor_add(rhs, name, v * s)
-            if not tensors_equal(alg.bracket(aut.image(i), aut.image(j)), rhs):
+            if not tensors_equal(lie_bracket(alg, aut.image(i), aut.image(j)), rhs):
                 return False
     return True
 
@@ -569,6 +669,11 @@ def weak_cybe_defect(r: Mapping[tuple, Scalar], alg: Optional[LieAlg] = None,
                     tensor_add(defect, tuple(new), coeff * s)
         out[a] = defect
     return out
+
+
+def characterization_ok(rep) -> bool:
+    """Whether a families.characterize report passes all four checks."""
+    return rep.sym and rep.shared_f_ok and rep.rank_le_1 and rep.constants_ok
 
 
 def diagonal_profile_of(t: ConfTensor) -> DiagProfile:

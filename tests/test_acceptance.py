@@ -11,12 +11,7 @@ import time
 from fractions import Fraction
 
 from ccybe import families, search, ybe
-from ccybe.conformal import (
-    ConfAlgebra,
-    ConfElem,
-    ConfTensor,
-    act_on_tensor,
-)
+from ccybe.conformal import ConfAlgebra, ConfTensor
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import ad, sl2
 from ccybe.ybe import (
@@ -30,10 +25,13 @@ from ccybe.ybe import (
 )
 
 from support import (
+    ConfElem,
+    act,
     act_then_eliminate,
     apply_derivation,
     cybe,
     diagonal_profile_of,
+    generator,
     invariance_residues,
     is_totally_antisymmetric,
     lambda_bracket,
@@ -64,7 +62,7 @@ def random_elem(alg, rng, max_degree=3):
     for name in alg.basis_names:
         if rng.random() < 0.6:
             coeffs[name] = sparse_univariate(alg.reg, rng, "d", max_degree)
-    return coeffs and ConfElem(alg, coeffs) or alg.generator(alg.basis_names[0])
+    return coeffs and ConfElem(alg, coeffs) or generator(alg, alg.basis_names[0])
 
 
 def random_tensor2(alg, rng):
@@ -126,10 +124,10 @@ def test_criterion_1_algebra_laws():
                         == t3.get(k, reg.zero()))
             # module axiom on tensor squares
             t = random_tensor2(alg, rng)
-            lhs = act_on_tensor([bracket_as_elem(alg, base, "nu")], t, reg.var(rho))[0]
+            lhs = act([bracket_as_elem(alg, base, "nu")], t, reg.var(rho))[0]
             lhs = map_coeffs(lhs, lambda p: p.subst_many({rho: lam + mu, nu: lam}))
-            rhs = (act_on_tensor([a], act_on_tensor([b], t, mu)[0], lam)[0]
-                   - act_on_tensor([b], act_on_tensor([a], t, lam)[0], mu)[0])
+            rhs = (act([a], act([b], t, mu)[0], lam)[0]
+                   - act([b], act([a], t, lam)[0], mu)[0])
             assert lhs == rhs
             n_cases += 1
     assert n_cases == 200
@@ -218,7 +216,6 @@ def test_criterion_4_negative_controls():
 def test_criterion_5_virasoro():
     t0 = time.time()
     reg = SymbolRegistry()
-    vir = ConfAlgebra.vir(reg)
     rng = random.Random(55)
     x_s, y_s = reg.sym("x"), reg.sym("y")
     checked = 0
@@ -232,7 +229,7 @@ def test_criterion_5_virasoro():
         if i % 2 == 0:
             # force a zero diagonal: multiply by (x + y)
             coeff = coeff * (reg.var("x") + reg.var("y"))
-        r = families.vir_rmatrix(coeff, vir)
+        r = families.vir_rmatrix(coeff)
         diagonal = coeff.subst_many({x_s: reg.var("x"), y_s: -reg.var("x")})
         both = is_invariant(r)[0] and is_weak_solution(r)[0]
         assert both == diagonal.is_zero(), coeff.to_string()
@@ -240,7 +237,7 @@ def test_criterion_5_virasoro():
     assert checked == 50
 
     # the constant tensor: raw specialized residue, twice the normalized value
-    r1 = families.vir_rmatrix(reg.const(1), vir)
+    r1 = families.vir_rmatrix(reg.const(1))
     ok, defects = is_weak_solution(r1)
     assert not ok
     raw = defects["v"].entries[("v", "v", "v")].subst_many({
@@ -429,7 +426,7 @@ def test_criterion_8_automorphism_covariance():
         })
         lhs_w = act_then_eliminate(phi_gen, ccybe_bracket(moved))
         rhs_w = transform_conf_tensor(
-            aut, act_then_eliminate(cur.generator(gen), ccybe_bracket(r)))
+            aut, act_then_eliminate(generator(cur, gen), ccybe_bracket(r)))
         assert lhs_w == rhs_w
         checked += 1
     assert checked == 20

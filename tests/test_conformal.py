@@ -5,7 +5,6 @@ import pytest
 
 from ccybe.conformal import (
     ConfAlgebra,
-    ConfElem,
     ConfTensor,
     act_on_tensor,
     permute_slots,
@@ -16,8 +15,11 @@ from ccybe.exactpoly import SymbolRegistry
 from ccybe.liealg import sl2
 
 from support import (
+    ConfElem,
+    act,
     act_then_eliminate,
     apply_derivation,
+    generator,
     lambda_bracket,
     map_coeffs,
     random_univariate,
@@ -53,19 +55,19 @@ def random_elem(alg, rng, max_degree=3):
 def test_bracket_shifted_generator(cur):
     reg = cur.reg
     a = ConfElem(cur, {"e": reg.var("d")})
-    b = cur.generator("f")
+    b = generator(cur, "f")
     out = lambda_bracket(a, b)
     assert set(out) == {"h"}
     assert out["h"] == -reg.var("lam")
 
 
 def test_bracket_vir(vir):
-    out = lambda_bracket(vir.generator("v"), vir.generator("v"))
+    out = lambda_bracket(generator(vir, "v"), generator(vir, "v"))
     assert out["v"] == vir.reg.parse("d + 2*lam")
 
 
 def test_bracket_nilpotent(cur):
-    assert lambda_bracket(cur.generator("e"), cur.generator("e")) == {}
+    assert lambda_bracket(generator(cur, "e"), generator(cur, "e")) == {}
 
 
 def test_bracket_current_rule(cur):
@@ -173,11 +175,10 @@ def test_module_action_compatibility(cur):
         t = ConfTensor(cur, 2, entries)
         # act with the bracket (lam renamed to the parameter nu) at the
         # fresh variable rho, then set rho := lam + mu and nu := lam.
-        lhs = act_on_tensor([bracket_as_elem(cur, lambda_bracket(a, b), "nu")], t,
-                            reg.var(rho))[0]
+        lhs = act([bracket_as_elem(cur, lambda_bracket(a, b), "nu")], t, reg.var(rho))[0]
         lhs = map_coeffs(lhs, lambda p: p.subst_many({rho: lam + mu, nu: lam}))
-        ab = act_on_tensor([a], act_on_tensor([b], t, mu)[0], lam)[0]
-        ba = act_on_tensor([b], act_on_tensor([a], t, lam)[0], mu)[0]
+        ab = act([a], act([b], t, mu)[0], lam)[0]
+        ba = act([b], act([a], t, lam)[0], mu)[0]
         assert lhs == ab - ba
 
 
@@ -187,15 +188,16 @@ def test_module_action_compatibility(cur):
 @pytest.mark.parametrize("kind", ["cur", "vir"])
 @pytest.mark.parametrize("arity", [2, 3])
 def test_multi_element_action_matches_each_element(kind, arity):
-    # acting with several elements in one call, which share the shifted
+    # acting with several generators in one call, which share the shifted
     # coefficients, equals acting with each alone at a free variable and
-    # eliminating it afterwards
+    # eliminating it afterwards; so does an element's action, the sum of
+    # the generators' actions times its coefficients at -lam
     reg = SymbolRegistry()
     alg = ConfAlgebra.cur(sl2(), reg) if kind == "cur" else ConfAlgebra.vir(reg)
+    names = alg.basis_names
     rng = random.Random(10 * arity + len(kind))
     for _ in range(6):
         elems = [random_elem(alg, rng, 2) for _ in range(rng.randint(1, 3))]
-        elems += [alg.generator(name) for name in alg.basis_names]
         entries = {}
         for _k in range(rng.randint(1, 4)):
             tup = tuple(rng.choice(alg.basis_names) for _ in range(arity))
@@ -204,30 +206,44 @@ def test_multi_element_action_matches_each_element(kind, arity):
                 p = p * random_univariate(reg, rng, f"d{i + 1}", 2)
             entries[tup] = entries.get(tup, reg.zero()) + p
         t = ConfTensor(alg, arity, entries)
-        acted = act_on_tensor(elems, t, -t.total())
-        assert acted == [act_then_eliminate(e, t) for e in elems]
-        assert act_on_tensor(elems[-1:], t, -t.total()) == acted[-1:]
+        acted = act_on_tensor(names, t, -t.total())
+        assert acted == [act_then_eliminate(generator(alg, n), t) for n in names]
+        assert act_on_tensor(names[-1:], t, -t.total()) == acted[-1:]
+        assert act(elems, t, -t.total()) == [act_then_eliminate(e, t) for e in elems]
 
 
 def test_act_constant_coefficients(cur):
     reg = cur.reg
     t = ConfTensor(cur, 2, {("f", "f"): reg.const(1)})
-    out = act_on_tensor([cur.generator("e")], t, reg.var("mu"))[0]
+    out = act_on_tensor(["e"], t, reg.var("mu"))[0]
     assert out.entries == {("h", "f"): reg.const(1), ("f", "h"): reg.const(1)}
 
 
 def test_act_vir(vir):
     reg = vir.reg
     t = ConfTensor(vir, 2, {("v", "v"): reg.const(1)})
-    out = act_on_tensor([vir.generator("v")], t, reg.var("mu"))[0]
+    out = act_on_tensor(["v"], t, reg.var("mu"))[0]
     assert out.entries[("v", "v")] == reg.parse("d1 + d2 + 4*mu")
 
 
 def test_act_cancellation(cur):
     reg = cur.reg
     t = ConfTensor(cur, 2, {("e", "f"): reg.const(1)})
-    out = act_on_tensor([cur.generator("h")], t, reg.var("mu"))[0]
+    out = act_on_tensor(["h"], t, reg.var("mu"))[0]
     assert out.is_zero()
+
+
+def test_act_refuses_unknown_generator(cur, vir):
+    # a name outside the basis has no bracket row, so it would act as
+    # zero if it were not refused
+    t = ConfTensor(cur, 2, {("e", "f"): cur.reg.const(1)})
+    for names in (["e", "v"], ["x"], ["e", "v"]):
+        with pytest.raises(ValueError, match="unknown generator"):
+            act_on_tensor(names, t, -t.total())
+    assert act_on_tensor(["e"], t, -t.total())[0].entries == {("e", "h"): cur.reg.const(1)}
+    u = ConfTensor(vir, 2, {("v", "v"): vir.reg.const(1)})
+    with pytest.raises(ValueError, match="unknown generator 'e'"):
+        act_on_tensor(["e"], u, -u.total())
 
 
 def test_tau(cur):

@@ -14,11 +14,13 @@ from ccybe.exactpoly import (
     ExponentOverflow,
     MPoly,
     ParseError,
-    PolySum,
     RegistryMismatch,
     Substitution,
     Sym,
     SymbolRegistry,
+    _finished,
+    _mac,
+    _term_list,
 )
 
 from support import random_poly, termwise_subst
@@ -311,10 +313,11 @@ def test_substitution_lone_power_logarithmic(reg, products, target, n):
         want = reg.const(2 ** n)
     else:
         # the binomial theorem: (x^2 + y)^n = sum_k C(n, k) x^(2k) y^(n-k)
-        acc = PolySum(reg)
+        acc = {}
         for k in range(n + 1):
-            acc.add(reg.var("x", 2 * k) * reg.var("y", n - k), math.comb(n, k))
-        want = acc.value()
+            _mac(acc, _term_list(reg.var("x", 2 * k) * reg.var("y", n - k)),
+                 _term_list(math.comb(n, k)))
+        want = _finished(reg, acc)
     del products[:]
     sub = Substitution(reg, mapping)
     assert sub(reg.var("x", n)) == want
@@ -578,22 +581,29 @@ def _exact_sum(addends) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+def _sum_of_products(addends) -> dict:
+    """The term table that _mac fills with every product a * b."""
+    acc = {}
+    for a, b in addends:
+        _mac(acc, _term_list(a), _term_list(b))
+    return acc
+
+
 @settings(max_examples=150, deadline=None)
 @given(_addends())
-def test_polysum_matches_sum_of_products(drawn):
-    # the accumulator equals the sum of the products, stores integral
-    # coefficients as ints and raises ExponentOverflow exactly when a
-    # monomial that survives the sum reaches the limit
+def test_mac_table_matches_sum_of_products(drawn):
+    # one table that _mac fills, once _finished, equals the sum of the
+    # products, stores integral coefficients as ints and raises
+    # ExponentOverflow exactly when a monomial that survives the sum
+    # reaches the limit
     reg, addends = drawn
-    acc = PolySum(reg)
-    for a, b in addends:
-        acc.add(a, b)
+    acc = _sum_of_products(addends)
     want = _exact_sum(addends)
     if any(e >= EXPONENT_LIMIT for exps in want for e in exps):
         with pytest.raises(ExponentOverflow):
-            acc.value()
+            _finished(reg, acc)
         return
-    got = acc.value()
+    got = _finished(reg, acc)
     assert got == MPoly(reg, want)
     assert all(type(c) is int or c.denominator > 1 for c in got._terms.values())
     try:
@@ -604,36 +614,21 @@ def test_polysum_matches_sum_of_products(drawn):
         pass  # a product overflows, but that monomial cancels in the sum
     else:
         assert got == products
-    assert acc.value().is_zero()  # value() leaves the accumulator empty
+    assert got._terms is acc  # _finished takes the table, with no copy
 
 
-def test_polysum_examples(reg):
+def test_mac_table_examples(reg):
     x, y = reg.var("x"), reg.var("y")
-    acc = PolySum(reg)
-    acc.add(x + y, x - y)
-    acc.add(y, y)
-    acc.add(x, Fraction(-2, 4))
-    acc.add(x, Fraction(1, 2))
-    acc.add(y, 0)
-    got = acc.value()
+    got = _finished(reg, _sum_of_products([
+        (x + y, x - y), (y, y), (x, Fraction(-2, 4)), (x, Fraction(1, 2)), (y, 0)]))
     assert got == x * x and got.to_string() == "x^2"
-    acc.add(x * Fraction(1, 3), 3)
-    assert acc.value()._terms == {reg.var("x")._terms.popitem()[0]: 1}
+    got = _finished(reg, _sum_of_products([(x * Fraction(1, 3), 3)]))
+    assert got._terms == {reg.var("x")._terms.popitem()[0]: 1}
     top = reg.var("x", EXPONENT_LIMIT - 1)
-    acc.add(top, x)
-    acc.add(top, -x)  # an overflowing monomial that cancels is no overflow
-    acc.add(top, 1)
-    assert acc.value() == top
-    acc.add(top, x + 1)
+    # an overflowing monomial that cancels is no overflow
+    assert _finished(reg, _sum_of_products([(top, x), (top, -x), (top, 1)])) == top
     with pytest.raises(ExponentOverflow, match="of x reaches"):
-        acc.value()
-    other = SymbolRegistry()
-    with pytest.raises(RegistryMismatch):
-        acc.add(other.var("x"), 1)
-    with pytest.raises(RegistryMismatch):
-        acc.add(x, other.var("x"))
-    with pytest.raises(TypeError):
-        acc.add(x, 0.5)
+        _finished(reg, _sum_of_products([(top, x + 1)]))
 
 
 def test_parse_print_roundtrip(reg):

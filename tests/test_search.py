@@ -36,6 +36,7 @@ from ccybe.ybe import (
 )
 
 from support import (
+    brute_force_verdicts,
     enumerate_candidates,
     enumerate_profiles,
     flat_scan,
@@ -189,6 +190,29 @@ def test_strict_search_finds_skew_solutions_only():
     assert zeta_only in [rec["constants"] for rec in weak.survivors]
     assert len(strict.survivors) == 3
     assert zeta_only not in [rec["constants"] for rec in strict.survivors]
+
+
+def test_raw_search_matches_brute_force():
+    # every invariance-consistent raw candidate of degree 2 over the
+    # coefficients {0, 1} and the constants {-1, 0, 1}, checked by the
+    # tensor engine alone: the weak search keeps exactly the weak
+    # solutions, and the strict search exactly the skew-symmetric strict
+    # ones; the other strict solutions are not skew (see
+    # test_strict_search_finds_skew_solutions_only)
+    grids = dict(max_degree=2, raw=True, coeff_grid=(0, 1), constants_grid=(-1, 0, 1))
+    verdicts = brute_force_verdicts(2, (0, 1), (-1, 0, 1))
+    assert len(verdicts) == count_consistent(SearchConfig(**grids)) == 5184
+    assert all(invariant for _e, invariant, _w, _s, _k in verdicts)
+    weak = {entries for entries, _i, ok, _s, _k in verdicts if ok}
+    strict = {entries: skew for entries, _i, _w, ok, skew in verdicts if ok}
+    assert len(weak) == 108 and len(strict) == 32
+    assert sum(strict.values()) == 16
+    for mode, solutions in (("weak", weak), ("strict", {e for e, k in strict.items() if k})):
+        report = run_search(SearchConfig(mode=mode, **grids))
+        assert report.characterization_failures == []
+        found = [json.dumps(rec["entries"], sort_keys=True) for rec in report.survivors]
+        assert len(found) == len(set(found))
+        assert set(found) == solutions, mode
 
 
 def test_worker_count_determinism():
@@ -534,9 +558,9 @@ def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
     builds = []
     build = conformal._action_table
 
-    def counted_build(elems, t, lam):
-        builds.append(t.arity)
-        return build(elems, t, lam)
+    def counted_build(alg, names, arity, lam):
+        builds.append(arity)
+        return build(alg, names, arity, lam)
 
     monkeypatch.setattr(conformal, "_action_table", counted_build)
     search._algebra.cache_clear()
