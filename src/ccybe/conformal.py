@@ -23,24 +23,25 @@ exactpoly.Substitution) once and multiplied by every generator's
 inserted bracket.  Each output coefficient is a plain term table: the
 Leibniz sum adds its products there through exactpoly._mac, with no
 polynomial built per product, and exactpoly._finished makes each table
-a polynomial once.  The tensor-wide maps (tau, permute_slots) compile
-their substitution once per tensor.
+a polynomial once.
 
 The algebra owns the tables that depend on it alone: `ConfAlgebra.memo`
 builds a table on first use and keeps it as long as the algebra lives.
 act_on_tensor keeps there, per (arity, lam, generator names), its slot
 shifts with the powers of di + lam they have built and its
 inserted-bracket rows; ybe keeps there the double bracket's coefficient
-maps and contraction plans, the generator actions' value of lam per
-arity, and the lift map.  A caller that checks many tensors over one algebra
-(the search) builds each table once; one that makes an algebra per
-check builds them once per check.  Nothing is cached at module level.
+maps and contraction plans, the diagonal's and the invariance check's
+maps, the generator actions' value of lam per arity, and the lift map.
+A caller that checks many tensors over one algebra (the search) builds
+each table once; one that makes an algebra per check builds them once
+per check.  Nothing is cached at module level.
 
 The quotient by the image of the total derivation is read with
-d1 := -(d2 + ... + dN).  No tensor-wide reduction is provided: the
-double bracket is built in the quotient directly (ybe.ccybe_bracket
-with `reduced`), and an action at -(d1 + ... + dN) reads only the
-class of the tensor it acts on.
+d1 := -(d2 + ... + dN).  No tensor-wide reduction, sum or slot swap
+is provided: the double bracket is built in the quotient directly
+(ybe.ccybe_bracket with `reduced`), the invariance check reads each
+entry's diagonal (ybe.diagonal), and an action at -(d1 + ... + dN)
+reads only the class of the tensor it acts on.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
-from .exactpoly import MPoly, Substitution, Sym, SymbolRegistry, _finished, _mac, _term_list
+from .exactpoly import MPoly, Substitution, SymbolRegistry, _finished, _mac, _term_list
 from .liealg import LieAlg, Scalar
 
 
@@ -131,41 +132,10 @@ class ConfTensor:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def slot_sym(self, i: int) -> Sym:
-        return self.alg.reg.sym(f"d{i + 1}")
-
     def total(self) -> MPoly:
         """The total derivation d1 + ... + dN on this tensor's slots."""
         reg = self.alg.reg
-        out = reg.zero()
-        for i in range(self.arity):
-            out = out + reg.var(self.slot_sym(i))
-        return out
-
-    def __add__(self, other: "ConfTensor") -> "ConfTensor":
-        if self.alg is not other.alg or self.arity != other.arity:
-            raise ValueError("tensor shape mismatch")
-        out = dict(self.entries)
-        for tup, poly in other.entries.items():
-            out[tup] = out.get(tup, self.alg.reg.zero()) + poly
-        return ConfTensor(self.alg, self.arity, out)
-
-    def __sub__(self, other: "ConfTensor") -> "ConfTensor":
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> "ConfTensor":
-        return ConfTensor(
-            self.alg, self.arity, {t: p * scalar for t, p in self.entries.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConfTensor):
-            return NotImplemented
-        return (
-            self.alg is other.alg
-            and self.arity == other.arity
-            and self.entries == other.entries
-        )
+        return sum((reg.var(f"d{i + 1}") for i in range(self.arity)), reg.zero())
 
 
 def act_on_tensor(names: Sequence[str], t: ConfTensor, lam: MPoly) -> list[ConfTensor]:
@@ -238,36 +208,9 @@ def _action_table(alg: ConfAlgebra, names: tuple, arity: int, lam: MPoly) -> dic
     return table
 
 
-def tau(t: ConfTensor) -> ConfTensor:
-    """Swap the two tensor factors (and the two slot symbols)."""
-    if t.arity != 2:
-        raise ValueError("tau is defined on arity-2 tensors")
-    return permute_slots(t, (1, 0))
-
-
 def project(t: ConfTensor, tup: Sequence[str]) -> MPoly:
     """Coefficient polynomial at a basis tuple (zero when absent)."""
     tup = tuple(tup)
     if len(tup) != t.arity:
         raise ValueError("projection tuple has wrong arity")
     return t.entries.get(tup, t.alg.reg.zero())
-
-
-def permute_slots(t: ConfTensor, perm: Sequence[int]) -> ConfTensor:
-    """Apply a slot permutation: factor i moves to slot perm[i], and the
-    slot symbols are renamed accordingly."""
-    if sorted(perm) != list(range(t.arity)):
-        raise ValueError("not a permutation")
-    reg = t.alg.reg
-    rename = Substitution(reg, {
-        t.slot_sym(i): reg.var(t.slot_sym(perm[i])) for i in range(t.arity)
-    })
-    out: dict[tuple, MPoly] = {}
-    for tup, poly in t.entries.items():
-        new = [""] * t.arity
-        for i, name in enumerate(tup):
-            new[perm[i]] = name
-        # a permutation maps distinct tuples to distinct tuples, so no
-        # two entries land on one key
-        out[tuple(new)] = rename(poly)
-    return ConfTensor(t.alg, t.arity, out)

@@ -526,8 +526,7 @@ class Substitution:
 
     Otherwise a polynomial is written as the sum over t of m_t * q_t,
     with q_t free of the substituted symbols, and each q_t is multiplied
-    by the image of m_t once (a polynomial free of those symbols is
-    returned as it is).  That image is a product of powers of the
+    by the image of m_t once.  That image is a product of powers of the
     targets.  Each power of a target of two or more terms is kept for
     the lifetime of the object, and a missing power n is built from the
     highest power m < n of that target already held: as
@@ -544,7 +543,9 @@ class Substitution:
     tensor and dropped.
 
     On both paths a power whose exponent would reach EXPONENT_LIMIT is
-    refused before any product or key sum takes it.
+    refused before any product or key sum takes it, and a polynomial in
+    which no term has a substituted symbol (one OR over its keys tells)
+    is returned as it is: the same object, with no copy.
     """
 
     __slots__ = ("reg", "_shifts", "_cleared", "_powers", "_monomials")
@@ -584,8 +585,8 @@ class Substitution:
         if p.reg is not self.reg:
             raise RegistryMismatch("operands use different symbol registries")
         cleared = self._cleared
-        if not cleared:
-            return p
+        if not reduce(or_, p._terms, 0) & cleared:
+            return p  # no term has a substituted symbol
         if self._monomials is not None:
             return self._map_terms(p)
         groups: dict[int, dict[int, Scalar]] = {}
@@ -593,8 +594,6 @@ class Substitution:
             t = key & cleared
             groups.setdefault(t, {})[key ^ t] = coeff
         out = groups.pop(0, {})
-        if not groups:
-            return p  # no term has a substituted symbol
         for t, rest in groups.items():
             image = None
             for idx, shift in self._shifts:

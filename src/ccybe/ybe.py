@@ -49,10 +49,15 @@ bracket's class there directly: d1 is read as -(d2 + d3) in the A and
 B substitutions (B(d1+d2, d3) becomes B(-d3, d3), so slots 1 and 2
 share one B form and four maps serve) and in slot 1's inserted bracket,
 so no product carries d1.  A substitution is a ring map, so this is the
-full bracket reduced afterwards.  Every verdict reads only the class;
-the full bracket serves only `expand`.  Four of the reduced
-maps, and lift_profile's, send each symbol to one term, so they map
-term to term with no polynomial product (see exactpoly.Substitution).
+full bracket reduced afterwards.  Each of the four reads its entry at
+(u, -u), so r counts only through its diagonal A'_{ql}(d1) =
+A_{ql}(d1, -d1): the class restricts r to it once (diagonal), and the
+maps send d1 alone to u = -d2, -(d2+d3), -d3 and d2, catalog argument
+forms.  Every verdict reads only the class; the full bracket serves
+only `expand`.  Three of the four, and the diagonal's, is_invariant's
+and lift_profile's maps, send their symbol to one term, so they map
+term to term with no polynomial product; a polynomial free of a map's
+symbol is returned as it is (see exactpoly.Substitution).
 
 Given a set of output triples, ccybe_bracket builds only those
 coefficients: a final product or a table key that feeds no wanted
@@ -65,9 +70,10 @@ verdicts and `expand` take every coefficient.
 Three checks are provided: strict (the reduced double bracket
 vanishes), weak (every generator action on the reduced double bracket,
 taken at mu = -(d1+d2+d3), vanishes), and invariance (every generator
-action on r + tau(r), taken at lam = -(d1+d2), vanishes).  Each action
-is computed at that value directly; no action variable is introduced
-and eliminated.  Each slot shift of such an action sends d1 + d2 + d3
+action on r + tau(r), tau the factor swap, taken at lam = -(d1+d2),
+vanishes; is_invariant reads it off the diagonal).  Each action is
+computed at that value directly; no action variable is introduced and
+eliminated.  Each slot shift of such an action sends d1 + d2 + d3
 to 0, so it reads only the class of the tensor it acts on.  Both
 conditions ask every element to act, and the generators decide them:
 an element g(D)a acts as g(-lam) times a's action (sesquilinearity),
@@ -82,8 +88,9 @@ The tables these checks read belong to the algebra of the r-matrix and
 live as long as it (conformal.ConfAlgebra.memo): the double bracket's
 coefficient maps (five for the full bracket, four for its class) and
 its contraction plan per `reduced` and set of wanted triples, the
-generator actions' lam = -(d1 + ... + dN) and action table of each
-arity, and lift_profile's map x -> d1; each map keeps the powers of
+diagonal's map d2 -> -d1, is_invariant's map d1 -> -d1, the generator
+actions' lam = -(d1 + ... + dN) and action table of each arity, and
+lift_profile's map x -> d1; each map keeps the powers of
 its targets it has built, which the degrees seen so far bound.  So a
 caller that checks many r-matrices over one algebra (the search, with
 one algebra per process) builds each table once; a caller that makes an
@@ -91,9 +98,9 @@ algebra per check (the CLI) builds each once per check, and
 catalog_diffs lifts its generic profile once, so all its identities
 share one algebra.
 
-For the current algebra on sl2 the reduced double bracket only sees the
-diagonal restrictions A'_{ql}(x) = A_{ql}(x, -x), which a DiagProfile
-holds.  A profile stores only these nine entries: the boundary constants
+For the current algebra on sl2 the verdicts only see the diagonal
+restrictions A'_{ql}(x) = A_{ql}(x, -x), which a DiagProfile holds.  A
+profile stores only these nine entries: the boundary constants
 (alpha, beta, gamma, zeta) are the values A'(0) at CONSTANT_PAIRS, where
 the table boundary_values puts them, and constant_values reads them
 there.  The catalog below stores, over the generic diagonal profile,
@@ -117,13 +124,7 @@ from functools import partial
 from hashlib import sha256
 from typing import Iterable, Optional, Sequence
 
-from .conformal import (
-    ConfAlgebra,
-    ConfTensor,
-    act_on_tensor,
-    project,
-    tau,
-)
+from .conformal import ConfAlgebra, ConfTensor, act_on_tensor, project
 from .exactpoly import MPoly, Substitution, SymbolRegistry, _finished, _mac, _term_list
 from .liealg import AutMatrix, Scalar, sl2, transform_tensor
 
@@ -174,6 +175,38 @@ def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
     return ConfTensor(t.alg, t.arity, transform_tensor(aut, t.entries))
 
 
+# Linear argument forms (a, b, c), read as a*d2 + b*d3 + c*d1: the
+# reduced double bracket's variables d2, d3, and d1, which only the
+# action identities read (a generator action brings it back).  The
+# reduced bracket substitutes the first four into the diagonal, and the
+# catalog reads all eight.
+_ND2 = (-1, 0, 0)
+_ND23 = (-1, -1, 0)
+_ND3 = (0, -1, 0)
+_D2 = (1, 0, 0)
+_D1 = (0, 0, 1)
+_D13 = (0, 1, 1)
+_D12 = (1, 0, 1)
+_ND13 = (0, -1, -1)
+
+
+def _form(arg: tuple, d2: MPoly, d3: MPoly, d1: MPoly) -> MPoly:
+    """The linear form arg = (a, b, c): a*d2 + b*d3 + c*d1."""
+    return d2 * arg[0] + d3 * arg[1] + d1 * arg[2]
+
+
+def diagonal(r: ConfTensor) -> dict[tuple, MPoly]:
+    """A'_{ql}(d1) = A_{ql}(d1, -d1) per entry key of the r-matrix r:
+    all that the reduced bracket and the invariance check read.  An
+    entry free of d2 (a lift's) is its own diagonal, the same object."""
+    if r.arity != 2:
+        raise ValueError("an r-matrix is an arity-2 tensor")
+    reg = r.alg.reg
+    at_diagonal = r.alg.memo("diagonal",
+                             lambda: Substitution(reg, {reg.sym("d2"): -reg.var("d1")}))
+    return {key: at_diagonal(poly) for key, poly in r.entries.items()}
+
+
 def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
                   reduced: bool = False) -> ConfTensor:
     """The double bracket of the r-matrix r with itself, in d1, d2, d3;
@@ -193,7 +226,8 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
     wanted = None if tuples is None else frozenset(tuple(tup) for tup in tuples)
     plan = alg.memo(("ccybe_bracket.plan", reduced, wanted),
                     partial(_ContractionPlan, reg, alg.basis_names, reduced, wanted))
-    rows = [(poly, plan.rows(alg, key)) for key, poly in r.entries.items()]
+    entries = diagonal(r) if reduced else r.entries
+    rows = [(poly, plan.rows(alg, key)) for key, poly in entries.items()]
     # tables[i][table key]: the terms of contracted table i at that key.
     # The feeds read maps 2 and up and the reads maps 0 and 1, so each
     # form is substituted in one place, once, and only when it is read.
@@ -230,15 +264,15 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
 def _bracket_maps(reg: SymbolRegistry, reduced: bool) -> list:
     """The double bracket's coefficient substitutions: A at (-d2, d2)
     and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2).  In the
-    class d1 reads -(d2 + d3), so d1 + d2 reads -d3, B's first two maps
-    are one and four are kept."""
-    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
-    if reduced:
-        d1 = -(d2 + d3)
-    pairs = [(-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2)]
-    if reduced:
-        del pairs[3]
+    class d1 reads -(d2 + d3), so d1 + d2 reads -d3 and B's first two
+    maps are one; each of the four reads its entry at (u, -u), so it
+    substitutes u = -d2, -(d2+d3), -d3 resp. d2 for d1 in the diagonal."""
     s1, s2 = reg.sym("d1"), reg.sym("d2")
+    d1, d2, d3 = reg.var(s1), reg.var(s2), reg.var("d3")
+    if reduced:
+        return [Substitution(reg, {s1: _form(arg, d2, d3, d1)})
+                for arg in (_ND2, _ND23, _ND3, _D2)]
+    pairs = [(-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2)]
     return [Substitution(reg, {s1: u, s2: v}) for u, v in pairs]
 
 
@@ -356,7 +390,7 @@ def generator_actions(t: ConfTensor) -> dict[str, ConfTensor]:
     coefficient of t is built once.  The algebra keeps that value of
     lam per arity, so its action table is found without building or
     hashing a new polynomial.  On the double bracket this is the weak
-    defect, on r + tau(r) the invariance defect.
+    defect, in is_invariant the invariance defect.
     """
     alg = t.alg
     names = alg.basis_names
@@ -382,9 +416,23 @@ def is_weak_solution(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
 
 
 def is_invariant(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
-    """The generator actions on r + tau(r) at lam = -(d1 + d2); True iff
-    all vanish."""
-    defects = generator_actions(r + tau(r))
+    """The generator actions on r + tau(r) at lam = -(d1 + d2), tau the
+    factor swap; True iff all vanish.
+
+    The slot shifts send d1 -> -d2 and d2 -> -d1, so the actions read
+    the (q, l) coefficient A_{ql}(d1, d2) + A_{lq}(d2, d1) on the
+    diagonal only: they are, polynomial for polynomial, the actions on
+    A'_{ql}(d1) + A'_{lq}(-d1), A' = diagonal(r), which is what acts.
+    """
+    alg = r.alg
+    reg = alg.reg
+    flip = alg.memo("is_invariant.flip",
+                    lambda: Substitution(reg, {reg.sym("d1"): -reg.var("d1")}))
+    entries: dict[tuple, MPoly] = {}
+    for (q, l), a in diagonal(r).items():
+        for key, part in (((q, l), a), ((l, q), flip(a))):
+            entries[key] = entries[key] + part if key in entries else part
+    defects = generator_actions(ConfTensor(alg, 2, entries))
     return all(t.is_zero() for t in defects.values()), defects
 
 
@@ -423,7 +471,8 @@ class DiagProfile:
 def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
     """Canonical lift A_{ql}(d1, d2) := A'_{ql}(d1), onto `alg` (a fresh
     current algebra on sl2 by default); the map x -> d1 is kept in the
-    algebra's memo."""
+    algebra's memo.  The lift is free of d2, so each entry is its own
+    diagonal (see diagonal)."""
     reg = p.reg
     alg = alg or ConfAlgebra.cur(sl2(), reg)
     if alg.reg is not reg:
@@ -435,19 +484,6 @@ def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> ConfTenso
 
 
 # Equation catalog -----------------------------------------------------------------
-
-# Linear argument forms (a, b, c), read as a*d2 + b*d3 + c*d1: the
-# reduced double bracket's variables d2, d3, and d1, which only the
-# action identities read (a generator action brings it back).
-_D2 = (1, 0, 0)
-_ND2 = (-1, 0, 0)
-_ND3 = (0, -1, 0)
-_ND23 = (-1, -1, 0)
-_D1 = (0, 0, 1)
-_D13 = (0, 1, 1)
-_D12 = (1, 0, 1)
-_ND13 = (0, -1, -1)
-
 
 @dataclass(frozen=True)
 class Equation:
@@ -580,10 +616,6 @@ CATALOG: dict[str, Equation] = {
     )
 }
 
-# The ten projection identities of the strict system, in catalog order.
-STRICT_EQUATIONS = (
-    "eee", "hee", "fff", "hff", "ehh", "fhh", "fee", "eff", "hhh", "efh",
-)
 # Equations used to filter candidates in weak mode: the nine triple
 # projections shared with the strict system plus the action-variable
 # variants replacing the e x f x h projection.
@@ -600,8 +632,7 @@ def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
     x = reg.sym("x")
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     args = {arg for term in eq.terms for arg in (term[2], term[4])}
-    maps = {arg: Substitution(reg, {x: d2 * arg[0] + d3 * arg[1] + d1 * arg[2]})
-            for arg in args}
+    maps = {arg: Substitution(reg, {x: _form(arg, d2, d3, d1)}) for arg in args}
     # Each distinct (entry, argument form) is substituted once, by the
     # form's one compiled map.
     at = {}

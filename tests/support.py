@@ -8,11 +8,14 @@ paths the engine replaced: the pairwise double bracket, the two-pass
 reduced action, the reduction modulo the total derivation after the
 bracket is built, the unstructured candidate enumeration of the search,
 its flat scan of the consistent candidates, the verdicts of every
-consistent candidate checked one by one, and the term-by-term generic
-profile.  The rest are checks and constructions only the tests use:
-diagonal restrictions, the invariance residues, the
-invariance-constrained generic profile, slot permutation symmetry, the
-weak defect of a constant r, antisymmetry of constant 3-tensors,
+consistent candidate checked one by one, the term-by-term generic
+profile, and the factor swap tau with the general slot permutation
+(the invariance check acts on r + tau(r) as read off the diagonal).
+The rest are checks and constructions only the tests use: sums and
+differences of tensors (the engine adds none), the names of the strict
+system's equations, diagonal restrictions, the invariance residues,
+the invariance-constrained generic profile, slot permutation symmetry,
+the weak defect of a constant r, antisymmetry of constant 3-tensors,
 algebras from JSON, random invertible integer matrices, the identity
 automorphism, the Lie bracket of two elements and the check that an
 automorphism preserves it, the general invariant constant tensor, the
@@ -32,14 +35,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ccybe import search
 from ccybe.conformal import (
     ConfAlgebra,
     ConfTensor,
     act_on_tensor,
-    permute_slots,
     project,
 )
 from ccybe.exactpoly import MPoly, Substitution, SymbolRegistry, _scalar
@@ -81,6 +83,56 @@ def map_coeffs(t: ConfTensor, fn) -> ConfTensor:
     return ConfTensor(t.alg, t.arity, {tup: fn(p) for tup, p in t.entries.items()})
 
 
+# Tensor arithmetic and slot permutations.  The engine adds no tensors
+# and permutes no slots: the reduced double bracket and the invariance
+# check read each entry's diagonal (ybe.diagonal) instead.  Scale a
+# tensor with map_coeffs.
+
+
+def add_tensors(a: ConfTensor, b: ConfTensor) -> ConfTensor:
+    """The sum of two tensors over one algebra and of one arity."""
+    if a.alg is not b.alg or a.arity != b.arity:
+        raise ValueError("tensor shape mismatch")
+    out = dict(a.entries)
+    for tup, poly in b.entries.items():
+        out[tup] = out.get(tup, a.alg.reg.zero()) + poly
+    return ConfTensor(a.alg, a.arity, out)
+
+
+def sub_tensors(a: ConfTensor, b: ConfTensor) -> ConfTensor:
+    """a - b, for tensors as add_tensors takes them."""
+    return add_tensors(a, map_coeffs(b, lambda p: -p))
+
+
+def permute_slots(t: ConfTensor, perm: Sequence[int]) -> ConfTensor:
+    """Apply a slot permutation: factor i moves to slot perm[i], and the
+    slot symbols are renamed accordingly."""
+    if sorted(perm) != list(range(t.arity)):
+        raise ValueError("not a permutation")
+    reg = t.alg.reg
+    rename = Substitution(reg, {
+        reg.sym(f"d{i + 1}"): reg.var(f"d{perm[i] + 1}") for i in range(t.arity)
+    })
+    out: dict[tuple, MPoly] = {}
+    for tup, poly in t.entries.items():
+        new = [""] * t.arity
+        for i, name in enumerate(tup):
+            new[perm[i]] = name
+        # a permutation maps distinct tuples to distinct tuples, so no
+        # two entries land on one key
+        out[tuple(new)] = rename(poly)
+    return ConfTensor(t.alg, t.arity, out)
+
+
+def tau(t: ConfTensor) -> ConfTensor:
+    """Swap the two tensor factors (and the two slot symbols): the
+    oracle for ybe.is_invariant, which acts on r + tau(r) read on the
+    diagonal."""
+    if t.arity != 2:
+        raise ValueError("tau is defined on arity-2 tensors")
+    return permute_slots(t, (1, 0))
+
+
 # Elements of a conformal algebra.  The engine acts with generators
 # only (conformal.act_on_tensor takes their names); an element g(D)a
 # acts as g(-lam) times a's action, which `act` writes out.
@@ -115,7 +167,8 @@ def act(elems, t: ConfTensor, lam: MPoly) -> list[ConfTensor]:
     for elem in elems:
         acc = ConfTensor(t.alg, t.arity, {})
         for p, g in elem.coeffs.items():
-            acc = acc + actions[p] * g.subst_many(at)
+            factor = g.subst_many(at)
+            acc = add_tensors(acc, map_coeffs(actions[p], lambda c: c * factor))
         out.append(acc)
     return out
 
@@ -314,8 +367,8 @@ def act_then_eliminate(elem, t):
 
 def _eliminate_d1(t: ConfTensor) -> dict:
     """The substitution d1 := -(d2 + ... + dN)."""
-    d1 = t.slot_sym(0)
-    return {d1: t.alg.reg.var(d1) - t.total()}
+    reg = t.alg.reg
+    return {reg.sym("d1"): reg.var("d1") - t.total()}
 
 
 def reduce_mod_total(t: ConfTensor) -> ConfTensor:
@@ -688,6 +741,12 @@ def diagonal_profile_of(t: ConfTensor) -> DiagProfile:
     return DiagProfile(reg, {key: poly.subst_many(sub) for key, poly in t.entries.items()})
 
 
+# The ten projection identities of the strict system, in catalog order.
+STRICT_EQUATIONS = (
+    "eee", "hee", "fff", "hff", "ehh", "fhh", "fee", "eff", "hhh", "efh",
+)
+
+
 # (left entry, right entry, multiple of zeta on the right-hand side):
 # A'_left(lam) + A'_right(-lam) == rhs_zeta * zeta.
 INVARIANCE_RELATIONS = (
@@ -782,6 +841,6 @@ def permutation_symmetry_check(p: DiagProfile) -> bool:
     )
     for perm, sign in perms:
         moved = reduce_mod_total(permute_slots(bracket, perm))
-        if not (moved - reduced * sign).is_zero():
+        if moved != map_coeffs(reduced, lambda p: p * sign):
             return False
     return True

@@ -231,6 +231,15 @@ def test_compiled_substitution_matches_termwise_oracle(reg):
     assert Substitution(reg, {reg.sym("x"): 2})(p) == y * 4 - 1
     assert Substitution(reg, {reg.sym("x"): reg.zero()})(p) == -3
     assert Substitution(reg, {})(p) is p
+    # a polynomial in which no term has a substituted symbol comes back
+    # as the same object, on the term-to-term path (a one-term target)
+    # and on the grouped one
+    for target, grouped in ((y * -2, False), (y + 1, True)):
+        sub = Substitution(reg, {reg.sym("z"): target})
+        assert (sub._monomials is None) == grouped
+        for free in (p, reg.zero(), reg.const(5)):
+            assert sub(free) is free
+        assert sub(p * reg.var("z")) == p * target
 
 
 def test_compiled_substitution_errors(reg):

@@ -13,7 +13,6 @@ from ccybe.families import (
     scalar_relation_residues,
     vir_rmatrix,
 )
-from ccybe.conformal import tau
 from ccybe.liealg import rank_le_1
 from ccybe.ybe import (
     PAIRS,
@@ -25,10 +24,12 @@ from ccybe.ybe import (
 )
 
 from support import (
+    add_tensors,
     characterization_ok,
     diagonal_profile_of,
     invariant_constant_rmat,
     random_poly,
+    tau,
 )
 
 F = Fraction
@@ -311,7 +312,7 @@ def test_cor6_profiles_strict_and_skew(reg):
         assert is_strict_solution(r)[0]
         assert is_weak_solution(r)[0]
         assert is_invariant(r)[0]
-        sym_part = r + tau(r)
+        sym_part = add_tensors(r, tau(r))
         assert diagonal_profile_of(sym_part).entries == {}
 
 

@@ -11,14 +11,16 @@ from ccybe import exactpoly
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
 # Bindings the benchmark tracer lists that the program no longer has:
-# search reaches the tensor steps through the ybe module instead, and the
+# search reaches the tensor steps through the ybe module instead, the
 # double bracket is built modulo the total derivation, so no reduction
-# step is left to bind.
+# step is left to bind, and invariance reads the diagonal, so no factor
+# swap is left either.
 KNOWN_MISSING = {
     ("search", "eval_equation"),
     ("search", "is_weak_solution"),
     ("search", "is_strict_solution"),
     ("ybe", "reduce_mod_total"),
+    ("ybe", "tau"),
 }
 
 
@@ -136,9 +138,27 @@ def _attributes_read(tree) -> set:
 
 
 def _names_read(tree) -> set:
-    """Every name `tree` reads, as a name or as an attribute."""
+    """Every name `tree` reads, as a name or as an attribute; a name
+    that is only bound, as an assignment's target, is not read."""
     return _attributes_read(tree) | {node.id for node in ast.walk(tree)
-                                     if isinstance(node, ast.Name)}
+                                     if isinstance(node, ast.Name)
+                                     and isinstance(node.ctx, ast.Load)}
+
+
+def _assigned(tree) -> list:
+    """(line, name) of each name a module-level assignment binds;
+    dunders such as __all__ are left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [(node.lineno, name.id) for target in targets for name in ast.walk(target)
+                  if isinstance(name, ast.Name) and not name.id.endswith("__")]
+    return found
 
 
 def _trees(*tops) -> dict:
@@ -175,11 +195,12 @@ PLANNED_PUBLIC = {"ad", "transform_conf_tensor"}
 
 def test_public_defs_read_outside_tests():
     # code that only tests use lives in tests/support.py: every public
-    # function or class in src/ccybe is read somewhere in src/, scripts/
-    # or perfbench/, as a name, an attribute or a string (the benchmark
-    # tracer names the functions it wraps in strings); every public
-    # method is read there as an attribute, or the tracer patches it, so
-    # a local variable or a dict key of the same name does not count
+    # function, class or module-level assignment in src/ccybe is read
+    # somewhere in src/, scripts/ or perfbench/, as a name, an attribute
+    # or a string (the benchmark tracer names the functions it wraps in
+    # strings); every public method is read there as an attribute, or
+    # the tracer patches it, so a local variable or a dict key of the
+    # same name does not count
     trees = _trees("src", "scripts", "perfbench")
     attributes = set().union(*(_attributes_read(tree) for tree in trees.values()))
     read = set().union(*(_names_read(tree) for tree in trees.values()))
@@ -188,8 +209,10 @@ def test_public_defs_read_outside_tests():
     patched = {(owner, attr) for owner, attr, _name, _count in _patches()}
     defined = [(path, line, name, owner) for path, tree in trees.items()
                if path.startswith(os.path.join("src", "ccybe"))
-               for line, name, owner in _defs(tree) if not name.startswith("_")]
-    assert len(defined) > 100
+               for line, name, owner in _defs(tree) + [(line, name, None)
+                                                      for line, name in _assigned(tree)]
+               if not name.startswith("_")]
+    assert len(defined) > 120
     unread = [(path, line, name) for path, line, name, owner in defined
               if (name not in attributes and (owner, name) not in patched if owner
                   else name not in read)]

@@ -11,7 +11,6 @@ from ccybe.conformal import (
     ConfTensor,
     act_on_tensor,
     project,
-    tau,
 )
 from ccybe.exactpoly import (
     EXPONENT_LIMIT,
@@ -27,12 +26,12 @@ from ccybe.ybe import (
     CATALOG,
     CONSTANT_NAMES,
     PAIRS,
-    STRICT_EQUATIONS,
     DiagProfile,
     boundary_values,
     ccybe_bracket,
     derive_projection,
     derive_weak_projection,
+    diagonal,
     eval_equation,
     generator_actions,
     generic_profile,
@@ -45,9 +44,11 @@ from ccybe.ybe import (
 )
 
 from support import (
+    STRICT_EQUATIONS,
     ConfElem,
     act,
     act_then_eliminate,
+    add_tensors,
     apply_derivation,
     constrained_generic_profile,
     diagonal_profile_of,
@@ -62,6 +63,8 @@ from support import (
     random_invertible,
     random_univariate,
     reduce_mod_total,
+    sub_tensors,
+    tau,
     termwise_generic_profile,
 )
 
@@ -128,6 +131,16 @@ def test_bracket_unreduced_vir(reg):
     assert bracket.entries == {("v", "v", "v"): reg.parse("d1 - d2 - 3*d3")}
 
 
+def _random_scalar(reg, rng, kind):
+    """A random int, Fraction or affine combination of parameter
+    symbols, as a polynomial."""
+    if kind == "int":
+        return reg.const(rng.randint(-5, 5))
+    if kind == "fraction":
+        return reg.const(F(rng.randint(-5, 5), rng.randint(1, 6)))
+    return reg.var(rng.choice(("alpha", "beta"))) * rng.randint(-3, 3) + rng.randint(-2, 2)
+
+
 def _random_coeff(reg, rng, kind, degree):
     """Random polynomial in d1, d2 of total degree <= degree whose
     coefficients are ints, Fractions or affine in parameter symbols."""
@@ -135,14 +148,17 @@ def _random_coeff(reg, rng, kind, degree):
     for _ in range(rng.randint(1, 4)):
         e1 = rng.randint(0, degree)
         e2 = rng.randint(0, degree - e1)
-        if kind == "int":
-            c = reg.const(rng.randint(-5, 5))
-        elif kind == "fraction":
-            c = reg.const(F(rng.randint(-5, 5), rng.randint(1, 6)))
-        else:
-            c = reg.var(rng.choice(("alpha", "beta"))) * rng.randint(-3, 3) \
-                + rng.randint(-2, 2)
-        p = p + c * reg.var("d1", e1) * reg.var("d2", e2)
+        p = p + _random_scalar(reg, rng, kind) * reg.var("d1", e1) * reg.var("d2", e2)
+    return p
+
+
+def _dense_coeff(reg, rng, kind, degree):
+    """Polynomial in d1, d2 with a random coefficient of _random_scalar's
+    kind at every monomial of total degree <= degree."""
+    p = reg.zero()
+    for e1 in range(degree + 1):
+        for e2 in range(degree + 1 - e1):
+            p = p + _random_scalar(reg, rng, kind) * reg.var("d1", e1) * reg.var("d2", e2)
     return p
 
 
@@ -321,7 +337,7 @@ def test_strict_cor6_i_with_catalog_oracle(reg):
     r = lift_profile(prof)
     ok, _ = is_strict_solution(r)
     assert ok
-    for name in ybe.STRICT_EQUATIONS:
+    for name in STRICT_EQUATIONS:
         assert eval_equation(CATALOG[name], prof).is_zero()
 
 
@@ -374,7 +390,7 @@ def test_weak_defect_alternate_path(case):
                                 ("f", "h"): reg.parse("d2^2 - 2*d1")})
     if case == "cur_invariance":
         direct = is_invariant(r)[1]
-        base = r + tau(r)
+        base = add_tensors(r, tau(r))
     else:
         direct = is_weak_solution(r)[1]
         base = ccybe_bracket(r)
@@ -422,9 +438,34 @@ def test_invariance_defect_ee(cur, reg):
 
 def test_invariance_skew_trivial(cur, reg):
     r = ConfTensor(cur, 2, {("e", "f"): reg.const(1), ("f", "e"): reg.const(-1)})
-    assert (r + tau(r)).is_zero()
+    assert add_tensors(r, tau(r)).is_zero()
     ok, _ = is_invariant(r)
     assert ok
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "param"])
+def test_invariance_matches_factor_swap_oracle(kind):
+    # is_invariant acts on A'_ql(d1) + A'_lq(-d1), read off the diagonal;
+    # on dense random r in d1 and d2, over sl2 and over Virasoro, its
+    # defects are, polynomial for polynomial, the generator actions on
+    # r + tau(r) at -(d1 + d2)
+    rng = random.Random(60 + len(kind))
+    failing = 0
+    for degree in range(4):
+        reg = SymbolRegistry()
+        for alg in (ConfAlgebra.cur(sl2(), reg), ConfAlgebra.vir(reg)):
+            names = alg.basis_names
+            r = ConfTensor(alg, 2, {pair: _dense_coeff(reg, rng, kind, degree)
+                                    for pair in itertools.product(names, repeat=2)})
+            t = add_tensors(r, tau(r))
+            want = dict(zip(names, act_on_tensor(names, t, -t.total())))
+            ok, defects = is_invariant(r)
+            assert defects == want
+            assert ok == all(d.is_zero() for d in want.values())
+            failing += not ok
+            # r - tau(r) has no symmetric part, so it is invariant
+            assert is_invariant(sub_tensors(r, tau(r)))[0]
+    assert failing >= 6
 
 
 def test_generic_profile_matches_termwise():
@@ -685,10 +726,12 @@ def test_fresh_algebra_leaves_no_reference_cycles():
 
 
 def test_restricted_bracket_substitutes_only_forms_it_reads(monkeypatch):
-    # each (entry, map) a restricted bracket substitutes is read by a
-    # product that the pairwise bracket sends to the wanted triple, at
-    # that argument read modulo the total derivation, and it is
-    # substituted once
+    # a restricted bracket restricts every entry to its diagonal once
+    # (a lift is its own diagonal); then each (entry, map) it
+    # substitutes is read by a product that the pairwise bracket sends
+    # to the wanted triple, at that argument read modulo the total
+    # derivation, whose first slot the map's one target, at d1, is, and
+    # it is substituted once
     reg = SymbolRegistry()
     r = lift_profile(generic_profile(reg, 3))
     applied = []
@@ -698,16 +741,18 @@ def test_restricted_bracket_substitutes_only_forms_it_reads(monkeypatch):
 
         def __init__(self, reg, mapping):
             super().__init__(reg, mapping)
-            self.images = tuple(mapping.values())
+            self.images = tuple(mapping.items())
 
         def __call__(self, p):
             applied.append((self.images, p))
             return super().__call__(p)
 
     monkeypatch.setattr(ybe, "Substitution", Counted)
+    s1 = reg.sym("d1")
     d2, d3 = reg.var("d2"), reg.var("d3")
-    in_class = Substitution(reg, {reg.sym("d1"): -(d2 + d3)})
-    args = [(in_class(u), in_class(v)) for u, v in pairwise_args(reg)]
+    at_diagonal = ((reg.sym("d2"), -reg.var(s1)),)
+    in_class = Substitution(reg, {s1: -(d2 + d3)})
+    args = [((s1, in_class(u)),) for u, _v in pairwise_args(reg)]
     key_of = {id(poly): key for key, poly in r.entries.items()}
     for name in STRICT_EQUATIONS:
         triple = CATALOG[name].triple
@@ -715,7 +760,10 @@ def test_restricted_bracket_substitutes_only_forms_it_reads(monkeypatch):
         derive_projection(triple, r)
         read = {(key, args[i]) for tup, _ins, a, b in pairwise_products(r.alg, r.entries)
                 if tup == triple for key, i in (a, b)}
-        substituted = [(key_of[id(p)], images) for images, p in applied]
+        restricted = [key_of[id(p)] for images, p in applied if images == at_diagonal]
+        assert sorted(restricted) == sorted(r.entries), name
+        substituted = [(key_of[id(p)], images) for images, p in applied
+                       if images != at_diagonal]
         assert substituted, name
         assert len(set(substituted)) == len(substituted), name
         assert set(substituted) <= read, name
@@ -909,9 +957,24 @@ def test_constant_values_round_trip(reg, kind):
     assert DiagProfile(reg, entries).constant_values() == constants
 
 
+def test_diagonal_restricts_each_entry(cur, reg):
+    # diagonal(r) is A(d1, -d1) per entry; a lift, free of d2, is its own
+    # diagonal, entry for entry the same objects; other arities are refused
+    rng = random.Random(61)
+    r = ConfTensor(cur, 2, {pair: _dense_coeff(reg, rng, "param", 3) for pair in PAIRS})
+    at = {reg.sym("d2"): -reg.var("d1")}
+    assert diagonal(r) == {key: p.subst_many(at) for key, p in r.entries.items()}
+    lift = lift_profile(generic_profile(reg, 3), cur)
+    got = diagonal(lift)
+    assert list(got) == list(lift.entries)
+    assert all(got[key] is poly for key, poly in lift.entries.items())
+    with pytest.raises(ValueError, match="arity-2"):
+        diagonal(ConfTensor(cur, 3, {("h", "h", "h"): reg.var("d1")}))
+
+
 def test_tensor2_diagonal_skew(reg):
     prof = profile_from(reg, {"ee": "x", "he": "1", "eh": "-1"})
     r = lift_profile(prof)
-    t = r + tau(r)
+    t = add_tensors(r, tau(r))
     diag = diagonal_profile_of(t).entries
     assert diag == {}
