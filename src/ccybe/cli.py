@@ -112,8 +112,8 @@ def cmd_expand(args, r) -> int:
 
 
 # Bound on `catalog --degree`: the re-derivation's cost grows about as the
-# fourth power of the degree.  All 13 identities take about 1.8 s and
-# 66 MB at degree 16, 8.5 s and 203 MB at 24, and 31 s and 519 MB at 32
+# fourth power of the degree.  All 13 identities take about 1.0 s and
+# 57 MB at degree 16, 5.0 s and 175 MB at 24, and 16 s and 451 MB at 32
 # (one CPU of a 2-CPU host, Python 3.11).
 MAX_CATALOG_DEGREE = 16
 

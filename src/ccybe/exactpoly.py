@@ -46,8 +46,9 @@ ints, no copy.  So a sum of products is one table that _mac fills, with
 no polynomial built per product, and _term_list gives a polynomial's
 or a scalar's terms (v as the one term ((0, v),)).  The tensor code (the
 double bracket's contraction tables and outputs, the Leibniz sum of an
-action) keeps many tables at once; the catalog's equations and the
-generic profile fill one each.
+action) keeps many tables at once; a catalog difference
+(ybe.catalog_diffs) is one table, started from the raw projection's
+terms, into which the stored identity's products go scaled.
 
 Symbols are interned in a SymbolRegistry (append-only, synchronized).
 A registry starts from a prebuilt table of the core symbols, and a

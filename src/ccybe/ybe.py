@@ -15,7 +15,8 @@ with the basis-level bracket evaluated at (d, lam) = (slot variable,
 contraction variable): (d1, d2), (d2, d3), (d3, d2) respectively.
 
 ccybe_bracket contracts first.  Each of the five substitutions (four
-for the class below) is compiled once per algebra (an
+for the class below, one memo entry per catalog form that
+eval_equation reads too) is compiled once per algebra (an
 exactpoly.Substitution kept in the algebra's memo, see
 conformal.ConfAlgebra.memo, with the powers of its targets it has
 built), and each entry's form under each map is built at most once;
@@ -85,34 +86,38 @@ the strict verdict is whether that bracket is zero, so a caller that
 needs both builds the bracket once.
 
 The tables these checks read belong to the algebra of the r-matrix and
-live as long as it (conformal.ConfAlgebra.memo): the double bracket's
-coefficient maps (five for the full bracket, four for its class) and
-its contraction plan per `reduced` and set of wanted triples, the
-diagonal's map d2 -> -d1, is_invariant's map d1 -> -d1, the generator
-actions' lam = -(d1 + ... + dN) and action table of each arity, and
-lift_profile's map x -> d1; each map keeps the powers of
-its targets it has built, which the degrees seen so far bound.  So a
-caller that checks many r-matrices over one algebra (the search, with
-one algebra per process) builds each table once; a caller that makes an
-algebra per check (the CLI) builds each once per check, and
-catalog_diffs lifts its generic profile once, so all its identities
-share one algebra.
+live as long as it (conformal.ConfAlgebra.memo): the full double
+bracket's five coefficient maps, one map d1 -> form per catalog form
+(the class's four and eval_equation's eight), the contraction plan per
+`reduced` and set of wanted triples, the diagonal's map d2 -> -d1,
+is_invariant's map d1 -> -d1, the generator actions' lam =
+-(d1 + ... + dN) and action table of each arity, and lift_profile's
+map x -> d1; each map keeps the powers of its targets it has built,
+which the degrees seen so far bound.  So a caller that checks many
+r-matrices over one algebra (the search, with one algebra per process)
+builds each table once; a caller that makes an algebra per check (the
+CLI) builds each once per check.  catalog_diffs lifts its generic
+profile once, so all its identities, derived and stored, share one
+algebra and each catalog form's map, and the powers of its target,
+are built once for both.
 
 For the current algebra on sl2 the verdicts only see the diagonal
 restrictions A'_{ql}(x) = A_{ql}(x, -x), which a DiagProfile holds.  A
 profile stores only these nine entries: the boundary constants
 (alpha, beta, gamma, zeta) are the values A'(0) at CONSTANT_PAIRS, where
-the table boundary_values puts them, and constant_values reads them
+the table boundary_values puts them, and eval_equation reads them
 there.  The catalog below stores, over the generic diagonal profile,
 the ten independent projection identities (named by their basis
 triple), the worked f x h x f variant, the two action-variable
 identities that replace the e x f x h projection in the weak case, and
 its shifted variant with the boundary-constant correction.  Each
 identity's argument forms are linear in the bracket's own variables d2,
-d3 and (where a generator action brings it back) d1, so a derived
-projection is compared with its identity as it is built.  Each catalog
-entry records the positive integer `scale` relating the raw projection
-to the stored normalized form: raw == scale * stored.
+d3 and (where a generator action brings it back) d1, so eval_equation
+reads an r-matrix's diagonal through the same maps d1 -> form as the
+bracket, and a derived projection is compared with its identity as it
+is built.  Each catalog entry records the positive integer `scale`
+relating the raw projection to the stored normalized form:
+raw == scale * stored.
 """
 
 from __future__ import annotations
@@ -125,7 +130,10 @@ from hashlib import sha256
 from typing import Iterable, Optional, Sequence
 
 from .conformal import ConfAlgebra, ConfTensor, act_on_tensor, project
-from .exactpoly import MPoly, Substitution, SymbolRegistry, _finished, _mac, _term_list
+from .exactpoly import (
+    EXPONENT_LIMIT, ExponentOverflow, MPoly, Substitution, SymbolRegistry, _FIELD, _finished,
+    _mac, _term_list,
+)
 from .liealg import AutMatrix, Scalar, sl2, transform_tensor
 
 PAIRS = tuple(itertools.product(("e", "f", "h"), repeat=2))
@@ -178,8 +186,8 @@ def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
 # Linear argument forms (a, b, c), read as a*d2 + b*d3 + c*d1: the
 # reduced double bracket's variables d2, d3, and d1, which only the
 # action identities read (a generator action brings it back).  The
-# reduced bracket substitutes the first four into the diagonal, and the
-# catalog reads all eight.
+# reduced bracket substitutes the first four (_BRACKET_FORMS) into the
+# diagonal, and the catalog reads all eight.
 _ND2 = (-1, 0, 0)
 _ND23 = (-1, -1, 0)
 _ND3 = (0, -1, 0)
@@ -188,11 +196,20 @@ _D1 = (0, 0, 1)
 _D13 = (0, 1, 1)
 _D12 = (1, 0, 1)
 _ND13 = (0, -1, -1)
+_BRACKET_FORMS = (_ND2, _ND23, _ND3, _D2)
 
 
-def _form(arg: tuple, d2: MPoly, d3: MPoly, d1: MPoly) -> MPoly:
-    """The linear form arg = (a, b, c): a*d2 + b*d3 + c*d1."""
-    return d2 * arg[0] + d3 * arg[1] + d1 * arg[2]
+def _form_map(alg: ConfAlgebra, arg: tuple) -> Substitution:
+    """The map d1 -> a*d2 + b*d3 + c*d1, arg = (a, b, c), kept in the
+    algebra's memo with the powers of its target it has built: the
+    reduced bracket and eval_equation read the same map of each form."""
+    reg = alg.reg
+    return alg.memo(("catalog_form", arg), partial(_compile_form, reg, arg))
+
+
+def _compile_form(reg: SymbolRegistry, arg: tuple) -> Substitution:
+    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
+    return Substitution(reg, {reg.sym("d1"): d2 * arg[0] + d3 * arg[1] + d1 * arg[2]})
 
 
 def diagonal(r: ConfTensor) -> dict[tuple, MPoly]:
@@ -222,7 +239,10 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
         raise ValueError("the double bracket is defined on arity-2 tensors")
     alg = r.alg
     reg = alg.reg
-    maps = alg.memo(("ccybe_bracket.maps", reduced), partial(_bracket_maps, reg, reduced))
+    if reduced:
+        maps = [_form_map(alg, arg) for arg in _BRACKET_FORMS]
+    else:
+        maps = alg.memo("ccybe_bracket.maps", partial(_bracket_maps, reg))
     wanted = None if tuples is None else frozenset(tuple(tup) for tup in tuples)
     plan = alg.memo(("ccybe_bracket.plan", reduced, wanted),
                     partial(_ContractionPlan, reg, alg.basis_names, reduced, wanted))
@@ -261,17 +281,15 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
     return ConfTensor(alg, 3, {tup: _finished(reg, terms) for tup, terms in out.items() if terms})
 
 
-def _bracket_maps(reg: SymbolRegistry, reduced: bool) -> list:
-    """The double bracket's coefficient substitutions: A at (-d2, d2)
-    and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2).  In the
-    class d1 reads -(d2 + d3), so d1 + d2 reads -d3 and B's first two
-    maps are one; each of the four reads its entry at (u, -u), so it
-    substitutes u = -d2, -(d2+d3), -d3 resp. d2 for d1 in the diagonal."""
+def _bracket_maps(reg: SymbolRegistry) -> list:
+    """The full double bracket's coefficient substitutions: A at
+    (-d2, d2) and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2).
+    In the class d1 reads -(d2 + d3), so d1 + d2 reads -d3 and B's first
+    two maps are one; each of the four reads its entry at (u, -u), so it
+    substitutes u = -d2, -(d2+d3), -d3 resp. d2 for d1 in the diagonal:
+    the maps of _BRACKET_FORMS (see _form_map)."""
     s1, s2 = reg.sym("d1"), reg.sym("d2")
     d1, d2, d3 = reg.var(s1), reg.var(s2), reg.var("d3")
-    if reduced:
-        return [Substitution(reg, {s1: _form(arg, d2, d3, d1)})
-                for arg in (_ND2, _ND23, _ND3, _D2)]
     pairs = [(-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2)]
     return [Substitution(reg, {s1: u, s2: v}) for u, v in pairs]
 
@@ -445,7 +463,7 @@ class DiagProfile:
 
     Entry values may reference parameter symbols of the shared registry.
     The boundary constants (alpha, beta, gamma, zeta) are the values
-    A'(0) at CONSTANT_PAIRS, which constant_values reads.
+    A'(0) at CONSTANT_PAIRS, which eval_equation reads off a lift.
     """
 
     reg: SymbolRegistry
@@ -459,13 +477,6 @@ class DiagProfile:
 
     def entry(self, q: str, l: str) -> MPoly:
         return self.entries.get((q, l), self.reg.zero())
-
-    def constant_values(self) -> list[MPoly]:
-        """(alpha, beta, gamma, zeta): the x-free parts of the entries at
-        CONSTANT_PAIRS."""
-        x = self.reg.sym("x")
-        return [self.entry(*pair).as_univariate_in(x).get(0, self.reg.zero())
-                for pair in CONSTANT_PAIRS]
 
 
 def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
@@ -625,26 +636,39 @@ WEAK_EQUATIONS = (
 )
 
 
-def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
-    """Evaluate a catalog entry on a profile, in d1, d2, d3; zero iff the
-    identity holds."""
-    reg = p.reg
-    x = reg.sym("x")
-    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
-    args = {arg for term in eq.terms for arg in (term[2], term[4])}
-    maps = {arg: Substitution(reg, {x: _form(arg, d2, d3, d1)}) for arg in args}
-    # Each distinct (entry, argument form) is substituted once, by the
-    # form's one compiled map.
+def eval_equation(eq: Equation, r: ConfTensor, raw: Optional[MPoly] = None) -> MPoly:
+    """Evaluate a catalog entry on the r-matrix r, in d1, d2, d3; zero
+    iff the identity holds.
+
+    The entry reads r's diagonal A'(d1) = A(d1, -d1) (a lift is its own
+    diagonal) at its argument forms, each through the map d1 -> form
+    that the algebra keeps (see _form_map), once per distinct (entry,
+    form); the shifted variant takes the boundary constants (alpha,
+    beta, gamma, zeta) as A'(0) at CONSTANT_PAIRS.  With `raw`, the raw
+    projection of the entry, it returns raw - eq.scale * (the entry),
+    catalog_diffs' difference: the products go, times -scale, into one
+    term table started from raw's terms.
+    """
+    alg = r.alg
+    diag = diagonal(r)
     at = {}
     for _coeff, left, arg1, right, arg2 in eq.terms:
         for entry, arg in ((left, arg1), (right, arg2)):
             if (entry, arg) not in at:
-                at[entry, arg] = maps[arg](p.entry(entry[0], entry[1]))
-    acc: dict = {}
+                poly = diag.get((entry[0], entry[1]))
+                at[entry, arg] = () if poly is None else _form_map(alg, arg)(poly)._terms.items()
+    factor = 1 if raw is None else -eq.scale
+    acc = {} if raw is None else dict(raw._terms)
     for coeff, left, arg1, right, arg2 in eq.terms:
-        _mac(acc, (at[left, arg1] * coeff)._terms.items(), at[right, arg2]._terms.items())
+        f = coeff * factor
+        a = at[left, arg1]
+        _mac(acc, a if f == 1 else [(k, c * f) for k, c in a], at[right, arg2])
+    reg = alg.reg
     if eq.shifted:
-        _mac(acc, shift_constant(p.constant_values())._terms.items(), _term_list(1))
+        d1, zero = reg.sym("d1"), reg.zero()
+        constants = [diag.get(pair, zero).as_univariate_in(d1).get(0, zero)
+                     for pair in CONSTANT_PAIRS]
+        _mac(acc, shift_constant(constants)._terms.items(), _term_list(factor))
     return _finished(reg, acc)
 
 
@@ -654,17 +678,21 @@ def eval_equation(eq: Equation, p: DiagProfile) -> MPoly:
 def generic_profile(reg: SymbolRegistry, degree: int = 4) -> DiagProfile:
     """Profile with one free coefficient symbol per entry per degree.
 
-    The entry (q, l) is the sum over j of c_{ql}_j * x^j.  Its symbols are
-    interned entry by entry and by rising j, an order that fixes their
-    ids and so the canonical print order of everything built on them.
+    The entry (q, l) is the sum over j of c_{ql}_j * x^j, built straight
+    from its packed terms.  Its symbols are interned entry by entry and
+    by rising j, an order that fixes their ids and so the canonical
+    print order of everything built on them.  A degree at or above
+    EXPONENT_LIMIT raises ExponentOverflow before any symbol is
+    interned, so no power of x reaches its field's guard bit.
     """
-    x = reg.sym("x")
+    if degree >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"degree {degree} is not below {EXPONENT_LIMIT}")
+    x_shift = _FIELD * reg.sym("x").index
     entries = {}
     for q, l in PAIRS:
-        acc: dict = {}
-        for j in range(degree + 1):
-            _mac(acc, reg.var(f"c_{q}{l}_{j}")._terms.items(), reg.var(x, j)._terms.items())
-        entries[(q, l)] = _finished(reg, acc)
+        entries[q, l] = MPoly._raw(reg, {
+            (1 << _FIELD * reg.sym(f"c_{q}{l}_{j}").index) + (j << x_shift): 1
+            for j in range(degree + 1)})
     return DiagProfile(reg, entries)
 
 
@@ -705,7 +733,11 @@ def catalog_diffs(degree: int = 3, names: Optional[Sequence[str]] = None) -> dic
 
     Returns {name: raw_projection - scale * stored_form}, in d1, d2, d3;
     the catalog is faithful iff every difference is the zero polynomial.
-    The shifted variant is excluded (it is not a raw projection).
+    The shifted variant is excluded (it is not a raw projection).  The
+    identities share one lift of the generic profile and so one algebra:
+    each difference is one term table, started from the raw projection
+    and finished once by eval_equation, which reads the lift through
+    the maps d1 -> form that the bracket has compiled.
 
     At degree 7 this proves the catalog at every degree.  The lift reads
     A'(d1), and the reduced bracket's four maps send d1 to -d2,
@@ -722,9 +754,7 @@ def catalog_diffs(degree: int = 3, names: Optional[Sequence[str]] = None) -> dic
     Vandermonde matrices.  So the differences vanishing at degree 7
     force every C(L, M) to 0, and then they vanish at any degree.
     """
-    reg = SymbolRegistry()
-    profile = generic_profile(reg, degree)
-    r = lift_profile(profile)
+    r = lift_profile(generic_profile(SymbolRegistry(), degree))
     out = {}
     for name in (names or [n for n, eq in CATALOG.items() if not eq.shifted]):
         eq = CATALOG[name]
@@ -732,7 +762,7 @@ def catalog_diffs(degree: int = 3, names: Optional[Sequence[str]] = None) -> dic
             raw = derive_projection(eq.triple, r)
         else:
             raw = derive_weak_projection(eq.action, eq.triple, r)
-        out[name] = raw - eval_equation(eq, profile) * eq.scale
+        out[name] = eval_equation(eq, r, raw)
     return out
 
 

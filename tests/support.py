@@ -51,11 +51,15 @@ from ccybe.search import candidate_profile, filter_equation_names
 from ccybe.ybe import (
     CATALOG,
     CONSTANT_NAMES,
+    CONSTANT_PAIRS,
     PAIRS,
     DiagProfile,
     boundary_values,
     ccybe_bracket,
+    derive_projection,
+    derive_weak_projection,
     eval_equation,
+    generic_profile,
     is_invariant,
     lift_profile,
     shift_constant,
@@ -419,7 +423,8 @@ def naive_run(cfg):
             continue
         if cfg.mode == "strict" and not _skew_profile(profile):
             continue
-        if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
+        r = lift_profile(profile)
+        if all(eval_equation(CATALOG[name], r).is_zero() for name in names):
             out.append(profile)
     return out
 
@@ -576,7 +581,8 @@ def flat_scan(cfg):
         if _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
             continue
         profile = candidate_profile(cfg, constants, coeffs, search._registry())
-        if all(eval_equation(CATALOG[name], profile).is_zero() for name in names):
+        r = lift_profile(profile)
+        if all(eval_equation(CATALOG[name], r).is_zero() for name in names):
             out.append(search._post_verify(cfg, profile))
     return out
 
@@ -759,12 +765,19 @@ INVARIANCE_RELATIONS = (
 )
 
 
+def constant_values(p: DiagProfile) -> list[MPoly]:
+    """(alpha, beta, gamma, zeta): the x-free parts of the profile's
+    entries at CONSTANT_PAIRS."""
+    x = p.reg.sym("x")
+    return [p.entry(*pair).as_univariate_in(x).get(0, p.reg.zero()) for pair in CONSTANT_PAIRS]
+
+
 def invariance_residues(p: DiagProfile) -> list[MPoly]:
     """The six residues whose joint vanishing is equivalent to invariance."""
     reg = p.reg
     x = reg.sym("x")
     lam = reg.var("lam")
-    zeta = p.constant_values()[3]
+    zeta = constant_values(p)[3]
     out = []
     for left, right, mult in INVARIANCE_RELATIONS:
         res = p.entry(*left).subst_many({x: lam})
@@ -773,6 +786,29 @@ def invariance_residues(p: DiagProfile) -> list[MPoly]:
             res = res - zeta * mult
         out.append(res)
     return out
+
+
+def catalog_diff_oracle(name: str, degree: int) -> MPoly:
+    """ybe.catalog_diffs' difference for one catalog identity, built with
+    MPoly arithmetic: the raw projection minus scale times the stored
+    identity, whose every (entry, form) is substituted by subst_many on
+    the generic profile itself."""
+    reg = SymbolRegistry()
+    prof = generic_profile(reg, degree)
+    r = lift_profile(prof)
+    eq = CATALOG[name]
+    if eq.action is None:
+        raw = derive_projection(eq.triple, r)
+    else:
+        raw = derive_weak_projection(eq.action, eq.triple, r)
+    x = reg.sym("x")
+    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
+    stored = reg.zero()
+    for coeff, left, (a1, b1, c1), right, (a2, b2, c2) in eq.terms:
+        at1 = prof.entry(*left).subst_many({x: d2 * a1 + d3 * b1 + d1 * c1})
+        at2 = prof.entry(*right).subst_many({x: d2 * a2 + d3 * b2 + d1 * c2})
+        stored = stored + at1 * at2 * coeff
+    return raw - stored * eq.scale
 
 
 def termwise_generic_profile(reg: SymbolRegistry, degree: int = 4) -> DiagProfile:

@@ -30,6 +30,7 @@ from support import (
     act,
     act_then_eliminate,
     apply_derivation,
+    constant_values,
     cybe,
     diagonal_profile_of,
     generator,
@@ -172,7 +173,8 @@ def test_criterion_3_family_certification():
     ]
     checked = 0
     for case, make_params, strict in cases:
-        for degree in range(4):
+        # degree 5 proves every degree (see scripts/certify_families.py)
+        for degree in range(6):
             reg = SymbolRegistry()
             spec = families.FamilySpec(case, reg, make_params(reg),
                                        f=_formal_monic(reg, degree))
@@ -185,8 +187,8 @@ def test_criterion_3_family_certification():
                 strict_ok, _ = is_strict_solution(r)
                 assert strict_ok, (case, degree, "strict")
             checked += 1
-    assert checked == 24
-    report(3, "all six family cases certified symbolically, f degrees 0-3", t0)
+    assert checked == 36
+    report(3, "all six family cases certified symbolically, f degrees 0-5", t0)
 
 
 def test_criterion_4_negative_controls():
@@ -278,7 +280,7 @@ def _grid_family_records(reg_factory):
             for pair in ybe.PAIRS if not prof.entry(*pair).is_zero()
         }
         constants = {n: str(v.constant_value()) for n, v in
-                     zip(ybe.CONSTANT_NAMES, prof.constant_values())}
+                     zip(ybe.CONSTANT_NAMES, constant_values(prof))}
         records.add(json.dumps({"constants": constants, "entries": entries},
                                sort_keys=True))
     return records

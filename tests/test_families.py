@@ -26,6 +26,7 @@ from ccybe.ybe import (
 from support import (
     add_tensors,
     characterization_ok,
+    constant_values,
     diagonal_profile_of,
     invariant_constant_rmat,
     random_poly,
@@ -294,7 +295,7 @@ def test_characterize_roundtrip_random(reg):
             assert rep.shared_f == f
         else:
             assert all(v == 0 for row in m for v in row)
-        constants = [v.constant_value() for v in prof.constant_values()]
+        constants = [v.constant_value() for v in constant_values(prof)]
         assert rep.constants == tuple(map(_scalar, constants))
         assert all(type(v) is (int if F(v).denominator == 1 else F) for v in rep.constants)
         assert not any(scalar_relation_residues(constants, m).values())

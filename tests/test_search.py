@@ -37,6 +37,7 @@ from ccybe.ybe import (
 
 from support import (
     brute_force_verdicts,
+    constant_values,
     enumerate_candidates,
     enumerate_profiles,
     flat_scan,
@@ -146,7 +147,7 @@ def test_structured_matches_naive_weak():
             "".join(pair): profile.entry(*pair).to_string()
             for pair in search.PAIRS if not profile.entry(*pair).is_zero()
         }
-        constants = {n: str(v) for n, v in zip(CONSTANT_NAMES, profile.constant_values())}
+        constants = {n: str(v) for n, v in zip(CONSTANT_NAMES, constant_values(profile))}
         naive_keys.add(json.dumps({"constants": constants, "entries": entries},
                                   sort_keys=True))
     report_keys = {
@@ -255,7 +256,7 @@ def test_named_survivors_round_trip(mode):
                    for pair, p in profile.entries.items() if not p.is_zero()}
         assert entries == record["entries"]
         assert {n: str(v.constant_value())
-                for n, v in zip(CONSTANT_NAMES, profile.constant_values())} \
+                for n, v in zip(CONSTANT_NAMES, constant_values(profile))} \
             == record["constants"]
         named += 1
     assert named == {"weak": 102, "strict": 10}[mode]
@@ -465,9 +466,9 @@ def _exact_agrees(eq, profile, max_degree):
     x = profile.reg.sym("x")
     table = [profile.entry(*PAIRS[i]).subst_many({x: profile.reg.const(s)}).constant_value()
              for i, s in checks.slots]
-    shift = shift_constant([v.constant_value() for v in profile.constant_values()])
+    shift = shift_constant([v.constant_value() for v in constant_values(profile)])
     vanishes = search._vanishes(checks.per_equation[0], table, shift)
-    assert vanishes == eval_equation(eq, profile).is_zero(), (eq.name, max_degree)
+    assert vanishes == eval_equation(eq, lift_profile(profile)).is_zero(), (eq.name, max_degree)
     return vanishes
 
 

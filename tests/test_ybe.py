@@ -50,6 +50,8 @@ from support import (
     act_then_eliminate,
     add_tensors,
     apply_derivation,
+    catalog_diff_oracle,
+    constant_values,
     constrained_generic_profile,
     diagonal_profile_of,
     generator,
@@ -338,7 +340,7 @@ def test_strict_cor6_i_with_catalog_oracle(reg):
     ok, _ = is_strict_solution(r)
     assert ok
     for name in STRICT_EQUATIONS:
-        assert eval_equation(CATALOG[name], prof).is_zero()
+        assert eval_equation(CATALOG[name], r).is_zero()
 
 
 def test_strict_fails_with_beta(reg):
@@ -486,6 +488,16 @@ def test_generic_profile_matches_termwise():
             for pair, poly in want.entries.items():
                 assert dict(got.entries[pair].terms()) == dict(poly.terms())
                 assert got.entries[pair].to_string() == poly.to_string()
+
+
+@pytest.mark.parametrize("degree", [EXPONENT_LIMIT, 2 * EXPONENT_LIMIT])
+def test_generic_profile_refuses_degree_up_front(reg, degree):
+    # a degree whose top power of x would reach the guard bit, or carry
+    # into the next field, is refused before any symbol is interned
+    size = len(reg)
+    with pytest.raises(ExponentOverflow):
+        generic_profile(reg, degree)
+    assert len(reg) == size
 
 
 def test_invariance_defect_he_coefficient(reg):
@@ -808,7 +820,7 @@ def test_catalog_forms_are_the_bracket_and_action_forms(reg):
     alg = r.alg
     bracket = ccybe_bracket(r, reduced=True)
     lifted_x = alg.memo("lift_profile.at_d1", None)(reg.var("x"))
-    maps = alg.memo(("ccybe_bracket.maps", True), None)
+    maps = [alg.memo(("catalog_form", arg), None) for arg in ybe._BRACKET_FORMS]
     images = {m(lifted_x) for m in maps}
     table = conformal._action_table(alg, alg.basis_names, 3, -bracket.total())
     forms = images | {shift(u) for shift, _row in table.values() for u in images}
@@ -818,6 +830,62 @@ def test_catalog_forms_are_the_bracket_and_action_forms(reg):
     assert len(images) == 4
     assert forms == used
     assert len(used) == 8
+
+
+def test_catalog_compiles_each_map_once(monkeypatch):
+    # catalog_diffs lifts one generic profile onto one algebra, so the
+    # bracket and the stored identities read the same maps d1 -> form:
+    # every map it compiles, each of the 8 catalog forms' among them, is
+    # compiled once for all 13 identities
+    built = []
+
+    class Counted(Substitution):
+        __slots__ = ()
+
+        def __init__(self, reg, mapping):
+            super().__init__(reg, mapping)
+            built.append(tuple((sym.name, str(poly)) for sym, poly in mapping.items()))
+
+    monkeypatch.setattr(ybe, "Substitution", Counted)
+    diffs = ybe.catalog_diffs(degree=2)
+    assert len(diffs) == 13 and all(diff.is_zero() for diff in diffs.values())
+    assert len(set(built)) == len(built), built
+    reg = SymbolRegistry()
+    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
+    forms = {str(d2 * a + d3 * b + d1 * c) for eq in CATALOG.values()
+             for term in eq.terms for a, b, c in (term[2], term[4])}
+    assert len(forms) == 8
+    assert {items[0][1] for items in built
+            if len(items) == 1 and items[0][0] == "d1"} >= forms
+
+
+def _fault_hee(eq):
+    # one coefficient of the stored identity moved by +1
+    coeff, *rest = eq.terms[2]
+    return ybe.Equation(eq.name, eq.triple, eq.terms[:2] + ((coeff + 1, *rest),)
+                        + eq.terms[3:], eq.scale)
+
+
+def _scale_one(eq):
+    return ybe.Equation(eq.name, eq.triple, eq.terms, 1, eq.action)
+
+
+@pytest.mark.parametrize("name, fault", [(None, None), ("hee", _fault_hee),
+                                         ("eee", _scale_one), ("efh_e", _scale_one)])
+def test_catalog_diffs_match_mpoly_oracle(monkeypatch, name, fault):
+    # each difference, one term table, equals raw - scale * stored built
+    # with MPoly arithmetic term for term and as printed: on the faithful
+    # catalog (every non-shifted identity) and with one fault injected
+    if fault is not None:
+        monkeypatch.setitem(ybe.CATALOG, name, fault(CATALOG[name]))
+    names = [name] if name else [n for n, eq in CATALOG.items() if not eq.shifted]
+    diffs = ybe.catalog_diffs(degree=2, names=names)
+    assert list(diffs) == names
+    for n in names:
+        want = catalog_diff_oracle(n, 2)
+        assert dict(diffs[n].terms()) == dict(want.terms()), n
+        assert diffs[n].to_string() == want.to_string(), n
+        assert diffs[n].is_zero() == (fault is None), n
 
 
 def test_catalog_fault_detected(monkeypatch):
@@ -831,9 +899,9 @@ def test_catalog_fault_detected(monkeypatch):
 def test_weak_projection_is_shifted_triple_projection(reg):
     # the e-action projection at h x f x f is the f x f x f projection
     # transported by the action, i.e. exactly twice the stored identity
-    prof = generic_profile(reg, 2)
-    dwp = derive_weak_projection("e", ("h", "f", "f"), lift_profile(prof))
-    assert dwp == eval_equation(CATALOG["fff"], prof) * 2
+    r = lift_profile(generic_profile(reg, 2))
+    dwp = derive_weak_projection("e", ("h", "f", "f"), r)
+    assert dwp == eval_equation(CATALOG["fff"], r) * 2
 
 
 def test_derived_projections_match_full_bracket(reg):
@@ -856,9 +924,9 @@ def test_derived_projections_match_full_bracket(reg):
 def test_fhf_substitution_matches_hff(reg):
     # substituting d2 := -d2-d3 transports the f x h x f identity to
     # minus the h x f x f identity modulo the invariance relations
-    prof = constrained_generic_profile(reg, degree=2)
-    fhf = eval_equation(CATALOG["fhf"], prof)
-    hff = eval_equation(CATALOG["hff"], prof)
+    r = lift_profile(constrained_generic_profile(reg, degree=2))
+    fhf = eval_equation(CATALOG["fhf"], r)
+    hff = eval_equation(CATALOG["hff"], r)
     d2, d3 = reg.var("d2"), reg.var("d3")
     assert (fhf.subst_many({reg.sym("d2"): -d2 - d3}) + hff).is_zero()
 
@@ -874,8 +942,9 @@ def test_efh_shift_on_families(reg):
         ("h", "e"): a, ("e", "h"): -a,
         ("h", "h"): zeta,
     })
-    assert eval_equation(CATALOG["efh_shift"], prof).is_zero()
-    assert eval_equation(CATALOG["efh"], prof) == -shift_constant(prof.constant_values())
+    r = lift_profile(prof)
+    assert eval_equation(CATALOG["efh_shift"], r).is_zero()
+    assert eval_equation(CATALOG["efh"], r) == -shift_constant(constant_values(prof))
 
 
 def test_permutation_symmetry(reg):
@@ -945,7 +1014,8 @@ def test_lift_roundtrip(reg):
 def test_constant_values_round_trip(reg, kind):
     # the values A'(0) at CONSTANT_PAIRS give back the constants that
     # boundary_values spreads over the nine entries, also under an x part
-    # that carries the same symbols
+    # that carries the same symbols; the shifted identity reads the same
+    # constants off the lift's diagonal
     constants = {"int": [2, -1, 3, 5],
                  "fraction": [F(1, 2), F(-3, 4), F(0), F(5, 3)],
                  "mpoly": [reg.var(n) for n in CONSTANT_NAMES]}[kind]
@@ -954,7 +1024,11 @@ def test_constant_values_round_trip(reg, kind):
     for k, (pair, v) in enumerate(zip(PAIRS, boundary_values(constants))):
         v = v if isinstance(v, MPoly) else reg.const(v)
         entries[pair] = v + x * (k + 1) * (constants[k % 4] + 1)
-    assert DiagProfile(reg, entries).constant_values() == constants
+    prof = DiagProfile(reg, entries)
+    assert constant_values(prof) == constants
+    r = lift_profile(prof)
+    shift = eval_equation(CATALOG["efh_shift"], r) - eval_equation(CATALOG["efh"], r)
+    assert shift == shift_constant(constants)
 
 
 def test_diagonal_restricts_each_entry(cur, reg):
