@@ -221,7 +221,7 @@ class SymbolRegistry:
         found = self._syms.get(name)
         if found is not None:
             return found
-        if not name or name[0] not in _NAME_START or not all(c in _NAME_CONT for c in name):
+        if not name or name[0] not in _NAME_START or not _NAME_CONT.issuperset(name):
             raise ValueError(f"invalid symbol name {name!r}")
         with self._lock:
             found = self._syms.get(name)

@@ -19,11 +19,19 @@ over all degrees.
 run_search walks these choices depth first: the constants tuple is the
 outer loop (and the unit of work handed to a worker process), then one
 group per level, in a fixed order that completes each filter equation
-as early as possible.  In strict mode the skew-symmetry test prunes
-whole constants tuples up front; the coefficients of a consistent
-candidate are always skew, because the invariance relations make mirror
-coefficients equal in odd degrees and opposite in even ones.  So a
-strict search finds the skew-symmetric strict solutions only: an
+as early as possible.  Both modes filter with ybe.WEAK_EQUATIONS; strict
+mode scans only the constants tuples with zeta = 0 and
+kappa = shift_constant(constants) = 0, which is exactly the filter by
+skew-symmetry, the weak equations and efh:
+- A consistent candidate's coefficients are skew (the invariance
+  relations make mirror coefficients equal in odd degrees and opposite
+  in even ones), and on the boundary values ef + fe = 4 zeta,
+  hh + hh = 2 zeta and every other mirror pair cancels: a candidate is
+  skew iff zeta = 0.
+- efh's checks are efh_shift's, at the same points, minus kappa: when
+  kappa != 0 a candidate that passes efh_shift fails efh, and when
+  kappa = 0 efh repeats efh_shift's check.
+So a strict search finds the skew-symmetric strict solutions only: an
 invariant one that is not skew, such as the constant profile with
 (alpha, beta, gamma, zeta) = (0, 0, 0, 1), passes `verify --mode
 strict` but is never a strict survivor.  Over the raw degree-2 grid
@@ -261,13 +269,6 @@ def count_consistent(cfg: SearchConfig) -> int:
     return total
 
 
-def filter_equation_names(cfg: SearchConfig) -> tuple[str, ...]:
-    names = WEAK_EQUATIONS
-    if cfg.mode == "strict":
-        names = names + ("efh",)
-    return names
-
-
 # Checks at points ------------------------------------------------------------------
 #
 # A filter equation is sum c * A_left(arg1) * A_right(arg2), plus the
@@ -416,7 +417,7 @@ class _Plan:
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.const_grid = tuple(map(_scalar, cfg.constants_grid))
-        equations = [CATALOG[name] for name in filter_equation_names(cfg)]
+        equations = [CATALOG[name] for name in WEAK_EQUATIONS]
         level_of = [0] * len(PAIRS)
         for level, g in enumerate(_LEVEL_ORDER):
             for i in _GROUPS[g]:
@@ -469,10 +470,11 @@ class _Unit:
     coefficient rows picked on the current branch.
     """
 
-    def __init__(self, plan: _Plan, constants: tuple, bnd: list):
+    def __init__(self, plan: _Plan, constants: tuple):
         self.plan = plan
         self.constants = constants
         self.shift = shift_constant(constants)
+        bnd = boundary_values(constants)
         self.levels = []
         for level, choices in enumerate(plan.levels):
             base = [bnd[i] for i, _s in plan.table.level_slots(level)]
@@ -534,13 +536,7 @@ def _algebra() -> ConfAlgebra:
 def _scan_constants(plan: _Plan, constants: tuple) -> list:
     """Pure worker: the (record, problems) pairs of the candidates with
     this constants tuple, in walk order."""
-    bnd = boundary_values(constants)
-    # Skew-symmetry, A'_{ql}(x) + A'_{lq}(-x) == 0: the invariance
-    # relations already give it degree by degree, so only the boundary
-    # values are left to test.
-    if plan.cfg.mode == "strict" and any(bnd[i] + bnd[m] for i, m in _MIRROR.items()):
-        return []
-    unit = _Unit(plan, constants, bnd)
+    unit = _Unit(plan, constants)
     _descend(unit, 0)
     return unit.out
 
@@ -550,6 +546,9 @@ def _scan(cfg: SearchConfig) -> list:
     pairs in walk order."""
     plan = _Plan(cfg)
     units = list(itertools.product(plan.const_grid, repeat=4))
+    if cfg.mode == "strict":
+        # zeta = 0 and kappa = 0: see the module docstring
+        units = [c for c in units if not (c[3] or shift_constant(c))]
     if cfg.workers > 1 and len(units) > 1 and "fork" in get_all_start_methods():
         with get_context("fork").Pool(min(cfg.workers, len(units))) as pool:
             results = pool.starmap(_scan_constants, [(plan, c) for c in units], chunksize=1)

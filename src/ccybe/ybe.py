@@ -627,9 +627,9 @@ CATALOG: dict[str, Equation] = {
     )
 }
 
-# Equations used to filter candidates in weak mode: the nine triple
+# Equations the search filters with, in both modes: the nine triple
 # projections shared with the strict system plus the action-variable
-# variants replacing the e x f x h projection.
+# variants replacing the e x f x h projection efh (see search).
 WEAK_EQUATIONS = (
     "eee", "hee", "fff", "hff", "ehh", "fhh", "fee", "eff", "hhh",
     "efh_h", "efh_e", "efh_shift",

@@ -47,12 +47,13 @@ from ccybe.conformal import (
 from ccybe.exactpoly import MPoly, Substitution, SymbolRegistry, _scalar
 from ccybe.families import FamilySpec, build_profile
 from ccybe.liealg import AutMatrix, LieAlg, Scalar, ad, is_zero_scalar, sl2, tensor_add
-from ccybe.search import candidate_profile, filter_equation_names
+from ccybe.search import candidate_profile
 from ccybe.ybe import (
     CATALOG,
     CONSTANT_NAMES,
     CONSTANT_PAIRS,
     PAIRS,
+    WEAK_EQUATIONS,
     DiagProfile,
     boundary_values,
     ccybe_bracket,
@@ -413,10 +414,17 @@ def _skew_profile(profile: DiagProfile) -> bool:
                for q, l in PAIRS)
 
 
+def _reference_names(cfg):
+    """The reference scans' filter equations: the weak ones, plus efh in
+    strict mode, where they also test skew-symmetry per candidate; the
+    search instead scans the weak ones over zeta = 0, kappa = 0 only."""
+    return WEAK_EQUATIONS + (("efh",) if cfg.mode == "strict" else ())
+
+
 def naive_run(cfg):
     """Reference filter: the invariance residues, skew-symmetry in strict
     mode, and the exact filter equations on every enumerated candidate."""
-    names = filter_equation_names(cfg)
+    names = _reference_names(cfg)
     out = []
     for profile in enumerate_profiles(cfg):
         if any(not r.is_zero() for r in invariance_residues(profile)):
@@ -567,7 +575,7 @@ def _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
 def flat_scan(cfg):
     """(record, problems) for every consistent candidate passing the
     exact filter, in index order."""
-    names = filter_equation_names(cfg)
+    names = _reference_names(cfg)
     terms = _filter_terms(names)
     slots = search._free_slots(cfg)
     const_grid = tuple(map(_scalar, cfg.constants_grid))

@@ -217,12 +217,14 @@ def test_raw_search_matches_brute_force():
 
 
 def test_worker_count_determinism():
-    cfg1 = SearchConfig(max_degree=1, coeff_grid=(0, 1), constants_grid=(0, 1))
-    cfg2 = SearchConfig(max_degree=1, coeff_grid=(0, 1), constants_grid=(0, 1),
-                        workers=2)
-    rep1, rep2 = run_search(cfg1), run_search(cfg2)
-    assert rep1.content_hash == rep2.content_hash
-    assert rep1.survivors == rep2.survivors
+    # strict mode prunes its constants tuples before the pool is sized
+    for mode in ("weak", "strict"):
+        grids = dict(max_degree=1, coeff_grid=(0, 1), constants_grid=(0, 1), mode=mode)
+        rep1 = run_search(SearchConfig(**grids))
+        rep2 = run_search(SearchConfig(workers=2, **grids))
+        assert rep1.survivors, mode
+        assert rep1.content_hash == rep2.content_hash
+        assert rep1.survivors == rep2.survivors
 
 
 def test_constants_only_matches_general_solution():
@@ -307,6 +309,9 @@ SCAN_CONFIGS = {
                              raw=True),
     "fractional": SearchConfig(max_degree=1, coeff_grid=(0, F(1, 2)),
                                constants_grid=(0,)),
+    # kappa = 0 off the beta = 0 line: beta = +-2 with 4 alpha gamma = 4
+    "strict_beta2": SearchConfig(max_degree=1, coeff_grid=(0, 1),
+                                 constants_grid=(-2, -1, 0, 1, 2), mode="strict", raw=True),
 }
 
 

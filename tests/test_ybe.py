@@ -1015,7 +1015,9 @@ def test_constant_values_round_trip(reg, kind):
     # the values A'(0) at CONSTANT_PAIRS give back the constants that
     # boundary_values spreads over the nine entries, also under an x part
     # that carries the same symbols; the shifted identity reads the same
-    # constants off the lift's diagonal
+    # constants off the lift's diagonal, as on the generic profile: the
+    # identity efh_shift - efh == kappa that makes the strict search's
+    # prune to kappa = 0 exact
     constants = {"int": [2, -1, 3, 5],
                  "fraction": [F(1, 2), F(-3, 4), F(0), F(5, 3)],
                  "mpoly": [reg.var(n) for n in CONSTANT_NAMES]}[kind]
@@ -1026,9 +1028,12 @@ def test_constant_values_round_trip(reg, kind):
         entries[pair] = v + x * (k + 1) * (constants[k % 4] + 1)
     prof = DiagProfile(reg, entries)
     assert constant_values(prof) == constants
-    r = lift_profile(prof)
-    shift = eval_equation(CATALOG["efh_shift"], r) - eval_equation(CATALOG["efh"], r)
-    assert shift == shift_constant(constants)
+    generic = generic_profile(reg, 2)
+    for p, kappa in ((prof, shift_constant(constants)),
+                     (generic, shift_constant(constant_values(generic)))):
+        r = lift_profile(p)
+        shift = eval_equation(CATALOG["efh_shift"], r) - eval_equation(CATALOG["efh"], r)
+        assert shift == kappa
 
 
 def test_diagonal_restricts_each_entry(cur, reg):
