@@ -82,7 +82,7 @@ def main() -> int:
             r = lift_profile(families.build_profile(spec))
             t0 = time.time()
             inv = is_invariant(r)[0]
-            bracket = ccybe_bracket(r, reduced=True)
+            bracket = ccybe_bracket(r)
             weak = weak_verdict(bracket)[0]
             strict = bracket.is_zero()
             if not (inv and weak):

@@ -100,14 +100,12 @@ def cmd_verify(args, r) -> int:
 
 @_reads_rmatrix
 def cmd_expand(args, r) -> int:
-    for title, tensor in (("double bracket (unreduced)", ybe.ccybe_bracket(r)),
-                          ("reduced modulo the total derivation",
-                           ybe.ccybe_bracket(r, reduced=True))):
-        print(f"{title}:")
-        for tup in sorted(tensor.entries):
-            print(f"  ({', '.join(tup)}): {tensor.entries[tup].to_string()}")
-        if not tensor.entries:
-            print("  0")
+    bracket = ybe.ccybe_bracket(r)
+    print("reduced modulo the total derivation:")
+    for tup in sorted(bracket.entries):
+        print(f"  ({', '.join(tup)}): {bracket.entries[tup].to_string()}")
+    if not bracket.entries:
+        print("  0")
     return PASS
 
 
@@ -360,8 +358,8 @@ def _vir_arguments(p) -> None:
 # the function that adds its arguments, its handler).
 COMMANDS = {
     "verify": ("check an r-matrix file", _verify_arguments, cmd_verify),
-    "expand": ("print the double bracket of an r-matrix", _expand_arguments,
-               cmd_expand),
+    "expand": ("print an r-matrix's double bracket modulo the total derivation",
+               _expand_arguments, cmd_expand),
     "catalog": ("re-derive the projection equation catalog", _catalog_arguments,
                 cmd_catalog),
     "family": ("write a solution family member to a file", _family_arguments,

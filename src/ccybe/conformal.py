@@ -29,11 +29,10 @@ The algebra owns the tables that depend on it alone: `ConfAlgebra.memo`
 builds a table on first use and keeps it as long as the algebra lives.
 act_on_tensor keeps there, per (arity, lam, generator names), its slot
 shifts with the powers of di + lam they have built and its
-inserted-bracket rows; ybe keeps there the full double bracket's
-coefficient maps, one map d1 -> form per catalog form (which the
-reduced bracket and the catalog's equations share), the contraction
-plans, the diagonal's and the invariance check's maps, the generator
-actions' value of lam per arity, and the lift map.
+inserted-bracket rows; ybe keeps there one map d1 -> form per catalog
+form (which the double bracket and the catalog's equations share), the
+contraction plans, the diagonal's and the invariance check's maps, the
+generator actions' value of lam per arity, and the lift map.
 A caller that checks many tensors over one algebra (the search) builds
 each table once; one that makes an algebra per check builds them once
 per check.  Nothing is cached at module level.
@@ -41,9 +40,9 @@ per check.  Nothing is cached at module level.
 The quotient by the image of the total derivation is read with
 d1 := -(d2 + ... + dN).  No tensor-wide reduction, sum or slot swap
 is provided: the double bracket is built in the quotient directly
-(ybe.ccybe_bracket with `reduced`), the invariance check reads each
-entry's diagonal (ybe.diagonal), and an action at -(d1 + ... + dN)
-reads only the class of the tensor it acts on.
+(ybe.ccybe_bracket builds only its class), the invariance check reads
+each entry's diagonal (ybe.diagonal), and an action at
+-(d1 + ... + dN) reads only the class of the tensor it acts on.
 """
 
 from __future__ import annotations

@@ -263,16 +263,9 @@ class SymbolRegistry:
         c = _scalar(value)
         return MPoly._raw(self, {0: c} if c else {})
 
-    def var(self, name_or_sym: Union[str, Sym], power: int = 1) -> "MPoly":
+    def var(self, name_or_sym: Union[str, Sym]) -> "MPoly":
         sym = name_or_sym if isinstance(name_or_sym, Sym) else self.sym(name_or_sym)
-        if power < 0:
-            raise ValueError("negative exponents are not supported")
-        if power >= EXPONENT_LIMIT:
-            raise ExponentOverflow(
-                f"exponent {power} of {sym.name} is not below {EXPONENT_LIMIT}")
-        if power == 0:
-            return self.const(1)
-        return MPoly._raw(self, {power << (_FIELD * sym.index): 1})
+        return MPoly._raw(self, {1 << (_FIELD * sym.index): 1})
 
     def univariate(self, name_or_sym: Union[str, Sym],
                    coeffs: Mapping[int, Scalar]) -> "MPoly":

@@ -579,7 +579,7 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     # strict one from whether it vanishes.  The tensor steps are looked
     # up on the ybe module, where a tracer that wraps them sees these
     # calls.
-    bracket = ybe.ccybe_bracket(lift_profile(profile, _algebra()), reduced=True)
+    bracket = ybe.ccybe_bracket(lift_profile(profile, _algebra()))
     if not ybe.weak_verdict(bracket)[0]:
         problems.append("reverify:weak_defect")
     if cfg.mode == "strict" and not bracket.is_zero():

@@ -2,63 +2,61 @@
 
 An r-matrix over a conformal algebra R with basis {q} is an element
 r = sum A_{ql}(d1, d2) q x l of R x R: an arity-2 conformal.ConfTensor,
-whose entries map (q, l) to A_{ql}.  The double bracket of r with
-itself is an arity-3 tensor built from three contraction sums; writing
-A for the left factor's coefficient and B for the right factor's, the
-coefficient substitutions are
+whose entries map (q, l) to A_{ql}.  Following Liberati, the CCYBE and
+its weak version live in the quotient of R x R x R by the image of the
+total derivation d1 + d2 + d3, read with d1 := -(d2 + d3), and
+ccybe_bracket builds the double bracket of r with itself there: its
+class, in d2 and d3.  The class is built from three contraction sums;
+writing A for the left factor's coefficient and B for the right
+factor's, the coefficient substitutions are
 
-    + A(-d2, d2)      B(d1+d2, d3)   on [q,q'] x l x l'
-    - A(d1, d2+d3)    B(-d3, d3)     on  q x [q',l] x l'
-    - A(d1, d2+d3)    B(d2, -d2)     on  q x q' x [l',l]
+    + A(-d2, d2)          B(-d3, d3)   on [q,q'] x l x l'
+    - A(-(d2+d3), d2+d3)  B(-d3, d3)   on  q x [q',l] x l'
+    - A(-(d2+d3), d2+d3)  B(d2, -d2)   on  q x q' x [l',l]
 
 with the basis-level bracket evaluated at (d, lam) = (slot variable,
-contraction variable): (d1, d2), (d2, d3), (d3, d2) respectively.
+contraction variable): (-(d2+d3), d2), (d2, d3), (d3, d2)
+respectively.  These are the full bracket's substitutions, A at
+(-d2, d2) and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2),
+and slot 1's inserted bracket at d = d1, each read at d1 = -(d2 + d3);
+a substitution is a ring map, so this is the class of the full
+bracket, and no product carries d1.  Each of the four reads its
+entry at (u, -u), so r counts only through its diagonal
+A'_{ql}(d1) = A_{ql}(d1, -d1): the class restricts r to it once
+(diagonal), and the maps send d1 alone to u = -d2, -(d2+d3), -d3 and
+d2, catalog argument forms (_BRACKET_FORMS).  Three of the four, and
+the diagonal's, is_invariant's and lift_profile's maps, send their
+symbol to one term, so they map term to term with no polynomial
+product; a polynomial free of a map's symbol is returned as it is (see
+exactpoly.Substitution).
 
-ccybe_bracket contracts first.  Each of the five substitutions (four
-for the class below, one memo entry per catalog form that
-eval_equation reads too) is compiled once per algebra (an
-exactpoly.Substitution kept in the algebra's memo, see
+ccybe_bracket contracts first.  Each of the four maps is compiled once
+per algebra (an exactpoly.Substitution kept in the algebra's memo, see
 conformal.ConfAlgebra.memo, with the powers of its targets it has
-built), and each entry's form under each map is built at most once;
-the minus signs of slots 2 and 3 go on the inserted bracket.  Then, for
-each slot, the inserted bracket is summed against the B forms: slot 1
-gives, per left index q, a table keyed (k, l') of sum over entries
-(q', l') of [q, q']_k B; slots 2 and 3 give, per right index l, one
-shared table keyed (k, l') resp. (q', k), since both multiply
-A(d1, d2+d3).  For a current algebra the inserted bracket is a
-structure constant, so this step is scalar multiples and sums; for
-Virasoro it is the polynomial d + 2 lam.  Last, each A form is
-multiplied once by each coefficient of its table.
+built; eval_equation reads the same map of each form), and each
+entry's form under each map is built at most once; the minus signs of
+slots 2 and 3 go on the inserted bracket.  Then, for each slot, the
+inserted bracket is summed against the B forms: slot 1 gives, per left
+index q, a table keyed (k, l') of sum over entries (q', l') of
+[q, q']_k B; slots 2 and 3 give, per right index l, one shared table
+keyed (k, l') resp. (q', k), since both multiply A(-(d2+d3), d2+d3).
+For a current algebra the inserted bracket is a structure constant, so
+this step is scalar multiples and sums; for Virasoro it is the
+polynomial d + 2 lam.  Last, each A form is multiplied once by each
+coefficient of its table.
 
-Which products there are depends on the algebra, `reduced`, the wanted
-triples and the entry keys alone, not on the coefficients, so it is
-compiled once into a contraction plan kept in the algebra's memo:
-per entry key, the (map, table key, inserted bracket) rows its B forms
-feed, and the tables its A forms read with the output triple each
-table key lands on.  A plan is filled entry key by entry key, so a
-one-shot algebra (the CLI, catalog_diffs) builds only the rows it
-reads, and a search over one algebra builds each row once.  The tables
-and the outputs are plain term tables, filled through exactpoly._mac
-with no polynomial built per product or per table (a scalar factor is
-the one term ((0, v),), see exactpoly._term_list), and each output
-coefficient is made a polynomial once, by exactpoly._finished.
-
-Following Liberati, the CCYBE and its weak version live in the quotient
-of R x R x R by the image of the total derivation d1 + d2 + d3, read
-with d1 := -(d2 + d3).  With `reduced`, ccybe_bracket builds the
-bracket's class there directly: d1 is read as -(d2 + d3) in the A and
-B substitutions (B(d1+d2, d3) becomes B(-d3, d3), so slots 1 and 2
-share one B form and four maps serve) and in slot 1's inserted bracket,
-so no product carries d1.  A substitution is a ring map, so this is the
-full bracket reduced afterwards.  Each of the four reads its entry at
-(u, -u), so r counts only through its diagonal A'_{ql}(d1) =
-A_{ql}(d1, -d1): the class restricts r to it once (diagonal), and the
-maps send d1 alone to u = -d2, -(d2+d3), -d3 and d2, catalog argument
-forms.  Every verdict reads only the class; the full bracket serves
-only `expand`.  Three of the four, and the diagonal's, is_invariant's
-and lift_profile's maps, send their symbol to one term, so they map
-term to term with no polynomial product; a polynomial free of a map's
-symbol is returned as it is (see exactpoly.Substitution).
+Which products there are depends on the algebra, the wanted triples
+and the entry keys alone, not on the coefficients, so it is compiled
+once into a contraction plan kept in the algebra's memo: per entry
+key, the (map, table key, inserted bracket) rows its B forms feed, and
+the tables its A forms read with the output triple each table key
+lands on.  A plan is filled entry key by entry key, so a one-shot
+algebra (the CLI, catalog_diffs) builds only the rows it reads, and a
+search over one algebra builds each row once.  The tables and the
+outputs are plain term tables, filled through exactpoly._mac with no
+polynomial built per product or per table (a scalar factor is the one
+term ((0, v),), see exactpoly._term_list), and each output coefficient
+is made a polynomial once, by exactpoly._finished.
 
 Given a set of output triples, ccybe_bracket builds only those
 coefficients: a final product or a table key that feeds no wanted
@@ -68,11 +66,11 @@ derive_weak_projection) reads one coefficient, or the few that a
 generator action moves onto one triple, and asks for just those; the
 verdicts and `expand` take every coefficient.
 
-Three checks are provided: strict (the reduced double bracket
-vanishes), weak (every generator action on the reduced double bracket,
-taken at mu = -(d1+d2+d3), vanishes), and invariance (every generator
-action on r + tau(r), tau the factor swap, taken at lam = -(d1+d2),
-vanishes; is_invariant reads it off the diagonal).  Each action is
+Three checks are provided: strict (the class of the double bracket
+vanishes), weak (every generator action on that class, taken at
+mu = -(d1+d2+d3), vanishes), and invariance (every generator action
+on r + tau(r), tau the factor swap, taken at lam = -(d1+d2), vanishes;
+is_invariant reads it off the diagonal).  Each action is
 computed at that value directly; no action variable is introduced and
 eliminated.  Each slot shift of such an action sends d1 + d2 + d3
 to 0, so it reads only the class of the tensor it acts on.  Both
@@ -81,19 +79,18 @@ an element g(D)a acts as g(-lam) times a's action (sesquilinearity),
 so only generators ever act.  generator_actions acts with all of them,
 by name, in one act_on_tensor call, so the weak and the invariance
 checks shift each coefficient once, not once per generator.
-weak_verdict reads the weak verdict off a given reduced bracket, and
-the strict verdict is whether that bracket is zero, so a caller that
-needs both builds the bracket once.
+weak_verdict reads the weak verdict off a given class, and the strict
+verdict is whether that class is zero, so a caller that needs both
+builds the bracket once.
 
 The tables these checks read belong to the algebra of the r-matrix and
-live as long as it (conformal.ConfAlgebra.memo): the full double
-bracket's five coefficient maps, one map d1 -> form per catalog form
-(the class's four and eval_equation's eight), the contraction plan per
-`reduced` and set of wanted triples, the diagonal's map d2 -> -d1,
-is_invariant's map d1 -> -d1, the generator actions' lam =
--(d1 + ... + dN) and action table of each arity, and lift_profile's
-map x -> d1; each map keeps the powers of its targets it has built,
-which the degrees seen so far bound.  So a caller that checks many
+live as long as it (conformal.ConfAlgebra.memo): one map d1 -> form
+per catalog form (the bracket's four and eval_equation's eight), the
+contraction plan per set of wanted triples, the diagonal's map
+d2 -> -d1, is_invariant's map d1 -> -d1, the generator actions'
+lam = -(d1 + ... + dN) and action table of each arity, and
+lift_profile's map x -> d1; each map keeps the powers of its targets
+it has built, which the degrees seen so far bound.  So a caller that checks many
 r-matrices over one algebra (the search, with one algebra per process)
 builds each table once; a caller that makes an algebra per check (the
 CLI) builds each once per check.  catalog_diffs lifts its generic
@@ -184,10 +181,10 @@ def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
 
 
 # Linear argument forms (a, b, c), read as a*d2 + b*d3 + c*d1: the
-# reduced double bracket's variables d2, d3, and d1, which only the
-# action identities read (a generator action brings it back).  The
-# reduced bracket substitutes the first four (_BRACKET_FORMS) into the
-# diagonal, and the catalog reads all eight.
+# double bracket's variables d2, d3, and d1, which only the action
+# identities read (a generator action brings it back).  The bracket
+# substitutes the first four (_BRACKET_FORMS) into the diagonal, and
+# the catalog reads all eight.
 _ND2 = (-1, 0, 0)
 _ND23 = (-1, -1, 0)
 _ND3 = (0, -1, 0)
@@ -202,7 +199,7 @@ _BRACKET_FORMS = (_ND2, _ND23, _ND3, _D2)
 def _form_map(alg: ConfAlgebra, arg: tuple) -> Substitution:
     """The map d1 -> a*d2 + b*d3 + c*d1, arg = (a, b, c), kept in the
     algebra's memo with the powers of its target it has built: the
-    reduced bracket and eval_equation read the same map of each form."""
+    bracket and eval_equation read the same map of each form."""
     reg = alg.reg
     return alg.memo(("catalog_form", arg), partial(_compile_form, reg, arg))
 
@@ -214,7 +211,7 @@ def _compile_form(reg: SymbolRegistry, arg: tuple) -> Substitution:
 
 def diagonal(r: ConfTensor) -> dict[tuple, MPoly]:
     """A'_{ql}(d1) = A_{ql}(d1, -d1) per entry key of the r-matrix r:
-    all that the reduced bracket and the invariance check read.  An
+    all that the bracket and the invariance check read.  An
     entry free of d2 (a lift's) is its own diagonal, the same object."""
     if r.arity != 2:
         raise ValueError("an r-matrix is an arity-2 tensor")
@@ -224,10 +221,9 @@ def diagonal(r: ConfTensor) -> dict[tuple, MPoly]:
     return {key: at_diagonal(poly) for key, poly in r.entries.items()}
 
 
-def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
-                  reduced: bool = False) -> ConfTensor:
-    """The double bracket of the r-matrix r with itself, in d1, d2, d3;
-    with `reduced`, its class modulo the total derivation, in d2, d3.
+def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None) -> ConfTensor:
+    """The double bracket of the r-matrix r with itself, as its class
+    modulo the total derivation, in d2 and d3, read off diagonal(r).
 
     Contraction first (see the module docstring): one polynomial product
     per (entry, key of its contracted table), not per pair of entries.
@@ -235,21 +231,16 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
     or a final product that feeds no wanted triple is skipped, and so is
     every substituted form that only such keys would read.
     """
-    if r.arity != 2:
-        raise ValueError("the double bracket is defined on arity-2 tensors")
+    entries = diagonal(r)
     alg = r.alg
     reg = alg.reg
-    if reduced:
-        maps = [_form_map(alg, arg) for arg in _BRACKET_FORMS]
-    else:
-        maps = alg.memo("ccybe_bracket.maps", partial(_bracket_maps, reg))
+    maps = [_form_map(alg, arg) for arg in _BRACKET_FORMS]
     wanted = None if tuples is None else frozenset(tuple(tup) for tup in tuples)
-    plan = alg.memo(("ccybe_bracket.plan", reduced, wanted),
-                    partial(_ContractionPlan, reg, alg.basis_names, reduced, wanted))
-    entries = diagonal(r) if reduced else r.entries
+    plan = alg.memo(("ccybe_bracket.plan", wanted),
+                    partial(_ContractionPlan, reg, alg.basis_names, wanted))
     rows = [(poly, plan.rows(alg, key)) for key, poly in entries.items()]
     # tables[i][table key]: the terms of contracted table i at that key.
-    # The feeds read maps 2 and up and the reads maps 0 and 1, so each
+    # The feeds read maps 2 and 3 and the reads maps 0 and 1, so each
     # form is substituted in one place, once, and only when it is read.
     tables = [{} for _ in range(plan.tables)]
     for poly, (feeds, _) in rows:
@@ -281,31 +272,20 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None, *,
     return ConfTensor(alg, 3, {tup: _finished(reg, terms) for tup, terms in out.items() if terms})
 
 
-def _bracket_maps(reg: SymbolRegistry) -> list:
-    """The full double bracket's coefficient substitutions: A at
-    (-d2, d2) and (d1, d2+d3), B at (d1+d2, d3), (-d3, d3) and (d2, -d2).
-    In the class d1 reads -(d2 + d3), so d1 + d2 reads -d3 and B's first
-    two maps are one; each of the four reads its entry at (u, -u), so it
-    substitutes u = -d2, -(d2+d3), -d3 resp. d2 for d1 in the diagonal:
-    the maps of _BRACKET_FORMS (see _form_map)."""
-    s1, s2 = reg.sym("d1"), reg.sym("d2")
-    d1, d2, d3 = reg.var(s1), reg.var(s2), reg.var("d3")
-    pairs = [(-d2, d2), (d1, d2 + d3), (d1 + d2, d3), (-d3, d3), (d2, -d2)]
-    return [Substitution(reg, {s1: u, s2: v}) for u, v in pairs]
-
-
 class _ContractionPlan:
-    """ccybe_bracket's contraction over one algebra, for one `reduced`
-    and one set of wanted triples (None for all), kept in the algebra's
-    memo and filled entry key by entry key on first use.
+    """ccybe_bracket's contraction over one algebra, for one set of
+    wanted triples (None for all), kept in the algebra's memo and
+    filled entry key by entry key on first use.
 
     rows(alg, (q, l)) is the pair (feeds, reads) of that entry key.
     feeds lists, per map, the rows (table, table key, factor): the
     entry's B form under that map times the factor, the term list of
-    the signed inserted bracket, adds to that key of that table.  Of
-    the `tables` = 2n tables (n basis elements), table i < n is slot 1's
-    table of left index names[i], keyed (k, l'), and table n + i is the
-    slot-2/3 table of right index names[i], keyed (k, l') resp. (q', k).
+    the signed inserted bracket, adds to that key of that table; slots
+    1 and 2 read B at (-d3, d3), map 2, and slot 3 at (d2, -d2), map 3.
+    Of the `tables` = 2n tables (n basis elements), table i < n is slot
+    1's table of left index names[i], keyed (k, l'), and table n + i is
+    the slot-2/3 table of right index names[i], keyed (k, l') resp.
+    (q', k).
     reads lists (map, table, lands): the entry's A form under that map
     multiplies each coefficient of the table, slot 1's of q or slot
     2/3's of l, and lands sends a table key to the output triple the
@@ -319,20 +299,16 @@ class _ContractionPlan:
     algebra (see conformal.ConfAlgebra.memo): rows() is given it.
     """
 
-    __slots__ = ("tables", "_index", "_brackets", "_reduced", "_read", "_lands",
-                 "_inserted", "_rows")
+    __slots__ = ("tables", "_index", "_brackets", "_read", "_lands", "_inserted", "_rows")
 
-    def __init__(self, reg: SymbolRegistry, names: Sequence[str], reduced: bool,
+    def __init__(self, reg: SymbolRegistry, names: Sequence[str],
                  wanted: Optional[frozenset]):
         self.tables = 2 * len(names)
         self._index = {p: i for i, p in enumerate(names)}
-        # the inserted brackets' (d, lam): (d1, d2), (d2, d3), (d3, d2);
-        # slot 1's reads d1 as -(d2 + d3) in the class
-        d1, d2, d3 = (reg.var(s) for s in ("d1", "d2", "d3"))
-        if reduced:
-            d1 = -(d2 + d3)
-        self._brackets = ((d1, d2), (d2, d3), (d3, d2))
-        self._reduced = reduced
+        # the inserted brackets' (d, lam): (d1, d2), (d2, d3), (d3, d2),
+        # with slot 1's d1 read as -(d2 + d3)
+        d2, d3 = reg.var("d2"), reg.var("d3")
+        self._brackets = ((-(d2 + d3), d2), (d2, d3), (d3, d2))
         # The table keys a wanted triple (a, b, c) reads, per slot: slot
         # 1's (a, c) and slot 2's (b, c), as {c: the k of (k, c)}, and
         # slot 3's (b, c), as {b: the k of (b, k)}.  Slot 1's tables land
@@ -367,10 +343,7 @@ class _ContractionPlan:
                  if k in ks2] if ks2 else []
         rows3 = [(i, (q, k), f) for i, k, f in self._inserted_by(alg, 2, l)
                  if k in ks3] if ks3 else []
-        # B's maps: slots 1 and 2 share map 2 in the class
-        groups = ((2, rows1 + rows2), (3, rows3)) if self._reduced \
-            else ((2, rows1), (3, rows2), (4, rows3))
-        feeds = [(j, rows) for j, rows in groups if rows]
+        feeds = [(j, rows) for j, rows in ((2, rows1 + rows2), (3, rows3)) if rows]
         lands1, lands23 = self._lands
         reads = ((0, self._index[q], lands1.get(l)),
                  (1, self.tables // 2 + self._index[l], lands23.get(q)))
@@ -395,9 +368,9 @@ class _ContractionPlan:
 
 
 def is_strict_solution(r: ConfTensor) -> tuple[bool, ConfTensor]:
-    """The double bracket modulo the total derivation; True iff it
+    """The class of the double bracket (ccybe_bracket); True iff it
     vanishes identically."""
-    residue = ccybe_bracket(r, reduced=True)
+    residue = ccybe_bracket(r)
     return residue.is_zero(), residue
 
 
@@ -417,9 +390,10 @@ def generator_actions(t: ConfTensor) -> dict[str, ConfTensor]:
 
 
 def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
-    """The generator actions on the double bracket, or on its class
-    modulo the total derivation (the same actions), at
-    mu = -(d1 + d2 + d3); True iff all vanish.
+    """The generator actions on the class of the double bracket
+    (ccybe_bracket) at mu = -(d1 + d2 + d3), which are those on the full
+    bracket, since each slot shift sends d1 + d2 + d3 to 0; True iff
+    all vanish.
 
     Checking generators suffices: an element g(D)a contributes the
     overall factor g(-mu) = g(d1 + d2 + d3), which scales the generator
@@ -430,7 +404,7 @@ def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
 
 
 def is_weak_solution(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
-    return weak_verdict(ccybe_bracket(r, reduced=True))
+    return weak_verdict(ccybe_bracket(r))
 
 
 def is_invariant(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
@@ -697,14 +671,14 @@ def generic_profile(reg: SymbolRegistry, degree: int = 4) -> DiagProfile:
 
 
 def derive_projection(triple: Sequence[str], r: ConfTensor) -> MPoly:
-    """Raw projection of the reduced double bracket of the generic lift `r`.
+    """Raw projection of the double bracket's class for the generic lift `r`.
 
     Only the triple's own coefficient of the bracket is built, in d2 and
     d3.  Matches the catalog entry for the triple up to the entry's
     recorded integer scale.
     """
     triple = tuple(triple)
-    return project(ccybe_bracket(r, [triple], reduced=True), triple)
+    return project(ccybe_bracket(r, [triple]), triple)
 
 
 def derive_weak_projection(generator: str, triple: Sequence[str], r: ConfTensor) -> MPoly:
@@ -723,7 +697,7 @@ def derive_weak_projection(generator: str, triple: Sequence[str], r: ConfTensor)
     feeds = [triple[:i] + (b,) + triple[i + 1:]
              for i in range(3) for b in alg.basis_names
              if triple[i] in alg.basis_bracket(generator, b, d, lam)]
-    bracket = ccybe_bracket(r, feeds, reduced=True)
+    bracket = ccybe_bracket(r, feeds)
     acted = act_on_tensor([generator], bracket, -bracket.total())[0]
     return project(acted, triple)
 
@@ -740,7 +714,7 @@ def catalog_diffs(degree: int = 3, names: Optional[Sequence[str]] = None) -> dic
     the maps d1 -> form that the bracket has compiled.
 
     At degree 7 this proves the catalog at every degree.  The lift reads
-    A'(d1), and the reduced bracket's four maps send d1 to -d2,
+    A'(d1), and the bracket's four maps send d1 to -d2,
     -(d2+d3), -d3 and d2; a generator action's slot shifts at
     -(d1+d2+d3) add d1+d3, d1, -(d1+d3) and d1+d2.  These are the 8
     forms the catalog uses, so each difference is a sum of

@@ -78,7 +78,7 @@ def random_poly(reg, rng, names, max_degree=4, max_terms=5):
             e = rng.randint(0, budget)
             budget -= e
             if e:
-                term = term * reg.var(name, e)
+                term = term * reg.var(name) ** e
         p = p + term
     return p
 
@@ -89,7 +89,7 @@ def map_coeffs(t: ConfTensor, fn) -> ConfTensor:
 
 
 # Tensor arithmetic and slot permutations.  The engine adds no tensors
-# and permutes no slots: the reduced double bracket and the invariance
+# and permutes no slots: the double bracket's class and the invariance
 # check read each entry's diagonal (ybe.diagonal) instead.  Scale a
 # tensor with map_coeffs.
 
@@ -229,7 +229,7 @@ def random_univariate(reg, rng, name, max_degree=3, lo=-3, hi=3):
     for k in range(max_degree + 1):
         c = rng.randint(lo, hi)
         if c:
-            p = p + reg.var(name, k) * c if k else p + reg.const(c)
+            p = p + reg.var(name) ** k * c if k else p + reg.const(c)
     return p
 
 
@@ -299,7 +299,8 @@ def random_invertible(rng, size=2):
 
 # Pairwise double bracket: for every pair of entries, the product of
 # their substituted coefficients times each signed inserted bracket (the
-# loop the engine's contraction-first ccybe_bracket replaced).  The
+# loop the engine's contraction-first ccybe_bracket replaced; the
+# engine builds only the class modulo the total derivation).  The
 # inserted brackets are written out here: the structure constants of a
 # current algebra, d + 2 lam for Virasoro.
 
@@ -367,7 +368,7 @@ def act_then_eliminate(elem, t):
 
 # Reduction modulo the total derivation after the fact: d1 := -(d2 + ...
 # + dN) on every coefficient.  The engine builds the double bracket in
-# the quotient directly (ccybe_bracket with `reduced`).
+# the quotient directly (ccybe_bracket builds only the class).
 
 
 def _eliminate_d1(t: ConfTensor) -> dict:
@@ -472,7 +473,7 @@ def brute_force_verdicts(max_degree, coeff_grid, constants_grid):
             profile = DiagProfile(reg, {pair: reg.univariate(x, row)
                                         for pair, row in rows.items()})
             r = lift_profile(profile, alg)
-            bracket = ccybe_bracket(r, reduced=True)
+            bracket = ccybe_bracket(r)
             entries = {"".join(pair): poly.to_string() for pair, poly in profile.entries.items()}
             out.append((json.dumps(entries, sort_keys=True), is_invariant(r)[0],
                         weak_verdict(bracket)[0], bracket.is_zero(), _skew_profile(profile)))
@@ -876,15 +877,13 @@ def permutation_symmetry_check(p: DiagProfile) -> bool:
     negated by odd ones; this is what makes the ten catalog projections
     exhaust all twenty-seven.  Profiles violating invariance report False.
     """
-    r = lift_profile(p)
-    bracket = ccybe_bracket(r)
-    reduced = reduce_mod_total(bracket)
+    reduced = ccybe_bracket(lift_profile(p))
     perms = (
         ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
         ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
     )
     for perm, sign in perms:
-        moved = reduce_mod_total(permute_slots(bracket, perm))
+        moved = reduce_mod_total(permute_slots(reduced, perm))
         if moved != map_coeffs(reduced, lambda p: p * sign):
             return False
     return True

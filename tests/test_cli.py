@@ -267,45 +267,28 @@ def test_verify_vir_weak_residue(tmp_path, capsys):
 # expand ---------------------------------------------------------------------------
 
 
-def test_expand(tmp_path, capsys):
-    path = write_rmat(tmp_path, "ef.json", {
-        "algebra": "cur_sl2",
-        "entries": [{"left": "e", "right": "f", "coeff": "1"}]})
-    assert cli.main(["expand", path]) == 0
-    out = capsys.readouterr().out
-    assert "unreduced" in out and "reduced" in out
-    assert "(e, h, f)" in out
-
-
 EXPAND_CASES = {
     "cur_sl2": ({"algebra": "cur_sl2", "entries": [
         {"left": "e", "right": "f", "coeff": "d1"},
         {"left": "h", "right": "h", "coeff": "1"}]},
-        "double bracket (unreduced):\n"
-        "  (e, f, h): 2*d1 + 2*d2\n"
-        "  (e, h, f): d1*d3 + 4*d1 + 2*d2\n"
-        "  (h, e, f): -2*d2 - 2*d3\n"
         "reduced modulo the total derivation:\n"
         "  (e, f, h): -2*d3\n"
         "  (e, h, f): -d2*d3 - d3^2 - 2*d2 - 4*d3\n"
         "  (h, e, f): -2*d2 - 2*d3\n"),
     "vir": ({"algebra": "vir", "entries": [
         {"left": "v", "right": "v", "coeff": "d1 - d2"}]},
-        "double bracket (unreduced):\n"
-        "  (v, v, v): -2*d1^2*d2 - 10*d1*d2^2 + 2*d1*d2*d3 + 4*d1*d3^2"
-        " + 8*d2^2*d3 - 4*d2*d3^2 - 4*d3^3\n"
         "reduced modulo the total derivation:\n"
         "  (v, v, v): 8*d2^3 + 12*d2^2*d3 - 12*d2*d3^2 - 8*d3^3\n"),
-    "zero": (E_X_E,
-             "double bracket (unreduced):\n  0\n"
-             "reduced modulo the total derivation:\n  0\n"),
+    "e_x_f": ({"algebra": "cur_sl2", "entries": [{"left": "e", "right": "f", "coeff": "1"}]},
+              "reduced modulo the total derivation:\n  (e, h, f): -1\n"),
+    "zero": (E_X_E, "reduced modulo the total derivation:\n  0\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXPAND_CASES))
 def test_expand_output(tmp_path, capsys, case):
-    # the whole stdout, pinned: both tensors, their order, and "0" for an
-    # empty one
+    # the whole stdout, pinned: the class, its triples in order, and
+    # "0" for an empty one
     data, expected = EXPAND_CASES[case]
     assert cli.main(["expand", write_rmat(tmp_path, "r.json", data)]) == 0
     assert capsys.readouterr().out == expected

@@ -333,7 +333,7 @@ def tensors2(draw):
         for _t in range(draw(st.integers(1, 3))):
             c = draw(st.integers(-4, 4))
             e1, e2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-            poly = poly + reg.var("d1", e1) * reg.var("d2", e2) * c
+            poly = poly + reg.var("d1") ** e1 * reg.var("d2") ** e2 * c
         entries[tup] = entries.get(tup, reg.zero()) + poly
     return ConfTensor(alg, 2, entries)
 

@@ -93,7 +93,7 @@ def test_subst_zero(reg):
 
 def test_parse_basic(reg):
     p = reg.parse("3/2*d1^2 - d2")
-    assert p == reg.var("d1", 2) * Fraction(3, 2) - reg.var("d2")
+    assert p == reg.var("d1") ** 2 * Fraction(3, 2) - reg.var("d2")
 
 
 def test_parse_parenthesized_power(reg):
@@ -202,7 +202,7 @@ def test_packed_products_high_symbol_ids(reg):
         assert prod.degree() == max((sum(e) for e in want if want[e]), default=-1)
         s = reg.sym(high[1])
         assert prod.subst_many({s: q}) == termwise_subst(prod, {s: q})
-    top = reg.var(names[-1], EXPONENT_LIMIT - 1)
+    top = reg.var(names[-1]) ** (EXPONENT_LIMIT - 1)
     assert (top * reg.var("d")).to_string() == f"d*{names[-1]}^{EXPONENT_LIMIT - 1}"
 
 
@@ -247,15 +247,15 @@ def test_compiled_substitution_errors(reg):
     # failed application leaves the map usable
     x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
     square = Substitution(reg, {reg.sym("x"): x * x})
-    assert square(reg.var("x", 2 ** 14 - 1)) == reg.var("x", 2 ** 15 - 2)
+    assert square(reg.var("x") ** (2 ** 14 - 1)) == reg.var("x") ** (2 ** 15 - 2)
     with pytest.raises(ExponentOverflow, match="x"):
-        square(reg.var("x", 2 ** 14))
+        square(reg.var("x") ** (2 ** 14))
     with pytest.raises(ExponentOverflow, match="x"):
-        square(reg.var("x", 2 ** 14 - 1) * y + reg.var("x", 2 ** 14))
+        square(reg.var("x") ** (2 ** 14 - 1) * y + reg.var("x") ** (2 ** 14))
     assert square(x + y) == x * x + y
     merge = Substitution(reg, {reg.sym("x"): z, reg.sym("y"): z})
     with pytest.raises(ExponentOverflow, match="z"):
-        merge(reg.var("x", 20000) * reg.var("y", 20000))
+        merge(reg.var("x") ** 20000 * reg.var("y") ** 20000)
     assert merge(x * y) == z * z
     other = SymbolRegistry()
     with pytest.raises(RegistryMismatch):
@@ -324,12 +324,12 @@ def test_substitution_lone_power_logarithmic(reg, products, target, n):
         # the binomial theorem: (x^2 + y)^n = sum_k C(n, k) x^(2k) y^(n-k)
         acc = {}
         for k in range(n + 1):
-            _mac(acc, _term_list(reg.var("x", 2 * k) * reg.var("y", n - k)),
+            _mac(acc, _term_list(reg.var("x") ** (2 * k) * reg.var("y") ** (n - k)),
                  _term_list(math.comb(n, k)))
         want = _finished(reg, acc)
     del products[:]
     sub = Substitution(reg, mapping)
-    assert sub(reg.var("x", n)) == want
+    assert sub(reg.var("x") ** n) == want
     assert len(products) <= 2 * n.bit_length()
     assert len(sub._powers[x.index]) <= n.bit_length() + 1
 
@@ -341,12 +341,12 @@ def test_substitution_power_refused_before_expanding(reg, products):
     x, y = reg.var("x"), reg.var("y")
     target = x * x * y * -2
     sub = Substitution(reg, {reg.sym("x"): target})
-    assert sub(reg.var("x", 3)) == target * target * target
+    assert sub(reg.var("x") ** 3) == target * target * target
     del products[:]
     with pytest.raises(ExponentOverflow, match="16384"):
-        sub(reg.var("x", EXPONENT_LIMIT // 2))
+        sub(reg.var("x") ** (EXPONENT_LIMIT // 2))
     assert products == []
-    assert sub(reg.var("x", 4)) == target * target * target * target
+    assert sub(reg.var("x") ** 4) == target * target * target * target
 
 
 @pytest.mark.parametrize("mapping", [
@@ -383,8 +383,8 @@ def test_one_term_power_refused_before_any_product(reg, products):
     # product or key sum, and the message is the power's; so is an image
     # sum that reaches the guard bit, with the guard's message
     square = Substitution(reg, {reg.sym("x"): reg.parse("y^2")})
-    merge = Substitution(reg, {reg.sym("x"): reg.var("z", 20000),
-                               reg.sym("y"): reg.var("z", 20000)})
+    merge = Substitution(reg, {reg.sym("x"): reg.var("z") ** 20000,
+                               reg.sym("y"): reg.var("z") ** 20000})
     high, xy = reg.parse("x^20000 + x"), reg.parse("x*y")
     del products[:]
     with pytest.raises(ExponentOverflow, match="power 20000 takes an exponent 2 to 40000"):
@@ -399,7 +399,7 @@ def test_one_term_images_checked_after_each_key_sum(reg, products):
     # two images that meet in one field are checked before a third key
     # is added: z^40000 has its guard bit set, and adding z^30000 to it
     # would carry into the next field and leave no guard bit to find
-    z20, z30 = reg.var("z", 20000), reg.var("z", 30000)
+    z20, z30 = reg.var("z") ** 20000, reg.var("z") ** 30000
     two = Substitution(reg, {reg.sym("x"): z20, reg.sym("y"): z20})
     three = Substitution(reg, {reg.sym(n): z30 for n in ("x", "y", "w")})
     # a zero image has no key to overflow, as a product with zero has none
@@ -420,7 +420,7 @@ def test_one_term_power_takes_no_product(reg, products):
     base = reg.parse("-3/2*d1^2*x")
     del products[:]
     assert base ** 9 == MPoly(reg, {(0, 0, 0, 18, 0, 0, 9): Fraction(-3, 2) ** 9})
-    assert reg.parse("d1^9") == reg.var("d1", 9)
+    assert reg.parse("d1^9") == reg.var("d1") ** 9
     assert reg.const(-2) ** 5 == -32
     assert products == []
     with pytest.raises(ExponentOverflow, match="power 16384 takes an exponent 2 to 32768"):
@@ -430,15 +430,15 @@ def test_one_term_power_takes_no_product(reg, products):
 def test_exponent_overflow_guard(reg):
     x, y = reg.var("x"), reg.var("y")
     with pytest.raises(ExponentOverflow):
-        reg.var("x", 2 ** 15)
+        reg.var("x") ** (2 ** 15)
     with pytest.raises(ExponentOverflow):
         MPoly(reg, {(2 ** 15,): 1})
-    big = reg.var("x", 2 ** 14)
-    assert (reg.var("x", 2 ** 14 - 1) * big).degree_in(reg.sym("x")) == 2 ** 15 - 1
+    big = reg.var("x") ** (2 ** 14)
+    assert (reg.var("x") ** (2 ** 14 - 1) * big).degree_in(reg.sym("x")) == 2 ** 15 - 1
     with pytest.raises(ExponentOverflow, match="x"):
         big * big
     with pytest.raises(ExponentOverflow):
-        (x + y) * big * reg.var("x", 2 ** 14 - 1) * x
+        (x + y) * big * reg.var("x") ** (2 ** 14 - 1) * x
     with pytest.raises(ExponentOverflow):
         (x + 1) ** (2 ** 15)
     with pytest.raises(ExponentOverflow):
@@ -446,7 +446,7 @@ def test_exponent_overflow_guard(reg):
     with pytest.raises(ExponentOverflow):
         big.subst_many({reg.sym("x"): x * x})
     z = reg.var("z")
-    both = reg.var("x", 20000) * reg.var("y", 20000)
+    both = reg.var("x") ** 20000 * reg.var("y") ** 20000
     with pytest.raises(ExponentOverflow, match="z"):
         both.subst_many({reg.sym("x"): z, reg.sym("y"): z})
     assert reg.const(2) ** (2 ** 15) == 2 ** (2 ** 15)
@@ -455,7 +455,7 @@ def test_exponent_overflow_guard(reg):
         for k in (0, 1):
             assert reg.const(c) ** (2 ** 1100 + k) == c ** (2 ** 1100 + k)
     # A full field never spills into its neighbour.
-    edge = reg.var("x", 2 ** 15 - 1) * reg.var("y", 2 ** 15 - 1)
+    edge = reg.var("x") ** (2 ** 15 - 1) * reg.var("y") ** (2 ** 15 - 1)
     assert edge.degree_in(reg.sym("x")) == edge.degree_in(reg.sym("y")) == 2 ** 15 - 1
 
 
@@ -474,7 +474,7 @@ def test_parse_nesting_limit(reg):
 
 
 def test_parse_exponent_limit(reg):
-    assert reg.parse(f"x^{2 ** 15 - 1}") == reg.var("x", 2 ** 15 - 1)
+    assert reg.parse(f"x^{2 ** 15 - 1}") == reg.var("x") ** (2 ** 15 - 1)
     with pytest.raises(ParseError, match="below 32768"):
         reg.parse("(x + 1)^70000")
     with pytest.raises(ParseError):
@@ -499,7 +499,7 @@ def polys(draw):
             e = draw(st.integers(0, budget))
             budget -= e
             if e:
-                term = term * reg.var(name, e)
+                term = term * reg.var(name) ** e
         p = p + term
     return p
 
@@ -633,7 +633,7 @@ def test_mac_table_examples(reg):
     assert got == x * x and got.to_string() == "x^2"
     got = _finished(reg, _sum_of_products([(x * Fraction(1, 3), 3)]))
     assert got._terms == {reg.var("x")._terms.popitem()[0]: 1}
-    top = reg.var("x", EXPONENT_LIMIT - 1)
+    top = reg.var("x") ** (EXPONENT_LIMIT - 1)
     # an overflowing monomial that cancels is no overflow
     assert _finished(reg, _sum_of_products([(top, x), (top, -x), (top, 1)])) == top
     with pytest.raises(ExponentOverflow, match="of x reaches"):
@@ -673,11 +673,11 @@ def test_registry_core_table(reg):
         assert reg.sym(name) == reg.get(name) == Sym(name, idx)
         assert name in reg and reg.name_of(idx) == name
         with pytest.raises(ExponentOverflow, match=f"of {name} reaches"):
-            reg.var(name, EXPONENT_LIMIT - 1) * reg.var(name)
+            reg.var(name) ** (EXPONENT_LIMIT - 1) * reg.var(name)
     fresh = reg.sym("fresh")
     assert fresh == Sym("fresh", len(CORE_SYMBOLS)) and reg.sym("fresh") is fresh
     with pytest.raises(ExponentOverflow, match="of fresh reaches"):
-        reg.var("fresh", EXPONENT_LIMIT - 1) * reg.var("fresh")
+        reg.var("fresh") ** (EXPONENT_LIMIT - 1) * reg.var("fresh")
     other = SymbolRegistry()
     assert "fresh" not in other and other.get("fresh") is None
     assert len(other) == len(CORE_SYMBOLS)

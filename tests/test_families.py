@@ -241,7 +241,7 @@ def test_characterize_axf_roundtrip(reg):
             assert rep.shared_f is None
             continue
         f = rep.shared_f
-        assert reg.var("x") * f.subst_many({t: reg.var("x", 2)}) * rep.matrix[0][0] == centered
+        assert reg.var("x") * f.subst_many({t: reg.var("x") ** 2}) * rep.matrix[0][0] == centered
         # monic in t
         assert f.as_univariate_in(t)[f.degree_in(t)] == 1
 
@@ -261,7 +261,7 @@ def test_characterize_parity_reading(reg):
         assert rep.shared_f_ok is (centered.subst_many(minus_x) == -centered)
         assert at_zero == rep.constants[3]
         if rep.shared_f is not None:
-            f_of_x2 = rep.shared_f.subst_many({reg.sym("t"): reg.var("x", 2)})
+            f_of_x2 = rep.shared_f.subst_many({reg.sym("t"): reg.var("x") ** 2})
             assert f_of_x2.subst_many(minus_x) == f_of_x2
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ccybe import conformal, search, ybe
+from ccybe.conformal import ConfAlgebra
 from ccybe.search import (
     MAX_CONSISTENT,
     MAX_DEGREE,
@@ -21,6 +22,7 @@ from ccybe.search import (
 )
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.families import SL2_CASES, FamilySpec, build_profile, name_case
+from ccybe.liealg import sl2
 from ccybe.ybe import (
     CATALOG,
     CONSTANT_NAMES,
@@ -262,6 +264,31 @@ def test_named_survivors_round_trip(mode):
             == record["constants"]
         named += 1
     assert named == {"weak": 102, "strict": 10}[mode]
+
+
+def test_weak_survivor_brackets_are_minus_kappa_epsilon():
+    # the weak bracket is one number: the class of a weak survivor's
+    # double bracket is -kappa * epsilon, with epsilon = sum over the
+    # permutations s of sgn(s) s(e x f x h), sl2's invariant alternating
+    # 3-tensor, and kappa = shift_constant of its constants
+    cfg = SearchConfig(max_degree=1, coeff_grid=(-1, 0, 1), constants_grid=(-1, 0, 1),
+                       mode="weak", raw=True)
+    report = run_search(cfg)
+    assert len(report.survivors) == 171 and not report.characterization_failures
+    reg = SymbolRegistry()
+    alg = ConfAlgebra.cur(sl2(), reg)
+    epsilon = {perm: (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+               for perm in itertools.permutations("efh")}
+    vanishing = 0
+    for record in report.survivors:
+        profile = DiagProfile(reg, {(key[0], key[1]): reg.parse(text)
+                                    for key, text in record["entries"].items()})
+        kappa = shift_constant([F(record["constants"][n]) for n in CONSTANT_NAMES])
+        bracket = ybe.ccybe_bracket(lift_profile(profile, alg))
+        assert bracket.entries == {perm: reg.const(-kappa * sign)
+                                   for perm, sign in epsilon.items() if kappa}, record
+        vanishing += not kappa
+    assert vanishing == 69
 
 
 def test_golden_report():
@@ -553,12 +580,9 @@ def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
     # built once per process, on the process's algebra
     calls = {"ccybe_bracket": 0, "generator_actions": 0, "reduce_mod_total": 0,
              "act_on_tensor": 0}
-    unreduced = []
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(ybe, name, reduce_mod_total), **kwargs):
             calls[_name] += 1
-            if _name == "ccybe_bracket" and not kwargs.get("reduced"):
-                unreduced.append(args)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(ybe, name, counted, raising=False)
     builds = []
@@ -577,5 +601,4 @@ def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
         assert len(report.survivors) == 39 and not report.characterization_failures
         assert calls == {"ccybe_bracket": 39 * runs, "generator_actions": 39 * runs,
                          "reduce_mod_total": 0, "act_on_tensor": 39 * runs}
-        assert not unreduced
         assert builds == [3]

@@ -222,6 +222,86 @@ def test_public_defs_read_outside_tests():
     assert {name for _path, _line, name in unread} == PLANNED_PUBLIC
 
 
+# Defaulted parameters that no call outside the tests sets today:
+# ROADMAP item 3's PR B plans the strict search's call of name_case
+# with its own cases.
+PLANNED_PARAMETERS = {("name_case", "cases")}
+
+
+def _defaulted(tree) -> list:
+    """(line, callee name, parameter, position) of each defaulted
+    parameter of each function or method in `tree`; the callee of an
+    __init__ is its class, and a position counts the arguments a call
+    passes, so a method's self and a classmethod's cls take none (the
+    package has no static methods).  A keyword-only parameter has
+    position None."""
+    found = []
+    for node in tree.body:
+        items = [(node, None)]
+        if isinstance(node, ast.ClassDef):
+            items = [(item, node.name) for item in node.body]
+        for item, owner in items:
+            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = owner if item.name == "__init__" else item.name
+            params = item.args.args
+            skip = 1 if owner else 0
+            first = len(params) - len(item.args.defaults)
+            found += [(item.lineno, name, p.arg, i - skip)
+                      for i, p in enumerate(params) if i >= first]
+            found += [(item.lineno, name, p.arg, None)
+                      for p, d in zip(item.args.kwonlyargs, item.args.kw_defaults)
+                      if d is not None]
+    return found
+
+
+def _calls(tree):
+    """(callee name, positional count or None if a *args may pass any,
+    keyword names or None if a **kwargs may pass any) of each call in
+    `tree`; partial(f, ...) counts as a call of f, and cls(...) in a
+    class as a call of that class."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "partial" and args:
+                func, args = args[0], args[1:]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "cls" and owner:
+                name = owner
+            positional = None if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            keywords = {k.arg for k in node.keywords}
+            yield name, positional, None if None in keywords else keywords
+
+
+def test_optional_parameters_set_outside_tests():
+    # a default that every call outside the tests keeps is an option no
+    # user sets: each defaulted parameter of a function or method in
+    # src/ccybe is passed, by keyword or by position, at some call of
+    # that name in src/, scripts/ or perfbench/
+    trees = _trees("src", "scripts", "perfbench")
+    calls = [call for tree in trees.values() for call in _calls(tree)]
+    defaulted = [(path, line, name, param, pos) for path, tree in trees.items()
+                 if path.startswith(os.path.join("src", "ccybe"))
+                 for line, name, param, pos in _defaulted(tree)]
+    assert len(defaulted) > 10
+
+    def passed(name, param, pos):
+        return any(callee == name and (
+            keywords is None or param in keywords
+            or (pos is not None and (positional is None or positional > pos)))
+            for callee, positional, keywords in calls)
+
+    unset = [(path, line, name, param) for path, line, name, param, pos in defaulted
+             if not passed(name, param, pos)]
+    assert [f"{path}:{line}: {name}({param})" for path, line, name, param in unset
+            if (name, param) not in PLANNED_PARAMETERS] == []
+    # a planned parameter that gains a caller leaves the list
+    assert {(name, param) for _path, _line, name, param in unset} == PLANNED_PARAMETERS
+
+
 def test_support_helpers_read():
     # a helper in tests/support.py whose last reader is gone is dead
     # code: each public def or class there is read by some test module,

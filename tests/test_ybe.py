@@ -112,25 +112,29 @@ def test_bracket_single_hh(cur, reg):
 
 
 def test_bracket_unreduced_single_entry(cur, reg):
-    # r = A(d1, d2) e x f: the only surviving contraction is the middle
-    # one, with coefficient -A(d1, d2 + d3) A(-d3, d3) at e x h x f.
+    # r = A(d1, d2) e x f: the only surviving contraction of the full
+    # bracket (the pairwise oracle's) is the middle one, with
+    # coefficient -A(d1, d2 + d3) A(-d3, d3) at e x h x f; the bracket's
+    # class reads it at d1 = -(d2 + d3)
     A = reg.parse("d1^2 + 3*d2 - 1")
     r = ConfTensor(cur, 2, {("e", "f"): A})
     s1, s2 = reg.sym("d1"), reg.sym("d2")
-    d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
+    d2, d3 = reg.var("d2"), reg.var("d3")
     want = -(A.subst_many({s2: d2 + d3})
              * A.subst_many({s1: -d3, s2: d3}))
-    bracket = ccybe_bracket(r)
-    assert bracket.entries == {("e", "h", "f"): want}
+    assert pairwise_bracket(r).entries == {("e", "h", "f"): want}
+    assert ccybe_bracket(r).entries == {("e", "h", "f"): want.subst_many({s1: -(d2 + d3)})}
 
 
 def test_bracket_unreduced_vir(reg):
-    # r = v x v with coefficient 1: the three contractions give
-    # (d1 + 2 d2) - (d2 + 2 d3) - (d3 + 2 d2) = d1 - d2 - 3 d3.
+    # r = v x v with coefficient 1: the three contractions of the full
+    # bracket give (d1 + 2 d2) - (d2 + 2 d3) - (d3 + 2 d2) = d1 - d2 - 3 d3,
+    # and the bracket's class is its reduction
     vir = ConfAlgebra.vir(reg)
     r = ConfTensor(vir, 2, {("v", "v"): reg.const(1)})
-    bracket = ccybe_bracket(r)
-    assert bracket.entries == {("v", "v", "v"): reg.parse("d1 - d2 - 3*d3")}
+    full = pairwise_bracket(r)
+    assert full.entries == {("v", "v", "v"): reg.parse("d1 - d2 - 3*d3")}
+    assert ccybe_bracket(r) == reduce_mod_total(full)
 
 
 def _random_scalar(reg, rng, kind):
@@ -150,7 +154,7 @@ def _random_coeff(reg, rng, kind, degree):
     for _ in range(rng.randint(1, 4)):
         e1 = rng.randint(0, degree)
         e2 = rng.randint(0, degree - e1)
-        p = p + _random_scalar(reg, rng, kind) * reg.var("d1", e1) * reg.var("d2", e2)
+        p = p + _random_scalar(reg, rng, kind) * reg.var("d1") ** e1 * reg.var("d2") ** e2
     return p
 
 
@@ -160,13 +164,13 @@ def _dense_coeff(reg, rng, kind, degree):
     p = reg.zero()
     for e1 in range(degree + 1):
         for e2 in range(degree + 1 - e1):
-            p = p + _random_scalar(reg, rng, kind) * reg.var("d1", e1) * reg.var("d2", e2)
+            p = p + _random_scalar(reg, rng, kind) * reg.var("d1") ** e1 * reg.var("d2") ** e2
     return p
 
 
 def _check_restricted(r, oracle, rng):
     # the bracket restricted to a random set S of triples is the
-    # oracle's bracket restricted to S, with no other keys
+    # oracle's class restricted to S, with no other keys
     triples = list(itertools.product(r.alg.basis_names, repeat=3))
     for size in (1, rng.randint(0, len(triples))):
         wanted = rng.sample(triples, size)
@@ -178,8 +182,9 @@ def _check_restricted(r, oracle, rng):
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
 def test_bracket_matches_pairwise_oracle(kind, dense):
     # contracting the structure constants with the B forms first gives
-    # the bracket that the pairwise loop over all entry pairs gives, and
-    # so does the bracket restricted to a random subset of triples
+    # the class of the bracket that the pairwise loop over all entry
+    # pairs gives, and so does the bracket restricted to a random subset
+    # of triples
     rng = random.Random(10 * len(kind) + dense)
     subsets = random.Random(20 * len(kind) + dense)
     pairs = [(q, l) for q in "efh" for l in "efh"]
@@ -192,7 +197,7 @@ def test_bracket_matches_pairwise_oracle(kind, dense):
             r = ConfTensor(cur, 2, {pair: _random_coeff(reg, rng, kind, degree)
                                     for pair in support})
             bracket = ccybe_bracket(r)
-            oracle = pairwise_bracket(r)
+            oracle = reduce_mod_total(pairwise_bracket(r))
             assert bracket == oracle
             _check_restricted(r, oracle, subsets)
             nonzero += not bracket.is_zero()
@@ -209,7 +214,7 @@ def test_bracket_matches_pairwise_oracle_vir(kind):
                        {("v", "v"): _random_coeff(reg, rng, kind, degree)})
         bracket = ccybe_bracket(r)
         assert not bracket.is_zero()
-        oracle = pairwise_bracket(r)
+        oracle = reduce_mod_total(pairwise_bracket(r))
         assert bracket == oracle
         _check_restricted(r, oracle, subsets)
         assert ccybe_bracket(r, []).is_zero()
@@ -245,16 +250,13 @@ def _member(case, formal):
 
 
 def _check_reduced(r, tuples=None):
-    # the bracket built modulo the total derivation is the reduction of
-    # the full bracket, and no coefficient of it reads d1; the full one
-    # is built second on the same algebra, whose memo holds the maps of
-    # both variants, and must still match the pairwise oracle
-    reduced = ccybe_bracket(r, tuples, reduced=True)
-    full = ccybe_bracket(r, tuples)
-    oracle = pairwise_bracket(r).entries
+    # the bracket, built modulo the total derivation, is the reduction
+    # of the pairwise oracle's full bracket, restricted to the wanted
+    # triples, and no coefficient of it reads d1
+    reduced = ccybe_bracket(r, tuples)
+    oracle = reduce_mod_total(pairwise_bracket(r)).entries
     wanted = oracle.keys() if tuples is None else set(tuples)
-    assert full.entries == {t: p for t, p in oracle.items() if t in wanted}
-    assert reduced == reduce_mod_total(full)
+    assert reduced.entries == {t: p for t, p in oracle.items() if t in wanted}
     d1 = r.alg.reg.sym("d1")
     assert all(d1 not in p.symbols() for p in reduced.entries.values())
     return reduced
@@ -295,18 +297,19 @@ def test_reduced_bracket_random_and_restricted(kind):
 
 
 def test_reduced_bracket_zero_and_vir(cur, reg):
-    assert ccybe_bracket(ConfTensor(cur, 2, {}), reduced=True).is_zero()
+    assert ccybe_bracket(ConfTensor(cur, 2, {})).is_zero()
     # v x v with coefficient 1: d1 - d2 - 3 d3 at d1 = -(d2 + d3); slot
     # 1's inserted bracket d + 2 lam is read at d = -(d2 + d3) too
     vir = ConfAlgebra.vir(reg)
     r = ConfTensor(vir, 2, {("v", "v"): reg.const(1)})
-    assert ccybe_bracket(r, reduced=True).entries == {("v", "v", "v"): reg.parse("-2*d2 - 4*d3")}
+    assert ccybe_bracket(r).entries == {("v", "v", "v"): reg.parse("-2*d2 - 4*d3")}
 
 
 def test_generator_actions_read_only_the_class(cur, reg):
     # acting at -(d1 + d2 + d3) sends the total derivation to zero, so
-    # the generator actions on the reduced bracket are those on the full
-    # one: the weak verdict may read the class alone
+    # the generator actions on the bracket's class are those on the full
+    # bracket, the pairwise oracle's: the weak verdict may read the class
+    # alone
     vir = ConfAlgebra.vir(reg)
     cases = [  # (r, whether its weak defect is nonzero)
         (ConfTensor(cur, 2, {("e", "f"): reg.const(1)}), True),
@@ -317,8 +320,8 @@ def test_generator_actions_read_only_the_class(cur, reg):
         (_member("thm5_ii", False), False),
     ]
     for r, defective in cases:
-        full = generator_actions(ccybe_bracket(r))
-        assert generator_actions(ccybe_bracket(r, reduced=True)) == full
+        full = generator_actions(pairwise_bracket(r))
+        assert generator_actions(ccybe_bracket(r)) == full
         assert any(not t.is_zero() for t in full.values()) == defective
 
 
@@ -395,7 +398,7 @@ def test_weak_defect_alternate_path(case):
         base = add_tensors(r, tau(r))
     else:
         direct = is_weak_solution(r)[1]
-        base = ccybe_bracket(r)
+        base = pairwise_bracket(r)
     assert any(not t.is_zero() for t in direct.values())
     for t in (base, reduce_mod_total(base)):
         for name in alg.basis_names:
@@ -637,9 +640,8 @@ _MEMO_CHECKS = {
         r.alg.basis_names, u, r.alg.reg.var("mu"))))) for u in (r, t)],
     "lift": lambda r, t, elem: r.alg.kind == "cur" and _printed(lift_profile(
         DiagProfile(r.alg.reg, {("e", "f"): r.alg.reg.parse("x^3 + 2*x")}), r.alg)),
-    "reduced": lambda r, t, elem: _printed(ccybe_bracket(r, reduced=True)),
     # each subset of triples has its own contraction plan
-    "restricted": lambda r, t, elem: [_printed(ccybe_bracket(r, tuples, reduced=True))
+    "restricted": lambda r, t, elem: [_printed(ccybe_bracket(r, tuples))
                                       for tuples in _RESTRICTED[r.alg.kind]],
 }
 _RESTRICTED = {
@@ -729,7 +731,7 @@ def test_fresh_algebra_leaves_no_reference_cycles():
         is_invariant(r)
         is_weak_solution(r)
         is_strict_solution(r)
-        ccybe_bracket(r, [("e", "f", "h")], reduced=True)
+        ccybe_bracket(r, [("e", "f", "h")])
         ybe.catalog_diffs(degree=2)
         del reg, alg, d1, d2, r
         assert gc.collect() == 0
@@ -782,18 +784,20 @@ def test_restricted_bracket_substitutes_only_forms_it_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["cur", "vir"])
-@pytest.mark.parametrize("reduced", [False, True])
-def test_bracket_refuses_exponent_overflow(kind, reduced):
+@pytest.mark.parametrize("restricted", [False, True])
+def test_bracket_refuses_exponent_overflow(kind, restricted):
     # A * B reaches the guard bit of alpha; the finished output
-    # coefficient refuses it
+    # coefficient refuses it, in the whole bracket and in the bracket
+    # restricted to the one triple the product lands on
     reg = SymbolRegistry()
     alg = ConfAlgebra.cur(sl2(), reg) if kind == "cur" else ConfAlgebra.vir(reg)
     key = ("e", "f") if kind == "cur" else ("v", "v")
-    r = ConfTensor(alg, 2, {key: reg.var("alpha", EXPONENT_LIMIT // 2)})
+    tuples = [("e", "h", "f") if kind == "cur" else ("v", "v", "v")] if restricted else None
+    r = ConfTensor(alg, 2, {key: reg.var("alpha") ** (EXPONENT_LIMIT // 2)})
     with pytest.raises(ExponentOverflow):
-        ccybe_bracket(r, reduced=reduced)
-    half = ConfTensor(alg, 2, {key: reg.var("alpha", EXPONENT_LIMIT // 2 - 1)})
-    assert not ccybe_bracket(half, reduced=reduced).is_zero()
+        ccybe_bracket(r, tuples)
+    half = ConfTensor(alg, 2, {key: reg.var("alpha") ** (EXPONENT_LIMIT // 2 - 1)})
+    assert not ccybe_bracket(half, tuples).is_zero()
 
 
 # Catalog ---------------------------------------------------------------------------
@@ -813,12 +817,12 @@ def test_catalog_rederivation_degree_7():
 
 def test_catalog_forms_are_the_bracket_and_action_forms(reg):
     # the argument forms the catalog uses are the images of the lift's
-    # d1 under the reduced bracket's maps, and under a generator
+    # d1 under the bracket's maps, and under a generator
     # action's slot shifts at -(d1+d2+d3); a new form would raise the
     # degree that catalog_diffs needs to prove the catalog
     r = lift_profile(generic_profile(reg, 1))
     alg = r.alg
-    bracket = ccybe_bracket(r, reduced=True)
+    bracket = ccybe_bracket(r)
     lifted_x = alg.memo("lift_profile.at_d1", None)(reg.var("x"))
     maps = [alg.memo(("catalog_form", arg), None) for arg in ybe._BRACKET_FORMS]
     images = {m(lifted_x) for m in maps}
@@ -906,11 +910,12 @@ def test_weak_projection_is_shifted_triple_projection(reg):
 
 def test_derived_projections_match_full_bracket(reg):
     # each derived projection, built from the bracket restricted to the
-    # coefficients it reads, equals the projection of the full bracket
-    # (and, for the weak one, of a generator action on all of it)
+    # coefficients it reads, equals the projection of the pairwise
+    # oracle's full bracket, reduced (and, for the weak one, of a
+    # generator action on all of it)
     prof = generic_profile(reg, 2)
     r = lift_profile(prof)
-    full = ccybe_bracket(r)
+    full = pairwise_bracket(r)
     triples = list(itertools.product("efh", repeat=3))
     for triple in triples:
         assert derive_projection(triple, r) == project_reduced(full, triple)
@@ -955,7 +960,7 @@ def test_permutation_symmetry(reg):
 def test_permutation_symmetry_violated(reg):
     prof = constrained_generic_profile(reg, degree=2)
     broken = dict(prof.entries)
-    broken[("e", "e")] = broken.get(("e", "e"), reg.zero()) + reg.var("x", 2)
+    broken[("e", "e")] = broken.get(("e", "e"), reg.zero()) + reg.var("x") ** 2
     assert not permutation_symmetry_check(DiagProfile(reg, broken))
 
 
@@ -988,8 +993,8 @@ def test_bracket_covariance(cur, reg):
     rng = random.Random(7)
     aut = ad(random_invertible(rng))
     r = ConfTensor(cur, 2, {("e", "f"): reg.parse("d1 + 1"), ("h", "h"): reg.parse("d2")})
-    lhs = reduce_mod_total(ccybe_bracket(transform_conf_tensor(aut, r)))
-    rhs = transform_conf_tensor(aut, reduce_mod_total(ccybe_bracket(r)))
+    lhs = ccybe_bracket(transform_conf_tensor(aut, r))
+    rhs = transform_conf_tensor(aut, ccybe_bracket(r))
     assert lhs == rhs
 
 
