@@ -3,11 +3,14 @@
 A polynomial is a mapping from packed monomials to nonzero coefficients.
 A coefficient is a plain int when its denominator is 1 and a Fraction
 otherwise, so integer work never pays for Fraction arithmetic.  Values
-are made int-first where they enter (constants, variables, the
-constructor and scalar multiples) and in finished term tables; a sum or
+are made int-first where they enter (constants, variables, univariate
+polynomials and scalar multiples) and in finished term tables; a sum or
 product of two MPolys is stored as it comes, since an integral Fraction
 compares, hashes and prints exactly like the int.  All arithmetic is
-exact; there is no floating-point mode anywhere.
+exact; there is no floating-point mode anywhere.  MPoly(reg, terms) is
+the one constructor: it takes canonical packed terms as they are, which
+the registry's constructors and the arithmetic build.
+constant_value() returns a Fraction.
 
 A monomial is packed into one Python int with a 16-bit field per symbol:
 field i (bits 16*i to 16*i + 15) holds the exponent of symbol id i, so a
@@ -17,18 +20,19 @@ in Maple 14", 2009).  The top bit of every field is a guard bit: an
 exponent must stay below 2**15, products and substitutions check their
 result against the registry's guard mask, and a field that reaches the
 guard bit raises ExponentOverflow instead of wrapping into its
-neighbour.  The public API speaks tuples: terms() yields exponent tuples
-indexed by symbol id with trailing zeros stripped, and terms() and
-constant_value() return Fractions.
+neighbour.
 
 Substitution is the one substitution path: a map {symbol: polynomial}
 is compiled once and applied to any number of polynomials; MPoly.subst_many
-compiles a map for a single use.  The cost model: a power of a one-term
+compiles a map for a single use.  The cost model: one loop over the
+terms, in which each term's monomial in the substituted symbols looks
+up its image, built once per map and kept, and the image's terms are
+added, shifted and scaled, into one table.  A power of a one-term
 polynomial c * m is the one term c ** n * m ** n, one key product and
 one scalar power, with no polynomial product; so when every target of a
-map is one term (a rename, a sign flip, a constant), each term maps to
-one term by key arithmetic alone.  Any other target keeps the powers it
-has built, and a missing power n is built from them: as power(m) *
+map is one term (a rename, a sign flip, a constant), every image is one
+term built by key arithmetic alone.  Any other target keeps the powers
+it has built, and a missing power n is built from them: as power(m) *
 power(n - m) from the highest power m held below n when 2m >= n, else
 by squaring, so no power is expanded from scratch and a lone high power
 costs O(log n) products; MPoly.__pow__ builds a power the same way,
@@ -40,7 +44,7 @@ it once; a map that depends only on an algebra is kept by that algebra
 
 _mac is the one product loop: it adds the product of two term lists
 into a table of terms, and a product of two polynomials and a
-substitution go through it.  A filled table becomes a polynomial
+substitution's images go through it.  A filled table becomes a polynomial
 through one helper, _finished: one guard check, integral Fractions made
 ints, no copy.  So a sum of products is one table that _mac fills, with
 no polynomial built per product, and _term_list gives a polynomial's
@@ -80,7 +84,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -147,13 +151,6 @@ def _ints_first(terms: dict) -> dict:
     return terms
 
 
-def _pack(exps: tuple) -> int:
-    key = 0
-    for i, e in enumerate(exps):
-        key |= e << (_FIELD * i)
-    return key
-
-
 def _unpack(key: int) -> tuple:
     """Exponent tuple of a packed monomial, trailing zeros stripped."""
     n = (key.bit_length() + _FIELD - 1) // _FIELD
@@ -199,7 +196,7 @@ def _finished(reg: "SymbolRegistry", terms: dict) -> "MPoly":
     the sum as well.
     """
     reg._check_guard(terms)
-    return MPoly._raw(reg, _ints_first(terms))
+    return MPoly(reg, _ints_first(terms))
 
 
 class SymbolRegistry:
@@ -234,14 +231,8 @@ class SymbolRegistry:
                 found = self._syms[name] = Sym(name, idx)
         return found
 
-    def get(self, name: str) -> Optional[Sym]:
-        return self._syms.get(name)
-
     def name_of(self, index: int) -> str:
         return self._names[index]
-
-    def __len__(self) -> int:
-        return len(self._names)
 
     def __contains__(self, name: str) -> bool:
         return name in self._syms
@@ -257,15 +248,15 @@ class SymbolRegistry:
     # Polynomial constructors -------------------------------------------------
 
     def zero(self) -> "MPoly":
-        return MPoly._raw(self, {})
+        return MPoly(self, {})
 
     def const(self, value: Scalar) -> "MPoly":
         c = _scalar(value)
-        return MPoly._raw(self, {0: c} if c else {})
+        return MPoly(self, {0: c} if c else {})
 
     def var(self, name_or_sym: Union[str, Sym]) -> "MPoly":
         sym = name_or_sym if isinstance(name_or_sym, Sym) else self.sym(name_or_sym)
-        return MPoly._raw(self, {1 << (_FIELD * sym.index): 1})
+        return MPoly(self, {1 << (_FIELD * sym.index): 1})
 
     def univariate(self, name_or_sym: Union[str, Sym],
                    coeffs: Mapping[int, Scalar]) -> "MPoly":
@@ -281,7 +272,7 @@ class SymbolRegistry:
             c = _scalar(coeff)
             if c:
                 terms[j << shift] = c
-        return MPoly._raw(self, terms)
+        return MPoly(self, terms)
 
     def parse(self, text: str, max_degree: Optional[int] = None) -> "MPoly":
         return parse_poly(text, self, max_degree=max_degree)
@@ -299,35 +290,14 @@ class MPoly:
 
     __slots__ = ("reg", "_terms", "_hash")
 
-    def __init__(self, reg: SymbolRegistry, terms: Mapping[tuple, Scalar]):
-        norm: dict[int, Scalar] = {}
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponents are not supported")
-            if any(e >= EXPONENT_LIMIT for e in exps):
-                raise ExponentOverflow(f"exponent in {exps} is not below {EXPONENT_LIMIT}")
-            c = _scalar(coeff)
-            if c:
-                norm[_pack(exps)] = c
-        self.reg = reg
-        self._terms = norm
-        self._hash: Optional[int] = None
-
-    @classmethod
-    def _raw(cls, reg: SymbolRegistry, terms: dict) -> "MPoly":
-        # Internal: terms must already be canonical (guard-clean packed
-        # keys, nonzero int-or-Fraction values).
-        self = object.__new__(cls)
+    def __init__(self, reg: SymbolRegistry, terms: dict):
+        # terms must be canonical: guard-clean packed keys, nonzero
+        # int-or-Fraction values; the dict becomes the polynomial's own
         self.reg = reg
         self._terms = terms
-        self._hash = None
-        return self
+        self._hash: Optional[int] = None
 
     # Introspection ----------------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[tuple, Fraction]]:
-        return ((_unpack(key), Fraction(c)) for key, c in self._terms.items())
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -345,12 +315,6 @@ class MPoly:
         if self.is_constant():
             return Fraction(self._terms[0])
         raise ValueError(f"not a constant polynomial: {self}")
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(_unpack(key)) for key in self._terms)
 
     def degree_in(self, sym: Sym) -> int:
         if not self._terms:
@@ -381,12 +345,12 @@ class MPoly:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return MPoly._raw(self.reg, out)
+        return MPoly(self.reg, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._raw(self.reg, {e: -c for e, c in self._terms.items()})
+        return MPoly(self.reg, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -403,7 +367,7 @@ class MPoly:
             c = _scalar(other)
             if not c:
                 return self.reg.zero()
-            return MPoly._raw(self.reg, _ints_first(
+            return MPoly(self.reg, _ints_first(
                 {e: k * c for e, k in self._terms.items()}))
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -411,7 +375,7 @@ class MPoly:
         out: dict[int, Scalar] = {}
         _mac(out, self._terms.items(), other._terms.items())
         self.reg._check_guard(out)
-        return MPoly._raw(self.reg, out)
+        return MPoly(self.reg, out)
 
     __rmul__ = __mul__
 
@@ -420,19 +384,14 @@ class MPoly:
             raise ValueError("negative exponents are not supported")
         if n == 0:
             return self.reg.const(1)
-        if not self._terms:
-            return self
-        return _power_from({1: self}, n)
+        return _power_from({1: self}, n, self._top())
 
-    def _refuse_power(self, n: int) -> None:
-        """Raise ExponentOverflow if self ** n would reach EXPONENT_LIMIT
-        in some symbol: over Q, deg_s(p**n) = n * deg_s(p), so this is
-        known before anything is expanded."""
-        top = max((max(_unpack(key), default=0) for key in self._terms), default=0)
-        if n * top >= EXPONENT_LIMIT:
-            raise ExponentOverflow(
-                f"power {n} takes an exponent {top} to {n * top}, "
-                f"not below {EXPONENT_LIMIT}")
+    def _top(self) -> int:
+        """The highest exponent of any symbol in any term, 0 for a
+        constant: over Q, deg_s(p**n) = n * deg_s(p), so n * top decides
+        whether p ** n reaches EXPONENT_LIMIT before anything is
+        expanded."""
+        return max((max(_unpack(key), default=0) for key in self._terms), default=0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -465,7 +424,7 @@ class MPoly:
         for key, coeff in self._terms.items():
             e = (key >> shift) & _FIELD_MASK
             buckets.setdefault(e, {})[key & keep] = coeff
-        return {deg: MPoly._raw(self.reg, terms) for deg, terms in buckets.items()}
+        return {deg: MPoly(self.reg, terms) for deg, terms in buckets.items()}
 
     # Printing ----------------------------------------------------------------
 
@@ -505,44 +464,41 @@ class Substitution:
     """A simultaneous substitution, compiled once and applied to many
     polynomials of one registry: `Substitution(reg, {sym: expr})(p)`.
 
-    When every target is one term c * m (a rename, a sign flip, a
-    monomial, a constant, or zero), every term of a polynomial maps to
-    one term, and the map costs key arithmetic only: a term
-    a * m_t * q, with m_t = prod s_i ** e_i its part in the substituted
-    symbols, goes to a * prod c_i ** e_i * prod m_i ** e_i * q, whose key
-    is the key of q plus sum e_i * key(m_i).  No power is built and no
-    polynomial product is taken.  Each e_i * key(m_i) has every field
-    below EXPONENT_LIMIT (else the power is refused, as below), but two
-    images can meet in one field, so the guard mask is checked after
-    each addition to the image key, before a third could carry; adding
-    the key of q then cannot carry, and the result's guard bits are
-    checked once, as for any sum of two clean keys.
+    One loop maps every term.  A term a * m_t * q, with m_t its part in
+    the substituted symbols and q free of them, goes to a * image(m_t) *
+    q: the image's term list, with each key shifted by the key of q and
+    each coefficient times a, is added into one output table.  The image
+    of each monomial m_t = prod s_i ** e_i is built once, on its first
+    use, and kept in the object (`_images`): the product of the powers
+    target_i ** e_i, taken in a _mac table and guard-checked after each
+    factor, so that no factor's key sum can carry into a neighbouring
+    field.  A one-term target c * m (a rename, a sign flip, a monomial,
+    a constant) has the one-term power c ** e * m ** e, and a zero
+    target the power zero (see _power_from), so an image of such
+    targets is one term, or none, built by key arithmetic with no
+    polynomial product.
 
-    Otherwise a polynomial is written as the sum over t of m_t * q_t,
-    with q_t free of the substituted symbols, and each q_t is multiplied
-    by the image of m_t once.  That image is a product of powers of the
-    targets.  Each power of a target of two or more terms is kept for
-    the lifetime of the object, and a missing power n is built from the
-    highest power m < n of that target already held: as
-    power(m) * power(n - m) when 2m >= n, else as power(n // 2) squared
-    (times the target for odd n), each factor found or built the same
-    way.  So rising exponents, odd-only or gapped ones (x * f(x^2))
-    included, cost about one product per new power, a lone power n
-    costs O(log n) products and keeps O(log n) powers, and no power is
-    expanded from scratch.  A power of a one-term target in such a map
-    is that one term, built with no product (see _power_from).  The
-    cache belongs to the object, and its powers are bounded by the
-    degrees it has seen: a map may live as long as the algebra that
+    Each power of a target of two or more terms is kept for the lifetime
+    of the object, and a missing power n is built from the highest power
+    m < n of that target already held: as power(m) * power(n - m) when
+    2m >= n, else as power(n // 2) squared (times the target for odd
+    n), each factor found or built the same way.  So rising exponents,
+    odd-only or gapped ones (x * f(x^2)) included, cost about one
+    product per new power, a lone power n costs O(log n) products and
+    keeps O(log n) powers, and no power is expanded from scratch.  The
+    powers and images belong to the object and are bounded by the
+    monomials it has seen: a map may live as long as the algebra that
     holds it (see conformal.ConfAlgebra.memo), or be built for one
     tensor and dropped.
 
-    On both paths a power whose exponent would reach EXPONENT_LIMIT is
-    refused before any product or key sum takes it, and a polynomial in
+    A power whose exponent would reach EXPONENT_LIMIT is refused before
+    any product or key sum takes it, against the top exponent of its
+    target, found once when the map is compiled, and a polynomial in
     which no term has a substituted symbol (one OR over its keys tells)
     is returned as it is: the same object, with no copy.
     """
 
-    __slots__ = ("reg", "_shifts", "_cleared", "_powers", "_monomials")
+    __slots__ = ("reg", "_shifts", "_cleared", "_powers", "_images")
 
     def __init__(self, reg: SymbolRegistry, mapping: Mapping[Sym, Union[MPoly, Scalar]]):
         self.reg = reg
@@ -554,26 +510,10 @@ class Substitution:
                 raise RegistryMismatch("operands use different symbol registries")
             powers[sym.index] = {1: expr}
         self._powers = powers
-        self._shifts = [(idx, _FIELD * idx) for idx in sorted(powers)]
-        self._cleared = reduce(or_, (_FIELD_MASK << shift for _, shift in self._shifts), 0)
-        # (shift, key, coefficient, top exponent, target) per one-term
-        # target, zero as (0, 0); None unless every target is one term
-        monomials = []
-        for idx, shift in self._shifts:
-            target = powers[idx][1]
-            if len(target._terms) > 1:
-                monomials = None
-                break
-            ((k, c),) = target._terms.items() or ((0, 0),)
-            monomials.append((shift, k, c, max(_unpack(k), default=0), target))
-        self._monomials = monomials
-
-    def _power(self, idx: int, n: int) -> MPoly:
-        held = self._powers[idx]
-        pw = held.get(n)
-        if pw is None:
-            pw = _power_from(held, n)
-        return pw
+        # (symbol id, field shift, top exponent of the target) per symbol
+        self._shifts = [(idx, _FIELD * idx, powers[idx][1]._top()) for idx in sorted(powers)]
+        self._cleared = reduce(or_, (_FIELD_MASK << shift for _, shift, _ in self._shifts), 0)
+        self._images: dict[int, tuple] = {}  # monomial m_t: the terms of its image
 
     def __call__(self, p: MPoly) -> MPoly:
         if p.reg is not self.reg:
@@ -581,71 +521,65 @@ class Substitution:
         cleared = self._cleared
         if not reduce(or_, p._terms, 0) & cleared:
             return p  # no term has a substituted symbol
-        if self._monomials is not None:
-            return self._map_terms(p)
-        groups: dict[int, dict[int, Scalar]] = {}
-        for key, coeff in p._terms.items():
-            t = key & cleared
-            groups.setdefault(t, {})[key ^ t] = coeff
-        out = groups.pop(0, {})
-        for t, rest in groups.items():
-            image = None
-            for idx, shift in self._shifts:
-                e = (t >> shift) & _FIELD_MASK
-                if e:
-                    pw = self._power(idx, e)
-                    image = pw if image is None else image * pw
-            _mac(out, image._terms.items(), rest.items())
-        self.reg._check_guard(out)
-        return MPoly._raw(self.reg, out)
-
-    def _map_terms(self, p: MPoly) -> MPoly:
-        """The image of p when every target is one term: term to term."""
-        reg = self.reg
-        guard = reg._guard
-        cleared = self._cleared
-        monomials = self._monomials
+        images = self._images
         out: dict[int, Scalar] = {}
         get = out.get
         for key, coeff in p._terms.items():
             t = key & cleared
-            if t:
-                image = 0
-                for shift, k, c, top, target in monomials:
-                    e = (t >> shift) & _FIELD_MASK
-                    if e:
-                        if e * top >= EXPONENT_LIMIT:
-                            target._refuse_power(e)
-                        if c != 1:
-                            coeff = coeff * c ** e
-                        image += e * k
-                        # a zero image has no key to overflow
-                        if image & guard and coeff:
-                            reg._check_guard((image,))
-                if not coeff:
-                    continue
-                key = (key ^ t) + image
-            s = get(key, 0) + coeff
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        reg._check_guard(out)
-        return MPoly._raw(reg, out)
+            image = images.get(t)
+            if image is None:
+                image = images[t] = self._image(t)
+            key ^= t
+            for k, c in image:
+                k += key
+                s = get(k, 0) + coeff * c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        self.reg._check_guard(out)
+        return MPoly(self.reg, out)
+
+    def _image(self, t: int) -> tuple:
+        """The terms of the image of the monomial t in the substituted
+        symbols: the held power of its first factor as it is, times the
+        power of each further factor through _mac, with a guard check
+        after each product."""
+        image = None
+        for idx, shift, top in self._shifts:
+            e = (t >> shift) & _FIELD_MASK
+            if e:
+                held = self._powers[idx]
+                pw = held.get(e)
+                if pw is None:
+                    pw = _power_from(held, e, top)
+                if image is None:
+                    image = tuple(pw._terms.items())
+                else:
+                    acc: dict[int, Scalar] = {}
+                    _mac(acc, image, pw._terms.items())
+                    self.reg._check_guard(acc)
+                    image = tuple(acc.items())
+        return ((0, 1),) if image is None else image
 
 
-def _power_from(held: dict[int, MPoly], n: int) -> MPoly:
+def _power_from(held: dict[int, MPoly], n: int, top: int) -> MPoly:
     """base ** n for n >= 1, with `held` the powers of base built so far
-    ({k: base ** k}, with base at 1): the one power path of ** and
-    Substitution.  A power that would take an exponent to EXPONENT_LIMIT
-    is refused first.  A one-term base c * m gives the one term
-    c ** n * m ** n, with no product; any other base is built from held
-    by _build_power, which keeps every power it builds there."""
+    ({k: base ** k}, with base at 1) and `top` base's highest exponent
+    (MPoly._top): the one power path of ** and Substitution.  A zero
+    base is its own power.  A power that would take an exponent to
+    EXPONENT_LIMIT is refused first.  A one-term base c * m gives the
+    one term c ** n * m ** n, with no product; any other base is built
+    from held by _build_power, which keeps every power it builds there."""
     base = held[1]
-    base._refuse_power(n)
+    if not base._terms:
+        return base
+    if n * top >= EXPONENT_LIMIT:
+        raise ExponentOverflow(
+            f"power {n} takes an exponent {top} to {n * top}, not below {EXPONENT_LIMIT}")
     if len(base._terms) == 1:
         ((k, c),) = base._terms.items()
-        return MPoly._raw(base.reg, {k * n: c ** n})
+        return MPoly(base.reg, {k * n: c ** n})
     return _build_power(held, n)
 
 

@@ -271,11 +271,10 @@ def count_consistent(cfg: SearchConfig) -> int:
 
 # Checks at points ------------------------------------------------------------------
 #
-# A filter equation is sum c * A_left(arg1) * A_right(arg2), plus the
-# shift constant when shifted, with each argument a linear form in
-# (d2, d3, d1).  At a point it reads one value per (entry, argument value),
-# so its value there is a "check": (shifted, terms), each term
-# (c, slot, slot) into a flat table of entry values.
+# A filter equation is sum c * A_left(arg1) * A_right(arg2), with each
+# argument a linear form in (d2, d3, d1).  At a point it reads one value
+# per (entry, argument value), so its value there is a "check": a tuple
+# of terms (c, slot, slot) into a flat table of entry values.
 
 
 _PRESCREEN_POINTS = ((2, 3, 5), (-3, 5, 2), (5, -2, -7))
@@ -336,9 +335,8 @@ class _Checks:
     `slots` lists the (entry index, argument value) pairs the checks
     read, sorted by the level that fixes the entry, so each level's
     values are one contiguous span (`spans`) and fixing a group is one
-    slice assignment.  `per_equation` holds one (shifted, terms) check
-    per point and equation; the terms reading the same pair of values
-    are merged.
+    slice assignment.  `per_equation` holds one check per point and
+    equation; the terms reading the same pair of values are merged.
     """
 
     def __init__(self, equations: Sequence, points: Sequence, level_of: Sequence[int],
@@ -363,7 +361,7 @@ class _Checks:
                     b = position[_entry(right), _at(arg2, point)]
                     key = (a, b) if a <= b else (b, a)
                     merged[key] = merged.get(key, 0) + c
-                checks.append((eq.shifted, tuple((c, a, b) for (a, b), c in merged.items() if c)))
+                checks.append(tuple((c, a, b) for (a, b), c in merged.items() if c))
             self.per_equation.append(checks)
 
     def level_slots(self, level: int) -> list:
@@ -371,10 +369,10 @@ class _Checks:
         return self.slots[lo:hi]
 
 
-def _vanishes(checks, vals, shift) -> bool:
+def _vanishes(checks, vals) -> bool:
     """Whether every check reads zero on the value table."""
-    for shifted, terms in checks:
-        acc = shift if shifted else 0
+    for terms in checks:
+        acc = 0
         for c, a, b in terms:
             acc += c * vals[a] * vals[b]
         if acc:
@@ -473,7 +471,6 @@ class _Unit:
     def __init__(self, plan: _Plan, constants: tuple):
         self.plan = plan
         self.constants = constants
-        self.shift = shift_constant(constants)
         bnd = boundary_values(constants)
         self.levels = []
         for level, choices in enumerate(plan.levels):
@@ -492,11 +489,10 @@ def _descend(unit: _Unit, depth: int) -> None:
     lo, hi = plan.table.spans[depth]
     checks = plan.checks[depth]
     vals = unit.vals
-    shift = unit.shift
     last = depth + 1 == len(plan.levels)
     for rows, values in unit.levels[depth]:
         vals[lo:hi] = values
-        if _vanishes(checks, vals, shift):
+        if _vanishes(checks, vals):
             unit.picks[depth] = rows
             if last:
                 _leaf(unit)
@@ -508,7 +504,7 @@ def _leaf(unit: _Unit) -> None:
     """Exact filter and post-verification of a prescreen survivor; every
     level has already written its values into the table."""
     plan = unit.plan
-    if not _vanishes(plan.leaf_checks, unit.vals, unit.shift):
+    if not _vanishes(plan.leaf_checks, unit.vals):
         return
     coeffs: list = [()] * len(PAIRS)
     for rows in unit.picks:

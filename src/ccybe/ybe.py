@@ -85,7 +85,7 @@ builds the bracket once.
 
 The tables these checks read belong to the algebra of the r-matrix and
 live as long as it (conformal.ConfAlgebra.memo): one map d1 -> form
-per catalog form (the bracket's four and eval_equation's eight), the
+per catalog form (the bracket's four and eval_equation's nine), the
 contraction plan per set of wanted triples, the diagonal's map
 d2 -> -d1, is_invariant's map d1 -> -d1, the generator actions'
 lam = -(d1 + ... + dN) and action table of each arity, and
@@ -100,14 +100,15 @@ are built once for both.
 
 For the current algebra on sl2 the verdicts only see the diagonal
 restrictions A'_{ql}(x) = A_{ql}(x, -x), which a DiagProfile holds.  A
-profile stores only these nine entries: the boundary constants
-(alpha, beta, gamma, zeta) are the values A'(0) at CONSTANT_PAIRS, where
-the table boundary_values puts them, and eval_equation reads them
-there.  The catalog below stores, over the generic diagonal profile,
-the ten independent projection identities (named by their basis
-triple), the worked f x h x f variant, the two action-variable
-identities that replace the e x f x h projection in the weak case, and
-its shifted variant with the boundary-constant correction.  Each
+profile stores only these nine entries: the boundary constants (alpha,
+beta, gamma, zeta) are the values A'(0) at CONSTANT_PAIRS, where the
+table boundary_values puts them, and efh_shift reads them there, as the
+entries at the zero form.  The catalog below stores, over the generic
+diagonal profile, the ten independent projection identities (named by
+their basis triple), the worked f x h x f variant, the two
+action-variable identities that replace the e x f x h projection in the
+weak case, and its shifted variant with the boundary-constant
+correction kappa, as three products of those constants.  Each
 identity's argument forms are linear in the bracket's own variables d2,
 d3 and (where a generator action brings it back) d1, so eval_equation
 reads an r-matrix's diagonal through the same maps d1 -> form as the
@@ -184,7 +185,8 @@ def transform_conf_tensor(aut: AutMatrix, t: ConfTensor) -> ConfTensor:
 # double bracket's variables d2, d3, and d1, which only the action
 # identities read (a generator action brings it back).  The bracket
 # substitutes the first four (_BRACKET_FORMS) into the diagonal, and
-# the catalog reads all eight.
+# the catalog's identities read all eight; efh_shift also reads the
+# boundary constants, A'(0), at the zero form _ZERO.
 _ND2 = (-1, 0, 0)
 _ND23 = (-1, -1, 0)
 _ND3 = (0, -1, 0)
@@ -193,6 +195,7 @@ _D1 = (0, 0, 1)
 _D13 = (0, 1, 1)
 _D12 = (1, 0, 1)
 _ND13 = (0, -1, -1)
+_ZERO = (0, 0, 0)
 _BRACKET_FORMS = (_ND2, _ND23, _ND3, _D2)
 
 
@@ -472,7 +475,12 @@ def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> ConfTenso
 
 @dataclass(frozen=True)
 class Equation:
-    """A normalized projection identity over the diagonal profile."""
+    """A normalized projection identity over the diagonal profile.
+
+    `shifted` marks the one identity that is not a raw projection
+    (efh_shift, efh plus the boundary correction kappa), which
+    catalog_diffs cannot re-derive.
+    """
 
     name: str
     triple: tuple
@@ -597,7 +605,13 @@ CATALOG: dict[str, Equation] = {
             (-1, "ee", _D1, "ff", _D2),
             (1, "ef", _D1, "fe", _D2),
         ), scale=2, action="e"),
-        Equation("efh_shift", ("e", "f", "h"), _EFH_TERMS, shifted=True),
+        # efh plus kappa = 4 alpha gamma + (4 zeta - beta) beta, with the
+        # constants read as A'(0) at CONSTANT_PAIRS (shift_constant)
+        Equation("efh_shift", ("e", "f", "h"), _EFH_TERMS + (
+            (4, "he", _ZERO, "hf", _ZERO),
+            (4, "hh", _ZERO, "fe", _ZERO),
+            (-1, "fe", _ZERO, "fe", _ZERO),
+        ), shifted=True),
     )
 }
 
@@ -617,11 +631,11 @@ def eval_equation(eq: Equation, r: ConfTensor, raw: Optional[MPoly] = None) -> M
     The entry reads r's diagonal A'(d1) = A(d1, -d1) (a lift is its own
     diagonal) at its argument forms, each through the map d1 -> form
     that the algebra keeps (see _form_map), once per distinct (entry,
-    form); the shifted variant takes the boundary constants (alpha,
-    beta, gamma, zeta) as A'(0) at CONSTANT_PAIRS.  With `raw`, the raw
-    projection of the entry, it returns raw - eq.scale * (the entry),
-    catalog_diffs' difference: the products go, times -scale, into one
-    term table started from raw's terms.
+    form); efh_shift reads the boundary constants A'(0) at the zero
+    form.  With `raw`, the raw projection of the entry, it returns
+    raw - eq.scale * (the entry), catalog_diffs' difference: the
+    products go, times -scale, into one term table started from raw's
+    terms.
     """
     alg = r.alg
     diag = diagonal(r)
@@ -637,13 +651,7 @@ def eval_equation(eq: Equation, r: ConfTensor, raw: Optional[MPoly] = None) -> M
         f = coeff * factor
         a = at[left, arg1]
         _mac(acc, a if f == 1 else [(k, c * f) for k, c in a], at[right, arg2])
-    reg = alg.reg
-    if eq.shifted:
-        d1, zero = reg.sym("d1"), reg.zero()
-        constants = [diag.get(pair, zero).as_univariate_in(d1).get(0, zero)
-                     for pair in CONSTANT_PAIRS]
-        _mac(acc, shift_constant(constants)._terms.items(), _term_list(factor))
-    return _finished(reg, acc)
+    return _finished(alg.reg, acc)
 
 
 # Generic profiles and re-derivation ------------------------------------------------
@@ -664,7 +672,7 @@ def generic_profile(reg: SymbolRegistry, degree: int = 4) -> DiagProfile:
     x_shift = _FIELD * reg.sym("x").index
     entries = {}
     for q, l in PAIRS:
-        entries[q, l] = MPoly._raw(reg, {
+        entries[q, l] = MPoly(reg, {
             (1 << _FIELD * reg.sym(f"c_{q}{l}_{j}").index) + (j << x_shift): 1
             for j in range(degree + 1)})
     return DiagProfile(reg, entries)

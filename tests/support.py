@@ -21,12 +21,13 @@ automorphism, the Lie bracket of two elements and the check that an
 automorphism preserves it, the general invariant constant tensor, the
 classical operator at zero derivations (the double bracket at
 d1 = d2 = d3 = 0, which classical_cybe_oracle checks), whether a
-characterization passes, a map over a tensor's coefficients, and the
-elements of a conformal algebra: the lambda-bracket of two elements,
-the derivation applied to an element (the algebra laws' oracle; the
-engine inserts basis-level brackets only) and an element's action on a
-tensor, the linear extension of the generators' actions (the engine
-acts with generators only).
+characterization passes, a map over a tensor's coefficients, the
+exponent-tuple view of a polynomial's terms and the polynomial of such
+terms, and the elements of a conformal algebra: the lambda-bracket of
+two elements, the derivation applied to an element (the algebra laws'
+oracle; the engine inserts basis-level brackets only) and an element's
+action on a tensor, the linear extension of the generators' actions
+(the engine acts with generators only).
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ from ccybe.conformal import (
     act_on_tensor,
     project,
 )
-from ccybe.exactpoly import MPoly, Substitution, SymbolRegistry, _scalar
+from ccybe.exactpoly import (
+    EXPONENT_LIMIT, MPoly, Substitution, SymbolRegistry, _FIELD, _scalar, _unpack,
+)
 from ccybe.families import FamilySpec, build_profile
 from ccybe.liealg import AutMatrix, LieAlg, Scalar, ad, is_zero_scalar, sl2, tensor_add
 from ccybe.search import candidate_profile
@@ -207,6 +210,26 @@ def lambda_bracket(a: ConfElem, b: ConfElem) -> dict[str, MPoly]:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+def tuple_terms(p: MPoly) -> dict:
+    """p's terms as {exponent tuple: Fraction}, each tuple indexed by
+    symbol id with trailing zeros stripped."""
+    return {_unpack(key): Fraction(c) for key, c in p._terms.items()}
+
+
+def poly_of(reg: SymbolRegistry, terms: Mapping[tuple, Scalar]) -> MPoly:
+    """The polynomial with the terms {exponent tuple: coefficient}, each
+    exponent in [0, EXPONENT_LIMIT), packed here and not by the engine;
+    zero coefficients are dropped."""
+    packed = {}
+    for exps, coeff in terms.items():
+        if not all(0 <= e < EXPONENT_LIMIT for e in exps):
+            raise ValueError(f"exponent in {exps} is not in [0, {EXPONENT_LIMIT})")
+        c = _scalar(coeff)
+        if c:
+            packed[sum(e << (_FIELD * i) for i, e in enumerate(exps))] = c
+    return MPoly(reg, packed)
+
+
 def termwise_subst(p: MPoly, mapping: Mapping) -> MPoly:
     """Simultaneous substitution one term at a time, each power expanded
     by repeated multiplication: an oracle for the compiled
@@ -214,7 +237,7 @@ def termwise_subst(p: MPoly, mapping: Mapping) -> MPoly:
     reg = p.reg
     images = {sym.index: expr for sym, expr in mapping.items()}
     out = reg.zero()
-    for exps, c in p.terms():
+    for exps, c in tuple_terms(p).items():
         term = reg.const(c)
         for i, e in enumerate(exps):
             factor = images.get(i, reg.var(reg.name_of(i)))
@@ -529,7 +552,10 @@ _ARG_INDEX = {arg: n for n, arg in enumerate(_FILTER_ARGS)}
 
 
 def _filter_terms(names):
-    """Catalog terms with entries and argument forms as flat indices."""
+    """Catalog terms with entries and argument forms as flat indices; the
+    shifted identity is read as efh's terms, to which _candidate_dies
+    adds kappa = shift_constant itself, independent of the catalog's
+    kappa terms."""
     out = []
     for name in names:
         eq = CATALOG[name]
@@ -537,7 +563,7 @@ def _filter_terms(names):
             (coeff,
              search._PAIR_INDEX[(left[0], left[1])] * len(_FILTER_ARGS) + _ARG_INDEX[arg1],
              search._PAIR_INDEX[(right[0], right[1])] * len(_FILTER_ARGS) + _ARG_INDEX[arg2])
-            for coeff, left, arg1, right, arg2 in eq.terms
+            for coeff, left, arg1, right, arg2 in (CATALOG["efh"] if eq.shifted else eq).terms
         )
         out.append((name, terms, eq.shifted))
     return out

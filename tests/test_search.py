@@ -270,25 +270,40 @@ def test_weak_survivor_brackets_are_minus_kappa_epsilon():
     # the weak bracket is one number: the class of a weak survivor's
     # double bracket is -kappa * epsilon, with epsilon = sum over the
     # permutations s of sgn(s) s(e x f x h), sl2's invariant alternating
-    # 3-tensor, and kappa = shift_constant of its constants
-    cfg = SearchConfig(max_degree=1, coeff_grid=(-1, 0, 1), constants_grid=(-1, 0, 1),
-                       mode="weak", raw=True)
-    report = run_search(cfg)
-    assert len(report.survivors) == 171 and not report.characterization_failures
+    # 3-tensor, and kappa = shift_constant of its constants; on each run
+    # of scripts/run_classification_search.py, (survivors, kappa = 0)
+    runs = {
+        "weak_raw_deg1": (SearchConfig(max_degree=1, coeff_grid=(-1, 0, 1),
+                                       constants_grid=(-1, 0, 1), mode="weak", raw=True),
+                          171, 69),
+        "strict_raw_deg1": (SearchConfig(max_degree=1, coeff_grid=(-1, 0, 1),
+                                         constants_grid=(-1, 0, 1), mode="strict", raw=True),
+                            39, 39),
+        "weak_odd_deg3": (SearchConfig(max_degree=3, coeff_grid=(0, 1),
+                                       constants_grid=(-1, 0, 1), mode="weak"),
+                          162, 66),
+        "weak_odd_deg5": (SearchConfig(max_degree=5, coeff_grid=(0, 1),
+                                       constants_grid=(-1, 0, 1), mode="weak"),
+                          270, 134),
+    }
     reg = SymbolRegistry()
     alg = ConfAlgebra.cur(sl2(), reg)
     epsilon = {perm: (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
                for perm in itertools.permutations("efh")}
-    vanishing = 0
-    for record in report.survivors:
-        profile = DiagProfile(reg, {(key[0], key[1]): reg.parse(text)
-                                    for key, text in record["entries"].items()})
-        kappa = shift_constant([F(record["constants"][n]) for n in CONSTANT_NAMES])
-        bracket = ybe.ccybe_bracket(lift_profile(profile, alg))
-        assert bracket.entries == {perm: reg.const(-kappa * sign)
-                                   for perm, sign in epsilon.items() if kappa}, record
-        vanishing += not kappa
-    assert vanishing == 69
+    for name, (cfg, survivors, kappa_zero) in runs.items():
+        report = run_search(cfg)
+        assert len(report.survivors) == survivors, name
+        assert not report.characterization_failures, name
+        vanishing = 0
+        for record in report.survivors:
+            profile = DiagProfile(reg, {(key[0], key[1]): reg.parse(text)
+                                        for key, text in record["entries"].items()})
+            kappa = shift_constant([F(record["constants"][n]) for n in CONSTANT_NAMES])
+            bracket = ybe.ccybe_bracket(lift_profile(profile, alg))
+            assert bracket.entries == {perm: reg.const(-kappa * sign)
+                                       for perm, sign in epsilon.items() if kappa}, record
+            vanishing += not kappa
+        assert vanishing == kappa_zero, name
 
 
 def test_golden_report():
@@ -498,8 +513,7 @@ def _exact_agrees(eq, profile, max_degree):
     x = profile.reg.sym("x")
     table = [profile.entry(*PAIRS[i]).subst_many({x: profile.reg.const(s)}).constant_value()
              for i, s in checks.slots]
-    shift = shift_constant([v.constant_value() for v in constant_values(profile)])
-    vanishes = search._vanishes(checks.per_equation[0], table, shift)
+    vanishes = search._vanishes(checks.per_equation[0], table)
     assert vanishes == eval_equation(eq, lift_profile(profile)).is_zero(), (eq.name, max_degree)
     return vanishes
 
