@@ -29,10 +29,10 @@ The algebra owns the tables that depend on it alone: `ConfAlgebra.memo`
 builds a table on first use and keeps it as long as the algebra lives.
 act_on_tensor keeps there, per (arity, lam, generator names), its slot
 shifts with the powers of di + lam they have built and its
-inserted-bracket rows; ybe keeps there one map d1 -> form per catalog
-form (which the double bracket and the catalog's equations share), the
-contraction plans, the diagonal's and the invariance check's maps, the
-generator actions' value of lam per arity, and the lift map.
+inserted-bracket rows; ybe keeps there one map d1 -> form per form
+(which the double bracket, the catalog's equations and the invariance
+check share), the contraction plans, the diagonal's map, the generator
+actions' value of lam per arity, and the lift map.
 A caller that checks many tensors over one algebra (the search) builds
 each table once; one that makes an algebra per check builds them once
 per check.  Nothing is cached at module level.

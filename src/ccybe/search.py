@@ -19,10 +19,15 @@ over all degrees.
 run_search walks these choices depth first: the constants tuple is the
 outer loop (and the unit of work handed to a worker process), then one
 group per level, in a fixed order that completes each filter equation
-as early as possible.  Both modes filter with ybe.WEAK_EQUATIONS; strict
-mode scans only the constants tuples with zeta = 0 and
-kappa = shift_constant(constants) = 0, which is exactly the filter by
-skew-symmetry, the weak equations and efh:
+as early as possible.  Inside a constants tuple one recursive generator,
+_walk, fixes a level's group choice by choice and yields the picks of
+every branch that passes the sample points; _leaf applies the exact
+filter to each and post-verifies the kept ones.
+
+Both modes filter with ybe.WEAK_EQUATIONS; strict mode scans only the
+constants tuples with zeta = 0 and kappa = shift_constant(constants) = 0,
+which is exactly the filter by skew-symmetry, the weak equations and
+efh:
 - A consistent candidate's coefficients are skew (the invariance
   relations make mirror coefficients equal in odd degrees and opposite
   in even ones), and on the boundary values ef + fe = 4 zeta,
@@ -50,9 +55,10 @@ arithmetic, as it fixes a group.  The sample points prune: as soon as
 every entry of an equation is fixed, it is evaluated there, and the
 branch below is cut if any value is nonzero (a polynomial with a
 nonzero value is not zero, so no solution is ever dropped).  The
-lattice is the exact filter: a leaf is kept iff every equation also
-vanishes on its lattice points, read from the same table.  Only a kept
-leaf becomes a profile, which is re-verified with the full tensor
+lattice is the exact filter (_leaf): a leaf is kept iff every equation
+also vanishes on its lattice points, read from the same table, which
+holds the leaf's values when _walk yields it.  Only a kept leaf
+becomes a profile, which is re-verified with the full tensor
 computation and the structural characterization.  The re-verification
 builds the double bracket of the canonical lift once, modulo the total
 derivation, and reads both verdicts from it: weak from the generator
@@ -131,8 +137,8 @@ class SearchConfigError(ValueError):
 @dataclass(frozen=True)
 class SearchConfig:
     max_degree: int = 1
-    coeff_grid: tuple = (Fraction(-1), Fraction(0), Fraction(1))
-    constants_grid: tuple = (Fraction(-1), Fraction(0), Fraction(1))
+    coeff_grid: tuple = (-1, 0, 1)
+    constants_grid: tuple = (-1, 0, 1)
     mode: str = "weak"
     raw: bool = False
     workers: int = 1
@@ -150,7 +156,9 @@ class SearchConfig:
             raise SearchConfigError(f"workers must be between 1 and {MAX_WORKERS}",
                                     "workers")
         for name in ("coeff_grid", "constants_grid"):
-            grid = tuple(Fraction(v) for v in getattr(self, name))
+            # int-first exact values; str() prints an integral Fraction
+            # as an int, so as_dict and the hashes do not see this
+            grid = tuple(_scalar(v) for v in getattr(self, name))
             if not grid:
                 raise SearchConfigError(f"{name} must be nonempty", name)
             if len(set(grid)) != len(grid):
@@ -215,8 +223,10 @@ class SearchReport:
 
 
 def candidate_profile(cfg: SearchConfig, constants: Sequence[Fraction],
-                      coeffs: Sequence[Sequence[Fraction]],
-                      reg: SymbolRegistry) -> DiagProfile:
+                      coeffs: Sequence[Sequence[Fraction]]) -> DiagProfile:
+    """The candidate's profile, on _registry(): it interns only core
+    symbols."""
+    reg = _registry()
     x = reg.sym("x")
     degrees = (0,) + cfg.degrees
     consts = boundary_values(constants)
@@ -237,28 +247,33 @@ def count_candidates(cfg: SearchConfig) -> int:
 # (ef, fe), (eh, he), (fh, hf): equal coefficients when j is odd,
 # opposite when j is even; for the diagonal entries ee, ff, hh: free
 # when j is odd, zero when j is even.  Constant terms always satisfy
-# the relations because they come from the boundary table.
+# the relations because they come from the boundary table.  So the six
+# entry groups below own disjoint sets of free slots (a mirror pair
+# shares its slots), and a consistent candidate is one constants tuple
+# plus one choice per group.
 
-_DIAG = tuple(_PAIR_INDEX[p] for p in ((("e", "e")), ("f", "f"), ("h", "h")))
-_REP_PAIRS = tuple(
-    _PAIR_INDEX[p] for p in ((("e", "f")), ("e", "h"), ("f", "h"))
+_GROUPS = tuple(
+    tuple(_PAIR_INDEX[pair] for pair in group)
+    for group in ((("e", "e"),), (("f", "f"),), (("h", "h"),),
+                  (("e", "f"), ("f", "e")), (("e", "h"), ("h", "e")),
+                  (("f", "h"), ("h", "f")))
 )
 
 
 def _free_slots(cfg: SearchConfig) -> list[tuple]:
-    """(kind, entry index, degree position, value choices) per free slot."""
-    grid = tuple(map(_scalar, cfg.coeff_grid))
+    """(kind, entry index, degree position, value choices) per free slot:
+    per degree, the diagonal entries (the singleton groups, free in odd
+    degrees only), then the first entry of each mirror pair."""
+    grid = cfg.coeff_grid
     neg_ok = tuple(v for v in grid if -v in grid)
     slots = []
     for k, j in enumerate(cfg.degrees):
-        if j % 2:
-            for i in _DIAG:
-                slots.append(("diag", i, k, grid))
-            for i in _REP_PAIRS:
-                slots.append(("pair+", i, k, grid))
-        else:
-            for i in _REP_PAIRS:
-                slots.append(("pair-", i, k, neg_ok))
+        for group in _GROUPS:
+            if len(group) == 2:
+                slots.append(("pair+", group[0], k, grid) if j % 2
+                             else ("pair-", group[0], k, neg_ok))
+            elif j % 2:
+                slots.append(("diag", group[0], k, grid))
     return slots
 
 
@@ -382,20 +397,10 @@ def _vanishes(checks, vals) -> bool:
 
 # Depth-first scan ------------------------------------------------------------------
 #
-# The entry groups below own disjoint sets of free slots (a mirror pair
-# shares its slots), so a consistent candidate is one constants tuple
-# plus one choice per group.  The scan fixes the constants, then one
-# group per level, and evaluates each filter equation at the sample
-# points at the first level where all of its entries are fixed.  A
-# leaf is kept only if every filter equation also vanishes on its
-# lattice points.
-
-_GROUPS = tuple(
-    tuple(_PAIR_INDEX[pair] for pair in group)
-    for group in ((("e", "e"),), (("f", "f"),), (("h", "h"),),
-                  (("e", "f"), ("f", "e")), (("e", "h"), ("h", "e")),
-                  (("f", "h"), ("h", "f")))
-)
+# The scan fixes the constants, then one group per level, and evaluates
+# each filter equation at the sample points at the first level where
+# all of its entries are fixed.  A leaf is kept only if every filter
+# equation also vanishes on its lattice points.
 
 # Level order eh/he, fh/hf, ee, ef/fe, ff, hh, for both modes and every
 # degree: each level fixes the group that completes the most pending
@@ -414,7 +419,6 @@ class _Plan:
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
-        self.const_grid = tuple(map(_scalar, cfg.constants_grid))
         equations = [CATALOG[name] for name in WEAK_EQUATIONS]
         level_of = [0] * len(PAIRS)
         for level, g in enumerate(_LEVEL_ORDER):
@@ -460,58 +464,37 @@ class _Plan:
         return out
 
 
-class _Unit:
-    """One work unit of the scan: the candidates with one constants tuple.
+def _walk(plan: _Plan, levels: list, vals: list, picks: tuple):
+    """Yield the picked coefficient rows of every branch below `picks`
+    whose completed equations vanish at every sample point.
 
-    Holds each level's choices with their entry values (boundary value
-    plus polynomial part) at the level's slots, the value table, and the
-    coefficient rows picked on the current branch.
-    """
-
-    def __init__(self, plan: _Plan, constants: tuple):
-        self.plan = plan
-        self.constants = constants
-        bnd = boundary_values(constants)
-        self.levels = []
-        for level, choices in enumerate(plan.levels):
-            base = [bnd[i] for i, _s in plan.table.level_slots(level)]
-            self.levels.append([(rows, [b + v for b, v in zip(base, parts)])
-                                for rows, parts in choices])
-        self.vals = [0] * len(plan.table.slots)
-        self.picks = [()] * len(plan.levels)
-        self.out = []
-
-
-def _descend(unit: _Unit, depth: int) -> None:
-    """Try every choice of the group at this level; recurse under those
-    whose completed equations vanish at every sample point."""
-    plan = unit.plan
+    Level len(picks) writes each choice's values into its span of the
+    value table `vals`, so at each yield the table holds the leaf's
+    values at every level; `levels` holds, per level, the (coefficient
+    rows, values) choices of one constants tuple."""
+    depth = len(picks)
     lo, hi = plan.table.spans[depth]
     checks = plan.checks[depth]
-    vals = unit.vals
-    last = depth + 1 == len(plan.levels)
-    for rows, values in unit.levels[depth]:
+    last = depth + 1 == len(levels)
+    for rows, values in levels[depth]:
         vals[lo:hi] = values
         if _vanishes(checks, vals):
-            unit.picks[depth] = rows
             if last:
-                _leaf(unit)
+                yield picks + (rows,)
             else:
-                _descend(unit, depth + 1)
+                yield from _walk(plan, levels, vals, picks + (rows,))
 
 
-def _leaf(unit: _Unit) -> None:
-    """Exact filter and post-verification of a prescreen survivor; every
-    level has already written its values into the table."""
-    plan = unit.plan
-    if not _vanishes(plan.leaf_checks, unit.vals):
-        return
+def _leaf(plan: _Plan, constants: tuple, picks: tuple, vals: list):
+    """(record, problems) of a prescreen survivor that passes the exact
+    filter, read from the value table `vals`, else None."""
+    if not _vanishes(plan.leaf_checks, vals):
+        return None
     coeffs: list = [()] * len(PAIRS)
-    for rows in unit.picks:
+    for rows in picks:
         for i, row in rows:
             coeffs[i] = row
-    profile = candidate_profile(plan.cfg, unit.constants, coeffs, _registry())
-    unit.out.append(_post_verify(plan.cfg, profile))
+    return _post_verify(plan.cfg, candidate_profile(plan.cfg, constants, coeffs))
 
 
 @functools.cache
@@ -531,17 +514,24 @@ def _algebra() -> ConfAlgebra:
 
 def _scan_constants(plan: _Plan, constants: tuple) -> list:
     """Pure worker: the (record, problems) pairs of the candidates with
-    this constants tuple, in walk order."""
-    unit = _Unit(plan, constants)
-    _descend(unit, 0)
-    return unit.out
+    this constants tuple, in walk order.  A level's value at a slot is
+    the entry's boundary value plus its polynomial part there."""
+    bnd = boundary_values(constants)
+    levels = []
+    for level, choices in enumerate(plan.levels):
+        base = [bnd[i] for i, _s in plan.table.level_slots(level)]
+        levels.append([(rows, [b + v for b, v in zip(base, parts)])
+                       for rows, parts in choices])
+    vals = [0] * len(plan.table.slots)
+    found = (_leaf(plan, constants, picks, vals) for picks in _walk(plan, levels, vals, ()))
+    return [item for item in found if item is not None]
 
 
 def _scan(cfg: SearchConfig) -> list:
     """Every candidate passing the exact filter, as (record, problems)
     pairs in walk order."""
     plan = _Plan(cfg)
-    units = list(itertools.product(plan.const_grid, repeat=4))
+    units = list(itertools.product(cfg.constants_grid, repeat=4))
     if cfg.mode == "strict":
         # zeta = 0 and kappa = 0: see the module docstring
         units = [c for c in units if not (c[3] or shift_constant(c))]
@@ -580,22 +570,18 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
         problems.append("reverify:weak_defect")
     if cfg.mode == "strict" and not bracket.is_zero():
         problems.append("reverify:strict")
-    record.update(_classify(rep))
+    # a family-spec-like record: families.name_case names the survivor
+    named = name_case(rep.constants, rep.matrix)
+    if named is None:
+        record["case"] = "other"
+    else:
+        case, params = named
+        record["case"] = case
+        record["params"] = {n: str(v) for n, v in params.items()}
+        if rep.shared_f is not None:
+            record["f"] = rep.shared_f.to_string()
     record["matrix"] = [[str(v) for v in row] for row in rep.matrix]
     return record, problems
-
-
-def _classify(report) -> dict:
-    """Family-spec-like record for a survivor in normal form, with
-    `report` its characterization; families.name_case names it."""
-    named = name_case(report.constants, report.matrix)
-    if named is None:
-        return {"case": "other"}
-    case, params = named
-    record = {"case": case, "params": {n: str(v) for n, v in params.items()}}
-    if report.shared_f is not None:
-        record["f"] = report.shared_f.to_string()
-    return record
 
 
 def _json_key(item: dict) -> str:

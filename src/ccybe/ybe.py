@@ -85,9 +85,9 @@ builds the bracket once.
 
 The tables these checks read belong to the algebra of the r-matrix and
 live as long as it (conformal.ConfAlgebra.memo): one map d1 -> form
-per catalog form (the bracket's four and eval_equation's nine), the
-contraction plan per set of wanted triples, the diagonal's map
-d2 -> -d1, is_invariant's map d1 -> -d1, the generator actions'
+per form (the bracket's four, eval_equation's nine and is_invariant's
+d1 -> -d1), the contraction plan per set of wanted triples, the
+diagonal's map d2 -> -d1, the generator actions'
 lam = -(d1 + ... + dN) and action table of each arity, and
 lift_profile's map x -> d1; each map keeps the powers of its targets
 it has built, which the degrees seen so far bound.  So a caller that checks many
@@ -202,7 +202,8 @@ _BRACKET_FORMS = (_ND2, _ND23, _ND3, _D2)
 def _form_map(alg: ConfAlgebra, arg: tuple) -> Substitution:
     """The map d1 -> a*d2 + b*d3 + c*d1, arg = (a, b, c), kept in the
     algebra's memo with the powers of its target it has built: the
-    bracket and eval_equation read the same map of each form."""
+    bracket and eval_equation read the same map of each form, and
+    is_invariant reads d1 -> -d1."""
     reg = alg.reg
     return alg.memo(("catalog_form", arg), partial(_compile_form, reg, arg))
 
@@ -420,9 +421,7 @@ def is_invariant(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
     A'_{ql}(d1) + A'_{lq}(-d1), A' = diagonal(r), which is what acts.
     """
     alg = r.alg
-    reg = alg.reg
-    flip = alg.memo("is_invariant.flip",
-                    lambda: Substitution(reg, {reg.sym("d1"): -reg.var("d1")}))
+    flip = _form_map(alg, (0, 0, -1))
     entries: dict[tuple, MPoly] = {}
     for (q, l), a in diagonal(r).items():
         for key, part in (((q, l), a), ((l, q), flip(a))):

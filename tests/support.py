@@ -427,7 +427,7 @@ def enumerate_candidates(cfg):
 def enumerate_profiles(cfg):
     """Stream every candidate profile, with no filtering."""
     for constants, combo in enumerate_candidates(cfg):
-        yield candidate_profile(cfg, constants, combo, SymbolRegistry())
+        yield candidate_profile(cfg, constants, combo)
 
 
 def _skew_profile(profile: DiagProfile) -> bool:
@@ -505,15 +505,18 @@ def brute_force_verdicts(max_degree, coeff_grid, constants_grid):
 
 # Flat scan of the consistent candidates: number them in a mixed radix,
 # decode every index, test skew-symmetry in strict mode, prescreen each
-# candidate anew at the sample points, then filter exactly by symbolic
-# evaluation (eval_equation) and post-verify as the engine's depth-first
+# candidate anew at the sample points, then filter exactly at the
+# points of the full principal lattice in (d2, d3, d1), with this
+# file's own term tables and kappa (not the engine's check table or the
+# catalog's kappa terms), and post-verify as the engine's depth-first
 # scan does.  The engine yields its leaves in walk order, so compare the
 # two as lists sorted by canonical JSON.
 
 
-def _decode(cfg, index, slots, const_grid):
+def _decode(cfg, index, slots):
     """Mixed-radix decoding of a consistent-candidate index: the four
     constants are the low digits, the free slots the high ones."""
+    const_grid = cfg.constants_grid
     constants = []
     for _ in range(4):
         index, r = divmod(index, len(const_grid))
@@ -576,7 +579,8 @@ def _arg_values(point):
 
 
 def _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
-    """True once any filter equation is nonzero at a sample point."""
+    """True once any filter equation is nonzero at one of the points,
+    each given by its argument values."""
     consts = boundary_values(constants)
     n_args = len(_FILTER_ARGS)
     for args in points_args:
@@ -605,20 +609,20 @@ def flat_scan(cfg):
     names = _reference_names(cfg)
     terms = _filter_terms(names)
     slots = search._free_slots(cfg)
-    const_grid = tuple(map(_scalar, cfg.constants_grid))
     points_args = [_arg_values(p) for p in search._PRESCREEN_POINTS]
+    # every filter equation has total degree <= 2 max_degree in
+    # (d2, d3, d1), and this lattice is unisolvent for that degree
+    lattice_args = [_arg_values(p) for p in search._lattice(2 * cfg.max_degree, (0, 1, 2))]
     out = []
     for index in range(search.count_consistent(cfg)):
-        constants, coeffs = _decode(cfg, index, slots, const_grid)
+        constants, coeffs = _decode(cfg, index, slots)
         if cfg.mode == "strict" and not _is_skew(cfg, constants, coeffs):
             continue
         shift = shift_constant(constants)
         if _candidate_dies(cfg, constants, coeffs, terms, shift, points_args):
             continue
-        profile = candidate_profile(cfg, constants, coeffs, search._registry())
-        r = lift_profile(profile)
-        if all(eval_equation(CATALOG[name], r).is_zero() for name in names):
-            out.append(search._post_verify(cfg, profile))
+        if not _candidate_dies(cfg, constants, coeffs, terms, shift, lattice_args):
+            out.append(search._post_verify(cfg, candidate_profile(cfg, constants, coeffs)))
     return out
 
 

@@ -129,7 +129,7 @@ def test_raw_mode_includes_even_entries():
     # candidate whose first row is x^2's coefficients is built
     for constants, coeffs in itertools.islice(enumerate_candidates(cfg), 4 ** 8 + 1):
         if coeffs[0] == (0, 1):
-            profile = candidate_profile(cfg, constants, coeffs, SymbolRegistry())
+            profile = candidate_profile(cfg, constants, coeffs)
             x = profile.reg.var("x")
             if profile.entry("e", "e") == x * x:
                 found = profile
@@ -389,7 +389,7 @@ def test_exact_filter_alone_matches_flat_scan(cfg, monkeypatch):
     monkeypatch.setattr(search, "_PRESCREEN_POINTS", ((0, 0, 0),))
     leaves = []
     leaf = search._leaf
-    monkeypatch.setattr(search, "_leaf", lambda unit: (leaves.append(unit), leaf(unit)))
+    monkeypatch.setattr(search, "_leaf", lambda *args: (leaves.append(args), leaf(*args))[1])
     passed = search._scan(cfg)
     assert len(leaves) > 2 * len(passed)
     assert _canonical(passed) == _canonical(flat_scan(cfg))

@@ -59,8 +59,18 @@ def _run_script(name, *argv) -> subprocess.CompletedProcess:
 
 
 def test_certify_families_script():
+    # the script's every-degree argument needs f of degree 5, so the
+    # table must cover f of degree 0-5 for every case, not just exit 0
     done = _run_script("certify_families.py")
     assert done.returncode == 0, done.stdout + done.stderr
+    rows = [line.split()[:5] for line in done.stdout.splitlines()[1:]]
+    cases = ("thm5_i", "thm5_ii", "thm5_iii", "cor6_i", "cor6_ii", "cor6_iii")
+    assert [(case, int(deg)) for case, deg, *_ in rows] \
+        == [(case, deg) for case in cases for deg in range(6)]
+    for case, _deg, invariant, weak, strict in rows:
+        assert invariant == weak == "True"
+        if case.startswith("cor6"):
+            assert strict == "True"
 
 
 # The content hash of each report that run_classification_search.py writes.
