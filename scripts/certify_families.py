@@ -40,8 +40,14 @@ to K1, and its tensor square applied to Ks; both are invertible, so
 K0, every K1 and every Ks vanish.  Then sum K2(u, v) F(u) F(v) =
 1/2 sum Ks(u, v) F(u) F(v) vanishes too, and the verdict vanishes for
 every f of every degree.
+
+The exit status is 0 if every instance passes and 1 otherwise.  If the
+reader closes standard output early (as `| head` does), the script
+stops there without a traceback and exits 141 (128 + SIGPIPE, the
+status a shell reports for a process that SIGPIPE ends).
 """
 
+import os
 import sys
 import time
 
@@ -95,4 +101,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now goes nowhere, so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

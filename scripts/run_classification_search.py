@@ -4,13 +4,17 @@
 Four searches: the raw degree-1 sweep over the full {-1,0,1} grids in
 weak and strict mode, and odd-ansatz sweeps at degrees 3 and 5 over the
 coefficient grid {0,1}.  Every survivor is independently re-verified
-with the full tensor computation; the exit status is nonzero if any
-characterization failure shows up.
+with the full tensor computation; the exit status is 1 if any
+characterization failure shows up, else 0.  If the reader closes
+standard output early (as `| head` does), the script stops there
+without a traceback and exits 141 (128 + SIGPIPE, the status a shell
+reports for a process that SIGPIPE ends).
 """
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -62,4 +66,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now goes nowhere, so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

@@ -25,17 +25,23 @@ Leibniz sum adds its products there through exactpoly._mac, with no
 polynomial built per product, and exactpoly._finished makes each table
 a polynomial once.
 
-The algebra owns the tables that depend on it alone: `ConfAlgebra.memo`
-builds a table on first use and keeps it as long as the algebra lives.
-act_on_tensor keeps there, per (arity, lam, generator names), its slot
-shifts with the powers of di + lam they have built and its
-inserted-bracket rows; ybe keeps there one map d1 -> form per form
-(which the double bracket, the catalog's equations and the invariance
-check share), the contraction plans, the diagonal's map, the generator
-actions' value of lam per arity, and the lift map.
-A caller that checks many tensors over one algebra (the search) builds
-each table once; one that makes an algebra per check builds them once
-per check.  Nothing is cached at module level.
+The tables that depend on the structure alone live in one store for the
+whole process, keyed by (kind, Lie algebra, key): `ConfAlgebra.memo`
+builds a table on first use, and every algebra of that kind and Lie
+algebra, over any registry, reads the same one.  Each table is built
+over the sealed exactpoly.CORE_REGISTRY and reads only core symbols,
+which have the same ids in every registry, so a map kept there applies
+to every registry's polynomials (see exactpoly.Substitution) and the
+store pins no registry.  act_on_tensor keeps there, per (arity, the
+terms of lam, generator names), its slot shifts with the powers of
+di + lam they have built and its inserted-bracket rows; ybe keeps there
+one map d1 -> form per form (which the double bracket, the catalog's
+equations and the invariance check share), the contraction plans, the
+diagonal's map and the lift map.  So each table is built once per
+process, whichever registry or algebra asks first.  The keys come from
+fixed sets (the catalog forms, the wanted-triple sets, the arities and
+the core values of lam), and a map's images and powers grow only with
+the monomials in its substituted symbols, which the degree limits bound.
 
 The quotient by the image of the total derivation is read with
 d1 := -(d2 + ... + dN).  No tensor-wide reduction, sum or slot swap
@@ -51,8 +57,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
-from .exactpoly import MPoly, Substitution, SymbolRegistry, _finished, _mac, _term_list
+from .exactpoly import (
+    CORE_REGISTRY, CORE_SYMBOLS, MPoly, RegistryMismatch, Substitution, SymbolRegistry, _FIELD,
+    _finished, _mac, _term_list,
+)
 from .liealg import LieAlg, Scalar
+
+# The algebra tables of the process, keyed (kind, Lie algebra, key).
+_TABLES: dict = {}
+# A packed key below this reads core symbols only.
+_CORE_END = 1 << (_FIELD * len(CORE_SYMBOLS))
 
 
 class ConfAlgebra:
@@ -66,22 +80,22 @@ class ConfAlgebra:
         self.kind = kind
         self.reg = reg
         self.lie = lie
-        self._tables: dict = {}
 
     def memo(self, key, build):
-        """The table held under `key`, made by `build()` on first use.
+        """The table of this algebra's kind and Lie algebra under `key`,
+        made by `build()` on first use and kept in the process's store.
 
-        Kept as long as the algebra, so a key must name everything the
-        table depends on besides the algebra.  Neither a key nor a table
-        may hold the algebra or a tensor over it: the algebra holds them,
-        so that would be a reference cycle, which only the cyclic
-        collector frees.  A table is a function of its
-        key alone, so if two threads miss at once and both build it (or
-        fill the same part of it), either copy serves.
+        A key must name everything the table depends on besides the
+        kind and the Lie algebra.  A table is built over CORE_REGISTRY:
+        it holds no algebra, tensor or polynomial of another registry,
+        so it serves every registry and keeps none alive.  A table is a
+        function of its key alone, so if two threads miss at once and
+        both build it (or fill the same part of it), either copy serves.
         """
-        table = self._tables.get(key)
+        full = (self.kind, self.lie, key)
+        table = _TABLES.get(full)
         if table is None:
-            table = self._tables[key] = build()
+            table = _TABLES[full] = build()
         return table
 
     @classmethod
@@ -120,12 +134,15 @@ class ConfTensor:
     def __post_init__(self):
         cleaned = {}
         names = self.alg.basis_names
+        reg = self.alg.reg
         for tup, poly in self.entries.items():
             if len(tup) != self.arity:
                 raise ValueError(f"tuple {tup} has wrong arity")
             for name in tup:
                 if name not in names:
                     raise ValueError(f"unknown basis element {name!r}")
+            if poly.reg is not reg:
+                raise RegistryMismatch(f"entry {tup} is over another symbol registry")
             if not poly.is_zero():
                 cleaned[tup] = poly
         self.entries = cleaned
@@ -134,9 +151,11 @@ class ConfTensor:
         return not self.entries
 
     def total(self) -> MPoly:
-        """The total derivation d1 + ... + dN on this tensor's slots."""
+        """The total derivation d1 + ... + dN on this tensor's slots,
+        built straight from its packed terms."""
         reg = self.alg.reg
-        return sum((reg.var(f"d{i + 1}") for i in range(self.arity)), reg.zero())
+        return MPoly(reg, {1 << _FIELD * reg.sym(f"d{i + 1}").index: 1
+                           for i in range(self.arity)})
 
 
 def act_on_tensor(names: Sequence[str], t: ConfTensor, lam: MPoly) -> list[ConfTensor]:
@@ -156,13 +175,19 @@ def act_on_tensor(names: Sequence[str], t: ConfTensor, lam: MPoly) -> list[ConfT
     (tuple, slot) coefficient is moved by its slot's shift once, if any
     generator has a nonzero bracket with that slot's basis element, and
     every such generator multiplies the same shifted coefficient.  The
-    shifts and the factor rows come from the algebra's memo (see
-    _action_table).
+    shifts and the factor rows (see _action_table) are kept in the store
+    under lam's terms, so -t.total() over any registry is one key.  A
+    lam or a slot variable that is no core symbol (arity above 3) gets
+    a table for this call only.
     """
     alg = t.alg
     names = tuple(names)
-    table = alg.memo(("act_on_tensor", t.arity, lam, names),
-                     partial(_action_table, alg, names, t.arity, lam))
+    if max(lam._terms, default=0) < _CORE_END and f"d{t.arity}" in CORE_REGISTRY:
+        table = alg.memo(("act_on_tensor", t.arity, frozenset(lam._terms.items()), names),
+                         partial(_action_table, alg, names, t.arity,
+                                 MPoly(CORE_REGISTRY, lam._terms)))
+    else:
+        table = _action_table(alg, names, t.arity, lam)
     outs = [{} for _ in names]
     for tup, coeff in t.entries.items():
         for i, b in enumerate(tup):
@@ -189,13 +214,14 @@ def _action_table(alg: ConfAlgebra, names: tuple, arity: int, lam: MPoly) -> dic
 
     Per (basis element b, slot i): di's shift di -> di + lam, and the
     row of (j, k, f): f is the term list of the nonzero k component of
-    [g _lam b], g the generator names[j].  A name that is no basis
-    element raises ValueError, so no table is kept for it.
+    [g _lam b], g the generator names[j].  The table is over lam's
+    registry.  A name that is no basis element raises ValueError, so no
+    table is kept for it.
     """
     for g in names:
         if g not in alg.basis_names:
             raise ValueError(f"unknown generator {g!r}")
-    reg = alg.reg
+    reg = lam.reg
     table = {}
     for i in range(arity):
         di_sym = reg.sym(f"d{i + 1}")

@@ -39,8 +39,10 @@ costs O(log n) products; MPoly.__pow__ builds a power the same way,
 through the same function.  A power that would take an exponent to
 EXPONENT_LIMIT is refused before the first product or key sum.  Callers
 that apply one map to many polynomials (a tensor's coefficients) build
-it once; a map that depends only on an algebra is kept by that algebra
-(conformal.ConfAlgebra.memo) and serves every tensor over it.
+it once; a map whose symbols and targets are core symbols is compiled
+over CORE_REGISTRY, kept in conformal's one store of algebra tables
+(conformal.ConfAlgebra.memo) and serves every polynomial of every
+registry.
 
 _mac is the one product loop: it adds the product of two term lists
 into a table of terms, and a product of two polynomials and a
@@ -58,7 +60,13 @@ Symbols are interned in a SymbolRegistry (append-only, synchronized).
 A registry starts from a prebuilt table of the core symbols, and a
 lookup of a name already interned takes no lock.  Two polynomials may
 only be combined when they share the same registry object; mixing
-registries raises RegistryMismatch.
+registries raises RegistryMismatch.  The one exception is a
+Substitution over CORE_REGISTRY, the sealed registry that holds the
+core symbols alone and interns no other name: it applies to a
+polynomial of any registry.  A core symbol has the same id and guard
+bit in every registry, and such a map's images hold core fields only,
+so the result is the same polynomial, in the argument's registry, that
+the map compiled over that registry gives.
 
 The text grammar accepted by parse_poly:
 
@@ -278,6 +286,21 @@ class SymbolRegistry:
         return parse_poly(text, self, max_degree=max_degree)
 
 
+class _SealedRegistry(SymbolRegistry):
+    """A registry of the core symbols that refuses every other name."""
+
+    def sym(self, name: str) -> Sym:
+        found = self._syms.get(name)
+        if found is None:
+            raise ValueError(f"the core registry interns no new symbol ({name!r})")
+        return found
+
+
+# The registry of the tables that depend on an algebra alone: their maps
+# and terms read only core symbols, which mean the same in every registry.
+CORE_REGISTRY = _SealedRegistry()
+
+
 class MPoly:
     """Immutable sparse polynomial over the rationals.
 
@@ -463,6 +486,9 @@ class MPoly:
 class Substitution:
     """A simultaneous substitution, compiled once and applied to many
     polynomials of one registry: `Substitution(reg, {sym: expr})(p)`.
+    One compiled over CORE_REGISTRY applies to a polynomial of any
+    registry and returns a polynomial of that registry (see the module
+    docstring).
 
     One loop maps every term.  A term a * m_t * q, with m_t its part in
     the substituted symbols and q free of them, goes to a * image(m_t) *
@@ -487,9 +513,9 @@ class Substitution:
     product per new power, a lone power n costs O(log n) products and
     keeps O(log n) powers, and no power is expanded from scratch.  The
     powers and images belong to the object and are bounded by the
-    monomials it has seen: a map may live as long as the algebra that
-    holds it (see conformal.ConfAlgebra.memo), or be built for one
-    tensor and dropped.
+    monomials it has seen: a map may live as long as the process, in
+    conformal's store (see conformal.ConfAlgebra.memo), or be built for
+    one tensor and dropped.
 
     A power whose exponent would reach EXPONENT_LIMIT is refused before
     any product or key sum takes it, against the top exponent of its
@@ -508,6 +534,8 @@ class Substitution:
                 expr = reg.const(expr)
             elif expr.reg is not reg:
                 raise RegistryMismatch("operands use different symbol registries")
+            if reg._syms.get(sym.name) != sym:
+                raise RegistryMismatch(f"symbol {sym.name} is not interned in the registry")
             powers[sym.index] = {1: expr}
         self._powers = powers
         # (symbol id, field shift, top exponent of the target) per symbol
@@ -516,7 +544,8 @@ class Substitution:
         self._images: dict[int, tuple] = {}  # monomial m_t: the terms of its image
 
     def __call__(self, p: MPoly) -> MPoly:
-        if p.reg is not self.reg:
+        reg = p.reg
+        if reg is not self.reg and self.reg is not CORE_REGISTRY:
             raise RegistryMismatch("operands use different symbol registries")
         cleared = self._cleared
         if not reduce(or_, p._terms, 0) & cleared:
@@ -537,8 +566,8 @@ class Substitution:
                     out[k] = s
                 else:
                     del out[k]
-        self.reg._check_guard(out)
-        return MPoly(self.reg, out)
+        reg._check_guard(out)
+        return MPoly(reg, out)
 
     def _image(self, t: int) -> tuple:
         """The terms of the image of the monomial t in the substituted

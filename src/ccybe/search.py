@@ -63,13 +63,12 @@ computation and the structural characterization.  The re-verification
 builds the double bracket of the canonical lift once, modulo the total
 derivation, and reads both verdicts from it: weak from the generator
 actions on it, strict (in strict mode) from whether it vanishes.  A
-process holds one symbol registry and one current algebra on sl2 over
-it: every survivor profile is built on that registry and lifted onto
-that algebra, so the tables the algebra keeps (the generator-action
-table, the double bracket's coefficient maps and the lift map, with
-the powers of their targets) are built once per process, not once per
-survivor.  Any survivor
-failing characterization is recorded.  A survivor is named by
+process builds every survivor profile on one symbol registry, and the
+tables the checks read (the generator-action table, the double
+bracket's coefficient maps and the lift map, with the powers of their
+targets) sit in conformal's store, so they are built once per process,
+not once per survivor.  Any survivor failing characterization is
+recorded.  A survivor is named by
 families.name_case, which reads the family table there, so this module
 states no family case itself.  The walk inside a
 constants tuple is fixed, the tuples come in itertools.product order,
@@ -90,10 +89,8 @@ from multiprocessing import get_all_start_methods, get_context
 from typing import Optional, Sequence
 
 from . import ybe
-from .conformal import ConfAlgebra
 from .exactpoly import SymbolRegistry, _scalar
 from .families import characterize, name_case, scalar_relation_residues
-from .liealg import sl2
 from .ybe import (
     CATALOG,
     CONSTANT_NAMES,
@@ -504,14 +501,6 @@ def _registry() -> SymbolRegistry:
     return SymbolRegistry()
 
 
-@functools.cache
-def _algebra() -> ConfAlgebra:
-    """The current algebra on sl2 over _registry(), onto which every
-    survivor of this process is lifted, so that the tables it keeps are
-    built once per process."""
-    return ConfAlgebra.cur(sl2(), _registry())
-
-
 def _scan_constants(plan: _Plan, constants: tuple) -> list:
     """Pure worker: the (record, problems) pairs of the candidates with
     this constants tuple, in walk order.  A level's value at a slot is
@@ -565,7 +554,7 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
     # strict one from whether it vanishes.  The tensor steps are looked
     # up on the ybe module, where a tracer that wraps them sees these
     # calls.
-    bracket = ybe.ccybe_bracket(lift_profile(profile, _algebra()))
+    bracket = ybe.ccybe_bracket(lift_profile(profile))
     if not ybe.weak_verdict(bracket)[0]:
         problems.append("reverify:weak_defect")
     if cfg.mode == "strict" and not bracket.is_zero():

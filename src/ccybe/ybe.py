@@ -31,9 +31,10 @@ product; a polynomial free of a map's symbol is returned as it is (see
 exactpoly.Substitution).
 
 ccybe_bracket contracts first.  Each of the four maps is compiled once
-per algebra (an exactpoly.Substitution kept in the algebra's memo, see
-conformal.ConfAlgebra.memo, with the powers of its targets it has
-built; eval_equation reads the same map of each form), and each
+per process (an exactpoly.Substitution over the core registry, kept in
+conformal's store, see conformal.ConfAlgebra.memo, with the powers of
+its targets it has built; eval_equation reads the same map of each
+form), and each
 entry's form under each map is built at most once; the minus signs of
 slots 2 and 3 go on the inserted bracket.  Then, for each slot, the
 inserted bracket is summed against the B forms: slot 1 gives, per left
@@ -47,12 +48,12 @@ coefficient of its table.
 
 Which products there are depends on the algebra, the wanted triples
 and the entry keys alone, not on the coefficients, so it is compiled
-once into a contraction plan kept in the algebra's memo: per entry
-key, the (map, table key, inserted bracket) rows its B forms feed, and
-the tables its A forms read with the output triple each table key
-lands on.  A plan is filled entry key by entry key, so a one-shot
-algebra (the CLI, catalog_diffs) builds only the rows it reads, and a
-search over one algebra builds each row once.  The tables and the
+once into a contraction plan kept in the store: per entry key, the
+(map, table key, inserted bracket) rows its B forms feed, and the
+tables its A forms read with the output triple each table key lands
+on.  A plan is filled entry key by entry key, so a one-shot process
+(a CLI call) builds only the rows it reads, and one that checks many
+r-matrices builds each row once.  The tables and the
 outputs are plain term tables, filled through exactpoly._mac with no
 polynomial built per product or per table (a scalar factor is the one
 term ((0, v),), see exactpoly._term_list), and each output coefficient
@@ -83,20 +84,21 @@ weak_verdict reads the weak verdict off a given class, and the strict
 verdict is whether that class is zero, so a caller that needs both
 builds the bracket once.
 
-The tables these checks read belong to the algebra of the r-matrix and
-live as long as it (conformal.ConfAlgebra.memo): one map d1 -> form
-per form (the bracket's four, eval_equation's nine and is_invariant's
-d1 -> -d1), the contraction plan per set of wanted triples, the
-diagonal's map d2 -> -d1, the generator actions'
-lam = -(d1 + ... + dN) and action table of each arity, and
-lift_profile's map x -> d1; each map keeps the powers of its targets
-it has built, which the degrees seen so far bound.  So a caller that checks many
-r-matrices over one algebra (the search, with one algebra per process)
-builds each table once; a caller that makes an algebra per check (the
-CLI) builds each once per check.  catalog_diffs lifts its generic
-profile once, so all its identities, derived and stored, share one
-algebra and each catalog form's map, and the powers of its target,
-are built once for both.
+The tables these checks read depend on the algebra's structure alone
+and live in conformal's store for the whole process
+(conformal.ConfAlgebra.memo), over the core registry, so that every
+registry reads them: one map d1 -> form per form (the bracket's four,
+eval_equation's nine and is_invariant's d1 -> -d1), the contraction
+plan per set of wanted triples, the diagonal's map d2 -> -d1, the
+generator actions' table of each arity, and lift_profile's map
+x -> d1; each map keeps the powers of its targets it has built, which
+the degrees seen so far bound.  So a process builds each table once,
+however many registries and algebras its r-matrices come on: the
+search, the tests, and any caller that loads (rmatfile.load), lifts or
+re-derives (catalog_diffs) many r-matrices; a one-shot CLI process
+builds each table it reads once.
+catalog_diffs' identities, derived and stored, read each catalog
+form's map, and the powers of its target, built once for both.
 
 For the current algebra on sl2 the verdicts only see the diagonal
 restrictions A'_{ql}(x) = A_{ql}(x, -x), which a DiagProfile holds.  A
@@ -129,8 +131,8 @@ from typing import Iterable, Optional, Sequence
 
 from .conformal import ConfAlgebra, ConfTensor, act_on_tensor, project
 from .exactpoly import (
-    EXPONENT_LIMIT, ExponentOverflow, MPoly, Substitution, SymbolRegistry, _FIELD, _finished,
-    _mac, _term_list,
+    CORE_REGISTRY, EXPONENT_LIMIT, ExponentOverflow, MPoly, Substitution, SymbolRegistry, _FIELD,
+    _finished, _mac, _term_list,
 )
 from .liealg import AutMatrix, Scalar, sl2, transform_tensor
 
@@ -201,14 +203,14 @@ _BRACKET_FORMS = (_ND2, _ND23, _ND3, _D2)
 
 def _form_map(alg: ConfAlgebra, arg: tuple) -> Substitution:
     """The map d1 -> a*d2 + b*d3 + c*d1, arg = (a, b, c), kept in the
-    algebra's memo with the powers of its target it has built: the
-    bracket and eval_equation read the same map of each form, and
-    is_invariant reads d1 -> -d1."""
-    reg = alg.reg
-    return alg.memo(("catalog_form", arg), partial(_compile_form, reg, arg))
+    store with the powers of its target it has built: the bracket and
+    eval_equation read the same map of each form, and is_invariant
+    reads d1 -> -d1."""
+    return alg.memo(("catalog_form", arg), partial(_compile_form, arg))
 
 
-def _compile_form(reg: SymbolRegistry, arg: tuple) -> Substitution:
+def _compile_form(arg: tuple) -> Substitution:
+    reg = CORE_REGISTRY
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     return Substitution(reg, {reg.sym("d1"): d2 * arg[0] + d3 * arg[1] + d1 * arg[2]})
 
@@ -219,7 +221,7 @@ def diagonal(r: ConfTensor) -> dict[tuple, MPoly]:
     entry free of d2 (a lift's) is its own diagonal, the same object."""
     if r.arity != 2:
         raise ValueError("an r-matrix is an arity-2 tensor")
-    reg = r.alg.reg
+    reg = CORE_REGISTRY
     at_diagonal = r.alg.memo("diagonal",
                              lambda: Substitution(reg, {reg.sym("d2"): -reg.var("d1")}))
     return {key: at_diagonal(poly) for key, poly in r.entries.items()}
@@ -241,7 +243,7 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None) -> Co
     maps = [_form_map(alg, arg) for arg in _BRACKET_FORMS]
     wanted = None if tuples is None else frozenset(tuple(tup) for tup in tuples)
     plan = alg.memo(("ccybe_bracket.plan", wanted),
-                    partial(_ContractionPlan, reg, alg.basis_names, wanted))
+                    partial(_ContractionPlan, alg.basis_names, wanted))
     rows = [(poly, plan.rows(alg, key)) for key, poly in entries.items()]
     # tables[i][table key]: the terms of contracted table i at that key.
     # The feeds read maps 2 and 3 and the reads maps 0 and 1, so each
@@ -277,9 +279,9 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None) -> Co
 
 
 class _ContractionPlan:
-    """ccybe_bracket's contraction over one algebra, for one set of
-    wanted triples (None for all), kept in the algebra's memo and
-    filled entry key by entry key on first use.
+    """ccybe_bracket's contraction over one algebra kind and Lie
+    algebra, for one set of wanted triples (None for all), kept in the
+    store and filled entry key by entry key on first use.
 
     rows(alg, (q, l)) is the pair (feeds, reads) of that entry key.
     feeds lists, per map, the rows (table, table key, factor): the
@@ -299,19 +301,18 @@ class _ContractionPlan:
     element are built once, on first use.
 
     The plan holds names, triples, term lists and the inserted
-    brackets' variables (polynomials over the registry), never the
+    brackets' variables (polynomials over CORE_REGISTRY), never an
     algebra (see conformal.ConfAlgebra.memo): rows() is given it.
     """
 
     __slots__ = ("tables", "_index", "_brackets", "_read", "_lands", "_inserted", "_rows")
 
-    def __init__(self, reg: SymbolRegistry, names: Sequence[str],
-                 wanted: Optional[frozenset]):
+    def __init__(self, names: Sequence[str], wanted: Optional[frozenset]):
         self.tables = 2 * len(names)
         self._index = {p: i for i, p in enumerate(names)}
         # the inserted brackets' (d, lam): (d1, d2), (d2, d3), (d3, d2),
         # with slot 1's d1 read as -(d2 + d3)
-        d2, d3 = reg.var("d2"), reg.var("d3")
+        d2, d3 = CORE_REGISTRY.var("d2"), CORE_REGISTRY.var("d3")
         self._brackets = ((-(d2 + d3), d2), (d2, d3), (d3, d2))
         # The table keys a wanted triple (a, b, c) reads, per slot: slot
         # 1's (a, c) and slot 2's (b, c), as {c: the k of (k, c)}, and
@@ -382,15 +383,11 @@ def generator_actions(t: ConfTensor) -> dict[str, ConfTensor]:
     """Every generator's action on t at minus its total derivation.
 
     One act_on_tensor call acts with all generators, so each shifted
-    coefficient of t is built once.  The algebra keeps that value of
-    lam per arity, so its action table is found without building or
-    hashing a new polynomial.  On the double bracket this is the weak
-    defect, in is_invariant the invariance defect.
+    coefficient of t is built once.  On the double bracket this is the
+    weak defect, in is_invariant the invariance defect.
     """
-    alg = t.alg
-    names = alg.basis_names
-    lam = alg.memo(("generator_actions.lam", t.arity), lambda: -t.total())
-    return dict(zip(names, act_on_tensor(names, t, lam)))
+    names = t.alg.basis_names
+    return dict(zip(names, act_on_tensor(names, t, -t.total())))
 
 
 def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
@@ -402,6 +399,19 @@ def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
     Checking generators suffices: an element g(D)a contributes the
     overall factor g(-mu) = g(d1 + d2 + d3), which scales the generator
     defect.
+
+    On the current algebra on sl2 the actions vanish on a class
+    P(d2, d3) iff P = c * epsilon with c constant, where epsilon =
+    sum sgn(s) s(e x f x h), at every degree.  At d1 = -(d2 + d3), mu is
+    0 and every slot shift is the identity, so there the actions are
+    sl2's diagonal adjoint action on P(d2, d3): P lies in
+    (sl2 x sl2 x sl2)^sl2 = Q * epsilon, so P = c(d2, d3) * epsilon.  On
+    such a P the h-action's (e, f, h) coefficient is
+    2 c(d2, d3) - 2 c(-(d1 + d3), d3), so c is free of d2, and then its
+    (h, e, f) coefficient 2 c(d3) - 2 c(-(d1 + d2)) makes c constant.
+    Conversely epsilon is invariant and constant, so no shift moves it
+    and every action on c * epsilon vanishes.  On the search's weak
+    survivors c is -kappa, kappa = shift_constant of their constants.
     """
     defects = generator_actions(bracket)
     return all(t.is_zero() for t in defects.values()), defects
@@ -455,19 +465,16 @@ class DiagProfile:
         return self.entries.get((q, l), self.reg.zero())
 
 
-def lift_profile(p: DiagProfile, alg: Optional[ConfAlgebra] = None) -> ConfTensor:
-    """Canonical lift A_{ql}(d1, d2) := A'_{ql}(d1), onto `alg` (a fresh
-    current algebra on sl2 by default); the map x -> d1 is kept in the
-    algebra's memo.  The lift is free of d2, so each entry is its own
+def lift_profile(p: DiagProfile) -> ConfTensor:
+    """Canonical lift A_{ql}(d1, d2) := A'_{ql}(d1), onto the current
+    algebra on sl2 over the profile's registry; the map x -> d1 is kept
+    in the store.  The lift is free of d2, so each entry is its own
     diagonal (see diagonal)."""
-    reg = p.reg
-    alg = alg or ConfAlgebra.cur(sl2(), reg)
-    if alg.reg is not reg:
-        raise ValueError("profile and algebra must share a registry")
+    alg = ConfAlgebra.cur(sl2(), p.reg)
+    reg = CORE_REGISTRY
     at_d1 = alg.memo("lift_profile.at_d1",
                      lambda: Substitution(reg, {reg.sym("x"): reg.var("d1")}))
-    entries = {key: at_d1(poly) for key, poly in p.entries.items()}
-    return ConfTensor(alg, 2, entries)
+    return ConfTensor(alg, 2, {key: at_d1(poly) for key, poly in p.entries.items()})
 
 
 # Equation catalog -----------------------------------------------------------------
@@ -616,7 +623,14 @@ CATALOG: dict[str, Equation] = {
 
 # Equations the search filters with, in both modes: the nine triple
 # projections shared with the strict system plus the action-variable
-# variants replacing the e x f x h projection efh (see search).
+# variants replacing the e x f x h projection efh (see search).  The
+# search's results do not need efh_h and efh_e: without them every
+# report hash stays the same.  They stay as prunes, which an earlier
+# scan measured them to pay for (raw degree-3 weak sweep: 2.8 s with
+# them, 3.5-3.9 s without).  On the present scan they pay nothing
+# measurable: raw degree 3 reads 2.5 s either way, and odd degree 5
+# over {-1,0,1} takes 9.4 s with them and 8.4 s without (medians of
+# five runs, 2 CPUs, Python 3.11).
 WEAK_EQUATIONS = (
     "eee", "hee", "fff", "hff", "ehh", "fhh", "fee", "eff", "hhh",
     "efh_h", "efh_e", "efh_shift",
@@ -629,7 +643,7 @@ def eval_equation(eq: Equation, r: ConfTensor, raw: Optional[MPoly] = None) -> M
 
     The entry reads r's diagonal A'(d1) = A(d1, -d1) (a lift is its own
     diagonal) at its argument forms, each through the map d1 -> form
-    that the algebra keeps (see _form_map), once per distinct (entry,
+    kept in the store (see _form_map), once per distinct (entry,
     form); efh_shift reads the boundary constants A'(0) at the zero
     form.  With `raw`, the raw projection of the entry, it returns
     raw - eq.scale * (the entry), catalog_diffs' difference: the
@@ -715,10 +729,10 @@ def catalog_diffs(degree: int = 3, names: Optional[Sequence[str]] = None) -> dic
     Returns {name: raw_projection - scale * stored_form}, in d1, d2, d3;
     the catalog is faithful iff every difference is the zero polynomial.
     The shifted variant is excluded (it is not a raw projection).  The
-    identities share one lift of the generic profile and so one algebra:
-    each difference is one term table, started from the raw projection
-    and finished once by eval_equation, which reads the lift through
-    the maps d1 -> form that the bracket has compiled.
+    identities share one lift of the generic profile: each difference
+    is one term table, started from the raw projection and finished
+    once by eval_equation, which reads the lift through the maps
+    d1 -> form that the bracket reads too.
 
     At degree 7 this proves the catalog at every degree.  The lift reads
     A'(d1), and the bracket's four maps send d1 to -d2,

@@ -36,7 +36,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ccybe import search
 from ccybe.conformal import (
@@ -483,7 +483,6 @@ def brute_force_verdicts(max_degree, coeff_grid, constants_grid):
             choices.append([(left, right, j, a, b) for a in coeff_grid for b in coeff_grid
                             if a + (-1) ** j * b == 0 and (left != right or a == b)])
     reg = SymbolRegistry()
-    alg = ConfAlgebra.cur(sl2(), reg)
     x = reg.sym("x")
     out = []
     for constants in itertools.product(constants_grid, repeat=4):
@@ -495,7 +494,7 @@ def brute_force_verdicts(max_degree, coeff_grid, constants_grid):
                 rows[right][j] = b
             profile = DiagProfile(reg, {pair: reg.univariate(x, row)
                                         for pair, row in rows.items()})
-            r = lift_profile(profile, alg)
+            r = lift_profile(profile)
             bracket = ccybe_bracket(r)
             entries = {"".join(pair): poly.to_string() for pair, poly in profile.entries.items()}
             out.append((json.dumps(entries, sort_keys=True), is_invariant(r)[0],
@@ -627,6 +626,45 @@ def flat_scan(cfg):
 
 
 # Checks and constructions only the tests use.
+
+
+def rational_kernel(rows: Iterable[Mapping[int, Scalar]], unknowns: int) -> list:
+    """A basis of the v in Q^unknowns with sum_j row[j] * v[j] = 0 for
+    every row, each row a sparse map {unknown: coefficient}: exact
+    Gauss-Jordan elimination over Fraction, one basis vector per free
+    unknown."""
+    pivots: dict = {}   # pivot unknown: its row, 1 there and 0 at every other pivot
+
+    def subtract(row, c, pivot_row):
+        for j, v in pivot_row.items():
+            s = row.get(j, 0) - c * v
+            if s:
+                row[j] = s
+            else:
+                row.pop(j, None)
+
+    for given in rows:
+        row = {j: Fraction(c) for j, c in given.items() if c}
+        for p in [j for j in row if j in pivots]:
+            subtract(row, row[p], pivots[p])
+        if not row:
+            continue
+        p = min(row)
+        inverse = 1 / row[p]
+        row = {j: v * inverse for j, v in row.items()}
+        for other in pivots.values():
+            if p in other:
+                subtract(other, other[p], row)
+        pivots[p] = row
+    basis = []
+    for free in range(unknowns):
+        if free not in pivots:
+            v = [Fraction(0)] * unknowns
+            v[free] = Fraction(1)
+            for p, row in pivots.items():
+                v[p] = -row.get(free, 0)
+            basis.append(v)
+    return basis
 
 
 def tensors_equal(a: Mapping, b: Mapping) -> bool:

@@ -1,15 +1,25 @@
+import gc
+import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from ccybe import cli, conformal, rmatfile, ybe
 from ccybe.conformal import (
     ConfAlgebra,
     ConfTensor,
     act_on_tensor,
     project,
 )
-from ccybe.exactpoly import SymbolRegistry
+from ccybe.exactpoly import (
+    CORE_REGISTRY,
+    CORE_SYMBOLS,
+    RegistryMismatch,
+    Substitution,
+    SymbolRegistry,
+)
 from ccybe.liealg import sl2
 
 from support import (
@@ -312,6 +322,123 @@ def test_permute_slots(cur):
     t = ConfTensor(cur, 2, {("e", "f"): reg.parse("d1^2 - 2*d2"), ("h", "h"): reg.var("d1")})
     assert permute_slots(t, (1, 0)).entries == {("f", "e"): reg.parse("d2^2 - 2*d1"),
                                                 ("h", "h"): reg.var("d2")}
+
+
+# The store of algebra tables ---------------------------------------------------------
+
+
+def _fresh_algebra(kind):
+    reg = SymbolRegistry()
+    return ConfAlgebra.cur(sl2(), reg) if kind == "cur" else ConfAlgebra.vir(reg)
+
+
+def _fill_store(alg):
+    """Every check that reads the store, on tensors over `alg`."""
+    reg = alg.reg
+    first, last = alg.basis_names[0], alg.basis_names[-1]
+    r = ConfTensor(alg, 2, {(first, last): reg.parse("d1^2 + 2*d2 - 1"),
+                            (last, last): reg.parse("alpha*d1")})
+    t = ConfTensor(alg, 3, {(first, last, first): reg.parse("d1*d3 + d2")})
+    ybe.is_invariant(r)
+    ybe.is_weak_solution(r)
+    ybe.ccybe_bracket(r, [(first, first, last)])
+    ybe.generator_actions(t)
+    act_on_tensor(alg.basis_names, t, reg.var("mu"))
+    if alg.kind == "cur":
+        ybe.lift_profile(ybe.DiagProfile(reg, {("e", "f"): reg.parse("x^3 + x")}))
+        ybe.eval_equation(ybe.CATALOG["efh_e"], r)
+
+
+@pytest.mark.parametrize("kind", ["cur", "vir"])
+def test_store_shares_tables_across_registries(monkeypatch, kind):
+    # two algebras over two fresh registries read the same table object
+    # under every key, and the second builds none
+    monkeypatch.setattr(conformal, "_TABLES", {})
+    first, second = _fresh_algebra(kind), _fresh_algebra(kind)
+    _fill_store(first)
+    tables = dict(conformal._TABLES)
+    assert len(tables) >= (12 if kind == "cur" else 7)
+    _fill_store(second)
+    assert conformal._TABLES == tables
+
+    def unbuilt():
+        raise AssertionError("a table was built twice")
+
+    for (_kind, _lie, key), table in tables.items():
+        assert second.memo(key, unbuilt) is table
+
+
+@pytest.mark.parametrize("algebra, coeff", [("cur_sl2", "a*d1^2 + d2"), ("vir", "a*d1 + 1")])
+def test_store_pins_no_registry(algebra, coeff):
+    # the tables a verify check leaves in the store hold no polynomial of
+    # the r-matrix's registry, so the registry is freed with the r-matrix
+    left, right = ("e", "f") if algebra == "cur_sl2" else ("v", "v")
+    r = rmatfile.loads(json.dumps({"algebra": algebra, "parameters": ["a"], "entries": [
+        {"left": left, "right": right, "coeff": coeff}]}))
+    for mode in ("invariance", "weak", "strict"):
+        cli._run_check(r, mode)
+    ref = weakref.ref(r.alg.reg)
+    del r
+    gc.collect()
+    assert ref() is None
+
+
+def test_core_registry_is_sealed():
+    # the core registry has every registry's core ids and guard mask, and
+    # refuses a new name, so a table over it reads core symbols only
+    fresh = SymbolRegistry()
+    assert [CORE_REGISTRY.sym(n) for n in CORE_SYMBOLS] == [fresh.sym(n) for n in CORE_SYMBOLS]
+    assert CORE_REGISTRY._guard == fresh._guard
+    with pytest.raises(ValueError, match="no new symbol"):
+        CORE_REGISTRY.sym("nu")
+    assert "nu" not in CORE_REGISTRY
+
+
+def test_substitution_across_registries():
+    # a map over the core registry applies to any registry's polynomial,
+    # in that registry, as the same map compiled there does; a map over
+    # any other registry still refuses a foreign polynomial, and neither
+    # takes a foreign symbol or target
+    a, b = SymbolRegistry(), SymbolRegistry()
+    b.sym("nu")
+    p = b.parse("d1^2*nu + d2 - 3")
+    core = Substitution(CORE_REGISTRY, {CORE_REGISTRY.sym("d1"): CORE_REGISTRY.parse("d2 + 1")})
+    got = core(p)
+    assert got.reg is b
+    assert got == Substitution(b, {b.sym("d1"): b.parse("d2 + 1")})(p)
+    over_a = Substitution(a, {a.sym("d1"): a.parse("d2 + 1")})
+    with pytest.raises(RegistryMismatch):
+        over_a(p)
+    with pytest.raises(RegistryMismatch):
+        Substitution(CORE_REGISTRY, {CORE_REGISTRY.sym("d1"): b.var("nu")})
+    with pytest.raises(RegistryMismatch):
+        Substitution(CORE_REGISTRY, {b.sym("nu"): CORE_REGISTRY.var("d2")})
+    # and a tensor takes entries of its algebra's registry only
+    with pytest.raises(RegistryMismatch):
+        ConfTensor(ConfAlgebra.cur(sl2(), a), 2, {("e", "f"): p})
+
+
+def test_action_tables_keyed_by_terms_of_lam(monkeypatch):
+    # -t.total() over two registries is one key; a lam that reads a
+    # non-core symbol gets a table for its call only, and acts as the
+    # core variable it renames does
+    monkeypatch.setattr(conformal, "_TABLES", {})
+    tensors = []
+    for _ in range(2):
+        alg = _fresh_algebra("cur")
+        tensors.append(ConfTensor(alg, 3, {("e", "f", "h"): alg.reg.parse("d1^2*d3 + 2*d2")}))
+    for t in tensors:
+        act_on_tensor(["e", "h"], t, -t.total())
+    assert [key for _kind, _lie, key in conformal._TABLES] == [
+        ("act_on_tensor", 3, frozenset((-tensors[0].total())._terms.items()), ("e", "h"))]
+    t = tensors[1]
+    reg = t.alg.reg
+    nu = reg.var("nu")
+    got = act_on_tensor(["e", "h"], t, nu)
+    assert len(conformal._TABLES) == 1
+    rename = Substitution(reg, {reg.sym("mu"): nu})
+    assert got == [map_coeffs(u, rename) for u in act_on_tensor(["e", "h"], t, reg.var("mu"))]
+    assert len(conformal._TABLES) == 2
 
 
 # Hypothesis properties -------------------------------------------------------------

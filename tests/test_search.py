@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from ccybe import conformal, search, ybe
-from ccybe.conformal import ConfAlgebra
 from ccybe.search import (
     MAX_CONSISTENT,
     MAX_DEGREE,
@@ -22,7 +21,6 @@ from ccybe.search import (
 )
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.families import SL2_CASES, FamilySpec, build_profile, name_case
-from ccybe.liealg import sl2
 from ccybe.ybe import (
     CATALOG,
     CONSTANT_NAMES,
@@ -287,7 +285,6 @@ def test_weak_survivor_brackets_are_minus_kappa_epsilon():
                           270, 134),
     }
     reg = SymbolRegistry()
-    alg = ConfAlgebra.cur(sl2(), reg)
     epsilon = {perm: (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
                for perm in itertools.permutations("efh")}
     for name, (cfg, survivors, kappa_zero) in runs.items():
@@ -299,7 +296,7 @@ def test_weak_survivor_brackets_are_minus_kappa_epsilon():
             profile = DiagProfile(reg, {(key[0], key[1]): reg.parse(text)
                                         for key, text in record["entries"].items()})
             kappa = shift_constant([F(record["constants"][n]) for n in CONSTANT_NAMES])
-            bracket = ybe.ccybe_bracket(lift_profile(profile, alg))
+            bracket = ybe.ccybe_bracket(lift_profile(profile))
             assert bracket.entries == {perm: reg.const(-kappa * sign)
                                        for perm, sign in epsilon.items() if kappa}, record
             vanishing += not kappa
@@ -591,7 +588,7 @@ def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
     # modulo the total derivation, so no reduction step runs; the
     # generator actions are one act_on_tensor call per survivor, looked up
     # on ybe, where a tracer sees it; and the arity-3 action table is
-    # built once per process, on the process's algebra
+    # built once per process, in conformal's store
     calls = {"ccybe_bracket": 0, "generator_actions": 0, "reduce_mod_total": 0,
              "act_on_tensor": 0}
     for name in calls:
@@ -607,7 +604,7 @@ def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
         return build(alg, names, arity, lam)
 
     monkeypatch.setattr(conformal, "_action_table", counted_build)
-    search._algebra.cache_clear()
+    monkeypatch.setattr(conformal, "_TABLES", {})
     cfg = SearchConfig(max_degree=1, coeff_grid=(-1, 0, 1), constants_grid=(-1, 0, 1),
                        mode="strict", raw=True)
     for runs in (1, 2):

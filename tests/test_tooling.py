@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from ccybe import exactpoly
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
@@ -71,6 +73,26 @@ def test_certify_families_script():
         assert invariant == weak == "True"
         if case.startswith("cor6"):
             assert strict == "True"
+
+
+@pytest.mark.parametrize("name, writes_reports", [("certify_families.py", False),
+                                                   ("run_classification_search.py", True)])
+def test_scripts_exit_quietly_on_a_closed_pipe(tmp_path, name, writes_reports):
+    # a reader that takes two lines and closes the pipe, as `| head -2`
+    # does, stops the script with no traceback and the status its
+    # docstring gives; unbuffered, each line is written as it is printed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactpoly.__file__)))
+    argv = ["--out-dir", str(tmp_path)] if writes_reports else []
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(SCRIPTS, name), *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1"))
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert all(line.endswith("\n") for line in lines) and err == ""
+    assert proc.wait(timeout=300) == 141
 
 
 # The content hash of each report that run_classification_search.py writes.

@@ -13,6 +13,7 @@ from ccybe.conformal import (
     project,
 )
 from ccybe.exactpoly import (
+    CORE_SYMBOLS,
     EXPONENT_LIMIT,
     ExponentOverflow,
     MPoly,
@@ -64,6 +65,7 @@ from support import (
     project_reduced,
     random_invertible,
     random_univariate,
+    rational_kernel,
     reduce_mod_total,
     sub_tensors,
     tau,
@@ -425,6 +427,39 @@ def test_weak_generator_sufficiency(cur, reg):
         assert acted == map_coeffs(defects[name], lambda p: p * factor)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_weak_kernel_is_epsilon(degree):
+    # the generator actions at -(d1+d2+d3) vanish on a reduced 3-tensor,
+    # each coefficient of degree <= `degree` in d2 and d3, iff it is
+    # c * epsilon with c constant, epsilon = sum sgn(s) s(e x f x h):
+    # weak_verdict's argument at low degree, over one free coefficient
+    # per (triple, monomial) (27, 81 and 162 unknowns), which the shared
+    # action tables act on
+    reg = SymbolRegistry()
+    alg = ConfAlgebra.cur(sl2(), reg)
+    d2, d3 = reg.var("d2"), reg.var("d3")
+    monomials = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    unknowns = list(itertools.product(itertools.product(alg.basis_names, repeat=3), monomials))
+    index, entries = {}, {}
+    for n, (tup, (a, b)) in enumerate(unknowns):
+        c = reg.sym(f"c{n}")
+        index[c.index] = n
+        entries[tup] = entries.get(tup, reg.zero()) + reg.var(c) * d2 ** a * d3 ** b
+    rows = {}
+    core = len(CORE_SYMBOLS)
+    for g, acted in generator_actions(ConfTensor(alg, 3, entries)).items():
+        for tup, poly in acted.entries.items():
+            for exps, coeff in tuple_terms(poly).items():
+                (unknown,) = [i for i, e in enumerate(exps) if e and i >= core]
+                rows.setdefault((g, tup, exps[:core]), {})[index[unknown]] = coeff
+    epsilon = [Fraction((-1) ** sum(a > b for a, b in itertools.combinations(tup, 2)))
+               if m == (0, 0) and sorted(tup) == ["e", "f", "h"] else Fraction(0)
+               for tup, m in unknowns]
+    (kernel,) = rational_kernel(rows.values(), len(unknowns))
+    scale = kernel[unknowns.index((("e", "f", "h"), (0, 0)))]
+    assert scale and kernel == [scale * v for v in epsilon]
+
+
 def test_invariance_constrained_profile(reg):
     prof = constrained_generic_profile(reg, degree=3)
     assert all(res.is_zero() for res in invariance_residues(prof))
@@ -578,7 +613,7 @@ def test_cocommutator_conformal_linear(cur, reg):
         assert lhs == rhs
 
 
-# Tables the algebra keeps -----------------------------------------------------------
+# Tables in the store ----------------------------------------------------------------
 
 
 def _algebra(kind):
@@ -639,7 +674,7 @@ _MEMO_CHECKS = {
     "free": lambda r, t, elem: [_actions(dict(zip(r.alg.basis_names, act_on_tensor(
         r.alg.basis_names, u, r.alg.reg.var("mu"))))) for u in (r, t)],
     "lift": lambda r, t, elem: r.alg.kind == "cur" and _printed(lift_profile(
-        DiagProfile(r.alg.reg, {("e", "f"): r.alg.reg.parse("x^3 + 2*x")}), r.alg)),
+        DiagProfile(r.alg.reg, {("e", "f"): r.alg.reg.parse("x^3 + 2*x")}))),
     # each subset of triples has its own contraction plan
     "restricted": lambda r, t, elem: [_printed(ccybe_bracket(r, tuples))
                                       for tuples in _RESTRICTED[r.alg.kind]],
@@ -669,6 +704,7 @@ def test_algebra_tables_match_fresh_algebras(kind):
 
 
 def test_action_table_built_once_per_key(monkeypatch, cur, reg):
+    monkeypatch.setattr(conformal, "_TABLES", {})
     builds = []
     build = conformal._action_table
 
@@ -692,10 +728,10 @@ def test_action_table_built_once_per_key(monkeypatch, cur, reg):
     act_on_tensor(["f"], rs[0], -rs[0].total())
     act_on_tensor(["e"], rs[0], reg.var("mu"))
     assert builds == [3, 2, 2, 2, 2]
-    # another algebra keeps its own tables
-    other = ConfAlgebra.cur(sl2(), reg)
-    generator_actions(ccybe_bracket(ConfTensor(other, 2, {("e", "f"): reg.parse("d1")})))
-    assert builds == [3, 2, 2, 2, 2, 3]
+    # another algebra, over another registry, reads the same tables
+    other = ConfAlgebra.cur(sl2(), SymbolRegistry())
+    generator_actions(ccybe_bracket(ConfTensor(other, 2, {("e", "f"): other.reg.parse("d1")})))
+    assert builds == [3, 2, 2, 2, 2]
 
 
 def test_algebra_tables_refuse_foreign_tensors(cur, reg):
@@ -708,8 +744,6 @@ def test_algebra_tables_refuse_foreign_tensors(cur, reg):
         generator_actions(ConfTensor(cur, 3, {("e", "f", "h"): other.reg.parse("d1")}))
     with pytest.raises(RegistryMismatch):
         ccybe_bracket(ConfTensor(cur, 2, {("e", "f"): other.reg.parse("d1")}))
-    with pytest.raises(ValueError, match="share a registry"):
-        lift_profile(DiagProfile(other.reg, {("e", "f"): other.reg.parse("x")}), cur)
     # and the refused calls leave the tables sound
     fresh = ConfTensor(ConfAlgebra.cur(sl2(), reg), 2, r.entries)
     assert ccybe_bracket(r).entries == ccybe_bracket(fresh).entries
@@ -746,6 +780,7 @@ def test_restricted_bracket_substitutes_only_forms_it_reads(monkeypatch):
     # to the wanted triple, at that argument read modulo the total
     # derivation, whose first slot the map's one target, at d1, is, and
     # it is substituted once
+    monkeypatch.setattr(conformal, "_TABLES", {})
     reg = SymbolRegistry()
     r = lift_profile(generic_profile(reg, 3))
     applied = []
@@ -755,7 +790,8 @@ def test_restricted_bracket_substitutes_only_forms_it_reads(monkeypatch):
 
         def __init__(self, reg, mapping):
             super().__init__(reg, mapping)
-            self.images = tuple(mapping.items())
+            # printed, since the maps are over the core registry
+            self.images = tuple((sym, str(expr)) for sym, expr in mapping.items())
 
         def __call__(self, p):
             applied.append((self.images, p))
@@ -764,9 +800,9 @@ def test_restricted_bracket_substitutes_only_forms_it_reads(monkeypatch):
     monkeypatch.setattr(ybe, "Substitution", Counted)
     s1 = reg.sym("d1")
     d2, d3 = reg.var("d2"), reg.var("d3")
-    at_diagonal = ((reg.sym("d2"), -reg.var(s1)),)
+    at_diagonal = ((reg.sym("d2"), str(-reg.var(s1))),)
     in_class = Substitution(reg, {s1: -(d2 + d3)})
-    args = [((s1, in_class(u)),) for u, _v in pairwise_args(reg)]
+    args = [((s1, str(in_class(u))),) for u, _v in pairwise_args(reg)]
     key_of = {id(poly): key for key, poly in r.entries.items()}
     for name in STRICT_EQUATIONS:
         triple = CATALOG[name].triple
@@ -845,11 +881,12 @@ def _readers_of_zero_form() -> set:
 
 
 def test_catalog_compiles_each_map_once(monkeypatch):
-    # catalog_diffs lifts one generic profile onto one algebra, so the
-    # bracket and the stored identities read the same maps d1 -> form:
-    # every map it compiles, each of the 8 forms of the re-derived
-    # identities among them, is compiled once for all 13 identities; only
-    # the shifted identity, which it leaves out, reads the zero form
+    # the bracket and the stored identities read the same maps
+    # d1 -> form: over an empty store, every map catalog_diffs compiles,
+    # each of the 8 forms of the re-derived identities among them, is
+    # compiled once for all 13 identities; only the shifted identity,
+    # which it leaves out, reads the zero form
+    monkeypatch.setattr(conformal, "_TABLES", {})
     built = []
 
     class Counted(Substitution):
@@ -1058,7 +1095,7 @@ def test_diagonal_restricts_each_entry(cur, reg):
     r = ConfTensor(cur, 2, {pair: _dense_coeff(reg, rng, "param", 3) for pair in PAIRS})
     at = {reg.sym("d2"): -reg.var("d1")}
     assert diagonal(r) == {key: p.subst_many(at) for key, p in r.entries.items()}
-    lift = lift_profile(generic_profile(reg, 3), cur)
+    lift = lift_profile(generic_profile(reg, 3))
     got = diagonal(lift)
     assert list(got) == list(lift.entries)
     assert all(got[key] is poly for key, poly in lift.entries.items())
