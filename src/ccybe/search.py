@@ -44,21 +44,21 @@ with coefficients {0, 1} and constants {-1, 0, 1}, 32 of the 5,184
 consistent candidates are strict solutions, and the strict search keeps
 the 16 skew ones.
 
-Point evaluations decide the filter.  Each filter equation is a
-polynomial identity in (d2, d3, d1) of total degree at most
-2 * max_degree.  Its points are three integer sample points followed by
-the principal lattice of degree 2 * max_degree in the variables the
-equation uses, which is unisolvent for that degree (see _lattice).  One
-table of (entry, argument value) slots holds the entry values at all
-these points; each level fills its slice of it, in int or Fraction
-arithmetic, as it fixes a group.  The sample points prune: as soon as
-every entry of an equation is fixed, it is evaluated there, and the
-branch below is cut if any value is nonzero (a polynomial with a
-nonzero value is not zero, so no solution is ever dropped).  The
-lattice is the exact filter (_leaf): a leaf is kept iff every equation
-also vanishes on its lattice points, read from the same table, which
-holds the leaf's values when _walk yields it.  Only a kept leaf
-becomes a profile, which is re-verified with the full tensor
+Point evaluations decide the filter.  Every argument form of a filter
+equation has zero d1 part, so each equation is a polynomial identity in
+(d2, d3) of total degree at most 2 * max_degree.  All of them share one
+point set: three integer sample points followed by the principal
+lattice of degree 2 * max_degree in (d2, d3), which is unisolvent for
+that degree (see _lattice).  One table of (entry, argument value)
+slots holds the entry values at all these points; each level fills its
+slice of it, in int or Fraction arithmetic, as it fixes a group.  The
+sample points prune: as soon as every entry of an equation is fixed,
+it is evaluated there, and the branch below is cut if any value is
+nonzero (a polynomial with a nonzero value is not zero, so no solution
+is ever dropped).  The lattice is the exact filter (_leaf): a leaf is
+kept iff every equation also vanishes on the lattice, read from the
+same table, which holds the leaf's values when _walk yields it.  Only a
+kept leaf becomes a profile, which is re-verified with the full tensor
 computation and the structural characterization.  The re-verification
 builds the double bracket of the canonical lift once, modulo the total
 derivation, and reads both verdicts from it: weak from the generator
@@ -109,16 +109,16 @@ _MIRROR = {i: _PAIR_INDEX[(l, q)] for (q, l), i in _PAIR_INDEX.items()}
 # Upper bound on SearchConfig.workers: each worker is one process.
 MAX_WORKERS = 64
 # Bound on the invariance-consistent candidates of a search.  The
-# odd-ansatz degree-5 grid over {-1,0,1} (3.1e10) takes about 15 s
+# odd-ansatz degree-5 grid over {-1,0,1} (3.1e10) takes about 8 s
 # serially (one CPU of a 2-CPU host, Python 3.11); degree 7 over the same
 # grid (2.3e13) is refused.
 MAX_CONSISTENT = 10 ** 11
 # Bound on max_degree, whose cost the consistent count does not see: the
-# exact filter's lattice has C(2 max_degree + 3, 3) points per equation.
-# With one candidate (grids {0}), building the scan tables takes about
-# 0.07 s and 23 MB at degree 7, 1.2 s and 57 MB at 21 and 3.6-4.0 s and
-# 130 MB at 31 (raw or odd ansatz), and 10.6 s and 245 MB at 41 (raw), on
-# one CPU of a 2-CPU host with Python 3.11.
+# exact filter's lattice has C(2 max_degree + 2, 2) points, shared by
+# every equation.  With one candidate (grids {0}), a search takes about
+# 0.02 s and 22 MB at degree 7, 0.15 s and 26 MB at 21, 0.3 s and 32 MB
+# at 31 (raw or odd ansatz), and 0.5 s and 40 MB at 41 (raw), on one CPU
+# of a 2-CPU host with Python 3.11.
 MAX_DEGREE = 31
 
 
@@ -284,65 +284,43 @@ def count_consistent(cfg: SearchConfig) -> int:
 # Checks at points ------------------------------------------------------------------
 #
 # A filter equation is sum c * A_left(arg1) * A_right(arg2), with each
-# argument a linear form in (d2, d3, d1).  At a point it reads one value
-# per (entry, argument value), so its value there is a "check": a tuple
-# of terms (c, slot, slot) into a flat table of entry values.
+# argument a linear form in (d2, d3, d1) whose d1 part is zero, so a
+# point is a pair (d2, d3).  At a point the equation reads one value per
+# (entry, argument value), so its value there is a "check": a tuple of
+# terms (c, slot, slot) into a flat table of entry values.
 
 
-_PRESCREEN_POINTS = ((2, 3, 5), (-3, 5, 2), (5, -2, -7))
+_PRESCREEN_POINTS = ((2, 3), (-3, 5), (5, -2))
 
 
 def _at(form: tuple, point: tuple) -> int:
-    return form[0] * point[0] + form[1] * point[1] + form[2] * point[2]
+    return form[0] * point[0] + form[1] * point[1]
 
 
 def _entry(name: str) -> int:
     return _PAIR_INDEX[name[0], name[1]]
 
 
-def _lattice(n: int, variables: Sequence[int]) -> list[tuple]:
-    """The principal lattice T_n over the given positions of (d2, d3, d1),
-    the coordinates of a filter equation's points: the nonnegative
-    integer points with coordinate sum <= n, zero at the other positions.
+def _lattice(n: int) -> list[tuple]:
+    """The principal lattice T_n in (d2, d3): the pairs (i, j) of
+    nonnegative integers with i + j <= n.
 
     T_n is unisolvent for polynomials of total degree <= n (Chung & Yao,
     "On lattices admitting unique Lagrange interpolations", SIAM J.
     Numer. Anal. 1977): such a polynomial that vanishes on T_n is zero.
-    By induction on the number of variables k and on n, writing (u, v, w)
-    for the variables.  For k = 0 or n = 0 the polynomial is a constant,
-    and T_n holds a point.  Otherwise P(0, v, w) has degree <= n in k - 1
-    variables and vanishes on the points of T_n with u = 0, which are T_n
-    in those variables; so P(0, v, w) == 0 and P = u * Q with
-    deg Q <= n - 1.  At a point (i, j, l) of T_n with i >= 1,
-    0 = P = i * Q(i, j, l), so Q(u + 1, v, w), of degree <= n - 1,
-    vanishes on T_{n-1}, hence is zero, and so is P.  The bound is tight:
+    By induction on n.  For n = 0 the polynomial is a constant, and T_0
+    holds a point.  Otherwise P(0, v) has degree <= n in v and vanishes
+    at the n + 1 points (0, j) of T_n, so P(0, v) == 0 and P = u * Q
+    with deg Q <= n - 1.  At a point (i, j) of T_n with i >= 1,
+    0 = P = i * Q(i, j), so Q(u + 1, v), of degree <= n - 1, vanishes on
+    T_{n-1}, hence is zero, and so is P.  The bound is tight:
     u (u - 1) ... (u - n) has degree n + 1 and vanishes on T_n.
     """
-    points = []
-    for exps in itertools.product(range(n + 1), repeat=len(variables)):
-        if sum(exps) <= n:
-            point = [0, 0, 0]
-            for v, e in zip(variables, exps):
-                point[v] = e
-            points.append(tuple(point))
-    return points
-
-
-def _exact_points(eq, max_degree: int) -> list[tuple]:
-    """Points on which eq vanishes iff it is the zero polynomial.
-
-    With entries of degree <= max_degree every term is a polynomial of
-    total degree <= 2 * max_degree in the variables the argument forms
-    use, so the principal lattice of that degree in those variables
-    decides it exactly.
-    """
-    used = tuple(v for v in range(3)
-                 if any(term[k][v] for term in eq.terms for k in (2, 4)))
-    return _lattice(2 * max_degree, used)
+    return [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
 
 
 class _Checks:
-    """Checks of some equations, each at its own points.
+    """Checks of some equations at shared points.
 
     `slots` lists the (entry index, argument value) pairs the checks
     read, sorted by the level that fixes the entry, so each level's
@@ -354,7 +332,7 @@ class _Checks:
     def __init__(self, equations: Sequence, points: Sequence, level_of: Sequence[int],
                  levels: int):
         needed = {(_entry(entry), _at(form, point))
-                  for eq, pts in zip(equations, points) for point in pts
+                  for eq in equations for point in points
                   for term in eq.terms for entry, form in (term[1:3], term[3:5])}
         self.slots = sorted(needed, key=lambda slot: (level_of[slot[0]], slot))
         position = {slot: n for n, slot in enumerate(self.slots)}
@@ -364,9 +342,9 @@ class _Checks:
         ends = list(itertools.accumulate(counts))
         self.spans = list(zip([0] + ends[:-1], ends))
         self.per_equation = []
-        for eq, pts in zip(equations, points):
+        for eq in equations:
             checks = []
-            for point in pts:
+            for point in points:
                 merged: dict = {}
                 for c, left, arg1, right, arg2 in eq.terms:
                     a = position[_entry(left), _at(arg1, point)]
@@ -397,7 +375,7 @@ def _vanishes(checks, vals) -> bool:
 # The scan fixes the constants, then one group per level, and evaluates
 # each filter equation at the sample points at the first level where
 # all of its entries are fixed.  A leaf is kept only if every filter
-# equation also vanishes on its lattice points.
+# equation also vanishes on the lattice.
 
 # Level order eh/he, fh/hf, ee, ef/fe, ff, hh, for both modes and every
 # degree: each level fixes the group that completes the most pending
@@ -422,10 +400,8 @@ class _Plan:
             for i in _GROUPS[g]:
                 level_of[i] = level
         samples = len(_PRESCREEN_POINTS)
-        self.table = _Checks(
-            equations,
-            [_PRESCREEN_POINTS + tuple(_exact_points(eq, cfg.max_degree)) for eq in equations],
-            level_of, len(_LEVEL_ORDER))
+        self.table = _Checks(equations, _PRESCREEN_POINTS + tuple(_lattice(2 * cfg.max_degree)),
+                             level_of, len(_LEVEL_ORDER))
         self.leaf_checks = list(dict.fromkeys(
             check for checks in self.table.per_equation for check in checks[samples:]))
 

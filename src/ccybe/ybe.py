@@ -108,8 +108,10 @@ table boundary_values puts them, and efh_shift reads them there, as the
 entries at the zero form.  The catalog below stores, over the generic
 diagonal profile, the ten independent projection identities (named by
 their basis triple), the worked f x h x f variant, the two
-action-variable identities that replace the e x f x h projection in the
-weak case, and its shifted variant with the boundary-constant
+action-variable identities (the e x f x h projection of the h-action
+and the e x f x e projection of the e-action on the bracket), which
+catalog_diffs re-derives and the search does not filter with, and the
+e x f x h projection's shifted variant with the boundary-constant
 correction kappa, as three products of those constants.  Each
 identity's argument forms are linear in the bracket's own variables d2,
 d3 and (where a generator action brings it back) d1, so eval_equation
@@ -622,18 +624,15 @@ CATALOG: dict[str, Equation] = {
 }
 
 # Equations the search filters with, in both modes: the nine triple
-# projections shared with the strict system plus the action-variable
-# variants replacing the e x f x h projection efh (see search).  The
-# search's results do not need efh_h and efh_e: without them every
-# report hash stays the same.  They stay as prunes, which an earlier
-# scan measured them to pay for (raw degree-3 weak sweep: 2.8 s with
-# them, 3.5-3.9 s without).  On the present scan they pay nothing
-# measurable: raw degree 3 reads 2.5 s either way, and odd degree 5
-# over {-1,0,1} takes 9.4 s with them and 8.4 s without (medians of
-# five runs, 2 CPUs, Python 3.11).
+# projections shared with the strict system and efh_shift.  Ten are
+# enough.  On the boundary table efh(0, 0) = -kappa, so efh_shift is
+# efh - efh(0, 0).  A weak r has class c * epsilon with c constant
+# (weak_verdict), so its nine non-epsilon projections vanish and its
+# efh is constant: it passes all ten.  The search's post-verification
+# decides everything else.  None of the ten reads d1.
 WEAK_EQUATIONS = (
     "eee", "hee", "fff", "hff", "ehh", "fhh", "fee", "eff", "hhh",
-    "efh_h", "efh_e", "efh_shift",
+    "efh_shift",
 )
 
 

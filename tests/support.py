@@ -56,7 +56,6 @@ from ccybe.ybe import (
     CONSTANT_NAMES,
     CONSTANT_PAIRS,
     PAIRS,
-    WEAK_EQUATIONS,
     DiagProfile,
     boundary_values,
     ccybe_bracket,
@@ -439,10 +438,15 @@ def _skew_profile(profile: DiagProfile) -> bool:
 
 
 def _reference_names(cfg):
-    """The reference scans' filter equations: the weak ones, plus efh in
-    strict mode, where they also test skew-symmetry per candidate; the
-    search instead scans the weak ones over zeta = 0, kappa = 0 only."""
-    return WEAK_EQUATIONS + (("efh",) if cfg.mode == "strict" else ())
+    """The reference scans' filter equations: the nine triple
+    projections, the action-variable identities efh_h and efh_e and
+    efh_shift, plus efh in strict mode, where they also test
+    skew-symmetry per candidate.  The search filters with
+    ybe.WEAK_EQUATIONS, which leaves out efh_h and efh_e, and in strict
+    mode scans only the constants tuples with zeta = 0, kappa = 0."""
+    names = ("eee", "hee", "fff", "hff", "ehh", "fhh", "fee", "eff", "hhh",
+             "efh_h", "efh_e", "efh_shift")
+    return names + (("efh",) if cfg.mode == "strict" else ())
 
 
 def naive_run(cfg):
@@ -504,12 +508,25 @@ def brute_force_verdicts(max_degree, coeff_grid, constants_grid):
 
 # Flat scan of the consistent candidates: number them in a mixed radix,
 # decode every index, test skew-symmetry in strict mode, prescreen each
-# candidate anew at the sample points, then filter exactly at the
+# candidate anew at its own sample points, then filter exactly at the
 # points of the full principal lattice in (d2, d3, d1), with this
-# file's own term tables and kappa (not the engine's check table or the
-# catalog's kappa terms), and post-verify as the engine's depth-first
-# scan does.  The engine yields its leaves in walk order, so compare the
-# two as lists sorted by canonical JSON.
+# file's own equation list, points, term tables and kappa (not the
+# engine's check table or the catalog's kappa terms), and post-verify
+# as the engine's depth-first scan does.  The engine yields its leaves
+# in walk order, so compare the two as lists sorted by canonical JSON.
+
+# (d2, d3, d1): efh_h and efh_e read d1
+_FLAT_SAMPLE_POINTS = ((2, 3, 5), (-3, 5, 2), (5, -2, -7))
+
+
+def principal_lattice(n):
+    """The principal lattice T_n in (d2, d3, d1): the nonnegative integer
+    triples with sum <= n.  It is unisolvent for polynomials of total
+    degree <= n, by search._lattice's induction on n run once more on
+    the variables: P(0, v, w) vanishes on T_n in (v, w), so it is zero,
+    P = u * Q, and Q(u + 1, v, w) vanishes on T_{n-1}."""
+    return [(i, j, k) for i in range(n + 1) for j in range(n + 1 - i)
+            for k in range(n + 1 - i - j)]
 
 
 def _decode(cfg, index, slots):
@@ -608,10 +625,10 @@ def flat_scan(cfg):
     names = _reference_names(cfg)
     terms = _filter_terms(names)
     slots = search._free_slots(cfg)
-    points_args = [_arg_values(p) for p in search._PRESCREEN_POINTS]
+    points_args = [_arg_values(p) for p in _FLAT_SAMPLE_POINTS]
     # every filter equation has total degree <= 2 max_degree in
     # (d2, d3, d1), and this lattice is unisolvent for that degree
-    lattice_args = [_arg_values(p) for p in search._lattice(2 * cfg.max_degree, (0, 1, 2))]
+    lattice_args = [_arg_values(p) for p in principal_lattice(2 * cfg.max_degree)]
     out = []
     for index in range(search.count_consistent(cfg)):
         constants, coeffs = _decode(cfg, index, slots)
