@@ -5,7 +5,8 @@ Commands: verify, expand, catalog, family, search, vir.  Exit status is
 parse, or constraint errors.  All numeric output is exact rational
 text; there is no floating point anywhere in the tool.  Only the
 commands that use them import `search` (with multiprocessing) and
-`families`.
+`families`.  Run as a process, the tool exits 141 without a traceback
+when its reader closes standard output early (see main).
 """
 
 from __future__ import annotations
@@ -390,8 +391,29 @@ def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run the command line `argv` and return its exit status.
+
+    With no argv, main is the process's entry, as the `ccybe` console
+    script and `python -m ccybe.cli` call it: it reads sys.argv, and if
+    the reader closes standard output early (as `| head` does), it stops
+    there without a traceback and returns 141 (128 + SIGPIPE, the status
+    a shell reports for a process that SIGPIPE ends), with standard
+    output sent to os.devnull so that the flush at exit is quiet too.
+    Given argv, main runs inside its caller's process and leaves the
+    caller's standard output as it is: a BrokenPipeError propagates.
+    """
+    if argv is not None:
+        return _run(argv)
+    try:
+        status = _run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
+
+
+def _run(argv) -> int:
     # The top-level parser has no option but -h, so when the first
     # argument names a command, that command's subparser reads all the
     # rest, and the others would only be built to go unused.

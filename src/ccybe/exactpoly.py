@@ -75,7 +75,10 @@ The text grammar accepted by parse_poly:
     factor := '-' factor | atom ('^' INT)?
     atom   := INT ('/' INT)? | SYMBOL | '(' expr ')'
 
-A SYMBOL must already be interned in the registry.  Exponents must be
+An INT is [0-9]+ in ASCII, as a SYMBOL's letters and digits are, and no
+longer than int() reads from text (4,300 digits by default); a longer
+literal is a ParseError at its start.  A SYMBOL must already be
+interned in the registry.  Exponents must be
 nonnegative integer literals below 2**15, parentheses nest at most
 MAX_NESTING deep, and implicit multiplication is not allowed.  With a
 degree limit, a power or product that would exceed it in some symbol is
@@ -138,8 +141,9 @@ CORE_SYMBOLS = (
 _CORE_SYMS = {name: Sym(name, idx) for idx, name in enumerate(CORE_SYMBOLS)}
 _CORE_GUARD = sum(EXPONENT_LIMIT << (_FIELD * idx) for idx in range(len(CORE_SYMBOLS)))
 
+_DIGITS = frozenset("0123456789")
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | set("0123456789")
+_NAME_CONT = _NAME_START | _DIGITS
 
 
 def _scalar(value) -> Scalar:
@@ -659,11 +663,17 @@ class _Parser:
     def take_int(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # ASCII digits always read, so this is int()'s limit on the
+            # length of decimal text (4,300 digits by default)
+            raise ParseError(f"integer literal of {self.pos - start} digits is longer "
+                             f"than int() reads", start) from None
 
     def take_name(self) -> str:
         self._skip_ws()
@@ -719,7 +729,7 @@ class _Parser:
         node = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            if self.peek() is None or not self.peek().isdigit():
+            if self.peek() not in _DIGITS:
                 raise ParseError("exponent must be a nonnegative integer literal", self.pos)
             here = self.pos
             n = self.take_int()
@@ -743,7 +753,7 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return node
-        if ch.isdigit():
+        if ch in _DIGITS:
             num = self.take_int()
             if self.peek() == "/":
                 self.pos += 1

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .conformal import ConfAlgebra, ConfTensor
-from .exactpoly import MPoly, SymbolRegistry, _scalar
+from .exactpoly import MPoly, SymbolRegistry, _FIELD, _FIELD_MASK, _scalar
 from .liealg import Scalar, rank_le_1
 from .ybe import CONSTANT_NAMES, CONSTANT_PAIRS, PAIRS, DiagProfile, boundary_values
 
@@ -257,20 +257,22 @@ def characterize(p: DiagProfile) -> Characterization:
     """Check the structural form every invariant weak solution must have.
 
     Each entry is read once, as its row {degree in x: exact scalar,
-    int-first (`exactpoly._scalar`)}; every check below is dict and
-    scalar arithmetic on the rows, so an integral survivor is
+    int-first (`exactpoly._scalar`)}, straight from its packed terms: a
+    term that reads any symbol but x is refused.  Every check below is
+    dict and scalar arithmetic on the rows, so an integral survivor is
     characterized in int arithmetic.  A centered row has the shape
     a x f(x^2) when all its degrees are odd: a is its top coefficient
     and f(t) has the coefficient c / a at t^((deg - 1) / 2).
     """
-    x = p.reg.sym("x")
-    rows = {}
-    for pair in PAIRS:
-        row = rows[pair] = {}
-        for deg, c in p.entry(*pair).as_univariate_in(x).items():
-            if not c.is_constant():
+    shift = _FIELD * p.reg.sym("x").index
+    rows = {pair: {} for pair in PAIRS}
+    for pair, poly in p.entries.items():
+        row = rows[pair]
+        for key, c in poly._terms.items():
+            deg = (key >> shift) & _FIELD_MASK
+            if key != deg << shift:
                 raise ValueError("characterize requires a parameter-free profile")
-            row[deg] = _scalar(c.constant_value())
+            row[deg] = _scalar(c)
     boundary = {pair: row.pop(0, 0) for pair, row in rows.items()}
 
     sym = all(rows[(q, l)] == rows[(l, q)] for q, l in PAIRS)

@@ -61,13 +61,16 @@ same table, which holds the leaf's values when _walk yields it.  Only a
 kept leaf becomes a profile, which is re-verified with the full tensor
 computation and the structural characterization.  The re-verification
 builds the double bracket of the canonical lift once, modulo the total
-derivation, and reads both verdicts from it: weak from the generator
-actions on it, strict (in strict mode) from whether it vanishes.  A
-process builds every survivor profile on one symbol registry, and the
-tables the checks read (the generator-action table, the double
-bracket's coefficient maps and the lift map, with the powers of their
-targets) sit in conformal's store, so they are built once per process,
-not once per survivor.  Any survivor failing characterization is
+derivation, and reads both verdicts from it: weak from ybe.weak_verdict,
+which certifies a class c * epsilon with c free of the slot variables
+(every survivor's class is -kappa * epsilon) without a generator acting
+and computes the generator actions on any other class, and strict (in
+strict mode) from whether it vanishes.  A process builds every survivor
+profile on one symbol registry, and the tables the checks read (the
+double bracket's coefficient maps and the lift map, with the powers of
+their targets, and the generator-action table if a class needs it) sit
+in conformal's store, so they are built once per process, not once per
+survivor.  Any survivor failing characterization is
 recorded.  A survivor is named by
 families.name_case, which reads the family table there, so this module
 states no family case itself.  The walk inside a
@@ -526,10 +529,10 @@ def _post_verify(cfg: SearchConfig, profile: DiagProfile):
         if residue:
             problems.append(f"relation:{name}")
     # One double bracket, built modulo the total derivation, gives both
-    # verdicts: the weak one from the generator actions on it, the
-    # strict one from whether it vanishes.  The tensor steps are looked
-    # up on the ybe module, where a tracer that wraps them sees these
-    # calls.
+    # verdicts: the weak one from weak_verdict (a certificate for
+    # c * epsilon, else the generator actions), the strict one from
+    # whether it vanishes.  The tensor steps are looked up on the ybe
+    # module, where a tracer that wraps them sees these calls.
     bracket = ybe.ccybe_bracket(lift_profile(profile))
     if not ybe.weak_verdict(bracket)[0]:
         problems.append("reverify:weak_defect")

@@ -80,9 +80,10 @@ an element g(D)a acts as g(-lam) times a's action (sesquilinearity),
 so only generators ever act.  generator_actions acts with all of them,
 by name, in one act_on_tensor call, so the weak and the invariance
 checks shift each coefficient once, not once per generator.
-weak_verdict reads the weak verdict off a given class, and the strict
-verdict is whether that class is zero, so a caller that needs both
-builds the bracket once.
+weak_verdict reads the weak verdict off a given class (on sl2 it
+certifies a class c * epsilon as weak without a generator acting; see
+there), and the strict verdict is whether that class is zero, so a
+caller that needs both builds the bracket once.
 
 The tables these checks read depend on the algebra's structure alone
 and live in conformal's store for the whole process
@@ -134,7 +135,7 @@ from typing import Iterable, Optional, Sequence
 from .conformal import ConfAlgebra, ConfTensor, act_on_tensor, project
 from .exactpoly import (
     CORE_REGISTRY, EXPONENT_LIMIT, ExponentOverflow, MPoly, Substitution, SymbolRegistry, _FIELD,
-    _finished, _mac, _term_list,
+    _FIELD_MASK, _finished, _mac, _term_list,
 )
 from .liealg import AutMatrix, Scalar, sl2, transform_tensor
 
@@ -414,9 +415,42 @@ def weak_verdict(bracket: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
     Conversely epsilon is invariant and constant, so no shift moves it
     and every action on c * epsilon vanishes.  On the search's weak
     survivors c is -kappa, kappa = shift_constant of their constants.
+
+    That converse is a certificate, and a class that bears it is weak
+    without a generator acting: on liealg.sl2() (by identity, since
+    another Lie algebra may use the names e, f and h), a class that is
+    c * epsilon with c free of d1, d2 and d3 (parameters allowed) gets
+    zero defects, each generator's action c * (g . epsilon) = 0.  Every
+    other class, and every Virasoro one, has its actions computed, so
+    the verdict and the defects are those of the actions either way.
     """
+    if _is_c_epsilon(bracket):
+        return True, {g: ConfTensor(bracket.alg, 3, {}) for g in bracket.alg.basis_names}
     defects = generator_actions(bracket)
     return all(t.is_zero() for t in defects.values()), defects
+
+
+# The six permutations s of (e, f, h) with sgn(s): epsilon's support.
+_EPSILON = ((("e", "f", "h"), 1), (("f", "h", "e"), 1), (("h", "e", "f"), 1),
+            (("f", "e", "h"), -1), (("e", "h", "f"), -1), (("h", "f", "e"), -1))
+# The fields of the slot variables d1, d2 and d3 in a packed key.
+_SLOT_FIELDS = sum(_FIELD_MASK << _FIELD * CORE_REGISTRY.sym(f"d{i}").index for i in (1, 2, 3))
+
+
+def _is_c_epsilon(t: ConfTensor) -> bool:
+    """Whether t, an arity-3 tensor over the current algebra on
+    liealg.sl2(), is c * epsilon with c free of d1, d2 and d3 (zero
+    included), read off its packed terms."""
+    if t.alg.lie is not sl2() or t.arity != 3:
+        return False
+    entries = t.entries
+    if not entries:
+        return True
+    c = entries.get(("e", "f", "h"))
+    if len(entries) != 6 or c is None or any(key & _SLOT_FIELDS for key in c._terms):
+        return False
+    signed = {1: c, -1: -c}
+    return all(entries.get(perm) == signed[sign] for perm, sign in _EPSILON)
 
 
 def is_weak_solution(r: ConfTensor) -> tuple[bool, dict[str, ConfTensor]]:
@@ -462,9 +496,6 @@ class DiagProfile:
             if key not in PAIRS:
                 raise ValueError(f"unknown profile entry {key}")
         self.entries = {k: v for k, v in self.entries.items() if not v.is_zero()}
-
-    def entry(self, q: str, l: str) -> MPoly:
-        return self.entries.get((q, l), self.reg.zero())
 
 
 def lift_profile(p: DiagProfile) -> ConfTensor:

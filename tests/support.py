@@ -423,6 +423,11 @@ def enumerate_candidates(cfg):
             yield constants, combo
 
 
+def profile_entry(p: DiagProfile, q: str, l: str) -> MPoly:
+    """The profile's entry A'_{ql}, zero where it stores none."""
+    return p.entries.get((q, l), p.reg.zero())
+
+
 def enumerate_profiles(cfg):
     """Stream every candidate profile, with no filtering."""
     for constants, combo in enumerate_candidates(cfg):
@@ -433,7 +438,8 @@ def _skew_profile(profile: DiagProfile) -> bool:
     """A'_{ql}(x) + A'_{lq}(-x) == 0 for all pairs."""
     x = profile.reg.sym("x")
     minus = -profile.reg.var("x")
-    return all((profile.entry(q, l) + profile.entry(l, q).subst_many({x: minus})).is_zero()
+    return all((profile_entry(profile, q, l)
+                + profile_entry(profile, l, q).subst_many({x: minus})).is_zero()
                for q, l in PAIRS)
 
 
@@ -863,7 +869,8 @@ def constant_values(p: DiagProfile) -> list[MPoly]:
     """(alpha, beta, gamma, zeta): the x-free parts of the profile's
     entries at CONSTANT_PAIRS."""
     x = p.reg.sym("x")
-    return [p.entry(*pair).as_univariate_in(x).get(0, p.reg.zero()) for pair in CONSTANT_PAIRS]
+    return [profile_entry(p, *pair).as_univariate_in(x).get(0, p.reg.zero())
+            for pair in CONSTANT_PAIRS]
 
 
 def invariance_residues(p: DiagProfile) -> list[MPoly]:
@@ -874,8 +881,8 @@ def invariance_residues(p: DiagProfile) -> list[MPoly]:
     zeta = constant_values(p)[3]
     out = []
     for left, right, mult in INVARIANCE_RELATIONS:
-        res = p.entry(*left).subst_many({x: lam})
-        res = res + p.entry(*right).subst_many({x: -lam})
+        res = profile_entry(p, *left).subst_many({x: lam})
+        res = res + profile_entry(p, *right).subst_many({x: -lam})
         if mult:
             res = res - zeta * mult
         out.append(res)
@@ -899,8 +906,8 @@ def catalog_diff_oracle(name: str, degree: int) -> MPoly:
     d1, d2, d3 = (reg.var(n) for n in ("d1", "d2", "d3"))
     stored = reg.zero()
     for coeff, left, (a1, b1, c1), right, (a2, b2, c2) in eq.terms:
-        at1 = prof.entry(*left).subst_many({x: d2 * a1 + d3 * b1 + d1 * c1})
-        at2 = prof.entry(*right).subst_many({x: d2 * a2 + d3 * b2 + d1 * c2})
+        at1 = profile_entry(prof, *left).subst_many({x: d2 * a1 + d3 * b1 + d1 * c1})
+        at2 = profile_entry(prof, *right).subst_many({x: d2 * a2 + d3 * b2 + d1 * c2})
         stored = stored + at1 * at2 * coeff
     return raw - stored * eq.scale
 

@@ -38,6 +38,7 @@ from support import (
     is_totally_antisymmetric,
     lambda_bracket,
     map_coeffs,
+    profile_entry,
     random_invertible,
     random_univariate,
     sub_tensors,
@@ -275,8 +276,8 @@ def _grid_family_records(reg_factory):
         spec = families.FamilySpec(case, reg, params)
         prof = families.build_profile(spec)
         entries = {
-            "".join(pair): prof.entry(*pair).to_string()
-            for pair in ybe.PAIRS if not prof.entry(*pair).is_zero()
+            "".join(pair): profile_entry(prof, *pair).to_string()
+            for pair in ybe.PAIRS if not profile_entry(prof, *pair).is_zero()
         }
         constants = {n: str(v.constant_value()) for n, v in
                      zip(ybe.CONSTANT_NAMES, constant_values(prof))}

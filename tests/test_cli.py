@@ -763,6 +763,71 @@ def test_vir_degree_above_limit(capsys):
     assert "degree 65 in y" in capsys.readouterr().err
 
 
+# An integer literal is ASCII digits: a superscript two, an Arabic-Indic
+# three, alone or after an ASCII digit, and a literal longer than int()
+# reads are parse errors.
+_BAD_LITERALS = [("d1^\u00b2", "x^\u00b2", "t^\u00b2", "exponent must be"),
+                 ("\u0663", "\u0663", "\u0663", "unexpected character"),
+                 ("1\u0663", "1\u0663", "1\u0663*t", "'\u0663' (at position 1)"),
+                 ("1" * 5000, "1" * 5000, "1" * 5000 + "*t", "5000 digits")]
+
+
+@pytest.mark.parametrize("coeff, expr, f, message", _BAD_LITERALS,
+                         ids=["superscript", "arabic_indic", "mixed_digits", "overlong"])
+def test_literal_outside_the_grammar_is_a_parse_error(tmp_path, capsys, coeff, expr, f,
+                                                       message):
+    path = write_rmat(tmp_path, "bad.json", {"algebra": "cur_sl2", "entries": [
+        {"left": "h", "right": "h", "coeff": coeff}]})
+    out = tmp_path / "fam.json"
+    for argv in (["verify", path, "--mode", "weak"], ["vir", expr],
+                 ["family", "thm5_ii", "--param", "lhh=1", "--param", "beta=1",
+                  "--param", "zeta=0", "--f", f, "--out", str(out)]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert message in captured.err and "position" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["-m ccybe.cli", "console script"])
+def test_cli_exits_quietly_on_a_closed_pipe(tmp_path, entry):
+    # `ccybe expand` of this file prints about 210 kB, more than a pipe
+    # holds; a reader that takes one line and closes the pipe, as
+    # `| head -1` does, stops it with no traceback and status 141, run as
+    # `python -m ccybe.cli` or as the console script's `sys.exit(main())`
+    path = write_rmat(tmp_path, "big.json", {"algebra": "cur_sl2", "entries": [
+        {"left": "e", "right": "f", "coeff": "(d1 + 1)^50"},
+        {"left": "h", "right": "h", "coeff": "d1^3 + 2"}]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    command = (["-m", "ccybe.cli"] if entry == "-m ccybe.cli" else
+               ["-c", "import sys; from ccybe.cli import main; sys.exit(main())"])
+    proc = subprocess.Popen([sys.executable, *command, "expand", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert line == "reduced modulo the total derivation:\n" and err == ""
+    assert proc.wait(timeout=300) == 141
+
+
+def test_cli_main_in_process_leaves_stdout_alone():
+    # given argv, main is a call in its caller's process: a closed
+    # stream's BrokenPipeError reaches the caller, and no descriptor of
+    # the process is redirected
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    before = os.fstat(1)
+    with contextlib.redirect_stdout(Closed()), pytest.raises(BrokenPipeError):
+        cli.main(["vir", "x + y"])
+    after = os.fstat(1)
+    assert (before.st_dev, before.st_ino) == (after.st_dev, after.st_ino)
+
+
 # exit-code contract on arbitrary input ------------------------------------------------
 
 
@@ -858,7 +923,7 @@ def test_verify_does_not_import_search(tmp_path):
 
 _TOKENS = ("d1", "d2", "d3", "x", "y", "t", "alpha", "lam", "0", "1", "2", "1/2",
            "3/0", "(", ")", "+", "-", "*", "^", "^2", "^3", "^65", "^99999", " ",
-           "1e5", "1.5", "!", "", "(" * 150, "-" * 3000)
+           "1e5", "1.5", "!", "", "(" * 150, "-" * 3000, "\u00b2", "^\u00b2", "\u0663")
 _junk_text = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
 
 

@@ -29,6 +29,7 @@ from support import (
     constant_values,
     diagonal_profile_of,
     invariant_constant_rmat,
+    profile_entry,
     random_poly,
     tau,
 )
@@ -44,21 +45,21 @@ def reg():
 def test_build_profile_thm5_ii(reg):
     spec = FamilySpec("thm5_ii", reg, {"lhh": 1, "beta": 2, "zeta": 1})
     prof = build_profile(spec)
-    assert prof.entry("h", "h") == reg.parse("x + 1")
-    assert prof.entry("e", "f") == 2
-    assert prof.entry("f", "e") == 2
+    assert profile_entry(prof, "h", "h") == reg.parse("x + 1")
+    assert profile_entry(prof, "e", "f") == 2
+    assert profile_entry(prof, "f", "e") == 2
     for pair in [("e", "e"), ("f", "f"), ("h", "e"), ("e", "h"), ("h", "f"), ("f", "h")]:
-        assert prof.entry(*pair).is_zero()
+        assert profile_entry(prof, *pair).is_zero()
 
 
 def test_build_profile_thm5_iii(reg):
     spec = FamilySpec("thm5_iii", reg, {"alpha": 1, "beta": 0, "gamma": 0, "zeta": 0})
     prof = build_profile(spec)
-    assert prof.entry("h", "e") == 1
-    assert prof.entry("e", "h") == -1
+    assert profile_entry(prof, "h", "e") == 1
+    assert profile_entry(prof, "e", "h") == -1
     for pair in [("e", "e"), ("f", "f"), ("h", "h"), ("e", "f"), ("f", "e"),
                  ("h", "f"), ("f", "h")]:
-        assert prof.entry(*pair).is_zero()
+        assert profile_entry(prof, *pair).is_zero()
 
 
 def test_constraint_errors(reg):

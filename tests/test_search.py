@@ -44,6 +44,7 @@ from support import (
     invariance_residues,
     naive_run,
     principal_lattice,
+    profile_entry,
     random_poly,
     reduce_mod_total,
 )
@@ -130,7 +131,7 @@ def test_raw_mode_includes_even_entries():
         if coeffs[0] == (0, 1):
             profile = candidate_profile(cfg, constants, coeffs)
             x = profile.reg.var("x")
-            if profile.entry("e", "e") == x * x:
+            if profile_entry(profile, "e", "e") == x * x:
                 found = profile
     assert found is not None
     assert any(not r.is_zero() for r in invariance_residues(found))
@@ -145,8 +146,8 @@ def test_structured_matches_naive_weak():
     naive_keys = set()
     for profile in naive:
         entries = {
-            "".join(pair): profile.entry(*pair).to_string()
-            for pair in search.PAIRS if not profile.entry(*pair).is_zero()
+            "".join(pair): profile_entry(profile, *pair).to_string()
+            for pair in search.PAIRS if not profile_entry(profile, *pair).is_zero()
         }
         constants = {n: str(v) for n, v in zip(CONSTANT_NAMES, constant_values(profile))}
         naive_keys.add(json.dumps({"constants": constants, "entries": entries},
@@ -531,8 +532,8 @@ def _exact_agrees(eq, profile, max_degree):
     points = search._PRESCREEN_POINTS + tuple(search._lattice(2 * max_degree))
     checks = search._Checks([eq], points, [0] * len(PAIRS), 1)
     x = profile.reg.sym("x")
-    table = [profile.entry(*PAIRS[i]).subst_many({x: profile.reg.const(s)}).constant_value()
-             for i, s in checks.slots]
+    table = [profile_entry(profile, *PAIRS[i]).subst_many({x: profile.reg.const(s)})
+             .constant_value() for i, s in checks.slots]
     vanishes = search._vanishes(checks.per_equation[0], table)
     assert vanishes == eval_equation(eq, lift_profile(profile)).is_zero(), (eq.name, max_degree)
     return vanishes
@@ -606,11 +607,13 @@ def test_exact_check_catches_near_misses(max_degree):
 
 
 def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
-    # the weak verdict (generator actions) and the strict one (whether it
-    # vanishes) of a survivor are read from the same double bracket, built
-    # modulo the total derivation, so no reduction step runs; the
-    # generator actions are one act_on_tensor call per survivor, looked up
-    # on ybe, where a tracer sees it; and the arity-3 action table is
+    # the weak verdict and the strict one (whether it vanishes) of a
+    # survivor are read from the same double bracket, built modulo the
+    # total derivation, so no reduction step runs; every survivor's
+    # bracket is c * epsilon, which weak_verdict certifies without a
+    # generator acting, so no act_on_tensor call runs and no action
+    # table is built; a bracket that is not c * epsilon acts once, looked
+    # up on ybe, where a tracer sees it, and its arity-3 action table is
     # built once per process, in conformal's store
     calls = {"ccybe_bracket": 0, "generator_actions": 0, "reduce_mod_total": 0,
              "act_on_tensor": 0}
@@ -633,6 +636,14 @@ def test_post_verify_builds_one_bracket_per_survivor(monkeypatch):
     for runs in (1, 2):
         report = run_search(cfg)
         assert len(report.survivors) == 39 and not report.characterization_failures
-        assert calls == {"ccybe_bracket": 39 * runs, "generator_actions": 39 * runs,
-                         "reduce_mod_total": 0, "act_on_tensor": 39 * runs}
+        assert calls == {"ccybe_bracket": 39 * runs, "generator_actions": 0,
+                         "reduce_mod_total": 0, "act_on_tensor": 0}
+        assert builds == []
+    reg = SymbolRegistry()
+    profile = DiagProfile(reg, {("e", "f"): reg.var("x")})
+    for runs in (1, 2):
+        bracket = ybe.ccybe_bracket(lift_profile(profile))
+        assert not ybe.weak_verdict(bracket)[0]
+        assert calls == {"ccybe_bracket": 78 + runs, "generator_actions": runs,
+                         "reduce_mod_total": 0, "act_on_tensor": runs}
         assert builds == [3]

@@ -22,7 +22,7 @@ from ccybe.exactpoly import (
     SymbolRegistry,
 )
 from ccybe.families import SL2_CASES, FamilySpec, build_profile
-from ccybe.liealg import ad, sl2
+from ccybe.liealg import LieAlg, ad, sl2
 from ccybe.ybe import (
     CATALOG,
     CONSTANT_NAMES,
@@ -62,6 +62,7 @@ from support import (
     pairwise_bracket,
     pairwise_products,
     permutation_symmetry_check,
+    profile_entry,
     project_reduced,
     random_invertible,
     random_univariate,
@@ -460,6 +461,82 @@ def test_weak_kernel_is_epsilon(degree):
     assert scale and kernel == [scale * v for v in epsilon]
 
 
+EPSILON_SIGNS = {("e", "f", "h"): 1, ("f", "h", "e"): 1, ("h", "e", "f"): 1,
+                 ("f", "e", "h"): -1, ("e", "h", "f"): -1, ("h", "f", "e"): -1}
+
+
+def _near_c_epsilon(rng, reg):
+    """(name, arity-3 sl2 tensor, whether it is c * epsilon with c free
+    of d1, d2 and d3) for a random c and one deviation from c * epsilon
+    or none."""
+    alg = ConfAlgebra.cur(sl2(), reg)
+    d = [reg.var(f"d{i}") for i in (1, 2, 3)]
+    c = reg.const(rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)]))
+    other = c + rng.choice([1, -1, Fraction(1, 3)])
+    kind = rng.choice(["exact", "zero", "parametric", "sign", "missing", "slot", "extra",
+                       "two_values"])
+    if kind == "parametric":
+        c = c + reg.var(rng.choice(["alpha", "lhh", "p0"])) * rng.choice([1, -3])
+    elif kind == "slot":
+        c = c + d[rng.randrange(3)] * rng.choice([1, 2])
+    entries = {tup: c * sign for tup, sign in EPSILON_SIGNS.items()}
+    pick = rng.choice(sorted(EPSILON_SIGNS))
+    if kind == "zero":
+        entries = {}
+    elif kind == "sign":
+        entries[pick] = -entries[pick]
+    elif kind == "missing":
+        del entries[pick]
+    elif kind == "extra":
+        outside = [t for t in itertools.product("efh", repeat=3) if t not in EPSILON_SIGNS]
+        entries[rng.choice(outside)] = c
+    elif kind == "two_values":
+        entries[pick] = other * EPSILON_SIGNS[pick]
+    return kind, ConfTensor(alg, 3, entries), kind in ("exact", "zero", "parametric")
+
+
+def test_weak_certificate_accepts_exactly_c_epsilon():
+    # near c * epsilon, weak_verdict's certificate accepts the tensors
+    # that are c * epsilon with c free of the slot variables (parameters
+    # allowed) and no other: each accepted one has zero generator
+    # actions, and every verdict and defect equals the actions' own
+    rng = random.Random(3301)
+    reg = SymbolRegistry()
+    seen = set()
+    for _ in range(160):
+        kind, t, accept = _near_c_epsilon(rng, reg)
+        seen.add(kind)
+        assert ybe._is_c_epsilon(t) == accept, kind
+        acted = generator_actions(t)
+        ok, defects = ybe.weak_verdict(t)
+        assert ok == all(a.is_zero() for a in acted.values()) == accept, kind
+        assert {g: a.entries for g, a in defects.items()} == \
+            {g: a.entries for g, a in acted.items()}
+    assert len(seen) == 8
+
+
+def test_weak_certificate_needs_sl2_itself(monkeypatch):
+    # another Lie algebra on the names e, f and h (a copy of sl2's
+    # constants, or the Heisenberg algebra) never takes the certificate:
+    # its generators act, here with the same verdict
+    calls = []
+
+    def counted(t, _fn=ybe.generator_actions):
+        calls.append(t.alg.lie)
+        return _fn(t)
+
+    monkeypatch.setattr(ybe, "generator_actions", counted)
+    reg = SymbolRegistry()
+    copy = LieAlg(sl2().names, sl2().table)
+    heisenberg = LieAlg(("e", "f", "h"), {("e", "f"): {"h": 1}, ("f", "e"): {"h": -1}})
+    for lie in (copy, heisenberg, sl2()):
+        alg = ConfAlgebra.cur(lie, reg)
+        t = ConfTensor(alg, 3, {tup: reg.const(sign * 2) for tup, sign in EPSILON_SIGNS.items()})
+        assert ybe.weak_verdict(t)[0]
+        assert ybe._is_c_epsilon(t) == (lie is sl2())
+    assert calls == [copy, heisenberg]
+
+
 def test_invariance_constrained_profile(reg):
     prof = constrained_generic_profile(reg, degree=3)
     assert all(res.is_zero() for res in invariance_residues(prof))
@@ -548,7 +625,7 @@ def test_invariance_defect_he_coefficient(reg):
     d1, d2 = reg.var("d1"), reg.var("d2")
 
     def at(q, l, arg):
-        return prof.entry(q, l).subst_many({x: arg})
+        return profile_entry(prof, q, l).subst_many({x: arg})
 
     want = (at("f", "e", -d2) - at("h", "h", d1) * 2
             + at("e", "f", d2) - at("h", "h", -d1) * 2)
