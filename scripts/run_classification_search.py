@@ -4,11 +4,17 @@
 Four searches: the raw degree-1 sweep over the full {-1,0,1} grids in
 weak and strict mode, and odd-ansatz sweeps at degrees 3 and 5 over the
 coefficient grid {0,1}.  Every survivor is independently re-verified
-with the full tensor computation; the exit status is 1 if any
-characterization failure shows up, else 0.  If the reader closes
-standard output early (as `| head` does), the script stops there
-without a traceback and exits 141 (128 + SIGPIPE, the status a shell
-reports for a process that SIGPIPE ends).
+with the full tensor computation.
+
+Exit status:
+  0    every run finished with no characterization failure;
+  1    some survivor failed characterization;
+  2    usage: a --jobs value outside 1..search.MAX_WORKERS or an
+       --out-dir that cannot be created (both refused before any search
+       runs), or a report that cannot be written;
+  141  the reader closed standard output early (as `| head` does): the
+       script stops there without a traceback (128 + SIGPIPE, the status
+       a shell reports for a process that SIGPIPE ends).
 """
 
 import argparse
@@ -37,23 +43,36 @@ RUNS = {
 }
 
 
+def _usage(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
-
+    if not 1 <= args.jobs <= search.MAX_WORKERS:
+        return _usage(f"--jobs must be between 1 and {search.MAX_WORKERS}, got {args.jobs}")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return _usage(f"cannot create --out-dir {out_dir}: {err}")
+
     failures = 0
     for name, base in RUNS.items():
         cfg = dataclasses.replace(base, workers=args.jobs)
         t0 = time.time()
         report = search.run_search(cfg)
         path = out_dir / f"{name}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as err:
+            return _usage(f"cannot write {path}: {err}")
         cases = {}
         for record in report.survivors:
             cases[record["case"]] = cases.get(record["case"], 0) + 1

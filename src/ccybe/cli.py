@@ -177,6 +177,8 @@ def cmd_family(args) -> int:
                     raise ValueError(f"spec file nests too deeply: {err}") from err
             if not isinstance(data, dict):
                 raise ValueError("a spec file must hold a JSON object")
+            # a misspelt key ("F" for "f") would leave its default in place
+            rmatfile.refuse_unknown_keys(data, ("case", "params", "f"), "a spec file")
             case = data["case"]
             if not isinstance(case, str):
                 raise ValueError(f"spec case must be a string, got {case!r}")

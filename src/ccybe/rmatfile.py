@@ -15,8 +15,11 @@ Schema:
       ]
     }
 
-Coefficients are expression strings in d1, d2 and the declared
-parameters, or JSON integers; parameters must be declared before use.
+No other key is read: a key the schema does not name, at the top level
+or in an entry, is refused, and so is an entry without "coeff".  Entries
+with the same (left, right) pair add.  Coefficients are expression
+strings in d1, d2 and the declared parameters, or JSON integers;
+parameters must be declared before use.
 A coefficient's degree in each symbol is at most MAX_SLOT_DEGREE, and
 so is every power and product on the way to it: the parser refuses one
 above the limit before expanding it.  The checks expand powers of
@@ -33,6 +36,8 @@ from .exactpoly import ParseError, SymbolRegistry
 from .liealg import sl2
 
 ALGEBRAS = ("cur_sl2", "vir")
+_FILE_KEYS = ("algebra", "parameters", "entries")
+_ENTRY_KEYS = ("left", "right", "coeff")
 MAX_SLOT_DEGREE = 64
 # The JSON names of the values a coefficient cannot be.
 _JSON_TYPES = {dict: "an object", list: "an array", bool: "a boolean",
@@ -62,10 +67,22 @@ def loads(text: str) -> ConfTensor:
     return from_dict(data)
 
 
+def refuse_unknown_keys(obj: dict, allowed: tuple, where: str) -> None:
+    """Raise RMatFileError naming the first key of the JSON object `obj`
+    outside `allowed`.  A misspelt key would otherwise read as an absent
+    one: an entry with "coef" for "coeff" would load as the zero
+    r-matrix."""
+    for key in obj:
+        if key not in allowed:
+            raise RMatFileError(f"unknown key {key!r} in {where} "
+                                f"(expected {', '.join(allowed)})")
+
+
 def from_dict(data: dict) -> ConfTensor:
     reg = SymbolRegistry()
     if not isinstance(data, dict):
         raise RMatFileError("top level must be an object")
+    refuse_unknown_keys(data, _FILE_KEYS, "the top level")
     alg = make_algebra(data.get("algebra", ""), reg)
     parameters = data.get("parameters", [])
     if not isinstance(parameters, list):
@@ -88,12 +105,15 @@ def from_dict(data: dict) -> ConfTensor:
     for item in items:
         if not isinstance(item, dict):
             raise RMatFileError(f"entry {item!r} is not an object")
+        refuse_unknown_keys(item, _ENTRY_KEYS, "an entry")
         left, right = item.get("left"), item.get("right")
         if left not in alg.basis_names or right not in alg.basis_names:
             raise RMatFileError(
                 f"unknown basis pair ({left!r}, {right!r}) for algebra {data['algebra']}"
             )
-        coeff = item.get("coeff", "0")
+        if "coeff" not in item:
+            raise RMatFileError(f"entry ({left}, {right}) has no coeff")
+        coeff = item["coeff"]
         if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
             raise RMatFileError(f"entry ({left}, {right}): coeff must be a string "
                                 f"or an integer, got "

@@ -24,7 +24,14 @@ _walk, fixes a level's group choice by choice and yields the picks of
 every branch that passes the sample points; _leaf applies the exact
 filter to each and post-verifies the kept ones.
 
-Both modes filter with ybe.WEAK_EQUATIONS; strict mode scans only the
+Both modes filter with ybe.WEAK_EQUATIONS, less those that vanish on
+the ansatz: an equation that is the zero polynomial in the constants,
+the free slots and (d2, d3) (eee, fff and hhh at degrees (1,) and
+(1, 3); none at any other degree tuple up to MAX_DEGREE) is left out
+(_live_equations).  The drop is exact: such an equation reads 0 at
+every node and every leaf, so it prunes no branch and rejects no leaf,
+and the walk order, the leaves, their verdicts and the records are
+those of the scan over all ten.  Strict mode scans only the
 constants tuples with zeta = 0 and kappa = shift_constant(constants) = 0,
 which is exactly the filter by skew-symmetry, the weak equations and
 efh:
@@ -100,6 +107,7 @@ from .ybe import (
     PAIRS,
     WEAK_EQUATIONS,
     DiagProfile,
+    Equation,
     boundary_values,
     lift_profile,
     shift_constant,
@@ -118,10 +126,10 @@ MAX_WORKERS = 64
 MAX_CONSISTENT = 10 ** 11
 # Bound on max_degree, whose cost the consistent count does not see: the
 # exact filter's lattice has C(2 max_degree + 2, 2) points, shared by
-# every equation.  With one candidate (grids {0}), a search takes about
-# 0.02 s and 22 MB at degree 7, 0.15 s and 26 MB at 21, 0.3 s and 32 MB
-# at 31 (raw or odd ansatz), and 0.5 s and 40 MB at 41 (raw), on one CPU
-# of a 2-CPU host with Python 3.11.
+# every equation.  With one candidate (grids {0}, raw), a search takes
+# about 0.02 s and 23 MB at degree 7, 0.13 s and 27 MB at 21, 0.3 s and
+# 33 MB at 31, and 0.5 s and 41 MB at 41 (peak RSS of the process), on
+# one CPU of a 2-CPU host with Python 3.11.
 MAX_DEGREE = 31
 
 
@@ -260,14 +268,14 @@ _GROUPS = tuple(
 )
 
 
-def _free_slots(cfg: SearchConfig) -> list[tuple]:
-    """(kind, entry index, degree position, value choices) per free slot:
-    per degree, the diagonal entries (the singleton groups, free in odd
-    degrees only), then the first entry of each mirror pair."""
-    grid = cfg.coeff_grid
+def _free_slots(degrees: tuple, grid: tuple) -> list[tuple]:
+    """(kind, entry index, degree position, value choices) per free slot
+    of the ansatz of `degrees` over the coefficient grid: per degree,
+    the diagonal entries (the singleton groups, free in odd degrees
+    only), then the first entry of each mirror pair."""
     neg_ok = tuple(v for v in grid if -v in grid)
     slots = []
-    for k, j in enumerate(cfg.degrees):
+    for k, j in enumerate(degrees):
         for group in _GROUPS:
             if len(group) == 2:
                 slots.append(("pair+", group[0], k, grid) if j % 2
@@ -279,9 +287,30 @@ def _free_slots(cfg: SearchConfig) -> list[tuple]:
 
 def count_consistent(cfg: SearchConfig) -> int:
     total = len(cfg.constants_grid) ** 4
-    for _, _, _, choices in _free_slots(cfg):
+    for _, _, _, choices in _free_slots(cfg.degrees, cfg.coeff_grid):
         total *= len(choices)
     return total
+
+
+def _group_rows(g: int, picked, width: int) -> dict:
+    """Group g's coefficient rows {entry index: one value per degree}
+    from the (slot, value) pairs `picked`, slots of _free_slots: a
+    mirror pair's second entry takes the value in odd degrees and its
+    negative in even ones."""
+    rows = {i: [0] * width for i in _GROUPS[g]}
+    for (kind, i, k, _grid), v in picked:
+        rows[i][k] = v
+        if kind == "pair+":
+            rows[_MIRROR[i]][k] = v
+        elif kind == "pair-":
+            rows[_MIRROR[i]][k] = -v
+    return rows
+
+
+def _part(row: Sequence, degrees: tuple, s):
+    """The polynomial part sum_k row[k] * s ** degrees[k] of an entry at
+    the argument value s."""
+    return sum(c * s ** j for c, j in zip(row, degrees) if c)
 
 
 # Checks at points ------------------------------------------------------------------
@@ -373,6 +402,63 @@ def _vanishes(checks, vals) -> bool:
     return True
 
 
+# Equations that vanish on the ansatz -----------------------------------------------
+#
+# On some ansatzes a filter equation is the zero polynomial in the
+# constants, the free slots and (d2, d3), so it reads 0 on every
+# candidate and cannot prune: at degrees (1,) and (1, 3), eee, fff and
+# hhh.  The scan leaves such an equation out.
+
+
+def _ansatz_values(table: _Checks, degrees: tuple, unknowns: Sequence) -> list:
+    """The value table of `table` for the candidate of the ansatz of
+    `degrees` whose constants are unknowns[:4] and whose free slots, in
+    _free_slots order, take the rest: ints, or MPolys of one registry."""
+    slots = _free_slots(degrees, ())
+    rows = {}
+    for g in range(len(_GROUPS)):
+        rows.update(_group_rows(g, [(slot, v) for slot, v in zip(slots, unknowns[4:])
+                                    if slot[1] in _GROUPS[g]], len(degrees)))
+    bnd = boundary_values(unknowns[:4])
+    return [bnd[i] + _part(rows[i], degrees, s) for i, s in table.slots]
+
+
+def _vanishes_on_ansatz(eq: Equation, degrees: tuple) -> bool:
+    """Whether the catalog equation eq is zero on every candidate of the
+    invariance-consistent ansatz of `degrees`, whatever its constants
+    and coefficients.
+
+    The checks are the scan's, at its sample points and on its lattice.
+    Their unknowns are the four constants and the free slots.  First
+    the unknowns take the integers 2, 3, 4, ... in turn: a nonzero
+    sample check then proves eq live.  Else the lattice checks are
+    filled with one symbol per unknown, on a fresh registry, so each is
+    a polynomial in the unknowns, and eq vanishes iff every one is the
+    zero polynomial: then at every assignment eq is zero on the lattice,
+    and having degree at most 2 * max(degrees) in (d2, d3) it is zero
+    (see _lattice).  The lattice table, of C(2 * max(degrees) + 2, 2)
+    points, is built only when the screen reads zero (for the
+    WEAK_EQUATIONS, only where they vanish)."""
+    count = 4 + len(_free_slots(degrees, ()))
+    screen = _Checks([eq], _PRESCREEN_POINTS, [0] * len(PAIRS), 1)
+    if not _vanishes(screen.per_equation[0],
+                     _ansatz_values(screen, degrees, range(2, 2 + count))):
+        return False
+    reg = SymbolRegistry()
+    symbols = [reg.var(f"u{n}") for n in range(count)]
+    table = _Checks([eq], _lattice(2 * degrees[-1]), [0] * len(PAIRS), 1)
+    return _vanishes(table.per_equation[0], _ansatz_values(table, degrees, symbols))
+
+
+@functools.cache
+def _live_equations(degrees: tuple) -> tuple:
+    """The WEAK_EQUATIONS that do not vanish on the ansatz of `degrees`,
+    in their order.  Cached per degree tuple, of which there are at most
+    2 * MAX_DEGREE."""
+    return tuple(name for name in WEAK_EQUATIONS
+                 if not _vanishes_on_ansatz(CATALOG[name], degrees))
+
+
 # Depth-first scan ------------------------------------------------------------------
 #
 # The scan fixes the constants, then one group per level, and evaluates
@@ -383,13 +469,16 @@ def _vanishes(checks, vals) -> bool:
 # Level order eh/he, fh/hf, ee, ef/fe, ff, hh, for both modes and every
 # degree: each level fixes the group that completes the most pending
 # filter equations, so every equation prunes as high in the tree as it
-# can.
+# can.  Levels 1 and 2 complete hhh and eee, so where those vanish on
+# the ansatz (at raw degree 1 and odd degrees 1 and 3) levels 0-2
+# complete no filter equation and prune nothing.
 _LEVEL_ORDER = (4, 5, 0, 3, 1, 2)
 
 
 class _Plan:
     """The tables of the depth-first scan that do not depend on the
-    constants: one check table over the sample and lattice points, the
+    constants: one check table of the live filter equations
+    (_live_equations) over the sample and lattice points, the
     sample-point checks completed at each level, the lattice checks of a
     leaf, and each level's group choices with the polynomial parts of
     their entries at the level's slots.
@@ -397,7 +486,7 @@ class _Plan:
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
-        equations = [CATALOG[name] for name in WEAK_EQUATIONS]
+        equations = [CATALOG[name] for name in _live_equations(cfg.degrees)]
         level_of = [0] * len(PAIRS)
         for level, g in enumerate(_LEVEL_ORDER):
             for i in _GROUPS[g]:
@@ -413,7 +502,7 @@ class _Plan:
                    for eq in equations]
         self.checks = []
         self.levels = []   # per level: [(coefficient rows, polynomial parts)]
-        slots = _free_slots(cfg)
+        slots = _free_slots(cfg.degrees, cfg.coeff_grid)
         for level, g in enumerate(_LEVEL_ORDER):
             done = [checks[:samples] for checks, at in zip(self.table.per_equation, done_at)
                     if at == level]
@@ -428,14 +517,8 @@ class _Plan:
         keys = self.table.level_slots(level)
         out = []
         for values in itertools.product(*(slot[3] for slot in own)):
-            rows = {i: [0] * len(degrees) for i in _GROUPS[g]}
-            for v, (kind, i, k, _grid) in zip(values, own):
-                rows[i][k] = v
-                if kind == "pair+":
-                    rows[_MIRROR[i]][k] = v
-                elif kind == "pair-":
-                    rows[_MIRROR[i]][k] = -v
-            parts = [sum(c * s ** j for c, j in zip(rows[i], degrees) if c) for i, s in keys]
+            rows = _group_rows(g, zip(own, values), len(degrees))
+            parts = [_part(rows[i], degrees, s) for i, s in keys]
             out.append((tuple((i, tuple(row)) for i, row in rows.items()), parts))
         return out
 

@@ -660,7 +660,10 @@ CATALOG: dict[str, Equation] = {
 # efh - efh(0, 0).  A weak r has class c * epsilon with c constant
 # (weak_verdict), so its nine non-epsilon projections vanish and its
 # efh is constant: it passes all ten.  The search's post-verification
-# decides everything else.  None of the ten reads d1.
+# decides everything else.  None of the ten reads d1.  On the ansatz of
+# some degree tuples an equation is identically zero (eee, fff and hhh
+# at degrees (1,) and (1, 3)); the search leaves those out of its scan
+# (search._live_equations), and this tuple keeps all ten.
 WEAK_EQUATIONS = (
     "eee", "hee", "fff", "hff", "ehh", "fhh", "fee", "eff", "hhh",
     "efh_shift",

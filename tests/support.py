@@ -630,7 +630,7 @@ def flat_scan(cfg):
     exact filter, in index order."""
     names = _reference_names(cfg)
     terms = _filter_terms(names)
-    slots = search._free_slots(cfg)
+    slots = search._free_slots(cfg.degrees, cfg.coeff_grid)
     points_args = [_arg_values(p) for p in _FLAT_SAMPLE_POINTS]
     # every filter equation has total degree <= 2 max_degree in
     # (d2, d3, d1), and this lattice is unisolvent for that degree
@@ -927,7 +927,8 @@ def termwise_generic_profile(reg: SymbolRegistry, degree: int = 4) -> DiagProfil
     return DiagProfile(reg, entries)
 
 
-def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3) -> DiagProfile:
+def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3,
+                                odd: bool = False) -> DiagProfile:
     """Generic profile satisfying the invariance relations identically.
 
     One side of each mirror pair is parametrized freely and the other is
@@ -938,6 +939,10 @@ def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3) -> DiagPro
         hh           zeta plus free odd,
         eh, fh, ef   free with constant terms -alpha, -gamma, 4 zeta - beta,
         he(x) = -eh(-x),  hf(x) = -fh(-x),  fe(x) = 4 zeta - ef(-x).
+
+    The mirror pairs are free in every degree up to `degree`, as in the
+    search's raw mode, or with `odd` in the odd degrees only, as in its
+    ansatz mode.
     """
     x = reg.var("x")
     boundary = dict(zip(PAIRS, boundary_values([reg.var(n) for n in CONSTANT_NAMES])))
@@ -952,7 +957,7 @@ def constrained_generic_profile(reg: SymbolRegistry, degree: int = 3) -> DiagPro
     odd_degrees = [j for j in all_degrees if j % 2]
     entries = {}
     for pair in (("e", "h"), ("f", "h"), ("e", "f")):
-        entries[pair] = free(pair, all_degrees)
+        entries[pair] = free(pair, odd_degrees if odd else all_degrees)
         # A'_{lq}(x) = A'_{ql}(0) + A'_{lq}(0) - A'_{ql}(-x)
         flipped = entries[pair].subst_many({reg.sym("x"): -x})
         entries[pair[::-1]] = boundary[pair] + boundary[pair[::-1]] - flipped

@@ -194,6 +194,36 @@ def test_verify_malformed_file(tmp_path, capsys, data):
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["verify", "--mode", "invariance"],
+                                  ["verify", "--mode", "weak"],
+                                  ["verify", "--mode", "strict"], ["expand"]],
+                         ids=["invariance", "weak", "strict", "expand"])
+@pytest.mark.parametrize("data, named", [
+    ({"algebra": "cur_sl2", "entries": [{"left": "e", "right": "e", "coef": "d1"}]},
+     "unknown key 'coef' in an entry"),
+    ({"algebra": "cur_sl2", "entry": [{"left": "e", "right": "e", "coeff": "d1"}]},
+     "unknown key 'entry' in the top level"),
+    ({"algebra": "cur_sl2", "entries": [{"left": "e", "right": "e"}]},
+     "entry (e, e) has no coeff"),
+], ids=["entry_key_typo", "top_level_key_typo", "entry_without_coeff"])
+def test_unknown_or_missing_key_refused(tmp_path, capsys, argv, data, named):
+    # each of these files read as the zero r-matrix, which passed every
+    # check with exit 0
+    path = write_rmat(tmp_path, "r.json", data)
+    assert cli.main([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert named in captured.err
+
+
+def test_repeated_entries_add():
+    r = rmatfile.from_dict({"algebra": "cur_sl2", "entries": [
+        {"left": "h", "right": "h", "coeff": "d1"},
+        {"left": "h", "right": "h", "coeff": "1 - d1"}]})
+    assert {k: v.to_string() for k, v in r.entries.items()} == {("h", "h"): "1"}
+
+
 @pytest.mark.parametrize("command", ["verify", "expand"])
 @pytest.mark.parametrize("content", [
     b"[" * 100000,
@@ -398,6 +428,20 @@ def test_family_spec_file(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["verify", out, "--mode", "weak"]) == 0
     assert cli.main(["verify", out, "--mode", "strict"]) == 1
+
+
+def test_family_spec_unknown_key(tmp_path, capsys):
+    # "F" for "f" left f = 1 in place and wrote a member with exit 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"case": "thm5_ii",
+                                "params": {"lhh": "1", "beta": "2", "zeta": "1"},
+                                "F": "t^2 + 1"}))
+    out = tmp_path / "fam.json"
+    assert cli.main(["family", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "'F'" in err
+    assert not out.exists()
 
 
 def test_family_missing_spec(tmp_path, capsys):

@@ -19,7 +19,7 @@ from ccybe.search import (
     count_consistent,
     run_search,
 )
-from ccybe.exactpoly import SymbolRegistry
+from ccybe.exactpoly import MPoly, SymbolRegistry
 from ccybe.families import SL2_CASES, FamilySpec, build_profile, name_case
 from ccybe.ybe import (
     CATALOG,
@@ -38,6 +38,7 @@ from ccybe.ybe import (
 from support import (
     brute_force_verdicts,
     constant_values,
+    constrained_generic_profile,
     enumerate_candidates,
     enumerate_profiles,
     flat_scan,
@@ -353,6 +354,8 @@ SCAN_CONFIGS = {
     # kappa = 0 off the beta = 0 line: beta = +-2 with 4 alpha gamma = 4
     "strict_beta2": SearchConfig(max_degree=1, coeff_grid=(0, 1),
                                  constants_grid=(-2, -1, 0, 1, 2), mode="strict", raw=True),
+    # odd degrees (1, 3), where the scan leaves out eee, fff and hhh
+    "odd_deg3": SearchConfig(max_degree=3, coeff_grid=(0, 1), constants_grid=(0,)),
 }
 
 
@@ -383,8 +386,9 @@ def test_scan_matches_flat_scan(name):
 ], ids=["weak_01", "fractional", "strict"])
 def test_exact_filter_alone_matches_flat_scan(cfg, monkeypatch):
     # with the origin as the only sample point nearly every candidate
-    # reaches a leaf, so the lattice check of the scan's ten equations
-    # alone must keep what the reference scan keeps with its own twelve
+    # reaches a leaf, so the lattice check of the scan's equations alone
+    # (the seven of the ten that do not vanish at degree 1) must keep
+    # what the reference scan keeps with its own twelve
     monkeypatch.setattr(search, "_PRESCREEN_POINTS", ((0, 0),))
     leaves = []
     leaf = search._leaf
@@ -524,6 +528,97 @@ def test_weak_equations_read_no_d1():
     assert len(ybe.WEAK_EQUATIONS) == 10
     assert not any(_reads_d1(CATALOG[name]) for name in ybe.WEAK_EQUATIONS)
     assert [eq.name for eq in CATALOG.values() if _reads_d1(eq)] == ["efh_h", "efh_e"]
+
+
+# The WEAK_EQUATIONS each degree tuple's ansatz leaves out of the scan.
+_DROPPED = {
+    (1,): ("eee", "fff", "hhh"),
+    (1, 3): ("eee", "fff", "hhh"),
+    (1, 2): (),
+    (1, 2, 3): (),
+    (1, 2, 3, 4): (),
+    (1, 3, 5): (),
+    (1, 3, 5, 7): (),
+}
+
+
+@pytest.mark.parametrize("degrees", sorted(_DROPPED),
+                         ids=lambda degrees: "deg" + "_".join(map(str, degrees)))
+def test_live_equations(degrees):
+    # raw (1,) and odd (1, 3) keep seven names; the scan's plan reads
+    # only those, and WEAK_EQUATIONS keeps all ten
+    live = search._live_equations(degrees)
+    assert live == tuple(n for n in ybe.WEAK_EQUATIONS if n not in _DROPPED[degrees])
+    assert len(ybe.WEAK_EQUATIONS) == 10
+    plan = search._Plan(SearchConfig(max_degree=degrees[-1], coeff_grid=(0,),
+                                     constants_grid=(0,), raw=degrees[1:2] == (2,)))
+    assert plan.cfg.degrees == degrees
+    assert len(plan.table.per_equation) == len(live)
+
+
+@pytest.mark.parametrize("odd, degree, up", [(False, 1, 2), (True, 3, 5)],
+                         ids=["raw_deg1", "odd_deg3"])
+def test_dropped_equations_vanish_only_there(odd, degree, up):
+    # the oracle: on the generic profile that satisfies the invariance
+    # relations identically, each equation the scan drops is the zero
+    # polynomial at its degree and nonzero one degree up, where the scan
+    # keeps it
+    degrees = tuple(range(1, degree + 1, 2 if odd else 1))
+    for name in _DROPPED[degrees]:
+        for top, zero in ((degree, True), (up, False)):
+            profile = constrained_generic_profile(SymbolRegistry(), degree=top, odd=odd)
+            assert eval_equation(CATALOG[name], lift_profile(profile)).is_zero() == zero, \
+                (name, top)
+        assert name in search._live_equations(tuple(range(1, up + 1, 2 if odd else 1)))
+
+
+@pytest.mark.parametrize("max_degree", [2, 3])
+def test_every_choice_is_invariance_consistent(max_degree):
+    # over a grid closed under negation a mirror pair takes nonzero
+    # coefficients in even degrees too, with opposite signs: every
+    # choice of every level (_group_rows, which the vanishing test also
+    # reads) satisfies the invariance relations
+    cfg = SearchConfig(max_degree=max_degree, coeff_grid=(-2, -1, 0, 1, 2),
+                       constants_grid=(0,), raw=True)
+    plan = search._Plan(cfg)
+    for n in range(max(len(choices) for choices in plan.levels)):
+        coeffs = [()] * len(PAIRS)
+        for choices in plan.levels:
+            for i, row in choices[n % len(choices)][0]:
+                coeffs[i] = row
+        profile = candidate_profile(cfg, (1, -1, 2, 1), coeffs)
+        assert all(r.is_zero() for r in invariance_residues(profile)), n
+
+
+def test_perturbed_equation_is_kept():
+    # eee with any one term's coefficient flipped is eee minus twice
+    # that term, which is not zero, so the scan must keep it
+    eee = CATALOG["eee"]
+    assert search._vanishes_on_ansatz(eee, (1,)) and search._vanishes_on_ansatz(eee, (1, 3))
+    for n, (c, *rest) in enumerate(eee.terms):
+        terms = eee.terms[:n] + ((-c, *rest),) + eee.terms[n + 1:]
+        mutant = Equation("eee", eee.triple, terms, scale=eee.scale)
+        for degrees in ((1,), (1, 3)):
+            assert not search._vanishes_on_ansatz(mutant, degrees), (n, degrees)
+
+
+def test_live_equations_decided_symbolically(monkeypatch):
+    # with the integer screen forced to read zero, every equation goes
+    # to the symbolic lattice step, which alone gives the same live sets
+    vanishes = search._vanishes
+    symbolic = []
+
+    def screen_reads_zero(checks, vals):
+        if not any(isinstance(v, MPoly) for v in vals):
+            return True
+        symbolic.append(len(vals))
+        return vanishes(checks, vals)
+
+    monkeypatch.setattr(search, "_vanishes", screen_reads_zero)
+    for degrees, dropped in _DROPPED.items():
+        assert search._live_equations.__wrapped__(degrees) \
+            == tuple(n for n in ybe.WEAK_EQUATIONS if n not in dropped)
+    assert len(symbolic) == len(_DROPPED) * len(ybe.WEAK_EQUATIONS)
 
 
 def _exact_agrees(eq, profile, max_degree):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ccybe import exactpoly
+from ccybe import exactpoly, search
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -93,6 +93,27 @@ def test_scripts_exit_quietly_on_a_closed_pipe(tmp_path, name, writes_reports):
     proc.stderr.close()
     assert all(line.endswith("\n") for line in lines) and err == ""
     assert proc.wait(timeout=300) == 141
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--jobs", "0"], "--jobs"),
+    (["--jobs", str(search.MAX_WORKERS + 1)], "--jobs"),
+    (["--out-dir", "a_file"], "--out-dir"),
+    (["--out-dir", "blocked"], "weak_raw_deg1.json"),
+], ids=["jobs_zero", "jobs_above_max", "out_dir_is_a_file", "report_unwritable"])
+def test_classification_search_script_usage_errors(tmp_path, argv, named):
+    # exit 2 with one error line, not a traceback with exit 1, the
+    # script's status for a characterization failure; a bad --jobs or
+    # --out-dir is refused before any search runs, so nothing is
+    # printed, and a report that cannot be written stops the script
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "blocked" / "weak_raw_deg1.json").mkdir(parents=True)
+    argv = [str(tmp_path / a) if a in ("a_file", "blocked") else a for a in argv]
+    done = _run_script("run_classification_search.py", *argv)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert named in done.stderr
+    assert done.stdout == ""
 
 
 # The content hash of each report that run_classification_search.py writes.
