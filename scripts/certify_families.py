@@ -47,11 +47,11 @@ stops there without a traceback and exits 141 (128 + SIGPIPE, the
 status a shell reports for a process that SIGPIPE ends).
 """
 
-import os
 import sys
 import time
 
 from ccybe import families
+from ccybe.cli import run_entry
 from ccybe.exactpoly import SymbolRegistry
 from ccybe.ybe import ccybe_bracket, is_invariant, lift_profile, weak_verdict
 
@@ -101,11 +101,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        status = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # stdout now goes nowhere, so the flush at exit is quiet too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 141
-    sys.exit(status)
+    sys.exit(run_entry(main))

@@ -20,12 +20,12 @@ Exit status:
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from ccybe import search
+from ccybe.cli import run_entry
 
 RUNS = {
     "weak_raw_deg1": search.SearchConfig(
@@ -53,8 +53,11 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
-    if not 1 <= args.jobs <= search.MAX_WORKERS:
-        return _usage(f"--jobs must be between 1 and {search.MAX_WORKERS}, got {args.jobs}")
+    try:
+        configs = {name: dataclasses.replace(base, workers=args.jobs)
+                   for name, base in RUNS.items()}
+    except search.SearchConfigError as err:
+        return _usage(f"--jobs: {err}")
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -62,8 +65,7 @@ def main() -> int:
         return _usage(f"cannot create --out-dir {out_dir}: {err}")
 
     failures = 0
-    for name, base in RUNS.items():
-        cfg = dataclasses.replace(base, workers=args.jobs)
+    for name, cfg in configs.items():
         t0 = time.time()
         report = search.run_search(cfg)
         path = out_dir / f"{name}.json"
@@ -85,11 +87,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        status = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # stdout now goes nowhere, so the flush at exit is quiet too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 141
-    sys.exit(status)
+    sys.exit(run_entry(main))

@@ -178,7 +178,8 @@ def cmd_family(args) -> int:
             if not isinstance(data, dict):
                 raise ValueError("a spec file must hold a JSON object")
             # a misspelt key ("F" for "f") would leave its default in place
-            rmatfile.refuse_unknown_keys(data, ("case", "params", "f"), "a spec file")
+            rmatfile.refuse_unknown_keys(data, ("case", "params", "f"), "a spec file",
+                                         ("case",))
             case = data["case"]
             if not isinstance(case, str):
                 raise ValueError(f"spec case must be a string, got {case!r}")
@@ -396,18 +397,25 @@ def main(argv=None) -> int:
     """Run the command line `argv` and return its exit status.
 
     With no argv, main is the process's entry, as the `ccybe` console
-    script and `python -m ccybe.cli` call it: it reads sys.argv, and if
-    the reader closes standard output early (as `| head` does), it stops
-    there without a traceback and returns 141 (128 + SIGPIPE, the status
-    a shell reports for a process that SIGPIPE ends), with standard
-    output sent to os.devnull so that the flush at exit is quiet too.
+    script and `python -m ccybe.cli` call it: it reads sys.argv and
+    runs through run_entry, so a reader that closes standard output
+    early (as `| head` does) stops it with 141 and no traceback.
     Given argv, main runs inside its caller's process and leaves the
     caller's standard output as it is: a BrokenPipeError propagates.
     """
     if argv is not None:
         return _run(argv)
+    return run_entry(lambda: _run(sys.argv[1:]))
+
+
+def run_entry(run) -> int:
+    """The exit status of `run()`, called as the process's entry (by
+    main and by the scripts).  If the reader closes standard output
+    early, it is 141 (128 + SIGPIPE, the status a shell reports for a
+    process that SIGPIPE ends), with no traceback, and standard output
+    goes to os.devnull so that the flush at exit is quiet too."""
     try:
-        status = _run(sys.argv[1:])
+        status = run()
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -36,12 +36,14 @@ store pins no registry.  act_on_tensor keeps there, per (arity, the
 terms of lam, generator names), its slot shifts with the powers of
 di + lam they have built and its inserted-bracket rows; ybe keeps there
 one map d1 -> form per form (which the double bracket, the catalog's
-equations and the invariance check share), the contraction plans, the
-diagonal's map and the lift map.  So each table is built once per
-process, whichever registry or algebra asks first.  The keys come from
-fixed sets (the catalog forms, the wanted-triple sets, the arities and
-the core values of lam), and a map's images and powers grow only with
-the monomials in its substituted symbols, which the degree limits bound.
+equations and the invariance check share), the double bracket's
+contraction plan per set of wanted triples (one dict over every basis
+pair, built whole), the diagonal's map and the lift map.  So each
+table is built once per process, whichever registry or algebra asks
+first.  The keys come from fixed sets (the catalog forms, the
+wanted-triple sets, the arities and the core values of lam), and a
+map's images and powers grow only with the monomials in its
+substituted symbols, which the degree limits bound.
 
 The quotient by the image of the total derivation is read with
 d1 := -(d2 + ... + dN).  No tensor-wide reduction, sum or slot swap

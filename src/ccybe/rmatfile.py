@@ -15,8 +15,10 @@ Schema:
       ]
     }
 
-No other key is read: a key the schema does not name, at the top level
-or in an entry, is refused, and so is an entry without "coeff".  Entries
+"algebra" and "entries" are required at the top level, and "left",
+"right" and "coeff" in each entry; an empty "entries" list is the zero
+r-matrix.  No other key is read: a key the schema does not name, at the
+top level or in an entry, is refused.  Entries
 with the same (left, right) pair add.  Coefficients are expression
 strings in d1, d2 and the declared parameters, or JSON integers;
 parameters must be declared before use.
@@ -29,7 +31,7 @@ d1 + d2, so an unbounded degree would run without end.
 from __future__ import annotations
 
 import json
-from typing import Union
+from typing import Optional, Union
 
 from .conformal import ConfAlgebra, ConfTensor
 from .exactpoly import ParseError, SymbolRegistry
@@ -37,6 +39,7 @@ from .liealg import sl2
 
 ALGEBRAS = ("cur_sl2", "vir")
 _FILE_KEYS = ("algebra", "parameters", "entries")
+_FILE_REQUIRED = ("algebra", "entries")
 _ENTRY_KEYS = ("left", "right", "coeff")
 MAX_SLOT_DEGREE = 64
 # The JSON names of the values a coefficient cannot be.
@@ -67,23 +70,29 @@ def loads(text: str) -> ConfTensor:
     return from_dict(data)
 
 
-def refuse_unknown_keys(obj: dict, allowed: tuple, where: str) -> None:
+def refuse_unknown_keys(obj: dict, allowed: tuple, where: str, required: tuple = (),
+                        name: Optional[str] = None) -> None:
     """Raise RMatFileError naming the first key of the JSON object `obj`
-    outside `allowed`.  A misspelt key would otherwise read as an absent
-    one: an entry with "coef" for "coeff" would load as the zero
-    r-matrix."""
+    outside `allowed`, or else the first key of `required` that `obj`
+    lacks, as "`name` has no `key`" (`name` defaults to `where`).  A
+    misspelt or lost key would otherwise read as an absent one: an entry
+    with "coef" for "coeff", or a file without "entries", would load as
+    the zero r-matrix."""
     for key in obj:
         if key not in allowed:
             raise RMatFileError(f"unknown key {key!r} in {where} "
                                 f"(expected {', '.join(allowed)})")
+    for key in required:
+        if key not in obj:
+            raise RMatFileError(f"{name or where} has no {key}")
 
 
 def from_dict(data: dict) -> ConfTensor:
     reg = SymbolRegistry()
     if not isinstance(data, dict):
         raise RMatFileError("top level must be an object")
-    refuse_unknown_keys(data, _FILE_KEYS, "the top level")
-    alg = make_algebra(data.get("algebra", ""), reg)
+    refuse_unknown_keys(data, _FILE_KEYS, "the top level", _FILE_REQUIRED)
+    alg = make_algebra(data["algebra"], reg)
     parameters = data.get("parameters", [])
     if not isinstance(parameters, list):
         raise RMatFileError("parameters must be a list of symbol names")
@@ -98,21 +107,20 @@ def from_dict(data: dict) -> ConfTensor:
         except ValueError as err:
             raise RMatFileError(str(err)) from err
         allowed.add(name)
-    items = data.get("entries", [])
+    items = data["entries"]
     if not isinstance(items, list):
         raise RMatFileError("entries must be a list of objects")
     entries = {}
     for item in items:
         if not isinstance(item, dict):
             raise RMatFileError(f"entry {item!r} is not an object")
-        refuse_unknown_keys(item, _ENTRY_KEYS, "an entry")
-        left, right = item.get("left"), item.get("right")
+        left, right = item.get("left", "?"), item.get("right", "?")
+        refuse_unknown_keys(item, _ENTRY_KEYS, "an entry", _ENTRY_KEYS,
+                            f"entry ({left}, {right})")
         if left not in alg.basis_names or right not in alg.basis_names:
             raise RMatFileError(
                 f"unknown basis pair ({left!r}, {right!r}) for algebra {data['algebra']}"
             )
-        if "coeff" not in item:
-            raise RMatFileError(f"entry ({left}, {right}) has no coeff")
         coeff = item["coeff"]
         if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
             raise RMatFileError(f"entry ({left}, {right}): coeff must be a string "

@@ -48,16 +48,15 @@ coefficient of its table.
 
 Which products there are depends on the algebra, the wanted triples
 and the entry keys alone, not on the coefficients, so it is compiled
-once into a contraction plan kept in the store: per entry key, the
-(map, table key, inserted bracket) rows its B forms feed, and the
-tables its A forms read with the output triple each table key lands
-on.  A plan is filled entry key by entry key, so a one-shot process
-(a CLI call) builds only the rows it reads, and one that checks many
-r-matrices builds each row once.  The tables and the
-outputs are plain term tables, filled through exactpoly._mac with no
-polynomial built per product or per table (a scalar factor is the one
-term ((0, v),), see exactpoly._term_list), and each output coefficient
-is made a polynomial once, by exactpoly._finished.
+once per set of wanted triples into a contraction plan kept in the
+store, one dict that _contraction_plan builds whole: per basis pair,
+the (map, table key, inserted bracket) rows an entry's B forms feed,
+and the tables its A forms read with the output triple each table key
+lands on.  The tables and the outputs are plain term tables, filled
+through exactpoly._mac with no polynomial built per product or per
+table (a scalar factor is the one term ((0, v),), see
+exactpoly._term_list), and each output coefficient is made a
+polynomial once, by exactpoly._finished.
 
 Given a set of output triples, ccybe_bracket builds only those
 coefficients: a final product or a table key that feeds no wanted
@@ -245,13 +244,12 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None) -> Co
     reg = alg.reg
     maps = [_form_map(alg, arg) for arg in _BRACKET_FORMS]
     wanted = None if tuples is None else frozenset(tuple(tup) for tup in tuples)
-    plan = alg.memo(("ccybe_bracket.plan", wanted),
-                    partial(_ContractionPlan, alg.basis_names, wanted))
-    rows = [(poly, plan.rows(alg, key)) for key, poly in entries.items()]
+    plan = alg.memo(("ccybe_bracket.plan", wanted), partial(_contraction_plan, alg, wanted))
+    rows = [(poly, plan[key]) for key, poly in entries.items()]
     # tables[i][table key]: the terms of contracted table i at that key.
     # The feeds read maps 2 and 3 and the reads maps 0 and 1, so each
     # form is substituted in one place, once, and only when it is read.
-    tables = [{} for _ in range(plan.tables)]
+    tables = [{} for _ in range(2 * len(alg.basis_names))]
     for poly, (feeds, _) in rows:
         for j, group in feeds:
             form = maps[j](poly)._terms.items()
@@ -281,98 +279,67 @@ def ccybe_bracket(r: ConfTensor, tuples: Optional[Iterable[tuple]] = None) -> Co
     return ConfTensor(alg, 3, {tup: _finished(reg, terms) for tup, terms in out.items() if terms})
 
 
-class _ContractionPlan:
-    """ccybe_bracket's contraction over one algebra kind and Lie
-    algebra, for one set of wanted triples (None for all), kept in the
-    store and filled entry key by entry key on first use.
+def _contraction_plan(alg: ConfAlgebra, wanted: Optional[frozenset]) -> dict:
+    """ccybe_bracket's contraction over alg's kind and Lie algebra, for
+    the wanted triples (None for all): {(q, l): (feeds, reads)} for every
+    basis pair (q, l), built whole.
 
-    rows(alg, (q, l)) is the pair (feeds, reads) of that entry key.
     feeds lists, per map, the rows (table, table key, factor): the
     entry's B form under that map times the factor, the term list of
     the signed inserted bracket, adds to that key of that table; slots
     1 and 2 read B at (-d3, d3), map 2, and slot 3 at (d2, -d2), map 3.
-    Of the `tables` = 2n tables (n basis elements), table i < n is slot
-    1's table of left index names[i], keyed (k, l'), and table n + i is
-    the slot-2/3 table of right index names[i], keyed (k, l') resp.
-    (q', k).
+    Of the 2n tables (n basis elements), table i < n is slot 1's table
+    of left index names[i], keyed (k, l'), and table n + i is the
+    slot-2/3 table of right index names[i], keyed (k, l') resp. (q', k).
     reads lists (map, table, lands): the entry's A form under that map
     multiplies each coefficient of the table, slot 1's of q or slot
     2/3's of l, and lands sends a table key to the output triple the
     product adds to.  A wanted triple (a, b, c) reads slot 1's tables at
     (a, c) and slot 2/3's at (b, c); only table keys and triples that
-    feed a wanted triple appear.  The inserted brackets with each basis
-    element are built once, on first use.
+    feed a wanted triple appear.
 
-    The plan holds names, triples, term lists and the inserted
-    brackets' variables (polynomials over CORE_REGISTRY), never an
-    algebra (see conformal.ConfAlgebra.memo): rows() is given it.
+    The plan holds indices, triples and term lists, never an algebra or
+    a polynomial (see conformal.ConfAlgebra.memo).
     """
-
-    __slots__ = ("tables", "_index", "_brackets", "_read", "_lands", "_inserted", "_rows")
-
-    def __init__(self, names: Sequence[str], wanted: Optional[frozenset]):
-        self.tables = 2 * len(names)
-        self._index = {p: i for i, p in enumerate(names)}
-        # the inserted brackets' (d, lam): (d1, d2), (d2, d3), (d3, d2),
-        # with slot 1's d1 read as -(d2 + d3)
-        d2, d3 = CORE_REGISTRY.var("d2"), CORE_REGISTRY.var("d3")
-        self._brackets = ((-(d2 + d3), d2), (d2, d3), (d3, d2))
-        # The table keys a wanted triple (a, b, c) reads, per slot: slot
-        # 1's (a, c) and slot 2's (b, c), as {c: the k of (k, c)}, and
-        # slot 3's (b, c), as {b: the k of (b, k)}.  Slot 1's tables land
-        # (a, c) on (a, b, c) for the entries (q, b), the slot-2/3 tables
-        # (b, c) on (a, b, c) for the entries (a, l).
-        self._read = ({}, {}, {})
-        self._lands = ({}, {})
-        read1, read2, read3 = self._read
-        lands1, lands23 = self._lands
-        for a, b, c in itertools.product(names, repeat=3) if wanted is None else wanted:
-            read1.setdefault(c, set()).add(a)
-            read2.setdefault(c, set()).add(b)
-            read3.setdefault(b, set()).add(c)
-            lands1.setdefault(b, {})[a, c] = (a, b, c)
-            lands23.setdefault(a, {})[b, c] = (a, b, c)
-        self._inserted: dict = {}
-        self._rows: dict = {}
-
-    def rows(self, alg: ConfAlgebra, key: tuple) -> tuple:
-        found = self._rows.get(key)
-        if found is None:
-            found = self._rows[key] = self._build(alg, key)
-        return found
-
-    def _build(self, alg: ConfAlgebra, key: tuple) -> tuple:
-        q, l = key
-        read1, read2, read3 = self._read
-        ks1, ks2, ks3 = read1.get(l), read2.get(l), read3.get(q)
-        rows1 = [(i, (k, l), f) for i, k, f in self._inserted_by(alg, 0, q)
-                 if k in ks1] if ks1 else []
-        rows2 = [(i, (k, l), f) for i, k, f in self._inserted_by(alg, 1, q)
-                 if k in ks2] if ks2 else []
-        rows3 = [(i, (q, k), f) for i, k, f in self._inserted_by(alg, 2, l)
-                 if k in ks3] if ks3 else []
-        feeds = [(j, rows) for j, rows in ((2, rows1 + rows2), (3, rows3)) if rows]
-        lands1, lands23 = self._lands
-        reads = ((0, self._index[q], lands1.get(l)),
-                 (1, self.tables // 2 + self._index[l], lands23.get(q)))
-        return feeds, [read for read in reads if read[2]]
-
-    def _inserted_by(self, alg: ConfAlgebra, s: int, x: str) -> list:
-        """The rows (table, k, factor) of slot s + 1's inserted brackets
-        with the entry index x: [p, x]_k into slot 1's table of p, and
-        -[x, p]_k into the slot-2/3 table of p for slots 2 and 3."""
-        found = self._inserted.get((s, x))
-        if found is None:
-            d, lam = self._brackets[s]
-            n = self.tables // 2
+    names = alg.basis_names
+    n = len(names)
+    d2, d3 = CORE_REGISTRY.var("d2"), CORE_REGISTRY.var("d3")
+    # inserted[s, x]: the rows (table, k, factor) of slot s + 1's
+    # inserted brackets with the entry index x, at (d, lam) = (d1, d2),
+    # (d2, d3), (d3, d2), with slot 1's d1 read as -(d2 + d3): [p, x]_k
+    # into slot 1's table of p, and -[x, p]_k into the slot-2/3 table
+    # of p for slots 2 and 3.
+    inserted = {}
+    for s, (d, lam) in enumerate(((-(d2 + d3), d2), (d2, d3), (d3, d2))):
+        for x in names:
             if s == 0:
-                found = [(i, k, _term_list(v)) for i, p in enumerate(alg.basis_names)
-                         for k, v in alg.basis_bracket(p, x, d, lam).items()]
+                inserted[s, x] = [(i, k, _term_list(v)) for i, p in enumerate(names)
+                                  for k, v in alg.basis_bracket(p, x, d, lam).items()]
             else:
-                found = [(n + i, k, _term_list(-v)) for i, p in enumerate(alg.basis_names)
-                         for k, v in alg.basis_bracket(x, p, d, lam).items()]
-            self._inserted[s, x] = found
-        return found
+                inserted[s, x] = [(n + i, k, _term_list(-v)) for i, p in enumerate(names)
+                                  for k, v in alg.basis_bracket(x, p, d, lam).items()]
+    # The table keys a wanted triple (a, b, c) reads, per slot: slot 1's
+    # (a, c) and slot 2's (b, c), as {c: the k of (k, c)}, and slot 3's
+    # (b, c), as {b: the k of (b, k)}.  Slot 1's tables land (a, c) on
+    # (a, b, c) for the entries (q, b), the slot-2/3 tables (b, c) on
+    # (a, b, c) for the entries (a, l).
+    read1, read2, read3, lands1, lands23 = {}, {}, {}, {}, {}
+    for a, b, c in itertools.product(names, repeat=3) if wanted is None else wanted:
+        read1.setdefault(c, set()).add(a)
+        read2.setdefault(c, set()).add(b)
+        read3.setdefault(b, set()).add(c)
+        lands1.setdefault(b, {})[a, c] = (a, b, c)
+        lands23.setdefault(a, {})[b, c] = (a, b, c)
+    plan = {}
+    for (iq, q), (il, l) in itertools.product(enumerate(names), repeat=2):
+        ks1, ks2, ks3 = read1.get(l, ()), read2.get(l, ()), read3.get(q, ())
+        rows12 = [(i, (k, l), f) for s, ks in ((0, ks1), (1, ks2))
+                  for i, k, f in inserted[s, q] if k in ks]
+        rows3 = [(i, (q, k), f) for i, k, f in inserted[2, l] if k in ks3]
+        feeds = [(j, rows) for j, rows in ((2, rows12), (3, rows3)) if rows]
+        reads = ((0, iq, lands1.get(l)), (1, n + il, lands23.get(q)))
+        plan[q, l] = (feeds, [read for read in reads if read[2]])
+    return plan
 
 
 def is_strict_solution(r: ConfTensor) -> tuple[bool, ConfTensor]:

@@ -205,16 +205,33 @@ def test_verify_malformed_file(tmp_path, capsys, data):
      "unknown key 'entry' in the top level"),
     ({"algebra": "cur_sl2", "entries": [{"left": "e", "right": "e"}]},
      "entry (e, e) has no coeff"),
-], ids=["entry_key_typo", "top_level_key_typo", "entry_without_coeff"])
+    ({"algebra": "cur_sl2"}, "the top level has no entries"),
+    ({"entries": []}, "the top level has no algebra"),
+    ({"algebra": "cur_sl2", "entries": [{"right": "e", "coeff": "d1"}]},
+     "entry (?, e) has no left"),
+], ids=["entry_key_typo", "top_level_key_typo", "entry_without_coeff", "no_entries",
+        "no_algebra", "entry_without_left"])
 def test_unknown_or_missing_key_refused(tmp_path, capsys, argv, data, named):
-    # each of these files read as the zero r-matrix, which passed every
-    # check with exit 0
+    # each of these files read as the zero r-matrix (or, without an
+    # algebra, as an unknown algebra ''), and the zero r-matrix passed
+    # every check with exit 0
     path = write_rmat(tmp_path, "r.json", data)
     assert cli.main([argv[0], path, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert named in captured.err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--mode", "invariance"],
+                                  ["verify", "--mode", "weak"],
+                                  ["verify", "--mode", "strict"], ["expand"]],
+                         ids=["invariance", "weak", "strict", "expand"])
+def test_empty_entries_are_the_zero_rmatrix(tmp_path, capsys, argv):
+    # an explicit empty list is the zero r-matrix, which passes
+    path = write_rmat(tmp_path, "r.json", {"algebra": "cur_sl2", "entries": []})
+    assert cli.main([argv[0], path, *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_repeated_entries_add():
@@ -508,9 +525,10 @@ def test_family_f_degree_at_limit_loads(tmp_path):
     '{"case": "vir"}',
     '{"case": ["x"]}',
     '{"case": {"a": 1}}',
+    '{"params": {}}',
 ], ids=["top_level_list", "params_list", "param_value_list", "f_not_string",
         "param_zero_denominator", "param_infinity", "vir_case", "case_list",
-        "case_object"])
+        "case_object", "no_case"])
 def test_family_spec_malformed(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
@@ -519,6 +537,9 @@ def test_family_spec_malformed(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert not out.exists()
+    if text == '{"params": {}}':
+        # not the bare KeyError text "error: 'case'"
+        assert captured.err == "error: a spec file has no case\n"
 
 
 @pytest.mark.parametrize("number, text", [("0.1", "1/10"), ("1e-3", "1/1000"),

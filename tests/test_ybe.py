@@ -897,6 +897,46 @@ def test_restricted_bracket_substitutes_only_forms_it_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["cur", "vir"])
+def test_contraction_plan_is_built_whole(monkeypatch, kind):
+    # over an empty store, each wanted set's plan is built by one call,
+    # on a one-entry r-matrix, with a row for every basis pair, so an
+    # r-matrix on every pair builds and fills nothing more; both
+    # brackets are the reduced pairwise oracle's, or its restriction
+    monkeypatch.setattr(conformal, "_TABLES", {})
+    built = []
+    build = ybe._contraction_plan
+
+    def counted(alg, wanted):
+        built.append(wanted)
+        return build(alg, wanted)
+
+    monkeypatch.setattr(ybe, "_contraction_plan", counted)
+    reg = SymbolRegistry()
+    alg = ConfAlgebra.cur(sl2(), reg) if kind == "cur" else ConfAlgebra.vir(reg)
+    pairs = list(itertools.product(alg.basis_names, repeat=2))
+    d1, d2 = reg.var("d1"), reg.var("d2")
+    one = ConfTensor(alg, 2, {pairs[-1]: d1 * d1 + d2 * 3 + 1})
+    every = ConfTensor(alg, 2, {pair: d1 * (i + 1) - d2 * d2 + i
+                                for i, pair in enumerate(pairs)})
+    triple = ("e", "f", "h") if kind == "cur" else ("v", "v", "v")
+    # the feeds of the e-action on (e, f, h) are (h, f, h) and (e, f, f)
+    derive_weak_projection(alg.basis_names[0], triple, one)
+    feeds = built[-1]
+    assert feeds == (frozenset({("h", "f", "h"), ("e", "f", "f")}) if kind == "cur"
+                     else frozenset({triple}))
+    wanted_sets = list(dict.fromkeys([None, frozenset({triple}), feeds]))
+    for r in (one, every):
+        oracle = reduce_mod_total(pairwise_bracket(r)).entries
+        for wanted in wanted_sets:
+            assert ccybe_bracket(r, wanted).entries == (
+                oracle if wanted is None
+                else {t: p for t, p in oracle.items() if t in wanted})
+            plan = alg.memo(("ccybe_bracket.plan", wanted), None)
+            assert type(plan) is dict and sorted(plan) == sorted(pairs)
+    assert sorted(built, key=repr) == sorted(wanted_sets, key=repr)
+
+
+@pytest.mark.parametrize("kind", ["cur", "vir"])
 @pytest.mark.parametrize("restricted", [False, True])
 def test_bracket_refuses_exponent_overflow(kind, restricted):
     # A * B reaches the guard bit of alpha; the finished output
